@@ -551,6 +551,10 @@ where
     // access pattern of tuple-at-a-time reconstruction from `p` arrays.
     let mut last_line: Vec<u64> = vec![u64::MAX; cols.len()];
     let mut row_buf: Vec<Value> = Vec::with_capacity(cols.len());
+    // Per row: one `vector_elem` per value, plus the stitching cost when
+    // tuples are materialized.
+    let per_value = costs.vector_elem + if materialize { costs.reconstruct } else { 0 };
+    let row_cycles = per_value * cols.len() as u64;
     let mut gather: Vec<(u64, usize)> = Vec::with_capacity(cols.len());
 
     let mut done = 0usize;
@@ -581,15 +585,12 @@ where
             if !gather.is_empty() {
                 mem.touch_read_gather(&gather);
             }
-            row_buf.clear();
-            for c in refs.iter() {
-                mem.cpu(costs.vector_elem);
-                if materialize {
-                    mem.cpu(costs.reconstruct);
-                }
-                let bytes = mem.bytes(c.at(row_id), c.ty.width());
-                row_buf.push(Value::decode(c.ty, bytes));
-            }
+            mem.cpu(row_cycles);
+            Value::decode_row_into(
+                &mut row_buf,
+                refs.iter()
+                    .map(|c| (c.ty, mem.bytes(c.at(row_id), c.ty.width()))),
+            );
             emit(mem, Event::Row(row_id, &row_buf))?;
         }
         done += n;

@@ -44,12 +44,18 @@ impl SetAssocCache {
 
     /// Look up the line containing `line_addr` (must be line aligned).
     /// On hit, refresh LRU position and return `true`.
+    #[inline]
     pub fn probe(&mut self, line_addr: u64) -> bool {
         let set = self.set_of(line_addr);
         let ways = &mut self.sets[set];
+        // Most hits re-touch the line that is already most recently used
+        // (consecutive fields of one row): nothing to reorder then.
+        if ways.last() == Some(&line_addr) {
+            self.hits += 1;
+            return true;
+        }
         if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
-            let tag = ways.remove(pos);
-            ways.push(tag);
+            ways[pos..].rotate_left(1);
             self.hits += 1;
             true
         } else {
@@ -60,6 +66,7 @@ impl SetAssocCache {
 
     /// Install the line containing `line_addr`, evicting the LRU way if the
     /// set is full. Returns the evicted line address, if any.
+    #[inline]
     pub fn fill(&mut self, line_addr: u64) -> Option<u64> {
         let set = self.set_of(line_addr);
         let ways = &mut self.sets[set];

@@ -69,6 +69,7 @@ impl DramModel {
 
     /// Schedule a line fetch issued at time `now`; returns its completion
     /// time. Bank queuing and open-row state advance accordingly.
+    #[inline]
     pub fn access(&mut self, line_addr: u64, now: Cycles) -> Cycles {
         let (bank, row) = self.locate(line_addr);
         let start = now.max(self.bank_free[bank]);

@@ -205,11 +205,13 @@ impl MemoryHierarchy {
     }
 
     /// The platform configuration.
+    #[inline]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
 
     /// The shared per-operation cost model.
+    #[inline]
     pub fn costs(&self) -> OpCosts {
         self.costs
     }
@@ -220,6 +222,7 @@ impl MemoryHierarchy {
     }
 
     /// Current simulated time in cycles (the active core's clock).
+    #[inline]
     pub fn now(&self) -> Cycles {
         self.cores[self.active].now
     }
@@ -603,18 +606,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Internal: wait for DRAM data (demand or prefetch completion),
-    /// attributed to the DRAM-wait bucket.
-    #[inline]
-    fn stall_dram_until(&mut self, t: Cycles) {
-        let core = &mut self.cores[self.active];
-        if t > core.now {
-            core.stats.stall_cycles += t - core.now;
-            core.stats.stall_dram_cycles += t - core.now;
-            core.now = t;
-        }
-    }
-
     // -------------------------------------------------------------- memory
 
     /// Allocate arena memory (cache-line aligned by default callers).
@@ -624,6 +615,7 @@ impl MemoryHierarchy {
 
     /// Charge the timing for reading `[addr, addr+len)` without touching
     /// the data. Combined with [`Self::bytes`] this is the zero-copy path.
+    #[inline]
     pub fn touch_read(&mut self, addr: Addr, len: usize) {
         self.cores[self.active].stats.bytes_read += len as u64;
         self.for_each_line(addr, len);
@@ -645,108 +637,16 @@ impl MemoryHierarchy {
     /// Hits are charged serially (they are latency, not occupancy); misses
     /// issue together and the CPU stalls once for the slowest.
     pub fn touch_read_gather(&mut self, parts: &[(Addr, usize)]) {
-        let MemoryHierarchy {
-            cfg,
-            cores,
-            active,
-            l2,
-            dram,
-            demand_overhead,
-            shared_base,
-            l2_port_fills,
-            dram_line_fills,
-            ..
-        } = self;
-        let multi = cores.len() > 1;
-        let CoreCtx {
-            l1,
-            prefetcher,
-            dram: core_dram,
-            now,
-            stats,
-        } = &mut cores[*active];
-        // Same shared-resource model as `access_line`: the port and DRAM
-        // ledgers meter aggregate throughput; latency comes from the
-        // core's private DRAM view in multi-core mode.
-        let dram = if multi { core_dram } else { dram };
-        let line = cfg.line_size as u64;
-        let mut max_done = *now;
+        let mut port = self.line_port();
+        let mut max_done = *port.now;
         for &(addr, len) in parts {
             if len == 0 {
                 continue;
             }
-            stats.bytes_read += len as u64;
-            let first = addr & !(line - 1);
-            let last = (addr + len as u64 - 1) & !(line - 1);
-            let mut la = first;
-            loop {
-                stats.line_accesses += 1;
-                if l1.probe(la) {
-                    stats.l1_hits += 1;
-                    *now += cfg.l1_hit_cycles;
-                    stats.mem_lat_cycles += cfg.l1_hit_cycles;
-                    stats.lat_l1_cycles += cfg.l1_hit_cycles;
-                } else {
-                    // Past the private L1: the shared L2 port ledger.
-                    if multi {
-                        let floor = *shared_base + *l2_port_fills * cfg.l2_port_cycles;
-                        if floor > *now {
-                            stats.stall_cycles += floor - *now;
-                            stats.stall_bw_cycles += floor - *now;
-                            *now = floor;
-                        }
-                        *l2_port_fills += 1;
-                    }
-                    if l2.probe(la) {
-                        stats.l2_hits += 1;
-                        *now += cfg.l2_hit_cycles;
-                        stats.mem_lat_cycles += cfg.l2_hit_cycles;
-                        stats.lat_l2_cycles += cfg.l2_hit_cycles;
-                        l1.fill(la);
-                    } else {
-                        // The line comes from DRAM: meter the shared
-                        // controller's aggregate streaming bandwidth.
-                        if multi {
-                            let floor = *shared_base
-                                + *dram_line_fills * dram.t_row_hit() / cfg.dram_banks as u64;
-                            if floor > *now {
-                                stats.stall_cycles += floor - *now;
-                                stats.stall_bw_cycles += floor - *now;
-                                *now = floor;
-                            }
-                            *dram_line_fills += 1;
-                        }
-                        if let Some(ready) = prefetcher.take_inflight(la) {
-                            stats.prefetch_hits += 1;
-                            *now += cfg.l2_hit_cycles;
-                            stats.mem_lat_cycles += cfg.l2_hit_cycles;
-                            stats.lat_l2_cycles += cfg.l2_hit_cycles;
-                            max_done = max_done.max(ready);
-                            l2.fill(la);
-                            l1.fill(la);
-                            prefetcher.observe(la, *now, dram);
-                        } else {
-                            stats.demand_misses += 1;
-                            // Issue slot occupies the core briefly;
-                            // completion is awaited collectively below.
-                            *now += cfg.l1_hit_cycles;
-                            stats.mem_lat_cycles += cfg.l1_hit_cycles;
-                            stats.lat_l1_cycles += cfg.l1_hit_cycles;
-                            let done = dram.access(la, *now) + *demand_overhead;
-                            max_done = max_done.max(done);
-                            l2.fill(la);
-                            l1.fill(la);
-                            prefetcher.observe(la, *now, dram);
-                        }
-                    }
-                }
-                if la == last {
-                    break;
-                }
-                la += line;
-            }
+            port.stats.bytes_read += len as u64;
+            max_done = max_done.max(port.access_span(addr, len, Completion::Collect));
         }
-        self.stall_dram_until(max_done);
+        port.stall_dram_until(max_done);
     }
 
     /// Raw data view without timing (pair with [`Self::touch_read`]).
@@ -824,112 +724,190 @@ impl MemoryHierarchy {
         if len == 0 {
             return;
         }
-        let line = self.cfg.line_size as u64;
-        let first = addr & !(line - 1);
-        let last = (addr + len as u64 - 1) & !(line - 1);
-        let mut la = first;
-        loop {
-            self.access_line(la);
-            if la == last {
-                break;
-            }
-            la += line;
-        }
+        self.line_port()
+            .access_span(addr, len, Completion::StallNow);
     }
 
-    fn access_line(&mut self, line_addr: u64) {
-        let MemoryHierarchy {
-            cfg,
-            cores,
-            active,
-            l2,
-            dram,
-            demand_overhead,
-            shared_base,
-            l2_port_fills,
-            dram_line_fills,
-            ..
-        } = self;
-        let multi = cores.len() > 1;
+    /// Borrow everything one line access can touch: the active core's
+    /// private state plus the shared L2, DRAM view and ledgers.
+    #[inline]
+    fn line_port(&mut self) -> LinePort<'_> {
+        let multi = self.cores.len() > 1;
         let CoreCtx {
             l1,
             prefetcher,
             dram: core_dram,
             now,
             stats,
-        } = &mut cores[*active];
-        stats.line_accesses += 1;
-        if l1.probe(line_addr) {
-            stats.l1_hits += 1;
-            *now += cfg.l1_hit_cycles;
-            stats.mem_lat_cycles += cfg.l1_hit_cycles;
-            stats.lat_l1_cycles += cfg.l1_hit_cycles;
-            return;
+        } = &mut self.cores[self.active];
+        LinePort {
+            cfg: &self.cfg,
+            multi,
+            l1,
+            prefetcher,
+            // Latency past L2 is a per-stream property: in multi-core mode
+            // it comes from this core's private DRAM timing view, while the
+            // shared controller's capacity is metered by the ledger.
+            dram: if multi { core_dram } else { &mut self.dram },
+            now,
+            stats,
+            l2: &mut self.l2,
+            demand_overhead: self.demand_overhead,
+            shared_base: self.shared_base,
+            l2_port_fills: &mut self.l2_port_fills,
+            dram_line_fills: &mut self.dram_line_fills,
+        }
+    }
+}
+
+/// What a line access does about the DRAM completion it may have to
+/// wait for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Completion {
+    /// A dependent load: stall the core until the line arrives.
+    StallNow,
+    /// One of several independent loads ([`MemoryHierarchy::touch_read_gather`]):
+    /// occupy the core only for the issue slot and report the arrival
+    /// time, which the caller awaits once for the slowest.
+    Collect,
+}
+
+/// The state one line access reads and writes, borrowed once per
+/// `touch_*` call by [`MemoryHierarchy::line_port`].
+struct LinePort<'a> {
+    cfg: &'a SimConfig,
+    multi: bool,
+    l1: &'a mut SetAssocCache,
+    prefetcher: &'a mut StreamPrefetcher,
+    dram: &'a mut DramModel,
+    now: &'a mut Cycles,
+    stats: &'a mut MemStats,
+    l2: &'a mut SetAssocCache,
+    demand_overhead: Cycles,
+    shared_base: Cycles,
+    l2_port_fills: &'a mut u64,
+    dram_line_fills: &'a mut u64,
+}
+
+impl LinePort<'_> {
+    /// An L1-latency occupancy of the core (a hit, or a miss's issue slot).
+    #[inline(always)]
+    fn l1_latency(&mut self) {
+        let cycles = self.cfg.l1_hit_cycles;
+        *self.now += cycles;
+        self.stats.mem_lat_cycles += cycles;
+        self.stats.lat_l1_cycles += cycles;
+    }
+
+    /// An L2-latency occupancy of the core (a hit, or the L2-to-L1
+    /// transfer of a prefetched line).
+    #[inline(always)]
+    fn l2_latency(&mut self) {
+        let cycles = self.cfg.l2_hit_cycles;
+        *self.now += cycles;
+        self.stats.mem_lat_cycles += cycles;
+        self.stats.lat_l2_cycles += cycles;
+    }
+
+    /// Wait for a slot of a shared-fabric bandwidth ledger.
+    #[inline(always)]
+    fn stall_bw_until(&mut self, t: Cycles) {
+        if t > *self.now {
+            self.stats.stall_cycles += t - *self.now;
+            self.stats.stall_bw_cycles += t - *self.now;
+            *self.now = t;
+        }
+    }
+
+    /// Wait for DRAM data (demand or prefetch completion).
+    #[inline(always)]
+    fn stall_dram_until(&mut self, t: Cycles) {
+        if t > *self.now {
+            self.stats.stall_cycles += t - *self.now;
+            self.stats.stall_dram_cycles += t - *self.now;
+            *self.now = t;
+        }
+    }
+
+    /// [`Self::access`] for every line of the non-empty span
+    /// `[addr, addr + len)`, in address order; the latest arrival.
+    #[inline(always)]
+    fn access_span(&mut self, addr: Addr, len: usize, completion: Completion) -> Cycles {
+        let line = self.cfg.line_size as u64;
+        let last = (addr + len as u64 - 1) & !(line - 1);
+        let mut la = addr & !(line - 1);
+        let mut arrives = 0;
+        loop {
+            arrives = arrives.max(self.access(la, completion));
+            if la == last {
+                return arrives;
+            }
+            la += line;
+        }
+    }
+
+    /// The per-line state machine: L1 → L2-port ledger → L2 → DRAM ledger
+    /// → prefetch hit or demand miss. Returns the time the line's data
+    /// arrives from DRAM (0 for a cache hit); under
+    /// [`Completion::StallNow`] the core has already waited for it.
+    #[inline(always)]
+    fn access(&mut self, line_addr: u64, completion: Completion) -> Cycles {
+        self.stats.line_accesses += 1;
+        if self.l1.probe(line_addr) {
+            self.stats.l1_hits += 1;
+            self.l1_latency();
+            return 0;
         }
         // Past the private L1: every fill crosses the shared L2 port.
         // With more than one core the port is a finite resource — the
         // ledger admits at most one fill per `l2_port_cycles` across all
         // cores since the fork point (see the field docs for why this is
         // a counter, not a busy-until cursor).
-        if multi {
-            let floor = *shared_base + *l2_port_fills * cfg.l2_port_cycles;
-            if floor > *now {
-                stats.stall_cycles += floor - *now;
-                stats.stall_bw_cycles += floor - *now;
-                *now = floor;
-            }
-            *l2_port_fills += 1;
+        if self.multi {
+            self.stall_bw_until(self.shared_base + *self.l2_port_fills * self.cfg.l2_port_cycles);
+            *self.l2_port_fills += 1;
         }
-        // Latency past L2 is a per-stream property: in multi-core mode it
-        // comes from this core's private DRAM timing view, while the
-        // shared controller's capacity is metered by the ledger above.
-        let dram = if multi { core_dram } else { dram };
-        if l2.probe(line_addr) {
-            stats.l2_hits += 1;
-            *now += cfg.l2_hit_cycles;
-            stats.mem_lat_cycles += cfg.l2_hit_cycles;
-            stats.lat_l2_cycles += cfg.l2_hit_cycles;
-            l1.fill(line_addr);
-            return;
+        if self.l2.probe(line_addr) {
+            self.stats.l2_hits += 1;
+            self.l2_latency();
+            self.l1.fill(line_addr);
+            return 0;
         }
         // The line comes from DRAM (prefetched or on demand): meter the
         // shared controller's aggregate streaming bandwidth.
-        if multi {
-            let floor = *shared_base + *dram_line_fills * dram.t_row_hit() / cfg.dram_banks as u64;
-            if floor > *now {
-                stats.stall_cycles += floor - *now;
-                stats.stall_bw_cycles += floor - *now;
-                *now = floor;
-            }
-            *dram_line_fills += 1;
+        if self.multi {
+            self.stall_bw_until(
+                self.shared_base
+                    + *self.dram_line_fills * self.dram.t_row_hit() / self.cfg.dram_banks as u64,
+            );
+            *self.dram_line_fills += 1;
         }
-        if let Some(ready) = prefetcher.take_inflight(line_addr) {
-            // The prefetch is (or will be) in L2; wait for it if needed,
-            // then pay the L2-to-L1 transfer.
-            stats.prefetch_hits += 1;
-            if ready > *now {
-                stats.stall_cycles += ready - *now;
-                stats.stall_dram_cycles += ready - *now;
-                *now = ready;
+        let stall_now = completion == Completion::StallNow;
+        let arrives = if let Some(ready) = self.prefetcher.take_inflight(line_addr) {
+            // The prefetch is (or will be) in L2; then pay the L2-to-L1
+            // transfer.
+            self.stats.prefetch_hits += 1;
+            if stall_now {
+                self.stall_dram_until(ready);
             }
-            *now += cfg.l2_hit_cycles;
-            stats.mem_lat_cycles += cfg.l2_hit_cycles;
-            stats.lat_l2_cycles += cfg.l2_hit_cycles;
-            l2.fill(line_addr);
-            l1.fill(line_addr);
-            prefetcher.observe(line_addr, *now, dram);
-            return;
-        }
-        // Full demand miss.
-        stats.demand_misses += 1;
-        let done = dram.access(line_addr, *now);
-        let arrive = done + *demand_overhead;
-        stats.stall_cycles += arrive - *now;
-        stats.stall_dram_cycles += arrive - *now;
-        *now = arrive;
-        l2.fill(line_addr);
-        l1.fill(line_addr);
-        prefetcher.observe(line_addr, *now, dram);
+            self.l2_latency();
+            ready
+        } else {
+            self.stats.demand_misses += 1;
+            if !stall_now {
+                // The issue slot occupies the core briefly.
+                self.l1_latency();
+            }
+            let arrives = self.dram.access(line_addr, *self.now) + self.demand_overhead;
+            if stall_now {
+                self.stall_dram_until(arrives);
+            }
+            arrives
+        };
+        self.l2.fill(line_addr);
+        self.l1.fill(line_addr);
+        self.prefetcher.observe(line_addr, *self.now, self.dram);
+        arrives
     }
 }
 

@@ -11,9 +11,12 @@
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// classic byte-at-a-time table; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which lets eight input bytes be folded with
+/// eight independent lookups instead of a chain of eight dependent ones.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -26,11 +29,28 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// One byte-at-a-time step (the tail of [`Crc32::update`], and the
+/// definition the sliced loop must equal).
+#[inline]
+fn step(state: u32, b: u8) -> u32 {
+    (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize]
+}
 
 /// CRC-32/ISO-HDLC of `bytes` (init `!0`, reflected, final xor `!0`).
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -58,9 +78,23 @@ impl Crc32 {
 
     /// Absorb `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let mut state = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            state = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][w[4] as usize]
+                ^ TABLES[2][w[5] as usize]
+                ^ TABLES[1][w[6] as usize]
+                ^ TABLES[0][w[7] as usize];
         }
+        for &b in words.remainder() {
+            state = step(state, b);
+        }
+        self.state = state;
         self
     }
 

@@ -92,6 +92,40 @@ impl Expr {
         }
     }
 
+    /// Flatten the tree into a postfix program whose [`F64Program::eval`]
+    /// equals [`Self::eval_f64`] bit for bit, error for error: per-row
+    /// consumers compile once and then evaluate without recursion.
+    pub fn compile_f64(&self) -> F64Program {
+        let mut ops = Vec::new();
+        self.emit_f64(&mut ops);
+        F64Program {
+            stack: Vec::with_capacity(ops.len()),
+            ops,
+        }
+    }
+
+    fn emit_f64(&self, ops: &mut Vec<F64Op>) {
+        let (a, b, op) = match self {
+            Expr::Col(i) => return ops.push(F64Op::Col(*i)),
+            Expr::Const(v) => return ops.push(F64Op::Lit(v.clone())),
+            Expr::Add(a, b) => (a, b, F64Op::Add),
+            Expr::Sub(a, b) => (a, b, F64Op::Sub),
+            Expr::Mul(a, b) => (a, b, F64Op::Mul),
+            Expr::Div(a, b) => {
+                // `eval_f64` evaluates and checks the divisor before it
+                // touches the dividend; keep that order so the same error
+                // wins when both sides would fail.
+                b.emit_f64(ops);
+                ops.push(F64Op::NonZero);
+                a.emit_f64(ops);
+                return ops.push(F64Op::DivBy);
+            }
+        };
+        a.emit_f64(ops);
+        b.emit_f64(ops);
+        ops.push(op);
+    }
+
     /// Number of arithmetic operations in the tree (for CPU-cost charging).
     pub fn ops(&self) -> u64 {
         match self {
@@ -132,6 +166,89 @@ impl fmt::Display for Expr {
     }
 }
 
+/// One instruction of an [`F64Program`].
+#[derive(Debug, Clone)]
+enum F64Op {
+    /// Push the tuple's `i`-th slot as `f64`.
+    Col(usize),
+    /// Push a literal as `f64` (a string literal is the evaluation-time
+    /// type error it is in [`Expr::eval_f64`]).
+    Lit(Value),
+    Add,
+    Sub,
+    Mul,
+    /// Fail with "division by zero" if the top of the stack is `0.0`.
+    NonZero,
+    /// Pop the dividend, then the divisor below it; push the quotient.
+    DivBy,
+}
+
+/// An [`Expr`] flattened by [`Expr::compile_f64`]: a postfix instruction
+/// list plus the operand stack it runs on (kept so evaluation allocates
+/// nothing).
+#[derive(Debug, Clone)]
+pub struct F64Program {
+    ops: Vec<F64Op>,
+    stack: Vec<f64>,
+}
+
+impl F64Program {
+    /// Evaluate over a positional tuple: the value, or the error,
+    /// [`Expr::eval_f64`] gives for the expression this was compiled from.
+    #[inline]
+    pub fn eval(&mut self, tuple: &[Value]) -> Result<f64> {
+        fn underflow() -> FabricError {
+            FabricError::Internal("expression program stack underflow".into())
+        }
+        /// The two operands of a binary instruction, `(pushed first,
+        /// pushed last)`.
+        #[inline]
+        fn pop2(stack: &mut Vec<f64>) -> Result<(f64, f64)> {
+            let last = stack.pop().ok_or_else(underflow)?;
+            let first = stack.pop().ok_or_else(underflow)?;
+            Ok((first, last))
+        }
+        let stack = &mut self.stack;
+        stack.clear();
+        for op in &self.ops {
+            let v = match op {
+                F64Op::Col(i) => tuple
+                    .get(*i)
+                    .ok_or(FabricError::ColumnIndexOutOfRange {
+                        index: *i,
+                        len: tuple.len(),
+                    })?
+                    .as_f64()?,
+                F64Op::Lit(v) => v.as_f64()?,
+                F64Op::Add => {
+                    let (a, b) = pop2(stack)?;
+                    a + b
+                }
+                F64Op::Sub => {
+                    let (a, b) = pop2(stack)?;
+                    a - b
+                }
+                F64Op::Mul => {
+                    let (a, b) = pop2(stack)?;
+                    a * b
+                }
+                F64Op::NonZero => {
+                    if stack.last() == Some(&0.0) {
+                        return Err(FabricError::Internal("division by zero".into()));
+                    }
+                    continue;
+                }
+                F64Op::DivBy => {
+                    let (divisor, dividend) = pop2(stack)?;
+                    dividend / divisor
+                }
+            };
+            stack.push(v);
+        }
+        stack.pop().ok_or_else(underflow)
+    }
+}
+
 /// A value-level aggregate accumulator (software engines; the device-side
 /// equivalent lives in `relmem::aggregate`).
 #[derive(Debug, Clone)]
@@ -155,6 +272,7 @@ impl ValueAgg {
     }
 
     /// Feed one value (already the result of the aggregate's expression).
+    #[inline]
     pub fn update(&mut self, v: &Value) -> Result<()> {
         self.count += 1;
         match self.func {
@@ -183,6 +301,7 @@ impl ValueAgg {
     }
 
     /// Fast-path feed for numeric aggregates.
+    #[inline]
     pub fn update_f64(&mut self, v: f64) {
         self.count += 1;
         match self.func {
@@ -293,6 +412,34 @@ mod tests {
     fn division_by_zero_is_error() {
         let e = Expr::div(Expr::col(0), Expr::lit(Value::F64(0.0)));
         assert!(e.eval_f64(&tuple()).is_err());
+    }
+
+    #[test]
+    fn compiled_program_equals_eval_f64() {
+        let t = tuple();
+        // Q1's widest sum, a division, and a division whose divisor and
+        // dividend both fail: the divisor's error must win, as it does in
+        // the recursive evaluator.
+        let one = || Expr::lit(Value::I64(1));
+        let exprs = [
+            Expr::mul(
+                Expr::mul(Expr::col(0), Expr::sub(one(), Expr::col(1))),
+                Expr::add(one(), Expr::col(2)),
+            ),
+            Expr::div(Expr::col(0), Expr::sub(Expr::col(1), Expr::col(2))),
+            Expr::div(Expr::col(9), Expr::lit(Value::F64(-0.0))),
+            Expr::div(Expr::col(9), Expr::lit(Value::Str("x".into()))),
+            Expr::col(9),
+        ];
+        for e in exprs {
+            let mut program = e.compile_f64();
+            for _ in 0..2 {
+                match (program.eval(&t), e.eval_f64(&t)) {
+                    (Ok(got), Ok(want)) => assert_eq!(got.to_bits(), want.to_bits(), "{e}"),
+                    (got, want) => assert_eq!(got, want, "{e}"),
+                }
+            }
+        }
     }
 
     #[test]

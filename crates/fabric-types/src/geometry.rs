@@ -33,11 +33,13 @@ impl FieldSlice {
     }
 
     /// Width in bytes.
+    #[inline]
     pub fn width(&self) -> usize {
         self.ty.width()
     }
 
     /// Byte range within a row buffer.
+    #[inline]
     pub fn range(&self) -> std::ops::Range<usize> {
         self.offset..self.offset + self.width()
     }

@@ -62,6 +62,7 @@ impl RowLayout {
     }
 
     /// Total row width in bytes, including padding.
+    #[inline]
     pub fn row_width(&self) -> usize {
         self.row_width
     }
@@ -72,6 +73,7 @@ impl RowLayout {
     }
 
     /// Byte offset of column `id` within a row.
+    #[inline]
     pub fn offset(&self, id: ColumnId) -> Result<usize> {
         self.offsets
             .get(id)
@@ -83,6 +85,7 @@ impl RowLayout {
     }
 
     /// Physical type of column `id`.
+    #[inline]
     pub fn column_type(&self, id: ColumnId) -> Result<ColumnType> {
         self.types
             .get(id)
@@ -110,6 +113,7 @@ impl RowLayout {
     }
 
     /// Byte range of column `id` within a row buffer.
+    #[inline]
     pub fn range(&self, id: ColumnId) -> Result<std::ops::Range<usize>> {
         let off = self.offset(id)?;
         Ok(off..off + self.width(id)?)

@@ -26,7 +26,7 @@ pub mod value;
 
 pub use crc::{crc32, Crc32};
 pub use error::{FabricError, Result};
-pub use expr::{Expr, ValueAgg};
+pub use expr::{Expr, F64Program, ValueAgg};
 pub use geometry::{AggFunc, AggSpec, FieldSlice, Geometry, OutputMode, TsFilter};
 pub use layout::RowLayout;
 pub use predicate::{CmpOp, ColumnPredicate, Predicate};

@@ -26,6 +26,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Does `ord` (of `lhs.cmp(rhs)`) satisfy this operator?
+    #[inline]
     pub fn matches(&self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,

@@ -35,6 +35,7 @@ pub enum ColumnType {
 
 impl ColumnType {
     /// Width of the column in bytes.
+    #[inline]
     pub fn width(&self) -> usize {
         match self {
             ColumnType::I8 => 1,

@@ -101,6 +101,7 @@ impl Value {
     }
 
     /// Decode a value of type `ty` from `bytes` (must be `ty.width()` long).
+    #[inline]
     pub fn decode(ty: ColumnType, bytes: &[u8]) -> Value {
         debug_assert_eq!(bytes.len(), ty.width());
         match ty {
@@ -112,13 +113,55 @@ impl Value {
             ColumnType::F64 => Value::F64(f64::from_le_bytes(le_array(bytes))),
             ColumnType::Date => Value::Date(u32::from_le_bytes(le_array(bytes))),
             ColumnType::FixedStr(_) => {
-                let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
-                Value::Str(String::from_utf8_lossy(&bytes[..end]).into_owned())
+                Value::Str(String::from_utf8_lossy(trim_padding(bytes)).into_owned())
+            }
+        }
+    }
+
+    /// [`Self::decode`] into an existing slot: the same value, but a text
+    /// column refills the slot's `String` in place, so a kernel that
+    /// decodes row after row into one tuple buffer allocates nothing once
+    /// the buffers have grown.
+    #[inline]
+    pub fn decode_into(ty: ColumnType, bytes: &[u8], slot: &mut Value) {
+        match (ty, slot) {
+            (ColumnType::FixedStr(_), Value::Str(s)) => {
+                let text = trim_padding(bytes);
+                s.clear();
+                match std::str::from_utf8(text) {
+                    Ok(t) => s.push_str(t),
+                    Err(_) => s.push_str(&String::from_utf8_lossy(text)),
+                }
+            }
+            (_, slot) => *slot = Value::decode(ty, bytes),
+        }
+    }
+
+    /// Decode one row's `(type, bytes)` fields into `tuple`, slot by slot
+    /// in place; a buffer of another length (a fresh or recycled one) is
+    /// rebuilt instead.
+    #[inline]
+    pub fn decode_row_into<'a>(
+        tuple: &mut Vec<Value>,
+        fields: impl ExactSizeIterator<Item = (ColumnType, &'a [u8])>,
+    ) {
+        if tuple.len() == fields.len() {
+            for (slot, (ty, bytes)) in tuple.iter_mut().zip(fields) {
+                Value::decode_into(ty, bytes, slot);
+            }
+        } else {
+            tuple.clear();
+            // Pushed one by one so capacity grows by doubling: a pooled
+            // buffer's capacity is an exported gauge
+            // (`query.scratchpad.hwm_bytes`) the perf gate compares.
+            for (ty, bytes) in fields {
+                tuple.push(Value::decode(ty, bytes));
             }
         }
     }
 
     /// Numeric view as `f64`, for aggregates. Strings are an error.
+    #[inline]
     pub fn as_f64(&self) -> Result<f64> {
         Ok(match self {
             Value::I8(v) => *v as f64,
@@ -158,6 +201,7 @@ impl Value {
 
     /// Total comparison used by predicates: numerics compare numerically
     /// (integers exactly, mixed via `f64`), strings compare byte-wise.
+    #[inline]
     pub fn compare(&self, other: &Value) -> Result<Ordering> {
         match (self, other) {
             (Value::Str(a), Value::Str(b)) => Ok(a.as_bytes().cmp(b.as_bytes())),
@@ -167,7 +211,7 @@ impl Value {
             }),
             (a, b) => {
                 // Exact integer compare when both sides are integral.
-                if let (Ok(x), Ok(y)) = (a.try_exact_i64(), b.try_exact_i64()) {
+                if let (Some(x), Some(y)) = (a.exact_i64(), b.exact_i64()) {
                     return Ok(x.cmp(&y));
                 }
                 let x = a.as_f64()?;
@@ -177,14 +221,27 @@ impl Value {
         }
     }
 
-    fn try_exact_i64(&self) -> Result<i64> {
+    /// The value as an `i64` when its type is integral (floats and
+    /// strings are `None`, whatever they hold).
+    #[inline]
+    fn exact_i64(&self) -> Option<i64> {
         match self {
-            Value::I8(_) | Value::I16(_) | Value::I32(_) | Value::I64(_) | Value::Date(_) => {
-                self.as_i64()
-            }
-            _ => Err(FabricError::Internal("not integral".into())),
+            Value::I8(v) => Some(*v as i64),
+            Value::I16(v) => Some(*v as i64),
+            Value::I32(v) => Some(*v as i64),
+            Value::I64(v) => Some(*v),
+            Value::Date(v) => Some(*v as i64),
+            Value::F32(_) | Value::F64(_) | Value::Str(_) => None,
         }
     }
+}
+
+/// The text of a zero-padded fixed-width string field: everything before
+/// the first NUL.
+#[inline]
+fn trim_padding(bytes: &[u8]) -> &[u8] {
+    let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
+    &bytes[..end]
 }
 
 impl fmt::Display for Value {

@@ -19,7 +19,7 @@ use crate::cost::AccessPath;
 use colstore::exec as colx;
 use fabric_sim::{MemoryHierarchy, MetricsRegistry};
 use fabric_types::{FabricError, Result, Value};
-use relmem::{EphemeralColumns, RmConfig, RmStats};
+use relmem::{EphemeralColumns, PackedBatch, RmConfig, RmStats};
 
 use super::buffer::Scratchpad;
 use super::operators::{earliest_core, Consumer, OpKind, OpNode};
@@ -316,66 +316,8 @@ impl<'q> QueryExecutor<'q> {
         mem: &mut MemoryHierarchy,
         scratch: &mut Scratchpad,
     ) -> Result<(Vec<Consumer<'q>>, RmStats)> {
-        let bound = self.bound();
-        let costs = mem.costs();
-        // The geometry was admitted by the analyzer; configuration cannot
-        // fail.
-        let mut eph = EphemeralColumns::configure_verified(
-            mem,
-            RmConfig::prototype(),
-            self.verified.geometry().clone(),
-        );
-
-        // RM fan-out: each delivered batch is consumed on the
-        // earliest-free core. Batch *content* is timing-independent (the
-        // device walks its geometry cursor), so delivery order — and
-        // therefore the partial list — is identical for every core count.
-        mem.fork_clocks();
-        let mut partials: Vec<Consumer<'q>> = Vec::new();
-        let mut current = Consumer::new(bound);
-        let row_cycles = current.row_cycles(&costs);
-        let pred_cycles = costs.value_op * bound.preds.len() as u64;
-        let mut consumed = 0usize;
-        let (vref, mut vals) = scratch.take_vals();
-        let mut batch_counts: Vec<(u64, u64)> = Vec::new();
-        loop {
-            mem.set_active_core(earliest_core(mem));
-            let Some(b) = eph.next_batch(mem) else {
-                break;
-            };
-            let mut kept = 0u64;
-            for r in 0..b.len() {
-                if consumed > 0 && consumed % MORSEL_ROWS == 0 {
-                    partials.push(std::mem::replace(&mut current, Consumer::new(bound)));
-                }
-                consumed += 1;
-                mem.cpu(pred_cycles);
-                let mut pass = true;
-                for (slot, op, lit) in &bound.preds {
-                    pass &= op.matches(b.value(r, *slot).compare(lit)?);
-                }
-                if !pass {
-                    continue;
-                }
-                kept += 1;
-                vals.clear();
-                for slot in 0..bound.touched.len() {
-                    vals.push(b.value(r, slot));
-                }
-                mem.cpu(row_cycles + costs.vector_elem);
-                current.feed(&vals)?;
-            }
-            batch_counts.push((b.len() as u64, kept));
-        }
-        partials.push(current);
-        scratch.put_vals(vref, vals);
-        mem.join_clocks();
-        mem.set_active_core(0);
-        for (rows_in, rows_out) in batch_counts {
-            self.note_scan(rows_in, rows_out);
-        }
-        let stats = eph.stats();
-        Ok((partials, stats))
+        let (partials, stats) = self.run_rm(mem, scratch, |eph, mem| Ok(eph.next_batch(mem)));
+        Ok((partials?, stats))
     }
 
     /// The RM stage 0 of [`Self::run_stage0_rm`], but every delivery runs
@@ -389,76 +331,75 @@ impl<'q> QueryExecutor<'q> {
         scratch: &mut Scratchpad,
         ctx: &mut FaultContext,
     ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
+        self.run_rm(mem, scratch, |eph, mem| {
+            eph.next_batch_resilient(mem, &mut ctx.plan, &ctx.policy)
+        })
+    }
+
+    /// Both RM variants: configure the device, pull batches with
+    /// `next_batch` and consume them. Error exits re-join the clocks and
+    /// credit the batches consumed so far, so the caller's accounting
+    /// stays aligned.
+    fn run_rm(
+        &mut self,
+        mem: &mut MemoryHierarchy,
+        scratch: &mut Scratchpad,
+        mut next_batch: impl FnMut(
+            &mut EphemeralColumns,
+            &mut MemoryHierarchy,
+        ) -> Result<Option<PackedBatch>>,
+    ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
         let bound = self.bound();
         let costs = mem.costs();
+        // The geometry was admitted by the analyzer; configuration cannot
+        // fail.
         let mut eph = EphemeralColumns::configure_verified(
             mem,
             RmConfig::prototype(),
             self.verified.geometry().clone(),
         );
 
-        // Same batch fan-out and morsel-aligned partial rollover as the
-        // plain RM stage; fault draws are indexed by delivery sequence, so
-        // the injected faults — and thus the delivered content — are
-        // identical for every core count. Error exits re-join the clocks
-        // so the caller's accounting stays aligned (the scratch buffer is
-        // dropped rather than pooled on that path — a lost allocation,
-        // never an aliased one).
+        // RM fan-out: each delivered batch is consumed on the
+        // earliest-free core. Batch *content* is timing-independent (the
+        // device walks its geometry cursor, and fault draws are indexed by
+        // delivery sequence), so delivery order — and therefore the
+        // partial list — is identical for every core count.
         mem.fork_clocks();
         let mut partials: Vec<Consumer<'q>> = Vec::new();
         let mut current = Consumer::new(bound);
-        let row_cycles = current.row_cycles(&costs);
+        let row_cycles = current.row_cycles(&costs) + costs.vector_elem;
         let pred_cycles = costs.value_op * bound.preds.len() as u64;
         let mut consumed = 0usize;
         let (vref, mut vals) = scratch.take_vals();
         let mut batch_counts: Vec<(u64, u64)> = Vec::new();
-        macro_rules! bail {
-            ($e:expr) => {{
-                mem.join_clocks();
-                mem.set_active_core(0);
-                for &(rows_in, rows_out) in &batch_counts {
-                    self.note_scan(rows_in, rows_out);
+        let res = (|| -> Result<()> {
+            loop {
+                mem.set_active_core(earliest_core(mem));
+                let Some(b) = next_batch(&mut eph, mem)? else {
+                    return Ok(());
+                };
+                let mut kept = 0u64;
+                for r in 0..b.len() {
+                    if consumed > 0 && consumed % MORSEL_ROWS == 0 {
+                        partials.push(std::mem::replace(&mut current, Consumer::new(bound)));
+                    }
+                    consumed += 1;
+                    mem.cpu(pred_cycles);
+                    b.decode_row_into(r, &mut vals);
+                    let mut pass = true;
+                    for (slot, op, lit) in &bound.preds {
+                        pass &= op.matches(vals[*slot].compare(lit)?);
+                    }
+                    if !pass {
+                        continue;
+                    }
+                    kept += 1;
+                    mem.cpu(row_cycles);
+                    current.feed(&vals)?;
                 }
-                return (Err($e), eph.stats());
-            }};
-        }
-        loop {
-            mem.set_active_core(earliest_core(mem));
-            let b = match eph.next_batch_resilient(mem, &mut ctx.plan, &ctx.policy) {
-                Ok(Some(b)) => b,
-                Ok(None) => break,
-                Err(e) => bail!(e),
-            };
-            let mut kept = 0u64;
-            for r in 0..b.len() {
-                if consumed > 0 && consumed % MORSEL_ROWS == 0 {
-                    partials.push(std::mem::replace(&mut current, Consumer::new(bound)));
-                }
-                consumed += 1;
-                mem.cpu(pred_cycles);
-                let mut pass = true;
-                for (slot, op, lit) in &bound.preds {
-                    let cmp = match b.value(r, *slot).compare(lit) {
-                        Ok(c) => c,
-                        Err(e) => bail!(e),
-                    };
-                    pass &= op.matches(cmp);
-                }
-                if !pass {
-                    continue;
-                }
-                kept += 1;
-                vals.clear();
-                for slot in 0..bound.touched.len() {
-                    vals.push(b.value(r, slot));
-                }
-                mem.cpu(row_cycles + costs.vector_elem);
-                if let Err(e) = current.feed(&vals) {
-                    bail!(e);
-                }
+                batch_counts.push((b.len() as u64, kept));
             }
-            batch_counts.push((b.len() as u64, kept));
-        }
+        })();
         partials.push(current);
         scratch.put_vals(vref, vals);
         mem.join_clocks();
@@ -466,8 +407,7 @@ impl<'q> QueryExecutor<'q> {
         for (rows_in, rows_out) in batch_counts {
             self.note_scan(rows_in, rows_out);
         }
-        let stats = eph.stats();
-        (Ok(partials), stats)
+        (res.map(|()| partials), eph.stats())
     }
 }
 

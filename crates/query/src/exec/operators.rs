@@ -19,8 +19,9 @@
 use crate::bind::{BoundQuery, OutputItem};
 use crate::cost::AccessPath;
 use fabric_sim::{MemoryHierarchy, OpStats};
-use fabric_types::{FabricError, Result, Value, ValueAgg};
-use std::collections::BTreeMap;
+use fabric_types::{AggFunc, Expr, F64Program, FabricError, Result, Value, ValueAgg};
+use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The operator vocabulary of the staged executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,25 +84,145 @@ pub(crate) fn earliest_core(mem: &MemoryHierarchy) -> usize {
         .unwrap_or(0)
 }
 
+/// A group key as decoded values, ordered so that two keys are equal
+/// exactly when their rendered forms ([`render_key`]) are: per column the
+/// type tag, then the bit pattern — every NaN one key, `-0.0` and `0.0`
+/// two — and strings byte-wise. Comparing these per row replaces
+/// formatting a `String` per row; the rendered key is still what orders
+/// the output (see [`merge_partials`]).
+#[derive(Debug, Clone, Default)]
+struct RawKey(Vec<Value>);
+
+/// `(type tag, bits)` of a non-string key column.
+fn key_bits(v: &Value) -> (u8, u64) {
+    match v {
+        Value::I8(x) => (0, *x as u64),
+        Value::I16(x) => (1, *x as u64),
+        Value::I32(x) => (2, *x as u64),
+        Value::I64(x) => (3, *x as u64),
+        Value::F32(x) if x.is_nan() => (4, u64::from(f32::NAN.to_bits())),
+        Value::F32(x) => (4, u64::from(x.to_bits())),
+        Value::F64(x) if x.is_nan() => (5, f64::NAN.to_bits()),
+        Value::F64(x) => (5, x.to_bits()),
+        Value::Date(x) => (6, u64::from(*x)),
+        Value::Str(_) => (7, 0),
+    }
+}
+
+fn key_part_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
+        _ => key_bits(a).cmp(&key_bits(b)),
+    }
+}
+
+impl Ord for RawKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_part = self.0.iter().zip(&other.0);
+        by_part
+            .map(|(a, b)| key_part_cmp(a, b))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
+    }
+}
+
+impl PartialOrd for RawKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RawKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RawKey {}
+
+/// The rendered group key: each key value through `Display`, each followed
+/// by a unit separator. Its `String` order is the order grouped output
+/// leaves the merge stage in.
+fn render_key(key: &[Value]) -> Result<String> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for v in key {
+        write!(out, "{v}\u{1f}")
+            .map_err(|e| FabricError::Internal(format!("group key formatting: {e}")))?;
+    }
+    Ok(out)
+}
+
+/// How one aggregate of the plan is fed a row.
+enum AggFeed<'q> {
+    /// `count`: the row itself is the input.
+    Count,
+    /// `sum` / `avg`: the expression as a compiled `f64` program (the
+    /// same operands in the same order as `Expr::eval_f64`, so the same
+    /// bits).
+    Sum(F64Program),
+    /// `min` / `max`: the expression's `Value`, so the result keeps the
+    /// column's type.
+    Value(&'q Expr),
+}
+
+/// Fresh accumulators for the plan's aggregates, in item order.
+fn new_accs(bound: &BoundQuery) -> Vec<ValueAgg> {
+    bound
+        .items
+        .iter()
+        .filter_map(|i| match i {
+            OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
+            OutputItem::Expr(_) => None,
+        })
+        .collect()
+}
+
+/// Grouped partials keyed by rendered key: a `BTreeMap` so iteration is
+/// key-ordered on every core count — group output order must never depend
+/// on hash iteration (rule `nondeterministic-core`).
+type RenderedGroups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
+
 /// Shared consumption: either collects projected rows or maintains grouped
 /// aggregates. One `Consumer` holds one morsel's partial result.
 pub(crate) struct Consumer<'q> {
     bound: &'q BoundQuery,
     rows: Vec<Vec<Value>>,
-    /// Grouped accumulators keyed by the rendered group key. A `BTreeMap`
-    /// so iteration is key-ordered on every core count — group output
-    /// order must never depend on hash iteration (rule
-    /// `nondeterministic-core`).
-    groups: BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>,
+    /// Accumulators per group, in first-seen order.
+    groups: Vec<Vec<ValueAgg>>,
+    /// Raw key → position in `groups`.
+    index: BTreeMap<RawKey, usize>,
+    /// The previous row's key (refilled in place) and the group it fell
+    /// in: consecutive rows of one group skip the lookup.
+    probe: RawKey,
+    last: Option<usize>,
+    /// One feed per aggregate, in item order.
+    feeds: Vec<AggFeed<'q>>,
     aggregated: bool,
 }
 
 impl<'q> Consumer<'q> {
     pub(crate) fn new(bound: &'q BoundQuery) -> Self {
+        let feeds = bound
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                OutputItem::Agg(AggFunc::Count, _) => Some(AggFeed::Count),
+                OutputItem::Agg(AggFunc::Sum | AggFunc::Avg, e) => {
+                    Some(AggFeed::Sum(e.compile_f64()))
+                }
+                OutputItem::Agg(AggFunc::Min | AggFunc::Max, e) => Some(AggFeed::Value(e)),
+                OutputItem::Expr(_) => None,
+            })
+            .collect();
         Consumer {
             bound,
             rows: Vec::new(),
-            groups: BTreeMap::new(),
+            groups: Vec::new(),
+            index: BTreeMap::new(),
+            probe: RawKey::default(),
+            last: None,
+            feeds,
             aggregated: bound.has_aggregates(),
         }
     }
@@ -138,6 +259,42 @@ impl<'q> Consumer<'q> {
         }
     }
 
+    /// Position in `groups` of the group `vals` belongs to, created on
+    /// first sight.
+    fn group_of(&mut self, vals: &[Value]) -> usize {
+        let slots = &self.bound.group_by;
+        let probe = &mut self.probe.0;
+        if let Some(g) = self.last {
+            let mut parts = slots.iter().zip(probe.iter());
+            if parts.all(|(&s, k)| key_part_cmp(&vals[s], k).is_eq()) {
+                return g;
+            }
+        }
+        // Refill the probe in place (no allocation once its strings have
+        // grown); it has no slots yet on the first row.
+        probe.resize(slots.len(), Value::I8(0));
+        for (k, &s) in probe.iter_mut().zip(slots) {
+            match (k, &vals[s]) {
+                (Value::Str(dst), Value::Str(src)) => {
+                    dst.clear();
+                    dst.push_str(src);
+                }
+                (k, v) => *k = v.clone(),
+            }
+        }
+        let g = match self.index.get(&self.probe) {
+            Some(&g) => g,
+            None => {
+                let g = self.groups.len();
+                self.groups.push(new_accs(self.bound));
+                self.index.insert(self.probe.clone(), g);
+                g
+            }
+        };
+        self.last = Some(g);
+        g
+    }
+
     pub(crate) fn feed(&mut self, vals: &[Value]) -> Result<()> {
         if !self.aggregated {
             let mut out = Vec::with_capacity(self.bound.items.len());
@@ -154,149 +311,141 @@ impl<'q> Consumer<'q> {
             self.rows.push(out);
             return Ok(());
         }
-        use std::fmt::Write as _;
-        let mut key = String::new();
-        for &slot in &self.bound.group_by {
-            write!(key, "{}\u{1f}", vals[slot])
-                .map_err(|e| FabricError::Internal(format!("group key formatting: {e}")))?;
-        }
-        let entry = self.groups.entry(key).or_insert_with(|| {
-            let key_vals: Vec<Value> = self
-                .bound
-                .group_by
-                .iter()
-                .map(|&s| vals[s].clone())
-                .collect();
-            let accs: Vec<ValueAgg> = self
-                .bound
-                .items
-                .iter()
-                .filter_map(|i| match i {
-                    OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
-                    OutputItem::Expr(_) => None,
-                })
-                .collect();
-            (key_vals, accs)
-        });
-        let mut acc_i = 0;
-        for item in &self.bound.items {
-            if let OutputItem::Agg(_, e) = item {
-                entry.1[acc_i].update(&e.eval(vals)?)?;
-                acc_i += 1;
+        let g = self.group_of(vals);
+        for (acc, feed) in self.groups[g].iter_mut().zip(&mut self.feeds) {
+            match feed {
+                AggFeed::Count => acc.update_f64(0.0),
+                AggFeed::Sum(program) => acc.update_f64(program.eval(vals)?),
+                AggFeed::Value(e) => acc.update(&e.eval(vals)?)?,
             }
         }
         Ok(())
     }
 
-    /// Fold another partial consumer (a later morsel of the same plan)
-    /// into this one. Projected morsels concatenate — the caller merges in
-    /// morsel order, so the result is the scan order. Aggregated morsels
-    /// merge their group accumulators pairwise ([`ValueAgg::merge`]); every
-    /// group is independent, so the fold is deterministic regardless of
-    /// merge order.
-    fn merge(&mut self, mem: &mut MemoryHierarchy, other: Consumer<'q>) -> Result<()> {
-        let costs = mem.costs();
-        if !self.aggregated {
-            mem.cpu(costs.value_op * other.rows.len() as u64);
-            self.rows.extend(other.rows);
-            return Ok(());
-        }
-        for (key, (key_vals, accs)) in other.groups {
-            mem.cpu(costs.hash_op);
-            match self.groups.entry(key) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
+    /// This partial's groups under their rendered keys. Raw-key equality
+    /// is rendered-key equality except for strings that embed the key
+    /// separator; such groups fold together here, as they always did.
+    fn into_rendered(self) -> Result<RenderedGroups> {
+        let mut groups = self.groups;
+        let mut out = RenderedGroups::new();
+        for (key, g) in self.index {
+            let accs = std::mem::take(&mut groups[g]);
+            match out.entry(render_key(&key.0)?) {
+                Entry::Vacant(v) => {
+                    v.insert((key.0, accs));
+                }
+                Entry::Occupied(mut e) => {
                     for (mine, theirs) in e.get_mut().1.iter_mut().zip(&accs) {
-                        mem.cpu(costs.f64_op);
                         mine.merge(theirs)?;
                     }
                 }
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((key_vals, accs));
-                }
             }
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<Vec<Vec<Value>>> {
-        if !self.aggregated {
-            return Ok(self.rows);
-        }
-        // Scalar aggregation over zero rows still returns one row
-        // (count = 0, sum = 0; min/max/avg error, as they have no value).
-        if self.groups.is_empty() && self.bound.group_by.is_empty() {
-            let accs: Vec<ValueAgg> = self
-                .bound
-                .items
-                .iter()
-                .filter_map(|i| match i {
-                    OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
-                    OutputItem::Expr(_) => None,
-                })
-                .collect();
-            self.groups.insert(String::new(), (Vec::new(), accs));
-        }
-        // BTreeMap already iterates in key order — the very order the old
-        // post-collection sort produced.
-        let keyed: Vec<(String, (Vec<Value>, Vec<ValueAgg>))> = self.groups.into_iter().collect();
-        let mut out = Vec::with_capacity(keyed.len());
-        for (_, (key_vals, accs)) in keyed {
-            let mut row = Vec::with_capacity(self.bound.items.len());
-            let mut acc_i = 0;
-            for item in &self.bound.items {
-                match item {
-                    OutputItem::Expr(e) => {
-                        // A grouping column: its value is in key_vals at the
-                        // position of its slot within group_by.
-                        let slot = match e {
-                            fabric_types::Expr::Col(s) => *s,
-                            other => {
-                                return Err(FabricError::Internal(format!(
-                                    "non-column expression `{other}` in grouped output"
-                                )))
-                            }
-                        };
-                        let pos = self
-                            .bound
-                            .group_by
-                            .iter()
-                            .position(|&g| g == slot)
-                            .ok_or_else(|| {
-                                FabricError::Internal(format!(
-                                    "grouped output slot {slot} not in GROUP BY"
-                                ))
-                            })?;
-                        row.push(key_vals[pos].clone());
-                    }
-                    OutputItem::Agg(..) => {
-                        row.push(accs[acc_i].finish()?);
-                        acc_i += 1;
-                    }
-                }
-            }
-            out.push(row);
         }
         Ok(out)
     }
+}
+
+/// Fold `other` (a later morsel's groups) into `acc`. Every group is
+/// independent and [`ValueAgg::merge`] is applied pairwise, so the fold is
+/// deterministic; `other` is walked in rendered-key order, which fixes the
+/// order of the charges too.
+fn merge_groups(
+    mem: &mut MemoryHierarchy,
+    acc: &mut RenderedGroups,
+    other: RenderedGroups,
+) -> Result<()> {
+    let costs = mem.costs();
+    for (key, (key_vals, accs)) in other {
+        mem.cpu(costs.hash_op);
+        match acc.entry(key) {
+            Entry::Occupied(mut e) => {
+                for (mine, theirs) in e.get_mut().1.iter_mut().zip(&accs) {
+                    mem.cpu(costs.f64_op);
+                    mine.merge(theirs)?;
+                }
+            }
+            Entry::Vacant(v) => {
+                v.insert((key_vals, accs));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Turn merged groups into output rows, in rendered-key order.
+fn finish_groups(bound: &BoundQuery, mut groups: RenderedGroups) -> Result<Vec<Vec<Value>>> {
+    // Scalar aggregation over zero rows still returns one row
+    // (count = 0, sum = 0; min/max/avg error, as they have no value).
+    if groups.is_empty() && bound.group_by.is_empty() {
+        groups.insert(String::new(), (Vec::new(), new_accs(bound)));
+    }
+    let mut out = Vec::with_capacity(groups.len());
+    for (key_vals, accs) in groups.into_values() {
+        let mut row = Vec::with_capacity(bound.items.len());
+        let mut acc_i = 0;
+        for item in &bound.items {
+            match item {
+                OutputItem::Expr(e) => {
+                    // A grouping column: its value is in key_vals at the
+                    // position of its slot within group_by.
+                    let slot = match e {
+                        Expr::Col(s) => *s,
+                        other => {
+                            return Err(FabricError::Internal(format!(
+                                "non-column expression `{other}` in grouped output"
+                            )))
+                        }
+                    };
+                    let pos = bound
+                        .group_by
+                        .iter()
+                        .position(|&g| g == slot)
+                        .ok_or_else(|| {
+                            FabricError::Internal(format!(
+                                "grouped output slot {slot} not in GROUP BY"
+                            ))
+                        })?;
+                    row.push(key_vals[pos].clone());
+                }
+                OutputItem::Agg(..) => {
+                    row.push(accs[acc_i].finish()?);
+                    acc_i += 1;
+                }
+            }
+        }
+        out.push(row);
+    }
+    Ok(out)
 }
 
 /// Merge per-morsel partial consumers *in morsel order* on the active core
 /// and produce the plan's output rows. The fold shape is fixed by the
 /// morsel count (which depends only on the input size), never by the core
 /// count — that is what makes N-core output bit-identical to 1-core even
-/// for floating-point aggregates.
+/// for floating-point aggregates. Projected morsels concatenate, so the
+/// result is the scan order; aggregated morsels fold their groups under
+/// the rendered key, rendered here once per group per partial.
 pub(crate) fn merge_partials<'q>(
     mem: &mut MemoryHierarchy,
     bound: &'q BoundQuery,
     partials: Vec<Consumer<'q>>,
 ) -> Result<Vec<Vec<Value>>> {
+    let costs = mem.costs();
     let mut it = partials.into_iter();
+    if !bound.has_aggregates() {
+        let mut rows = it.next().map(|first| first.rows).unwrap_or_default();
+        for p in it {
+            mem.cpu(costs.value_op * p.rows.len() as u64);
+            rows.extend(p.rows);
+        }
+        return Ok(rows);
+    }
     let mut acc = match it.next() {
-        Some(first) => first,
-        None => Consumer::new(bound),
+        Some(first) => first.into_rendered()?,
+        None => RenderedGroups::new(),
     };
     for p in it {
-        acc.merge(mem, p)?;
+        merge_groups(mem, &mut acc, p.into_rendered()?)?;
     }
-    acc.finish()
+    finish_groups(bound, acc)
 }

@@ -40,6 +40,7 @@ use crate::stats::RmStats;
 use fabric_sim::{Category, Cycles, FaultPlan, MemoryHierarchy, RecoveryPolicy};
 use fabric_types::{crc32, le_array, ColumnType, FabricError, Geometry, OutputMode, Result, Value};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Device name reported in fault errors raised by this module.
 const DEVICE_NAME: &str = "rm-engine";
@@ -54,8 +55,10 @@ pub struct PackedBatch {
     data: Vec<u8>,
     rows: usize,
     row_width: usize,
-    field_offsets: Vec<usize>,
-    field_types: Vec<ColumnType>,
+    /// `(offset within a delivered row, type)` of each requested field,
+    /// shared with the [`EphemeralColumns`] that delivered the batch (an
+    /// `Arc`, not an `Rc`, only so batches stay `Send`).
+    fields: Arc<[(usize, ColumnType)]>,
     /// Number of qualifying rows in this batch.
     pub(crate) _private: (),
 }
@@ -96,13 +99,28 @@ impl PackedBatch {
     /// of packed row `row`.
     #[inline]
     pub fn field_bytes(&self, row: usize, field: usize) -> &[u8] {
-        let off = row * self.row_width + self.field_offsets[field];
-        &self.data[off..off + self.field_types[field].width()]
+        let (offset, ty) = self.fields[field];
+        let off = row * self.row_width + offset;
+        &self.data[off..off + ty.width()]
     }
 
     /// Decode field `field` of row `row`.
+    #[inline]
     pub fn value(&self, row: usize, field: usize) -> Value {
-        Value::decode(self.field_types[field], self.field_bytes(row, field))
+        Value::decode(self.fields[field].1, self.field_bytes(row, field))
+    }
+
+    /// Decode every field of row `row`, in request order, into `tuple` in
+    /// place ([`Value::decode_row_into`]).
+    #[inline]
+    pub fn decode_row_into(&self, row: usize, tuple: &mut Vec<Value>) {
+        let bytes = self.row_bytes(row);
+        Value::decode_row_into(
+            tuple,
+            self.fields
+                .iter()
+                .map(|&(off, ty)| (ty, &bytes[off..off + ty.width()])),
+        );
     }
 
     /// Fast path: little-endian `i32` field.
@@ -144,8 +162,7 @@ pub struct EphemeralColumns {
     run: DeviceRun,
     bus_cycles_per_line: Cycles,
     batch_bytes: usize,
-    field_offsets: Vec<usize>,
-    field_types: Vec<ColumnType>,
+    fields: Arc<[(usize, ColumnType)]>,
     pending: Option<crate::device::ProducedBatch>,
     /// Times at which recent batches were taken by the CPU; bounds the
     /// device's production lookahead to the staging-buffer window.
@@ -193,7 +210,8 @@ impl EphemeralColumns {
             OutputMode::FilteredRows => geometry.fields.iter().map(|f| f.offset).collect(),
             _ => packer::packed_offsets(&geometry),
         };
-        let field_types = geometry.fields.iter().map(|f| f.ty).collect();
+        let field_types = geometry.fields.iter().map(|f| f.ty);
+        let fields = field_offsets.into_iter().zip(field_types).collect();
 
         let mut this = EphemeralColumns {
             geometry,
@@ -201,8 +219,7 @@ impl EphemeralColumns {
             run,
             bus_cycles_per_line: sim.ns_to_cycles(cfg.bus_ns_per_line),
             batch_bytes,
-            field_offsets,
-            field_types,
+            fields,
             pending: None,
             taken_at: VecDeque::new(),
             line_size: sim.line_size,
@@ -282,8 +299,7 @@ impl EphemeralColumns {
             data: produced.data,
             rows: produced.rows,
             row_width: self.geometry.output_row_width(),
-            field_offsets: self.field_offsets.clone(),
-            field_types: self.field_types.clone(),
+            fields: Arc::clone(&self.fields),
             _private: (),
         })
     }
@@ -371,8 +387,7 @@ impl EphemeralColumns {
                     data,
                     rows: produced.rows,
                     row_width: self.geometry.output_row_width(),
-                    field_offsets: self.field_offsets.clone(),
-                    field_types: self.field_types.clone(),
+                    fields: Arc::clone(&self.fields),
                     _private: (),
                 }));
             }

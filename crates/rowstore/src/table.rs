@@ -52,6 +52,7 @@ impl RowTable {
         &self.schema
     }
 
+    #[inline]
     pub fn layout(&self) -> &RowLayout {
         &self.layout
     }
@@ -62,6 +63,7 @@ impl RowTable {
     }
 
     /// Number of rows currently stored.
+    #[inline]
     pub fn len(&self) -> usize {
         self.rows
     }
@@ -75,6 +77,7 @@ impl RowTable {
     }
 
     /// Address of row `id`.
+    #[inline]
     pub fn row_addr(&self, id: RowId) -> Addr {
         debug_assert!(id < self.rows || id < self.capacity);
         self.base + (id * self.layout.row_width()) as u64

@@ -41,8 +41,9 @@ pub struct ScanCounts {
 /// `volcano_next`.
 ///
 /// `tuple` is the caller's decode buffer (host-side scratch, typically
-/// recycled from a `Scratchpad`): it is cleared and refilled per row, so
-/// one allocation serves every morsel of every query.
+/// recycled from a `Scratchpad`): every row is decoded into its slots in
+/// place ([`Value::decode_into`]), so one allocation — text buffers
+/// included — serves every morsel of a query.
 pub fn scan_range_vectorized(
     mem: &mut MemoryHierarchy,
     table: &RowTable,
@@ -81,12 +82,8 @@ pub fn scan_range_vectorized(
         }
         mem.cpu(row_cycles);
 
-        tuple.clear();
         let row = mem.bytes(row_addr, layout.row_width());
-        for &c in cols {
-            let ty = layout.column_type(c)?;
-            tuple.push(Value::decode(ty, &row[layout.range(c)?]));
-        }
+        Value::decode_row_into(tuple, fields.iter().map(|f| (f.ty, &row[f.range()])));
         // Branch-free conjunction: every predicate is evaluated (already
         // charged above); the pass/fail bit is a data dependency, not a
         // branch.
@@ -96,7 +93,7 @@ pub fn scan_range_vectorized(
         }
         if pass {
             counts.rows_out += 1;
-            emit(mem, &tuple)?;
+            emit(mem, tuple)?;
         }
     }
     Ok(counts)

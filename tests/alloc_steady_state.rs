@@ -1,0 +1,204 @@
+//! Exact host work: how many times a query allocates, counted.
+//!
+//! The host clock is too noisy on a shared box to gate small steps
+//! (ROADMAP item 1), but allocations are countable and repeat exactly.
+//! This binary installs a counting `#[global_allocator]` and asserts the
+//! property the stage-0 fast paths exist for: executing Q1, Q6 or a key
+//! lookup through `Session::run_on` allocates a number of times bounded
+//! by `c0 + c1 × morsels` (`+ c2 × batches` on RM), with **no term in
+//! scanned rows** — shown by running each at two table sizes and bounding
+//! the difference by the extra morsels and batches alone.
+//!
+//! The allocator wraps `std::alloc::System` and affects this test binary
+//! only. It counts per thread (a `const`-initialised thread-local needs no
+//! lazy set-up, so reading it inside the allocator cannot recurse): the
+//! test harness runs tests on parallel threads, and a process-wide counter
+//! would charge one test with another's allocations.
+
+use fabric_sim::SimConfig;
+use fabric_types::Value;
+use query::{AccessPath, Engine, MORSEL_ROWS};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use workload::Lineitem;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: a thread that is tearing down may allocate after its
+    // thread-locals are gone; those are not ours to count.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// thread-local `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the trait's signature; the caller's obligations pass
+    // through to `System` as they are (likewise in the methods below).
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) this thread
+/// makes while running `f`.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const DATA_SEED: u64 = 0x9A5_5EED;
+
+/// The `scan_cold` statements of the benchmark: Q1 (grouped, two text
+/// group columns, compiled sums), Q6 (five conjuncts, three of them on
+/// `f64` columns) and a key lookup (a projection of a few rows).
+const QUERIES: &[(&str, &str)] = &[
+    (
+        "q1",
+        "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
+         sum(l_extendedprice * (1 - l_discount)), \
+         sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)), \
+         avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*) \
+         FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+         GROUP BY l_returnflag, l_linestatus ORDER BY 1, 2",
+    ),
+    (
+        "q6",
+        "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
+         WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
+         AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24",
+    ),
+    (
+        "lookup",
+        "SELECT l_orderkey, l_linenumber, l_quantity, l_extendedprice \
+         FROM lineitem WHERE l_orderkey = 77",
+    ),
+];
+
+/// What one cold execution cost and what it scaled with.
+struct Run {
+    allocations: u64,
+    morsels: u64,
+    batches: u64,
+    out_rows: u64,
+}
+
+fn run(rows: usize, sql: &str, path: AccessPath) -> Run {
+    let mut e = Engine::with_cores(SimConfig::zynq_a53(), 4);
+    let li = Lineitem::generate(e.mem(), rows, DATA_SEED).unwrap();
+    e.register("lineitem", li.rows, li.cols);
+    // Steady state: a first execution grows what grows once — the
+    // simulated caches' tag vectors, the prefetcher's in-flight table, the
+    // session's buffer pools — and the operator cache is emptied again so
+    // the measured execution is a cold one. Parsing, binding and planning
+    // stay outside the count: the claim is about execution.
+    e.session().run_on(sql, path).unwrap();
+    e.clear_op_cache();
+    let mut s = e.session();
+    let prepared = s.prepare(sql).unwrap();
+    let (allocations, out) = allocations_in(|| s.execute_on(&prepared, path).unwrap());
+    assert!(!out.cache_hit, "a cold run is what is measured");
+    Run {
+        allocations,
+        morsels: rows.div_ceil(MORSEL_ROWS) as u64,
+        batches: out.rm_stats.map_or(0, |s| s.batches),
+        out_rows: out.rows.len() as u64,
+    }
+}
+
+/// Allocations allowed per extra morsel (a partial `Consumer`: its group
+/// table, accumulators and compiled programs, plus the kernels' per-call
+/// vectors; Q1 measures 54, Q6 11–15, the lookup 4–6) and per extra RM
+/// batch (the payload and the device's line list). A per-row allocation
+/// would add 4096 per morsel.
+const PER_MORSEL: u64 = 80;
+const PER_BATCH: u64 = 8;
+
+#[test]
+fn execution_allocates_per_morsel_and_per_batch_never_per_row() {
+    let (small, large) = (2 * MORSEL_ROWS, 6 * MORSEL_ROWS);
+    for &(name, sql) in QUERIES {
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let a = run(small, sql, path);
+            let b = run(large, sql, path);
+            assert_eq!(
+                run(small, sql, path).allocations,
+                a.allocations,
+                "{name} on {path:?}: the count must repeat exactly"
+            );
+            if name == "lookup" {
+                assert_eq!(a.out_rows, b.out_rows, "the key is in both tables once");
+            }
+            let extra = b.allocations.saturating_sub(a.allocations);
+            let allowed =
+                PER_MORSEL * (b.morsels - a.morsels) + PER_BATCH * (b.batches - a.batches);
+            println!(
+                "{name:6} {path:?}: {} allocations at {small} rows, {} at {large} \
+                 (+{extra} for +{} morsels, +{} batches; allowed +{allowed})",
+                a.allocations,
+                b.allocations,
+                b.morsels - a.morsels,
+                b.batches - a.batches,
+            );
+            assert!(
+                extra <= allowed,
+                "{name} on {path:?}: {extra} more allocations for {} more rows — \
+                 more than {allowed}, so something allocates per scanned row",
+                large - small
+            );
+        }
+    }
+}
+
+#[test]
+fn comparing_floats_allocates_nothing() {
+    let pairs = [
+        (Value::F64(0.05), Value::F64(0.07)),
+        (Value::F64(f64::NAN), Value::F64(1.0)),
+        (Value::F32(2.5), Value::I64(3)),
+        (Value::I32(24), Value::F64(24.0)),
+        (Value::Date(9000), Value::I64(9000)),
+    ];
+    let (allocations, equal) = allocations_in(|| {
+        let mut equal = 0;
+        for _ in 0..1000 {
+            for (a, b) in &pairs {
+                equal += u32::from(a.compare(b).unwrap().is_eq());
+            }
+        }
+        equal
+    });
+    assert_eq!(equal, 3000);
+    assert_eq!(allocations, 0, "Value::compare on numeric values");
+}

@@ -61,6 +61,21 @@
 #                                the never-crashed run at the recovered
 #                                watermark, replay idempotent, postmortems
 #                                validator-clean and byte-deterministic)
+#  13. host fast paths          (tests/host_fast_paths.rs under the fixed
+#                                seed: sliced CRC, Value::compare,
+#                                decode_into, compiled f64 sums and raw-key
+#                                grouping each against the code it
+#                                replaced, on ROW/COL/RM at 1/2/4 cores —
+#                                DESIGN.md §18)
+#  14. allocation steady state  (tests/alloc_steady_state.rs: a counting
+#                                global allocator shows Q1, Q6 and a key
+#                                lookup allocate per morsel and per RM
+#                                batch, never per scanned row)
+#  15. benchmark smoke test     (cargo test in benchmark/, a workspace of
+#                                its own: the two-clock benchmark at tiny
+#                                scale — schema against BENCHMARK.json,
+#                                trace validates and nests, simulated
+#                                counters repeat; benchmark/README.md)
 
 set -eu
 
@@ -197,5 +212,28 @@ if ! FABRIC_CHAOS_SEED="$CHAOS_SEED" cargo test -q --test crash_recovery; then
     printf '  FABRIC_CHAOS_SEED=%s cargo test --test crash_recovery\n' "$CHAOS_SEED"
     exit 1
 fi
+
+# Host fast paths: every piece of host-side work DESIGN.md §18 removed is
+# compared with the code it replaced on generated inputs, seeded like the
+# chaos sweep.
+say "host fast paths (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
+if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
+    cargo test -q --test host_fast_paths; then
+    printf '\nhost fast paths FAILED — replay with:\n'
+    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test host_fast_paths\n' \
+        "$PAR_CORES" "$CHAOS_SEED"
+    exit 1
+fi
+
+# Exact host work: allocations per query, counted by a global allocator
+# that exists in that test binary only. Deterministic, no seed.
+say "allocation steady state"
+cargo test -q --test alloc_steady_state
+
+# The two-clock benchmark is a workspace of its own (benchmark/README.md),
+# outside `cargo test --workspace`; its smoke test runs every workload at
+# tiny scale and checks the metric schema against BENCHMARK.json.
+say "benchmark smoke test (benchmark/Cargo.toml)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 say "tier-1 gate passed"
