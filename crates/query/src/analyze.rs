@@ -29,7 +29,7 @@
 
 use crate::bind::{BoundQuery, OutputItem};
 use crate::catalog::TableEntry;
-use fabric_types::{AggFunc, ColumnId, Expr, FabricError, Schema, Value};
+use fabric_types::{AggFunc, ColumnId, ColumnType, Expr, FabricError, Schema, Value};
 use relmem::{RmConfig, VerifiedGeometry};
 use std::fmt;
 
@@ -176,6 +176,33 @@ impl<'a> VerifiedQuery<'a> {
     pub fn geometry(&self) -> &VerifiedGeometry {
         &self.geometry
     }
+
+    /// The static type of every output item, in item order: a column
+    /// reference has its column's type, a literal its own, arithmetic is
+    /// `f64`; `count` is `i64`, `sum` / `avg` are `f64`, and `min` / `max`
+    /// keep the type of the expression they range over. These are the
+    /// types the executor's result buffers are built with.
+    pub(crate) fn output_types(&self) -> Result<Vec<ColumnType>, FabricError> {
+        let fields = &self.geometry.geometry().fields;
+        let expr_type = |e: &Expr| match e {
+            Expr::Col(slot) => fields.get(*slot).map(|f| f.ty).ok_or_else(|| {
+                FabricError::Internal(format!("output slot {slot} outside the verified geometry"))
+            }),
+            Expr::Const(v) => Ok(v.column_type()),
+            _ => Ok(ColumnType::F64),
+        };
+        self.bound
+            .items
+            .iter()
+            .map(|item| match item {
+                OutputItem::Expr(e) | OutputItem::Agg(AggFunc::Min | AggFunc::Max, e) => {
+                    expr_type(e)
+                }
+                OutputItem::Agg(AggFunc::Count, _) => Ok(ColumnType::I64),
+                OutputItem::Agg(AggFunc::Sum | AggFunc::Avg, _) => Ok(ColumnType::F64),
+            })
+            .collect()
+    }
 }
 
 /// Verify `bound` against `entry`'s schema and the RM device configuration.
@@ -258,7 +285,7 @@ fn check_predicates(schema: &Schema, bound: &BoundQuery, diags: &mut Vec<PlanDia
             continue;
         };
         let lit_is_str = matches!(lit, Value::Str(_));
-        if lit_is_str != matches!(def.ty, fabric_types::ColumnType::FixedStr(_)) {
+        if lit_is_str != matches!(def.ty, ColumnType::FixedStr(_)) {
             diags.push(PlanDiagnostic::PredicateTypeMismatch {
                 column: def.name.clone(),
                 column_type: def.ty.name(),

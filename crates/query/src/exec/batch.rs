@@ -1,0 +1,456 @@
+//! Typed result batches (DESIGN.md §19).
+//!
+//! Everything between stage 0 and the client boundary carries a plan's
+//! output as one [`ResultBatch`]: one typed buffer per output item plus a
+//! row count. An item's type is static — a column reference has the
+//! column's type, a literal its own, arithmetic is `f64`, `count` is
+//! `i64`, `sum`/`avg` are `f64`, `min`/`max` keep their expression's type
+//! ([`VerifiedQuery::output_types`](crate::analyze::VerifiedQuery::output_types))
+//! — so a buffer never needs a mixed-type fallback and two values of one
+//! sort key always compare.
+//!
+//! A projecting consumer appends decoded fields straight into its
+//! morsel's batch, the merge concatenates the morsels' batches in morsel
+//! order into buffers reserved once, the operator cache shares the merged
+//! batch behind an `Rc`, and [`QueryOutput::rows`](super::QueryOutput)
+//! is built from it once, for the rows that are returned only
+//! ([`ResultBatch::order`], [`ResultBatch::rows`]).
+
+use fabric_types::{ColumnType, FabricError, Result, Value};
+use std::cmp::Ordering;
+
+/// One output item's values, in row order.
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
+    I8(Vec<i8>),
+    I16(Vec<i16>),
+    I32(Vec<i32>),
+    I64(Vec<i64>),
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+    Date(Vec<u32>),
+    /// The rows' texts back to back; row `r` ends at `ends[r]` and starts
+    /// where row `r - 1` ended.
+    Str {
+        data: String,
+        ends: Vec<usize>,
+    },
+}
+
+/// Apply `$body` to the buffer of whichever fixed-width variant `$col`
+/// is; `$text` handles the string variant.
+macro_rules! per_type {
+    ($col:expr, $buf:ident => $body:expr, Str { $data:ident, $ends:ident } => $text:expr) => {
+        match $col {
+            Column::I8($buf) => $body,
+            Column::I16($buf) => $body,
+            Column::I32($buf) => $body,
+            Column::I64($buf) => $body,
+            Column::F32($buf) => $body,
+            Column::F64($buf) => $body,
+            Column::Date($buf) => $body,
+            Column::Str {
+                data: $data,
+                ends: $ends,
+            } => $text,
+        }
+    };
+}
+
+/// A fixed-width sort key. Two values of one type order as
+/// [`Value::compare`] orders them, except that NaN has a place: floats
+/// compare by `partial_cmp` (so `-0.0` equals `0.0`) with NaN after every
+/// number and equal to itself. `Value::compare` alone calls NaN equal to
+/// everything, which is not transitive — `std`'s sorts may panic on such
+/// a comparator, or return an order that depends on the element size.
+trait SortKey: Copy {
+    fn key_cmp(self, other: Self) -> Ordering;
+}
+
+macro_rules! sort_keys {
+    (ints: $($int:ty),*; floats: $($float:ty),*) => {
+        $(impl SortKey for $int {
+            #[inline]
+            fn key_cmp(self, other: Self) -> Ordering {
+                self.cmp(&other)
+            }
+        })*
+        $(impl SortKey for $float {
+            #[inline]
+            fn key_cmp(self, other: Self) -> Ordering {
+                self.partial_cmp(&other)
+                    .unwrap_or_else(|| self.is_nan().cmp(&other.is_nan()))
+            }
+        })*
+    };
+}
+sort_keys!(ints: i8, i16, i32, i64, u32; floats: f32, f64);
+
+impl Column {
+    fn new(ty: ColumnType) -> Self {
+        match ty {
+            ColumnType::I8 => Column::I8(Vec::new()),
+            ColumnType::I16 => Column::I16(Vec::new()),
+            ColumnType::I32 => Column::I32(Vec::new()),
+            ColumnType::I64 => Column::I64(Vec::new()),
+            ColumnType::F32 => Column::F32(Vec::new()),
+            ColumnType::F64 => Column::F64(Vec::new()),
+            ColumnType::Date => Column::Date(Vec::new()),
+            ColumnType::FixedStr(_) => Column::Str {
+                data: String::new(),
+                ends: Vec::new(),
+            },
+        }
+    }
+
+    /// Append `v`, which must have this column's type.
+    #[inline]
+    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
+        match (&mut *self, v) {
+            (Column::I8(buf), Value::I8(x)) => buf.push(*x),
+            (Column::I16(buf), Value::I16(x)) => buf.push(*x),
+            (Column::I32(buf), Value::I32(x)) => buf.push(*x),
+            (Column::I64(buf), Value::I64(x)) => buf.push(*x),
+            (Column::F32(buf), Value::F32(x)) => buf.push(*x),
+            (Column::F64(buf), Value::F64(x)) => buf.push(*x),
+            (Column::Date(buf), Value::Date(x)) => buf.push(*x),
+            (Column::Str { data, ends }, Value::Str(s)) => {
+                data.push_str(s);
+                ends.push(data.len());
+            }
+            (_, v) => {
+                return Err(FabricError::Internal(format!(
+                    "result column fed a value of another type ({})",
+                    v.column_type().name()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes of text held (0 for a fixed-width column).
+    fn text_len(&self) -> usize {
+        match self {
+            Column::Str { data, .. } => data.len(),
+            _ => 0,
+        }
+    }
+
+    fn reserve_exact(&mut self, rows: usize, text: usize) {
+        per_type!(self, buf => buf.reserve_exact(rows), Str { data, ends } => {
+            data.reserve_exact(text);
+            ends.reserve_exact(rows);
+        });
+    }
+
+    /// Append all of `other`, a column of the same type.
+    fn append(&mut self, other: Column) -> Result<()> {
+        match (&mut *self, other) {
+            (Column::I8(buf), Column::I8(more)) => buf.extend(more),
+            (Column::I16(buf), Column::I16(more)) => buf.extend(more),
+            (Column::I32(buf), Column::I32(more)) => buf.extend(more),
+            (Column::I64(buf), Column::I64(more)) => buf.extend(more),
+            (Column::F32(buf), Column::F32(more)) => buf.extend(more),
+            (Column::F64(buf), Column::F64(more)) => buf.extend(more),
+            (Column::Date(buf), Column::Date(more)) => buf.extend(more),
+            (Column::Str { data, ends }, Column::Str { data: d, ends: e }) => {
+                let base = data.len();
+                data.push_str(&d);
+                ends.extend(e.into_iter().map(|end| base + end));
+            }
+            _ => {
+                return Err(FabricError::Internal(
+                    "merging result columns of different types".into(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// Row `r` as a [`Value`] (`r` must be a row of the batch).
+    #[inline]
+    fn value(&self, r: usize) -> Value {
+        match self {
+            Column::I8(buf) => Value::I8(buf[r]),
+            Column::I16(buf) => Value::I16(buf[r]),
+            Column::I32(buf) => Value::I32(buf[r]),
+            Column::I64(buf) => Value::I64(buf[r]),
+            Column::F32(buf) => Value::F32(buf[r]),
+            Column::F64(buf) => Value::F64(buf[r]),
+            Column::Date(buf) => Value::Date(buf[r]),
+            Column::Str { data, ends } => Value::Str(text(data, ends, r).to_owned()),
+        }
+    }
+
+    /// Sort-key order of rows `a` and `b` (see [`SortKey`]; texts compare
+    /// byte-wise).
+    #[inline]
+    fn compare(&self, a: usize, b: usize) -> Ordering {
+        per_type!(self, buf => buf[a].key_cmp(buf[b]), Str { data, ends } => {
+            text(data, ends, a).as_bytes().cmp(text(data, ends, b).as_bytes())
+        })
+    }
+
+    /// Heap bytes the buffers hold on to (capacities, not lengths).
+    fn heap_bytes(&self) -> usize {
+        fn held<T>(buf: &Vec<T>) -> usize {
+            buf.capacity() * size_of::<T>()
+        }
+        per_type!(self, buf => held(buf), Str { data, ends } => data.capacity() + held(ends))
+    }
+}
+
+/// Row `r`'s text in a string column's buffers.
+#[inline]
+fn text<'a>(data: &'a str, ends: &[usize], r: usize) -> &'a str {
+    let start = if r == 0 { 0 } else { ends[r - 1] };
+    // Offsets are only ever whole pushed strings, so they are in range
+    // and on character boundaries.
+    data.get(start..ends[r]).unwrap_or_default()
+}
+
+/// Row numbers `0..n` in the order `by_keys` (reversed when `desc`) puts
+/// the rows in, cut to `limit`. Without a limit, or with one that `n` does
+/// not reach, a stable sort; with `LIMIT k`, `k < n`, the `k` first rows
+/// under the total order (keys, row number) are selected and those sorted
+/// — the rows a stable sort followed by truncation returns, in the same
+/// order, because that total order is the stable sort's.
+fn sorted_rows(
+    n: u32,
+    limit: Option<usize>,
+    desc: bool,
+    by_keys: impl Fn(usize, usize) -> Ordering,
+) -> Vec<u32> {
+    let by_keys = |a: &u32, b: &u32| {
+        let ord = by_keys(*a as usize, *b as usize);
+        if desc {
+            ord.reverse()
+        } else {
+            ord
+        }
+    };
+    let mut rows: Vec<u32> = (0..n).collect();
+    match limit {
+        Some(0) => rows.clear(),
+        Some(k) if k < rows.len() => {
+            let total = |a: &u32, b: &u32| by_keys(a, b).then(a.cmp(b));
+            rows.select_nth_unstable_by(k - 1, total);
+            rows.truncate(k);
+            rows.sort_unstable_by(total);
+        }
+        _ => rows.sort_by(by_keys),
+    }
+    rows
+}
+
+/// A plan's output (or one morsel's share of it): one [`Column`] per
+/// output item, all `len()` rows long.
+#[derive(Debug, Clone)]
+pub(crate) struct ResultBatch {
+    cols: Vec<Column>,
+    rows: usize,
+}
+
+impl ResultBatch {
+    /// An empty batch with one column per item type. Allocates the
+    /// column list only — buffers grow on first use.
+    pub(crate) fn new(types: &[ColumnType]) -> Self {
+        ResultBatch {
+            cols: types.iter().map(|&ty| Column::new(ty)).collect(),
+            rows: 0,
+        }
+    }
+
+    /// Rows held.
+    pub(crate) fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Append one row: `fill(i, column)` pushes item `i`'s value onto its
+    /// column. An error leaves the batch unusable (the query fails).
+    #[inline]
+    pub(crate) fn push_row(
+        &mut self,
+        mut fill: impl FnMut(usize, &mut Column) -> Result<()>,
+    ) -> Result<()> {
+        for (i, col) in self.cols.iter_mut().enumerate() {
+            fill(i, col)?;
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// `parts` back to back, in order, in buffers reserved exactly once.
+    pub(crate) fn concat(types: &[ColumnType], parts: Vec<ResultBatch>) -> Result<Self> {
+        let mut out = ResultBatch::new(types);
+        let rows = parts.iter().map(|p| p.rows).sum();
+        for (i, col) in out.cols.iter_mut().enumerate() {
+            let text = parts
+                .iter()
+                .map(|p| p.cols.get(i).map_or(0, Column::text_len))
+                .sum();
+            col.reserve_exact(rows, text);
+        }
+        for part in parts {
+            if part.cols.len() != out.cols.len() {
+                return Err(FabricError::Internal(format!(
+                    "merging a {}-column result batch into a {}-column one",
+                    part.cols.len(),
+                    out.cols.len()
+                )));
+            }
+            for (dst, src) in out.cols.iter_mut().zip(part.cols) {
+                dst.append(src)?;
+            }
+            out.rows += part.rows;
+        }
+        Ok(out)
+    }
+
+    /// The rows `ORDER BY keys [LIMIT limit]` returns, as row numbers in
+    /// output order; `keys` are `(output position, descending)`.
+    ///
+    /// See [`sorted_rows`] for how a limit is applied.
+    pub(crate) fn order(&self, keys: &[(usize, bool)], limit: Option<usize>) -> Result<Vec<u32>> {
+        let n = u32::try_from(self.rows).map_err(|_| {
+            FabricError::Internal(format!("cannot order a result of {} rows", self.rows))
+        })?;
+        let mut key_cols = Vec::with_capacity(keys.len());
+        for &(pos, desc) in keys {
+            let col = self.cols.get(pos).ok_or_else(|| {
+                FabricError::Internal(format!("ORDER BY position {pos} out of range"))
+            })?;
+            key_cols.push((col, desc));
+        }
+        Ok(match key_cols[..] {
+            // One key, the common case: the comparator is compiled for the
+            // key's type instead of looking the type up per comparison.
+            [(col, desc)] => per_type!(col,
+            buf => sorted_rows(n, limit, desc, |a, b| buf[a].key_cmp(buf[b])),
+            Str { data, ends } => sorted_rows(n, limit, desc, |a, b| {
+                text(data, ends, a).as_bytes().cmp(text(data, ends, b).as_bytes())
+            })),
+            _ => sorted_rows(n, limit, false, |a, b| {
+                for &(col, desc) in &key_cols {
+                    let ord = col.compare(a, b);
+                    if ord.is_ne() {
+                        return if desc { ord.reverse() } else { ord };
+                    }
+                }
+                Ordering::Equal
+            }),
+        })
+    }
+
+    /// The given rows as `Value` vectors — the client-boundary form, built
+    /// once per returned row. The values are copies: nothing returned can
+    /// alias the batch.
+    pub(crate) fn rows(&self, order: impl ExactSizeIterator<Item = usize>) -> Vec<Vec<Value>> {
+        order
+            .map(|r| self.cols.iter().map(|col| col.value(r)).collect())
+            .collect()
+    }
+
+    /// Heap bytes the batch holds on to: the sum of its buffers'
+    /// capacities plus the column list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.cols.capacity() * size_of::<Column>()
+            + self.cols.iter().map(Column::heap_bytes).sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A batch of `(i32 key, text, f64)` rows.
+    fn batch(rows: &[(i32, &str, f64)]) -> ResultBatch {
+        let types = [ColumnType::I32, ColumnType::FixedStr(4), ColumnType::F64];
+        let mut b = ResultBatch::new(&types);
+        for (k, s, x) in rows {
+            let row = [Value::I32(*k), Value::Str((*s).into()), Value::F64(*x)];
+            b.push_row(|i, col| col.push(&row[i])).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn heap_bytes_is_the_sum_of_the_buffers_capacities() {
+        let b = batch(&[(1, "ab", 0.5), (2, "", 1.5), (3, "xyz", 2.5)]);
+        let mut expect = b.cols.capacity() * size_of::<Column>();
+        for col in &b.cols {
+            expect += match col {
+                Column::I32(buf) => buf.capacity() * 4,
+                Column::F64(buf) => buf.capacity() * 8,
+                Column::Str { data, ends } => data.capacity() + ends.capacity() * 8,
+                other => panic!("unexpected column {other:?}"),
+            };
+        }
+        assert_eq!(b.heap_bytes(), expect);
+        assert!(b.heap_bytes() >= 3 * (4 + 8 + 8) + 5);
+        assert_eq!(ResultBatch::new(&[]).heap_bytes(), 0);
+    }
+
+    #[test]
+    fn push_rejects_a_value_of_another_type() {
+        let mut b = ResultBatch::new(&[ColumnType::I32]);
+        let err = b.push_row(|_, col| col.push(&Value::I64(1))).unwrap_err();
+        assert!(err.to_string().contains("another type"), "{err}");
+    }
+
+    #[test]
+    fn concat_keeps_part_order_and_rebases_text() {
+        let types = [ColumnType::I32, ColumnType::FixedStr(4), ColumnType::F64];
+        let parts = vec![
+            batch(&[(1, "ab", 0.5), (2, "", 1.5)]),
+            batch(&[]),
+            batch(&[(3, "xyz", 2.5)]),
+        ];
+        let all = ResultBatch::concat(&types, parts).unwrap();
+        assert_eq!(all.len(), 3);
+        assert_eq!(
+            all.rows(0..3),
+            batch(&[(1, "ab", 0.5), (2, "", 1.5), (3, "xyz", 2.5)]).rows(0..3)
+        );
+        // Reserved once, exactly.
+        assert_eq!(
+            all.heap_bytes(),
+            3 * size_of::<Column>() + 3 * (4 + 8 + 8) + 5
+        );
+        assert!(ResultBatch::concat(&types[..2], vec![batch(&[(1, "a", 0.0)])]).is_err());
+    }
+
+    #[test]
+    fn top_k_is_the_stable_sort_truncated_for_every_k_and_nan_sorts_last() {
+        let nan = f64::NAN;
+        let rows: Vec<(i32, &str, f64)> = [2.0, nan, -0.0, 1.0, 0.0, nan, 2.0, -1.0, 1.0, 0.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| ((i % 3) as i32, ["b", "a", ""][i % 3], x))
+            .collect();
+        let b = batch(&rows);
+        // NaN after every number, ties (NaN with NaN, -0.0 with 0.0) in
+        // input order; descending reverses the keys, not the ties.
+        assert_eq!(
+            b.order(&[(2, false)], None).unwrap(),
+            vec![7, 2, 4, 9, 3, 8, 0, 6, 1, 5]
+        );
+        assert_eq!(
+            b.order(&[(2, true)], None).unwrap(),
+            vec![1, 5, 0, 6, 3, 8, 2, 4, 9, 7]
+        );
+        for keys in [
+            vec![(2, false)],
+            vec![(2, true)],
+            vec![(0, true), (2, false)],
+            vec![(1, false), (0, false)],
+        ] {
+            let full = b.order(&keys, None).unwrap();
+            for k in 0..=rows.len() + 2 {
+                let top = b.order(&keys, Some(k)).unwrap();
+                assert_eq!(top, full[..k.min(full.len())], "keys {keys:?}, k = {k}");
+            }
+        }
+        assert!(b.order(&[(3, false)], None).is_err());
+    }
+}

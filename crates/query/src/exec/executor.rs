@@ -80,6 +80,12 @@ impl<'q> QueryExecutor<'q> {
         stages
     }
 
+    /// The plan's consumption resolved once for this run; every morsel
+    /// consumes into a [`Consumer::fresh`] copy.
+    fn consumer(&self) -> Result<Consumer<'q>> {
+        Consumer::new(self.bound(), &self.verified.output_types()?)
+    }
+
     /// Credit one fused kernel pass (`rows_in` scanned, `rows_out`
     /// surviving the filter) to every stage-0 node it flowed through.
     fn note_scan(&mut self, rows_in: u64, rows_out: u64) {
@@ -140,7 +146,8 @@ impl<'q> QueryExecutor<'q> {
         scratch: &mut Scratchpad,
     ) -> Result<Vec<Consumer<'q>>> {
         let bound = self.bound();
-        let costs = mem.costs();
+        let template = self.consumer()?;
+        let row_cycles = template.row_cycles(&mem.costs());
         let total = entry.rows.len();
         mem.fork_clocks();
         let (tref, mut tuple) = scratch.take_vals();
@@ -149,8 +156,7 @@ impl<'q> QueryExecutor<'q> {
         loop {
             let end = (start + MORSEL_ROWS).min(total);
             mem.set_active_core(earliest_core(mem));
-            let mut consumer = Consumer::new(bound);
-            let row_cycles = consumer.row_cycles(&costs);
+            let mut consumer = template.fresh();
             let scanned = rowstore::scan_range_vectorized(
                 mem,
                 &entry.rows,
@@ -200,7 +206,8 @@ impl<'q> QueryExecutor<'q> {
         let table = entry.cols.as_ref().ok_or_else(|| {
             FabricError::Sql(format!("table `{}` has no columnar copy", bound.table))
         })?;
-        let costs = mem.costs();
+        let template = self.consumer()?;
+        let row_cycles = template.row_cycles(&mem.costs());
 
         // Column-at-a-time selection: group conjuncts by column once
         // (shared by every morsel), full scan for the first, candidate
@@ -234,8 +241,7 @@ impl<'q> QueryExecutor<'q> {
             loop {
                 let end = (start + MORSEL_ROWS).min(total);
                 mem.set_active_core(earliest_core(mem));
-                let mut consumer = Consumer::new(bound);
-                let row_cycles = consumer.row_cycles(&costs);
+                let mut consumer = template.fresh();
                 let kept;
                 match &by_col {
                     None => {
@@ -351,6 +357,10 @@ impl<'q> QueryExecutor<'q> {
     ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
         let bound = self.bound();
         let costs = mem.costs();
+        let template = match self.consumer() {
+            Ok(t) => t,
+            Err(e) => return (Err(e), RmStats::default()),
+        };
         // The geometry was admitted by the analyzer; configuration cannot
         // fail.
         let mut eph = EphemeralColumns::configure_verified(
@@ -366,8 +376,8 @@ impl<'q> QueryExecutor<'q> {
         // partial list — is identical for every core count.
         mem.fork_clocks();
         let mut partials: Vec<Consumer<'q>> = Vec::new();
-        let mut current = Consumer::new(bound);
-        let row_cycles = current.row_cycles(&costs) + costs.vector_elem;
+        let mut current = template.fresh();
+        let row_cycles = template.row_cycles(&costs) + costs.vector_elem;
         let pred_cycles = costs.value_op * bound.preds.len() as u64;
         let mut consumed = 0usize;
         let (vref, mut vals) = scratch.take_vals();
@@ -381,7 +391,7 @@ impl<'q> QueryExecutor<'q> {
                 let mut kept = 0u64;
                 for r in 0..b.len() {
                     if consumed > 0 && consumed % MORSEL_ROWS == 0 {
-                        partials.push(std::mem::replace(&mut current, Consumer::new(bound)));
+                        partials.push(std::mem::replace(&mut current, template.fresh()));
                     }
                     consumed += 1;
                     mem.cpu(pred_cycles);

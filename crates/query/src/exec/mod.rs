@@ -21,11 +21,15 @@
 //! Stage buffers come from a per-session [`Scratchpad`] ([`buffer`]):
 //! morsel-sized vectors are recycled across stages and queries, with
 //! epoch-stamped tickets making aliasing a panic instead of a wrong
-//! answer. The merged stage output of a clean run is memoized in a
-//! signature-keyed [`OpCache`] ([`opcache`]); a session re-running the
-//! same plan shape against the same table gets the memoized rows without
-//! touching the hierarchy again.
+//! answer. Results travel as typed [`batch::ResultBatch`]es from the
+//! consumers through the merge to the shared tail, which turns the rows it
+//! returns — and only those — into [`QueryOutput::rows`]. The merged stage
+//! output of a clean run is memoized in a signature-keyed [`OpCache`]
+//! ([`opcache`]); a session re-running the same plan shape against the
+//! same table shares the memoized batch without touching the hierarchy
+//! again.
 
+mod batch;
 pub mod buffer;
 mod executor;
 pub mod opcache;
@@ -46,7 +50,9 @@ use fabric_sim::{
 };
 use fabric_types::{FabricError, Result, Value};
 use relmem::{RmConfig, RmStats};
+use std::rc::Rc;
 
+use batch::ResultBatch;
 use operators::{merge_partials, Consumer};
 
 /// Rows per ROW/COL morsel: large enough to amortize per-morsel operator
@@ -423,12 +429,12 @@ pub(crate) fn run_verified(
     mem.trace_begin("query::exec", Category::Query);
     let mut profile = Vec::new();
 
-    if let Some((rows, cached_path, cached_rm)) = cache.probe() {
+    if let Some((batch, cached_path, cached_rm)) = cache.probe() {
         // Operator-cache hit: the memoized stage output stands in for
         // stage 0 and the merge. The only cost is the probe plus the
         // copy-out — pure CPU on core 0, zero hierarchy traffic.
         mem.set_active_core(0);
-        let n = rows.len() as u64;
+        let n = batch.len() as u64;
         let copied = profiled(mem, "query::opcache::hit", &mut profile, |m| {
             let costs = m.costs();
             m.cpu(costs.hash_op + costs.value_op * n);
@@ -439,7 +445,7 @@ pub(crate) fn run_verified(
         return finish_output(
             mem,
             verified,
-            rows,
+            &batch,
             cached_path,
             cost,
             t0,
@@ -489,10 +495,10 @@ pub(crate) fn run_verified(
         rows_out: 0,
     };
     let merged = profiled(mem, "query::stage::merge", &mut profile, |m| {
-        merge_partials(m, bound, partials)
+        merge_partials(m, bound, &verified.output_types()?, partials)
     });
-    let rows = match merged {
-        Ok(r) => r,
+    let batch = match merged {
+        Ok(b) => Rc::new(b),
         Err(e) => {
             mem.join_clocks();
             mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
@@ -500,7 +506,7 @@ pub(crate) fn run_verified(
         }
     };
     let merge_full = OpStats {
-        rows_out: rows.len() as u64,
+        rows_out: batch.len() as u64,
         ..merge_stats
     };
     merge_full.record_into(mem.metrics_mut(), "query.op", "merge");
@@ -534,7 +540,7 @@ pub(crate) fn run_verified(
             degraded_from.is_none() && rm_stats.as_ref().map_or(true, |s| s.injected_faults == 0);
         if clean {
             let evicted_before = opcache.evictions();
-            opcache.insert(key, rows.clone(), ran_path, rm_stats.clone());
+            opcache.insert(key, Rc::clone(&batch), ran_path, rm_stats);
             let metrics = mem.metrics_mut();
             metrics.counter_add("query.opcache.insertions", 1);
             metrics.counter_add(
@@ -551,7 +557,7 @@ pub(crate) fn run_verified(
     finish_output(
         mem,
         verified,
-        rows,
+        &batch,
         ran_path,
         cost,
         t0,
@@ -816,7 +822,7 @@ fn rel_err(est: f64, actual: f64) -> f64 {
 fn finish_output(
     mem: &mut MemoryHierarchy,
     verified: &VerifiedQuery<'_>,
-    mut rows: Vec<Vec<Value>>,
+    batch: &ResultBatch,
     path: AccessPath,
     cost: PathCost,
     t0: fabric_sim::Cycles,
@@ -827,19 +833,24 @@ fn finish_output(
     ctx: RecordCtx,
 ) -> Result<QueryOutput> {
     let bound = verified.bound();
-    if !bound.order_by.is_empty() {
-        let sorted = profiled(mem, "query::post::sort", &mut profile, |m| {
-            sort_rows(m, &mut rows, &bound.order_by)
+    // The client-boundary form is built here, once, and only for the rows
+    // the query returns.
+    let rows = if bound.order_by.is_empty() {
+        let returned = bound.limit.map_or(batch.len(), |k| k.min(batch.len()));
+        batch.rows(0..returned)
+    } else {
+        let ordered = profiled(mem, "query::post::sort", &mut profile, |m| {
+            order_rows(m, batch, &bound.order_by, bound.limit)
         });
-        if let Err(e) = sorted {
-            mem.join_clocks();
-            mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-            return Err(e);
+        match ordered {
+            Ok(order) => batch.rows(order.iter().map(|&r| r as usize)),
+            Err(e) => {
+                mem.join_clocks();
+                mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
+                return Err(e);
+            }
         }
-    }
-    if let Some(limit) = bound.limit {
-        rows.truncate(limit);
-    }
+    };
     // Close the attribution window: align every core to the frontier, then
     // the per-core busy deltas plus barrier idle add up to `total` each.
     let t_end = mem.join_clocks();
@@ -1028,41 +1039,24 @@ fn fallback_path(cost: &PathCost) -> AccessPath {
     }
 }
 
-/// Sort the result rows on the bound `(position, desc)` keys, charging an
-/// n·log n comparison cost.
-fn sort_rows(
+/// The rows `ORDER BY keys [LIMIT limit]` returns, as row numbers of
+/// `batch` in output order, charging the comparisons: every row against a
+/// working set of `min(n, limit)` rows — `n·log n` for a full sort,
+/// `n·log k` for a top-k.
+fn order_rows(
     mem: &mut MemoryHierarchy,
-    rows: &mut [Vec<Value>],
+    batch: &ResultBatch,
     keys: &[(usize, bool)],
-) -> Result<()> {
+    limit: Option<usize>,
+) -> Result<Vec<u32>> {
     let costs = mem.costs();
-    let n = rows.len() as u64;
+    let n = batch.len() as u64;
     if n > 1 {
-        let comparisons = n * (64 - n.leading_zeros() as u64);
+        let kept = limit.map_or(n, |k| n.min(k as u64));
+        let comparisons = n * u64::from(u64::BITS - kept.leading_zeros());
         mem.cpu(comparisons * (costs.value_op * keys.len() as u64 + costs.branch_miss / 2));
     }
-    let mut err = None;
-    rows.sort_by(|a, b| {
-        for &(pos, desc) in keys {
-            match a[pos].compare(&b[pos]) {
-                Ok(ord) => {
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Err(e) => {
-                    err.get_or_insert(e);
-                    return std::cmp::Ordering::Equal;
-                }
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    batch.order(keys, limit)
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! pure function of (table contents, plan shape, predicate constants,
 //! access path). A [`Session`](crate::Session) therefore memoizes that
 //! output in an [`OpCache`] keyed by a 128-bit FNV-1a signature over
-//! exactly those inputs; a hit returns the memoized rows without
+//! exactly those inputs; a hit returns the memoized batch without
 //! re-touching the memory hierarchy at all. ORDER BY and LIMIT are
-//! deliberately **excluded** from the signature — cached rows are the
+//! deliberately **excluded** from the signature — a cached batch is the
 //! pre-sort/pre-limit stage output, so plans differing only in their
-//! post-processing share one entry.
+//! post-processing share one entry. Entries are shared, not copied: the
+//! run that fills one and every hit on it hold the same immutable
+//! [`ResultBatch`] behind an `Rc` (DESIGN.md §19).
 //!
 //! Soundness:
 //!
@@ -24,11 +26,12 @@
 //!   the determinism rules of this workspace ban `HashMap` in
 //!   result-affecting library code outright.
 
+use super::batch::ResultBatch;
 use crate::bind::BoundQuery;
 use crate::cost::AccessPath;
-use fabric_types::Value;
 use relmem::RmStats;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// Default byte budget for memoized stage outputs. Generous on purpose:
 /// the CI workloads' working sets fit with a wide margin, so eviction
@@ -37,34 +40,15 @@ use std::collections::{BTreeMap, VecDeque};
 /// entries were evicted).
 pub const DEFAULT_OPCACHE_CAP_BYTES: u64 = 8 << 20;
 
-/// One memoized stage output: the pre-sort/pre-limit rows, the path that
-/// produced them, the (clean) device stats when that path was RM, and
-/// the entry's approximate heap footprint for the byte budget.
+/// One memoized stage output: the pre-sort/pre-limit batch, the path that
+/// produced it, the (clean) device stats when that path was RM, and the
+/// entry's heap footprint ([`ResultBatch::heap_bytes`]) for the byte
+/// budget.
 struct CachedScan {
-    rows: Vec<Vec<Value>>,
+    batch: Rc<ResultBatch>,
     path: AccessPath,
     rm_stats: Option<RmStats>,
     bytes: u64,
-}
-
-/// Approximate heap footprint of a memoized row set: enum payload per
-/// value (plus string bytes), vector headers per row.
-fn rows_bytes(rows: &[Vec<Value>]) -> u64 {
-    let val = size_of::<Value>() as u64;
-    let header = size_of::<Vec<Value>>() as u64;
-    rows.iter()
-        .map(|r| {
-            header
-                + r.iter()
-                    .map(|v| {
-                        val + match v {
-                            Value::Str(s) => s.len() as u64,
-                            _ => 0,
-                        }
-                    })
-                    .sum::<u64>()
-        })
-        .sum()
 }
 
 /// The per-engine operator cache. See the module docs for keying and
@@ -97,15 +81,15 @@ impl Default for OpCache {
 }
 
 impl OpCache {
-    /// Look up a signature; a hit clones out the memoized stage output.
+    /// Look up a signature; a hit shares the memoized stage output.
     pub(crate) fn probe(
         &mut self,
         key: u128,
-    ) -> Option<(Vec<Vec<Value>>, AccessPath, Option<RmStats>)> {
+    ) -> Option<(Rc<ResultBatch>, AccessPath, Option<RmStats>)> {
         match self.map.get(&key) {
             Some(e) => {
                 self.hits += 1;
-                Some((e.rows.clone(), e.path, e.rm_stats.clone()))
+                Some((Rc::clone(&e.batch), e.path, e.rm_stats))
             }
             None => {
                 self.misses += 1;
@@ -121,16 +105,16 @@ impl OpCache {
     pub(crate) fn insert(
         &mut self,
         key: u128,
-        rows: Vec<Vec<Value>>,
+        batch: Rc<ResultBatch>,
         path: AccessPath,
         rm_stats: Option<RmStats>,
     ) {
         self.insertions += 1;
-        let bytes = rows_bytes(&rows);
+        let bytes = batch.heap_bytes() as u64;
         if let Some(old) = self.map.insert(
             key,
             CachedScan {
-                rows,
+                batch,
                 path,
                 rm_stats,
                 bytes,
@@ -171,7 +155,7 @@ impl OpCache {
         self.evictions
     }
 
-    /// Approximate bytes currently memoized.
+    /// Heap bytes the memoized batches hold (their buffers' capacities).
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -214,7 +198,7 @@ pub(crate) enum CacheSlot<'c> {
 }
 
 impl CacheSlot<'_> {
-    pub(crate) fn probe(&mut self) -> Option<(Vec<Vec<Value>>, AccessPath, Option<RmStats>)> {
+    pub(crate) fn probe(&mut self) -> Option<(Rc<ResultBatch>, AccessPath, Option<RmStats>)> {
         match self {
             CacheSlot::Keyed(c, key) => c.probe(*key),
             CacheSlot::None => None,
@@ -281,7 +265,17 @@ impl Fnv128 {
 mod tests {
     use super::*;
     use crate::bind::OutputItem;
-    use fabric_types::{CmpOp, Expr};
+    use fabric_types::{CmpOp, ColumnType, Expr, Value};
+
+    /// `rows` rows of `arity` `i64` items, row `r` holding `r` throughout.
+    fn batch(rows: usize, arity: usize) -> Rc<ResultBatch> {
+        let mut b = ResultBatch::new(&vec![ColumnType::I64; arity]);
+        for r in 0..rows {
+            b.push_row(|_, col| col.push(&Value::I64(r as i64)))
+                .unwrap();
+        }
+        Rc::new(b)
+    }
 
     fn q(table: &str, pred_lit: i64) -> BoundQuery {
         BoundQuery {
@@ -322,9 +316,15 @@ mod tests {
     fn probe_and_insert_round_trip_with_counters() {
         let mut c = OpCache::default();
         assert!(c.probe(7).is_none());
-        c.insert(7, vec![vec![Value::I64(1)]], AccessPath::Col, None);
-        let (rows, path, rm) = c.probe(7).expect("hit");
-        assert_eq!(rows, vec![vec![Value::I64(1)]]);
+        let stored = batch(2, 1);
+        c.insert(7, Rc::clone(&stored), AccessPath::Col, None);
+        assert_eq!(c.bytes(), stored.heap_bytes() as u64, "exact accounting");
+        let (hit, path, rm) = c.probe(7).expect("hit");
+        assert!(Rc::ptr_eq(&hit, &stored), "a hit shares the entry");
+        assert_eq!(
+            hit.rows(0..2),
+            vec![vec![Value::I64(0)], vec![Value::I64(1)]]
+        );
         assert_eq!(path, AccessPath::Col);
         assert!(rm.is_none());
         assert_eq!(c.stats(), (1, 1));
@@ -339,8 +339,8 @@ mod tests {
     #[test]
     fn byte_budget_evicts_oldest_first_but_never_the_new_entry() {
         let mut c = OpCache::default();
-        let wide = || vec![vec![Value::I64(0); 4]; 8];
-        c.set_cap_bytes(rows_bytes(&wide()) * 2);
+        let wide = || batch(8, 4);
+        c.set_cap_bytes(wide().heap_bytes() as u64 * 2);
         c.insert(1, wide(), AccessPath::Row, None);
         c.insert(2, wide(), AccessPath::Row, None);
         assert_eq!(c.len(), 2);

@@ -16,10 +16,11 @@
 //! the stage partition; operators are constructed only inside this crate
 //! (lint rule `exec-internals`).
 
+use super::batch::ResultBatch;
 use crate::bind::{BoundQuery, OutputItem};
 use crate::cost::AccessPath;
 use fabric_sim::{MemoryHierarchy, OpStats};
-use fabric_types::{AggFunc, Expr, F64Program, FabricError, Result, Value, ValueAgg};
+use fabric_types::{AggFunc, ColumnType, Expr, F64Program, FabricError, Result, Value, ValueAgg};
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -154,6 +155,7 @@ fn render_key(key: &[Value]) -> Result<String> {
 }
 
 /// How one aggregate of the plan is fed a row.
+#[derive(Clone)]
 enum AggFeed<'q> {
     /// `count`: the row itself is the input.
     Count,
@@ -183,11 +185,26 @@ fn new_accs(bound: &BoundQuery) -> Vec<ValueAgg> {
 /// on hash iteration (rule `nondeterministic-core`).
 type RenderedGroups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
 
-/// Shared consumption: either collects projected rows or maintains grouped
-/// aggregates. One `Consumer` holds one morsel's partial result.
+/// How one item of a projecting plan is produced from a row's slots.
+#[derive(Clone)]
+enum Projection<'q> {
+    /// The slot's value, as decoded.
+    Slot(usize),
+    Literal(&'q Value),
+    /// Arithmetic, as a compiled `f64` program (the same bits as
+    /// `Expr::eval`).
+    Arithmetic(F64Program),
+}
+
+/// Shared consumption: either appends projected rows to a typed batch or
+/// maintains grouped aggregates. One `Consumer` holds one morsel's partial
+/// result.
 pub(crate) struct Consumer<'q> {
     bound: &'q BoundQuery,
-    rows: Vec<Vec<Value>>,
+    /// The morsel's projected rows (stays empty when the plan aggregates).
+    batch: ResultBatch,
+    /// One per item of a projecting plan, in item order.
+    projections: Vec<Projection<'q>>,
     /// Accumulators per group, in first-seen order.
     groups: Vec<Vec<ValueAgg>>,
     /// Raw key → position in `groups`.
@@ -202,7 +219,13 @@ pub(crate) struct Consumer<'q> {
 }
 
 impl<'q> Consumer<'q> {
-    pub(crate) fn new(bound: &'q BoundQuery) -> Self {
+    /// Resolve how `bound`, whose output items have the static `types`
+    /// ([`VerifiedQuery::output_types`]), consumes a row. Done once per
+    /// stage-0 run; every morsel then gets a [`Self::fresh`] copy.
+    ///
+    /// [`VerifiedQuery::output_types`]: crate::analyze::VerifiedQuery::output_types
+    pub(crate) fn new(bound: &'q BoundQuery, types: &[ColumnType]) -> Result<Self> {
+        let aggregated = bound.has_aggregates();
         let feeds = bound
             .items
             .iter()
@@ -215,15 +238,49 @@ impl<'q> Consumer<'q> {
                 OutputItem::Expr(_) => None,
             })
             .collect();
-        Consumer {
+        let mut projections = Vec::new();
+        if !aggregated {
+            projections.reserve_exact(bound.items.len());
+            for item in &bound.items {
+                projections.push(match item {
+                    OutputItem::Expr(Expr::Col(slot)) => Projection::Slot(*slot),
+                    OutputItem::Expr(Expr::Const(v)) => Projection::Literal(v),
+                    OutputItem::Expr(e) => Projection::Arithmetic(e.compile_f64()),
+                    OutputItem::Agg(..) => {
+                        return Err(FabricError::Internal(
+                            "aggregate item in non-aggregated plan".into(),
+                        ))
+                    }
+                });
+            }
+        }
+        Ok(Consumer {
             bound,
-            rows: Vec::new(),
+            batch: ResultBatch::new(types),
+            projections,
             groups: Vec::new(),
             index: BTreeMap::new(),
             probe: RawKey::default(),
             last: None,
             feeds,
-            aggregated: bound.has_aggregates(),
+            aggregated,
+        })
+    }
+
+    /// An empty consumer of the same plan, for the next morsel, copied
+    /// from this one, which must not have been fed (its own compiled
+    /// programs: each carries the operand stack it runs on).
+    pub(crate) fn fresh(&self) -> Self {
+        Consumer {
+            bound: self.bound,
+            batch: self.batch.clone(),
+            projections: self.projections.clone(),
+            groups: Vec::new(),
+            index: BTreeMap::new(),
+            probe: RawKey::default(),
+            last: None,
+            feeds: self.feeds.clone(),
+            aggregated: self.aggregated,
         }
     }
 
@@ -255,7 +312,7 @@ impl<'q> Consumer<'q> {
         if self.aggregated {
             self.groups.len()
         } else {
-            self.rows.len()
+            self.batch.len()
         }
     }
 
@@ -297,19 +354,17 @@ impl<'q> Consumer<'q> {
 
     pub(crate) fn feed(&mut self, vals: &[Value]) -> Result<()> {
         if !self.aggregated {
-            let mut out = Vec::with_capacity(self.bound.items.len());
-            for item in &self.bound.items {
-                match item {
-                    OutputItem::Expr(e) => out.push(e.eval(vals)?),
-                    OutputItem::Agg(..) => {
-                        return Err(FabricError::Internal(
-                            "aggregate item in non-aggregated plan".into(),
-                        ))
-                    }
+            let projections = &mut self.projections;
+            return self.batch.push_row(|i, col| match &mut projections[i] {
+                Projection::Slot(slot) => {
+                    col.push(vals.get(*slot).ok_or(FabricError::ColumnIndexOutOfRange {
+                        index: *slot,
+                        len: vals.len(),
+                    })?)
                 }
-            }
-            self.rows.push(out);
-            return Ok(());
+                Projection::Literal(v) => col.push(v),
+                Projection::Arithmetic(program) => col.push(&Value::F64(program.eval(vals)?)),
+            });
         }
         let g = self.group_of(vals);
         for (acc, feed) in self.groups[g].iter_mut().zip(&mut self.feeds) {
@@ -372,54 +427,57 @@ fn merge_groups(
     Ok(())
 }
 
-/// Turn merged groups into output rows, in rendered-key order.
-fn finish_groups(bound: &BoundQuery, mut groups: RenderedGroups) -> Result<Vec<Vec<Value>>> {
+/// Where one item of a grouped plan's output row comes from.
+enum GroupedItem {
+    /// A grouping column: position of its slot within `group_by`.
+    Key(usize),
+    /// An aggregate: its position among the plan's accumulators.
+    Aggregate(usize),
+}
+
+/// Turn merged groups into the output batch, in rendered-key order.
+fn finish_groups(
+    bound: &BoundQuery,
+    types: &[ColumnType],
+    mut groups: RenderedGroups,
+) -> Result<ResultBatch> {
+    let mut sources = Vec::with_capacity(bound.items.len());
+    let mut aggregates = 0;
+    for item in &bound.items {
+        sources.push(match item {
+            OutputItem::Expr(Expr::Col(slot)) => {
+                GroupedItem::Key(bound.group_by.iter().position(|g| g == slot).ok_or_else(
+                    || FabricError::Internal(format!("grouped output slot {slot} not in GROUP BY")),
+                )?)
+            }
+            OutputItem::Expr(other) => {
+                return Err(FabricError::Internal(format!(
+                    "non-column expression `{other}` in grouped output"
+                )))
+            }
+            OutputItem::Agg(..) => {
+                aggregates += 1;
+                GroupedItem::Aggregate(aggregates - 1)
+            }
+        });
+    }
     // Scalar aggregation over zero rows still returns one row
     // (count = 0, sum = 0; min/max/avg error, as they have no value).
     if groups.is_empty() && bound.group_by.is_empty() {
         groups.insert(String::new(), (Vec::new(), new_accs(bound)));
     }
-    let mut out = Vec::with_capacity(groups.len());
+    let mut out = ResultBatch::new(types);
     for (key_vals, accs) in groups.into_values() {
-        let mut row = Vec::with_capacity(bound.items.len());
-        let mut acc_i = 0;
-        for item in &bound.items {
-            match item {
-                OutputItem::Expr(e) => {
-                    // A grouping column: its value is in key_vals at the
-                    // position of its slot within group_by.
-                    let slot = match e {
-                        Expr::Col(s) => *s,
-                        other => {
-                            return Err(FabricError::Internal(format!(
-                                "non-column expression `{other}` in grouped output"
-                            )))
-                        }
-                    };
-                    let pos = bound
-                        .group_by
-                        .iter()
-                        .position(|&g| g == slot)
-                        .ok_or_else(|| {
-                            FabricError::Internal(format!(
-                                "grouped output slot {slot} not in GROUP BY"
-                            ))
-                        })?;
-                    row.push(key_vals[pos].clone());
-                }
-                OutputItem::Agg(..) => {
-                    row.push(accs[acc_i].finish()?);
-                    acc_i += 1;
-                }
-            }
-        }
-        out.push(row);
+        out.push_row(|i, col| match sources[i] {
+            GroupedItem::Key(pos) => col.push(&key_vals[pos]),
+            GroupedItem::Aggregate(acc) => col.push(&accs[acc].finish()?),
+        })?;
     }
     Ok(out)
 }
 
 /// Merge per-morsel partial consumers *in morsel order* on the active core
-/// and produce the plan's output rows. The fold shape is fixed by the
+/// and produce the plan's output batch. The fold shape is fixed by the
 /// morsel count (which depends only on the input size), never by the core
 /// count — that is what makes N-core output bit-identical to 1-core even
 /// for floating-point aggregates. Projected morsels concatenate, so the
@@ -428,18 +486,18 @@ fn finish_groups(bound: &BoundQuery, mut groups: RenderedGroups) -> Result<Vec<V
 pub(crate) fn merge_partials<'q>(
     mem: &mut MemoryHierarchy,
     bound: &'q BoundQuery,
+    types: &[ColumnType],
     partials: Vec<Consumer<'q>>,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<ResultBatch> {
     let costs = mem.costs();
-    let mut it = partials.into_iter();
     if !bound.has_aggregates() {
-        let mut rows = it.next().map(|first| first.rows).unwrap_or_default();
-        for p in it {
-            mem.cpu(costs.value_op * p.rows.len() as u64);
-            rows.extend(p.rows);
+        let batches: Vec<ResultBatch> = partials.into_iter().map(|p| p.batch).collect();
+        for later in batches.iter().skip(1) {
+            mem.cpu(costs.value_op * later.len() as u64);
         }
-        return Ok(rows);
+        return ResultBatch::concat(types, batches);
     }
+    let mut it = partials.into_iter();
     let mut acc = match it.next() {
         Some(first) => first.into_rendered()?,
         None => RenderedGroups::new(),
@@ -447,5 +505,5 @@ pub(crate) fn merge_partials<'q>(
     for p in it {
         merge_groups(mem, &mut acc, p.into_rendered()?)?;
     }
-    finish_groups(bound, acc)
+    finish_groups(bound, types, acc)
 }

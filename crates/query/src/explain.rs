@@ -110,6 +110,13 @@ fn render_plan(
     if let Some(limit) = bound.limit {
         writeln!(out, "  limit: {limit}")?;
     }
+    // How the shared tail orders the merged batch: a sort of all of it, or
+    // a selection of the first `k` rows (`exec::order_rows`).
+    match (bound.order_by.is_empty(), bound.limit) {
+        (true, _) => {}
+        (false, None) => writeln!(out, "  post: sort")?,
+        (false, Some(k)) => writeln!(out, "  post: top-k (k = {k})")?,
+    }
 
     writeln!(
         out,
@@ -560,6 +567,7 @@ mod tests {
         assert!(text.contains("group by: region"), "{text}");
         assert!(text.contains("order by: #2 DESC"), "{text}");
         assert!(text.contains("limit: 5"), "{text}");
+        assert!(text.contains("post: top-k (k = 5)"), "{text}");
         assert!(text.contains("estimates: ROW"), "{text}");
         assert!(text.contains("unavailable (no columnar copy)"), "{text}");
     }
@@ -673,11 +681,15 @@ mod tests {
         }
         let mut c = Catalog::new();
         c.register_rows("orders", t);
-        let text = explain_analyze_sql(&mut mem, &c, "SELECT sum(qty) FROM orders").unwrap();
+        let text =
+            explain_analyze_sql(&mut mem, &c, "SELECT sum(qty) FROM orders ORDER BY 1").unwrap();
         assert!(
             text.contains("COL  unavailable (no columnar copy)"),
             "{text}"
         );
+        // A full sort is rendered as one, and its phase keeps its name.
+        assert!(text.contains("post: sort\n"), "{text}");
+        assert!(text.contains("query::post::sort"), "{text}");
         assert!(mem.metrics().gauge("explain.rel_err_pct.ns.col").is_none());
         assert!(mem.metrics().gauge("explain.rel_err_pct.ns.rm").is_some());
     }

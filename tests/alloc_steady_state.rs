@@ -7,7 +7,11 @@
 //! lookup through `Session::run_on` allocates a number of times bounded
 //! by `c0 + c1 × morsels` (`+ c2 × batches` on RM), with **no term in
 //! scanned rows** — shown by running each at two table sizes and bounding
-//! the difference by the extra morsels and batches alone.
+//! the difference by the extra morsels and batches alone. A projection
+//! additionally allocates for the rows it *returns* (one vector each, plus
+//! one `String` per text item) and for nothing else: not per qualifying
+//! row under `ORDER BY … LIMIT`, and not per memoised row on an op-cache
+//! hit.
 //!
 //! The allocator wraps `std::alloc::System` and affects this test binary
 //! only. It counts per thread (a `const`-initialised thread-local needs no
@@ -178,6 +182,102 @@ fn execution_allocates_per_morsel_and_per_batch_never_per_row() {
                 large - small
             );
         }
+    }
+}
+
+/// A projection of three items, one of them text, that nine rows in ten
+/// qualify for.
+const PROJECTION: &str =
+    "SELECT l_extendedprice, l_orderkey, l_shipmode FROM lineitem WHERE l_quantity <= 45";
+const TEXT_ITEMS: u64 = 1;
+
+/// Allocations allowed to one execution whatever its size: the output
+/// spine, the row-number vector, the profile, the query-log record and
+/// the metric keys (measured on a hit returning 100 rows: 254 on ROW, 279
+/// on COL, 344 on RM, which also exports the device statistics).
+const PER_EXECUTION: u64 = 400;
+
+/// One prepared execution of `sql` on `path` in a warmed-up session:
+/// allocations and the output.
+fn measured(e: &mut Engine, sql: &str, path: AccessPath) -> (u64, query::QueryOutput) {
+    let mut s = e.session();
+    let prepared = s.prepare(sql).unwrap();
+    allocations_in(|| s.execute_on(&prepared, path).unwrap())
+}
+
+#[test]
+fn a_projection_allocates_per_returned_row_never_per_qualifying_or_memoised_row() {
+    let top_k = format!("{PROJECTION} ORDER BY 1 LIMIT 100");
+    // The large table has more than 50 000 qualifying rows.
+    let sizes = [2 * MORSEL_ROWS, 14 * MORSEL_ROWS];
+    let mut engines = sizes.map(|rows| {
+        let mut e = Engine::with_cores(SimConfig::zynq_a53(), 4);
+        let li = Lineitem::generate(e.mem(), rows, DATA_SEED).unwrap();
+        e.register("lineitem", li.rows, li.cols);
+        e
+    });
+    for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+        // [small, large] × (allocations, morsels, batches, qualifying rows)
+        let mut top_k_cold = [(0u64, 0u64, 0u64, 0u64); 2];
+        let mut top_k_hit = [0u64; 2];
+        for (i, e) in engines.iter_mut().enumerate() {
+            let morsels = sizes[i].div_ceil(MORSEL_ROWS) as u64;
+            // Warm the session pools and the simulator's tables up.
+            e.session().run_on(PROJECTION, path).unwrap();
+
+            // Everything returned: one vector per row and one `String`
+            // per text item, on top of the per-morsel terms.
+            e.clear_op_cache();
+            let (allocations, out) = measured(e, PROJECTION, path);
+            assert!(!out.cache_hit);
+            let batches = out.rm_stats.map_or(0, |s| s.batches);
+            let returned = out.rows.len() as u64;
+            let allowed = PER_EXECUTION
+                + PER_MORSEL * morsels
+                + PER_BATCH * batches
+                + (1 + TEXT_ITEMS) * returned;
+            println!(
+                "projection {path:?} {} rows: {allocations} allocations returning {returned} \
+                 (allowed {allowed})",
+                sizes[i]
+            );
+            assert!(
+                allocations <= allowed,
+                "{path:?}: {allocations} allocations to return {returned} rows, more than \
+                 {allowed} — something other than the returned rows allocates per row"
+            );
+
+            // Top-100 of the same rows, cold and as a hit on the entry
+            // the cold run filled.
+            e.clear_op_cache();
+            let (cold, out) = measured(e, &top_k, path);
+            assert!(!out.cache_hit);
+            assert_eq!(out.rows.len(), 100);
+            top_k_cold[i] = (cold, morsels, batches, returned);
+            let (hit, out) = measured(e, &top_k, path);
+            assert!(out.cache_hit);
+            assert_eq!(out.rows.len(), 100);
+            top_k_hit[i] = hit;
+        }
+        let [(small, m0, b0, q0), (large, m1, b1, q1)] = top_k_cold;
+        assert!(q1 >= 50_000, "{q1} rows qualify");
+        let allowed = PER_MORSEL * (m1 - m0) + PER_BATCH * (b1 - b0);
+        println!(
+            "top-100 {path:?}: {small} allocations over {q0} qualifying rows, {large} over {q1} \
+             (allowed +{allowed}); as a hit {} and {}",
+            top_k_hit[0], top_k_hit[1]
+        );
+        assert!(
+            large.saturating_sub(small) <= allowed,
+            "{path:?}: top-100 over {q1} qualifying rows allocates {large} times, over {q0} \
+             {small} times — the difference must be the extra morsels and batches alone"
+        );
+        assert_eq!(
+            top_k_hit[0], top_k_hit[1],
+            "{path:?}: a hit returning 100 rows must allocate the same whether the entry \
+             memoises {q0} rows or {q1}"
+        );
+        assert!(top_k_hit[1] <= PER_EXECUTION + (1 + TEXT_ITEMS) * 100);
     }
 }
 

@@ -70,8 +70,17 @@
 #  14. allocation steady state  (tests/alloc_steady_state.rs: a counting
 #                                global allocator shows Q1, Q6 and a key
 #                                lookup allocate per morsel and per RM
-#                                batch, never per scanned row)
-#  15. benchmark smoke test     (cargo test in benchmark/, a workspace of
+#                                batch, never per scanned row, and a
+#                                projection per returned row, never per
+#                                qualifying or memoised row)
+#  15. result batches           (tests/result_batch.rs under the fixed
+#                                seed: projections over all eight column
+#                                types, every ORDER BY / LIMIT shape, on
+#                                ROW/COL/RM at 1/2/4 cores, cold and as
+#                                op-cache hits, against the row-vector
+#                                sort-and-truncate pipeline they replaced
+#                                — DESIGN.md §19)
+#  16. benchmark smoke test     (cargo test in benchmark/, a workspace of
 #                                its own: the two-clock benchmark at tiny
 #                                scale — schema against BENCHMARK.json,
 #                                trace validates and nests, simulated
@@ -229,6 +238,18 @@ fi
 # that exists in that test binary only. Deterministic, no seed.
 say "allocation steady state"
 cargo test -q --test alloc_steady_state
+
+# Result batches: what `QueryOutput.rows` holds must be what the
+# row-vector pipeline returned, for generated tables and every ORDER BY /
+# LIMIT shape (DESIGN.md §19), seeded like the chaos sweep.
+say "result batches (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
+if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
+    cargo test -q --test result_batch; then
+    printf '\nresult batches FAILED — replay with:\n'
+    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test result_batch\n' \
+        "$PAR_CORES" "$CHAOS_SEED"
+    exit 1
+fi
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
 # outside `cargo test --workspace`; its smoke test runs every workload at
