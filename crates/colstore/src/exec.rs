@@ -2,10 +2,12 @@
 //!
 //! The building blocks of the COL baseline:
 //!
-//! * [`scan_filter`] — vectorized full-column predicate scan producing a
-//!   selection vector (one perfectly sequential stream; the prefetcher
-//!   loves it);
-//! * [`refine`] — re-check a candidate list against another column
+//! * [`scan_filter_conj_range_into`] — vectorized predicate scan of a
+//!   column range producing a selection vector (one perfectly sequential
+//!   stream; the prefetcher loves it), and
+//!   [`scan_filter_cand_range_into`], the same scan intersected with an
+//!   earlier pass's selection vector;
+//! * [`refine_conj`] — re-check a candidate list against another column
 //!   (data-dependent, irregular accesses; the prefetcher does not);
 //! * [`for_each_lockstep`] — stream several columns in lockstep batches.
 //!   Each batch switches between `p` column arrays: with more than the
@@ -65,78 +67,12 @@ impl TupleBatch {
     }
 }
 
-/// Vectorized full-column scan: returns the selection vector of row ids
-/// whose value satisfies `op value`.
-pub fn scan_filter(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    op: CmpOp,
-    value: &Value,
-) -> Result<Vec<u32>> {
-    let c = t.col(col)?;
-    let w = c.ty.width();
-    let costs = mem.costs();
-    let mut sel = Vec::new();
-    let mut kept: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-    let mut row = 0usize;
-    // One primitive invocation, one setup: the batch loop below is the
-    // steady state, so `vector_setup` amortizes over the whole call
-    // rather than recurring every BATCH_ROWS.
-    if row < t.len() {
-        mem.cpu(costs.vector_setup);
-    }
-    while row < t.len() {
-        let n = BATCH_ROWS.min(t.len() - row);
-        mem.touch_read(c.at(row), n * w);
-        mem.cpu(n as u64 * (costs.vector_elem + cmp_cycles(&costs, c.ty)));
-        let bytes = mem.bytes(c.at(row), n * w);
-        for i in 0..n {
-            let v = Value::decode(c.ty, &bytes[i * w..(i + 1) * w]);
-            if op.matches(v.compare(value)?) {
-                kept.push((row + i) as u32);
-            }
-        }
-        if !kept.is_empty() {
-            mem.touch_write(t.sv_out_addr(sel.len()), kept.len() * 4);
-            sel.append(&mut kept);
-        }
-        row += n;
-    }
-    Ok(sel)
-}
-
-/// Vectorized full-column scan with several conjuncts on the *same* column
-/// (e.g. a range predicate) evaluated in one pass.
-pub fn scan_filter_conj(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    preds: &[(CmpOp, Value)],
-) -> Result<Vec<u32>> {
-    scan_filter_conj_range(mem, t, col, preds, 0, t.len())
-}
-
-/// [`scan_filter_conj`] restricted to raw rows `[start, end)` — one morsel
-/// of the scan space. Emitted positions are absolute row ids, so per-morsel
-/// selection vectors concatenate in morsel order to the full-scan result.
-pub fn scan_filter_conj_range(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    preds: &[(CmpOp, Value)],
-    start: usize,
-    end: usize,
-) -> Result<Vec<u32>> {
-    let mut sel = Vec::new();
-    scan_filter_conj_range_into(mem, t, col, preds, start, end, &mut sel)?;
-    Ok(sel)
-}
-
-/// [`scan_filter_conj_range`] writing into a caller-supplied selection
-/// vector (cleared first) so the staged executor can recycle one buffer
-/// across morsels and queries. Cycle/byte charging is identical — buffer
-/// reuse is host-side only.
+/// Vectorized scan of raw rows `[start, end)` of one column — the whole
+/// column, or one morsel of it: `sel` (cleared first, so a caller can
+/// recycle one buffer) receives the absolute ids of the rows satisfying
+/// every conjunct of `preds`, so per-morsel selection vectors concatenate
+/// in morsel order to the full-scan result. `vector_setup` is charged
+/// once per call, not per batch.
 pub fn scan_filter_conj_range_into(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
@@ -179,41 +115,14 @@ pub fn scan_filter_conj_range_into(
     Ok(())
 }
 
-/// Column-at-a-time candidate pass: the whole-column select operator of a
-/// classic column engine. The *entire* column is streamed and every row's
-/// predicate evaluated (that is the column-at-a-time contract — the
-/// operator has no knowledge of which rows earlier passes kept); the match
-/// set is then intersected with the incoming candidate list.
-pub fn scan_filter_cand(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    preds: &[(CmpOp, Value)],
-    candidates: &[u32],
-) -> Result<Vec<u32>> {
-    scan_filter_cand_range(mem, t, col, preds, candidates, 0, t.len())
-}
-
-/// [`scan_filter_cand`] restricted to raw rows `[start, end)`. The
-/// candidate list must contain only positions inside the range (the
-/// morsel-driven executor hands each morsel its own candidates).
-pub fn scan_filter_cand_range(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    preds: &[(CmpOp, Value)],
-    candidates: &[u32],
-    start: usize,
-    end: usize,
-) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    scan_filter_cand_range_into(mem, t, col, preds, candidates, start, end, &mut out)?;
-    Ok(out)
-}
-
-/// [`scan_filter_cand_range`] writing into a caller-supplied output vector
-/// (cleared first) for buffer reuse across morsels and queries. Charging
-/// is identical to the allocating variant.
+/// Column-at-a-time candidate pass: the select operator of a classic
+/// column engine over raw rows `[start, end)`. The *entire* range is
+/// streamed and every row's predicate evaluated (that is the
+/// column-at-a-time contract — the operator has no knowledge of which rows
+/// earlier passes kept); the match set is then intersected with the
+/// incoming candidate list into `out` (cleared first). `candidates` must
+/// be ascending and inside the range (the morsel-driven executor hands
+/// each morsel its own candidates).
 #[allow(clippy::too_many_arguments)]
 pub fn scan_filter_cand_range_into(
     mem: &mut MemoryHierarchy,
@@ -235,12 +144,18 @@ pub fn scan_filter_cand_range_into(
     let mut kept: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
     let mut ci = 0usize; // cursor into candidates
     let mut row = start.min(end);
-    // Candidates below the range would never be visited; reject instead of
-    // silently dropping them.
-    if candidates.first().is_some_and(|&p| (p as usize) < row) {
+    // Candidates outside the range would never be visited; reject instead
+    // of silently dropping them.
+    if let Some(&below) = candidates.first().filter(|&&p| (p as usize) < row) {
         return Err(FabricError::RowIndexOutOfRange {
-            index: candidates[0] as usize,
+            index: below as usize,
             len: row,
+        });
+    }
+    if let Some(&past) = candidates.last().filter(|&&p| (p as usize) >= end) {
+        return Err(FabricError::RowIndexOutOfRange {
+            index: past as usize,
+            len: end,
         });
     }
     if row < end {
@@ -281,7 +196,10 @@ pub fn scan_filter_cand_range_into(
     Ok(())
 }
 
-/// [`refine`] with several conjuncts on the same column.
+/// Refine a candidate list against another column (several conjuncts on
+/// it in one pass). The accesses follow the candidate positions —
+/// ascending but data-dependent, so prefetching is unreliable, which is
+/// why candidate-list scans degrade as more selection columns pile up.
 pub fn refine_conj(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
@@ -319,45 +237,6 @@ pub fn refine_conj(
     Ok(out)
 }
 
-/// Refine a candidate list against another column. The accesses follow the
-/// candidate positions — ascending but data-dependent, so prefetching is
-/// unreliable, which is why candidate-list scans degrade as more selection
-/// columns pile up.
-pub fn refine(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    op: CmpOp,
-    value: &Value,
-    candidates: &[u32],
-) -> Result<Vec<u32>> {
-    let c = t.col(col)?;
-    check_selection(t, candidates)?;
-    let w = c.ty.width();
-    let costs = mem.costs();
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut done = 0usize;
-    for chunk in candidates.chunks(BATCH_ROWS) {
-        mem.cpu(costs.vector_setup);
-        mem.touch_read(t.sv_in_addr(done), chunk.len() * 4);
-        let out0 = out.len();
-        for &pos in chunk {
-            mem.touch_read(c.at(pos as usize), w);
-            mem.cpu(costs.vector_elem + costs.value_op);
-            let bytes = mem.bytes(c.at(pos as usize), w);
-            let v = Value::decode(c.ty, bytes);
-            if op.matches(v.compare(value)?) {
-                out.push(pos);
-            }
-        }
-        if out.len() > out0 {
-            mem.touch_write(t.sv_out_addr(out0), (out.len() - out0) * 4);
-        }
-        done += chunk.len();
-    }
-    Ok(out)
-}
-
 /// Stream `cols` in lockstep over `sel` (or all rows), invoking `f` with
 /// `(row_id, values)` for every row. No tuple-reconstruction cost is charged
 /// — use this for aggregation-style consumption; the caller charges its own
@@ -367,7 +246,7 @@ pub fn for_each_lockstep<F>(
     t: &ColTable,
     cols: &[ColumnId],
     sel: Option<&[u32]>,
-    mut f: F,
+    f: F,
 ) -> Result<()>
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
@@ -376,10 +255,7 @@ where
         Some(s) => RowSet::Sel(s),
         None => RowSet::Range(0, t.len()),
     };
-    lockstep_impl(mem, t, cols, rows, false, true, |mem, ev| match ev {
-        Event::Row(row, vals) => f(mem, row, vals),
-        Event::BatchEnd => Ok(()),
-    })
+    lockstep_impl(mem, t, cols, rows, false, true, rows_only(f))
 }
 
 /// [`for_each_lockstep`] over an explicit selection vector that is still
@@ -393,23 +269,12 @@ pub fn for_each_lockstep_fused<F>(
     t: &ColTable,
     cols: &[ColumnId],
     sel: &[u32],
-    mut f: F,
+    f: F,
 ) -> Result<()>
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    lockstep_impl(
-        mem,
-        t,
-        cols,
-        RowSet::Sel(sel),
-        false,
-        false,
-        |mem, ev| match ev {
-            Event::Row(row, vals) => f(mem, row, vals),
-            Event::BatchEnd => Ok(()),
-        },
-    )
+    lockstep_impl(mem, t, cols, RowSet::Sel(sel), false, false, rows_only(f))
 }
 
 /// [`for_each_lockstep`] over the dense raw-row range `[start, end)` —
@@ -420,24 +285,14 @@ pub fn for_each_lockstep_range<F>(
     cols: &[ColumnId],
     start: usize,
     end: usize,
-    mut f: F,
+    f: F,
 ) -> Result<()>
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
     let end = end.min(t.len());
-    lockstep_impl(
-        mem,
-        t,
-        cols,
-        RowSet::Range(start.min(end), end),
-        false,
-        true,
-        |mem, ev| match ev {
-            Event::Row(row, vals) => f(mem, row, vals),
-            Event::BatchEnd => Ok(()),
-        },
-    )
+    let rows = RowSet::Range(start.min(end), end);
+    lockstep_impl(mem, t, cols, rows, false, true, rows_only(f))
 }
 
 /// Reconstruct row-major tuples batch by batch, charging the per-value
@@ -483,6 +338,18 @@ where
 enum Event<'a> {
     Row(usize, &'a [Value]),
     BatchEnd,
+}
+
+/// The per-row callback of the `for_each_lockstep*` entry points as a
+/// [`lockstep_impl`] event handler: batch boundaries are of no interest.
+fn rows_only<F>(mut f: F) -> impl for<'a> FnMut(&mut MemoryHierarchy, Event<'a>) -> Result<()>
+where
+    F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
+{
+    move |mem, ev| match ev {
+        Event::Row(row, vals) => f(mem, row, vals),
+        Event::BatchEnd => Ok(()),
+    }
 }
 
 /// Which rows a lockstep pass visits: a dense raw-row range (unselective
@@ -628,18 +495,56 @@ mod tests {
         (mem, t)
     }
 
+    /// Selection vector of `preds` over rows `[start, end)` of `col`.
+    fn scan(
+        mem: &mut MemoryHierarchy,
+        t: &ColTable,
+        col: ColumnId,
+        preds: &[(CmpOp, Value)],
+        (start, end): (usize, usize),
+    ) -> Vec<u32> {
+        let mut sel = Vec::new();
+        scan_filter_conj_range_into(mem, t, col, preds, start, end, &mut sel).unwrap();
+        sel
+    }
+
+    /// [`scan`] over the whole column, one conjunct.
+    fn scan_all(
+        mem: &mut MemoryHierarchy,
+        t: &ColTable,
+        col: ColumnId,
+        op: CmpOp,
+        v: i32,
+    ) -> Vec<u32> {
+        scan(mem, t, col, &[(op, Value::I32(v))], (0, t.len()))
+    }
+
+    /// The candidate-intersection scan over rows `[start, end)`.
+    fn scan_cand(
+        mem: &mut MemoryHierarchy,
+        t: &ColTable,
+        col: ColumnId,
+        preds: &[(CmpOp, Value)],
+        candidates: &[u32],
+        (start, end): (usize, usize),
+    ) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        scan_filter_cand_range_into(mem, t, col, preds, candidates, start, end, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn scan_filter_selects_correct_rows() {
         let (mut mem, t) = fixture();
-        let sel = scan_filter(&mut mem, &t, 0, CmpOp::Lt, &Value::I32(10)).unwrap();
+        let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 10);
         assert_eq!(sel, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
     fn refine_narrows_candidates() {
         let (mut mem, t) = fixture();
-        let sel = scan_filter(&mut mem, &t, 0, CmpOp::Lt, &Value::I32(500)).unwrap();
-        let sel = refine(&mut mem, &t, 1, CmpOp::Eq, &Value::I32(7), &sel).unwrap();
+        let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 500);
+        let sel = refine_conj(&mut mem, &t, 1, &[(CmpOp::Eq, Value::I32(7))], &sel).unwrap();
         // i < 500 && i % 100 == 7 -> 7, 107, 207, 307, 407.
         assert_eq!(sel, vec![7, 107, 207, 307, 407]);
     }
@@ -682,7 +587,8 @@ mod tests {
     fn ranged_scans_concatenate_to_the_full_scan() {
         let (mut mem, t) = fixture();
         let preds = vec![(CmpOp::Lt, Value::I32(50))];
-        let whole = scan_filter_conj(&mut mem, &t, 1, &preds).unwrap();
+        let all = (0, t.len());
+        let whole = scan(&mut mem, &t, 1, &preds, all);
 
         // Morsel-sized conj scans over [start, end) chunks, concatenated in
         // order, must equal the unsplit scan (absolute row ids).
@@ -691,38 +597,58 @@ mod tests {
         let mut start = 0;
         while start < t.len() {
             let end = (start + step).min(t.len());
-            pieced.extend(scan_filter_conj_range(&mut mem, &t, 1, &preds, start, end).unwrap());
+            pieced.extend(scan(&mut mem, &t, 1, &preds, (start, end)));
             start = end;
         }
         assert_eq!(pieced, whole);
 
         // Same for the candidate-intersection scan: slice the candidate
         // vector per morsel and concatenate.
-        let cand = scan_filter_conj(&mut mem, &t, 0, &[(CmpOp::Lt, Value::I32(1500))]).unwrap();
-        let whole_cand = scan_filter_cand(&mut mem, &t, 1, &preds, &cand).unwrap();
+        let cand = scan_all(&mut mem, &t, 0, CmpOp::Lt, 1500);
+        let whole_cand = scan_cand(&mut mem, &t, 1, &preds, &cand, all).unwrap();
         let mut pieced_cand = Vec::new();
         let mut start = 0;
         while start < t.len() {
             let end = (start + step).min(t.len());
             let lo = cand.partition_point(|&p| (p as usize) < start);
             let hi = cand.partition_point(|&p| (p as usize) < end);
-            pieced_cand.extend(
-                scan_filter_cand_range(&mut mem, &t, 1, &preds, &cand[lo..hi], start, end).unwrap(),
-            );
+            pieced_cand
+                .extend(scan_cand(&mut mem, &t, 1, &preds, &cand[lo..hi], (start, end)).unwrap());
             start = end;
         }
         assert_eq!(pieced_cand, whole_cand);
 
         // Out-of-bounds end clamps; empty range yields nothing.
-        let clamped = scan_filter_conj_range(&mut mem, &t, 1, &preds, 0, t.len() * 2).unwrap();
+        let clamped = scan(&mut mem, &t, 1, &preds, (0, t.len() * 2));
         assert_eq!(clamped, whole);
-        assert!(scan_filter_conj_range(&mut mem, &t, 1, &preds, 100, 100)
-            .unwrap()
-            .is_empty());
+        assert!(scan(&mut mem, &t, 1, &preds, (100, 100)).is_empty());
+    }
 
-        // A candidate below the morsel start is an error, not a silent drop.
-        let err = scan_filter_cand_range(&mut mem, &t, 1, &preds, &[3], 100, 200);
-        assert!(err.is_err());
+    #[test]
+    fn a_candidate_below_the_morsel_is_an_error_not_a_silent_drop() {
+        let (mut mem, t) = fixture();
+        let preds = [(CmpOp::Ge, Value::I32(0))];
+        let err = scan_cand(&mut mem, &t, 1, &preds, &[3, 150], (100, 200)).unwrap_err();
+        assert_eq!(err, FabricError::RowIndexOutOfRange { index: 3, len: 100 });
+    }
+
+    #[test]
+    fn a_candidate_past_the_morsel_is_an_error_not_a_silent_drop() {
+        let (mut mem, t) = fixture();
+        let preds = [(CmpOp::Ge, Value::I32(0))];
+        // Inside the table, so only the range check can catch it.
+        let err = scan_cand(&mut mem, &t, 1, &preds, &[150, 200], (100, 200)).unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::RowIndexOutOfRange {
+                index: 200,
+                len: 200
+            }
+        );
+        assert_eq!(
+            scan_cand(&mut mem, &t, 1, &preds, &[150, 199], (100, 200)).unwrap(),
+            vec![150, 199]
+        );
     }
 
     #[test]
@@ -766,7 +692,7 @@ mod tests {
     #[test]
     fn fused_lockstep_matches_output_and_skips_sv_reread() {
         let (mut mem, t) = fixture();
-        let sel = scan_filter(&mut mem, &t, 1, CmpOp::Lt, &Value::I32(3)).unwrap();
+        let sel = scan_all(&mut mem, &t, 1, CmpOp::Lt, 3);
 
         let mut via_sv = Vec::new();
         let b0 = mem.stats();
@@ -801,7 +727,7 @@ mod tests {
     fn sum_expr_computes_expression() {
         let (mut mem, t) = fixture();
         // sum(a * c) over rows with a < 4: 0*0 + 1*0.5 + 2*1 + 3*1.5 = 7.
-        let sel = scan_filter(&mut mem, &t, 0, CmpOp::Lt, &Value::I32(4)).unwrap();
+        let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 4);
         let s = sum_expr(
             &mut mem,
             &t,
@@ -851,7 +777,7 @@ mod tests {
         let sel: Vec<u32> = Vec::new();
         let s = sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&sel)).unwrap();
         assert_eq!(s, 0.0);
-        let out = refine(&mut mem, &t, 0, CmpOp::Eq, &Value::I32(1), &sel).unwrap();
+        let out = refine_conj(&mut mem, &t, 0, &[(CmpOp::Eq, Value::I32(1))], &sel).unwrap();
         assert!(out.is_empty());
     }
 
@@ -859,7 +785,8 @@ mod tests {
     fn out_of_range_selection_is_structured_error_not_panic() {
         let (mut mem, t) = fixture();
         let bad = vec![0u32, 5000]; // table has 3000 rows
-        let err = refine(&mut mem, &t, 0, CmpOp::Eq, &Value::I32(1), &bad).unwrap_err();
+        let preds = [(CmpOp::Ge, Value::I32(0))];
+        let err = refine_conj(&mut mem, &t, 0, &preds, &bad).unwrap_err();
         assert_eq!(
             err,
             FabricError::RowIndexOutOfRange {
@@ -867,8 +794,7 @@ mod tests {
                 len: 3000
             }
         );
-        assert!(scan_filter_cand(&mut mem, &t, 0, &[(CmpOp::Ge, Value::I32(0))], &bad).is_err());
-        assert!(refine_conj(&mut mem, &t, 0, &[(CmpOp::Ge, Value::I32(0))], &bad).is_err());
+        assert!(scan_cand(&mut mem, &t, 0, &preds, &bad, (0, t.len())).is_err());
         assert!(for_each_lockstep(&mut mem, &t, &[0], Some(&bad), |_, _, _| Ok(())).is_err());
         assert!(sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&bad)).is_err());
     }
@@ -878,7 +804,7 @@ mod tests {
         let (mut mem, t) = fixture();
         // Warm nothing; scan a full column. 3000 * 4 B = 188 lines.
         let before = mem.stats();
-        scan_filter(&mut mem, &t, 0, CmpOp::Ge, &Value::I32(0)).unwrap();
+        scan_all(&mut mem, &t, 0, CmpOp::Ge, 0);
         let d = mem.stats().delta_since(&before);
         assert!(
             d.prefetch_hits > d.demand_misses,

@@ -15,8 +15,4 @@
 pub mod exec;
 pub mod table;
 
-pub use exec::{
-    for_each_lockstep, for_each_lockstep_fused, reconstruct, refine, refine_conj, scan_filter,
-    scan_filter_conj, sum_expr, TupleBatch,
-};
 pub use table::{ColRef, ColTable};

@@ -32,9 +32,6 @@ pub struct ColTable {
     /// reads them back in the next pass, and that traffic is real.
     sv_in: Addr,
     sv_out: Addr,
-    /// Scratch for materialized intermediate value arrays (the BATs a
-    /// column-at-a-time engine writes between passes).
-    mat: Addr,
 }
 
 impl ColTable {
@@ -48,7 +45,11 @@ impl ColTable {
         }
         let sv_in = mem.alloc(capacity * 4, line)?;
         let sv_out = mem.alloc(capacity * 4, line)?;
-        let mat = mem.alloc(capacity * 8, line)?;
+        // Reserved and unused: scratch for the intermediate value arrays a
+        // column-at-a-time engine writes between passes. No kernel here
+        // materializes one, but the address of every later allocation —
+        // and with it every recorded cycle count — depends on this block.
+        mem.alloc(capacity * 8, line)?;
         Ok(ColTable {
             schema,
             cols,
@@ -56,13 +57,7 @@ impl ColTable {
             capacity,
             sv_in,
             sv_out,
-            mat,
         })
-    }
-
-    /// Address of byte `off` of the intermediate-materialization scratch.
-    pub fn mat_addr(&self, off: usize) -> Addr {
-        self.mat + off as u64
     }
 
     /// Address of slot `i` of the selection-vector scratch being *read*.

@@ -164,8 +164,7 @@ impl BlockDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     #[test]
     fn zigzag_roundtrip_extremes() {
@@ -211,16 +210,18 @@ mod tests {
         assert_eq!(enc.get(0).unwrap(), 42);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_roundtrip(vals in proptest::collection::vec(any::<i64>(), 0..300),
-                          block in 1usize..64) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("delta roundtrip", |rng| {
+            let vals: Vec<i64> = (0..rng.gen_range(0..300usize))
+                .map(|_| rng.next_u64() as i64)
+                .collect();
+            let block = rng.gen_range(1..64usize);
             let enc = BlockDelta::encode_with_block(&vals, block);
-            prop_assert_eq!(enc.decode_all().unwrap(), vals.clone());
+            assert_eq!(enc.decode_all().unwrap(), vals);
             for (i, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(enc.get(i).unwrap(), v);
+                assert_eq!(enc.get(i).unwrap(), v);
             }
-        }
+        });
     }
 }

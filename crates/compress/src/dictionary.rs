@@ -111,8 +111,7 @@ impl DictEncoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     fn raw_from_i32(values: &[i32]) -> Vec<u8> {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -161,16 +160,18 @@ mod tests {
         assert_eq!(enc.decode_all(), Vec::<u8>::new());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_roundtrip(vals in proptest::collection::vec(-50i32..50, 0..500)) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("dictionary roundtrip", |rng| {
+            let vals: Vec<i32> = (0..rng.gen_range(0..500usize))
+                .map(|_| rng.gen_range(-50..50i32))
+                .collect();
             let raw = raw_from_i32(&vals);
             let enc = DictEncoded::encode(&raw, 4).unwrap();
-            prop_assert_eq!(enc.decode_all(), raw);
+            assert_eq!(enc.decode_all(), raw);
             for (i, v) in vals.iter().enumerate() {
-                prop_assert_eq!(enc.get(i), &v.to_le_bytes());
+                assert_eq!(enc.get(i), &v.to_le_bytes());
             }
-        }
+        });
     }
 }

@@ -147,8 +147,7 @@ fn read_bits(buf: &[u8], pos: usize, width: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     #[test]
     fn narrow_range_packs_tightly() {
@@ -193,25 +192,32 @@ mod tests {
         assert_eq!(enc.decode_all().unwrap(), Vec::<i64>::new());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_roundtrip(vals in proptest::collection::vec(any::<i64>(), 0..300),
-                          block in 1usize..64) {
-            let enc = ForEncoded::encode_with_block(&vals, block);
-            prop_assert_eq!(enc.decode_all().unwrap(), vals.clone());
-            for (i, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(enc.get(i).unwrap(), v);
-            }
-        }
+    fn any_i64s(rng: &mut fabric_types::rng::DetRng, min_len: usize) -> Vec<i64> {
+        (0..rng.gen_range(min_len..300))
+            .map(|_| rng.next_u64() as i64)
+            .collect()
+    }
 
-        #[test]
-        fn prop_never_larger_than_raw_plus_headers(
-            vals in proptest::collection::vec(any::<i64>(), 1..300)
-        ) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("for roundtrip", |rng| {
+            let vals = any_i64s(rng, 0);
+            let block = rng.gen_range(1..64usize);
+            let enc = ForEncoded::encode_with_block(&vals, block);
+            assert_eq!(enc.decode_all().unwrap(), vals);
+            for (i, &v) in vals.iter().enumerate() {
+                assert_eq!(enc.get(i).unwrap(), v);
+            }
+        });
+    }
+
+    #[test]
+    fn prop_never_larger_than_raw_plus_headers() {
+        for_each_case("for never larger than raw plus headers", |rng| {
+            let vals = any_i64s(rng, 1);
             let enc = ForEncoded::encode(&vals);
             let headers = vals.len().div_ceil(DEFAULT_BLOCK) * 9;
-            prop_assert!(enc.compressed_bytes() <= vals.len() * 8 + headers);
-        }
+            assert!(enc.compressed_bytes() <= vals.len() * 8 + headers);
+        });
     }
 }

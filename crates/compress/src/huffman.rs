@@ -258,8 +258,7 @@ impl HuffmanEncoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     #[test]
     fn roundtrip_text() {
@@ -305,14 +304,15 @@ mod tests {
         assert_eq!(enc.decode_all().unwrap(), Vec::<u8>::new());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..400),
-                          block in 1usize..128) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("huffman roundtrip", |rng| {
+            let data: Vec<u8> = (0..rng.gen_range(0..400usize))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let block = rng.gen_range(1..128usize);
             let enc = HuffmanEncoded::encode_with_block(&data, block);
-            prop_assert_eq!(enc.decode_all().unwrap(), data);
-        }
+            assert_eq!(enc.decode_all().unwrap(), data);
+        });
     }
 }

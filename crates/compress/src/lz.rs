@@ -136,8 +136,7 @@ impl Lz77 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     #[test]
     fn roundtrip_repetitive() {
@@ -177,13 +176,14 @@ mod tests {
         assert_eq!(enc.decode_all().unwrap(), Vec::<u8>::new());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn prop_roundtrip(data in proptest::collection::vec(0u8..8, 0..2000)) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("lz roundtrip", |rng| {
+            let data: Vec<u8> = (0..rng.gen_range(0..2000usize))
+                .map(|_| rng.gen_range(0..8u8))
+                .collect();
             let enc = Lz77::encode(&data);
-            prop_assert_eq!(enc.decode_all().unwrap(), data);
-        }
+            assert_eq!(enc.decode_all().unwrap(), data);
+        });
     }
 }

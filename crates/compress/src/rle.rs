@@ -82,8 +82,7 @@ impl RleEncoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use fabric_types::rng::for_each_case;
 
     #[test]
     fn runs_collapse() {
@@ -118,15 +117,17 @@ mod tests {
         assert_eq!(enc.decode_all(), Vec::<i64>::new());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_roundtrip(vals in proptest::collection::vec(-3i64..3, 0..500)) {
+    #[test]
+    fn prop_roundtrip() {
+        for_each_case("rle roundtrip", |rng| {
+            let vals: Vec<i64> = (0..rng.gen_range(0..500usize))
+                .map(|_| rng.gen_range(-3..3i64))
+                .collect();
             let enc = RleEncoded::encode(&vals);
-            prop_assert_eq!(enc.decode_all(), vals.clone());
+            assert_eq!(enc.decode_all(), vals);
             for (i, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(enc.get(i).unwrap(), v);
+                assert_eq!(enc.get(i).unwrap(), v);
             }
-        }
+        });
     }
 }

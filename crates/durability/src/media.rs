@@ -12,7 +12,7 @@
 
 use crate::config::DurabilityConfig;
 use crate::wal::{frame_record, Lsn, RecordKind};
-use fabric_sim::{Category, Cycles, FaultPlan, MemoryHierarchy};
+use fabric_sim::{Category, FaultPlan, MemoryHierarchy};
 use fabric_types::{crc32, FabricError, Result};
 
 /// A checkpoint blob as it sits on the medium: page-granular, with the
@@ -360,14 +360,6 @@ impl DurableMedia {
             out.extend_from_slice(page);
         }
         Ok(out)
-    }
-
-    /// Cycle cost estimate of appending `len` payload bytes (for cost
-    /// models; charges nothing).
-    pub fn append_cost(&self, mem: &MemoryHierarchy, len: usize) -> Cycles {
-        let framed = crate::wal::HEADER_BYTES + len + crate::wal::TRAILER_BYTES;
-        mem.config()
-            .ns_to_cycles(self.cfg.write_base_ns + self.cfg.write_ns_per_byte * framed as f64)
     }
 }
 

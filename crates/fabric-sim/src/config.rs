@@ -10,7 +10,6 @@ use crate::Cycles;
 /// 8-bank controller. Latency numbers are deliberately round; what matters
 /// for the reproduction is their *ratios*.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Core clock in GHz (used to convert DRAM nanoseconds into cycles).
     pub cpu_ghz: f64,

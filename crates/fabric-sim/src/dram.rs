@@ -113,11 +113,6 @@ impl DramModel {
         self.row_hits = 0;
     }
 
-    /// Number of banks (for device gather planning).
-    pub fn num_banks(&self) -> usize {
-        self.banks
-    }
-
     /// Row-hit occupancy in cycles (device throughput planning).
     pub fn t_row_hit(&self) -> Cycles {
         self.t_hit

@@ -69,7 +69,6 @@ const SITE_TORN: usize = 7;
 
 /// Probabilities of each injectable fault (all default to 0 = fault-free).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Seed of every fault stream; the replay handle for a chaos run.
     pub seed: u64,
@@ -175,7 +174,6 @@ impl FaultConfig {
 
 /// Detection-and-recovery budgets shared by every consumer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecoveryPolicy {
     /// Redelivery attempts after the first failure before surfacing an
     /// error to the caller.
@@ -213,7 +211,6 @@ impl RecoveryPolicy {
 
 /// Counts of faults actually injected (not merely probable).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     pub rm_stalls: u64,
     pub rm_timeouts: u64,

@@ -34,7 +34,6 @@ use fabric_types::{Addr, Result};
 /// the reproduction's claims rest on *ratios* between data-movement costs,
 /// with compute providing realistic dilution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpCosts {
     /// Per-row overhead of a Volcano-style `next()` chain hop
     /// (virtual dispatch, tuple bookkeeping).
@@ -214,11 +213,6 @@ impl MemoryHierarchy {
     #[inline]
     pub fn costs(&self) -> OpCosts {
         self.costs
-    }
-
-    /// Override the cost model (ablation experiments).
-    pub fn set_costs(&mut self, costs: OpCosts) {
-        self.costs = costs;
     }
 
     /// Current simulated time in cycles (the active core's clock).
@@ -454,22 +448,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Sample a counter track at the current cycle.
-    #[inline]
-    pub fn trace_counter(&mut self, name: &'static str, cat: Category, value: u64) {
-        let now = self.now();
-        self.flight.record(TraceEvent::new(
-            Phase::Counter,
-            now,
-            name,
-            cat,
-            &[("value", value)],
-        ));
-        if self.tracing {
-            self.recorder.counter(now, name, cat, value);
-        }
-    }
-
     /// Run `f` inside a span, attributing the memory-hierarchy activity it
     /// caused — per-level hits, demand misses, stall cycles, bytes read —
     /// as args on the closing edge. This is how callers get per-level
@@ -683,22 +661,11 @@ impl MemoryHierarchy {
         self.arena.slice(addr, len)
     }
 
-    /// Direct arena access for loaders.
-    pub fn arena_mut(&mut self) -> &mut MemArena {
-        &mut self.arena
-    }
-
     /// Direct arena access for device models (they read source data
     /// without CPU-side timing; their timing runs through their own
     /// [`DramModel`]).
     pub fn arena(&self) -> &MemArena {
         &self.arena
-    }
-
-    /// A fresh DRAM model with identical geometry, for a near-data device
-    /// that has its own memory port.
-    pub fn device_dram(&self) -> DramModel {
-        DramModel::new(&self.cfg)
     }
 
     /// Drop all cached state and prefetcher training (between experiments),

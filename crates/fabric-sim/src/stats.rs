@@ -6,7 +6,6 @@
 /// All counters are monotonically increasing; snapshot-and-subtract
 /// ([`MemStats::delta_since`]) to measure one experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// Lines serviced by L1.
     pub l1_hits: u64,

@@ -150,6 +150,14 @@ impl fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
+/// Rendering into a `String` cannot fail, but every `write!` still
+/// propagates: a formatter error surfaces instead of being discarded.
+impl From<fmt::Error> for FabricError {
+    fn from(e: fmt::Error) -> Self {
+        FabricError::Internal(format!("rendering: {e}"))
+    }
+}
+
 /// Workspace-wide result alias.
 pub type Result<T> = std::result::Result<T, FabricError>;
 

@@ -14,7 +14,6 @@ use std::fmt;
 
 /// A scalar expression over a positional tuple.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// Value of the tuple's `i`-th slot.
     Col(usize),

@@ -17,7 +17,6 @@ use crate::Addr;
 
 /// Location and type of one column inside a raw fixed-width row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FieldSlice {
     /// Schema column this slice reads (for bookkeeping / display).
     pub column: ColumnId,
@@ -52,7 +51,6 @@ impl FieldSlice {
 /// live"). *"A key advantage of this approach is that the timestamp
 /// comparison can be implemented in hardware."*
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TsFilter {
     /// Field holding the begin (creation) timestamp, an `I64`.
     pub begin: FieldSlice,
@@ -77,7 +75,6 @@ fn read_u64(row: &[u8], offset: usize) -> u64 {
 
 /// Aggregate functions the fabric can compute in-device (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AggFunc {
     Count,
     Sum,
@@ -100,7 +97,6 @@ impl AggFunc {
 
 /// One aggregate requested from the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AggSpec {
     pub func: AggFunc,
     /// Field aggregated over; `None` only for `Count`.
@@ -125,7 +121,6 @@ impl AggSpec {
 
 /// Shape of the data the device returns.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OutputMode {
     /// Densely packed column-group rows: for each qualifying base row, the
     /// requested fields concatenated back to back (paper's ephemeral
@@ -158,7 +153,6 @@ pub fn merge_field_spans(fields: &[FieldSlice], slack: usize) -> Vec<(usize, usi
 
 /// A complete ephemeral-access descriptor.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Geometry {
     /// Address of row 0 in the memory arena.
     pub base: Addr,

@@ -10,7 +10,6 @@ use crate::schema::{ColumnId, ColumnType, Schema};
 
 /// Byte-level placement of a schema's columns within a fixed-width row.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RowLayout {
     offsets: Vec<usize>,
     types: Vec<ColumnType>,

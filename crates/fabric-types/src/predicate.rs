@@ -14,7 +14,6 @@ use std::fmt;
 
 /// Comparison operator for a column-vs-constant predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -67,7 +66,6 @@ impl fmt::Display for CmpOp {
 
 /// A single `column <op> constant` comparison.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ColumnPredicate {
     /// Where the column lives inside a raw row.
     pub field: FieldSlice,
@@ -86,11 +84,6 @@ impl ColumnPredicate {
         let v = Value::decode(self.field.ty, bytes);
         Ok(self.op.matches(v.compare(&self.value)?))
     }
-
-    /// Evaluate against an already-decoded value.
-    pub fn eval_value(&self, v: &Value) -> Result<bool> {
-        Ok(self.op.matches(v.compare(&self.value)?))
-    }
 }
 
 impl fmt::Display for ColumnPredicate {
@@ -101,7 +94,6 @@ impl fmt::Display for ColumnPredicate {
 
 /// A conjunction (`AND`) of column predicates. Empty means "always true".
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Predicate {
     conjuncts: Vec<ColumnPredicate>,
 }

@@ -91,6 +91,47 @@ impl DetRng {
     }
 }
 
+/// Default seed of every seeded suite; override with `FABRIC_CHAOS_SEED`.
+pub const DEFAULT_CHAOS_SEED: u64 = 0xFA_B51C;
+
+/// The seed the generated-input suites run under.
+pub fn chaos_seed() -> u64 {
+    std::env::var("FABRIC_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(DEFAULT_CHAOS_SEED)
+}
+
+/// Generated cases per property.
+pub const PROPERTY_CASES: u64 = 256;
+
+/// Check `property` on [`PROPERTY_CASES`] generated cases. Each case draws
+/// from its own generator, derived from [`chaos_seed`] and the case index;
+/// when a case panics, both are printed so the failure replays.
+pub fn for_each_case(name: &str, mut property: impl FnMut(&mut DetRng)) {
+    struct Replay<'a> {
+        name: &'a str,
+        seed: u64,
+        case: u64,
+    }
+    impl Drop for Replay<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "property `{}` failed on case {} (replay: FABRIC_CHAOS_SEED={})",
+                    self.name, self.case, self.seed
+                );
+            }
+        }
+    }
+    let seed = chaos_seed();
+    let mut case_seeds = SplitMix64::new(seed);
+    for case in 0..PROPERTY_CASES {
+        let _replay = Replay { name, seed, case };
+        property(&mut DetRng::seed_from_u64(case_seeds.next_u64()));
+    }
+}
+
 /// Ranges [`DetRng::gen_range`] can sample from.
 pub trait SampleRange<T> {
     fn sample(self, rng: &mut DetRng) -> T;

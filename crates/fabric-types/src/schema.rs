@@ -13,7 +13,6 @@ pub type ColumnId = usize;
 
 /// Physical type of a column. All types are fixed width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ColumnType {
     /// Signed 8-bit integer.
     I8,
@@ -68,7 +67,6 @@ impl ColumnType {
 
 /// A single column definition: name plus physical type.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ColumnDef {
     pub name: String,
     pub ty: ColumnType,
@@ -89,7 +87,6 @@ impl ColumnDef {
 /// row is the job of [`crate::layout::RowLayout`], which is derived from the
 /// schema (plus optional padding).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

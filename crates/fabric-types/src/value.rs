@@ -37,7 +37,6 @@ pub fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
 
 /// A scalar runtime value.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     I8(i8),
     I16(i16),
@@ -262,8 +261,7 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::rng::for_each_case;
 
     #[test]
     fn roundtrip_fixed_width() {
@@ -334,33 +332,57 @@ mod tests {
         assert_eq!(a.compare(&b).unwrap(), Ordering::Greater);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_i64_roundtrip(v in any::<i64>()) {
+    #[test]
+    fn prop_i64_roundtrip() {
+        for_each_case("i64 roundtrip", |rng| {
+            let v = rng.next_u64() as i64;
             let mut buf = [0u8; 8];
-            Value::I64(v).encode_into(ColumnType::I64, &mut buf).unwrap();
-            prop_assert_eq!(Value::decode(ColumnType::I64, &buf), Value::I64(v));
-        }
+            Value::I64(v)
+                .encode_into(ColumnType::I64, &mut buf)
+                .unwrap();
+            assert_eq!(Value::decode(ColumnType::I64, &buf), Value::I64(v));
+        });
+    }
 
-        #[test]
-        fn prop_f64_roundtrip(v in any::<f64>().prop_filter("finite", |x| x.is_finite())) {
+    #[test]
+    fn prop_f64_roundtrip() {
+        for_each_case("f64 roundtrip", |rng| {
+            // Any finite bit pattern, subnormals and both zeros included.
+            let v = loop {
+                let v = f64::from_bits(rng.next_u64());
+                if v.is_finite() {
+                    break v;
+                }
+            };
             let mut buf = [0u8; 8];
-            Value::F64(v).encode_into(ColumnType::F64, &mut buf).unwrap();
-            prop_assert_eq!(Value::decode(ColumnType::F64, &buf), Value::F64(v));
-        }
+            Value::F64(v)
+                .encode_into(ColumnType::F64, &mut buf)
+                .unwrap();
+            assert_eq!(Value::decode(ColumnType::F64, &buf), Value::F64(v));
+        });
+    }
 
-        #[test]
-        fn prop_str_roundtrip(s in "[a-zA-Z0-9 ]{0,16}") {
+    #[test]
+    fn prop_str_roundtrip() {
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
+        for_each_case("str roundtrip", |rng| {
+            let s: String = (0..rng.gen_range(0..=16usize))
+                .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
+                .collect();
             let mut buf = [0u8; 16];
-            Value::Str(s.clone()).encode_into(ColumnType::FixedStr(16), &mut buf).unwrap();
-            prop_assert_eq!(Value::decode(ColumnType::FixedStr(16), &buf), Value::Str(s));
-        }
+            Value::Str(s.clone())
+                .encode_into(ColumnType::FixedStr(16), &mut buf)
+                .unwrap();
+            assert_eq!(Value::decode(ColumnType::FixedStr(16), &buf), Value::Str(s));
+        });
+    }
 
-        #[test]
-        fn prop_compare_consistent_with_i64(a in any::<i32>(), b in any::<i32>()) {
+    #[test]
+    fn prop_compare_consistent_with_i64() {
+        for_each_case("compare consistent with i64", |rng| {
+            let (a, b) = (rng.next_u64() as i32, rng.next_u64() as i32);
             let ord = Value::I32(a).compare(&Value::I32(b)).unwrap();
-            prop_assert_eq!(ord, a.cmp(&b));
-        }
+            assert_eq!(ord, a.cmp(&b));
+        });
     }
 }

@@ -220,25 +220,6 @@ impl VersionedTable {
         Ok(None)
     }
 
-    /// Full-row point read at snapshot `ts`.
-    pub fn read_row_at(
-        &self,
-        mem: &mut MemoryHierarchy,
-        logical: LogicalId,
-        ts: u64,
-    ) -> Result<Option<Vec<Value>>> {
-        self.check_logical(logical)?;
-        for &rid in self.chains[logical].iter().rev() {
-            if self.version_visible(mem, rid, ts)? {
-                let mut row = self.inner.decode_row_untimed(mem, rid)?;
-                mem.touch_read(self.inner.row_addr(rid), self.inner.layout().row_width());
-                row.truncate(self.user_cols);
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     /// All user rows visible at snapshot `ts`, in *physical* row order —
     /// the order an analytical scan of this table emits, which is what
     /// recovered query answers must reproduce bit-identically. Timed.

@@ -22,7 +22,6 @@ use relmem::RmConfig;
 
 /// The three physical access paths of the fabric world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessPath {
     Row,
     Col,
@@ -43,7 +42,6 @@ impl std::fmt::Display for AccessPath {
 /// unavailable). The byte estimates let `EXPLAIN ANALYZE` report the cost
 /// model's relative error against the hierarchy's measured traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathCost {
     pub row_ns: f64,
     pub col_ns: Option<f64>,
@@ -94,16 +92,6 @@ impl PathCost {
             AccessPath::Rm => Some(self.rm_bytes),
         }
     }
-}
-
-/// Estimate all three paths for `bound` over `entry` on one core.
-pub fn estimate(
-    sim: &SimConfig,
-    rm: &RmConfig,
-    entry: &TableEntry,
-    bound: &BoundQuery,
-) -> Result<PathCost> {
-    estimate_parallel(sim, rm, entry, bound, 1)
 }
 
 /// Estimate all three paths when the scan is morsel-parallelized over
@@ -427,21 +415,11 @@ pub fn split_path_cost(
     Ok(ops)
 }
 
-/// Pick the best path for the query on one core (the "construct the
-/// fastest plan" of §III-B).
-pub fn choose_path(
-    sim: &SimConfig,
-    rm: &RmConfig,
-    entry: &TableEntry,
-    bound: &BoundQuery,
-) -> Result<(AccessPath, PathCost)> {
-    choose_path_parallel(sim, rm, entry, bound, 1)
-}
-
-/// Pick the best path when the executor has `cores` simulated cores: a
-/// 1-core RM win can flip to a parallel software scan once the morsel
-/// speedup outruns the device's serial production beat (and vice versa —
-/// the bandwidth floor keeps wide scans on the device).
+/// Pick the best path when the executor has `cores` simulated cores (the
+/// "construct the fastest plan" of §III-B): a 1-core RM win can flip to a
+/// parallel software scan once the morsel speedup outruns the device's
+/// serial production beat (and vice versa — the bandwidth floor keeps
+/// wide scans on the device).
 pub fn choose_path_parallel(
     sim: &SimConfig,
     rm: &RmConfig,
@@ -485,11 +463,12 @@ mod tests {
 
     fn cost_of(c: &Catalog, sql: &str) -> (AccessPath, PathCost) {
         let bound = bind(c, &parse(sql).unwrap()).unwrap();
-        choose_path(
+        choose_path_parallel(
             &SimConfig::zynq_a53(),
             &RmConfig::prototype(),
             c.get("t").unwrap(),
             &bound,
+            1,
         )
         .unwrap()
     }
@@ -557,24 +536,6 @@ mod tests {
             cores,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn one_core_parallel_estimate_is_the_serial_estimate() {
-        let c = catalog(true);
-        for sql in ["SELECT c0 FROM t", "SELECT sum(c2) FROM t WHERE c1 < 50"] {
-            let bound = bind(&c, &parse(sql).unwrap()).unwrap();
-            let serial = estimate(
-                &SimConfig::zynq_a53(),
-                &RmConfig::prototype(),
-                c.get("t").unwrap(),
-                &bound,
-            )
-            .unwrap();
-            let par = parallel_cost(&c, sql, 1);
-            assert_eq!(serial, par, "{sql}");
-            assert_eq!(par.cores, 1);
-        }
     }
 
     #[test]
@@ -685,7 +646,7 @@ mod tests {
         let entry = c.get("t").unwrap();
 
         let bound = bind(&c, &parse("SELECT c0 FROM t").unwrap()).unwrap();
-        let cost = estimate(&sim, &rm, entry, &bound).unwrap();
+        let cost = estimate_parallel(&sim, &rm, entry, &bound, 1).unwrap();
         let ops = split_path_cost(&sim, &rm, entry, &bound, AccessPath::Row, &cost).unwrap();
         let names: Vec<&str> = ops.iter().map(|o| o.op).collect();
         assert_eq!(names, ["scan_row", "project", "merge"], "no filter node");
@@ -694,7 +655,7 @@ mod tests {
         assert!(ops[1..].iter().all(|o| o.bytes == 0.0));
 
         let bound = bind(&c, &parse("SELECT sum(c0) FROM t WHERE c1 < 10").unwrap()).unwrap();
-        let cost = estimate(&sim, &rm, entry, &bound).unwrap();
+        let cost = estimate_parallel(&sim, &rm, entry, &bound, 1).unwrap();
         let ops = split_path_cost(&sim, &rm, entry, &bound, AccessPath::Col, &cost).unwrap();
         let names: Vec<&str> = ops.iter().map(|o| o.op).collect();
         assert_eq!(names, ["scan_col", "filter", "aggregate", "merge"]);
@@ -703,21 +664,14 @@ mod tests {
         let c = catalog(false);
         let entry = c.get("t").unwrap();
         let bound = bind(&c, &parse("SELECT c0 FROM t").unwrap()).unwrap();
-        let cost = estimate(&sim, &rm, entry, &bound).unwrap();
+        let cost = estimate_parallel(&sim, &rm, entry, &bound, 1).unwrap();
         assert!(split_path_cost(&sim, &rm, entry, &bound, AccessPath::Col, &cost).is_err());
     }
 
     #[test]
     fn estimates_scale_with_rows() {
         let c = catalog(true);
-        let bound = bind(&c, &parse("SELECT c0 FROM t").unwrap()).unwrap();
-        let full = estimate(
-            &SimConfig::zynq_a53(),
-            &RmConfig::prototype(),
-            c.get("t").unwrap(),
-            &bound,
-        )
-        .unwrap();
+        let full = parallel_cost(&c, "SELECT c0 FROM t", 1);
         assert!(full.row_ns > 0.0 && full.rm_ns > 0.0);
     }
 }

@@ -1,8 +1,7 @@
 //! The unified fabric engine: one object owning the simulated machine
 //! (memory hierarchy + core count), the catalog, the fault-handling state,
 //! and a plan cache — with a session API (`prepare` / `run` / `explain` /
-//! `explain_analyze`) replacing the free-function sprawl that used to
-//! thread those pieces through every call site.
+//! `explain_analyze`) as the one way in.
 //!
 //! ```
 //! use fabric_types::{ColumnType, Schema, Value};
@@ -37,8 +36,7 @@ use crate::exec::{
     run_verified, CacheSlot, FaultContext, QueryOutput, RecordMeta, Resilience, Scratchpad,
 };
 use crate::explain::{
-    analyze_paths_impl, render_analyze_report, render_latency_section, render_plan_for,
-    render_recovery_section,
+    analyze_paths, render_analyze, render_latency_section, render_plan, render_recovery_section,
 };
 use crate::parser::parse;
 use colstore::ColTable;
@@ -63,9 +61,6 @@ const PLAN_CACHE_CAP: usize = 16;
 pub struct Prepared {
     plan: Rc<PreparedPlan>,
 }
-
-/// The former name of [`Prepared`], kept so existing call sites read on.
-pub type PreparedQuery = Prepared;
 
 struct PreparedPlan {
     sql: String,
@@ -161,8 +156,7 @@ impl Engine {
     /// machine.
     pub fn set_cores(&mut self, cores: usize) {
         self.mem.set_core_count(cores.max(1));
-        self.cache.clear();
-        self.op_cache.clear();
+        self.clear_plan_cache();
     }
 
     /// Number of simulated cores queries run on.
@@ -191,15 +185,13 @@ impl Engine {
     /// geometries are bound to the catalog contents at prepare time.
     pub fn register_rows(&mut self, name: impl Into<String>, rows: RowTable) {
         self.catalog.register_rows(name, rows);
-        self.cache.clear();
-        self.op_cache.clear();
+        self.clear_plan_cache();
     }
 
     /// Register a table with both layouts. Invalidates the plan cache.
     pub fn register(&mut self, name: impl Into<String>, rows: RowTable, cols: ColTable) {
         self.catalog.register(name, rows, cols);
-        self.cache.clear();
-        self.op_cache.clear();
+        self.clear_plan_cache();
     }
 
     /// Recover a crash-consistent store from the durable image that
@@ -245,8 +237,7 @@ impl Engine {
         }
         self.recoveries.push((name.clone(), report.clone()));
         self.catalog.register_rows(name, table);
-        self.cache.clear();
-        self.op_cache.clear();
+        self.clear_plan_cache();
         Ok((store, report))
     }
 
@@ -265,11 +256,6 @@ impl Engine {
     /// The engine's fault-handling state (fallback/breaker counters).
     pub fn fault_context(&self) -> &FaultContext {
         &self.faults
-    }
-
-    /// The RM device configuration queries are planned against.
-    pub fn rm_config(&self) -> &RmConfig {
-        &self.rm
     }
 
     /// `(hits, misses)` of the prepared-plan cache.
@@ -473,56 +459,8 @@ impl Session<'_> {
     /// signature and a repeat run replays it without touching the
     /// hierarchy (clean runs only — degraded/faulted runs are re-earned).
     pub fn execute_on(&mut self, prepared: &Prepared, path: AccessPath) -> Result<QueryOutput> {
-        let Engine {
-            ref mut mem,
-            ref catalog,
-            ref mut faults,
-            ref mut op_cache,
-            ref recoveries,
-            ..
-        } = *self.engine;
-        let entry = catalog.get(&prepared.plan.bound.table)?;
-        let verified = prepared.verified();
-        // An RM-routed query under an armed fault plan bypasses the op
-        // cache in both directions: a memoized result must not mask the
-        // degradation/breaker behaviour the device is configured to
-        // exhibit, and a lucky clean run under fire is not a stable
-        // fact worth memoizing.
-        let cache = if path == AccessPath::Rm && !faults.plan.config().is_quiet() {
-            CacheSlot::None
-        } else {
-            CacheSlot::Keyed(op_cache, opcache::keyed(prepared.plan.base_sig, path))
-        };
-        // Cycle-domain latency: queries fork/join internally, so the
-        // global-frontier delta around the run is the query's wall time.
-        let t0 = mem.now();
-        let out = run_verified(
-            mem,
-            entry,
-            &verified,
-            path,
-            prepared.plan.cost,
-            Resilience::Resilient(faults),
-            cache,
-            &mut self.scratch,
-            RecordMeta {
-                session: self.id,
-                recovered_tables: recoveries.len() as u64,
-            },
-        )?;
-        let elapsed = mem.now().saturating_sub(t0);
-        Self::record_latency(
-            mem,
-            self.id,
-            prepared.plan.bound.class(),
-            elapsed,
-            out.cache_hit,
-        );
-        mem.metrics_mut().gauge_set(
-            "query.scratchpad.hwm_bytes",
-            self.scratch.hwm_bytes() as f64,
-        );
-        Ok(out)
+        let plan = &prepared.plan;
+        self.run_plan(&prepared.verified(), path, plan.cost, Some(plan.base_sig))
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on the
@@ -532,45 +470,77 @@ impl Session<'_> {
     /// nothing upstream vouches for it: it passes through the same
     /// [`analyze`] gate as every SQL statement, and a plan the analyzer
     /// rejects never reaches an executor. Bound plans carry no SQL text,
-    /// so they bypass the plan cache.
+    /// so they bypass the plan cache and the operator cache (but still
+    /// recycle the session's scratch buffers).
     pub fn run_bound(&mut self, bound: &BoundQuery) -> Result<QueryOutput> {
-        self.run_bound_impl(bound, None)
+        let (verified, chosen, cost) = self.plan_bound(bound)?;
+        self.run_plan(&verified, chosen, cost, None)
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on an explicitly
     /// chosen path (engine comparisons / tests). Verifies exactly like
     /// [`Session::run_bound`].
     pub fn run_bound_on(&mut self, bound: &BoundQuery, path: AccessPath) -> Result<QueryOutput> {
-        self.run_bound_impl(bound, Some(path))
+        let (verified, _, cost) = self.plan_bound(bound)?;
+        self.run_plan(&verified, path, cost, None)
     }
 
-    fn run_bound_impl(
+    /// Verify and price a plan that did not come through [`Session::prepare`].
+    fn plan_bound<'b>(
+        &self,
+        bound: &'b BoundQuery,
+    ) -> Result<(VerifiedQuery<'b>, AccessPath, PathCost)> {
+        let Engine {
+            mem, catalog, rm, ..
+        } = &*self.engine;
+        let entry = catalog.get(&bound.table)?;
+        let verified = analyze(entry, bound, rm)?;
+        let (chosen, cost) = choose_path_parallel(mem.config(), rm, entry, bound, mem.num_cores())?;
+        Ok((verified, chosen, cost))
+    }
+
+    /// Every session execution: run a verified plan on `path` under the
+    /// engine's fault policy — through the operator cache when the plan
+    /// carries a signature (`base_sig`) — and record its latency.
+    fn run_plan(
         &mut self,
-        bound: &BoundQuery,
-        forced: Option<AccessPath>,
+        verified: &VerifiedQuery<'_>,
+        path: AccessPath,
+        cost: PathCost,
+        base_sig: Option<u128>,
     ) -> Result<QueryOutput> {
         let Engine {
             ref mut mem,
             ref catalog,
             ref mut faults,
-            ref rm,
+            ref mut op_cache,
             ref recoveries,
             ..
         } = *self.engine;
+        let bound = verified.bound();
         let entry = catalog.get(&bound.table)?;
-        let verified = analyze(entry, bound, rm)?;
-        let (chosen, cost) = choose_path_parallel(mem.config(), rm, entry, bound, mem.num_cores())?;
+        // An RM-routed query under an armed fault plan bypasses the op
+        // cache in both directions: a memoized result must not mask the
+        // degradation/breaker behaviour the device is configured to
+        // exhibit, and a lucky clean run under fire is not a stable
+        // fact worth memoizing.
+        let cache = match base_sig {
+            Some(sig) if path != AccessPath::Rm || faults.plan.config().is_quiet() => {
+                CacheSlot::Keyed(op_cache, opcache::keyed(sig, path))
+            }
+            _ => CacheSlot::None,
+        };
+        // Cycle-domain latency: queries fork/join internally, so the
+        // global-frontier delta around the run is the query's wall time.
         let t0 = mem.now();
-        // Hand-built plans bypass both caches (no SQL text vouches for
-        // them) but still recycle the session's scratch buffers.
         let out = run_verified(
             mem,
             entry,
-            &verified,
-            forced.unwrap_or(chosen),
+            verified,
+            path,
             cost,
             Resilience::Resilient(faults),
-            CacheSlot::None,
+            cache,
             &mut self.scratch,
             RecordMeta {
                 session: self.id,
@@ -595,13 +565,9 @@ impl Session<'_> {
     /// Render the chosen plan and per-path estimates for an
     /// already-prepared query, without touching the SQL-text cache.
     pub fn explain_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let entry = self.engine.catalog.get(&prepared.plan.bound.table)?;
-        render_plan_for(
-            entry,
-            &prepared.plan.bound,
-            prepared.plan.path,
-            &prepared.plan.cost,
-        )
+        let plan = &prepared.plan;
+        let entry = self.engine.catalog.get(&plan.bound.table)?;
+        render_plan(entry, &plan.bound, plan.path, &plan.cost)
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` on every available path and render
@@ -617,20 +583,13 @@ impl Session<'_> {
     /// exists to observe the real hierarchy, so a memoized replay would
     /// defeat its purpose.
     pub fn explain_analyze_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let entry = self.engine.catalog.get(&prepared.plan.bound.table)?;
-        let header = render_plan_for(
-            entry,
-            &prepared.plan.bound,
-            prepared.plan.path,
-            &prepared.plan.cost,
-        )?;
+        let plan = &prepared.plan;
+        let entry = self.engine.catalog.get(&plan.bound.table)?;
+        let header = render_plan(entry, &plan.bound, plan.path, &plan.cost)?;
         let has_cols = entry.cols.is_some();
-        let (_, reports, profile, cores, topdown, ops) = analyze_paths_impl(
-            &mut self.engine.mem,
-            &self.engine.catalog,
-            &prepared.plan.bound,
-        )?;
-        let mut text = render_analyze_report(
+        let (_, reports, profile, cores, topdown, ops) =
+            analyze_paths(&mut self.engine.mem, &self.engine.catalog, &plan.bound)?;
+        let mut text = render_analyze(
             &header, has_cols, &reports, &profile, &cores, &topdown, &ops,
         )?;
         text.push_str(&render_latency_section(self.engine.mem.metrics())?);

@@ -251,35 +251,11 @@ pub(crate) enum Resilience<'f> {
     Resilient(&'f mut FaultContext),
 }
 
-#[cfg(test)]
-pub(crate) fn execute_impl(
-    mem: &mut MemoryHierarchy,
-    catalog: &Catalog,
-    bound: &BoundQuery,
-) -> Result<QueryOutput> {
-    let entry = catalog.get(&bound.table)?;
-    let verified = analyze(entry, bound, &RmConfig::prototype())?;
-    let (path, cost) = choose_path_parallel(
-        mem.config(),
-        &RmConfig::prototype(),
-        entry,
-        bound,
-        mem.num_cores(),
-    )?;
-    run_verified(
-        mem,
-        entry,
-        &verified,
-        path,
-        cost,
-        Resilience::Plain,
-        CacheSlot::None,
-        &mut Scratchpad::new(),
-        RecordMeta::default(),
-    )
-}
-
-pub(crate) fn execute_on_impl(
+/// Verify, price and run `bound` on `path` with no operator cache, no
+/// fault context and a throw-away scratchpad: `EXPLAIN ANALYZE`'s
+/// measurement run, which must observe the real hierarchy and must not
+/// pay the resilient path's per-line CRC charge.
+pub(crate) fn execute_uncached(
     mem: &mut MemoryHierarchy,
     catalog: &Catalog,
     bound: &BoundQuery,
@@ -307,35 +283,6 @@ pub(crate) fn execute_on_impl(
     )
 }
 
-#[cfg(test)]
-pub(crate) fn execute_resilient_impl(
-    mem: &mut MemoryHierarchy,
-    catalog: &Catalog,
-    bound: &BoundQuery,
-    ctx: &mut FaultContext,
-) -> Result<QueryOutput> {
-    let entry = catalog.get(&bound.table)?;
-    let verified = analyze(entry, bound, &RmConfig::prototype())?;
-    let (path, cost) = choose_path_parallel(
-        mem.config(),
-        &RmConfig::prototype(),
-        entry,
-        bound,
-        mem.num_cores(),
-    )?;
-    run_verified(
-        mem,
-        entry,
-        &verified,
-        path,
-        cost,
-        Resilience::Resilient(ctx),
-        CacheSlot::None,
-        &mut Scratchpad::new(),
-        RecordMeta::default(),
-    )
-}
-
 /// The trace/profile span name of a path's scan phase.
 fn scan_span(path: AccessPath) -> &'static str {
     match path {
@@ -343,6 +290,20 @@ fn scan_span(path: AccessPath) -> &'static str {
         AccessPath::Col => "query::scan::col",
         AccessPath::Rm => "query::scan::rm",
     }
+}
+
+/// A path's name in metric keys, the query log and the calibration
+/// ledger (`row` / `col` / `rm`): the last segment of its [`scan_span`].
+pub(crate) fn path_tag(path: AccessPath) -> &'static str {
+    &scan_span(path)["query::scan::".len()..]
+}
+
+/// Leave a query that failed after its `query::exec` span opened: close
+/// the attribution window and the span, and hand the error on.
+fn fail_exec<T>(mem: &mut MemoryHierarchy, e: FabricError) -> Result<T> {
+    mem.join_clocks();
+    mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
+    Err(e)
 }
 
 /// Run `f` as a named execution phase: emit a balanced trace span (with
@@ -466,7 +427,7 @@ pub(crate) fn run_verified(
         CacheSlot::None => CacheOutcome::Bypass,
     };
 
-    let scanned = run_scan(
+    let (partials, actuals, ran_path, rm_stats, degraded_from) = run_scan(
         mem,
         entry,
         verified,
@@ -475,15 +436,8 @@ pub(crate) fn run_verified(
         resilience,
         &mut profile,
         scratch,
-    );
-    let (partials, actuals, ran_path, rm_stats, degraded_from) = match scanned {
-        Ok(v) => v,
-        Err(e) => {
-            mem.join_clocks();
-            mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-            return Err(e);
-        }
-    };
+    )
+    .or_else(|e| fail_exec(mem, e))?;
 
     // Stage 1: the pipeline-breaking merge, profiled as its own phase on
     // core 0. Its per-operator actuals are recorded here — the driver owns
@@ -494,17 +448,11 @@ pub(crate) fn run_verified(
         rows_in: partials.iter().map(|p| p.partial_len() as u64).sum(),
         rows_out: 0,
     };
-    let merged = profiled(mem, "query::stage::merge", &mut profile, |m| {
+    let batch = profiled(mem, "query::stage::merge", &mut profile, |m| {
         merge_partials(m, bound, &verified.output_types()?, partials)
-    });
-    let batch = match merged {
-        Ok(b) => Rc::new(b),
-        Err(e) => {
-            mem.join_clocks();
-            mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-            return Err(e);
-        }
-    };
+    })
+    .map(Rc::new)
+    .or_else(|e| fail_exec(mem, e))?;
     let merge_full = OpStats {
         rows_out: batch.len() as u64,
         ..merge_stats
@@ -513,7 +461,7 @@ pub(crate) fn run_verified(
 
     // Attribute estimates and measured cycles/bytes to the DAG nodes that
     // actually ran (the fallback executor's nodes when the run degraded).
-    let ops = match build_op_reports(
+    let ops = build_op_reports(
         mem,
         entry,
         verified,
@@ -522,14 +470,8 @@ pub(crate) fn run_verified(
         &actuals,
         &profile,
         &merge_full,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            mem.join_clocks();
-            mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-            return Err(e);
-        }
-    };
+    )
+    .or_else(|e| fail_exec(mem, e))?;
 
     // Memoize the pre-sort/pre-limit stage output — clean runs only: a
     // degraded answer or a faulted RM attempt must be re-earned every
@@ -737,32 +679,16 @@ fn run_scan<'v>(
                 return Ok((partials, actuals, fb, None, Some(AccessPath::Rm)));
             }
 
-            // The resilient RM stage always reports device stats, so it
-            // cannot run under `profiled` directly — measure by hand.
-            let before = mem.stats();
-            let t_rm = mem.now();
-            mem.trace_begin(scan_span(AccessPath::Rm), Category::Query);
+            // The resilient RM stage reports device stats even when it
+            // fails: they leave the profiled phase beside its result.
             let mut ex = QueryExecutor::new(verified, AccessPath::Rm);
-            let (res, stats) = ex.run_stage0_rm_resilient(mem, scratch, ctx);
-            ex.record_metrics(mem.metrics_mut());
-            let d = mem.stats().delta_since(&before);
-            mem.trace_end(
-                scan_span(AccessPath::Rm),
-                Category::Query,
-                &[
-                    ("cycles", mem.now() - t_rm),
-                    ("bytes_read", d.bytes_read),
-                    ("stall_cycles", d.stall_cycles),
-                    ("failed", u64::from(res.is_err())),
-                ],
-            );
-            profile.push(PhaseProfile {
-                name: scan_span(AccessPath::Rm),
-                cycles: mem.now() - t_rm,
-                bytes_read: d.bytes_read,
-                stall_cycles: d.stall_cycles,
-                failed: res.is_err(),
+            let mut stats = RmStats::default();
+            let res = profiled(mem, scan_span(AccessPath::Rm), profile, |m| {
+                let (res, device) = ex.run_stage0_rm_resilient(m, scratch, ctx);
+                stats = device;
+                res
             });
+            ex.record_metrics(mem.metrics_mut());
 
             match res {
                 Ok(partials) => {
@@ -803,11 +729,13 @@ fn geometry_tag(geometry: &str) -> String {
     format!("{:08x}", (h as u32) ^ ((h >> 32) as u32))
 }
 
-/// Relative error of an observation against its estimate, as a fraction
-/// (0.0 when there was no estimate to be wrong about).
-fn rel_err(est: f64, actual: f64) -> f64 {
-    if est > 0.0 {
-        (actual - est).abs() / est
+/// |est − actual| relative to `base`, as a fraction (0.0 when `base` is
+/// not positive). The calibration ledger grades an observation against
+/// its estimate (`base = est`: nothing to be wrong about without one);
+/// `EXPLAIN ANALYZE` grades the estimate against what was measured.
+pub(crate) fn rel_err(est: f64, actual: f64, base: f64) -> f64 {
+    if base > 0.0 {
+        (actual - est).abs() / base
     } else {
         0.0
     }
@@ -839,17 +767,11 @@ fn finish_output(
         let returned = bound.limit.map_or(batch.len(), |k| k.min(batch.len()));
         batch.rows(0..returned)
     } else {
-        let ordered = profiled(mem, "query::post::sort", &mut profile, |m| {
+        let order = profiled(mem, "query::post::sort", &mut profile, |m| {
             order_rows(m, batch, &bound.order_by, bound.limit)
-        });
-        match ordered {
-            Ok(order) => batch.rows(order.iter().map(|&r| r as usize)),
-            Err(e) => {
-                mem.join_clocks();
-                mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-                return Err(e);
-            }
-        }
+        })
+        .or_else(|e| fail_exec(mem, e))?;
+        batch.rows(order.iter().map(|&r| r as usize))
     };
     // Close the attribution window: align every core to the frontier, then
     // the per-core busy deltas plus barrier idle add up to `total` each.
@@ -883,10 +805,10 @@ fn finish_output(
     // core's elapsed cycles exactly. A violation means a charge site in
     // the hierarchy leaked cycles past the sub-bucket accounting.
     if let Err(why) = topdown.verify() {
-        mem.trace_end("query::exec", Category::Query, &[("failed", 1)]);
-        return Err(FabricError::Internal(format!(
-            "top-down accounting does not reconcile: {why}"
-        )));
+        return fail_exec(
+            mem,
+            FabricError::Internal(format!("top-down accounting does not reconcile: {why}")),
+        );
     }
     mem.trace_end(
         "query::exec",
@@ -897,14 +819,10 @@ fn finish_output(
             ("degraded", u64::from(degraded_from.is_some())),
         ],
     );
-    let path_key = match path {
-        AccessPath::Row => "query.path.row",
-        AccessPath::Col => "query.path.col",
-        AccessPath::Rm => "query.path.rm",
-    };
+    let path_str = path_tag(path);
     let metrics = mem.metrics_mut();
     metrics.counter_add("query.executions", 1);
-    metrics.counter_add(path_key, 1);
+    metrics.counter_add(&format!("query.path.{path_str}"), 1);
     metrics.counter_add("query.rows_out", rows.len() as u64);
     if degraded_from.is_some() {
         metrics.counter_add("query.degraded", 1);
@@ -922,11 +840,6 @@ fn finish_output(
 
     // --- Query log + calibration ledger (host-side: no simulated time) ---
     let cache_hit = ctx.outcome == CacheOutcome::Hit;
-    let path_str = match path {
-        AccessPath::Row => "row",
-        AccessPath::Col => "col",
-        AccessPath::Rm => "rm",
-    };
     let est_ns = cost.ns(path).unwrap_or(0.0);
     let est_bytes = cost.bytes(path).unwrap_or(0.0);
     let actual_ns = mem.ns_since(t0);
@@ -987,8 +900,8 @@ fn finish_output(
         );
         let e = mem.calib_mut().observe(
             &key,
-            rel_err(est_ns, actual_ns),
-            rel_err(est_bytes, actual_bytes as f64),
+            rel_err(est_ns, actual_ns, est_ns),
+            rel_err(est_bytes, actual_bytes as f64, est_bytes),
         );
         let metrics = mem.metrics_mut();
         metrics.counter_add("calib.observations", 1);
@@ -1063,24 +976,25 @@ fn order_rows(
 mod tests {
     use super::*;
     use crate::bind::bind;
-    use crate::cost::choose_path;
     use crate::parser::parse;
+    use crate::Engine;
     use colstore::ColTable;
     use fabric_sim::SimConfig;
     use fabric_types::{ColumnType, Schema};
     use rowstore::RowTable;
 
     /// 200 rows: id i64, grp char(1) A/B, qty f64 = id, d date = id.
-    fn setup() -> (MemoryHierarchy, Catalog) {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    fn setup() -> Engine {
+        let mut engine = Engine::new(SimConfig::zynq_a53());
+        let mem = engine.mem();
         let schema = Schema::from_pairs(&[
             ("id", ColumnType::I64),
             ("grp", ColumnType::FixedStr(1)),
             ("qty", ColumnType::F64),
             ("d", ColumnType::Date),
         ]);
-        let mut rt = RowTable::create(&mut mem, schema.clone(), 256).unwrap();
-        let mut ct = ColTable::create(&mut mem, schema, 256).unwrap();
+        let mut rt = RowTable::create(mem, schema.clone(), 256).unwrap();
+        let mut ct = ColTable::create(mem, schema, 256).unwrap();
         for i in 0..200i64 {
             let row = vec![
                 Value::I64(i),
@@ -1088,26 +1002,30 @@ mod tests {
                 Value::F64(i as f64),
                 Value::Date(i as u32),
             ];
-            rt.load(&mut mem, &row).unwrap();
-            ct.load(&mut mem, &row).unwrap();
+            rt.load(mem, &row).unwrap();
+            ct.load(mem, &row).unwrap();
         }
-        let mut c = Catalog::new();
-        c.register("t", rt, ct);
-        (mem, c)
+        engine.register("t", rt, ct);
+        engine
     }
 
-    fn all_paths(mem: &mut MemoryHierarchy, c: &Catalog, sql: &str) -> Vec<QueryOutput> {
-        let bound = bind(c, &parse(sql).unwrap()).unwrap();
+    fn bound(engine: &Engine, sql: &str) -> BoundQuery {
+        bind(engine.catalog(), &parse(sql).unwrap()).unwrap()
+    }
+
+    fn all_paths(engine: &mut Engine, sql: &str) -> Vec<QueryOutput> {
+        let bound = bound(engine, sql);
+        let mut s = engine.session();
         [AccessPath::Row, AccessPath::Col, AccessPath::Rm]
             .into_iter()
-            .map(|p| execute_on_impl(mem, c, &bound, p).unwrap())
+            .map(|p| s.run_bound_on(&bound, p).unwrap())
             .collect()
     }
 
     #[test]
     fn projection_identical_on_all_paths() {
-        let (mut mem, c) = setup();
-        let outs = all_paths(&mut mem, &c, "SELECT id, qty * 2 FROM t WHERE id < 5");
+        let mut engine = setup();
+        let outs = all_paths(&mut engine, "SELECT id, qty * 2 FROM t WHERE id < 5");
         for o in &outs {
             assert_eq!(o.rows.len(), 5);
             assert_eq!(o.rows[3], vec![Value::I64(3), Value::F64(6.0)]);
@@ -1118,10 +1036,9 @@ mod tests {
 
     #[test]
     fn grouped_aggregation_identical_on_all_paths() {
-        let (mut mem, c) = setup();
+        let mut engine = setup();
         let outs = all_paths(
-            &mut mem,
-            &c,
+            &mut engine,
             "SELECT grp, count(*), sum(qty), avg(qty) FROM t WHERE id < 100 GROUP BY grp",
         );
         for o in &outs {
@@ -1138,10 +1055,9 @@ mod tests {
 
     #[test]
     fn scalar_aggregates_and_date_predicates() {
-        let (mut mem, c) = setup();
+        let mut engine = setup();
         let outs = all_paths(
-            &mut mem,
-            &c,
+            &mut engine,
             "SELECT min(qty), max(qty), count(*) FROM t WHERE d >= 50 AND d < 60",
         );
         for o in &outs {
@@ -1154,8 +1070,8 @@ mod tests {
 
     #[test]
     fn optimizer_path_runs_and_reports() {
-        let (mut mem, c) = setup();
-        let out = crate::run_impl(&mut mem, &c, "SELECT sum(qty) FROM t").unwrap();
+        let mut engine = setup();
+        let out = engine.session().run("SELECT sum(qty) FROM t").unwrap();
         assert_eq!(out.rows[0][0], Value::F64((0..200).map(|i| i as f64).sum()));
         assert!(out.ns > 0.0);
         assert!(out.cost.rm_ns > 0.0);
@@ -1163,27 +1079,27 @@ mod tests {
 
     #[test]
     fn col_path_unavailable_without_columnar_copy() {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let mut engine = Engine::new(SimConfig::zynq_a53());
         let schema = Schema::from_pairs(&[("x", ColumnType::I64)]);
-        let mut rt = RowTable::create(&mut mem, schema, 4).unwrap();
-        rt.load(&mut mem, &[Value::I64(1)]).unwrap();
-        let mut c = Catalog::new();
-        c.register_rows("u", rt);
-        let bound = bind(&c, &parse("SELECT x FROM u").unwrap()).unwrap();
-        assert!(execute_on_impl(&mut mem, &c, &bound, AccessPath::Col).is_err());
+        let mut rt = RowTable::create(engine.mem(), schema, 4).unwrap();
+        rt.load(engine.mem(), &[Value::I64(1)]).unwrap();
+        engine.register_rows("u", rt);
+        let bound = bound(&engine, "SELECT x FROM u");
+        let mut s = engine.session();
+        assert!(s.run_bound_on(&bound, AccessPath::Col).is_err());
         // But Row and Rm work fine.
-        let out = execute_on_impl(&mut mem, &c, &bound, AccessPath::Rm).unwrap();
+        let out = s.run_bound_on(&bound, AccessPath::Rm).unwrap();
         assert_eq!(out.rows, vec![vec![Value::I64(1)]]);
     }
 
     #[test]
     fn empty_result_sets() {
-        let (mut mem, c) = setup();
-        let outs = all_paths(&mut mem, &c, "SELECT id FROM t WHERE id < 0");
+        let mut engine = setup();
+        let outs = all_paths(&mut engine, "SELECT id FROM t WHERE id < 0");
         for o in &outs {
             assert!(o.rows.is_empty());
         }
-        let outs = all_paths(&mut mem, &c, "SELECT count(*) FROM t WHERE id < 0");
+        let outs = all_paths(&mut engine, "SELECT count(*) FROM t WHERE id < 0");
         for o in &outs {
             assert_eq!(o.rows, vec![vec![Value::I64(0)]]);
         }
@@ -1191,10 +1107,9 @@ mod tests {
 
     #[test]
     fn order_by_and_limit_apply_on_every_path() {
-        let (mut mem, c) = setup();
+        let mut engine = setup();
         let outs = all_paths(
-            &mut mem,
-            &c,
+            &mut engine,
             "SELECT id, qty FROM t WHERE id < 20 ORDER BY qty DESC LIMIT 3",
         );
         for o in &outs {
@@ -1204,8 +1119,7 @@ mod tests {
         }
         // ORDER BY position and grouped output.
         let outs = all_paths(
-            &mut mem,
-            &c,
+            &mut engine,
             "SELECT grp, sum(qty) FROM t GROUP BY grp ORDER BY 2 DESC LIMIT 1",
         );
         for o in &outs {
@@ -1216,73 +1130,89 @@ mod tests {
 
     #[test]
     fn order_by_validation_errors() {
-        let (_, c) = setup();
-        assert!(bind(&c, &parse("SELECT id FROM t ORDER BY 2").unwrap()).is_err());
-        assert!(bind(&c, &parse("SELECT id FROM t ORDER BY qty").unwrap()).is_err());
-        assert!(bind(&c, &parse("SELECT id, qty FROM t ORDER BY qty").unwrap()).is_ok());
+        let engine = setup();
+        let c = engine.catalog();
+        assert!(bind(c, &parse("SELECT id FROM t ORDER BY 2").unwrap()).is_err());
+        assert!(bind(c, &parse("SELECT id FROM t ORDER BY qty").unwrap()).is_err());
+        assert!(bind(c, &parse("SELECT id, qty FROM t ORDER BY qty").unwrap()).is_ok());
     }
 
     /// A fixture the optimizer always routes to RM: a wide (16 × i64)
     /// rows-only table where the packed projection is far cheaper than a
     /// full-row software scan. c_j(i) = i*16 + j.
-    fn rm_setup(rows: usize) -> (MemoryHierarchy, Catalog) {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    fn wide_rows(mem: &mut MemoryHierarchy, rows: usize) -> RowTable {
         let pairs: Vec<(String, ColumnType)> = (0..16)
             .map(|i| (format!("c{i}"), ColumnType::I64))
             .collect();
         let pr: Vec<(&str, ColumnType)> = pairs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
         let schema = Schema::from_pairs(&pr);
-        let mut rt = RowTable::create(&mut mem, schema, rows).unwrap();
+        let mut rt = RowTable::create(mem, schema, rows).unwrap();
         for i in 0..rows as i64 {
             let row: Vec<Value> = (0..16).map(|j| Value::I64(i * 16 + j)).collect();
-            rt.load(&mut mem, &row).unwrap();
+            rt.load(mem, &row).unwrap();
         }
-        let mut c = Catalog::new();
-        c.register_rows("t", rt);
-        (mem, c)
+        rt
+    }
+
+    fn rm_setup(rows: usize) -> Engine {
+        let mut engine = Engine::new(SimConfig::zynq_a53());
+        let rt = wide_rows(engine.mem(), rows);
+        engine.register_rows("t", rt);
+        engine
+    }
+
+    /// Every RM delivery times out: the attempt must exhaust its budget.
+    fn dead_device() -> FaultContext {
+        let cfg = FaultConfig {
+            rm_timeout_prob: 1.0,
+            ..FaultConfig::quiet(9)
+        };
+        FaultContext::new(cfg, RecoveryPolicy::default())
     }
 
     const RM_SQL: &str = "SELECT c0, c5 FROM t WHERE c0 < 800";
 
     #[test]
-    fn resilient_quiet_context_matches_plain_execution() {
-        let (mut mem, c) = setup();
-        let bound = bind(&c, &parse("SELECT id, qty FROM t WHERE id < 50").unwrap()).unwrap();
-        let plain = execute_impl(&mut mem, &c, &bound).unwrap();
-        let mut ctx = FaultContext::quiet();
-        let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
-        assert_eq!(out.rows, plain.rows);
+    fn a_quiet_fault_context_changes_no_answer() {
+        let mut engine = setup();
+        let b = bound(&engine, "SELECT id, qty FROM t WHERE id < 50");
+        let out = engine.session().run_bound(&b).unwrap();
+        let expected: Vec<Vec<Value>> = (0..50)
+            .map(|i| vec![Value::I64(i), Value::F64(i as f64)])
+            .collect();
+        assert_eq!(out.rows, expected);
         assert_eq!(out.degraded_from, None);
-        assert_eq!(ctx.fallbacks, 0);
+        assert_eq!(engine.fault_context().fallbacks, 0);
 
         // And on an RM-routed plan, quiet faults deliver on the RM path
         // with its stats attached.
-        let (mut mem, c) = rm_setup(1000);
-        let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
-        let mut ctx = FaultContext::quiet();
-        let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
+        let mut engine = rm_setup(1000);
+        let b = bound(&engine, RM_SQL);
+        let out = engine.session().run_bound(&b).unwrap();
         assert_eq!(out.path, AccessPath::Rm);
         assert_eq!(out.degraded_from, None);
         let stats = out.rm_stats.expect("RM run must report device stats");
         assert_eq!(stats.rows_scanned, 1000);
         assert_eq!(stats.injected_faults, 0);
+
+        // The plain pipeline (`EXPLAIN ANALYZE`'s) returns the same rows.
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let mut c = Catalog::new();
+        c.register_rows("t", wide_rows(&mut mem, 1000));
+        let plain = execute_uncached(&mut mem, &c, &b, AccessPath::Rm).unwrap();
+        assert_eq!(plain.rows, out.rows);
     }
 
     #[test]
     fn rm_fault_past_budget_degrades_transparently() {
-        let (mut mem, c) = rm_setup(1000);
-        let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
-        let expected = execute_on_impl(&mut mem, &c, &bound, AccessPath::Row).unwrap();
-        // Every delivery times out: the RM attempt must exhaust its budget.
-        let cfg = FaultConfig {
-            rm_timeout_prob: 1.0,
-            ..FaultConfig::quiet(9)
-        };
-        let mut ctx = FaultContext::new(cfg, RecoveryPolicy::default());
-        let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
+        let mut engine = rm_setup(1000);
+        let b = bound(&engine, RM_SQL);
+        let expected = engine.session().run_bound_on(&b, AccessPath::Row).unwrap();
+        engine.set_fault_context(dead_device());
+        let out = engine.session().run_bound(&b).unwrap();
         assert_eq!(out.degraded_from, Some(AccessPath::Rm));
         assert_eq!(out.path, AccessPath::Row, "no col copy: fallback is Row");
-        assert_eq!(ctx.fallbacks, 1);
+        assert_eq!(engine.fault_context().fallbacks, 1);
         let stats = out.rm_stats.expect("failed attempt stats must survive");
         assert!(stats.delivery_timeouts > 0);
         assert!(stats.injected_faults > 0);
@@ -1292,20 +1222,17 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_repeated_rm_failures_and_skips_the_device() {
-        let (mut mem, c) = rm_setup(1000);
-        let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
-        let cfg = FaultConfig {
-            rm_timeout_prob: 1.0,
-            ..FaultConfig::quiet(9)
-        };
+        let mut engine = rm_setup(1000);
+        let b = bound(&engine, RM_SQL);
+        let expected = engine.session().run_bound_on(&b, AccessPath::Row).unwrap();
+        engine.set_fault_context(dead_device());
         let policy = RecoveryPolicy::default();
-        let mut ctx = FaultContext::new(cfg, policy);
-        let expected = execute_on_impl(&mut mem, &c, &bound, AccessPath::Row).unwrap();
         for _ in 0..policy.breaker_threshold + 2 {
-            let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
+            let out = engine.session().run_bound(&b).unwrap();
             assert_eq!(out.rows, expected.rows);
             assert_eq!(out.degraded_from, Some(AccessPath::Rm));
         }
+        let ctx = engine.fault_context();
         assert_eq!(ctx.fallbacks, policy.breaker_threshold as u64);
         assert_eq!(
             ctx.breaker_skips, 2,
@@ -1316,33 +1243,32 @@ mod tests {
 
     #[test]
     fn non_rm_plans_ignore_the_fault_context() {
-        let (mut mem, c) = setup();
-        let bound = bind(&c, &parse("SELECT id FROM t WHERE id < 3").unwrap()).unwrap();
-        let cfg = FaultConfig::uniform(4, 1.0);
-        let mut ctx = FaultContext::new(cfg, RecoveryPolicy::default());
-        let (path, _) = choose_path(
-            mem.config(),
+        let mut engine = setup();
+        let b = bound(&engine, "SELECT id FROM t WHERE id < 3");
+        let (path, _) = choose_path_parallel(
+            engine.mem_ref().config(),
             &RmConfig::prototype(),
-            c.get("t").unwrap(),
-            &bound,
+            engine.catalog().get("t").unwrap(),
+            &b,
+            1,
         )
         .unwrap();
         assert_ne!(path, AccessPath::Rm, "fixture must route to software");
-        let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
+        engine.set_fault_context(FaultContext::new(
+            FaultConfig::uniform(4, 1.0),
+            RecoveryPolicy::default(),
+        ));
+        let out = engine.session().run_bound(&b).unwrap();
         assert_eq!(out.rows.len(), 3);
-        assert_eq!(ctx.fallbacks, 0);
-        assert_eq!(ctx.plan.stats().total(), 0);
+        assert_eq!(engine.fault_context().fallbacks, 0);
+        assert_eq!(engine.fault_context().plan.stats().total(), 0);
     }
 
     #[test]
     fn profile_records_scan_merge_and_sort_phases() {
-        let (mut mem, c) = setup();
-        let bound = bind(
-            &c,
-            &parse("SELECT id FROM t WHERE id < 20 ORDER BY 1 DESC").unwrap(),
-        )
-        .unwrap();
-        let out = execute_on_impl(&mut mem, &c, &bound, AccessPath::Row).unwrap();
+        let mut engine = setup();
+        let b = bound(&engine, "SELECT id FROM t WHERE id < 20 ORDER BY 1 DESC");
+        let out = engine.session().run_bound_on(&b, AccessPath::Row).unwrap();
         let names: Vec<&str> = out.profile.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
@@ -1359,28 +1285,27 @@ mod tests {
         assert_eq!(out.profile[1].bytes_read, 0);
         assert_eq!(out.profile[2].bytes_read, 0);
         // Metrics accounted the run, including per-operator actuals.
-        assert_eq!(mem.metrics().counter("query.executions"), 1);
-        assert_eq!(mem.metrics().counter("query.path.row"), 1);
-        assert_eq!(mem.metrics().counter("query.rows_out"), 20);
-        assert_eq!(mem.metrics().counter("query.op.scan_row.rows_in"), 200);
-        assert_eq!(mem.metrics().counter("query.op.filter.rows_in"), 200);
-        assert_eq!(mem.metrics().counter("query.op.filter.rows_out"), 20);
-        assert_eq!(mem.metrics().counter("query.op.project.rows_out"), 20);
-        assert_eq!(mem.metrics().counter("query.op.merge.invocations"), 1);
-        assert_eq!(mem.metrics().counter("query.op.merge.rows_out"), 20);
+        let metrics = engine.mem_ref().metrics();
+        assert_eq!(metrics.counter("query.executions"), 1);
+        assert_eq!(metrics.counter("query.path.row"), 1);
+        assert_eq!(metrics.counter("query.rows_out"), 20);
+        assert_eq!(metrics.counter("query.op.scan_row.rows_in"), 200);
+        assert_eq!(metrics.counter("query.op.filter.rows_in"), 200);
+        assert_eq!(metrics.counter("query.op.filter.rows_out"), 20);
+        assert_eq!(metrics.counter("query.op.project.rows_out"), 20);
+        assert_eq!(metrics.counter("query.op.merge.invocations"), 1);
+        assert_eq!(metrics.counter("query.op.merge.rows_out"), 20);
     }
 
     #[test]
     fn traced_query_emits_balanced_spans_even_when_degrading() {
-        let (mut mem, c) = rm_setup(1000);
-        mem.set_recorder(Box::new(fabric_sim::RingRecorder::new(4096)));
-        let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
-        let cfg = FaultConfig {
-            rm_timeout_prob: 1.0,
-            ..FaultConfig::quiet(9)
-        };
-        let mut ctx = FaultContext::new(cfg, RecoveryPolicy::default());
-        let out = execute_resilient_impl(&mut mem, &c, &bound, &mut ctx).unwrap();
+        let mut engine = rm_setup(1000);
+        engine
+            .mem()
+            .set_recorder(Box::new(fabric_sim::RingRecorder::new(4096)));
+        let b = bound(&engine, RM_SQL);
+        engine.set_fault_context(dead_device());
+        let out = engine.session().run_bound(&b).unwrap();
         assert_eq!(out.degraded_from, Some(AccessPath::Rm));
         // The failed RM attempt stays in the profile, marked failed,
         // followed by the software fallback scan.
@@ -1396,6 +1321,7 @@ mod tests {
             .find(|p| p.name == "query::scan::row")
             .expect("fallback scan must be profiled");
         assert!(!fb_phase.failed);
+        let mem = engine.mem_ref();
         assert_eq!(mem.metrics().counter("query.degraded"), 1);
         // Every begin has a matching end — the validator checks balance.
         let json = mem.export_trace().expect("ring recorder exports");
@@ -1406,8 +1332,8 @@ mod tests {
 
     #[test]
     fn string_equality_predicates() {
-        let (mut mem, c) = setup();
-        let outs = all_paths(&mut mem, &c, "SELECT count(*) FROM t WHERE grp = 'B'");
+        let mut engine = setup();
+        let outs = all_paths(&mut engine, "SELECT count(*) FROM t WHERE grp = 'B'");
         for o in &outs {
             assert_eq!(o.rows, vec![vec![Value::I64(100)]]);
         }
@@ -1415,50 +1341,14 @@ mod tests {
 
     #[test]
     fn keyed_cache_hits_replay_without_hierarchy_traffic() {
-        let (mut mem, c) = setup();
-        let bound = bind(&c, &parse("SELECT id, qty FROM t WHERE id < 7").unwrap()).unwrap();
-        let entry = c.get("t").unwrap();
-        let verified = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
-        let (path, cost) = choose_path_parallel(
-            mem.config(),
-            &RmConfig::prototype(),
-            entry,
-            &bound,
-            mem.num_cores(),
-        )
-        .unwrap();
-        let mut cacheobj = OpCache::default();
-        let mut scratch = Scratchpad::new();
-        let key = opcache::keyed(opcache::plan_signature(&bound, 200, "g"), path);
-
-        let cold = run_verified(
-            &mut mem,
-            entry,
-            &verified,
-            path,
-            cost.clone(),
-            Resilience::Plain,
-            CacheSlot::Keyed(&mut cacheobj, key),
-            &mut scratch,
-            RecordMeta::default(),
-        )
-        .unwrap();
-        assert_eq!(cacheobj.stats(), (0, 1));
-        assert_eq!(cacheobj.insertions(), 1);
-
-        let warm = run_verified(
-            &mut mem,
-            entry,
-            &verified,
-            path,
-            cost,
-            Resilience::Plain,
-            CacheSlot::Keyed(&mut cacheobj, key),
-            &mut scratch,
-            RecordMeta::default(),
-        )
-        .unwrap();
-        assert_eq!(cacheobj.stats(), (1, 1));
+        let mut engine = setup();
+        let mut s = engine.session();
+        let plan = s.prepare("SELECT id, qty FROM t WHERE id < 7").unwrap();
+        let cold = s.execute(&plan).unwrap();
+        let warm = s.execute(&plan).unwrap();
+        assert_eq!(engine.op_cache().stats(), (1, 1));
+        assert_eq!(engine.op_cache().insertions(), 1);
+        assert!(!cold.cache_hit && warm.cache_hit);
         assert_eq!(warm.rows, cold.rows, "hit must be bit-identical");
         assert_eq!(warm.path, cold.path);
         // The hit replayed from host memory: zero hierarchy traffic, zero
@@ -1471,65 +1361,48 @@ mod tests {
         let total_bytes: u64 = warm.cores.iter().map(|a| a.bytes_read).sum();
         assert_eq!(total_bytes, 0, "cache hits never touch the hierarchy");
         assert!(warm.ns < cold.ns, "hit must be cheaper than the cold run");
-        assert_eq!(mem.metrics().counter("query.opcache.hits"), 1);
-        assert_eq!(mem.metrics().counter("query.opcache.misses"), 1);
-        assert_eq!(mem.metrics().counter("query.opcache.insertions"), 1);
+        let metrics = engine.mem_ref().metrics();
+        assert_eq!(metrics.counter("query.opcache.hits"), 1);
+        assert_eq!(metrics.counter("query.opcache.misses"), 1);
+        assert_eq!(metrics.counter("query.opcache.insertions"), 1);
     }
 
     #[test]
     fn cache_hit_still_applies_sort_and_limit() {
-        let (mut mem, c) = setup();
+        let mut engine = setup();
+        let mut s = engine.session();
         // Same plan shape, different ORDER BY/LIMIT: both map to one cache
         // entry, and the hit re-applies its own post-processing.
-        let plain = bind(&c, &parse("SELECT id FROM t WHERE id < 10").unwrap()).unwrap();
-        let sorted = bind(
-            &c,
-            &parse("SELECT id FROM t WHERE id < 10 ORDER BY 1 DESC LIMIT 3").unwrap(),
-        )
-        .unwrap();
-        let entry = c.get("t").unwrap();
-        let mut cacheobj = OpCache::default();
-        let mut scratch = Scratchpad::new();
-        let base = opcache::plan_signature(&plain, 200, "g");
+        let plain = s.prepare("SELECT id FROM t WHERE id < 10").unwrap();
+        let sorted = s
+            .prepare("SELECT id FROM t WHERE id < 10 ORDER BY 1 DESC LIMIT 3")
+            .unwrap();
         assert_eq!(
-            base,
-            opcache::plan_signature(&sorted, 200, "g"),
+            plain.cache_key(plain.path()),
+            sorted.cache_key(plain.path()),
             "post-processing is excluded from the signature"
         );
-
-        for (bound, expect_first, expect_len) in
+        for (plan, expect_first, expect_len) in
             [(&plain, Value::I64(0), 10), (&sorted, Value::I64(9), 3)]
         {
-            let verified = analyze(entry, bound, &RmConfig::prototype()).unwrap();
-            let (path, cost) = choose_path_parallel(
-                mem.config(),
-                &RmConfig::prototype(),
-                entry,
-                bound,
-                mem.num_cores(),
-            )
-            .unwrap();
-            let out = run_verified(
-                &mut mem,
-                entry,
-                &verified,
-                path,
-                cost,
-                Resilience::Plain,
-                CacheSlot::Keyed(&mut cacheobj, opcache::keyed(base, path)),
-                &mut scratch,
-                RecordMeta::default(),
-            )
-            .unwrap();
+            let out = s.execute_on(plan, plain.path()).unwrap();
             assert_eq!(out.rows.len(), expect_len);
             assert_eq!(out.rows[0][0], expect_first);
         }
-        assert_eq!(cacheobj.stats(), (1, 1), "second plan shape hit the entry");
+        assert_eq!(
+            engine.op_cache().stats(),
+            (1, 1),
+            "second plan shape hit the entry"
+        );
     }
 
+    /// Not reachable through a session, which never keys an armed RM run:
+    /// the pipeline itself must refuse to memoize an answer it degraded.
     #[test]
     fn degraded_runs_are_never_cached() {
-        let (mut mem, c) = rm_setup(1000);
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let mut c = Catalog::new();
+        c.register_rows("t", wide_rows(&mut mem, 1000));
         let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
         let entry = c.get("t").unwrap();
         let verified = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
@@ -1542,13 +1415,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(path, AccessPath::Rm);
-        let cfg = FaultConfig {
-            rm_timeout_prob: 1.0,
-            ..FaultConfig::quiet(9)
-        };
-        let mut ctx = FaultContext::new(cfg, RecoveryPolicy::default());
+        let mut ctx = dead_device();
         let mut cacheobj = OpCache::default();
-        let mut scratch = Scratchpad::new();
         let key = opcache::keyed(opcache::plan_signature(&bound, 1000, "g"), path);
         let out = run_verified(
             &mut mem,
@@ -1558,7 +1426,7 @@ mod tests {
             cost,
             Resilience::Resilient(&mut ctx),
             CacheSlot::Keyed(&mut cacheobj, key),
-            &mut scratch,
+            &mut Scratchpad::new(),
             RecordMeta::default(),
         )
         .unwrap();

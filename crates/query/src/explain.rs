@@ -6,48 +6,23 @@
 
 use crate::bind::{BoundQuery, OutputItem};
 use crate::catalog::{Catalog, TableEntry};
-use crate::cost::{choose_path, choose_path_parallel, AccessPath, PathCost};
-use crate::exec::{execute_on_impl, CoreAttribution, OpReport, PhaseProfile};
-use fabric_sim::{MemoryHierarchy, MetricsRegistry, SimConfig};
-use fabric_types::{FabricError, Result};
+use crate::cost::{choose_path_parallel, AccessPath, PathCost};
+use crate::exec::{execute_uncached, path_tag, rel_err, CoreAttribution, OpReport, PhaseProfile};
+use fabric_sim::{MemoryHierarchy, MetricsRegistry};
+use fabric_types::Result;
 use mvcc::RecoveryReport;
 use relmem::RmConfig;
 use std::fmt::Write as _;
 
-/// All rendering goes through `std::fmt::Write`; a formatter error (which
-/// `String` cannot actually produce) surfaces as a structured fabric error
-/// instead of being discarded.
-fn fmt_err(e: std::fmt::Error) -> FabricError {
-    FabricError::Internal(format!("plan rendering: {e}"))
-}
-
-/// Render the chosen plan for `bound` as human-readable text, including the
-/// per-path cost estimates.
-pub fn explain(sim: &SimConfig, catalog: &Catalog, bound: &BoundQuery) -> Result<String> {
-    let entry = catalog.get(&bound.table)?;
-    let (path, cost) = choose_path(sim, &RmConfig::prototype(), entry, bound)?;
-    render_plan(entry, bound, path, &cost).map_err(fmt_err)
-}
-
-/// Error-mapped plan rendering for callers outside this module (the
-/// session API).
-pub(crate) fn render_plan_for(
+/// Render the chosen plan for `bound` as human-readable text, including
+/// the per-path cost estimates: `EXPLAIN`, and the header of `EXPLAIN
+/// ANALYZE`.
+pub(crate) fn render_plan(
     entry: &TableEntry,
     bound: &BoundQuery,
     path: AccessPath,
     cost: &PathCost,
 ) -> Result<String> {
-    render_plan(entry, bound, path, cost).map_err(fmt_err)
-}
-
-/// The fallible renderer behind [`explain`] (and the header of
-/// [`explain_analyze`]): every `writeln!` propagates.
-fn render_plan(
-    entry: &TableEntry,
-    bound: &BoundQuery,
-    path: AccessPath,
-    cost: &PathCost,
-) -> std::result::Result<String, std::fmt::Error> {
     let schema = entry.schema();
     let col_name = |slot: usize| -> String {
         schema
@@ -135,17 +110,10 @@ fn render_plan(
     Ok(out)
 }
 
-/// Parse + bind + explain in one call.
-pub fn explain_sql(sim: &SimConfig, catalog: &Catalog, sql: &str) -> Result<String> {
-    let stmt = crate::parser::parse(sql)?;
-    let bound = crate::bind::bind(catalog, &stmt)?;
-    explain(sim, catalog, &bound)
-}
-
-/// One access path's estimated-vs-measured comparison from
-/// [`explain_analyze`].
+/// One access path's estimated-vs-measured comparison from `EXPLAIN
+/// ANALYZE`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PathReport {
+pub(crate) struct PathReport {
     pub path: AccessPath,
     /// The cost model's prediction.
     pub est_ns: f64,
@@ -171,27 +139,17 @@ impl PathReport {
 }
 
 fn rel_err_pct(est: f64, actual: f64) -> f64 {
-    (est - actual).abs() / actual.max(1.0) * 100.0
+    rel_err(est, actual, actual.max(1.0)) * 100.0
 }
 
 /// Run `bound` on every *available* path and measure actual cost. Returns
 /// the per-path reports plus the chosen path's phase profile (its plan-node
-/// breakdown). Each path's relative error lands in the hierarchy's metrics
-/// registry as `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
-pub fn analyze_paths(
-    mem: &mut MemoryHierarchy,
-    catalog: &Catalog,
-    bound: &BoundQuery,
-) -> Result<(AccessPath, Vec<PathReport>, Vec<PhaseProfile>)> {
-    let (chosen, reports, profile, _, _, _) = analyze_paths_impl(mem, catalog, bound)?;
-    Ok((chosen, reports, profile))
-}
-
-/// Full-fidelity form of [`analyze_paths`]: also returns the chosen path's
-/// per-core cycle/byte attribution, its top-down cycle breakdown, and its
-/// per-operator estimate/actual reports.
+/// breakdown), per-core cycle/byte attribution, top-down cycle breakdown
+/// and per-operator estimate/actual reports. Each path's relative error
+/// lands in the hierarchy's metrics registry as
+/// `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
 #[allow(clippy::type_complexity)]
-pub(crate) fn analyze_paths_impl(
+pub(crate) fn analyze_paths(
     mem: &mut MemoryHierarchy,
     catalog: &Catalog,
     bound: &BoundQuery,
@@ -224,7 +182,7 @@ pub(crate) fn analyze_paths_impl(
             continue;
         };
         let before = mem.stats();
-        let out = execute_on_impl(mem, catalog, bound, path)?;
+        let out = execute_uncached(mem, catalog, bound, path)?;
         let d = mem.stats().delta_since(&before);
         let actual_bytes = match (&out.rm_stats, path) {
             (Some(rm), AccessPath::Rm) => rm.output_lines * line,
@@ -237,11 +195,7 @@ pub(crate) fn analyze_paths_impl(
             est_bytes,
             actual_bytes,
         };
-        let key = match path {
-            AccessPath::Row => "row",
-            AccessPath::Col => "col",
-            AccessPath::Rm => "rm",
-        };
+        let key = path_tag(path);
         // Per-operator calibration gauges for this path: how far each DAG
         // node's estimate share drifted from its apportioned actual. The
         // merge is excluded — its estimate is the f64 fix-up remainder, so
@@ -289,36 +243,12 @@ pub(crate) fn analyze_paths_impl(
     ))
 }
 
-/// `EXPLAIN ANALYZE`: render the plan, then execute the query on every
-/// available path and append a table of estimated vs. actual cost (cycles
-/// and bytes) with the cost model's relative error, plus the chosen path's
-/// per-phase breakdown.
-pub fn explain_analyze(
-    mem: &mut MemoryHierarchy,
-    catalog: &Catalog,
-    bound: &BoundQuery,
-) -> Result<String> {
-    let entry = catalog.get(&bound.table)?;
-    let (path, cost) = choose_path_parallel(
-        mem.config(),
-        &RmConfig::prototype(),
-        entry,
-        bound,
-        mem.num_cores(),
-    )?;
-    let header = render_plan(entry, bound, path, &cost).map_err(fmt_err)?;
-    let has_cols = entry.cols.is_some();
-    let (_, reports, profile, cores, topdown, ops) = analyze_paths_impl(mem, catalog, bound)?;
-    render_analyze(
-        &header, has_cols, &reports, &profile, &cores, &topdown, &ops,
-    )
-    .map_err(fmt_err)
-}
-
-/// Error-mapped analyze rendering for callers outside this module (the
-/// session API).
+/// `EXPLAIN ANALYZE`'s body under the rendered plan (`header`): a table of
+/// estimated vs. actual cost (cycles and bytes) per path with the cost
+/// model's relative error, then the chosen path's per-operator, per-phase,
+/// per-core and top-down breakdowns.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn render_analyze_report(
+pub(crate) fn render_analyze(
     header: &str,
     has_cols: bool,
     reports: &[PathReport],
@@ -327,19 +257,6 @@ pub(crate) fn render_analyze_report(
     topdown: &fabric_sim::TopDown,
     ops: &[OpReport],
 ) -> Result<String> {
-    render_analyze(header, has_cols, reports, profile, cores, topdown, ops).map_err(fmt_err)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_analyze(
-    header: &str,
-    has_cols: bool,
-    reports: &[PathReport],
-    profile: &[PhaseProfile],
-    cores: &[CoreAttribution],
-    topdown: &fabric_sim::TopDown,
-    ops: &[OpReport],
-) -> std::result::Result<String, std::fmt::Error> {
     let mut out = String::from(header);
     writeln!(out, "  analyze:")?;
     for r in reports {
@@ -443,27 +360,23 @@ fn render_analyze(
 /// when no session query has run yet.
 pub(crate) fn render_latency_section(reg: &MetricsRegistry) -> Result<String> {
     let mut out = String::new();
-    let render = |out: &mut String| -> std::result::Result<(), std::fmt::Error> {
-        for class in ["q1", "q6", "scan"] {
-            let key = format!("query.class.{class}.latency_cycles");
-            if let Some(h) = reg.histogram(&key) {
-                if out.is_empty() {
-                    writeln!(out, "  latency (cycle-domain, engine lifetime):")?;
-                }
-                writeln!(
-                    out,
-                    "    {:<4}  n {:>6}  p50 {:>12.0}  p95 {:>12.0}  p99 {:>12.0} cycles",
-                    class,
-                    h.count(),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                )?;
+    for class in ["q1", "q6", "scan"] {
+        let key = format!("query.class.{class}.latency_cycles");
+        if let Some(h) = reg.histogram(&key) {
+            if out.is_empty() {
+                writeln!(out, "  latency (cycle-domain, engine lifetime):")?;
             }
+            writeln!(
+                out,
+                "    {:<4}  n {:>6}  p50 {:>12.0}  p95 {:>12.0}  p99 {:>12.0} cycles",
+                class,
+                h.count(),
+                h.quantile(0.50),
+                h.quantile(0.95),
+                h.quantile(0.99),
+            )?;
         }
-        Ok(())
-    };
-    render(&mut out).map_err(fmt_err)?;
+    }
     Ok(out)
 }
 
@@ -472,96 +385,80 @@ pub(crate) fn render_latency_section(reg: &MetricsRegistry) -> Result<String> {
 /// Empty when the engine never recovered anything.
 pub(crate) fn render_recovery_section(recoveries: &[(String, RecoveryReport)]) -> Result<String> {
     let mut out = String::new();
-    let render = |out: &mut String| -> std::result::Result<(), std::fmt::Error> {
-        for (name, r) in recoveries {
-            if out.is_empty() {
-                writeln!(out, "  recovered tables:")?;
-            }
-            writeln!(
-                out,
-                "    `{}`  watermark {}  commits {}  checkpoint {}  torn-tail {} B{}",
-                name,
-                r.watermark,
-                r.commits_replayed,
-                r.checkpoint_used
-                    .map_or_else(|| "-".to_string(), |id| id.to_string()),
-                r.truncated_bytes,
-                match &r.degraded {
-                    Some(why) => format!("  DEGRADED: {why}"),
-                    None => String::new(),
-                },
-            )?;
+    for (name, r) in recoveries {
+        if out.is_empty() {
+            writeln!(out, "  recovered tables:")?;
         }
-        Ok(())
-    };
-    render(&mut out).map_err(fmt_err)?;
+        writeln!(
+            out,
+            "    `{}`  watermark {}  commits {}  checkpoint {}  torn-tail {} B{}",
+            name,
+            r.watermark,
+            r.commits_replayed,
+            r.checkpoint_used
+                .map_or_else(|| "-".to_string(), |id| id.to_string()),
+            r.truncated_bytes,
+            match &r.degraded {
+                Some(why) => format!("  DEGRADED: {why}"),
+                None => String::new(),
+            },
+        )?;
+    }
     Ok(out)
-}
-
-/// Parse + bind + `EXPLAIN ANALYZE` in one call.
-pub fn explain_analyze_sql(
-    mem: &mut MemoryHierarchy,
-    catalog: &Catalog,
-    sql: &str,
-) -> Result<String> {
-    let stmt = crate::parser::parse(sql)?;
-    let bound = crate::bind::bind(catalog, &stmt)?;
-    explain_analyze(mem, catalog, &bound)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use colstore::ColTable;
+    use fabric_sim::SimConfig;
     use fabric_types::{ColumnType, Schema, Value};
     use rowstore::RowTable;
 
-    fn catalog() -> Catalog {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    /// `orders`, 8000 rows, no columnar copy.
+    fn engine() -> Engine {
+        let mut engine = Engine::new(SimConfig::zynq_a53());
+        let mem = engine.mem();
         let schema = Schema::from_pairs(&[
             ("id", ColumnType::I64),
             ("qty", ColumnType::F64),
             ("region", ColumnType::FixedStr(1)),
         ]);
-        let mut t = RowTable::create(&mut mem, schema, 8192).unwrap();
+        let mut t = RowTable::create(mem, schema, 8192).unwrap();
         for i in 0..8000i64 {
             t.load(
-                &mut mem,
+                mem,
                 &[Value::I64(i), Value::F64(i as f64), Value::Str("N".into())],
             )
             .unwrap();
         }
-        let mut c = Catalog::new();
-        c.register_rows("orders", t);
-        c
+        engine.register_rows("orders", t);
+        engine
     }
 
-    /// Like [`catalog`], but with a columnar copy so all three paths run.
-    fn catalog_with_cols(rows: i64) -> (MemoryHierarchy, Catalog) {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    /// `orders(id, qty)` in both layouts, so all three paths run.
+    fn both_layouts(mem: &mut MemoryHierarchy, rows: i64) -> (RowTable, ColTable) {
         let schema = Schema::from_pairs(&[("id", ColumnType::I64), ("qty", ColumnType::F64)]);
-        let mut rt = RowTable::create(&mut mem, schema.clone(), rows as usize).unwrap();
-        let mut ct = ColTable::create(&mut mem, schema, rows as usize).unwrap();
+        let mut rt = RowTable::create(mem, schema.clone(), rows as usize).unwrap();
+        let mut ct = ColTable::create(mem, schema, rows as usize).unwrap();
         for i in 0..rows {
             let row = vec![Value::I64(i), Value::F64(i as f64)];
-            rt.load(&mut mem, &row).unwrap();
-            ct.load(&mut mem, &row).unwrap();
+            rt.load(mem, &row).unwrap();
+            ct.load(mem, &row).unwrap();
         }
-        let mut c = Catalog::new();
-        c.register("orders", rt, ct);
-        (mem, c)
+        (rt, ct)
     }
 
     #[test]
     fn explain_names_the_plan_pieces() {
-        let c = catalog();
-        let text = explain_sql(
-            &SimConfig::zynq_a53(),
-            &c,
-            "SELECT region, sum(qty) FROM orders WHERE id < 10 \
-             GROUP BY region ORDER BY 2 DESC LIMIT 5",
-        )
-        .unwrap();
+        let text = engine()
+            .session()
+            .explain(
+                "SELECT region, sum(qty) FROM orders WHERE id < 10 \
+                 GROUP BY region ORDER BY 2 DESC LIMIT 5",
+            )
+            .unwrap();
         assert!(text.contains("Plan for `orders` (8000 rows)"), "{text}");
         assert!(text.contains("filter: id < 10"), "{text}");
         assert!(text.contains("group by: region"), "{text}");
@@ -578,14 +475,16 @@ mod tests {
         // kernel amortized away the per-row interpreter overhead, so the
         // line stream wins even against the fabric — the crossover moved
         // with the engine and the model moved with it.
-        let c = catalog();
-        let text = explain_sql(&SimConfig::zynq_a53(), &c, "SELECT sum(qty) FROM orders").unwrap();
+        let mut engine = engine();
+        let text = engine
+            .session()
+            .explain("SELECT sum(qty) FROM orders")
+            .unwrap();
         assert!(text.contains("access: ROW"), "{text}");
 
         // Wide rows, low projectivity: ROW drags the untouched 120
         // bytes per row through the hierarchy, and the fabric path wins
         // scans — the paper's headline regime is unchanged.
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         let pairs: Vec<(&str, ColumnType)> = (0..16)
             .map(|i| {
                 let name: &'static str = Box::leak(format!("c{i}").into_boxed_str());
@@ -593,33 +492,41 @@ mod tests {
             })
             .collect();
         let schema = Schema::from_pairs(&pairs);
-        let mut t = RowTable::create(&mut mem, schema, 8192).unwrap();
+        let mut t = RowTable::create(engine.mem(), schema, 8192).unwrap();
         for i in 0..8000i64 {
             t.load(
-                &mut mem,
+                engine.mem(),
                 &(0..16).map(|k| Value::I64(i + k)).collect::<Vec<_>>(),
             )
             .unwrap();
         }
-        let mut c = Catalog::new();
-        c.register_rows("wide", t);
-        let text = explain_sql(&SimConfig::zynq_a53(), &c, "SELECT sum(c3) FROM wide").unwrap();
+        engine.register_rows("wide", t);
+        let text = engine
+            .session()
+            .explain("SELECT sum(c3) FROM wide")
+            .unwrap();
         assert!(text.contains("access: RM"), "{text}");
         assert!(text.contains("ephemeral column group"), "{text}");
     }
 
     #[test]
     fn explain_propagates_bind_errors() {
-        let c = catalog();
-        assert!(explain_sql(&SimConfig::zynq_a53(), &c, "SELECT nope FROM orders").is_err());
-        assert!(explain_sql(&SimConfig::zynq_a53(), &c, "SELECT id FROM missing").is_err());
+        let mut engine = engine();
+        let mut s = engine.session();
+        assert!(s.explain("SELECT nope FROM orders").is_err());
+        assert!(s.explain("SELECT id FROM missing").is_err());
     }
 
     #[test]
     fn explain_analyze_measures_all_three_paths() {
-        let (mut mem, c) = catalog_with_cols(2000);
-        let text = explain_analyze_sql(&mut mem, &c, "SELECT sum(qty) FROM orders WHERE id < 1000")
+        let mut engine = Engine::new(SimConfig::zynq_a53());
+        let (rt, ct) = both_layouts(engine.mem(), 2000);
+        engine.register("orders", rt, ct);
+        let text = engine
+            .session()
+            .explain_analyze("SELECT sum(qty) FROM orders WHERE id < 1000")
             .unwrap();
+        let mem = engine.mem_ref();
         assert!(text.contains("analyze:"), "{text}");
         for path in ["ROW", "COL", "RM"] {
             assert!(
@@ -672,17 +579,19 @@ mod tests {
 
     #[test]
     fn explain_analyze_without_columnar_copy_marks_col_unavailable() {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let mut engine = Engine::new(SimConfig::zynq_a53());
         let schema = Schema::from_pairs(&[("id", ColumnType::I64), ("qty", ColumnType::F64)]);
-        let mut t = RowTable::create(&mut mem, schema, 512).unwrap();
+        let mut t = RowTable::create(engine.mem(), schema, 512).unwrap();
         for i in 0..500i64 {
-            t.load(&mut mem, &[Value::I64(i), Value::F64(i as f64)])
+            t.load(engine.mem(), &[Value::I64(i), Value::F64(i as f64)])
                 .unwrap();
         }
-        let mut c = Catalog::new();
-        c.register_rows("orders", t);
-        let text =
-            explain_analyze_sql(&mut mem, &c, "SELECT sum(qty) FROM orders ORDER BY 1").unwrap();
+        engine.register_rows("orders", t);
+        let text = engine
+            .session()
+            .explain_analyze("SELECT sum(qty) FROM orders ORDER BY 1")
+            .unwrap();
+        let mem = engine.mem_ref();
         assert!(
             text.contains("COL  unavailable (no columnar copy)"),
             "{text}"
@@ -696,10 +605,13 @@ mod tests {
 
     #[test]
     fn analyze_reports_are_structurally_sound() {
-        let (mut mem, c) = catalog_with_cols(500);
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let (rt, ct) = both_layouts(&mut mem, 500);
+        let mut c = Catalog::new();
+        c.register("orders", rt, ct);
         let stmt = crate::parser::parse("SELECT id FROM orders WHERE id < 100").unwrap();
         let bound = crate::bind::bind(&c, &stmt).unwrap();
-        let (chosen, reports, profile) = analyze_paths(&mut mem, &c, &bound).unwrap();
+        let (chosen, reports, profile, ..) = analyze_paths(&mut mem, &c, &bound).unwrap();
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(r.actual_ns > 0.0, "{r:?}");

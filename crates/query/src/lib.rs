@@ -20,10 +20,10 @@
 //!   identical results regardless of path; stage buffers recycle through
 //!   a per-session [`Scratchpad`], and clean stage outputs memoize in a
 //!   signature-keyed [`OpCache`];
-//! * [`explain`](mod@explain) renders the chosen plan and the per-path
-//!   estimates; `EXPLAIN ANALYZE` ([`explain_analyze`]) additionally runs
-//!   the query on every available path and reports estimated vs. measured
-//!   cycles and bytes — the cost model held accountable;
+//! * `explain` renders the chosen plan and the per-path
+//!   estimates; `EXPLAIN ANALYZE` additionally runs the query on every
+//!   available path and reports estimated vs. measured cycles and bytes —
+//!   the cost model held accountable;
 //! * [`engine`] wraps all of the above in one object: [`Engine`] owns the
 //!   simulated machine (hierarchy + core count), catalog, fault state,
 //!   plan cache, and operator cache, and [`Session`] exposes `prepare` /
@@ -31,8 +31,8 @@
 //!   across however many simulated cores the engine has, with results
 //!   bit-identical to a single core.
 //!
-//! All execution goes through [`Engine`]; the former free-function entry
-//! points (`run`, `execute`, `execute_on`, `execute_resilient`) are gone.
+//! [`Session`] is the one way in: every query, bound plan, `EXPLAIN` and
+//! `EXPLAIN ANALYZE` runs through it.
 
 pub mod analyze;
 pub mod bind;
@@ -40,23 +40,18 @@ pub mod catalog;
 pub mod cost;
 pub mod engine;
 pub mod exec;
-pub mod explain;
+mod explain;
 pub mod lexer;
 pub mod parser;
 
 pub use analyze::{analyze, AnalysisError, PlanDiagnostic, VerifiedQuery};
 pub use bind::{BoundQuery, OutputItem};
 pub use catalog::Catalog;
-pub use cost::{
-    choose_path, choose_path_parallel, split_path_cost, AccessPath, OpEstimate, PathCost,
-};
-pub use engine::{Engine, Prepared, PreparedQuery, Session};
+pub use cost::{choose_path_parallel, split_path_cost, AccessPath, OpEstimate, PathCost};
+pub use engine::{Engine, Prepared, Session};
 pub use exec::{
     BufferKind, BufferRef, CoreAttribution, FaultContext, OpCache, OpReport, PhaseProfile,
     QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
-};
-pub use explain::{
-    analyze_paths, explain, explain_analyze, explain_analyze_sql, explain_sql, PathReport,
 };
 
 /// The engine-facing surface in one import: the [`Engine`]/[`Session`]
@@ -66,22 +61,10 @@ pub use explain::{
 /// crate (lint rule `exec-internals`); the prelude exposes everything a
 /// host needs to drive it.
 pub mod prelude {
-    pub use crate::engine::{Engine, Prepared, PreparedQuery, Session};
+    pub use crate::engine::{Engine, Prepared, Session};
     pub use crate::exec::{
         BufferKind, BufferRef, CoreAttribution, FaultContext, OpCache, OpReport, PhaseProfile,
         QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
     };
-    pub use crate::explain::{explain_sql, PathReport};
     pub use crate::{AccessPath, BoundQuery, Catalog, PathCost};
-}
-
-#[cfg(test)]
-pub(crate) fn run_impl(
-    mem: &mut fabric_sim::MemoryHierarchy,
-    catalog: &Catalog,
-    sql: &str,
-) -> fabric_types::Result<QueryOutput> {
-    let stmt = parser::parse(sql)?;
-    let bound = bind::bind(catalog, &stmt)?;
-    exec::execute_impl(mem, catalog, &bound)
 }

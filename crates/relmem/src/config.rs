@@ -4,7 +4,6 @@
 /// (§V "Target Platform": programmable logic constrained to 100 MHz, a 2 MB
 /// on-device data memory refilled whenever it is full).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RmConfig {
     /// Time for the engine to emit one packed 64-byte output line
     /// (one beat of the 100 MHz datapath = 10 ns).

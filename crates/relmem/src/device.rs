@@ -332,7 +332,7 @@ mod tests {
         g = g.with_predicate(Predicate::always_true().and(ColumnPredicate::new(
             FieldSlice::new(0, 0, ColumnType::I32),
             CmpOp::Lt,
-            fabric_types::Value::I32(160),
+            Value::I32(160),
         )));
         let (data, rows, _) = run(&RmConfig::prototype(), &arena, &g);
         assert_eq!(rows, 10);

@@ -535,7 +535,7 @@ mod tests {
         let pred = Predicate::always_true().and(ColumnPredicate::new(
             layout.field(0).unwrap(),
             CmpOp::Lt,
-            Value::I32((100 * 16) as i32),
+            Value::I32(100 * 16),
         ));
         let g = g.with_predicate(pred);
         let mut eph = EphemeralColumns::configure(&mut mem, RmConfig::prototype(), g).unwrap();
@@ -584,7 +584,7 @@ mod tests {
         let pred = Predicate::always_true().and(ColumnPredicate::new(
             layout.field(0).unwrap(),
             CmpOp::Ge,
-            Value::I32((90 * 16) as i32),
+            Value::I32(90 * 16),
         ));
         let g = g.with_predicate(pred).with_mode(OutputMode::FilteredRows);
         let mut eph = EphemeralColumns::configure(&mut mem, RmConfig::prototype(), g).unwrap();

@@ -2,7 +2,6 @@
 
 /// What the RM device did while serving ephemeral accesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RmStats {
     /// Base rows examined (visibility + predicate evaluated).
     pub rows_scanned: u64,

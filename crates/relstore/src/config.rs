@@ -7,7 +7,6 @@
 /// embedded controller that processes a row per ~4 ns once pages are
 /// buffered.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RsConfig {
     /// Independent flash channels.
     pub channels: usize,

@@ -134,12 +134,6 @@ impl SsdDevice {
         self.policy = policy;
     }
 
-    /// Disarm fault injection (the plan's stats are discarded).
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-        self.health = CircuitBreaker::new(&self.policy);
-    }
-
     /// Faults injected so far by the active plan (all zero when disarmed).
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.as_ref().map(|p| p.stats()).unwrap_or_default()
@@ -802,7 +796,7 @@ mod tests {
         let (out, _) = dev.fetch_raw(&mut mem, &t).unwrap();
         assert_eq!(out.len(), 2000 * 16);
         let v = i32::from_le_bytes(out[16 * 1234 + 12..16 * 1234 + 16].try_into().unwrap());
-        assert_eq!(v, (1234 * 4 + 3) as i32);
+        assert_eq!(v, 1234 * 4 + 3);
     }
 
     #[test]

@@ -104,16 +104,27 @@ pub fn run_col(mem: &mut MemoryHierarchy, t: &ColTable, q: &MicroQuery) -> Resul
     let t0 = mem.now();
     let costs = mem.costs();
 
-    let sel: Option<Vec<u32>> = if q.sel.is_empty() {
-        None
-    } else {
-        let mut it = q.sel.iter();
-        let (c0, thr0) = it.next().unwrap();
-        let mut sv = colx::scan_filter(mem, t, *c0, CmpOp::Lt, &Value::I32(*thr0))?;
-        for (c, thr) in it {
-            sv = colx::scan_filter_cand(mem, t, *c, &[(CmpOp::Lt, Value::I32(*thr))], &sv)?;
+    let lt = |thr: &i32| [(CmpOp::Lt, Value::I32(*thr))];
+    let sel = match q.sel.split_first() {
+        None => None,
+        Some(((c0, thr0), rest)) => {
+            let (mut sv, mut cand) = (Vec::new(), Vec::new());
+            colx::scan_filter_conj_range_into(mem, t, *c0, &lt(thr0), 0, t.len(), &mut sv)?;
+            for (c, thr) in rest {
+                std::mem::swap(&mut sv, &mut cand);
+                colx::scan_filter_cand_range_into(
+                    mem,
+                    t,
+                    *c,
+                    &lt(thr),
+                    &cand,
+                    0,
+                    t.len(),
+                    &mut sv,
+                )?;
+            }
+            Some(sv)
         }
-        Some(sv)
     };
 
     let mut sum = 0.0f64;

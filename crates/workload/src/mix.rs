@@ -16,7 +16,6 @@
 //!   conversion every `convert_every` batches; scans run on the copy and
 //!   see data as old as the last conversion.
 
-use crate::RunResult;
 use colstore::{exec as colx, ColTable};
 use fabric_sim::MemoryHierarchy;
 use fabric_types::rng::DetRng;
@@ -220,14 +219,6 @@ pub fn compare_htap(p: &MixParams) -> Result<(MixOutcome, MixOutcome)> {
     let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
     let dual = run_dual_layout_htap(&mut mem, p)?;
     Ok((fabric, dual))
-}
-
-/// A `RunResult`-shaped view for harness reuse.
-pub fn as_run_result(o: &MixOutcome) -> RunResult {
-    RunResult {
-        ns: o.total_ns(),
-        checksum: o.scan_checksum,
-    }
 }
 
 #[cfg(test)]

@@ -131,12 +131,15 @@ pub fn q1_col(mem: &mut MemoryHierarchy, li: &Lineitem) -> Result<RunResult> {
     mem.flush_caches();
     let t0 = mem.now();
     let costs = mem.costs();
-    let sel = colx::scan_filter(
+    let mut sel = Vec::new();
+    colx::scan_filter_conj_range_into(
         mem,
         &li.cols,
         col::SHIPDATE,
-        CmpOp::Le,
-        &Value::Date(q1_cutoff()),
+        &[(CmpOp::Le, Value::Date(q1_cutoff()))],
+        0,
+        li.cols.len(),
+        &mut sel,
     )?;
     let mut groups: BTreeMap<[u8; 2], Q1Acc> = BTreeMap::new();
     colx::for_each_lockstep(
@@ -319,25 +322,37 @@ pub fn q6_col(mem: &mut MemoryHierarchy, li: &Lineitem) -> Result<RunResult> {
     let t0 = mem.now();
     let costs = mem.costs();
     let (lo, hi) = q6_dates();
-    let sel = colx::scan_filter_conj(
+    let rows = li.cols.len();
+    let (mut sel, mut cand) = (Vec::new(), Vec::new());
+    colx::scan_filter_conj_range_into(
         mem,
         &li.cols,
         col::SHIPDATE,
         &[(CmpOp::Ge, Value::Date(lo)), (CmpOp::Lt, Value::Date(hi))],
+        0,
+        rows,
+        &mut cand,
     )?;
-    let sel = colx::scan_filter_cand(
+    colx::scan_filter_cand_range_into(
         mem,
         &li.cols,
         col::DISCOUNT,
         &[(CmpOp::Ge, Value::F64(0.05)), (CmpOp::Le, Value::F64(0.07))],
-        &sel,
+        &cand,
+        0,
+        rows,
+        &mut sel,
     )?;
-    let sel = colx::scan_filter_cand(
+    std::mem::swap(&mut sel, &mut cand);
+    colx::scan_filter_cand_range_into(
         mem,
         &li.cols,
         col::QUANTITY,
         &[(CmpOp::Lt, Value::F64(24.0))],
-        &sel,
+        &cand,
+        0,
+        rows,
+        &mut sel,
     )?;
     let mut revenue = 0.0f64;
     colx::for_each_lockstep(
@@ -524,11 +539,15 @@ mod tests {
     fn q6_selectivity_is_about_two_percent() {
         let (mut mem, li) = setup(50_000);
         let (lo, hi) = q6_dates();
-        let sel = colx::scan_filter_conj(
+        let mut sel = Vec::new();
+        colx::scan_filter_conj_range_into(
             &mut mem,
             &li.cols,
             col::SHIPDATE,
             &[(CmpOp::Ge, Value::Date(lo)), (CmpOp::Lt, Value::Date(hi))],
+            0,
+            50_000,
+            &mut sel,
         )
         .unwrap();
         let sel = colx::refine_conj(
@@ -539,12 +558,11 @@ mod tests {
             &sel,
         )
         .unwrap();
-        let sel = colx::refine(
+        let sel = colx::refine_conj(
             &mut mem,
             &li.cols,
             col::QUANTITY,
-            CmpOp::Lt,
-            &Value::F64(24.0),
+            &[(CmpOp::Lt, Value::F64(24.0))],
             &sel,
         )
         .unwrap();
@@ -555,12 +573,15 @@ mod tests {
     #[test]
     fn q1_touches_most_rows() {
         let (mut mem, li) = setup(20_000);
-        let sel = colx::scan_filter(
+        let mut sel = Vec::new();
+        colx::scan_filter_conj_range_into(
             &mut mem,
             &li.cols,
             col::SHIPDATE,
-            CmpOp::Le,
-            &Value::Date(q1_cutoff()),
+            &[(CmpOp::Le, Value::Date(q1_cutoff()))],
+            0,
+            20_000,
+            &mut sel,
         )
         .unwrap();
         let s = sel.len() as f64 / 20_000.0;

@@ -82,7 +82,8 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-const DATA_SEED: u64 = 0x9A5_5EED;
+mod support;
+use support::DATA_SEED;
 
 /// The `scan_cold` statements of the benchmark: Q1 (grouped, two text
 /// group columns, compiled sums), Q6 (five conjuncts, three of them on

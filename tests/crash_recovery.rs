@@ -27,25 +27,14 @@ use query::Engine;
 use rowstore::RowTable;
 use std::collections::BTreeMap;
 
-/// Default sweep seed; override with `FABRIC_CHAOS_SEED`.
-const DEFAULT_SEED: u64 = 0xFA_B51C;
+mod support;
+use support::{seed, DEFAULT_SEED};
 /// Commits in the workload and the auto-checkpoint cadence: small enough
 /// that the full per-write crash matrix stays fast, large enough to put
 /// crash sites on commit appends, checkpoint pages, and checkpoint refs.
 const N_OPS: u64 = 12;
 const CKPT_EVERY: u64 = 3;
 const CAPACITY: usize = 256;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn base_seed() -> u64 {
-    env_u64("FABRIC_CHAOS_SEED", DEFAULT_SEED)
-}
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("k", ColumnType::I64), ("v", ColumnType::I64)])
@@ -162,7 +151,7 @@ fn crashed_run(seed: u64, crash_at: u64) -> (MemoryHierarchy, durability::Durabl
 /// performs, recover, and hold the whole §14 invariant each time.
 #[test]
 fn crash_matrix_every_write_site_recovers_consistently() {
-    let seed = base_seed();
+    let seed = seed();
     let (reference, total_writes) = reference_run(seed);
     assert!(
         total_writes > N_OPS,
@@ -320,7 +309,7 @@ fn crash_matrix_every_write_site_recovers_consistently() {
 /// crash forensics are replayable, not just the data.
 #[test]
 fn crash_postmortems_are_byte_deterministic() {
-    let seed = base_seed();
+    let seed = seed();
     let dump = |crash_at: u64| -> Vec<Postmortem> {
         let (mut m, _, _) = crashed_run(seed, crash_at);
         m.take_postmortems()
@@ -345,7 +334,7 @@ fn crash_postmortems_are_byte_deterministic() {
 /// the never-crashed rows at the same watermark.
 #[test]
 fn recovered_engine_answers_match_the_never_crashed_run() {
-    let seed = base_seed();
+    let seed = seed();
     let (reference, total_writes) = reference_run(seed);
     let sqls = [
         "SELECT count(*), sum(v) FROM t",
@@ -392,7 +381,7 @@ fn recovered_engine_answers_match_the_never_crashed_run() {
 /// watermark still answers bit-identically after new commits.
 #[test]
 fn oracle_watermark_ordering_survives_recovery() {
-    let seed = base_seed();
+    let seed = seed();
     let (_, image, acked) = crashed_run(seed, 5);
     let mut m = mem();
     let (mut r, report) = DurableStore::replay(
@@ -434,7 +423,7 @@ fn oracle_watermark_ordering_survives_recovery() {
 /// recovered state plus whatever the second run acknowledged.
 #[test]
 fn double_crash_recovery_stays_consistent() {
-    let seed = base_seed();
+    let seed = seed();
     let (_, image, _) = crashed_run(seed, 4);
     let mut m = mem();
 
@@ -499,7 +488,7 @@ fn double_crash_recovery_stays_consistent() {
 /// — and the artifact is byte-deterministic across identical opens.
 #[test]
 fn degraded_open_postmortem_embeds_the_recovery_report() {
-    let seed = base_seed();
+    let seed = seed();
     // Every checkpoint page tears: the blob is unreadable at recovery, so
     // the open must fall back to full log replay and report degraded.
     let torn = DurabilityConfig::quiet(seed).with_faults(FaultConfig {

@@ -13,57 +13,17 @@
 //!     cargo test --test executor_equivalence
 //! ```
 
-use fabric_sim::{FaultConfig, RecoveryPolicy, SimConfig};
-use query::{AccessPath, Engine, FaultContext};
-use workload::Lineitem;
+use fabric_sim::{FaultConfig, RecoveryPolicy};
+use query::{AccessPath, FaultContext};
 
-const ROWS: usize = 20_000;
-const DATA_SEED: u64 = 0x9A5_5EED;
-const DEFAULT_SEED: u64 = 0xFA_B51C;
+mod support;
+use support::{core_grid, engine, seed, Q1, Q6, TOP10};
 
 /// Q1's grouped f64 aggregates pin the fold shape; Q6's conjunctive
 /// range filter pins the branch-free predicate kernels; the projection
 /// query pins ORDER BY/LIMIT post-processing on top of a shared cache
 /// entry.
-const QUERIES: &[&str] = &[
-    "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
-     sum(l_extendedprice * (1 - l_discount)), avg(l_quantity), count(*) \
-     FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
-     GROUP BY l_returnflag, l_linestatus",
-    "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
-     WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
-     AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24",
-    "SELECT l_orderkey, l_extendedprice FROM lineitem \
-     WHERE l_quantity < 5 ORDER BY 2 DESC LIMIT 10",
-];
-
-fn seed() -> u64 {
-    std::env::var("FABRIC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// Core counts under test; override with `FABRIC_PAR_CORES=1,2,4,8`.
-fn core_grid() -> Vec<usize> {
-    std::env::var("FABRIC_PAR_CORES")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-fn engine(cores: usize) -> Engine {
-    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
-    let li = Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
-    e.register("lineitem", li.rows, li.cols);
-    e
-}
+const QUERIES: &[&str] = &[Q1, Q6, TOP10];
 
 /// The tentpole grid: (path × cores × cache temperature). The cold run
 /// earns the answer through the hierarchy; the warm run must replay the

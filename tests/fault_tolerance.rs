@@ -18,45 +18,14 @@
 
 use fabric_sim::{FaultConfig, FaultPlan, MemoryHierarchy, RecoveryPolicy, SimConfig};
 use fabric_types::rng::SplitMix64;
-use fabric_types::{ColumnType, FabricError, Schema, Value};
-use query::{AccessPath, Engine, FaultContext};
+use fabric_types::{FabricError, Value};
+use query::{AccessPath, FaultContext};
 use relstore::{RsConfig, SsdDevice};
-use rowstore::RowTable;
 
-/// Default sweep seed; override with `FABRIC_CHAOS_SEED`.
-const DEFAULT_SEED: u64 = 0xFA_B51C;
+mod support;
+use support::{env_u64, seed, wide_rm_engine};
 /// Default number of randomized plans; override with `FABRIC_CHAOS_PLANS`.
 const DEFAULT_PLANS: u64 = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn base_seed() -> u64 {
-    env_u64("FABRIC_CHAOS_SEED", DEFAULT_SEED)
-}
-
-/// Wide rows-only table the optimizer always routes to RM (16 × i64, no
-/// columnar copy; the packed projection dominates a full-row scan).
-/// c_j(i) = i*16 + j.
-fn chaos_engine(rows: usize) -> Engine {
-    let mut engine = Engine::new(SimConfig::zynq_a53());
-    let names: Vec<(String, ColumnType)> = (0..16)
-        .map(|i| (format!("c{i}"), ColumnType::I64))
-        .collect();
-    let pairs: Vec<(&str, ColumnType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let schema = Schema::from_pairs(&pairs);
-    let mut rt = RowTable::create(engine.mem(), schema, rows).unwrap();
-    for i in 0..rows as i64 {
-        let row: Vec<Value> = (0..16).map(|j| Value::I64(i * 16 + j)).collect();
-        rt.load(engine.mem(), &row).unwrap();
-    }
-    engine.register_rows("t", rt);
-    engine
-}
 
 const CHAOS_ROWS: usize = 12_288;
 
@@ -91,11 +60,11 @@ fn derived_cfg(sweep_seed: u64, i: u64) -> FaultConfig {
 /// answers, no panics. Every failure message carries the replay seed.
 #[test]
 fn chaos_randomized_fault_plans_preserve_answers() {
-    let seed = base_seed();
+    let seed = seed();
     let plans = env_u64("FABRIC_CHAOS_PLANS", DEFAULT_PLANS);
 
     // Fault-free reference answers, computed once.
-    let mut engine = chaos_engine(CHAOS_ROWS);
+    let mut engine = wide_rm_engine(CHAOS_ROWS);
     let reference: Vec<Vec<Vec<Value>>> = QUERIES
         .iter()
         .map(|sql| engine.session().run_on(sql, AccessPath::Rm).unwrap().rows)
@@ -105,7 +74,7 @@ fn chaos_randomized_fault_plans_preserve_answers() {
     let mut total_fallbacks = 0u64;
     for i in 0..plans {
         let cfg = derived_cfg(seed, i);
-        let mut engine = chaos_engine(CHAOS_ROWS);
+        let mut engine = wide_rm_engine(CHAOS_ROWS);
         engine.set_fault_context(FaultContext::new(cfg, RecoveryPolicy::default()));
         for (qi, sql) in QUERIES.iter().enumerate() {
             let out = engine.session().run(sql).unwrap_or_else(|e| {
@@ -143,8 +112,8 @@ fn chaos_randomized_fault_plans_preserve_answers() {
 /// visible in `QueryOutput` and the context's counters.
 #[test]
 fn chaos_guaranteed_fallback_is_transparent_and_counted() {
-    let seed = base_seed();
-    let mut engine = chaos_engine(4096);
+    let seed = seed();
+    let mut engine = wide_rm_engine(4096);
     let sql = QUERIES[0];
     let reference = engine.session().run_on(sql, AccessPath::Rm).unwrap().rows;
 
@@ -181,10 +150,10 @@ fn chaos_guaranteed_fallback_is_transparent_and_counted() {
 /// fault counters, and the same answers — chaos failures are debuggable.
 #[test]
 fn chaos_same_seed_replays_bit_identically() {
-    let seed = base_seed();
+    let seed = seed();
     let run = || {
         let cfg = derived_cfg(seed, 3);
-        let mut engine = chaos_engine(4096);
+        let mut engine = wide_rm_engine(4096);
         engine.set_fault_context(FaultContext::new(cfg, RecoveryPolicy::default()));
         let mut rows = Vec::new();
         let mut ns = Vec::new();
@@ -212,7 +181,7 @@ fn chaos_same_seed_replays_bit_identically() {
 /// surfaces as a clean `FlashReadError` — never a panic, never bad data.
 #[test]
 fn chaos_relstore_recovers_or_fails_cleanly() {
-    let seed = base_seed();
+    let seed = seed();
     let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
     let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
     // Enough pages that a 15% per-page fault rate injects something for
@@ -276,7 +245,7 @@ fn chaos_relstore_recovers_or_fails_cleanly() {
 /// clock to the bit.
 #[test]
 fn chaos_flash_write_path_recovers_and_replays() {
-    let seed = base_seed();
+    let seed = seed();
     let rows = 16_384usize;
     let mut bytes = Vec::with_capacity(rows * 32);
     for i in 0..rows {

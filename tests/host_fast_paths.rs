@@ -21,28 +21,8 @@ use rowstore::RowTable;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-const DEFAULT_SEED: u64 = 0xFA_B51C;
-
-fn seed() -> u64 {
-    std::env::var("FABRIC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// Core counts under test; override with `FABRIC_PAR_CORES=1,2,4,8`.
-fn core_grid() -> Vec<usize> {
-    std::env::var("FABRIC_PAR_CORES")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
+mod support;
+use support::{core_grid, seed};
 
 // ------------------------------------------------------------------ CRC
 

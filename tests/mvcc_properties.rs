@@ -4,11 +4,12 @@
 //! snapshot of the real table must match the model exactly, through both
 //! the software and the in-fabric visibility paths — and keep matching
 //! after vacuum.
-
-#![cfg(feature = "proptest")]
+//!
+//! Generated from `FABRIC_CHAOS_SEED`; a failing case prints the seed
+//! and its index.
 
 use fabric_sim::{MemoryHierarchy, SimConfig};
-use proptest::prelude::*;
+use fabric_types::rng::{for_each_case, DetRng};
 use relational_fabric::mvcc::scan::{collect_visible, rm_visible_sum, sw_visible_sum};
 use relational_fabric::prelude::*;
 use std::collections::BTreeMap;
@@ -20,12 +21,16 @@ enum Op {
     Delete(usize),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0i64..1000).prop_map(Op::Insert),
-        ((0usize..64), (0i64..1000)).prop_map(|(l, v)| Op::Update(l, v)),
-        (0usize..64).prop_map(Op::Delete),
-    ]
+/// `len` operations, each kind equally likely; ids span more logical
+/// rows than a history creates, so some updates and deletes miss.
+fn ops(rng: &mut DetRng, len: std::ops::Range<usize>) -> Vec<Op> {
+    (0..rng.gen_range(len))
+        .map(|_| match rng.gen_range(0..3u8) {
+            0 => Op::Insert(rng.gen_range(0..1000i64)),
+            1 => Op::Update(rng.gen_range(0..64usize), rng.gen_range(0..1000i64)),
+            _ => Op::Delete(rng.gen_range(0..64usize)),
+        })
+        .collect()
 }
 
 /// The logical state (logical id -> value) after each commit timestamp.
@@ -91,54 +96,52 @@ fn visible_multiset(mem: &mut MemoryHierarchy, table: &VersionedTable, ts: u64) 
     rows
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn snapshots_match_the_shadow_model(ops in proptest::collection::vec(op_strategy(), 1..48)) {
-        let (mut mem, table, _tm, history) = run_history(&ops);
+#[test]
+fn snapshots_match_the_shadow_model() {
+    for_each_case("snapshots match the shadow model", |rng| {
+        let (mut mem, table, _tm, history) = run_history(&ops(rng, 1..48));
         for (&ts, model) in &history {
             let mut expect: Vec<(i64, i64)> = Vec::new();
             // The model stores logical-id -> v, where k == original v of the
             // insert; reconstruct (k, v) pairs through read_at.
             for (&l, &v) in model {
                 let k = table.read_at(&mut mem, l, 0, ts).unwrap();
-                prop_assert!(k.is_some(), "logical {l} invisible at ts {ts}");
+                assert!(k.is_some(), "logical {l} invisible at ts {ts}");
                 expect.push((k.unwrap().as_i64().unwrap(), v));
             }
             expect.sort_unstable();
             let got = visible_multiset(&mut mem, &table, ts);
-            prop_assert_eq!(&got, &expect, "mismatch at ts {}", ts);
+            assert_eq!(got, expect, "mismatch at ts {ts}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn hw_and_sw_visibility_agree_everywhere(
-        ops in proptest::collection::vec(op_strategy(), 1..40)
-    ) {
-        let (mut mem, table, tm, history) = run_history(&ops);
+#[test]
+fn hw_and_sw_visibility_agree_everywhere() {
+    for_each_case("hw and sw visibility agree everywhere", |rng| {
+        let (mut mem, table, tm, history) = run_history(&ops(rng, 1..40));
         let mut timestamps: Vec<u64> = history.keys().copied().collect();
         timestamps.push(tm.snapshot_ts() + 5);
         for ts in timestamps {
             let (sw, n_sw) = sw_visible_sum(&mut mem, &table, 1, ts).unwrap();
             let (hw, n_hw) =
                 rm_visible_sum(&mut mem, &table, 1, ts, RmConfig::prototype()).unwrap();
-            prop_assert_eq!((sw, n_sw), (hw, n_hw), "paths diverge at ts {}", ts);
+            assert_eq!((sw, n_sw), (hw, n_hw), "paths diverge at ts {ts}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn vacuum_preserves_the_latest_snapshot(
-        ops in proptest::collection::vec(op_strategy(), 1..40)
-    ) {
-        let (mut mem, mut table, tm, _history) = run_history(&ops);
+#[test]
+fn vacuum_preserves_the_latest_snapshot() {
+    for_each_case("vacuum preserves the latest snapshot", |rng| {
+        let (mut mem, mut table, tm, _history) = run_history(&ops(rng, 1..40));
         let ts = tm.snapshot_ts();
         let before = visible_multiset(&mut mem, &table, ts);
         table.vacuum(&mut mem, ts).unwrap();
         let after = visible_multiset(&mut mem, &table, ts);
-        prop_assert_eq!(before, after);
+        assert_eq!(before, after);
         // Every surviving dead-version space is really gone: a second
         // vacuum removes nothing.
-        prop_assert_eq!(table.vacuum(&mut mem, ts).unwrap(), 0);
-    }
+        assert_eq!(table.vacuum(&mut mem, ts).unwrap(), 0);
+    });
 }

@@ -13,13 +13,11 @@
 //!     cargo test --test querylog_determinism
 //! ```
 
-use fabric_sim::{FaultConfig, RecoveryPolicy, SimConfig};
+use fabric_sim::{FaultConfig, RecoveryPolicy};
 use query::{AccessPath, Engine, FaultContext};
-use workload::Lineitem;
 
-const ROWS: usize = 20_000;
-const DATA_SEED: u64 = 0x9A5_5EED;
-const DEFAULT_SEED: u64 = 0xFA_B51C;
+mod support;
+use support::{core_grid, engine, seed, Q6, TOP10};
 
 /// Same class coverage as the executor-equivalence grid: grouped
 /// aggregate (q1), scalar aggregate over a conjunctive filter (q6), and
@@ -28,40 +26,9 @@ const QUERIES: &[&str] = &[
     "SELECT l_returnflag, l_linestatus, sum(l_quantity), avg(l_quantity), count(*) \
      FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
      GROUP BY l_returnflag, l_linestatus",
-    "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
-     WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
-     AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24",
-    "SELECT l_orderkey, l_extendedprice FROM lineitem \
-     WHERE l_quantity < 5 ORDER BY 2 DESC LIMIT 10",
+    Q6,
+    TOP10,
 ];
-
-fn seed() -> u64 {
-    std::env::var("FABRIC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// Core counts under test; override with `FABRIC_PAR_CORES=1,2,4,8`.
-fn core_grid() -> Vec<usize> {
-    std::env::var("FABRIC_PAR_CORES")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-fn engine(cores: usize) -> Engine {
-    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
-    let li = Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
-    e.register("lineitem", li.rows, li.cols);
-    e
-}
 
 /// Drive one engine through the full mixed workload: a cold + warm run
 /// of every (query, path) pair, then a seeded fault storm on RM. Every

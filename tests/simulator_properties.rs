@@ -1,11 +1,15 @@
 //! Property-based tests of the simulator substrate: the reproduction's
 //! conclusions are only as good as the hierarchy model, so its invariants
 //! get the same adversarial treatment as the data structures.
-
-#![cfg(feature = "proptest")]
+//!
+//! Generated from `FABRIC_CHAOS_SEED`; a failing case prints the seed
+//! and its index.
 
 use fabric_sim::{MemoryHierarchy, SetAssocCache, SimConfig};
-use proptest::prelude::*;
+use fabric_types::rng::for_each_case;
+
+mod support;
+use support::check_gather_and_serial_agree;
 
 /// A shadow model of one LRU set: a vector of tags, MRU last.
 #[derive(Default)]
@@ -36,103 +40,86 @@ impl ShadowSet {
     }
 }
 
-proptest! {
-    /// The cache agrees with a straightforward LRU shadow model under any
-    /// access sequence confined to one set.
-    #[test]
-    fn cache_matches_lru_shadow_model(ops in proptest::collection::vec((0u64..12, any::<bool>()), 1..300)) {
+/// The cache agrees with a straightforward LRU shadow model under any
+/// access sequence confined to one set.
+#[test]
+fn cache_matches_lru_shadow_model() {
+    for_each_case("cache matches lru shadow model", |rng| {
         // One set, 4 ways; lines 0..12 all map to set 0 of a 4x64-line,
         // single-set configuration.
         let mut cache = SetAssocCache::new(4 * 64, 4, 64);
-        prop_assert_eq!(cache.num_sets(), 1);
-        let mut shadow = ShadowSet { ways: Vec::new(), assoc: 4 };
-        for (line, do_fill) in ops {
+        assert_eq!(cache.num_sets(), 1);
+        let mut shadow = ShadowSet {
+            ways: Vec::new(),
+            assoc: 4,
+        };
+        for _ in 0..rng.gen_range(1..300usize) {
+            let (line, do_fill) = (rng.gen_range(0..12u64), rng.gen_bool(0.5));
             let addr = line * 64;
             let hit = cache.probe(addr);
             let shadow_hit = shadow.probe(addr);
-            prop_assert_eq!(hit, shadow_hit, "probe divergence on line {}", line);
+            assert_eq!(hit, shadow_hit, "probe divergence on line {line}");
             if !hit && do_fill {
                 cache.fill(addr);
                 shadow.fill(addr);
             }
         }
-    }
+    });
+}
 
-    /// Simulated time is monotone and every read returns the bytes that
-    /// were last written, regardless of the access pattern.
-    #[test]
-    fn hierarchy_time_monotone_and_data_correct(
-        writes in proptest::collection::vec((0u64..64, any::<u8>()), 1..100)
-    ) {
+/// Simulated time is monotone and every read returns the bytes that
+/// were last written, regardless of the access pattern.
+#[test]
+fn hierarchy_time_monotone_and_data_correct() {
+    for_each_case("hierarchy time monotone and data correct", |rng| {
         let mut mem = MemoryHierarchy::new(SimConfig::tiny());
         let base = mem.alloc(64 * 64, 64).unwrap();
         let mut shadow = vec![0u8; 64 * 64];
         let mut last_now = mem.now();
-        for (slot, byte) in writes {
+        for _ in 0..rng.gen_range(1..100usize) {
+            let (slot, byte) = (rng.gen_range(0..64u64), rng.next_u64() as u8);
             let addr = base + slot * 64;
             mem.write(addr, &[byte; 64]);
             shadow[(slot * 64) as usize..(slot * 64 + 64) as usize].fill(byte);
-            prop_assert!(mem.now() >= last_now);
+            assert!(mem.now() >= last_now);
             last_now = mem.now();
         }
         for slot in 0..64u64 {
             let got = mem.read(base + slot * 64, 64).to_vec();
-            prop_assert_eq!(&got[..], &shadow[(slot * 64) as usize..(slot * 64 + 64) as usize]);
+            assert_eq!(
+                &got[..],
+                &shadow[(slot * 64) as usize..(slot * 64 + 64) as usize]
+            );
         }
-        prop_assert!(mem.now() > 0);
-    }
+        assert!(mem.now() > 0);
+    });
+}
 
-    /// Gather reads and sequential reads of the same spans account the same
-    /// bytes and leave the same cache contents (timing may differ — that is
-    /// the point — but correctness must not).
-    #[test]
-    fn gather_and_serial_reads_agree_on_traffic(
-        spans in proptest::collection::vec((0u64..256, 1usize..32), 1..20)
-    ) {
-        let build = || {
-            let mut mem = MemoryHierarchy::new(SimConfig::tiny());
-            let base = mem.alloc(64 * 64 * 8, 64).unwrap();
-            (mem, base)
-        };
-        let parts: Vec<(u64, usize)> = spans
-            .iter()
-            .map(|&(off, len)| (off * 16, len))
+/// `support::check_gather_and_serial_agree` on generated spans.
+#[test]
+fn gather_and_serial_reads_agree_on_traffic() {
+    for_each_case("gather and serial reads agree on traffic", |rng| {
+        let spans: Vec<(u64, usize)> = (0..rng.gen_range(1..20usize))
+            .map(|_| (rng.gen_range(0..256u64), rng.gen_range(1..32usize)))
             .collect();
+        check_gather_and_serial_agree(&spans);
+    });
+}
 
-        let (mut serial, base) = build();
-        for &(off, len) in &parts {
-            serial.touch_read(base + off, len);
-        }
-        let (mut gather, base2) = build();
-        let abs: Vec<(u64, usize)> = parts.iter().map(|&(o, l)| (base2 + o, l)).collect();
-        gather.touch_read_gather(&abs);
-
-        let s = serial.stats();
-        let g = gather.stats();
-        prop_assert_eq!(s.bytes_read, g.bytes_read);
-        prop_assert_eq!(s.line_accesses, g.line_accesses);
-        // Gather may only be cheaper by overlapping misses, or dearer by
-        // its small per-miss issue slot — never wildly different.
-        let issue_slack = g.demand_misses * SimConfig::tiny().l1_hit_cycles;
-        prop_assert!(
-            gather.now() <= serial.now() + issue_slack,
-            "gather {} vs serial {} (+{})",
-            gather.now(),
-            serial.now(),
-            issue_slack
-        );
-    }
-
-    /// Flushing the caches never changes data, only timing.
-    #[test]
-    fn flush_is_timing_only(values in proptest::collection::vec(any::<u8>(), 64..256)) {
+/// Flushing the caches never changes data, only timing.
+#[test]
+fn flush_is_timing_only() {
+    for_each_case("flush is timing only", |rng| {
+        let values: Vec<u8> = (0..rng.gen_range(64..256usize))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
         let mut mem = MemoryHierarchy::new(SimConfig::tiny());
         let base = mem.alloc(values.len(), 64).unwrap();
         mem.write_untimed(base, &values);
         let before = mem.read(base, values.len()).to_vec();
         mem.flush_caches();
         let after = mem.read(base, values.len()).to_vec();
-        prop_assert_eq!(before.clone(), after);
-        prop_assert_eq!(&before[..], &values[..]);
-    }
+        assert_eq!(before, after);
+        assert_eq!(before, values);
+    });
 }

@@ -1,11 +1,11 @@
-//! Deterministic simulator tests that always run, independent of the
-//! `proptest` feature: the replay-determinism check that used to live in
-//! `simulator_properties.rs`, plus plain-`#[test]` ports of every failure
-//! case proptest has found (the seeds recorded in
-//! `simulator_properties.proptest-regressions`), so the regressions stay
-//! covered in offline builds where proptest is unavailable.
+//! Fixed simulator cases: the replay-determinism check, and every
+//! failing input the generated suite in `simulator_properties.rs` has
+//! found, pinned so it is checked under any seed.
 
 use fabric_sim::{MemoryHierarchy, SimConfig};
+
+mod support;
+use support::check_gather_and_serial_agree;
 
 /// Deterministic replay: identical access sequences produce identical
 /// simulated times and statistics.
@@ -26,48 +26,7 @@ fn simulation_is_deterministic() {
     assert_eq!(s1, s2);
 }
 
-/// Shared body of `gather_and_serial_reads_agree_on_traffic` from
-/// `simulator_properties.rs`, extracted so regression seeds replay as
-/// plain tests. `spans` uses the property's encoding: each `(off, len)`
-/// becomes a read of `len` bytes at byte offset `off * 16`.
-fn check_gather_and_serial_agree(spans: &[(u64, usize)]) {
-    let build = || {
-        let mut mem = MemoryHierarchy::new(SimConfig::tiny());
-        let base = mem.alloc(64 * 64 * 8, 64).unwrap();
-        (mem, base)
-    };
-    let parts: Vec<(u64, usize)> = spans.iter().map(|&(off, len)| (off * 16, len)).collect();
-
-    let (mut serial, base) = build();
-    for &(off, len) in &parts {
-        serial.touch_read(base + off, len);
-    }
-    let (mut gather, base2) = build();
-    let abs: Vec<(u64, usize)> = parts.iter().map(|&(o, l)| (base2 + o, l)).collect();
-    gather.touch_read_gather(&abs);
-
-    let s = serial.stats();
-    let g = gather.stats();
-    assert_eq!(s.bytes_read, g.bytes_read, "bytes diverge for {spans:?}");
-    assert_eq!(
-        s.line_accesses, g.line_accesses,
-        "line accesses diverge for {spans:?}"
-    );
-    // Gather may only be cheaper by overlapping misses, or dearer by its
-    // small per-miss issue slot — never wildly different.
-    let issue_slack = g.demand_misses * SimConfig::tiny().l1_hit_cycles;
-    assert!(
-        gather.now() <= serial.now() + issue_slack,
-        "gather {} vs serial {} (+{}) for {spans:?}",
-        gather.now(),
-        serial.now(),
-        issue_slack
-    );
-}
-
-/// Port of the proptest-regressions seed
-/// `cc262f353088edfd960371e3fa74c1b8d610bf80834dcb81978db5eb2ab7f782`,
-/// which shrank to `spans = [(0, 1)]`: a single one-byte read. The original
+/// A failure that shrank to `spans = [(0, 1)]`: a single one-byte read. The original
 /// failure was a timing asymmetry on the smallest possible gather — the
 /// gather path must not be slower than one serial read plus its issue slot.
 #[test]

@@ -1,0 +1,125 @@
+//! Shared by the integration suites (`mod support;`): one place that
+//! reads the seed and core-grid environment variables, and the engines
+//! several suites build. Each suite uses a subset.
+#![allow(dead_code)]
+
+use fabric_sim::{MemoryHierarchy, SimConfig};
+use fabric_types::{ColumnType, Schema, Value};
+use query::Engine;
+use rowstore::RowTable;
+use workload::Lineitem;
+
+/// The lineitem the grid suites share.
+pub const ROWS: usize = 20_000;
+pub const DATA_SEED: u64 = 0x9A5_5EED;
+
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+pub const DEFAULT_SEED: u64 = fabric_types::rng::DEFAULT_CHAOS_SEED;
+
+/// The sweep seed (`FABRIC_CHAOS_SEED`), read where the property runner
+/// reads it.
+pub fn seed() -> u64 {
+    fabric_types::rng::chaos_seed()
+}
+
+/// Core counts under test; override with `FABRIC_PAR_CORES=1,2,4,8`.
+pub fn core_grid() -> Vec<usize> {
+    std::env::var("FABRIC_PAR_CORES")
+        .ok()
+        .map(|v| {
+            v.split(',')
+                .filter_map(|t| t.trim().parse().ok())
+                .filter(|&n| n >= 1)
+                .collect()
+        })
+        .filter(|v: &Vec<usize>| !v.is_empty())
+        .unwrap_or_else(|| vec![1, 2, 4])
+}
+
+/// TPC-H Q1 as the SQL front end runs it: grouped f64 aggregates over
+/// most of the table — the hard case for fold-shape identity, touching
+/// scan, predicate and grouping on all three access paths.
+pub const Q1: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
+     sum(l_extendedprice * (1 - l_discount)), avg(l_quantity), count(*) \
+     FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+     GROUP BY l_returnflag, l_linestatus";
+/// TPC-H Q6: a scalar aggregate over a selective conjunctive range filter.
+pub const Q6: &str = "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
+     WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
+     AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24";
+/// A projection with ORDER BY / LIMIT post-processing.
+pub const TOP10: &str = "SELECT l_orderkey, l_extendedprice FROM lineitem \
+     WHERE l_quantity < 5 ORDER BY 2 DESC LIMIT 10";
+
+/// `ROWS` rows of TPC-H lineitem, registered with both layouts.
+pub fn engine(cores: usize) -> Engine {
+    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
+    let li = Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
+    e.register("lineitem", li.rows, li.cols);
+    e
+}
+
+/// Wide rows-only table `t` the optimizer always routes to RM (16 × i64,
+/// no columnar copy; the packed projection dominates a full-row scan).
+/// c_j(i) = i*16 + j.
+pub fn wide_rm_engine(rows: usize) -> Engine {
+    let mut engine = Engine::new(SimConfig::zynq_a53());
+    let names: Vec<(String, ColumnType)> = (0..16)
+        .map(|i| (format!("c{i}"), ColumnType::I64))
+        .collect();
+    let pairs: Vec<(&str, ColumnType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let schema = Schema::from_pairs(&pairs);
+    let mut rt = RowTable::create(engine.mem(), schema, rows).unwrap();
+    for i in 0..rows as i64 {
+        let row: Vec<Value> = (0..16).map(|j| Value::I64(i * 16 + j)).collect();
+        rt.load(engine.mem(), &row).unwrap();
+    }
+    engine.register_rows("t", rt);
+    engine
+}
+
+/// Gather reads and sequential reads of the same spans account the same
+/// bytes and leave the same cache contents (timing may differ — that is
+/// the point — but correctness must not). Each `(off, len)` is a read of
+/// `len` bytes at byte offset `off * 16`. Shared by the generated suite
+/// and the pinned regressions.
+pub fn check_gather_and_serial_agree(spans: &[(u64, usize)]) {
+    let build = || {
+        let mut mem = MemoryHierarchy::new(SimConfig::tiny());
+        let base = mem.alloc(64 * 64 * 8, 64).unwrap();
+        (mem, base)
+    };
+    let parts: Vec<(u64, usize)> = spans.iter().map(|&(off, len)| (off * 16, len)).collect();
+
+    let (mut serial, base) = build();
+    for &(off, len) in &parts {
+        serial.touch_read(base + off, len);
+    }
+    let (mut gather, base2) = build();
+    let abs: Vec<(u64, usize)> = parts.iter().map(|&(o, l)| (base2 + o, l)).collect();
+    gather.touch_read_gather(&abs);
+
+    let s = serial.stats();
+    let g = gather.stats();
+    assert_eq!(s.bytes_read, g.bytes_read, "bytes diverge for {spans:?}");
+    assert_eq!(
+        s.line_accesses, g.line_accesses,
+        "line accesses diverge for {spans:?}"
+    );
+    // Gather may only be cheaper by overlapping misses, or dearer by its
+    // small per-miss issue slot — never wildly different.
+    let issue_slack = g.demand_misses * SimConfig::tiny().l1_hit_cycles;
+    assert!(
+        gather.now() <= serial.now() + issue_slack,
+        "gather {} vs serial {} (+{}) for {spans:?}",
+        gather.now(),
+        serial.now(),
+        issue_slack
+    );
+}

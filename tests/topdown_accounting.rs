@@ -16,70 +16,12 @@
 //! ```
 
 use fabric_sim::{
-    parse_json, validate_chrome_trace, FaultConfig, Json, Postmortem, RecoveryPolicy, SimConfig,
+    parse_json, validate_chrome_trace, FaultConfig, Json, Postmortem, RecoveryPolicy,
 };
-use fabric_types::{ColumnType, Schema, Value};
-use query::{AccessPath, Engine, FaultContext, QueryOutput};
-use rowstore::RowTable;
-use workload::Lineitem;
+use query::{AccessPath, FaultContext, QueryOutput};
 
-const ROWS: usize = 20_000;
-const DATA_SEED: u64 = 0x9A5_5EED;
-const DEFAULT_SEED: u64 = 0xFA_B51C;
-
-/// TPC-H Q1: grouped f64 aggregates over most of the table — touches
-/// every layer (scan, predicate, grouping) on all three access paths.
-const Q1: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
-                  sum(l_extendedprice * (1 - l_discount)), avg(l_quantity), count(*) \
-                  FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
-                  GROUP BY l_returnflag, l_linestatus";
-
-fn seed() -> u64 {
-    std::env::var("FABRIC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// Core counts under test; override with `FABRIC_PAR_CORES=1,2,4,8`.
-fn core_grid() -> Vec<usize> {
-    std::env::var("FABRIC_PAR_CORES")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n >= 1)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-fn engine(cores: usize) -> Engine {
-    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
-    let li = Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
-    e.register("lineitem", li.rows, li.cols);
-    e
-}
-
-/// Wide rows-only table the optimizer routes to RM (16 × i64) — the shape
-/// the flight-recorder chaos runs use so every query exercises the
-/// fault-injected device path.
-fn rm_engine() -> Engine {
-    let mut engine = Engine::new(SimConfig::zynq_a53());
-    let names: Vec<(String, ColumnType)> = (0..16)
-        .map(|i| (format!("c{i}"), ColumnType::I64))
-        .collect();
-    let pairs: Vec<(&str, ColumnType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let schema = Schema::from_pairs(&pairs);
-    let mut rt = RowTable::create(engine.mem(), schema, 4_096).unwrap();
-    for i in 0..4_096i64 {
-        let row: Vec<Value> = (0..16).map(|j| Value::I64(i * 16 + j)).collect();
-        rt.load(engine.mem(), &row).unwrap();
-    }
-    engine.register_rows("t", rt);
-    engine
-}
+mod support;
+use support::{core_grid, engine, seed, wide_rm_engine, Q1};
 
 const RM_SQL: &str = "SELECT c0, c5 FROM t WHERE c0 < 1000000";
 
@@ -201,7 +143,7 @@ fn chaos_seeded_faulty_runs_still_reconcile_exactly() {
 #[test]
 fn attribution_reconciles_and_keeps_fault_counters_under_degradation() {
     let s = seed();
-    let mut e = rm_engine();
+    let mut e = wide_rm_engine(4_096);
     e.set_fault_context(FaultContext::new(dead_device(s), RecoveryPolicy::default()));
     let out = e.session().run_on(RM_SQL, AccessPath::Rm).unwrap();
     assert_eq!(
@@ -225,7 +167,7 @@ fn attribution_reconciles_and_keeps_fault_counters_under_degradation() {
 
 /// Drive a chaos-seeded sweep and drain the postmortems it dumped.
 fn postmortem_run(cfg: FaultConfig, queries: usize) -> (Vec<Postmortem>, String) {
-    let mut e = rm_engine();
+    let mut e = wide_rm_engine(4_096);
     e.set_fault_context(FaultContext::new(cfg, RecoveryPolicy::default()));
     for _ in 0..queries {
         e.session().run(RM_SQL).expect("resilient");

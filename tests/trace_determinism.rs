@@ -14,37 +14,12 @@ use fabric_sim::{
 };
 use fabric_types::{ColumnType, Schema, Value};
 use mvcc::DurableStore;
-use query::{AccessPath, Engine, FaultContext};
-use rowstore::RowTable;
+use query::{AccessPath, FaultContext};
 
-/// Default sweep seed; override with `FABRIC_CHAOS_SEED`.
-const DEFAULT_SEED: u64 = 0xFA_B51C;
+mod support;
+use support::{seed, wide_rm_engine};
 const ROWS: usize = 4_096;
 const SQL: &str = "SELECT c0, c5 FROM t WHERE c0 < 1000000";
-
-fn seed() -> u64 {
-    std::env::var("FABRIC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// Wide rows-only table the optimizer routes to RM (16 × i64).
-fn engine() -> Engine {
-    let mut engine = Engine::new(SimConfig::zynq_a53());
-    let names: Vec<(String, ColumnType)> = (0..16)
-        .map(|i| (format!("c{i}"), ColumnType::I64))
-        .collect();
-    let pairs: Vec<(&str, ColumnType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let schema = Schema::from_pairs(&pairs);
-    let mut rt = RowTable::create(engine.mem(), schema, ROWS).unwrap();
-    for i in 0..ROWS as i64 {
-        let row: Vec<Value> = (0..16).map(|j| Value::I64(i * 16 + j)).collect();
-        rt.load(engine.mem(), &row).unwrap();
-    }
-    engine.register_rows("t", rt);
-    engine
-}
 
 /// A chaos-seeded resilient sweep under a recorder of the given capacity:
 /// returns (chrome trace JSON, metrics snapshot JSON, total rows out,
@@ -54,7 +29,7 @@ fn chaos_run(
     queries: usize,
     ring_capacity: usize,
 ) -> (String, String, usize, u64) {
-    let mut engine = engine();
+    let mut engine = wide_rm_engine(ROWS);
     engine.set_fault_context(FaultContext::new(cfg, RecoveryPolicy::default()));
     engine
         .mem()
@@ -323,7 +298,7 @@ fn sampling_profiler_is_zero_cost_on_the_simulated_clock() {
 #[test]
 fn noop_recorder_run_matches_uninstrumented_cycle_counts_exactly() {
     // Baseline: the hierarchy as constructed (its default recorder).
-    let mut base_engine = engine();
+    let mut base_engine = wide_rm_engine(ROWS);
     let base = base_engine
         .session()
         .run_on(SQL, AccessPath::Rm)
@@ -331,7 +306,7 @@ fn noop_recorder_run_matches_uninstrumented_cycle_counts_exactly() {
     let base_stats = base_engine.mem_ref().stats();
 
     // An explicit no-op recorder must not perturb a single cycle.
-    let mut noop_engine = engine();
+    let mut noop_engine = wide_rm_engine(ROWS);
     noop_engine.mem().set_recorder(Box::new(NoopRecorder));
     let noop = noop_engine
         .session()
@@ -346,7 +321,7 @@ fn noop_recorder_run_matches_uninstrumented_cycle_counts_exactly() {
     assert_eq!(noop.rows, base.rows);
 
     // Full tracing observes the same clock: recording never advances it.
-    let mut traced_engine = engine();
+    let mut traced_engine = wide_rm_engine(ROWS);
     traced_engine
         .mem()
         .set_recorder(Box::new(RingRecorder::new(1 << 14)));

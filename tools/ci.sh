@@ -92,6 +92,20 @@ cd "$(dirname "$0")/.."
 
 say() { printf '\n==> %s\n' "$*"; }
 
+# seeded_test <title> <test> <NAME=value>...: run one suite of tests/ under
+# the given environment. Every such suite is deterministic in it, so a red
+# run reproduces locally with the command printed here.
+seeded_test() {
+    title=$1
+    test=$2
+    shift 2
+    say "$title ($*)"
+    if ! env "$@" cargo test -q --test "$test"; then
+        printf '\n%s FAILED — replay with:\n  %s cargo test --test %s\n' "$title" "$*" "$test"
+        exit 1
+    fi
+}
+
 if cargo fmt --version >/dev/null 2>&1; then
     say "cargo fmt --check"
     cargo fmt --check
@@ -108,81 +122,28 @@ cargo test -q --workspace
 say "cargo run -p fabric-lint -- --self-check"
 cargo run -q -p fabric-lint -- --self-check
 
-# Bounded chaos: a fixed-seed sweep of randomized fault plans over
-# RM-routed queries. Deterministic, so a red run here reproduces locally
-# with the exact command below. Override the seed to explore, e.g.
+# The seeded steps share one fixed seed and one core grid. Override to
+# explore or widen, e.g.
 #   FABRIC_CHAOS_SEED=$RANDOM FABRIC_CHAOS_PLANS=32 tools/ci.sh
+#   FABRIC_PAR_CORES=1,2,4,8 tools/ci.sh
 CHAOS_SEED="${FABRIC_CHAOS_SEED:-16430364}"
 CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
-say "chaos sweep (FABRIC_CHAOS_SEED=$CHAOS_SEED, $CHAOS_PLANS plans)"
-if ! FABRIC_CHAOS_SEED="$CHAOS_SEED" FABRIC_CHAOS_PLANS="$CHAOS_PLANS" \
-    cargo test -q --test fault_tolerance; then
-    printf '\nchaos sweep FAILED — replay with:\n'
-    printf '  FABRIC_CHAOS_SEED=%s FABRIC_CHAOS_PLANS=%s cargo test --test fault_tolerance\n' \
-        "$CHAOS_SEED" "$CHAOS_PLANS"
-    exit 1
-fi
-
-# Bounded observability check: trace one query end to end (the bin
-# validates the export with fabric-obs's own chrome-trace validator and
-# exits non-zero on a malformed or unbalanced trace), then assert the
-# determinism contract — two runs with the same chaos seed must export
-# byte-identical event streams and metrics snapshots.
-say "traced query (trace_query --rows 8192) + trace determinism"
-cargo run -q --release -p bench --bin trace_query -- --rows 8192
-if ! FABRIC_CHAOS_SEED="$CHAOS_SEED" cargo test -q --test trace_determinism; then
-    printf '\ntrace determinism FAILED — replay with:\n'
-    printf '  FABRIC_CHAOS_SEED=%s cargo test --test trace_determinism\n' "$CHAOS_SEED"
-    exit 1
-fi
-
-# Parallel equivalence: morsel-driven execution at 1/2/4 cores must return
-# answers bit-identical to the 1-core run on every access path, with the
-# per-core cycle attribution reconciling against the global clock — under
-# the same fixed chaos seed as the sweep above. Widen the grid with e.g.
-#   FABRIC_PAR_CORES=1,2,4,8 tools/ci.sh
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
-say "parallel equivalence (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-    cargo test -q --test parallel_equivalence; then
-    printf '\nparallel equivalence FAILED — replay with:\n'
-    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test parallel_equivalence\n' \
-        "$PAR_CORES" "$CHAOS_SEED"
-    exit 1
-fi
+SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
+GRID="FABRIC_PAR_CORES=$PAR_CORES"
 
-# Executor equivalence: the staged executor's contracts over the full
-# grid — every access path at 1/2/4 cores, cold and warm operator cache,
-# with the fixed chaos seed arming the cache-bypass check. Warm runs must
-# replay bit-identical answers with zero hierarchy traffic.
-say "executor equivalence (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-    cargo test -q --test executor_equivalence; then
-    printf '\nexecutor equivalence FAILED — replay with:\n'
-    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test executor_equivalence\n' \
-        "$PAR_CORES" "$CHAOS_SEED"
-    exit 1
-fi
+seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
 
-# Query-log / calibration determinism: the engine-wide query log and the
-# cost-calibration ledger over the same grid (path x cores x chaos seed x
-# cache temperature). Two identically seeded engines must export
-# byte-identical querylog/workload/calib JSON, per-operator estimates
-# must sum bit-exactly to the path estimate, and cache hits / degraded
-# runs must be logged without ever feeding the ledger.
-say "querylog determinism (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-    cargo test -q --test querylog_determinism; then
-    printf '\nquerylog determinism FAILED — replay with:\n'
-    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test querylog_determinism\n' \
-        "$PAR_CORES" "$CHAOS_SEED"
-    exit 1
-fi
+# The bin validates its export with fabric-obs's own chrome-trace
+# validator and exits non-zero on a malformed or unbalanced trace.
+say "traced query (trace_query --rows 8192)"
+cargo run -q --release -p bench --bin trace_query -- --rows 8192
+seeded_test "trace determinism" trace_determinism "$SEED"
 
-# Profiler determinism: the cycle-domain sampling profiler is a pure
-# function of the workload and the simulated clock, so two same-seed runs
-# must export byte-identical collapsed-stack profiles. The bin itself
-# asserts the sample total reconciles with the cycles it observed.
+seeded_test "parallel equivalence" parallel_equivalence "$GRID" "$SEED"
+seeded_test "executor equivalence" executor_equivalence "$GRID" "$SEED"
+seeded_test "querylog determinism" querylog_determinism "$GRID" "$SEED"
+
 say "profiler determinism (profile_query twice, byte-identical .folded)"
 PROF_SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$PROF_SCRATCH"' EXIT INT TERM
@@ -199,61 +160,25 @@ if ! cmp -s "$PROF_SCRATCH/1/PROFILE_query.folded" "$PROF_SCRATCH/2/PROFILE_quer
 fi
 rm -rf "$PROF_SCRATCH"
 
-# Perf regression gate: rerun one bench from each family (ablation,
-# figure reproduction, traced query, crash recovery, profiled query) into
-# a scratch results dir and compare against the checked-in baselines. The
-# simulator is deterministic, so cycle counters must match the baseline
-# EXACTLY; gauges — including the per-class latency percentiles — get 5%;
-# host wall-clock metrics are excluded by policy. A legitimate perf
-# change re-stamps baselines with:
+# One bench from each family (ablation, figure reproduction, traced query,
+# crash recovery, profiled query, query log). A legitimate perf change
+# re-stamps baselines with:
 #   tools/perf_gate.sh --update-baselines
 say "perf regression gate (abl_parallel fig5_projectivity trace_query abl_recovery profile_query querylog_report + self-test)"
 tools/perf_gate.sh --check abl_parallel fig5_projectivity trace_query abl_recovery profile_query querylog_report
 
-# Crash-recovery matrix: deterministic power cuts at every durable write
-# site of the WAL/checkpoint protocol (DESIGN.md §14), plus recovery
-# idempotence and the recovered-answer equivalence invariant. Same seed
-# discipline as the chaos sweep; a red run replays with the printed
-# command.
-say "crash-recovery matrix (FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_CHAOS_SEED="$CHAOS_SEED" cargo test -q --test crash_recovery; then
-    printf '\ncrash-recovery matrix FAILED — replay with:\n'
-    printf '  FABRIC_CHAOS_SEED=%s cargo test --test crash_recovery\n' "$CHAOS_SEED"
-    exit 1
-fi
+seeded_test "crash-recovery matrix" crash_recovery "$SEED"
+seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
 
-# Host fast paths: every piece of host-side work DESIGN.md §18 removed is
-# compared with the code it replaced on generated inputs, seeded like the
-# chaos sweep.
-say "host fast paths (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-    cargo test -q --test host_fast_paths; then
-    printf '\nhost fast paths FAILED — replay with:\n'
-    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test host_fast_paths\n' \
-        "$PAR_CORES" "$CHAOS_SEED"
-    exit 1
-fi
-
-# Exact host work: allocations per query, counted by a global allocator
-# that exists in that test binary only. Deterministic, no seed.
+# Deterministic, no seed: the counting allocator exists in this test
+# binary only.
 say "allocation steady state"
 cargo test -q --test alloc_steady_state
 
-# Result batches: what `QueryOutput.rows` holds must be what the
-# row-vector pipeline returned, for generated tables and every ORDER BY /
-# LIMIT shape (DESIGN.md §19), seeded like the chaos sweep.
-say "result batches (FABRIC_PAR_CORES=$PAR_CORES, FABRIC_CHAOS_SEED=$CHAOS_SEED)"
-if ! FABRIC_PAR_CORES="$PAR_CORES" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-    cargo test -q --test result_batch; then
-    printf '\nresult batches FAILED — replay with:\n'
-    printf '  FABRIC_PAR_CORES=%s FABRIC_CHAOS_SEED=%s cargo test --test result_batch\n' \
-        "$PAR_CORES" "$CHAOS_SEED"
-    exit 1
-fi
+seeded_test "result batches" result_batch "$GRID" "$SEED"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
-# outside `cargo test --workspace`; its smoke test runs every workload at
-# tiny scale and checks the metric schema against BENCHMARK.json.
+# outside `cargo test --workspace`.
 say "benchmark smoke test (benchmark/Cargo.toml)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
