@@ -16,13 +16,22 @@
 //! * [`reconstruct`] — lockstep iteration plus per-value tuple-stitching
 //!   cost, the "tuple reconstruction cost" of paper §II;
 //! * [`sum_expr`] — aggregate an expression over columns.
+//!
+//! Values leave the lockstep pass a *chunk* at a time, as typed column
+//! views over the arrays' own bytes ([`lockstep_chunks_range`],
+//! [`lockstep_chunks_fused`]); the `for_each_lockstep*` entry points and
+//! [`reconstruct`] are the same kernel with a decoded tuple per row, for
+//! callers that want `Value`s. Predicates compare through the same views.
 
-use crate::table::ColTable;
+use crate::table::{ColRef, ColTable};
 use fabric_sim::MemoryHierarchy;
-use fabric_types::{CmpOp, ColumnId, Expr, FabricError, Result, Value};
+use fabric_types::{
+    Chunk, ChunkError, CmpOp, ColumnId, ColumnSpec, ColumnView, Expr, F64Regs, FabricError, Result,
+    ScanScratch, Value,
+};
 
 /// Rows per vectorized batch (a classic vector size: 1024 values).
-pub const BATCH_ROWS: usize = 1024;
+pub use fabric_types::BATCH_ROWS;
 
 /// Cycles for one comparison against a value of this column type
 /// (floating-point compares run on the FPU).
@@ -87,7 +96,7 @@ pub fn scan_filter_conj_range_into(
     let w = c.ty.width();
     let costs = mem.costs();
     let end = end.min(t.len());
-    let mut kept: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
+    let mut pass: Vec<bool> = Vec::with_capacity(BATCH_ROWS);
     let mut row = start.min(end);
     if row < end {
         mem.cpu(costs.vector_setup);
@@ -96,19 +105,21 @@ pub fn scan_filter_conj_range_into(
         let n = BATCH_ROWS.min(end - row);
         mem.touch_read(c.at(row), n * w);
         mem.cpu(n as u64 * (costs.vector_elem + cmp_cycles(&costs, c.ty) * preds.len() as u64));
-        let bytes = mem.bytes(c.at(row), n * w);
-        'rows: for i in 0..n {
-            let v = Value::decode(c.ty, &bytes[i * w..(i + 1) * w]);
-            for (op, value) in preds {
-                if !op.matches(v.compare(value)?) {
-                    continue 'rows;
-                }
+        let values = ColumnView::new(c.ty, mem.bytes(c.at(row), n * w), w);
+        pass.clear();
+        pass.resize(n, true);
+        for (op, value) in preds {
+            // A conjunct is only ever evaluated on rows the earlier ones
+            // kept — with none left, not at all (it may not even compare).
+            if pass.contains(&true) {
+                values.select(*op, value, &mut pass)?;
             }
-            kept.push((row + i) as u32);
         }
-        if !kept.is_empty() {
-            mem.touch_write(t.sv_out_addr(sel.len()), kept.len() * 4);
-            sel.append(&mut kept);
+        let before = sel.len();
+        let kept = pass.iter().enumerate().filter(|(_, &p)| p);
+        sel.extend(kept.map(|(i, _)| (row + i) as u32));
+        if sel.len() > before {
+            mem.touch_write(t.sv_out_addr(before), (sel.len() - before) * 4);
         }
         row += n;
     }
@@ -176,12 +187,10 @@ pub fn scan_filter_cand_range_into(
             mem.touch_read(t.sv_in_addr(ci0), (ci - ci0) * 4);
             mem.cpu((ci - ci0) as u64 * costs.value_op);
         }
-        let bytes = mem.bytes(c.at(row), n * w);
+        let values = ColumnView::new(c.ty, mem.bytes(c.at(row), n * w), w);
         'cands: for &pos in &candidates[ci0..ci] {
-            let i = pos as usize - row;
-            let v = Value::decode(c.ty, &bytes[i * w..(i + 1) * w]);
             for (op, value) in preds {
-                if !op.matches(v.compare(value)?) {
+                if !op.matches(values.compare(pos as usize - row, value)?) {
                     continue 'cands;
                 }
             }
@@ -220,10 +229,9 @@ pub fn refine_conj(
         'cands: for &pos in chunk {
             mem.touch_read(c.at(pos as usize), w);
             mem.cpu(costs.vector_elem + costs.value_op * preds.len() as u64);
-            let bytes = mem.bytes(c.at(pos as usize), w);
-            let v = Value::decode(c.ty, bytes);
+            let v = ColumnView::new(c.ty, mem.bytes(c.at(pos as usize), w), w);
             for (op, value) in preds {
-                if !op.matches(v.compare(value)?) {
+                if !op.matches(v.compare(0, value)?) {
                     continue 'cands;
                 }
             }
@@ -251,11 +259,7 @@ pub fn for_each_lockstep<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    let rows = match sel {
-        Some(s) => RowSet::Sel(s),
-        None => RowSet::Range(0, t.len()),
-    };
-    lockstep_impl(mem, t, cols, rows, false, true, rows_only(f))
+    lockstep_rows(mem, t, cols, RowSet::of(t, sel), false, true, f, |_| Ok(()))
 }
 
 /// [`for_each_lockstep`] over an explicit selection vector that is still
@@ -274,7 +278,7 @@ pub fn for_each_lockstep_fused<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    lockstep_impl(mem, t, cols, RowSet::Sel(sel), false, false, rows_only(f))
+    lockstep_rows(mem, t, cols, RowSet::Sel(sel), false, false, f, |_| Ok(()))
 }
 
 /// [`for_each_lockstep`] over the dense raw-row range `[start, end)` —
@@ -290,9 +294,8 @@ pub fn for_each_lockstep_range<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    let end = end.min(t.len());
-    let rows = RowSet::Range(start.min(end), end);
-    lockstep_impl(mem, t, cols, rows, false, true, rows_only(f))
+    let rows = RowSet::range(t, start, end);
+    lockstep_rows(mem, t, cols, rows, false, true, f, |_| Ok(()))
 }
 
 /// Reconstruct row-major tuples batch by batch, charging the per-value
@@ -310,46 +313,95 @@ pub fn reconstruct<F>(
 where
     F: FnMut(&mut MemoryHierarchy, &TupleBatch) -> Result<()>,
 {
-    let arity = cols.len();
-    let mut batch = TupleBatch {
-        arity,
+    let batch = std::cell::RefCell::new(TupleBatch {
+        arity: cols.len(),
         values: Vec::new(),
+    });
+    let on_row = |_: &mut MemoryHierarchy, _, vals: &[Value]| {
+        batch.borrow_mut().values.extend_from_slice(vals);
+        Ok(())
     };
-    let rows = match sel {
-        Some(s) => RowSet::Sel(s),
-        None => RowSet::Range(0, t.len()),
+    let end_chunk = |mem: &mut MemoryHierarchy| {
+        let mut batch = batch.borrow_mut();
+        if !batch.values.is_empty() {
+            f(mem, &batch)?;
+            batch.values.clear();
+        }
+        Ok(())
     };
-    lockstep_impl(mem, t, cols, rows, true, true, |mem, ev| match ev {
-        Event::Row(_, vals) => {
-            batch.values.extend_from_slice(vals);
-            Ok(())
-        }
-        Event::BatchEnd => {
-            if !batch.values.is_empty() {
-                f(mem, &batch)?;
-                batch.values.clear();
-            }
-            Ok(())
-        }
-    })
+    lockstep_rows(
+        mem,
+        t,
+        cols,
+        RowSet::of(t, sel),
+        true,
+        true,
+        on_row,
+        end_chunk,
+    )
 }
 
-/// Events delivered by [`lockstep_impl`].
-enum Event<'a> {
-    Row(usize, &'a [Value]),
-    BatchEnd,
+/// Lockstep pass over the dense raw-row range `[start, end)` a chunk at a
+/// time: each chunk of at most [`BATCH_ROWS`] rows is handed to `consume`
+/// as typed column views (stride = value width) over the column arrays
+/// plus the chunk's row ids, and each row costs `pass_cycles` of
+/// consumption on top of the pass's own charges.
+///
+/// `consume` is host-only and runs before its chunk's rows are charged;
+/// the simulated clock cannot tell (DESIGN.md §21). When it fails on a row,
+/// exactly the rows up to that one are charged.
+#[allow(clippy::too_many_arguments)]
+pub fn lockstep_chunks_range(
+    mem: &mut MemoryHierarchy,
+    t: &ColTable,
+    cols: &[ColumnId],
+    start: usize,
+    end: usize,
+    pass_cycles: u64,
+    scratch: &mut ScanScratch,
+    consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+) -> Result<()> {
+    let rows = RowSet::range(t, start, end);
+    lockstep_chunks(mem, t, cols, rows, true, pass_cycles, scratch, consume)
 }
 
-/// The per-row callback of the `for_each_lockstep*` entry points as a
-/// [`lockstep_impl`] event handler: batch boundaries are of no interest.
-fn rows_only<F>(mut f: F) -> impl for<'a> FnMut(&mut MemoryHierarchy, Event<'a>) -> Result<()>
-where
-    F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
-{
-    move |mem, ev| match ev {
-        Event::Row(row, vals) => f(mem, row, vals),
-        Event::BatchEnd => Ok(()),
-    }
+/// Chunk-at-a-time lockstep pass over a register-resident selection vector
+/// (see [`for_each_lockstep_fused`] for what that means for the charges,
+/// [`lockstep_chunks_range`] for the chunks).
+pub fn lockstep_chunks_fused(
+    mem: &mut MemoryHierarchy,
+    t: &ColTable,
+    cols: &[ColumnId],
+    sel: &[u32],
+    pass_cycles: u64,
+    scratch: &mut ScanScratch,
+    consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+) -> Result<()> {
+    let rows = RowSet::Sel(sel);
+    lockstep_chunks(mem, t, cols, rows, false, pass_cycles, scratch, consume)
+}
+
+/// [`lockstep_impl`] for a chunk consumer whose every row costs
+/// `pass_cycles`.
+#[allow(clippy::too_many_arguments)]
+fn lockstep_chunks(
+    mem: &mut MemoryHierarchy,
+    t: &ColTable,
+    cols: &[ColumnId],
+    rows: RowSet<'_>,
+    read_sv: bool,
+    pass_cycles: u64,
+    scratch: &mut ScanScratch,
+    consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+) -> Result<()> {
+    let on_row = |mem: &mut MemoryHierarchy, _| {
+        mem.cpu(pass_cycles);
+        Ok(())
+    };
+    let end_chunk = |_: &mut MemoryHierarchy| Ok(());
+    lockstep_impl(
+        mem, t, cols, rows, false, read_sv, scratch, consume, on_row, end_chunk,
+    )
 }
 
 /// Which rows a lockstep pass visits: a dense raw-row range (unselective
@@ -357,6 +409,19 @@ where
 enum RowSet<'a> {
     Range(usize, usize),
     Sel(&'a [u32]),
+}
+
+impl<'a> RowSet<'a> {
+    /// `sel`, or every row of `t`.
+    fn of(t: &ColTable, sel: Option<&'a [u32]>) -> Self {
+        sel.map_or(RowSet::Range(0, t.len()), RowSet::Sel)
+    }
+
+    /// `[start, end)` clamped to `t`.
+    fn range(t: &ColTable, start: usize, end: usize) -> Self {
+        let end = end.min(t.len());
+        RowSet::Range(start.min(end), end)
+    }
 }
 
 /// Sum `expr` (over slots matching `cols` order) across `sel` (or all rows).
@@ -367,41 +432,88 @@ pub fn sum_expr(
     expr: &Expr,
     sel: Option<&[u32]>,
 ) -> Result<f64> {
-    let ops = expr.ops();
+    let per_row = mem.costs().value_op * (expr.ops() + 1);
+    let program = expr.compile_f64();
+    let mut regs = F64Regs::default();
     let mut total = 0.0;
-    let costs = mem.costs();
-    for_each_lockstep(mem, t, cols, sel, |mem, _, vals| {
-        mem.cpu(costs.value_op * (ops + 1));
-        total += expr.eval_f64(vals)?;
+    let consume = |chunk: &Chunk<'_>, rows: &[u32]| {
+        let values = program.eval_chunk(chunk, rows, &mut regs)?;
+        (0..rows.len()).for_each(|k| total += values.at(k));
         Ok(())
-    })?;
+    };
+    let scratch = &mut ScanScratch::default();
+    let rows = RowSet::of(t, sel);
+    lockstep_chunks(mem, t, cols, rows, true, per_row, scratch, consume)?;
     Ok(total)
 }
 
-/// Shared lockstep machinery.
-///
-/// Per batch of up to [`BATCH_ROWS`] positions, each column array is read in
-/// turn (a stream switch per column, which is what exposes the prefetcher's
-/// stream limit), values are decoded into per-column staging, and then rows
-/// are emitted in order as [`Event::Row`]; [`Event::BatchEnd`] fires at
-/// batch boundaries (used by [`reconstruct`] to flush). `vector_setup` is
-/// charged once per invocation. When `read_sv` is false the selection
-/// vector is treated as register-resident (fused producer→consumer) and is
-/// not re-read through the hierarchy.
-fn lockstep_impl<F>(
+/// [`lockstep_impl`] a row at a time: every row is decoded into one tuple
+/// buffer and handed to `on_row(mem, row id, values)` where the kernel
+/// charges it; `end_chunk` fires at batch boundaries.
+#[allow(clippy::too_many_arguments)]
+fn lockstep_rows(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
     materialize: bool,
     read_sv: bool,
-    mut emit: F,
-) -> Result<()>
-where
-    F: for<'a> FnMut(&mut MemoryHierarchy, Event<'a>) -> Result<()>,
-{
+    mut on_row: impl FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
+    end_chunk: impl FnMut(&mut MemoryHierarchy) -> Result<()>,
+) -> Result<()> {
+    let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
+    let mut row_buf: Vec<Value> = Vec::with_capacity(cols.len());
+    let decoded = |mem: &mut MemoryHierarchy, row_id| {
+        Value::decode_row_into(
+            &mut row_buf,
+            refs.iter()
+                .map(|c| (c.ty, mem.bytes(c.at(row_id), c.ty.width()))),
+        );
+        on_row(mem, row_id, &row_buf)
+    };
+    let scratch = &mut ScanScratch::default();
+    let consume = |_: &Chunk<'_>, _: &[u32]| Ok(());
+    lockstep_impl(
+        mem,
+        t,
+        cols,
+        rows,
+        materialize,
+        read_sv,
+        scratch,
+        consume,
+        decoded,
+        end_chunk,
+    )
+}
+
+/// The one lockstep kernel.
+///
+/// Per batch of up to [`BATCH_ROWS`] positions: (i) `consume`, host-only,
+/// over typed views of the column arrays and the batch's positions; (ii)
+/// the charge sequence — the selection vector's read unless it is
+/// register-resident (`read_sv` false: fused producer→consumer), then per
+/// row each column array in turn (a stream switch per column, which is what
+/// exposes the prefetcher's stream limit), one `vector_elem` per value
+/// (plus the stitching cost when tuples are materialized) and
+/// `on_row(mem, row id)` — which stops after the row `consume` failed on,
+/// if it did; (iii) `end_chunk`. `vector_setup` is charged once per
+/// invocation.
+#[allow(clippy::too_many_arguments)]
+fn lockstep_impl(
+    mem: &mut MemoryHierarchy,
+    t: &ColTable,
+    cols: &[ColumnId],
+    rows: RowSet<'_>,
+    materialize: bool,
+    read_sv: bool,
+    scratch: &mut ScanScratch,
+    mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+    mut on_row: impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>,
+    mut end_chunk: impl FnMut(&mut MemoryHierarchy) -> Result<()>,
+) -> Result<()> {
     let costs = mem.costs();
-    let refs: Vec<_> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
+    let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
     let (range_start, total_rows, sel) = match rows {
         RowSet::Range(start, end) => {
             debug_assert!(start <= end && end <= t.len());
@@ -417,12 +529,21 @@ where
     // so the hierarchy sees one interleaved line stream per column — the
     // access pattern of tuple-at-a-time reconstruction from `p` arrays.
     let mut last_line: Vec<u64> = vec![u64::MAX; cols.len()];
-    let mut row_buf: Vec<Value> = Vec::with_capacity(cols.len());
     // Per row: one `vector_elem` per value, plus the stitching cost when
     // tuples are materialized.
     let per_value = costs.vector_elem + if materialize { costs.reconstruct } else { 0 };
     let row_cycles = per_value * cols.len() as u64;
     let mut gather: Vec<(u64, usize)> = Vec::with_capacity(cols.len());
+    // One byte region spanning the arrays; rows are table positions.
+    let lo = refs.iter().map(|c| c.addr).min().unwrap_or(0);
+    let hi = refs.iter().map(|c| c.at(t.len())).max().unwrap_or(0);
+    let ScanScratch { specs, rows: dense } = scratch;
+    specs.clear();
+    specs.extend(refs.iter().map(|c| ColumnSpec {
+        ty: c.ty,
+        offset: (c.addr - lo) as usize,
+        stride: c.ty.width(),
+    }));
 
     let mut done = 0usize;
     if total_rows > 0 {
@@ -430,14 +551,23 @@ where
     }
     while done < total_rows {
         let n = BATCH_ROWS.min(total_rows - done);
+        let positions = match sel {
+            Some(s) => &s[done..done + n],
+            None => {
+                dense.select_range(range_start + done, n);
+                dense.sel()
+            }
+        };
+        let chunk = Chunk::new(mem.bytes(lo, (hi - lo) as usize), specs);
+        let (reached, failure) = match consume(&chunk, positions) {
+            Ok(()) => (n, None),
+            Err(ChunkError { at, error }) => (at + 1, Some(error)),
+        };
         if sel.is_some() && read_sv {
             mem.touch_read(t.sv_in_addr(done), n * 4);
         }
-        for i in 0..n {
-            let row_id = match sel {
-                None => range_start + done + i,
-                Some(s) => s[done + i] as usize,
-            };
+        for &pos in &positions[..reached] {
+            let row_id = pos as usize;
             // The p column loads of one tuple are independent: issue the
             // new lines together and overlap their misses.
             gather.clear();
@@ -453,15 +583,13 @@ where
                 mem.touch_read_gather(&gather);
             }
             mem.cpu(row_cycles);
-            Value::decode_row_into(
-                &mut row_buf,
-                refs.iter()
-                    .map(|c| (c.ty, mem.bytes(c.at(row_id), c.ty.width()))),
-            );
-            emit(mem, Event::Row(row_id, &row_buf))?;
+            on_row(mem, row_id)?;
+        }
+        if let Some(e) = failure {
+            return Err(e);
         }
         done += n;
-        emit(mem, Event::BatchEnd)?;
+        end_chunk(mem)?;
     }
     Ok(())
 }

@@ -7,6 +7,7 @@
 //! reports the number of arithmetic operations so engines can charge CPU
 //! cycles consistently.
 
+use crate::chunk::{Chunk, ChunkError, ColumnView, BATCH_ROWS};
 use crate::error::{FabricError, Result};
 use crate::geometry::AggFunc;
 use crate::value::Value;
@@ -91,16 +92,14 @@ impl Expr {
         }
     }
 
-    /// Flatten the tree into a postfix program whose [`F64Program::eval`]
-    /// equals [`Self::eval_f64`] bit for bit, error for error: per-row
-    /// consumers compile once and then evaluate without recursion.
+    /// Flatten the tree into a postfix program whose
+    /// [`F64Program::eval_chunk`] gives every row the value, or the chunk
+    /// the first error, [`Self::eval_f64`] gives: consumers compile once and
+    /// then evaluate column-at-a-time.
     pub fn compile_f64(&self) -> F64Program {
         let mut ops = Vec::new();
         self.emit_f64(&mut ops);
-        F64Program {
-            stack: Vec::with_capacity(ops.len()),
-            ops,
-        }
+        F64Program { ops }
     }
 
     fn emit_f64(&self, ops: &mut Vec<F64Op>) {
@@ -183,68 +182,175 @@ enum F64Op {
 }
 
 /// An [`Expr`] flattened by [`Expr::compile_f64`]: a postfix instruction
-/// list plus the operand stack it runs on (kept so evaluation allocates
-/// nothing).
+/// list, evaluated over a whole chunk per instruction.
 #[derive(Debug, Clone)]
 pub struct F64Program {
     ops: Vec<F64Op>,
-    stack: Vec<f64>,
+}
+
+/// One operand of a chunk evaluation: a constant, or one value per row in
+/// a register of the [`F64Regs`].
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Scalar(f64),
+    Reg(usize),
+}
+
+/// The operand vectors chunk evaluation runs on (host-side scratch, kept by
+/// the caller so evaluation allocates nothing once they have grown).
+#[derive(Debug, Default)]
+pub struct F64Regs {
+    bufs: Vec<Vec<f64>>,
+    stack: Vec<Operand>,
+}
+
+impl F64Regs {
+    /// Heap bytes held (capacities).
+    pub fn heap_bytes(&self) -> usize {
+        let values: usize = self.bufs.iter().map(Vec::capacity).sum();
+        values * size_of::<f64>()
+            + self.bufs.capacity() * size_of::<Vec<f64>>()
+            + self.stack.capacity() * size_of::<Operand>()
+    }
+}
+
+/// A chunk evaluation's result: one value for every row, or one per row.
+#[derive(Debug, Clone, Copy)]
+pub enum F64Column<'r> {
+    Scalar(f64),
+    Vector(&'r [f64]),
+}
+
+impl F64Column<'_> {
+    /// The value of the `k`-th evaluated row.
+    #[inline]
+    pub fn at(&self, k: usize) -> f64 {
+        match self {
+            F64Column::Scalar(x) => *x,
+            F64Column::Vector(v) => v[k],
+        }
+    }
+}
+
+/// `f(a, b)` row by row, into the register of `a` if it has one, else of
+/// `b`.
+#[inline]
+fn apply(bufs: &mut [Vec<f64>], a: Operand, b: Operand, f: impl Fn(f64, f64) -> f64) -> Operand {
+    match (a, b) {
+        (Operand::Scalar(x), Operand::Scalar(y)) => Operand::Scalar(f(x, y)),
+        (Operand::Reg(i), Operand::Scalar(y)) => {
+            bufs[i].iter_mut().for_each(|x| *x = f(*x, y));
+            Operand::Reg(i)
+        }
+        (Operand::Scalar(x), Operand::Reg(j)) => {
+            bufs[j].iter_mut().for_each(|y| *y = f(x, *y));
+            Operand::Reg(j)
+        }
+        (Operand::Reg(i), Operand::Reg(j)) => {
+            // Registers are handed out in stack order, so `i < j`.
+            let (lo, hi) = bufs.split_at_mut(j);
+            let pairs = lo[i].iter_mut().zip(&hi[0]);
+            pairs.for_each(|(x, y)| *x = f(*x, *y));
+            Operand::Reg(i)
+        }
+    }
 }
 
 impl F64Program {
-    /// Evaluate over a positional tuple: the value, or the error,
-    /// [`Expr::eval_f64`] gives for the expression this was compiled from.
-    #[inline]
-    pub fn eval(&mut self, tuple: &[Value]) -> Result<f64> {
+    /// Evaluate over `rows` of `chunk`, one instruction at a time across
+    /// all rows. Every row sees the operands, in the order,
+    /// [`Expr::eval_f64`] gives it, so every value has the same bits; an
+    /// error is the one a row-at-a-time loop over `rows` would have hit
+    /// first (earliest row, then earliest instruction), with that row's
+    /// index in `rows`.
+    pub fn eval_chunk<'r>(
+        &self,
+        chunk: &Chunk<'_>,
+        rows: &[u32],
+        regs: &'r mut F64Regs,
+    ) -> std::result::Result<F64Column<'r>, ChunkError> {
         fn underflow() -> FabricError {
             FabricError::Internal("expression program stack underflow".into())
         }
-        /// The two operands of a binary instruction, `(pushed first,
-        /// pushed last)`.
-        #[inline]
-        fn pop2(stack: &mut Vec<f64>) -> Result<(f64, f64)> {
-            let last = stack.pop().ok_or_else(underflow)?;
-            let first = stack.pop().ok_or_else(underflow)?;
-            Ok((first, last))
+        if rows.is_empty() {
+            return Ok(F64Column::Vector(&[]));
         }
-        let stack = &mut self.stack;
+        let F64Regs { bufs, stack } = regs;
         stack.clear();
+        // Registers in use are exactly those on the stack, in stack order.
+        let mut used = 0usize;
+        let mut first: Option<ChunkError> = None;
+        let mut fail = |at: usize, error: FabricError| {
+            if first.as_ref().is_none_or(|f| at < f.at) {
+                first = Some(ChunkError { at, error });
+            }
+        };
         for op in &self.ops {
-            let v = match op {
-                F64Op::Col(i) => tuple
-                    .get(*i)
-                    .ok_or(FabricError::ColumnIndexOutOfRange {
-                        index: *i,
-                        len: tuple.len(),
-                    })?
-                    .as_f64()?,
-                F64Op::Lit(v) => v.as_f64()?,
-                F64Op::Add => {
-                    let (a, b) = pop2(stack)?;
-                    a + b
+            let operands = |stack: &mut Vec<Operand>| Some((stack.pop()?, stack.pop()?));
+            let result = match op {
+                F64Op::Col(i) => {
+                    if bufs.len() == used {
+                        bufs.push(Vec::with_capacity(BATCH_ROWS));
+                    }
+                    let gathered = chunk
+                        .col(*i)
+                        .and_then(|col| col.gather_f64(rows, &mut bufs[used]));
+                    if let Err(e) = gathered {
+                        // The same for every row, so the first row's.
+                        fail(0, e);
+                        break;
+                    }
+                    used += 1;
+                    Some(Operand::Reg(used - 1))
                 }
-                F64Op::Sub => {
-                    let (a, b) = pop2(stack)?;
-                    a - b
-                }
-                F64Op::Mul => {
-                    let (a, b) = pop2(stack)?;
-                    a * b
-                }
+                F64Op::Lit(v) => match v.as_f64() {
+                    Ok(x) => Some(Operand::Scalar(x)),
+                    Err(e) => {
+                        fail(0, e);
+                        break;
+                    }
+                },
                 F64Op::NonZero => {
-                    if stack.last() == Some(&0.0) {
-                        return Err(FabricError::Internal("division by zero".into()));
+                    let zero = match stack.last() {
+                        Some(Operand::Scalar(d)) => (*d == 0.0).then_some(0),
+                        Some(Operand::Reg(i)) => bufs[*i].iter().position(|&d| d == 0.0),
+                        None => None,
+                    };
+                    if let Some(at) = zero {
+                        // Keep going: a later instruction may fail on an
+                        // earlier row.
+                        fail(at, FabricError::Internal("division by zero".into()));
                     }
                     continue;
                 }
-                F64Op::DivBy => {
-                    let (divisor, dividend) = pop2(stack)?;
-                    dividend / divisor
-                }
+                F64Op::Add => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a + b)),
+                F64Op::Sub => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a - b)),
+                F64Op::Mul => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a * b)),
+                // Pushed first the divisor, then the dividend.
+                F64Op::DivBy => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| b / a)),
             };
-            stack.push(v);
+            let Some(result) = result else {
+                fail(0, underflow());
+                break;
+            };
+            stack.push(result);
+            // A binary instruction's result lives in its lowest operand
+            // register, which is then the highest in use.
+            if let Operand::Reg(i) = result {
+                used = i + 1;
+            }
         }
-        stack.pop().ok_or_else(underflow)
+        if let Some(e) = first {
+            return Err(e);
+        }
+        match stack.pop() {
+            Some(Operand::Scalar(x)) => Ok(F64Column::Scalar(x)),
+            Some(Operand::Reg(i)) => Ok(F64Column::Vector(&bufs[i])),
+            None => Err(ChunkError {
+                at: 0,
+                error: underflow(),
+            }),
+        }
     }
 }
 
@@ -296,6 +402,34 @@ impl ValueAgg {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// [`Self::update`] with value `r` of `col`, decoded only when a
+    /// `min` / `max` takes it.
+    #[inline]
+    pub fn update_at(&mut self, col: &ColumnView<'_>, r: usize) -> Result<()> {
+        let beats = |best: &Option<Value>, wins: std::cmp::Ordering| -> Result<bool> {
+            match best {
+                None => Ok(true),
+                Some(cur) => Ok(col.compare(r, cur)? == wins),
+            }
+        };
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => self.sum += col.f64_at(r)?,
+            AggFunc::Min => {
+                if beats(&self.min, std::cmp::Ordering::Less)? {
+                    self.min = Some(col.value(r));
+                }
+            }
+            AggFunc::Max => {
+                if beats(&self.max, std::cmp::Ordering::Greater)? {
+                    self.max = Some(col.value(r));
+                }
+            }
+        }
+        self.count += 1;
         Ok(())
     }
 
@@ -387,6 +521,7 @@ impl ValueAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ColumnSpec;
 
     fn tuple() -> Vec<Value> {
         vec![Value::I32(10), Value::F64(2.5), Value::I64(-4)]
@@ -413,9 +548,37 @@ mod tests {
         assert!(e.eval_f64(&tuple()).is_err());
     }
 
+    /// `rows` packed row-major: the region's bytes and its column specs.
+    fn packed(rows: &[Vec<Value>]) -> (Vec<u8>, Vec<ColumnSpec>) {
+        let types: Vec<_> = rows[0].iter().map(Value::column_type).collect();
+        let stride: usize = types.iter().map(|t| t.width()).sum();
+        let mut specs = Vec::new();
+        let mut offset = 0;
+        for &ty in &types {
+            specs.push(ColumnSpec { ty, offset, stride });
+            offset += ty.width();
+        }
+        let mut bytes = vec![0u8; rows.len() * stride];
+        for (r, row) in rows.iter().enumerate() {
+            for (v, spec) in row.iter().zip(&specs) {
+                let at = r * stride + spec.offset;
+                v.encode_into(spec.ty, &mut bytes[at..at + spec.ty.width()])
+                    .unwrap();
+            }
+        }
+        (bytes, specs)
+    }
+
     #[test]
     fn compiled_program_equals_eval_f64() {
-        let t = tuple();
+        // The second row zeroes the second expression's divisor.
+        let table = vec![
+            tuple(),
+            vec![Value::I32(7), Value::F64(-4.0), Value::I64(-4)],
+            vec![Value::I32(-3), Value::F64(0.5), Value::I64(9)],
+        ];
+        let (bytes, specs) = packed(&table);
+        let chunk = Chunk::new(&bytes, &specs);
         // Q1's widest sum, a division, and a division whose divisor and
         // dividend both fail: the divisor's error must win, as it does in
         // the recursive evaluator.
@@ -429,14 +592,27 @@ mod tests {
             Expr::div(Expr::col(9), Expr::lit(Value::F64(-0.0))),
             Expr::div(Expr::col(9), Expr::lit(Value::Str("x".into()))),
             Expr::col(9),
+            Expr::add(one(), one()),
         ];
+        let mut regs = F64Regs::default();
         for e in exprs {
-            let mut program = e.compile_f64();
-            for _ in 0..2 {
-                match (program.eval(&t), e.eval_f64(&t)) {
-                    (Ok(got), Ok(want)) => assert_eq!(got.to_bits(), want.to_bits(), "{e}"),
-                    (got, want) => assert_eq!(got, want, "{e}"),
+            let program = e.compile_f64();
+            for rows in [&[0u32, 1, 2][..], &[2, 0], &[1], &[]] {
+                // Row at a time: every value, or the first error and where.
+                let mut want = Ok(Vec::new());
+                for (k, &r) in rows.iter().enumerate() {
+                    match (e.eval_f64(&table[r as usize]), &mut want) {
+                        (Ok(x), Ok(values)) => values.push(x.to_bits()),
+                        (Err(error), Ok(_)) => want = Err(ChunkError { at: k, error }),
+                        _ => {}
+                    }
                 }
+                let got = program.eval_chunk(&chunk, rows, &mut regs).map(|col| {
+                    (0..rows.len())
+                        .map(|k| col.at(k).to_bits())
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(got, want, "{e} over rows {rows:?}");
             }
         }
     }

@@ -14,6 +14,7 @@
 //! optimizer's cost model (`query`).
 
 pub mod cast;
+pub mod chunk;
 pub mod crc;
 pub mod error;
 pub mod expr;
@@ -24,9 +25,10 @@ pub mod rng;
 pub mod schema;
 pub mod value;
 
+pub use chunk::{Chunk, ChunkError, ColumnSpec, ColumnView, RowSelection, ScanScratch, BATCH_ROWS};
 pub use crc::{crc32, Crc32};
 pub use error::{FabricError, Result};
-pub use expr::{Expr, F64Program, ValueAgg};
+pub use expr::{Expr, F64Column, F64Program, F64Regs, ValueAgg};
 pub use geometry::{AggFunc, AggSpec, FieldSlice, Geometry, OutputMode, TsFilter};
 pub use layout::RowLayout;
 pub use predicate::{CmpOp, ColumnPredicate, Predicate};

@@ -238,7 +238,7 @@ impl Value {
 /// The text of a zero-padded fixed-width string field: everything before
 /// the first NUL.
 #[inline]
-fn trim_padding(bytes: &[u8]) -> &[u8] {
+pub(crate) fn trim_padding(bytes: &[u8]) -> &[u8] {
     let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
     &bytes[..end]
 }

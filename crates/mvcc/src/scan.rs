@@ -5,8 +5,10 @@
 
 use crate::table::VersionedTable;
 use fabric_sim::MemoryHierarchy;
-use fabric_types::{le_array, ColumnId, Result, Value};
+use fabric_types::chunk::Scalar;
+use fabric_types::{ColumnId, ColumnView, Result, Value};
 use relmem::{EphemeralColumns, RmConfig};
+use std::ops::Range;
 
 /// Software baseline: scan every physical version, evaluate visibility on
 /// the CPU, and sum `col` over the visible ones. Returns `(sum, visible
@@ -37,18 +39,23 @@ pub fn sw_visible_sum(
         ]);
         mem.cpu(costs.vector_elem + costs.value_op * 2);
         let row = mem.bytes(addr, w);
-        let begin = u64::from_le_bytes(le_array(&row[begin_r.clone()]));
-        let end = u64::from_le_bytes(le_array(&row[end_r.clone()]));
-        let value = Value::decode(col_ty, &row[col_r.clone()]);
+        let (begin, end) = timestamps(row, &begin_r, &end_r);
+        let value = ColumnView::new(col_ty, &row[col_r.clone()], w).f64_at(0);
         if begin <= ts && (end == 0 || ts < end) {
             mem.cpu(costs.f64_op);
-            sum += value.as_f64()?;
+            sum += value?;
             visible += 1;
         } else {
             mem.cpu(costs.branch_miss);
         }
     }
     Ok((sum, visible))
+}
+
+/// A version's `(begin, end)` timestamps, from their fields of the raw
+/// `row`.
+fn timestamps(row: &[u8], begin: &Range<usize>, end: &Range<usize>) -> (u64, u64) {
+    (u64::read(&row[begin.clone()]), u64::read(&row[end.clone()]))
 }
 
 /// Hardware path: the RM device applies the timestamp filter while
@@ -66,9 +73,10 @@ pub fn rm_visible_sum(
     let mut sum = 0.0f64;
     let mut visible = 0u64;
     while let Some(b) = eph.next_batch(mem) {
+        let values = b.chunk(0..b.len()).col(0)?;
         for r in 0..b.len() {
             mem.cpu(costs.vector_elem + costs.f64_op);
-            sum += b.value(r, 0).as_f64()?;
+            sum += values.f64_at(r)?;
         }
         visible += b.len() as u64;
     }
@@ -91,9 +99,7 @@ pub fn collect_visible(
     for rid in 0..inner.len() {
         let addr = inner.row_addr(rid);
         mem.touch_read(addr, w);
-        let row = mem.bytes(addr, w);
-        let begin = u64::from_le_bytes(le_array(&row[begin_r.clone()]));
-        let end = u64::from_le_bytes(le_array(&row[end_r.clone()]));
+        let (begin, end) = timestamps(mem.bytes(addr, w), &begin_r, &end_r);
         if begin <= ts && (end == 0 || ts < end) {
             let mut vals = inner.decode_row_untimed(mem, rid)?;
             vals.truncate(table.user_cols());

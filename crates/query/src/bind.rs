@@ -183,6 +183,15 @@ pub fn bind(catalog: &Catalog, stmt: &SelectStmt) -> Result<BoundQuery> {
         order_by.push((pos, key.desc));
     }
 
+    // A statement that names no column (`SELECT count(*) FROM t`,
+    // `SELECT 1 FROM t`) still scans the table to count its rows: bind the
+    // narrowest column (the first of them) as the one scanned, so every
+    // path has bytes to walk and the RM geometry a field.
+    if binder.touched.is_empty() {
+        let narrowest = schema.iter().min_by_key(|(_, def)| def.ty.width());
+        binder.touched.extend(narrowest.map(|(id, _)| id));
+    }
+
     let bound = BoundQuery {
         table: stmt.table.clone(),
         touched: binder.touched,
@@ -260,6 +269,28 @@ mod tests {
             OutputItem::Agg(AggFunc::Sum, e) => assert_eq!(e.ops(), 1),
             other => panic!("bad {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_statement_naming_no_column_scans_the_narrowest_one() {
+        let c = catalog();
+        let schema = c.get("t").unwrap().schema().clone();
+        let narrowest = schema.iter().map(|(_, def)| def.ty.width()).min().unwrap();
+        for sql in ["SELECT count(*) FROM t", "SELECT 1 FROM t"] {
+            let b = bind(&c, &parse(sql).unwrap()).unwrap();
+            let [col] = b.touched[..] else {
+                panic!("`{sql}` touches {:?}", b.touched)
+            };
+            assert_eq!(schema.column(col).unwrap().ty.width(), narrowest);
+            // The first of the narrowest.
+            assert!(schema
+                .iter()
+                .take(col)
+                .all(|(_, def)| def.ty.width() > narrowest));
+        }
+        // Naming a column anywhere leaves the touched list alone.
+        let b = bind(&c, &parse("SELECT count(*) FROM t WHERE id < 3").unwrap()).unwrap();
+        assert_eq!(b.touched.len(), 1);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! is built from it once, for the rows that are returned only
 //! ([`ResultBatch::order`], [`ResultBatch::rows`]).
 
-use fabric_types::{ColumnType, FabricError, Result, Value};
+use fabric_types::chunk::Scalar;
+use fabric_types::{ColumnType, ColumnView, F64Column, FabricError, Result, Value};
 use std::cmp::Ordering;
+use std::iter::repeat_n;
 
 /// One output item's values, in row order.
 #[derive(Debug, Clone)]
@@ -103,6 +105,23 @@ impl Column {
         }
     }
 
+    /// An empty column of the same type.
+    fn empty_like(&self) -> Self {
+        match self {
+            Column::I8(_) => Column::I8(Vec::new()),
+            Column::I16(_) => Column::I16(Vec::new()),
+            Column::I32(_) => Column::I32(Vec::new()),
+            Column::I64(_) => Column::I64(Vec::new()),
+            Column::F32(_) => Column::F32(Vec::new()),
+            Column::F64(_) => Column::F64(Vec::new()),
+            Column::Date(_) => Column::Date(Vec::new()),
+            Column::Str { .. } => Column::Str {
+                data: String::new(),
+                ends: Vec::new(),
+            },
+        }
+    }
+
     /// Append `v`, which must have this column's type.
     #[inline]
     pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
@@ -118,12 +137,57 @@ impl Column {
                 data.push_str(s);
                 ends.push(data.len());
             }
-            (_, v) => {
-                return Err(FabricError::Internal(format!(
-                    "result column fed a value of another type ({})",
-                    v.column_type().name()
-                )))
-            }
+            (_, v) => return Err(wrong_type(&v.column_type().name())),
+        }
+        Ok(())
+    }
+
+    /// `n` copies of `v`, which must have this column's type.
+    pub(crate) fn push_n(&mut self, v: &Value, n: usize) -> Result<()> {
+        match (&mut *self, v) {
+            (Column::I8(buf), Value::I8(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::I16(buf), Value::I16(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::I32(buf), Value::I32(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::I64(buf), Value::I64(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::F32(buf), Value::F32(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::F64(buf), Value::F64(x)) => buf.extend(repeat_n(*x, n)),
+            (Column::Date(buf), Value::Date(x)) => buf.extend(repeat_n(*x, n)),
+            _ => return (0..n).try_for_each(|_| self.push(v)),
+        }
+        Ok(())
+    }
+
+    /// Append the values at `rows` of `view`, a column of this type, in
+    /// that order — what [`Self::push`] of each decoded value appends.
+    pub(crate) fn extend_from(&mut self, view: &ColumnView<'_>, rows: &[u32]) -> Result<()> {
+        let same_type = matches!(
+            (&*self, view.ty()),
+            (Column::I8(_), ColumnType::I8)
+                | (Column::I16(_), ColumnType::I16)
+                | (Column::I32(_), ColumnType::I32)
+                | (Column::I64(_), ColumnType::I64)
+                | (Column::F32(_), ColumnType::F32)
+                | (Column::F64(_), ColumnType::F64)
+                | (Column::Date(_), ColumnType::Date)
+                | (Column::Str { .. }, ColumnType::FixedStr(_))
+        );
+        if !same_type {
+            return Err(wrong_type(&view.ty().name()));
+        }
+        per_type!(self, buf => extend_typed(buf, view, rows),
+        Str { data, ends } => for &r in rows {
+            data.push_str(&view.text(r as usize));
+            ends.push(data.len());
+        });
+        Ok(())
+    }
+
+    /// Append `n` evaluated `f64`s (this must be an `f64` column).
+    pub(crate) fn extend_f64(&mut self, values: F64Column<'_>, n: usize) -> Result<()> {
+        match (self, values) {
+            (Column::F64(buf), F64Column::Scalar(x)) => buf.extend(repeat_n(x, n)),
+            (Column::F64(buf), F64Column::Vector(v)) => buf.extend_from_slice(v),
+            _ => return Err(wrong_type("f64")),
         }
         Ok(())
     }
@@ -200,6 +264,15 @@ impl Column {
     }
 }
 
+/// Append the values at `rows` of `view` as the buffer's machine type.
+fn extend_typed<T: Scalar>(buf: &mut Vec<T>, view: &ColumnView<'_>, rows: &[u32]) {
+    buf.extend(rows.iter().map(|&r| view.get::<T>(r as usize)));
+}
+
+fn wrong_type(fed: &str) -> FabricError {
+    FabricError::Internal(format!("result column fed a value of another type ({fed})"))
+}
+
 /// Row `r`'s text in a string column's buffers.
 #[inline]
 fn text<'a>(data: &'a str, ends: &[usize], r: usize) -> &'a str {
@@ -261,9 +334,32 @@ impl ResultBatch {
         }
     }
 
+    /// An empty batch of the same columns, each buffer reserved for what
+    /// `self` holds: a morsel's buffers are sized once, from the morsel
+    /// before it.
+    pub(crate) fn successor(&self) -> Self {
+        let mut cols: Vec<Column> = Vec::with_capacity(self.cols.len());
+        for col in &self.cols {
+            let mut next = col.empty_like();
+            next.reserve_exact(self.rows, col.text_len());
+            cols.push(next);
+        }
+        ResultBatch { cols, rows: 0 }
+    }
+
     /// Rows held.
     pub(crate) fn len(&self) -> usize {
         self.rows
+    }
+
+    /// Append `n` rows column by column: `fill(i, column)` appends item
+    /// `i`'s `n` values to its column. If it does not, the batch is
+    /// unusable (the query fails).
+    pub(crate) fn append_rows(&mut self, n: usize, mut fill: impl FnMut(usize, &mut Column)) {
+        for (i, col) in self.cols.iter_mut().enumerate() {
+            fill(i, col);
+        }
+        self.rows += n;
     }
 
     /// Append one row: `fill(i, column)` pushes item `i`'s value onto its

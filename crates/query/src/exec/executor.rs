@@ -18,11 +18,12 @@ use crate::catalog::TableEntry;
 use crate::cost::AccessPath;
 use colstore::exec as colx;
 use fabric_sim::{MemoryHierarchy, MetricsRegistry};
-use fabric_types::{FabricError, Result, Value};
+use fabric_types::{Chunk, FabricError, Result, Value};
 use relmem::{EphemeralColumns, PackedBatch, RmConfig, RmStats};
+use std::rc::Rc;
 
-use super::buffer::Scratchpad;
-use super::operators::{earliest_core, Consumer, OpKind, OpNode};
+use super::buffer::{ChunkScratch, Scratchpad};
+use super::operators::{earliest_core, ConsumePlan, Consumer, OpKind, OpNode};
 use super::{FaultContext, MORSEL_ROWS};
 
 /// Stage-0 executor for one verified plan on one access path. Lowers the
@@ -81,9 +82,22 @@ impl<'q> QueryExecutor<'q> {
     }
 
     /// The plan's consumption resolved once for this run; every morsel
-    /// consumes into a [`Consumer::fresh`] copy.
-    fn consumer(&self) -> Result<Consumer<'q>> {
-        Consumer::new(self.bound(), &self.verified.output_types()?)
+    /// consumes into a partial of its own.
+    fn consume_plan(&self) -> Result<Rc<ConsumePlan<'q>>> {
+        let bound = self.bound();
+        let fields = &self.verified.geometry().geometry().fields;
+        let key_types = bound.group_by.iter().map(|&slot| {
+            fields.get(slot).map(|f| f.ty).ok_or_else(|| {
+                FabricError::Internal(format!(
+                    "GROUP BY slot {slot} outside the verified geometry"
+                ))
+            })
+        });
+        Consumer::plan(
+            bound,
+            self.verified.output_types()?,
+            key_types.collect::<Result<_>>()?,
+        )
     }
 
     /// Credit one fused kernel pass (`rows_in` scanned, `rows_out`
@@ -136,9 +150,9 @@ impl<'q> QueryExecutor<'q> {
     }
 
     /// ROW stage 0: fused vectorized scan→filter→consume per morsel
-    /// ([`rowstore::scan_range_vectorized`]) — no per-operator
-    /// `volcano_next`, no mispredict charge on rejected rows, one decode
-    /// buffer recycled from the scratchpad across every morsel.
+    /// ([`rowstore::scan_range_chunks`]) — no per-operator
+    /// `volcano_next`, no mispredict charge on rejected rows, one chunk
+    /// scratch recycled from the scratchpad across every morsel.
     fn run_row(
         &mut self,
         mem: &mut MemoryHierarchy,
@@ -146,50 +160,43 @@ impl<'q> QueryExecutor<'q> {
         scratch: &mut Scratchpad,
     ) -> Result<Vec<Consumer<'q>>> {
         let bound = self.bound();
-        let template = self.consumer()?;
-        let row_cycles = template.row_cycles(&mem.costs());
+        let plan = self.consume_plan()?;
+        let row_cycles = Consumer::row_cycles(&plan, &mem.costs());
         let total = entry.rows.len();
         mem.fork_clocks();
-        let (tref, mut tuple) = scratch.take_vals();
+        let (cref, mut chunk) = scratch.take_chunk();
         let mut partials: Vec<Consumer<'q>> = Vec::with_capacity(total / MORSEL_ROWS + 1);
         let mut start = 0usize;
-        loop {
+        let res = loop {
             let end = (start + MORSEL_ROWS).min(total);
             mem.set_active_core(earliest_core(mem));
-            let mut consumer = template.fresh();
-            let scanned = rowstore::scan_range_vectorized(
+            let mut consumer = next_partial(&plan, &partials);
+            let ChunkScratch { scan, eval } = &mut chunk;
+            let scanned = rowstore::scan_range_chunks(
                 mem,
                 &entry.rows,
                 &bound.touched,
                 &bound.preds,
                 start,
                 end,
-                &mut tuple,
-                |mem, vals| {
-                    mem.cpu(row_cycles);
-                    consumer.feed(vals)
-                },
+                row_cycles,
+                scan,
+                |chunk, rows| consumer.consume(chunk, rows, eval),
             );
-            let counts = match scanned {
-                Ok(c) => c,
-                Err(e) => {
-                    scratch.put_vals(tref, tuple);
-                    mem.join_clocks();
-                    mem.set_active_core(0);
-                    return Err(e);
-                }
-            };
-            self.note_scan(counts.rows_in, counts.rows_out);
+            match scanned {
+                Ok(counts) => self.note_scan(counts.rows_in, counts.rows_out),
+                Err(e) => break Err(e),
+            }
             partials.push(consumer);
             start = end;
             if start >= total {
-                break;
+                break Ok(());
             }
-        }
-        scratch.put_vals(tref, tuple);
+        };
+        scratch.put_chunk(cref, chunk);
         mem.join_clocks();
         mem.set_active_core(0);
-        Ok(partials)
+        res.map(|()| partials)
     }
 
     /// COL stage 0: column-at-a-time selection into pooled selection
@@ -206,111 +213,78 @@ impl<'q> QueryExecutor<'q> {
         let table = entry.cols.as_ref().ok_or_else(|| {
             FabricError::Sql(format!("table `{}` has no columnar copy", bound.table))
         })?;
-        let template = self.consumer()?;
-        let row_cycles = template.row_cycles(&mem.costs());
+        let plan = self.consume_plan()?;
+        let row_cycles = Consumer::row_cycles(&plan, &mem.costs());
 
         // Column-at-a-time selection: group conjuncts by column once
         // (shared by every morsel), full scan for the first, candidate
         // passes after. Predicate slots are in range — the analyzer
         // checked them before this path was reachable.
-        let by_col: Option<Vec<(usize, Vec<(fabric_types::CmpOp, Value)>)>> =
-            if bound.preds.is_empty() {
-                None
-            } else {
-                let mut groups: Vec<(usize, Vec<(fabric_types::CmpOp, Value)>)> = Vec::new();
-                for (slot, op, v) in &bound.preds {
-                    let col = bound.touched[*slot];
-                    match groups.iter_mut().find(|(c, _)| *c == col) {
-                        Some((_, list)) => list.push((*op, v.clone())),
-                        None => groups.push((col, vec![(*op, v.clone())])),
-                    }
-                }
-                Some(groups)
-            };
+        let mut by_col: Vec<(usize, Vec<(fabric_types::CmpOp, Value)>)> = Vec::new();
+        for (slot, op, v) in &bound.preds {
+            let col = bound.touched[*slot];
+            match by_col.iter_mut().find(|(c, _)| *c == col) {
+                Some((_, list)) => list.push((*op, v.clone())),
+                None => by_col.push((col, vec![(*op, v.clone())])),
+            }
+        }
 
         let total = table.len();
         mem.fork_clocks();
         let (aref, mut sv) = scratch.take_sel();
         let (bref, mut sv_next) = scratch.take_sel();
+        let (cref, mut chunk) = scratch.take_chunk();
         let mut partials: Vec<Consumer<'q>> = Vec::with_capacity(total / MORSEL_ROWS + 1);
-        // note_scan is deferred past the morsel loop: `self` can't be
-        // borrowed inside it while `partials` holds `'q` consumers.
-        let mut morsel_counts: Vec<(u64, u64)> = Vec::new();
         let mut start = 0usize;
-        let res = (|| -> Result<()> {
-            loop {
-                let end = (start + MORSEL_ROWS).min(total);
-                mem.set_active_core(earliest_core(mem));
-                let mut consumer = template.fresh();
-                let kept;
-                match &by_col {
-                    None => {
-                        let mut fed = 0u64;
-                        colx::for_each_lockstep_range(
+        let res = loop {
+            let end = (start + MORSEL_ROWS).min(total);
+            mem.set_active_core(earliest_core(mem));
+            let mut consumer = next_partial(&plan, &partials);
+            let ChunkScratch { scan, eval } = &mut chunk;
+            let consume = |chunk: &Chunk<'_>, rows: &[u32]| consumer.consume(chunk, rows, eval);
+            let cols = &bound.touched;
+            let streamed = match by_col.split_first() {
+                None => colx::lockstep_chunks_range(
+                    mem, table, cols, start, end, row_cycles, scan, consume,
+                )
+                .map(|()| (end - start) as u64),
+                Some(((c0, preds0), rest)) => (|| {
+                    colx::scan_filter_conj_range_into(
+                        mem, table, *c0, preds0, start, end, &mut sv,
+                    )?;
+                    for (c, preds) in rest {
+                        colx::scan_filter_cand_range_into(
                             mem,
                             table,
-                            &bound.touched,
+                            *c,
+                            preds,
+                            &sv,
                             start,
                             end,
-                            |mem, _, vals| {
-                                fed += 1;
-                                mem.cpu(row_cycles);
-                                consumer.feed(vals)
-                            },
+                            &mut sv_next,
                         )?;
-                        kept = fed;
+                        std::mem::swap(&mut sv, &mut sv_next);
                     }
-                    Some(groups) => {
-                        let mut it = groups.iter();
-                        let (c0, preds0) = it.next().ok_or_else(|| {
-                            FabricError::Internal("empty predicate grouping".into())
-                        })?;
-                        colx::scan_filter_conj_range_into(
-                            mem, table, *c0, preds0, start, end, &mut sv,
-                        )?;
-                        for (c, preds) in it {
-                            colx::scan_filter_cand_range_into(
-                                mem,
-                                table,
-                                *c,
-                                preds,
-                                &sv,
-                                start,
-                                end,
-                                &mut sv_next,
-                            )?;
-                            std::mem::swap(&mut sv, &mut sv_next);
-                        }
-                        colx::for_each_lockstep_fused(
-                            mem,
-                            table,
-                            &bound.touched,
-                            &sv,
-                            |mem, _, vals| {
-                                mem.cpu(row_cycles);
-                                consumer.feed(vals)
-                            },
-                        )?;
-                        kept = sv.len() as u64;
-                    }
-                }
-                partials.push(consumer);
-                morsel_counts.push(((end - start) as u64, kept));
-                start = end;
-                if start >= total {
-                    return Ok(());
-                }
+                    colx::lockstep_chunks_fused(mem, table, cols, &sv, row_cycles, scan, consume)?;
+                    Ok(sv.len() as u64)
+                })(),
+            };
+            match streamed {
+                Ok(kept) => self.note_scan((end - start) as u64, kept),
+                Err(e) => break Err(e),
             }
-        })();
+            partials.push(consumer);
+            start = end;
+            if start >= total {
+                break Ok(());
+            }
+        };
         scratch.put_sel(aref, sv);
         scratch.put_sel(bref, sv_next);
+        scratch.put_chunk(cref, chunk);
         mem.join_clocks();
         mem.set_active_core(0);
-        res?;
-        for (rows_in, rows_out) in morsel_counts {
-            self.note_scan(rows_in, rows_out);
-        }
-        Ok(partials)
+        res.map(|()| partials)
     }
 
     /// RM stage 0: consume delivered batches with a branch-free
@@ -343,9 +317,9 @@ impl<'q> QueryExecutor<'q> {
     }
 
     /// Both RM variants: configure the device, pull batches with
-    /// `next_batch` and consume them. Error exits re-join the clocks and
-    /// credit the batches consumed so far, so the caller's accounting
-    /// stays aligned.
+    /// `next_batch` and consume them ([`PackedBatch::consume_chunks`]).
+    /// Error exits re-join the clocks and credit the batches consumed so
+    /// far, so the caller's accounting stays aligned.
     fn run_rm(
         &mut self,
         mem: &mut MemoryHierarchy,
@@ -357,7 +331,7 @@ impl<'q> QueryExecutor<'q> {
     ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
         let bound = self.bound();
         let costs = mem.costs();
-        let template = match self.consumer() {
+        let plan = match self.consume_plan() {
             Ok(t) => t,
             Err(e) => return (Err(e), RmStats::default()),
         };
@@ -376,49 +350,60 @@ impl<'q> QueryExecutor<'q> {
         // partial list — is identical for every core count.
         mem.fork_clocks();
         let mut partials: Vec<Consumer<'q>> = Vec::new();
-        let mut current = template.fresh();
-        let row_cycles = template.row_cycles(&costs) + costs.vector_elem;
-        let pred_cycles = costs.value_op * bound.preds.len() as u64;
+        let mut current = Consumer::new(&plan);
+        let row_cycles = Consumer::row_cycles(&plan, &costs) + costs.vector_elem;
         let mut consumed = 0usize;
-        let (vref, mut vals) = scratch.take_vals();
-        let mut batch_counts: Vec<(u64, u64)> = Vec::new();
-        let res = (|| -> Result<()> {
-            loop {
-                mem.set_active_core(earliest_core(mem));
-                let Some(b) = next_batch(&mut eph, mem)? else {
-                    return Ok(());
-                };
+        let (cref, mut chunk) = scratch.take_chunk();
+        let res = loop {
+            mem.set_active_core(earliest_core(mem));
+            let b = match next_batch(&mut eph, mem) {
+                Ok(Some(b)) => b,
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            };
+            // The batch in pieces that end where a morsel does.
+            let kept = (|| {
                 let mut kept = 0u64;
-                for r in 0..b.len() {
+                let mut r = 0usize;
+                while r < b.len() {
                     if consumed > 0 && consumed % MORSEL_ROWS == 0 {
-                        partials.push(std::mem::replace(&mut current, template.fresh()));
+                        let next = current.successor();
+                        partials.push(std::mem::replace(&mut current, next));
                     }
-                    consumed += 1;
-                    mem.cpu(pred_cycles);
-                    b.decode_row_into(r, &mut vals);
-                    let mut pass = true;
-                    for (slot, op, lit) in &bound.preds {
-                        pass &= op.matches(vals[*slot].compare(lit)?);
-                    }
-                    if !pass {
-                        continue;
-                    }
-                    kept += 1;
-                    mem.cpu(row_cycles);
-                    current.feed(&vals)?;
+                    let n = (MORSEL_ROWS - consumed % MORSEL_ROWS).min(b.len() - r);
+                    let ChunkScratch { scan, eval } = &mut chunk;
+                    kept += b.consume_chunks(
+                        mem,
+                        r..r + n,
+                        &bound.preds,
+                        row_cycles,
+                        &mut scan.rows,
+                        |chunk, rows| current.consume(chunk, rows, eval),
+                    )?;
+                    consumed += n;
+                    r += n;
                 }
-                batch_counts.push((b.len() as u64, kept));
+                Ok(kept)
+            })();
+            match kept {
+                Ok(kept) => self.note_scan(b.len() as u64, kept),
+                Err(e) => break Err(e),
             }
-        })();
+        };
         partials.push(current);
-        scratch.put_vals(vref, vals);
+        scratch.put_chunk(cref, chunk);
         mem.join_clocks();
         mem.set_active_core(0);
-        for (rows_in, rows_out) in batch_counts {
-            self.note_scan(rows_in, rows_out);
-        }
         (res.map(|()| partials), eph.stats())
     }
+}
+
+/// An empty partial for the morsel after `partials`, sized like the last
+/// of them.
+fn next_partial<'q>(plan: &Rc<ConsumePlan<'q>>, partials: &[Consumer<'q>]) -> Consumer<'q> {
+    partials
+        .last()
+        .map_or_else(|| Consumer::new(plan), Consumer::successor)
 }
 
 #[cfg(test)]
@@ -494,12 +479,13 @@ mod tests {
             0,
             "driver owns merge"
         );
-        // The selection vectors went back to the pool for the next query.
-        assert_eq!(scratch.allocs(), 2);
+        // The selection vectors and the chunk scratch went back to the
+        // pool for the next query.
+        assert_eq!(scratch.allocs(), 3);
         scratch.begin_query();
         let mut ex = QueryExecutor::new(&v, AccessPath::Col);
         ex.run_stage0(&mut mem, entry, &mut scratch).unwrap();
-        assert_eq!(scratch.allocs(), 2, "no new allocations on a warm pad");
-        assert_eq!(scratch.reuses(), 2);
+        assert_eq!(scratch.allocs(), 3, "no new allocations on a warm pad");
+        assert_eq!(scratch.reuses(), 3);
     }
 }

@@ -35,7 +35,7 @@ mod executor;
 pub mod opcache;
 pub(crate) mod operators;
 
-pub use buffer::{BufferKind, BufferRef, Scratchpad};
+pub use buffer::{BufferKind, BufferRef, ChunkScratch, Scratchpad};
 pub use executor::QueryExecutor;
 pub(crate) use opcache::CacheSlot;
 pub use opcache::OpCache;

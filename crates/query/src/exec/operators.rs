@@ -17,12 +17,17 @@
 //! (lint rule `exec-internals`).
 
 use super::batch::ResultBatch;
+use super::buffer::EvalScratch;
 use crate::bind::{BoundQuery, OutputItem};
 use crate::cost::AccessPath;
 use fabric_sim::{MemoryHierarchy, OpStats};
-use fabric_types::{AggFunc, ColumnType, Expr, F64Program, FabricError, Result, Value, ValueAgg};
+use fabric_types::{
+    le_array, AggFunc, Chunk, ChunkError, ColumnType, ColumnView, Expr, F64Program, FabricError,
+    Result, Value, ValueAgg,
+};
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::rc::Rc;
 
 /// The operator vocabulary of the staged executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,10 +93,10 @@ pub(crate) fn earliest_core(mem: &MemoryHierarchy) -> usize {
 /// A group key as decoded values, ordered so that two keys are equal
 /// exactly when their rendered forms ([`render_key`]) are: per column the
 /// type tag, then the bit pattern — every NaN one key, `-0.0` and `0.0`
-/// two — and strings byte-wise. Comparing these per row replaces
-/// formatting a `String` per row; the rendered key is still what orders
-/// the output (see [`merge_partials`]).
-#[derive(Debug, Clone, Default)]
+/// two — and strings byte-wise. A morsel's groups are visited in this
+/// order when they are rendered; the rendered key is what orders the
+/// output (see [`merge_partials`]).
+#[derive(Debug)]
 struct RawKey(Vec<Value>);
 
 /// `(type tag, bits)` of a non-string key column.
@@ -154,10 +159,9 @@ fn render_key(key: &[Value]) -> Result<String> {
     Ok(out)
 }
 
-/// How one aggregate of the plan is fed a row.
-#[derive(Clone)]
+/// How one aggregate of the plan is fed a chunk.
 enum AggFeed<'q> {
-    /// `count`: the row itself is the input.
+    /// `count`: the rows themselves are the input.
     Count,
     /// `sum` / `avg`: the expression as a compiled `f64` program (the
     /// same operands in the same order as `Expr::eval_f64`, so the same
@@ -165,19 +169,22 @@ enum AggFeed<'q> {
     Sum(F64Program),
     /// `min` / `max`: the expression's `Value`, so the result keeps the
     /// column's type.
-    Value(&'q Expr),
+    Value(MinMaxInput<'q>),
+}
+
+/// What a `min` / `max` ranges over.
+enum MinMaxInput<'q> {
+    Slot(usize),
+    Literal(&'q Value),
+    Arithmetic(F64Program),
 }
 
 /// Fresh accumulators for the plan's aggregates, in item order.
-fn new_accs(bound: &BoundQuery) -> Vec<ValueAgg> {
-    bound
-        .items
-        .iter()
-        .filter_map(|i| match i {
-            OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
-            OutputItem::Expr(_) => None,
-        })
-        .collect()
+fn new_accs(bound: &BoundQuery) -> impl Iterator<Item = ValueAgg> + '_ {
+    bound.items.iter().filter_map(|i| match i {
+        OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
+        OutputItem::Expr(_) => None,
+    })
 }
 
 /// Grouped partials keyed by rendered key: a `BTreeMap` so iteration is
@@ -185,10 +192,9 @@ fn new_accs(bound: &BoundQuery) -> Vec<ValueAgg> {
 /// on hash iteration (rule `nondeterministic-core`).
 type RenderedGroups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
 
-/// How one item of a projecting plan is produced from a row's slots.
-#[derive(Clone)]
+/// How one item of a projecting plan is produced from a chunk's columns.
 enum Projection<'q> {
-    /// The slot's value, as decoded.
+    /// The column's values, as stored.
     Slot(usize),
     Literal(&'q Value),
     /// Arithmetic, as a compiled `f64` program (the same bits as
@@ -196,35 +202,100 @@ enum Projection<'q> {
     Arithmetic(F64Program),
 }
 
+/// A plan's consumption, resolved once per stage-0 run
+/// ([`Consumer::plan`]) and shared by every morsel's partial.
+pub(crate) struct ConsumePlan<'q> {
+    bound: &'q BoundQuery,
+    /// The output items' static types.
+    types: Vec<ColumnType>,
+    /// One per item of a projecting plan, in item order.
+    projections: Vec<Projection<'q>>,
+    /// One feed per aggregate, in item order.
+    feeds: Vec<AggFeed<'q>>,
+    /// The GROUP BY columns' types, in `group_by` order.
+    key_types: Vec<ColumnType>,
+    aggregated: bool,
+}
+
+/// One morsel's groups, dense ids in first-seen order.
+#[derive(Default)]
+struct Groups {
+    /// Group `g`'s accumulators, one per feed, at `g * feeds ..`.
+    accs: Vec<ValueAgg>,
+    /// Group `g`'s key as first seen, one value per GROUP BY column, at
+    /// `g * columns ..`.
+    keys: Vec<Value>,
+    /// Canonical key bytes ([`canonical_key`]) → group id. Looked up, never
+    /// iterated.
+    index: BTreeMap<Box<[u8]>, u32>,
+    /// The group of the row consumed last, whose raw key the scratch's
+    /// `last_key` holds: consecutive rows of one group skip the lookup.
+    last: Option<u32>,
+}
+
 /// Shared consumption: either appends projected rows to a typed batch or
 /// maintains grouped aggregates. One `Consumer` holds one morsel's partial
 /// result.
 pub(crate) struct Consumer<'q> {
-    bound: &'q BoundQuery,
+    plan: Rc<ConsumePlan<'q>>,
     /// The morsel's projected rows (stays empty when the plan aggregates).
     batch: ResultBatch,
-    /// One per item of a projecting plan, in item order.
-    projections: Vec<Projection<'q>>,
-    /// Accumulators per group, in first-seen order.
-    groups: Vec<Vec<ValueAgg>>,
-    /// Raw key → position in `groups`.
-    index: BTreeMap<RawKey, usize>,
-    /// The previous row's key (refilled in place) and the group it fell
-    /// in: consecutive rows of one group skip the lookup.
-    probe: RawKey,
-    last: Option<usize>,
-    /// One feed per aggregate, in item order.
-    feeds: Vec<AggFeed<'q>>,
-    aggregated: bool,
+    groups: Groups,
+}
+
+/// `best` ← `new` if `new` failed on an earlier row: a row-at-a-time loop
+/// stops at the first failing row, and on that row at the first failing
+/// item — items report in item order, so ties keep what is there.
+fn keep_first(best: &mut Option<ChunkError>, new: ChunkError) {
+    if best.as_ref().is_none_or(|b| new.at < b.at) {
+        *best = Some(new);
+    }
+}
+
+/// An error every row would raise, so the chunk's first row did.
+fn on_first_row(error: FabricError) -> ChunkError {
+    ChunkError { at: 0, error }
+}
+
+/// `out` ← the canonical form of a raw group key (the GROUP BY columns'
+/// encoded bytes back to back, of types `types`): two keys have equal
+/// canonical bytes exactly when their [`RawKey`]s are equal — every NaN one
+/// key, `-0.0` and `0.0` two, a text up to its first NUL as decoded and
+/// then a NUL, so texts of different lengths cannot run into each other.
+fn canonical_key(types: &[ColumnType], mut raw: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    for &ty in types {
+        let (field, rest) = raw.split_at(ty.width());
+        raw = rest;
+        match ty {
+            ColumnType::F32 if f32::from_le_bytes(le_array(field)).is_nan() => {
+                out.extend_from_slice(&f32::NAN.to_le_bytes());
+            }
+            ColumnType::F64 if f64::from_le_bytes(le_array(field)).is_nan() => {
+                out.extend_from_slice(&f64::NAN.to_le_bytes());
+            }
+            ColumnType::FixedStr(_) => {
+                out.extend_from_slice(ColumnView::new(ty, field, 0).text(0).as_bytes());
+                out.push(0);
+            }
+            _ => out.extend_from_slice(field),
+        }
+    }
 }
 
 impl<'q> Consumer<'q> {
     /// Resolve how `bound`, whose output items have the static `types`
-    /// ([`VerifiedQuery::output_types`]), consumes a row. Done once per
-    /// stage-0 run; every morsel then gets a [`Self::fresh`] copy.
+    /// ([`VerifiedQuery::output_types`]) and whose GROUP BY columns the
+    /// `key_types`, consumes a chunk. Done once per stage-0 run; every
+    /// morsel then consumes into its own [`Self::new`] /
+    /// [`Self::successor`].
     ///
     /// [`VerifiedQuery::output_types`]: crate::analyze::VerifiedQuery::output_types
-    pub(crate) fn new(bound: &'q BoundQuery, types: &[ColumnType]) -> Result<Self> {
+    pub(crate) fn plan(
+        bound: &'q BoundQuery,
+        types: Vec<ColumnType>,
+        key_types: Vec<ColumnType>,
+    ) -> Result<Rc<ConsumePlan<'q>>> {
         let aggregated = bound.has_aggregates();
         let feeds = bound
             .items
@@ -234,7 +305,11 @@ impl<'q> Consumer<'q> {
                 OutputItem::Agg(AggFunc::Sum | AggFunc::Avg, e) => {
                     Some(AggFeed::Sum(e.compile_f64()))
                 }
-                OutputItem::Agg(AggFunc::Min | AggFunc::Max, e) => Some(AggFeed::Value(e)),
+                OutputItem::Agg(AggFunc::Min | AggFunc::Max, e) => Some(AggFeed::Value(match e {
+                    Expr::Col(slot) => MinMaxInput::Slot(*slot),
+                    Expr::Const(v) => MinMaxInput::Literal(v),
+                    e => MinMaxInput::Arithmetic(e.compile_f64()),
+                })),
                 OutputItem::Expr(_) => None,
             })
             .collect();
@@ -254,48 +329,54 @@ impl<'q> Consumer<'q> {
                 });
             }
         }
-        Ok(Consumer {
+        Ok(Rc::new(ConsumePlan {
             bound,
-            batch: ResultBatch::new(types),
+            types,
             projections,
-            groups: Vec::new(),
-            index: BTreeMap::new(),
-            probe: RawKey::default(),
-            last: None,
             feeds,
+            key_types,
             aggregated,
-        })
+        }))
     }
 
-    /// An empty consumer of the same plan, for the next morsel, copied
-    /// from this one, which must not have been fed (its own compiled
-    /// programs: each carries the operand stack it runs on).
-    pub(crate) fn fresh(&self) -> Self {
+    /// An empty partial of `plan`, for the first morsel.
+    pub(crate) fn new(plan: &Rc<ConsumePlan<'q>>) -> Self {
         Consumer {
-            bound: self.bound,
-            batch: self.batch.clone(),
-            projections: self.projections.clone(),
-            groups: Vec::new(),
-            index: BTreeMap::new(),
-            probe: RawKey::default(),
-            last: None,
-            feeds: self.feeds.clone(),
-            aggregated: self.aggregated,
+            plan: Rc::clone(plan),
+            batch: ResultBatch::new(&plan.types),
+            groups: Groups::default(),
         }
     }
 
-    /// CPU cycles one fed row costs (charged by the caller's engine loop).
-    pub(crate) fn row_cycles(&self, costs: &fabric_sim::hierarchy::OpCosts) -> u64 {
-        let ops: u64 = self
-            .bound
+    /// An empty partial for the next morsel, its buffers reserved for as
+    /// many rows (or groups) as this one, the morsel before it, holds.
+    pub(crate) fn successor(&self) -> Self {
+        Consumer {
+            plan: Rc::clone(&self.plan),
+            batch: self.batch.successor(),
+            groups: Groups {
+                accs: Vec::with_capacity(self.groups.accs.len()),
+                keys: Vec::with_capacity(self.groups.keys.len()),
+                ..Groups::default()
+            },
+        }
+    }
+
+    /// CPU cycles one consumed row costs (charged by the kernel).
+    pub(crate) fn row_cycles(
+        plan: &ConsumePlan<'_>,
+        costs: &fabric_sim::hierarchy::OpCosts,
+    ) -> u64 {
+        let bound = plan.bound;
+        let ops: u64 = bound
             .items
             .iter()
             .map(|i| match i {
                 OutputItem::Agg(_, e) | OutputItem::Expr(e) => e.ops() + 1,
             })
             .sum();
-        if self.aggregated {
-            let hash = if self.bound.group_by.is_empty() {
+        if plan.aggregated {
+            let hash = if bound.group_by.is_empty() {
                 0
             } else {
                 costs.hash_op
@@ -309,82 +390,202 @@ impl<'q> Consumer<'q> {
     /// Rows (or groups) this partial currently holds — the partial's
     /// contribution to the merge stage's `rows_in`.
     pub(crate) fn partial_len(&self) -> usize {
-        if self.aggregated {
-            self.groups.len()
+        if self.plan.aggregated {
+            // An aggregating plan has at least one feed.
+            self.groups.accs.len() / self.plan.feeds.len()
         } else {
             self.batch.len()
         }
     }
 
-    /// Position in `groups` of the group `vals` belongs to, created on
-    /// first sight.
-    fn group_of(&mut self, vals: &[Value]) -> usize {
-        let slots = &self.bound.group_by;
-        let probe = &mut self.probe.0;
-        if let Some(g) = self.last {
-            let mut parts = slots.iter().zip(probe.iter());
-            if parts.all(|(&s, k)| key_part_cmp(&vals[s], k).is_eq()) {
-                return g;
-            }
+    /// Consume `rows` of `chunk`, in that order: what feeding each row's
+    /// decoded tuple to a row-at-a-time consumer would leave behind, done
+    /// a column — an item, an accumulator — at a time. On an error the
+    /// partial is unusable (the query fails); the error names the row a
+    /// row-at-a-time loop would have failed on.
+    pub(crate) fn consume(
+        &mut self,
+        chunk: &Chunk<'_>,
+        rows: &[u32],
+        scratch: &mut EvalScratch,
+    ) -> std::result::Result<(), ChunkError> {
+        if rows.is_empty() {
+            return Ok(());
         }
-        // Refill the probe in place (no allocation once its strings have
-        // grown); it has no slots yet on the first row.
-        probe.resize(slots.len(), Value::I8(0));
-        for (k, &s) in probe.iter_mut().zip(slots) {
-            match (k, &vals[s]) {
-                (Value::Str(dst), Value::Str(src)) => {
-                    dst.clear();
-                    dst.push_str(src);
+        let mut failed = None;
+        if self.plan.aggregated {
+            self.assign_groups(chunk, rows, scratch)?;
+            self.accumulate(chunk, rows, scratch, &mut failed);
+        } else {
+            let projections = &self.plan.projections;
+            self.batch.append_rows(rows.len(), |i, col| {
+                let appended = match &projections[i] {
+                    Projection::Slot(slot) => chunk
+                        .col(*slot)
+                        .and_then(|values| col.extend_from(&values, rows))
+                        .map_err(on_first_row),
+                    Projection::Literal(v) => col.push_n(v, rows.len()).map_err(on_first_row),
+                    Projection::Arithmetic(program) => program
+                        .eval_chunk(chunk, rows, &mut scratch.regs)
+                        .and_then(|v| col.extend_f64(v, rows.len()).map_err(on_first_row)),
+                };
+                if let Err(e) = appended {
+                    keep_first(&mut failed, e);
                 }
-                (k, v) => *k = v.clone(),
-            }
-        }
-        let g = match self.index.get(&self.probe) {
-            Some(&g) => g,
-            None => {
-                let g = self.groups.len();
-                self.groups.push(new_accs(self.bound));
-                self.index.insert(self.probe.clone(), g);
-                g
-            }
-        };
-        self.last = Some(g);
-        g
-    }
-
-    pub(crate) fn feed(&mut self, vals: &[Value]) -> Result<()> {
-        if !self.aggregated {
-            let projections = &mut self.projections;
-            return self.batch.push_row(|i, col| match &mut projections[i] {
-                Projection::Slot(slot) => {
-                    col.push(vals.get(*slot).ok_or(FabricError::ColumnIndexOutOfRange {
-                        index: *slot,
-                        len: vals.len(),
-                    })?)
-                }
-                Projection::Literal(v) => col.push(v),
-                Projection::Arithmetic(program) => col.push(&Value::F64(program.eval(vals)?)),
             });
         }
-        let g = self.group_of(vals);
-        for (acc, feed) in self.groups[g].iter_mut().zip(&mut self.feeds) {
-            match feed {
-                AggFeed::Count => acc.update_f64(0.0),
-                AggFeed::Sum(program) => acc.update_f64(program.eval(vals)?),
-                AggFeed::Value(e) => acc.update(&e.eval(vals)?)?,
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// `scratch.gids[k]` ← the group of `rows[k]`, created on first sight:
+    /// the raw key bytes are compared with the previous row's, and only a
+    /// different key is canonicalized and looked up.
+    fn assign_groups(
+        &mut self,
+        chunk: &Chunk<'_>,
+        rows: &[u32],
+        scratch: &mut EvalScratch,
+    ) -> std::result::Result<(), ChunkError> {
+        let plan = &*self.plan;
+        let groups = &mut self.groups;
+        let EvalScratch {
+            gids,
+            keys,
+            last_key,
+            canon,
+            ..
+        } = scratch;
+        gids.clear();
+        let slots = &plan.bound.group_by;
+        if slots.is_empty() {
+            // One group, there from the first row consumed.
+            if groups.accs.is_empty() {
+                groups.accs.extend(new_accs(plan.bound));
             }
+            gids.resize(rows.len(), 0);
+            return Ok(());
         }
+        // The rows' raw keys back to back, filled a column at a time.
+        let types = &plan.key_types;
+        let width: usize = types.iter().map(ColumnType::width).sum();
+        keys.clear();
+        keys.resize(rows.len() * width, 0);
+        let mut offset = 0;
+        for (&ty, &slot) in types.iter().zip(slots) {
+            let col = chunk.col(slot).map_err(on_first_row)?;
+            if col.ty() != ty {
+                return Err(on_first_row(FabricError::Internal(format!(
+                    "GROUP BY slot {slot} is {}, planned as {}",
+                    col.ty().name(),
+                    ty.name()
+                ))));
+            }
+            for (k, &r) in rows.iter().enumerate() {
+                keys[k * width + offset..][..ty.width()].copy_from_slice(col.raw(r as usize));
+            }
+            offset += ty.width();
+        }
+        let mut previous: &[u8] = last_key;
+        for k in 0..rows.len() {
+            let key = &keys[k * width..(k + 1) * width];
+            let g = match groups.last {
+                Some(g) if key == previous => g,
+                _ => {
+                    canonical_key(types, key, canon);
+                    match groups.index.get(canon.as_slice()) {
+                        Some(&g) => g,
+                        None => {
+                            let g = groups.index.len() as u32;
+                            groups.index.insert(canon.as_slice().into(), g);
+                            groups.accs.extend(new_accs(plan.bound));
+                            let mut raw = key;
+                            for &ty in types.iter() {
+                                let (field, rest) = raw.split_at(ty.width());
+                                groups.keys.push(Value::decode(ty, field));
+                                raw = rest;
+                            }
+                            g
+                        }
+                    }
+                }
+            };
+            groups.last = Some(g);
+            previous = key;
+            gids.push(g);
+        }
+        last_key.clear();
+        last_key.extend_from_slice(&keys[keys.len() - width..]);
         Ok(())
     }
 
-    /// This partial's groups under their rendered keys. Raw-key equality
-    /// is rendered-key equality except for strings that embed the key
-    /// separator; such groups fold together here, as they always did.
+    /// Update every accumulator with its rows, an accumulator at a time,
+    /// each in row order.
+    fn accumulate(
+        &mut self,
+        chunk: &Chunk<'_>,
+        rows: &[u32],
+        scratch: &mut EvalScratch,
+        failed: &mut Option<ChunkError>,
+    ) {
+        let EvalScratch { gids, regs, .. } = scratch;
+        let feeds = &self.plan.feeds;
+        let accs = &mut self.groups.accs;
+        let stride = feeds.len();
+        for (a, feed) in feeds.iter().enumerate() {
+            // Row `k`'s accumulator for this feed.
+            let at = |k: usize| gids[k] as usize * stride + a;
+            let fed = match feed {
+                AggFeed::Count => {
+                    (0..rows.len()).for_each(|k| accs[at(k)].update_f64(0.0));
+                    Ok(())
+                }
+                AggFeed::Sum(program) => program.eval_chunk(chunk, rows, regs).map(|values| {
+                    (0..rows.len()).for_each(|k| accs[at(k)].update_f64(values.at(k)));
+                }),
+                AggFeed::Value(MinMaxInput::Slot(s)) => {
+                    chunk.col(*s).map_err(on_first_row).and_then(|col| {
+                        rows.iter().enumerate().try_for_each(|(k, &r)| {
+                            let updated = accs[at(k)].update_at(&col, r as usize);
+                            updated.map_err(|error| ChunkError { at: k, error })
+                        })
+                    })
+                }
+                AggFeed::Value(MinMaxInput::Literal(v)) => (0..rows.len()).try_for_each(|k| {
+                    accs[at(k)]
+                        .update(v)
+                        .map_err(|error| ChunkError { at: k, error })
+                }),
+                AggFeed::Value(MinMaxInput::Arithmetic(program)) => {
+                    program.eval_chunk(chunk, rows, regs).and_then(|values| {
+                        (0..rows.len()).try_for_each(|k| {
+                            let updated = accs[at(k)].update(&Value::F64(values.at(k)));
+                            updated.map_err(|error| ChunkError { at: k, error })
+                        })
+                    })
+                }
+            };
+            if let Err(e) = fed {
+                keep_first(failed, e);
+            }
+        }
+    }
+
+    /// This partial's groups under their rendered keys, visited in raw-key
+    /// order. Raw-key equality is rendered-key equality except for strings
+    /// that embed the key separator; such groups fold together here, as
+    /// they always did.
     fn into_rendered(self) -> Result<RenderedGroups> {
-        let mut groups = self.groups;
+        let (columns, feeds) = (self.plan.bound.group_by.len(), self.plan.feeds.len());
+        let mut keys = self.groups.keys.into_iter();
+        let mut accs = self.groups.accs.into_iter();
+        let mut by_raw_key = BTreeMap::new();
+        for _ in 0..accs.len() / feeds {
+            let key = RawKey(keys.by_ref().take(columns).collect());
+            let group: Vec<ValueAgg> = accs.by_ref().take(feeds).collect();
+            by_raw_key.insert(key, group);
+        }
         let mut out = RenderedGroups::new();
-        for (key, g) in self.index {
-            let accs = std::mem::take(&mut groups[g]);
+        for (key, accs) in by_raw_key {
             match out.entry(render_key(&key.0)?) {
                 Entry::Vacant(v) => {
                     v.insert((key.0, accs));
@@ -464,7 +665,7 @@ fn finish_groups(
     // Scalar aggregation over zero rows still returns one row
     // (count = 0, sum = 0; min/max/avg error, as they have no value).
     if groups.is_empty() && bound.group_by.is_empty() {
-        groups.insert(String::new(), (Vec::new(), new_accs(bound)));
+        groups.insert(String::new(), (Vec::new(), new_accs(bound).collect()));
     }
     let mut out = ResultBatch::new(types);
     for (key_vals, accs) in groups.into_values() {

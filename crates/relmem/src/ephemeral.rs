@@ -38,8 +38,12 @@ use crate::device::DeviceRun;
 use crate::packer;
 use crate::stats::RmStats;
 use fabric_sim::{Category, Cycles, FaultPlan, MemoryHierarchy, RecoveryPolicy};
-use fabric_types::{crc32, le_array, ColumnType, FabricError, Geometry, OutputMode, Result, Value};
+use fabric_types::{
+    crc32, le_array, Chunk, ChunkError, CmpOp, ColumnSpec, FabricError, Geometry, OutputMode,
+    Result, RowSelection, Value, BATCH_ROWS,
+};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Device name reported in fault errors raised by this module.
@@ -55,10 +59,11 @@ pub struct PackedBatch {
     data: Vec<u8>,
     rows: usize,
     row_width: usize,
-    /// `(offset within a delivered row, type)` of each requested field,
-    /// shared with the [`EphemeralColumns`] that delivered the batch (an
-    /// `Arc`, not an `Rc`, only so batches stay `Send`).
-    fields: Arc<[(usize, ColumnType)]>,
+    /// Where each requested field lies in the payload (offset within a
+    /// delivered row, stride = `row_width`), shared with the
+    /// [`EphemeralColumns`] that delivered the batch (an `Arc`, not an
+    /// `Rc`, only so batches stay `Send`).
+    fields: Arc<[ColumnSpec]>,
     /// Number of qualifying rows in this batch.
     pub(crate) _private: (),
 }
@@ -99,28 +104,72 @@ impl PackedBatch {
     /// of packed row `row`.
     #[inline]
     pub fn field_bytes(&self, row: usize, field: usize) -> &[u8] {
-        let (offset, ty) = self.fields[field];
-        let off = row * self.row_width + offset;
-        &self.data[off..off + ty.width()]
+        let spec = self.fields[field];
+        let off = row * self.row_width + spec.offset;
+        &self.data[off..off + spec.ty.width()]
     }
 
     /// Decode field `field` of row `row`.
     #[inline]
     pub fn value(&self, row: usize, field: usize) -> Value {
-        Value::decode(self.fields[field].1, self.field_bytes(row, field))
+        Value::decode(self.fields[field].ty, self.field_bytes(row, field))
     }
 
-    /// Decode every field of row `row`, in request order, into `tuple` in
-    /// place ([`Value::decode_row_into`]).
-    #[inline]
-    pub fn decode_row_into(&self, row: usize, tuple: &mut Vec<Value>) {
-        let bytes = self.row_bytes(row);
-        Value::decode_row_into(
-            tuple,
-            self.fields
-                .iter()
-                .map(|&(off, ty)| (ty, &bytes[off..off + ty.width()])),
-        );
+    /// Packed rows `rows` as typed column views, one per requested field
+    /// in request order (stride = packed-row width); row 0 of the chunk is
+    /// `rows.start`.
+    pub fn chunk(&self, rows: Range<usize>) -> Chunk<'_> {
+        let bytes = &self.data[rows.start * self.row_width..rows.end * self.row_width];
+        Chunk::new(bytes, &self.fields)
+    }
+
+    /// Consume packed rows `rows` with a branch-free predicate: every
+    /// `(field, op, literal)` conjunct is charged (`value_op` each) and
+    /// evaluated on every row — rejection is a data dependency, not a
+    /// mispredicted branch — and each passing row costs `pass_cycles`.
+    /// Rows reach `consume` a chunk at a time (at most [`BATCH_ROWS`]), as
+    /// [`Self::chunk`] views plus the positions that passed. Returns how
+    /// many passed.
+    ///
+    /// `consume` is host-only and runs before its chunk's rows are
+    /// charged; when it fails on a row, exactly the rows up to that one
+    /// are. The payload is host memory, so nothing but `cpu` is charged —
+    /// and a chunk's `cpu` charges, with nothing between them that reads
+    /// the clock, are one sum.
+    pub fn consume_chunks(
+        &self,
+        mem: &mut MemoryHierarchy,
+        rows: Range<usize>,
+        preds: &[(usize, CmpOp, Value)],
+        pass_cycles: u64,
+        selection: &mut RowSelection,
+        mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+    ) -> Result<u64> {
+        let pred_cycles = mem.costs().value_op * preds.len() as u64;
+        let mut kept = 0u64;
+        let mut first = rows.start;
+        while first < rows.end {
+            let n = BATCH_ROWS.min(rows.end - first);
+            let chunk = self.chunk(first..first + n);
+            // A predicate that cannot be evaluated fails on the first row.
+            let (reached, failure) = match selection.select(&chunk, n, preds) {
+                Err(e) => (1, Some(e)),
+                Ok(()) => match consume(&chunk, selection.sel()) {
+                    Ok(()) => (n, None),
+                    Err(ChunkError { at, error }) => {
+                        (selection.sel()[at] as usize + 1, Some(error))
+                    }
+                },
+            };
+            let passed = selection.pass()[..reached].iter().filter(|&&p| p).count() as u64;
+            mem.cpu(pred_cycles * reached as u64 + pass_cycles * passed);
+            kept += passed;
+            if let Some(e) = failure {
+                return Err(e);
+            }
+            first += n;
+        }
+        Ok(kept)
     }
 
     /// Fast path: little-endian `i32` field.
@@ -162,7 +211,7 @@ pub struct EphemeralColumns {
     run: DeviceRun,
     bus_cycles_per_line: Cycles,
     batch_bytes: usize,
-    fields: Arc<[(usize, ColumnType)]>,
+    fields: Arc<[ColumnSpec]>,
     pending: Option<crate::device::ProducedBatch>,
     /// Times at which recent batches were taken by the CPU; bounds the
     /// device's production lookahead to the staging-buffer window.
@@ -210,8 +259,14 @@ impl EphemeralColumns {
             OutputMode::FilteredRows => geometry.fields.iter().map(|f| f.offset).collect(),
             _ => packer::packed_offsets(&geometry),
         };
-        let field_types = geometry.fields.iter().map(|f| f.ty);
-        let fields = field_offsets.into_iter().zip(field_types).collect();
+        let specs = field_offsets.into_iter().zip(&geometry.fields);
+        let fields = specs
+            .map(|(offset, f)| ColumnSpec {
+                ty: f.ty,
+                offset,
+                stride: out_width,
+            })
+            .collect();
 
         let mut this = EphemeralColumns {
             geometry,
@@ -478,7 +533,7 @@ mod tests {
     use super::*;
     use fabric_sim::SimConfig;
     use fabric_types::{
-        AggFunc, AggSpec, CmpOp, ColumnPredicate, FieldSlice, Predicate, RowLayout, Schema,
+        AggFunc, AggSpec, ColumnPredicate, ColumnType, FieldSlice, Predicate, RowLayout, Schema,
     };
 
     /// Standard fixture: `rows` rows of 16 i32 columns, c_j(i) = i*16+j.

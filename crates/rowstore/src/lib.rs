@@ -20,5 +20,5 @@ pub mod volcano;
 
 pub use index::{HashIndex, OrderedIndex};
 pub use table::{RowId, RowTable};
-pub use vector::{scan_range_vectorized, ScanCounts};
+pub use vector::{scan_range_chunks, scan_range_vectorized, ScanCounts};
 pub use volcano::{execute_collect, Filter, HashAggregate, Operator, Project, SeqScan};

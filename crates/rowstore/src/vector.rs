@@ -15,10 +15,17 @@
 //! interleaved with how much compute) deliberately mirrors the Volcano
 //! scan row for row, so the kernel is a strict cycle improvement rather
 //! than a different memory model.
+//!
+//! Rows leave the kernel a *chunk* at a time, as typed column views over
+//! the table's own bytes ([`scan_range_chunks`]);
+//! [`scan_range_vectorized`] is the same kernel with a decoded tuple per
+//! passing row, for callers that want `Value`s.
 
 use fabric_sim::MemoryHierarchy;
 use fabric_types::geometry::merge_field_spans;
-use fabric_types::{CmpOp, ColumnId, Result, Value};
+use fabric_types::{
+    Chunk, ChunkError, CmpOp, ColumnId, ColumnSpec, Result, ScanScratch, Value, BATCH_ROWS,
+};
 
 use crate::table::RowTable;
 
@@ -30,20 +37,47 @@ pub struct ScanCounts {
 }
 
 /// Fused vectorized scan+filter over rows `[start, end)` of `table`,
-/// decoding `cols` (projection pushed into the scan) and keeping rows
-/// that satisfy every `(slot, op, literal)` conjunct over the decoded
-/// slots. Passing rows are handed to `emit` in scan order; the caller
-/// charges its own consumption cycles there.
+/// reading `cols` (projection pushed into the scan) and keeping rows that
+/// satisfy every `(slot, op, literal)` conjunct over those columns.
+/// Passing rows are handed to `consume` a chunk at a time — at most
+/// [`BATCH_ROWS`] rows as typed column views (stride = row width) over the
+/// table's bytes, plus the positions that passed, in scan order — and each
+/// costs `pass_cycles` of consumption.
 ///
 /// Charges one `vector_setup` per call (amortize it by scanning
 /// morsel-sized ranges) and, per row, `decode` per column plus
 /// `value_op` per conjunct — branch-free, so no `branch_miss` and no
 /// `volcano_next`.
 ///
-/// `tuple` is the caller's decode buffer (host-side scratch, typically
-/// recycled from a `Scratchpad`): every row is decoded into its slots in
-/// place ([`Value::decode_into`]), so one allocation — text buffers
-/// included — serves every morsel of a query.
+/// `consume` is host-only and runs before its chunk's rows are charged;
+/// the simulated clock cannot tell (DESIGN.md §21). When it fails on a row,
+/// exactly the rows up to that one are charged.
+#[allow(clippy::too_many_arguments)]
+pub fn scan_range_chunks(
+    mem: &mut MemoryHierarchy,
+    table: &RowTable,
+    cols: &[ColumnId],
+    preds: &[(usize, CmpOp, Value)],
+    start: usize,
+    end: usize,
+    pass_cycles: u64,
+    scratch: &mut ScanScratch,
+    consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+) -> Result<ScanCounts> {
+    let on_pass = |mem: &mut MemoryHierarchy, _| {
+        mem.cpu(pass_cycles);
+        Ok(())
+    };
+    scan_chunks(
+        mem, table, cols, preds, start, end, scratch, consume, on_pass,
+    )
+}
+
+/// [`scan_range_chunks`] a row at a time: passing rows are decoded into
+/// `tuple` (the caller's buffer, refilled in place —
+/// [`Value::decode_row_into`]) and handed to `emit` in scan order, where
+/// the caller charges its own consumption cycles.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_range_vectorized(
     mem: &mut MemoryHierarchy,
     table: &RowTable,
@@ -54,10 +88,50 @@ pub fn scan_range_vectorized(
     tuple: &mut Vec<Value>,
     mut emit: impl FnMut(&mut MemoryHierarchy, &[Value]) -> Result<()>,
 ) -> Result<ScanCounts> {
+    let layout = table.layout();
+    let fields = layout.fields(cols)?;
+    let on_pass = |mem: &mut MemoryHierarchy, r| {
+        let row = mem.bytes(table.row_addr(r), layout.row_width());
+        Value::decode_row_into(tuple, fields.iter().map(|f| (f.ty, &row[f.range()])));
+        emit(mem, tuple)
+    };
+    let scratch = &mut ScanScratch::default();
+    scan_chunks(
+        mem,
+        table,
+        cols,
+        preds,
+        start,
+        end,
+        scratch,
+        |_, _| Ok(()),
+        on_pass,
+    )
+}
+
+/// The one ROW kernel. Per chunk: (i) the predicate and `consume`,
+/// host-only over untimed bytes; (ii) the per-row charge sequence — the
+/// row's line-granular traffic (the same as the Volcano scan: one touch
+/// per merged field span, gathered so independent misses overlap), its
+/// decode and predicate cycles, and `on_pass(mem, row id)` for a row that
+/// passed — which stops after the row `consume` failed on, if it did.
+#[allow(clippy::too_many_arguments)]
+fn scan_chunks(
+    mem: &mut MemoryHierarchy,
+    table: &RowTable,
+    cols: &[ColumnId],
+    preds: &[(usize, CmpOp, Value)],
+    start: usize,
+    end: usize,
+    scratch: &mut ScanScratch,
+    mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
+    mut on_pass: impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>,
+) -> Result<ScanCounts> {
     let costs = mem.costs();
     let layout = table.layout();
     let fields = layout.fields(cols)?;
     let spans = merge_field_spans(&fields, 0);
+    let width = layout.row_width();
     let end = end.min(table.len());
     let start = start.min(end);
     // One setup for the whole morsel: the per-row loop below is the
@@ -65,36 +139,51 @@ pub fn scan_range_vectorized(
     mem.cpu_vector(0, 0);
 
     let row_cycles = costs.decode * cols.len() as u64 + costs.value_op * preds.len() as u64;
+    let ScanScratch { specs, rows } = scratch;
+    specs.clear();
+    specs.extend(fields.iter().map(|f| ColumnSpec {
+        ty: f.ty,
+        offset: f.offset,
+        stride: width,
+    }));
     let mut counts = ScanCounts::default();
     let mut parts: Vec<(u64, usize)> = Vec::with_capacity(spans.len());
-    for r in start..end {
-        counts.rows_in += 1;
-        let row_addr = table.row_addr(r);
-        // Same line-granular traffic as the Volcano scan: one touch per
-        // merged field span, gathered so independent misses overlap.
-        if spans.len() == 1 {
-            let (off, len) = spans[0];
-            mem.touch_read(row_addr + off as u64, len);
-        } else {
-            parts.clear();
-            parts.extend(spans.iter().map(|&(off, len)| (row_addr + off as u64, len)));
-            mem.touch_read_gather(&parts);
+    let mut first = start;
+    while first < end {
+        let n = BATCH_ROWS.min(end - first);
+        let chunk = Chunk::new(mem.bytes(table.row_addr(first), n * width), specs);
+        // Branch-free conjunction: every predicate is evaluated (and
+        // charged below); the pass bit is a data dependency, not a branch.
+        // A predicate that cannot be evaluated fails on the first row.
+        let (reached, failure) = match rows.select(&chunk, n, preds) {
+            Err(e) => (1, Some(e)),
+            Ok(()) => match consume(&chunk, rows.sel()) {
+                Ok(()) => (n, None),
+                Err(ChunkError { at, error }) => (rows.sel()[at] as usize + 1, Some(error)),
+            },
+        };
+        for (i, &pass) in rows.pass()[..reached].iter().enumerate() {
+            let r = first + i;
+            counts.rows_in += 1;
+            let row_addr = table.row_addr(r);
+            if spans.len() == 1 {
+                let (off, len) = spans[0];
+                mem.touch_read(row_addr + off as u64, len);
+            } else {
+                parts.clear();
+                parts.extend(spans.iter().map(|&(off, len)| (row_addr + off as u64, len)));
+                mem.touch_read_gather(&parts);
+            }
+            mem.cpu(row_cycles);
+            if pass {
+                counts.rows_out += 1;
+                on_pass(mem, r)?;
+            }
         }
-        mem.cpu(row_cycles);
-
-        let row = mem.bytes(row_addr, layout.row_width());
-        Value::decode_row_into(tuple, fields.iter().map(|f| (f.ty, &row[f.range()])));
-        // Branch-free conjunction: every predicate is evaluated (already
-        // charged above); the pass/fail bit is a data dependency, not a
-        // branch.
-        let mut pass = true;
-        for (slot, op, lit) in preds {
-            pass &= op.matches(tuple[*slot].compare(lit)?);
+        if let Some(e) = failure {
+            return Err(e);
         }
-        if pass {
-            counts.rows_out += 1;
-            emit(mem, tuple)?;
-        }
+        first += n;
     }
     Ok(counts)
 }

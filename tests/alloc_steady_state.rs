@@ -142,12 +142,14 @@ fn run(rows: usize, sql: &str, path: AccessPath) -> Run {
     }
 }
 
-/// Allocations allowed per extra morsel (a partial `Consumer`: its group
-/// table, accumulators and compiled programs, plus the kernels' per-call
-/// vectors; Q1 measures 54, Q6 11–15, the lookup 4–6) and per extra RM
-/// batch (the payload and the device's line list). A per-row allocation
-/// would add 4096 per morsel.
-const PER_MORSEL: u64 = 80;
+/// Allocations allowed per extra morsel: the kernels' per-call vectors and
+/// a partial `Consumer` — its batch columns, each reserved once from the
+/// morsel before, or its group table (per group the key bytes, the key
+/// values and, when the partial is rendered for the merge, the rendered
+/// key and the accumulator list). Q1 measures 35–36, Q6 9–11, the lookup
+/// 5–7. Per extra RM batch: the payload and the device's line list. A
+/// per-row allocation would add 4096 per morsel.
+const PER_MORSEL: u64 = 40;
 const PER_BATCH: u64 = 8;
 
 #[test]

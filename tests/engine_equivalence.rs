@@ -98,6 +98,43 @@ fn sql_q1_matches_across_paths() {
     assert_eq!(row.rows, rm.rows);
 }
 
+/// A statement that names no column still scans the table: it runs on
+/// every path and through the optimizer, with one answer.
+#[test]
+fn sql_statements_that_touch_no_column_run_on_every_path() {
+    const ROWS: usize = 9_000; // two full morsels and a short one
+    let mut engine = Engine::new(SimConfig::zynq_a53());
+    let li = Lineitem::generate(engine.mem(), ROWS, 0xE5).unwrap();
+    engine.register("lineitem", li.rows, li.cols);
+    let mut session = engine.session();
+    let n = Value::I64(ROWS as i64);
+    let cases = [
+        ("SELECT count(*) FROM lineitem", vec![vec![n.clone()]]),
+        (
+            "SELECT count(*), sum(2), min(5), max('x') FROM lineitem",
+            vec![vec![
+                n,
+                Value::F64(2.0 * ROWS as f64),
+                Value::I64(5),
+                Value::Str("x".into()),
+            ]],
+        ),
+        (
+            "SELECT 1, 'a', 2.5 FROM lineitem",
+            vec![vec![Value::I64(1), Value::Str("a".into()), Value::F64(2.5)]; ROWS],
+        ),
+    ];
+    for (sql_text, want) in cases {
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let out = session.run_on(sql_text, path).unwrap();
+            assert_eq!(out.path, path);
+            assert_eq!(out.rows, want, "`{sql_text}` on {path}");
+        }
+        let routed = session.run(sql_text).unwrap();
+        assert_eq!(routed.rows, want, "`{sql_text}` through the optimizer");
+    }
+}
+
 #[test]
 fn rm_stats_account_for_all_rows() {
     let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());

@@ -22,8 +22,15 @@ use support::{core_grid, engine, seed, Q1, Q6, TOP10};
 /// Q1's grouped f64 aggregates pin the fold shape; Q6's conjunctive
 /// range filter pins the branch-free predicate kernels; the projection
 /// query pins ORDER BY/LIMIT post-processing on top of a shared cache
-/// entry.
-const QUERIES: &[&str] = &[Q1, Q6, TOP10];
+/// entry; the last two name no column at all, so the scanned column is
+/// one the binder picked.
+const QUERIES: &[&str] = &[
+    Q1,
+    Q6,
+    TOP10,
+    "SELECT count(*) FROM lineitem",
+    "SELECT count(*), sum(1) FROM lineitem",
+];
 
 /// The tentpole grid: (path × cores × cache temperature). The cold run
 /// earns the answer through the hierarchy; the warm run must replay the

@@ -5,24 +5,25 @@
 //! * sliced CRC-32 against the byte-at-a-time loop;
 //! * `Value::compare` against an oracle over every type pair;
 //! * `Value::decode_into` against `Value::decode`;
-//! * the compiled `f64` expression program against `Expr::eval_f64`;
+//! * the compiled `f64` expression program, evaluated a chunk at a time,
+//!   against `Expr::eval_f64` row by row;
 //! * grouped aggregation on raw keys against the rendered-key algorithm
 //!   it replaced, on ROW, COL and RM at 1/2/4 cores.
 //!
 //! Generated cases are seeded from `FABRIC_CHAOS_SEED` (like the chaos
 //! suite); a failure prints the seed to replay it with.
 
-use colstore::ColTable;
-use fabric_sim::SimConfig;
-use fabric_types::{crc32, ColumnType, Crc32, DetRng, Expr, FabricError, Schema, Value, ValueAgg};
+use fabric_types::{
+    crc32, Chunk, ChunkError, ColumnType, Crc32, DetRng, Expr, F64Regs, FabricError, Schema, Value,
+    ValueAgg,
+};
 use query::bind::{bind, BoundQuery, OutputItem};
 use query::{AccessPath, Engine, MORSEL_ROWS};
-use rowstore::RowTable;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 mod support;
-use support::{core_grid, seed};
+use support::{bits, core_grid, seed};
 
 // ------------------------------------------------------------------ CRC
 
@@ -280,7 +281,20 @@ fn random_expr(rng: &mut DetRng, depth: u32, arity: usize) -> Expr {
 fn compiled_program_equals_eval_f64_value_for_value_and_error_for_error() {
     let seed = seed();
     let mut rng = DetRng::seed_from_u64(seed ^ 0xF64);
-    let tuple = vec![
+    let types = [
+        ColumnType::I32,
+        ColumnType::F64,
+        ColumnType::I64,
+        ColumnType::F64,
+        ColumnType::F64,
+        ColumnType::F64,
+        ColumnType::F64,
+        ColumnType::Date,
+        ColumnType::FixedStr(1),
+    ];
+    // The first row is the tuple the row-at-a-time program was checked
+    // on; the others move the zeros (the data-dependent error) around.
+    let mut table = vec![vec![
         Value::I32(10),
         Value::F64(2.5),
         Value::I64(-4),
@@ -290,50 +304,70 @@ fn compiled_program_equals_eval_f64_value_for_value_and_error_for_error() {
         Value::F64(1e308),
         Value::Date(9000),
         Value::Str("s".into()),
-    ];
-    let (mut values, mut errors) = (0, 0);
+    ]];
+    for _ in 0..7 {
+        let float = |rng: &mut DetRng| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => rng.gen_range(-3..=3i64) as f64,
+            _ => rng.next_f64() * 100.0 - 50.0,
+        };
+        table.push(vec![
+            Value::I32(rng.gen_range(-2..=2)),
+            Value::F64(float(&mut rng)),
+            Value::I64(rng.gen_range(-3..=3)),
+            Value::F64(float(&mut rng)),
+            Value::F64(float(&mut rng)),
+            Value::F64(float(&mut rng)),
+            Value::F64(float(&mut rng)),
+            Value::Date(rng.gen_range(0..3)),
+            Value::Str("t".into()),
+        ]);
+    }
+    let (bytes, specs) = support::packed_rows(&types, &table);
+    let chunk = Chunk::new(&bytes, &specs);
+    let mut regs = F64Regs::default();
+    let (mut values, mut errors, mut late_errors) = (0, 0, 0);
     for case in 0..5000 {
-        let expr = random_expr(&mut rng, 4, tuple.len());
-        let mut program = expr.compile_f64();
-        // Twice: the program's stack is reused between rows.
-        for _ in 0..2 {
-            let ctx = format!("case {case}: {expr} (replay: FABRIC_CHAOS_SEED={seed})");
-            match (program.eval(&tuple), expr.eval_f64(&tuple)) {
-                (Ok(got), Ok(want)) => {
-                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
-                    values += 1;
+        let expr = random_expr(&mut rng, 4, types.len());
+        let program = expr.compile_f64();
+        // The whole table, then a few rows in any order: the registers
+        // are reused between evaluations.
+        let some: Vec<u32> = (0..rng.gen_range(0..6usize))
+            .map(|_| rng.gen_range(0..table.len() as u32))
+            .collect();
+        let all: Vec<u32> = (0..table.len() as u32).collect();
+        for rows in [&all, &some] {
+            let ctx =
+                format!("case {case}: {expr} over {rows:?} (replay: FABRIC_CHAOS_SEED={seed})");
+            // Row at a time: every value, or the first error and its row.
+            let mut want = Ok(Vec::new());
+            for (at, &r) in rows.iter().enumerate() {
+                match (expr.eval_f64(&table[r as usize]), &mut want) {
+                    (Ok(x), Ok(bits)) => bits.push(x.to_bits()),
+                    (Err(error), Ok(_)) => want = Err(ChunkError { at, error }),
+                    (_, Err(_)) => break,
                 }
-                (Err(got), Err(want)) => {
-                    assert_eq!(got, want, "{ctx}");
+            }
+            let got = program
+                .eval_chunk(&chunk, rows, &mut regs)
+                .map(|col| (0..rows.len()).map(|k| col.at(k).to_bits()).collect());
+            assert_eq!(got, want, "{ctx}");
+            match want {
+                Ok(bits) => values += bits.len(),
+                Err(e) => {
                     errors += 1;
+                    late_errors += usize::from(e.at > 0);
                 }
-                (got, want) => panic!("{ctx}: program {got:?}, eval_f64 {want:?}"),
             }
         }
     }
     assert!(
-        values > 500 && errors > 500,
-        "{values} values, {errors} errors"
+        values > 500 && errors > 500 && late_errors > 100,
+        "{values} values, {errors} errors, {late_errors} of them past the first row"
     );
 }
 
 // --------------------------------------------------- grouped aggregation
-
-/// A result set as type tags and exact bit patterns: `assert_eq!` on
-/// `Value` would call NaN keys unequal to themselves.
-fn bits(rows: &[Vec<Value>]) -> Vec<Vec<(u8, u64, String)>> {
-    let one = |v: &Value| match v {
-        Value::I8(x) => (1, *x as u64, String::new()),
-        Value::I16(x) => (2, *x as u64, String::new()),
-        Value::I32(x) => (3, *x as u64, String::new()),
-        Value::I64(x) => (4, *x as u64, String::new()),
-        Value::F32(x) => (5, u64::from(x.to_bits()), String::new()),
-        Value::F64(x) => (6, x.to_bits(), String::new()),
-        Value::Date(x) => (7, u64::from(*x), String::new()),
-        Value::Str(s) => (8, 0, s.clone()),
-    };
-    rows.iter().map(|r| r.iter().map(one).collect()).collect()
-}
 
 /// Grouped aggregation as the executor did it before raw keys: per
 /// morsel, every row's group columns formatted through `Display` into a
@@ -457,15 +491,7 @@ fn grouping_engine(cores: usize, table: &[Vec<Value>]) -> Engine {
         ("v", ColumnType::F64),
         ("w", ColumnType::I64),
     ]);
-    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
-    let mut rt = RowTable::create(e.mem(), schema.clone(), table.len()).unwrap();
-    let mut ct = ColTable::create(e.mem(), schema, table.len()).unwrap();
-    for row in table {
-        rt.load(e.mem(), row).unwrap();
-        ct.load(e.mem(), row).unwrap();
-    }
-    e.register("t", rt, ct);
-    e
+    support::table_engine(cores, &schema, table)
 }
 
 #[test]

@@ -27,12 +27,9 @@
 //! Seeded from `FABRIC_CHAOS_SEED` like the chaos suite; a failure prints
 //! the seed to replay it with.
 
-use colstore::ColTable;
-use fabric_sim::SimConfig;
 use fabric_types::{ColumnType, DetRng, FabricError, Schema, Value};
 use query::bind::{bind, BoundQuery, OutputItem};
 use query::{AccessPath, Engine, MORSEL_ROWS};
-use rowstore::RowTable;
 use std::cmp::Ordering;
 
 mod support;
@@ -127,16 +124,7 @@ fn table_rows(rng: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
 }
 
 fn engine(cores: usize, table: &[Vec<Value>]) -> Engine {
-    let schema = Schema::from_pairs(SCHEMA);
-    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
-    let mut rt = RowTable::create(e.mem(), schema.clone(), table.len()).unwrap();
-    let mut ct = ColTable::create(e.mem(), schema, table.len()).unwrap();
-    for row in table {
-        rt.load(e.mem(), row).unwrap();
-        ct.load(e.mem(), row).unwrap();
-    }
-    e.register("t", rt, ct);
-    e
+    support::table_engine(cores, &Schema::from_pairs(SCHEMA), table)
 }
 
 // -------------------------------------------------- the old algorithm

@@ -3,8 +3,9 @@
 //! several suites build. Each suite uses a subset.
 #![allow(dead_code)]
 
+use colstore::ColTable;
 use fabric_sim::{MemoryHierarchy, SimConfig};
-use fabric_types::{ColumnType, Schema, Value};
+use fabric_types::{ColumnSpec, ColumnType, Schema, Value};
 use query::Engine;
 use rowstore::RowTable;
 use workload::Lineitem;
@@ -65,6 +66,37 @@ pub fn engine(cores: usize) -> Engine {
     e
 }
 
+/// `rows` of `schema` as table `t`, in both layouts, on a `cores`-core
+/// engine.
+pub fn table_engine(cores: usize, schema: &Schema, rows: &[Vec<Value>]) -> Engine {
+    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
+    let capacity = rows.len().max(1);
+    let mut rt = RowTable::create(e.mem(), schema.clone(), capacity).unwrap();
+    let mut ct = ColTable::create(e.mem(), schema.clone(), capacity).unwrap();
+    for row in rows {
+        rt.load(e.mem(), row).unwrap();
+        ct.load(e.mem(), row).unwrap();
+    }
+    e.register("t", rt, ct);
+    e
+}
+
+/// A result set as type tags and exact bit patterns: `assert_eq!` on
+/// `Value` would call NaN unequal to itself and `-0.0` equal to `0.0`.
+pub fn bits(rows: &[Vec<Value>]) -> Vec<Vec<(u8, u64, String)>> {
+    let one = |v: &Value| match v {
+        Value::I8(x) => (1, *x as u64, String::new()),
+        Value::I16(x) => (2, *x as u64, String::new()),
+        Value::I32(x) => (3, *x as u64, String::new()),
+        Value::I64(x) => (4, *x as u64, String::new()),
+        Value::F32(x) => (5, u64::from(x.to_bits()), String::new()),
+        Value::F64(x) => (6, x.to_bits(), String::new()),
+        Value::Date(x) => (7, u64::from(*x), String::new()),
+        Value::Str(s) => (8, 0, s.clone()),
+    };
+    rows.iter().map(|r| r.iter().map(one).collect()).collect()
+}
+
 /// Wide rows-only table `t` the optimizer always routes to RM (16 × i64,
 /// no columnar copy; the packed projection dominates a full-row scan).
 /// c_j(i) = i*16 + j.
@@ -82,6 +114,28 @@ pub fn wide_rm_engine(rows: usize) -> Engine {
     }
     engine.register_rows("t", rt);
     engine
+}
+
+/// `rows` (one value per `types` entry each) packed row-major, as a row
+/// table or an RM batch lays them out: the bytes and the column specs a
+/// `Chunk` over them takes.
+pub fn packed_rows(types: &[ColumnType], rows: &[Vec<Value>]) -> (Vec<u8>, Vec<ColumnSpec>) {
+    let stride: usize = types.iter().map(ColumnType::width).sum();
+    let mut specs = Vec::with_capacity(types.len());
+    let mut offset = 0;
+    for &ty in types {
+        specs.push(ColumnSpec { ty, offset, stride });
+        offset += ty.width();
+    }
+    let mut bytes = vec![0u8; rows.len() * stride];
+    for (r, row) in rows.iter().enumerate() {
+        for (v, spec) in row.iter().zip(&specs) {
+            let at = r * stride + spec.offset;
+            v.encode_into(spec.ty, &mut bytes[at..at + spec.ty.width()])
+                .unwrap();
+        }
+    }
+    (bytes, specs)
 }
 
 /// Gather reads and sequential reads of the same spans account the same

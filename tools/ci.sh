@@ -42,9 +42,12 @@
 #  10. profiler determinism     (profile_query bin twice under the fixed
 #                                seed: the cycle-domain sampling profiler
 #                                must export byte-identical .folded
-#                                collapsed-stack profiles, with the sample
-#                                total reconciling against elapsed cycles
-#                                — the bin asserts the reconciliation)
+#                                collapsed-stack profiles — identical to
+#                                the checked-in results/PROFILE_query.folded
+#                                too, so that file cannot go stale — with
+#                                the sample total reconciling against
+#                                elapsed cycles; the bin asserts the
+#                                reconciliation)
 #  11. perf regression gate     (tools/perf_gate.sh --check on one bench
 #                                per family, compared against the checked-
 #                                in results/BENCH_*.json baselines: cycle
@@ -80,7 +83,15 @@
 #                                op-cache hits, against the row-vector
 #                                sort-and-truncate pipeline they replaced
 #                                — DESIGN.md §19)
-#  16. benchmark smoke test     (cargo test in benchmark/, a workspace of
+#  16. typed stage 0            (tests/typed_stage0.rs under the fixed
+#                                seed: generated statements over all
+#                                eight column types on ROW/COL/RM at
+#                                1/2/4 cores against the row-at-a-time
+#                                pipeline, and each layout's chunk kernel
+#                                against its verbatim old per-row kernel
+#                                with every core's counters and clock
+#                                identical — DESIGN.md §21)
+#  17. benchmark smoke test     (cargo test in benchmark/, a workspace of
 #                                its own: the two-clock benchmark at tiny
 #                                scale — schema against BENCHMARK.json,
 #                                trace validates and nests, simulated
@@ -158,6 +169,16 @@ if ! cmp -s "$PROF_SCRATCH/1/PROFILE_query.folded" "$PROF_SCRATCH/2/PROFILE_quer
     diff "$PROF_SCRATCH/1/PROFILE_query.folded" "$PROF_SCRATCH/2/PROFILE_query.folded" || true
     exit 1
 fi
+if ! cmp -s "$PROF_SCRATCH/1/PROFILE_query.folded" results/PROFILE_query.folded; then
+    printf '
+profiler determinism FAILED — results/PROFILE_query.folded is stale:
+'
+    diff results/PROFILE_query.folded "$PROF_SCRATCH/1/PROFILE_query.folded" || true
+    printf 're-stamp it with:
+  tools/perf_gate.sh --update-baselines profile_query
+'
+    exit 1
+fi
 rm -rf "$PROF_SCRATCH"
 
 # One bench from each family (ablation, figure reproduction, traced query,
@@ -176,6 +197,7 @@ say "allocation steady state"
 cargo test -q --test alloc_steady_state
 
 seeded_test "result batches" result_batch "$GRID" "$SEED"
+seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
 # outside `cargo test --workspace`.

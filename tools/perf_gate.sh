@@ -87,6 +87,12 @@ for name in $NAMES; do
         FAILED=1
         continue
     fi
+    # The folded profile is checked in beside its envelope (tools/ci.sh
+    # compares it byte for byte); re-stamp the two together.
+    if [ "$MODE" = update ] && [ -f "$SCRATCH/run/PROFILE_query.folded" ]; then
+        cp "$SCRATCH/run/PROFILE_query.folded" results/PROFILE_query.folded
+        echo "updated results/PROFILE_query.folded"
+    fi
     for art in $artifacts; do
         if [ "$MODE" = update ]; then
             mkdir -p results
