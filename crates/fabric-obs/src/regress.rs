@@ -80,7 +80,18 @@ pub struct GateReport {
     pub missing: Vec<String>,
     /// Fresh metrics absent from the baseline (reported, does not fail).
     pub added: Vec<String>,
+    /// FNV-1a over the fresh artifact's exactly compared `name=value`
+    /// lines, sorted by name (counters, histogram `count` / `sum`): an
+    /// unchanged digest from one trajectory line to the next means a
+    /// bit-identical run.
+    pub digest: u64,
+    /// `(suffix, total)` of the fresh counters ending in each of
+    /// [`TOTALED_COUNTERS`], for the suffixes the artifact has.
+    pub totals: Vec<(&'static str, f64)>,
 }
+
+/// Counter-name suffixes whose fresh totals a trajectory line carries.
+const TOTALED_COUNTERS: [&str; 3] = ["mem.cpu_cycles", "mem.bytes_read", "mem.line_accesses"];
 
 impl GateReport {
     /// Whether the gate passes: nothing regressed, nothing went missing.
@@ -117,9 +128,9 @@ impl GateReport {
 
     /// One machine-readable JSON line for `results/TRAJECTORY.jsonl`.
     pub fn to_json_line(&self) -> String {
-        format!(
+        let mut line = format!(
             "{{\"bench\":\"{}\",\"status\":\"{}\",\"compared\":{},\"excluded\":{},\
-             \"regressions\":{},\"missing\":{},\"added\":{}}}",
+             \"regressions\":{},\"missing\":{},\"added\":{},\"digest\":\"{:016x}\"",
             crate::json::escaped(&self.bench),
             if self.passed() { "pass" } else { "fail" },
             self.compared,
@@ -127,7 +138,14 @@ impl GateReport {
             self.regressions.len(),
             self.missing.len(),
             self.added.len(),
-        )
+            self.digest,
+        );
+        for (suffix, total) in &self.totals {
+            let key = suffix.trim_start_matches("mem.");
+            line.push_str(&format!(",\"{key}\":{total}"));
+        }
+        line.push('}');
+        line
     }
 }
 
@@ -184,6 +202,38 @@ fn flatten(metrics: &Json) -> Vec<(String, f64, bool)> {
     out
 }
 
+/// FNV-1a over the sorted `name=value` lines of the exactly compared
+/// metrics the policy does not exclude.
+fn digest(flat: &[(String, f64, bool)], policy: &GatePolicy) -> u64 {
+    let mut lines: Vec<String> = flat
+        .iter()
+        .filter(|(name, _, exact)| *exact && !policy.excluded(name))
+        .map(|(name, v, _)| format!("{name}={v}\n"))
+        .collect();
+    lines.sort();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.concat().bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Totals of the counters ending in each of [`TOTALED_COUNTERS`].
+fn totals(flat: &[(String, f64, bool)]) -> Vec<(&'static str, f64)> {
+    TOTALED_COUNTERS
+        .iter()
+        .filter_map(|&suffix| {
+            let mut matched = flat
+                .iter()
+                .filter(|(name, ..)| name.starts_with("counters:") && name.ends_with(suffix))
+                .peekable();
+            matched.peek()?;
+            Some((suffix, matched.map(|(_, v, _)| v).sum()))
+        })
+        .collect()
+}
+
 /// Compare a fresh bench artifact against its checked-in baseline.
 pub fn compare_bench(
     baseline: &str,
@@ -201,6 +251,8 @@ pub fn compare_bench(
     let fresh_flat = flatten(&fresh_metrics);
     let mut report = GateReport {
         bench: base_name,
+        digest: digest(&fresh_flat, policy),
+        totals: totals(&fresh_flat),
         ..GateReport::default()
     };
     for (name, base_v, exact) in &base_flat {
@@ -291,6 +343,52 @@ mod tests {
         assert!(compare_bench(unversioned, &good, &GatePolicy::default()).is_err());
         let wrong_ver = good.replace("\"schema_version\":1", "\"schema_version\":9");
         assert!(compare_bench(&wrong_ver, &good, &GatePolicy::default()).is_err());
+    }
+
+    #[test]
+    fn the_digest_moves_with_a_counter_and_not_with_a_gauge_inside_tolerance() {
+        let policy = GatePolicy::default();
+        let report = |cycles, ns| {
+            let a = artifact("b1", cycles, ns);
+            compare_bench(&a, &a, &policy).unwrap()
+        };
+        let base = report(1000, 50.0);
+        assert_eq!(base.digest, report(1000, 50.0).digest, "deterministic");
+        assert_ne!(base.digest, report(1001, 50.0).digest, "one counter bump");
+        let gauge = report(1000, 51.0);
+        assert!(gauge.passed());
+        assert_eq!(base.digest, gauge.digest, "a gauge inside tolerance");
+        // The histogram's count and sum are in it; its min is not.
+        let a = artifact("b1", 1000, 50.0);
+        let moved = |from: &str, to: &str| {
+            let b = a.replace(from, to);
+            compare_bench(&b, &b, &policy).unwrap().digest
+        };
+        assert_ne!(base.digest, moved("\"sum\":10", "\"sum\":11"));
+        assert_eq!(base.digest, moved("\"min\":1", "\"min\":2"));
+    }
+
+    #[test]
+    fn trajectory_lines_carry_the_digest_and_the_totals_there_are() {
+        let a = artifact("b1", 1000, 50.0);
+        let line = compare_bench(&a, &a, &GatePolicy::default())
+            .unwrap()
+            .to_json_line();
+        let doc = parse_json(&line).unwrap();
+        assert_eq!(doc.get("cpu_cycles").and_then(Json::as_num), Some(1000.0));
+        assert!(doc.get("bytes_read").is_none(), "no such counter: {line}");
+        let digest = doc.get("digest").and_then(Json::as_str).unwrap();
+        assert_eq!(digest.len(), 16, "{line}");
+        // Totals sum every counter with the suffix.
+        let two = a.replace(
+            "\"mem.cpu_cycles\":1000",
+            "\"mem.cpu_cycles\":1000,\"q1.mem.cpu_cycles\":5,\"x.mem.bytes_read\":64",
+        );
+        let r = compare_bench(&two, &two, &GatePolicy::default()).unwrap();
+        assert_eq!(
+            r.totals,
+            vec![("mem.cpu_cycles", 1005.0), ("mem.bytes_read", 64.0)]
+        );
     }
 
     #[test]

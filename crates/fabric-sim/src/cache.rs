@@ -11,8 +11,6 @@ pub struct SetAssocCache {
     assoc: usize,
     set_mask: u64,
     line_shift: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl SetAssocCache {
@@ -32,8 +30,6 @@ impl SetAssocCache {
             assoc,
             set_mask: (num_sets - 1) as u64,
             line_shift: line_size.trailing_zeros(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -51,15 +47,12 @@ impl SetAssocCache {
         // Most hits re-touch the line that is already most recently used
         // (consecutive fields of one row): nothing to reorder then.
         if ways.last() == Some(&line_addr) {
-            self.hits += 1;
             return true;
         }
         if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
             ways[pos..].rotate_left(1);
-            self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
@@ -82,7 +75,7 @@ impl SetAssocCache {
         evicted
     }
 
-    /// Check for presence without updating LRU or counters.
+    /// Check for presence without updating LRU.
     pub fn contains(&self, line_addr: u64) -> bool {
         let set = self.set_of(line_addr);
         self.sets[set].contains(&line_addr)
@@ -93,16 +86,6 @@ impl SetAssocCache {
         for set in &mut self.sets {
             set.clear();
         }
-    }
-
-    /// `(hits, misses)` since construction or [`Self::reset_counters`].
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Number of sets (for tests / introspection).
@@ -128,7 +111,7 @@ mod tests {
         assert!(!c.probe(0));
         c.fill(0);
         assert!(c.probe(0));
-        assert_eq!(c.counters(), (1, 1));
+        assert!(!c.probe(64), "a different line still misses");
     }
 
     #[test]
@@ -182,22 +165,20 @@ mod tests {
 
     #[test]
     fn working_set_larger_than_cache_misses() {
-        let mut c = SetAssocCache::new(1024, 2, 64); // 16 lines
-                                                     // Stream 64 distinct lines twice; second pass must still miss
-                                                     // (capacity misses), since the working set is 4x the capacity.
-        for pass in 0..2 {
+        // 16 lines. Stream 64 distinct lines twice; the second pass must
+        // still miss (capacity misses), since the working set is 4x the
+        // capacity.
+        let mut c = SetAssocCache::new(1024, 2, 64);
+        let mut hits = 0;
+        for _pass in 0..2 {
             for i in 0..64u64 {
-                let hit = c.probe(i * 64);
-                if pass == 0 {
-                    assert!(!hit);
-                }
-                if !hit {
+                if c.probe(i * 64) {
+                    hits += 1;
+                } else {
                     c.fill(i * 64);
                 }
             }
         }
-        let (hits, misses) = c.counters();
         assert_eq!(hits, 0);
-        assert_eq!(misses, 128);
     }
 }

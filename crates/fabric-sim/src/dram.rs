@@ -86,20 +86,6 @@ impl DramModel {
         done
     }
 
-    /// Completion time for a *batch* of lines all issued at `now` — how a
-    /// near-data gather engine uses its parallel bank access.
-    pub fn access_batch(
-        &mut self,
-        line_addrs: impl IntoIterator<Item = u64>,
-        now: Cycles,
-    ) -> Cycles {
-        let mut done = now;
-        for la in line_addrs {
-            done = done.max(self.access(la, now));
-        }
-        done
-    }
-
     /// `(total accesses, open-row hits)`.
     pub fn counters(&self) -> (u64, u64) {
         (self.accesses, self.row_hits)
@@ -133,7 +119,7 @@ mod tests {
         // 8 consecutive lines issued at t=0 all start immediately
         // (8 banks, line-interleaved), so the batch finishes in one
         // row-miss occupancy.
-        let done = d.access_batch((0..8).map(|i| i * 64), 0);
+        let done = (0..8).map(|i| d.access(i * 64, 0)).max().unwrap();
         let t_miss = SimConfig::zynq_a53().ns_to_cycles(60.0);
         assert_eq!(done, t_miss);
     }

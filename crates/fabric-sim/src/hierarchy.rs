@@ -850,7 +850,7 @@ impl LinePort<'_> {
             *self.dram_line_fills += 1;
         }
         let stall_now = completion == Completion::StallNow;
-        let arrives = if let Some(ready) = self.prefetcher.take_inflight(line_addr) {
+        let arrives = if let Some(ready) = self.prefetcher.take_inflight(line_addr, *self.now) {
             // The prefetch is (or will be) in L2; then pay the L2-to-L1
             // transfer.
             self.stats.prefetch_hits += 1;
@@ -1244,6 +1244,45 @@ mod tests {
         let t = m.fork_clocks();
         assert_eq!(t, 600);
         assert_eq!(m.core_now(0), m.core_now(1));
+    }
+
+    #[test]
+    fn inflight_store_holds_the_live_lookahead_not_every_stale_line() {
+        // A ROW-shaped pass over a 19 MiB table at four cores: 152-byte
+        // lineitem rows, the two spans Q6 gathers from each (bytes 28..52
+        // and 62..66, about 1.6 of a row's 2.4 lines), a quarter of the
+        // rows per core. The lookahead covers every line and the scan
+        // demands about two thirds of them, so tens of thousands of lines
+        // a core stay in flight; the pages that remember completion times
+        // stay at what may still lie ahead.
+        const ROW: u64 = 152;
+        const ROWS: u64 = 131_072;
+        let mut m = hierarchy();
+        m.set_core_count(4);
+        let base = m.alloc((ROW * ROWS) as usize, 64).unwrap();
+        m.fork_clocks();
+        for core in 0..4 {
+            m.set_active_core(core);
+            for r in (core as u64 * ROWS / 4)..((core as u64 + 1) * ROWS / 4) {
+                let row = base + r * ROW;
+                m.touch_read_gather(&[(row + 28, 24), (row + 62, 4)]);
+                m.cpu(20);
+            }
+        }
+        m.join_clocks();
+        m.set_active_core(0);
+        for (i, c) in m.cores.iter().enumerate() {
+            let (issued, useful) = c.prefetcher.counters();
+            assert!(
+                issued - useful > 10_000,
+                "core {i}: the pass must leave stale lines in flight ({issued} issued, {useful} used)"
+            );
+            assert!(
+                c.prefetcher.pages_held() <= 32,
+                "core {i} holds {} pages",
+                c.prefetcher.pages_held()
+            );
+        }
     }
 
     #[test]

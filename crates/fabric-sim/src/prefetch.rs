@@ -12,6 +12,7 @@
 use crate::config::SimConfig;
 use crate::dram::DramModel;
 use crate::Cycles;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 struct Stream {
@@ -23,11 +24,9 @@ struct Stream {
     score: usize,
     /// Highest line index already sent to DRAM for this stream.
     issued_until: u64,
-    /// LRU tick of last use.
-    last_use: u64,
 }
 
-/// Safety valve: if the in-flight table ever exceeds this many entries the
+/// Safety valve: if the in-flight set ever exceeds this many entries the
 /// prefetcher drops them all (real prefetch buffers are tiny; this only
 /// guards against pathological leak in very long simulations).
 const MAX_INFLIGHT: usize = 1 << 20;
@@ -44,65 +43,72 @@ fn xorshift(mut x: u64) -> u64 {
     x
 }
 
-/// Slot marker for "no entry": line numbers are byte addresses shifted
-/// right by the line size, so no real line reaches it.
-const EMPTY: u64 = u64::MAX;
-
 /// Lines below this bound (4 GiB of 64-byte lines, the default arena
 /// limit) get a membership bit; the bitmap therefore never exceeds 8 MiB
-/// however wild an address a caller passes. Lines above it are answered
-/// by the slot table alone.
+/// however wild an address a caller passes. Lines above it live in a
+/// map of their own.
 const BITMAP_LINES: u64 = 1 << 26;
 
-/// The prefetcher's in-flight set: an exact `line → ready` map.
+/// Lines per page: one bitmap word.
+const PAGE_LINES: usize = 64;
+
+/// `page_of` / `Page::word` marker for "none".
+const NO_PAGE: u32 = u32::MAX;
+
+/// Pages a store may hold before an allocation first sweeps for
+/// recyclable ones.
+const MIN_SWEEP: usize = 8;
+
+/// Completion times of the lines of one bitmap word that may still lie
+/// in the owning core's future.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Bitmap word this page serves, [`NO_PAGE`] while on the free list.
+    word: u32,
+    /// Bit `i` set iff `ready[i]` belongs to line `64 × word + i`.
+    valid: u64,
+    /// Upper bound of every `ready[i]` written since the page was taken
+    /// off the free list.
+    max_ready: Cycles,
+    ready: [Cycles; PAGE_LINES],
+}
+
+/// The prefetcher's in-flight set: `line → ready`, answered as
+/// `max(ready, now)`.
 ///
 /// Lines that are prefetched and never demanded are never retired (a
 /// later access to one is a prefetch hit — model behaviour), so the set
-/// holds tens of thousands of entries and is probed several times per
-/// L2 miss. Two structures keep that O(1): a bitmap indexed by line
-/// number answers membership — the question `observe` asks for every
-/// line of lookahead — and an open-addressed table (multiplicative hash,
-/// linear probing, backward-shift deletion, load at most 7/8) holds the
-/// completion times. Nothing ever iterates it, so results cannot depend
-/// on slot order.
+/// holds tens of thousands of members. Almost all of them were issued
+/// long ago, and the hierarchy uses a completion time only to wait for
+/// it (DESIGN.md §22): once the owning core's clock — which only moves
+/// forward — has passed it, "ready now" is the whole answer. So
+/// membership is one bit per line, and completion times live in pages
+/// of [`PAGE_LINES`] lines that return to a free list as soon as their
+/// latest time has passed. The store holds the live lookahead, not
+/// every stale line. Nothing iterates it but the sweep, which only
+/// releases pages, so no result can depend on page order.
 #[derive(Debug, Default)]
-struct InflightTable {
-    /// Bit `l % 64` of word `l / 64` is set iff line `l` is in the table
+struct InflightStore {
+    /// Bit `l % 64` of word `l / 64` is set iff line `l` is in the set
     /// (lines below [`BITMAP_LINES`] only); grown on insert.
     bits: Vec<u64>,
-    /// `(line, ready)` slots, [`EMPTY`] when free; the length is zero or
-    /// a power of two.
-    slots: Vec<(u64, Cycles)>,
+    /// Page of each bitmap word, [`NO_PAGE`] when every member of the
+    /// word is ready; as long as `bits`.
+    page_of: Vec<u32>,
+    pages: Vec<Page>,
+    /// Indices of the pages that serve no word.
+    free: Vec<u32>,
+    /// Allocating with `pages.len()` at or above this sweeps first.
+    sweep_at: usize,
+    /// Members at or above [`BITMAP_LINES`], with exact times.
+    far: BTreeMap<u64, Cycles>,
     len: usize,
 }
 
-impl InflightTable {
-    const MIN_SLOTS: usize = 16;
-
+impl InflightStore {
     #[inline]
     fn len(&self) -> usize {
         self.len
-    }
-
-    /// Home slot of `line` in a table of `slots` (a power of two) slots.
-    #[inline]
-    fn home(line: u64, slots: usize) -> usize {
-        let hashed = line.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed >> (64 - slots.trailing_zeros())) as usize
-    }
-
-    /// Slot holding `line`, if present. The table must be non-empty.
-    #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::home(line, self.slots.len());
-        loop {
-            match self.slots[i].0 {
-                l if l == line => return Some(i),
-                EMPTY => return None,
-                _ => i = (i + 1) & mask,
-            }
-        }
     }
 
     #[inline]
@@ -112,92 +118,124 @@ impl InflightTable {
                 .get((line / 64) as usize)
                 .is_some_and(|w| w & (1 << (line % 64)) != 0)
         } else {
-            self.len > 0 && self.find(line).is_some()
+            self.far.contains_key(&line)
         }
     }
 
-    /// Insert or overwrite `line`'s completion time.
-    fn insert(&mut self, line: u64, ready: Cycles) {
-        debug_assert_ne!(line, EMPTY);
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::home(line, self.slots.len());
-        loop {
-            match self.slots[i].0 {
-                l if l == line => {
-                    self.slots[i].1 = ready;
-                    return;
-                }
-                EMPTY => break,
-                _ => i = (i + 1) & mask,
-            }
-        }
-        self.slots[i] = (line, ready);
-        self.len += 1;
-        if line < BITMAP_LINES {
-            let word = (line / 64) as usize;
-            if word >= self.bits.len() {
-                self.bits.resize((word + 1).next_power_of_two(), 0);
-            }
-            self.bits[word] |= 1 << (line % 64);
-        }
-    }
-
-    /// Double the slot array (or allocate the first one) and re-home
-    /// every entry.
-    fn grow(&mut self) {
-        let slots = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); slots]);
-        for (line, ready) in old {
-            if line == EMPTY {
-                continue;
-            }
-            let mut i = Self::home(line, slots);
-            while self.slots[i].0 != EMPTY {
-                i = (i + 1) & (slots - 1);
-            }
-            self.slots[i] = (line, ready);
-        }
-    }
-
-    /// Remove `line`, returning its completion time if it was present.
+    /// Insert or overwrite `line`'s completion time; `now` is the owning
+    /// core's clock.
     #[inline]
-    fn remove(&mut self, line: u64) -> Option<Cycles> {
-        if self.len == 0 || (line < BITMAP_LINES && !self.contains(line)) {
+    fn insert(&mut self, line: u64, ready: Cycles, now: Cycles) {
+        if line >= BITMAP_LINES {
+            if self.far.insert(line, ready).is_none() {
+                self.len += 1;
+            }
+            return;
+        }
+        let word = (line / 64) as usize;
+        if word >= self.bits.len() {
+            let words = (word + 1).next_power_of_two();
+            self.bits.resize(words, 0);
+            self.page_of.resize(words, NO_PAGE);
+        }
+        let bit = 1 << (line % 64);
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.len += 1;
+        }
+        let mut p = self.page_of[word];
+        if p == NO_PAGE {
+            p = self.alloc_page(word, now);
+        }
+        let page = &mut self.pages[p as usize];
+        page.ready[(line % 64) as usize] = ready;
+        page.valid |= bit;
+        page.max_ready = page.max_ready.max(ready);
+    }
+
+    /// Remove `line`, returning `max(ready, now)` if it was present.
+    #[inline]
+    fn take(&mut self, line: u64, now: Cycles) -> Option<Cycles> {
+        if line >= BITMAP_LINES {
+            let ready = self.far.remove(&line)?;
+            self.len -= 1;
+            return Some(ready.max(now));
+        }
+        let word = (line / 64) as usize;
+        let bit = 1 << (line % 64);
+        let bits = self.bits.get_mut(word)?;
+        if *bits & bit == 0 {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut hole = self.find(line)?;
-        let ready = self.slots[hole].1;
-        // Backward-shift deletion: pull each later member of the probe
-        // run into the hole unless that would move it before its home
-        // slot, so lookups never need tombstones.
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let l = self.slots[j].0;
-            if l == EMPTY {
-                break;
-            }
-            let home = Self::home(l, self.slots.len());
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = self.slots[j];
-                hole = j;
-            }
-        }
-        self.slots[hole].0 = EMPTY;
+        *bits &= !bit;
         self.len -= 1;
-        if line < BITMAP_LINES {
-            self.bits[(line / 64) as usize] &= !(1 << (line % 64));
+        let p = self.page_of[word];
+        if p == NO_PAGE {
+            return Some(now);
+        }
+        let page = &mut self.pages[p as usize];
+        let mut ready = now;
+        if page.valid & bit != 0 {
+            page.valid &= !bit;
+            ready = ready.max(page.ready[(line % 64) as usize]);
+        }
+        if page.valid == 0 || page.max_ready <= now {
+            self.release(p);
         }
         Some(ready)
     }
 
-    /// Drop every entry and the memory holding them.
+    /// A page for `word`, from the free list when it has one. An empty
+    /// free list at [`Self::sweep_at`] pages first recycles every page
+    /// whose times have all passed, then lets the pool grow to twice
+    /// what is still live before the next sweep (O(1) amortised).
+    fn alloc_page(&mut self, word: usize, now: Cycles) -> u32 {
+        if self.free.is_empty() && self.pages.len() >= self.sweep_at {
+            for p in 0..self.pages.len() as u32 {
+                let page = &self.pages[p as usize];
+                if page.word != NO_PAGE && page.max_ready <= now {
+                    self.release(p);
+                }
+            }
+            self.sweep_at = (2 * (self.pages.len() - self.free.len())).max(MIN_SWEEP);
+        }
+        let p = self.free.pop().unwrap_or_else(|| {
+            self.pages.push(Page {
+                word: NO_PAGE,
+                valid: 0,
+                max_ready: 0,
+                ready: [0; PAGE_LINES],
+            });
+            (self.pages.len() - 1) as u32
+        });
+        let page = &mut self.pages[p as usize];
+        page.word = word as u32;
+        page.valid = 0;
+        page.max_ready = 0;
+        self.page_of[word] = p;
+        p
+    }
+
+    /// Return page `p` to the free list; its word's members, if any, are
+    /// ready from now on.
+    #[inline]
+    fn release(&mut self, p: u32) {
+        let page = &mut self.pages[p as usize];
+        self.page_of[page.word as usize] = NO_PAGE;
+        page.word = NO_PAGE;
+        self.free.push(p);
+    }
+
+    /// Drop every entry, keeping the buffers.
     fn clear(&mut self) {
-        *self = InflightTable::default();
+        self.bits.fill(0);
+        for p in 0..self.pages.len() as u32 {
+            if self.pages[p as usize].word != NO_PAGE {
+                self.release(p);
+            }
+        }
+        self.far.clear();
+        self.len = 0;
     }
 }
 
@@ -211,7 +249,7 @@ pub struct StreamPrefetcher {
     tick: u64,
     line_shift: u32,
     /// line index -> completion time of the prefetch.
-    inflight: InflightTable,
+    inflight: InflightStore,
     issued: u64,
     useful: u64,
 }
@@ -225,18 +263,20 @@ impl StreamPrefetcher {
             train: cfg.prefetch_train,
             tick: 0,
             line_shift: cfg.line_size.trailing_zeros(),
-            inflight: InflightTable::default(),
+            inflight: InflightStore::default(),
             issued: 0,
             useful: 0,
         }
     }
 
-    /// If a prefetch for this line is in flight, consume it and return its
-    /// completion time.
+    /// If a prefetch for this line is in flight, consume it and return
+    /// when its data is there as seen from `now`, the owning core's
+    /// clock: `max(completion, now)`. The clock only moves forward, and
+    /// the hierarchy only waits for the answer, so that is all a
+    /// completion time can tell it (DESIGN.md §22).
     #[inline]
-    pub fn take_inflight(&mut self, line_addr: u64) -> Option<Cycles> {
-        let line = line_addr >> self.line_shift;
-        let ready = self.inflight.remove(line);
+    pub fn take_inflight(&mut self, line_addr: u64, now: Cycles) -> Option<Cycles> {
+        let ready = self.inflight.take(line_addr >> self.line_shift, now);
         if ready.is_some() {
             self.useful += 1;
         }
@@ -272,12 +312,10 @@ impl StreamPrefetcher {
 
         match matched {
             Some(i) => {
-                let tick = self.tick;
                 let (degree, train) = (self.degree, self.train);
                 let s = &mut self.streams[i];
                 s.score += 1;
                 s.next_line = line + s.stride;
-                s.last_use = tick;
                 if s.score >= train {
                     // Keep `degree` lines of lookahead in flight.
                     let target = line + degree * s.stride;
@@ -292,7 +330,7 @@ impl StreamPrefetcher {
                     while next <= target {
                         if !self.inflight.contains(next) {
                             let ready = dram.access(next << self.line_shift, now);
-                            self.inflight.insert(next, ready);
+                            self.inflight.insert(next, ready, now);
                             self.issued += 1;
                         }
                         issued_until = issued_until.max(next);
@@ -304,14 +342,13 @@ impl StreamPrefetcher {
             None => {
                 // Allocate a fresh stream guessing a +1-line stride; the
                 // stride locks on the second access.
-                let tick = self.tick;
                 if self.streams.len() == self.capacity {
                     // Pseudo-random replacement, like the Cortex-A53's
                     // caches: with N interleaved streams and a smaller
                     // table, a fraction of streams survives each round, so
                     // prefetch coverage degrades gradually — adversarial
                     // LRU would collapse to zero coverage at N+1 streams.
-                    let victim = (xorshift(tick) as usize) % self.streams.len();
+                    let victim = (xorshift(self.tick) as usize) % self.streams.len();
                     self.streams.swap_remove(victim);
                 }
                 self.streams.push(Stream {
@@ -319,7 +356,6 @@ impl StreamPrefetcher {
                     stride: 1,
                     score: 1,
                     issued_until: line,
-                    last_use: tick,
                 });
             }
         }
@@ -342,10 +378,24 @@ impl StreamPrefetcher {
         self.issued = 0;
         self.useful = 0;
     }
+
+    /// Pages the in-flight store has allocated (its memory high-water
+    /// mark, in [`PAGE_LINES`]-line pages).
+    #[cfg(test)]
+    pub(crate) fn pages_held(&self) -> usize {
+        self.inflight.pages.len()
+    }
 }
+
+/// The reference the store is checked against, shared with
+/// `tests/line_path_reference.rs`.
+#[cfg(test)]
+#[path = "../../../tests/support/map_prefetcher.rs"]
+mod map_prefetcher;
 
 #[cfg(test)]
 mod tests {
+    use super::map_prefetcher::MapPrefetcher;
     use super::*;
 
     fn setup() -> (StreamPrefetcher, DramModel, SimConfig) {
@@ -362,7 +412,7 @@ mod tests {
         pf.observe(64, 100, &mut dram);
         let (issued, _) = pf.counters();
         assert!(issued > 0, "trained stream must issue prefetches");
-        assert!(pf.take_inflight(128).is_some());
+        assert!(pf.take_inflight(128, 100).is_some());
     }
 
     #[test]
@@ -373,11 +423,11 @@ mod tests {
         pf.observe(128, 100, &mut dram);
         pf.observe(256, 200, &mut dram);
         assert!(
-            pf.take_inflight(384).is_some(),
+            pf.take_inflight(384, 200).is_some(),
             "stride-2 line should be prefetched"
         );
         // Lines between the stride must NOT be prefetched.
-        assert!(pf.take_inflight(320).is_none());
+        assert!(pf.take_inflight(320, 200).is_none());
     }
 
     #[test]
@@ -393,7 +443,7 @@ mod tests {
         }
         for &b in &bases {
             assert!(
-                pf.take_inflight(b + 4 * 64).is_some(),
+                pf.take_inflight(b + 4 * 64, now).is_some(),
                 "stream at base {b:#x} should be prefetching"
             );
         }
@@ -432,8 +482,8 @@ mod tests {
         let (mut pf, mut dram, _) = setup();
         pf.observe(0, 0, &mut dram);
         pf.observe(64, 10, &mut dram);
-        assert!(pf.take_inflight(128).is_some());
-        assert!(pf.take_inflight(128).is_none());
+        assert!(pf.take_inflight(128, 10).is_some());
+        assert!(pf.take_inflight(128, 10).is_none());
     }
 
     #[test]
@@ -443,249 +493,141 @@ mod tests {
         pf.observe(64, 10, &mut dram);
         pf.reset();
         assert_eq!(pf.counters(), (0, 0));
-        assert!(pf.take_inflight(128).is_none());
+        assert!(pf.take_inflight(128, 10).is_none());
     }
 
-    // ---- differential tests against the `BTreeMap` the table replaced ----
+    #[test]
+    fn a_page_is_recycled_only_once_its_last_completion_has_passed() {
+        let mut store = InflightStore::default();
+        // Three lines of word 1, due at 500, 900 and 700; one, due at
+        // 300, in word 2.
+        store.insert(64, 500, 0);
+        store.insert(65, 900, 0);
+        store.insert(66, 700, 0);
+        store.insert(128, 300, 0);
+        assert_eq!(store.pages.len(), 2);
+        // Taken early, a line waits for its own time, not the page's.
+        assert_eq!(store.take(64, 100), Some(500));
+        assert_eq!(store.page_of[1], 0, "900 is still ahead");
+        // Past a page's last time, the next take on it frees the page ...
+        assert_eq!(store.take(128, 400), Some(400));
+        assert_eq!((store.page_of[2], store.free.clone()), (NO_PAGE, vec![1]));
+        // ... which the next word to need one reuses.
+        store.insert(197, 1500, 400);
+        assert_eq!((store.pages.len(), store.page_of[3]), (2, 1));
+        assert_eq!(store.take(65, 950), Some(950));
+        assert_eq!(store.page_of[1], NO_PAGE);
+        // A member whose page went away is ready now.
+        assert_eq!(store.take(66, 950), Some(950));
+        assert_eq!(store.len(), 1);
+        // Eight words in flight fill the pool; the ninth sweeps it, which
+        // frees the words due by now and keeps the rest.
+        for w in 0..MIN_SWEEP as u64 {
+            store.insert(w * 64 + 3, 2000 + w * 100, 1000);
+        }
+        assert_eq!(store.pages.len(), MIN_SWEEP);
+        store.insert(MIN_SWEEP as u64 * 64, 5000, 2350);
+        assert_eq!(store.pages.len(), MIN_SWEEP, "swept, not grown");
+        assert_eq!(store.page_of[..4], [NO_PAGE; 4]);
+        assert_eq!(store.take(3, 2350), Some(2350));
+        assert_eq!(store.take(197, 2350), Some(2350));
+        assert_eq!(store.take(7 * 64 + 3, 2350), Some(2700));
+        assert_eq!(store.take(MIN_SWEEP as u64 * 64, 2350), Some(5000));
+        // `clear` keeps the buffers and frees every page.
+        store.clear();
+        assert_eq!(store.free.len(), store.pages.len());
+        assert!(store.pages.len() <= MIN_SWEEP + 1);
+        assert!(store.page_of.iter().all(|&p| p == NO_PAGE));
+        assert_eq!(store.take(5 * 64 + 3, 5000), None);
+    }
+
+    // ---- differential tests against the `BTreeMap` prefetcher ----
 
     use fabric_types::DetRng;
-    use std::collections::BTreeMap;
 
     /// Seed of the generated sequences below; a failure prints it.
     fn chaos_seed() -> u64 {
-        std::env::var("FABRIC_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0xFA_B51C)
-    }
-
-    /// `n` lines whose home slot in a table of `slots` slots is one of
-    /// the last two: their probe runs wrap past the end of the array.
-    fn lines_homed_at_the_end(slots: usize, n: usize) -> Vec<u64> {
-        (0u64..)
-            .filter(|&l| InflightTable::home(l, slots) >= slots - 2)
-            .take(n)
-            .collect()
+        fabric_types::rng::chaos_seed()
     }
 
     #[test]
     fn inflight_table_matches_the_map_it_replaced() {
+        // The store answers `max(ready, now)` under a clock that only
+        // moves forward; the map keeps every time exactly.
         let seed = chaos_seed();
         let mut rng = DetRng::seed_from_u64(seed ^ 0x1F_7AB1E);
-        let mut table = InflightTable::default();
+        let mut store = InflightStore::default();
         let mut map: BTreeMap<u64, Cycles> = BTreeMap::new();
         // A universe small enough that inserts, hits and removals all
-        // recur: a dense run (what a scan leaves), lines that collide at
-        // the end of the smallest table (wrap-around deletion), and lines
-        // on both sides of the bitmap bound.
+        // recur: a dense run (what a scan leaves), lines scattered over
+        // many words (page churn and sweeps), and lines on both sides of
+        // the bitmap bound.
         let mut universe: Vec<u64> = (1000..1400).collect();
-        universe.extend(lines_homed_at_the_end(InflightTable::MIN_SLOTS, 12));
-        universe.extend(lines_homed_at_the_end(4 * InflightTable::MIN_SLOTS, 12));
+        universe.extend((0..40u64).map(|w| 5_000 + w * 64 + w % 7));
         universe.extend([
             BITMAP_LINES - 1,
             BITMAP_LINES,
             BITMAP_LINES + 77,
             u64::MAX >> 6,
         ]);
+        let mut now: Cycles = 0;
         for step in 0..60_000u32 {
             let line = universe[rng.gen_range(0..universe.len())];
             let ctx = format!("step {step}, line {line}, replay: FABRIC_CHAOS_SEED={seed}");
+            if rng.gen_bool(0.3) {
+                now += rng.gen_range(0..400u64);
+            }
             match rng.gen_range(0..100u32) {
-                // Phases of mostly-insert and mostly-remove make the table
-                // grow through several doublings and drain again.
+                // Phases of mostly-insert and mostly-take make the set
+                // grow and drain again.
                 0..=54 => {
                     let grow_phase = (step / 5_000) % 2 == 0;
                     if grow_phase == rng.gen_bool(0.8) {
-                        let ready = rng.next_u64() >> 8;
-                        table.insert(line, ready);
+                        let ready = now + rng.gen_range(0..3_000u64);
+                        store.insert(line, ready, now);
                         map.insert(line, ready);
                     } else {
-                        assert_eq!(table.remove(line), map.remove(&line), "remove, {ctx}");
+                        assert_eq!(
+                            store.take(line, now),
+                            map.remove(&line).map(|r| r.max(now)),
+                            "take, {ctx}"
+                        );
                     }
                 }
                 55..=98 => {
                     assert_eq!(
-                        table.contains(line),
+                        store.contains(line),
                         map.contains_key(&line),
                         "contains, {ctx}"
                     );
                 }
                 _ => {
                     if rng.gen_bool(0.05) {
-                        table.clear();
+                        store.clear();
                         map.clear();
                     }
                 }
             }
-            assert_eq!(table.len(), map.len(), "len, {ctx}");
+            assert_eq!(store.len(), map.len(), "len, {ctx}");
             if step % 997 == 0 {
                 for &l in &universe {
                     assert_eq!(
-                        table.contains(l),
+                        store.contains(l),
                         map.contains_key(&l),
                         "sweep of {l}, {ctx}"
                     );
                 }
             }
         }
-        // Drain through `remove`: every completion time must come back.
+        // Drain through `take`: every completion time must come back.
         for &l in &universe {
-            assert_eq!(table.remove(l), map.remove(&l), "drain of {l}, seed {seed}");
+            assert_eq!(
+                store.take(l, now),
+                map.remove(&l).map(|r| r.max(now)),
+                "drain of {l}, seed {seed}"
+            );
         }
-        assert_eq!(table.len(), 0);
-    }
-
-    #[test]
-    fn removal_from_a_wrapped_probe_run_keeps_the_rest_reachable() {
-        // Fill the last two home slots of the smallest table several
-        // times over so the run wraps to slot 0, then delete from the
-        // front, the middle and the back of the run.
-        let lines = lines_homed_at_the_end(InflightTable::MIN_SLOTS, 6);
-        for victim in 0..lines.len() {
-            let mut table = InflightTable::default();
-            for (i, &l) in lines.iter().enumerate() {
-                table.insert(l, i as Cycles);
-            }
-            assert_eq!(table.slots.len(), InflightTable::MIN_SLOTS);
-            assert_ne!(table.slots[0].0, EMPTY, "the run must wrap");
-            assert_eq!(table.remove(lines[victim]), Some(victim as Cycles));
-            for (i, &l) in lines.iter().enumerate() {
-                let expect = (i != victim).then_some(i as Cycles);
-                assert_eq!(table.contains(l), expect.is_some());
-                assert_eq!(table.find(l).map(|s| table.slots[s].1), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn table_memory_stays_at_sixteen_bytes_a_slot_under_seven_eighths_load() {
-        let mut table = InflightTable::default();
-        assert_eq!(table.slots.capacity(), 0, "empty until the first insert");
-        for l in 0..28_000u64 {
-            table.insert(l, l);
-        }
-        assert_eq!(size_of::<(u64, Cycles)>(), 16);
-        assert_eq!(table.slots.len(), 32_768);
-        assert!(table.len() * 8 <= table.slots.len() * 7);
-        assert!(table.bits.len() * 8 <= 28_000 / 8 * 2, "one bit a line");
-        table.clear();
-        assert_eq!(table.slots.capacity() + table.bits.capacity(), 0);
-    }
-
-    /// The prefetcher as it was before the in-flight table: identical but
-    /// for `inflight: BTreeMap`. Kept as the reference of the trace
-    /// differential below.
-    struct MapPrefetcher {
-        streams: Vec<Stream>,
-        capacity: usize,
-        degree: u64,
-        train: usize,
-        tick: u64,
-        line_shift: u32,
-        inflight: BTreeMap<u64, Cycles>,
-        issued: u64,
-        useful: u64,
-    }
-
-    impl MapPrefetcher {
-        fn new(cfg: &SimConfig) -> Self {
-            MapPrefetcher {
-                streams: Vec::with_capacity(cfg.prefetch_streams),
-                capacity: cfg.prefetch_streams,
-                degree: cfg.prefetch_degree as u64,
-                train: cfg.prefetch_train,
-                tick: 0,
-                line_shift: cfg.line_size.trailing_zeros(),
-                inflight: BTreeMap::new(),
-                issued: 0,
-                useful: 0,
-            }
-        }
-
-        fn take_inflight(&mut self, line_addr: u64) -> Option<Cycles> {
-            let line = line_addr >> self.line_shift;
-            let ready = self.inflight.remove(&line);
-            if ready.is_some() {
-                self.useful += 1;
-            }
-            ready
-        }
-
-        fn observe(&mut self, line_addr: u64, now: Cycles, dram: &mut DramModel) {
-            self.tick += 1;
-            let line = line_addr >> self.line_shift;
-            let mut matched: Option<usize> = None;
-            for (i, s) in self.streams.iter_mut().enumerate() {
-                if line == s.next_line {
-                    matched = Some(i);
-                    break;
-                }
-                if s.score == 1 && line > s.next_line - s.stride {
-                    let delta = line - (s.next_line - s.stride);
-                    if delta <= MAX_STRIDE_LINES {
-                        s.stride = delta;
-                        s.next_line = line;
-                        matched = Some(i);
-                        break;
-                    }
-                }
-            }
-            match matched {
-                Some(i) => {
-                    let tick = self.tick;
-                    let (degree, train) = (self.degree, self.train);
-                    let s = &mut self.streams[i];
-                    s.score += 1;
-                    s.next_line = line + s.stride;
-                    s.last_use = tick;
-                    if s.score >= train {
-                        let target = line + degree * s.stride;
-                        let mut next = s.issued_until.max(line + s.stride);
-                        let phase_off = (next.wrapping_sub(line)) % s.stride;
-                        if phase_off != 0 {
-                            next += s.stride - phase_off;
-                        }
-                        let stride = s.stride;
-                        let mut issued_until = s.issued_until;
-                        while next <= target {
-                            if !self.inflight.contains_key(&next) {
-                                let ready = dram.access(next << self.line_shift, now);
-                                self.inflight.insert(next, ready);
-                                self.issued += 1;
-                            }
-                            issued_until = issued_until.max(next);
-                            next += stride;
-                        }
-                        self.streams[i].issued_until = issued_until;
-                    }
-                }
-                None => {
-                    let tick = self.tick;
-                    if self.streams.len() == self.capacity {
-                        let victim = (xorshift(tick) as usize) % self.streams.len();
-                        self.streams.swap_remove(victim);
-                    }
-                    self.streams.push(Stream {
-                        next_line: line + 1,
-                        stride: 1,
-                        score: 1,
-                        issued_until: line,
-                        last_use: tick,
-                    });
-                }
-            }
-            if self.inflight.len() > MAX_INFLIGHT {
-                self.inflight.clear();
-            }
-        }
-
-        fn reset(&mut self) {
-            self.streams.clear();
-            self.inflight.clear();
-            self.tick = 0;
-            self.issued = 0;
-            self.useful = 0;
-        }
+        assert_eq!(store.len(), 0);
     }
 
     /// Both prefetchers, each with its own (identical) DRAM model, driven
@@ -704,14 +646,14 @@ mod tests {
             }
         }
 
-        /// One L2-missing access to `line`; returns whether it was a
-        /// prefetch hit (the same answer from both, or panic).
+        /// One L2-missing access to `line` at `now`; returns whether it
+        /// was a prefetch hit (the same answer from both, or panic).
         fn access(&mut self, line: u64, now: Cycles, ctx: &dyn std::fmt::Display) -> bool {
             let addr = line << 6;
-            let taken = self.new.0.take_inflight(addr);
+            let taken = self.new.0.take_inflight(addr, now);
             assert_eq!(
                 taken,
-                self.old.0.take_inflight(addr),
+                self.old.0.take_inflight(addr).map(|r| r.max(now)),
                 "take_inflight, {ctx}"
             );
             self.new.0.observe(addr, now, &mut self.new.1);
@@ -720,12 +662,15 @@ mod tests {
         }
 
         fn assert_same_counters(&self, ctx: &dyn std::fmt::Display) {
-            let old = (self.old.0.issued, self.old.0.useful);
-            assert_eq!(self.new.0.counters(), old, "(issued, useful), {ctx}");
+            assert_eq!(
+                self.new.0.counters(),
+                self.old.0.counters(),
+                "(issued, useful), {ctx}"
+            );
             assert_eq!(self.new.1.counters(), self.old.1.counters(), "dram, {ctx}");
             assert_eq!(
                 self.new.0.inflight.len(),
-                self.old.0.inflight.len(),
+                self.old.0.len(),
                 "in flight, {ctx}"
             );
         }
@@ -780,6 +725,11 @@ mod tests {
             peak > 1_000,
             "the trace must leave never-demanded lines in flight: {peak}"
         );
+        assert!(
+            pair.new.0.pages_held() < 64,
+            "pages hold the live lookahead only: {}",
+            pair.new.0.pages_held()
+        );
     }
 
     #[test]
@@ -795,7 +745,7 @@ mod tests {
             pair.new.0.observe(line << 6, line, &mut pair.new.1);
             pair.old.0.observe(line << 6, line, &mut pair.old.1);
             let after = pair.new.0.inflight.len();
-            assert_eq!(after, pair.old.0.inflight.len(), "line {line}");
+            assert_eq!(after, pair.old.0.len(), "line {line}");
             if after < before {
                 assert_eq!(dropped_at.replace(before), None, "one drop only");
             }

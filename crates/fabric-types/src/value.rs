@@ -12,14 +12,43 @@ use std::fmt;
 
 /// Days since 1970-01-01 for a proleptic-Gregorian `(year, month, day)`
 /// (Howard Hinnant's algorithm; valid far beyond the TPC-H date range).
+/// Trusts its input: an impossible day rolls over into the next month and
+/// a date outside the `u32` range wraps. Input from outside the program
+/// goes through [`checked_days_from_civil`].
 pub fn days_from_civil(y: i64, m: u32, d: u32) -> u32 {
+    civil_days(y, m, d) as u32
+}
+
+/// Signed days since 1970-01-01 of a month and day in range.
+fn civil_days(y: i64, m: u32, d: u32) -> i64 {
     let y = if m <= 2 { y - 1 } else { y };
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = (y - era * 400) as u64;
     let mp = ((m + 9) % 12) as u64;
     let doy = (153 * mp + 2) / 5 + (d as u64 - 1);
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    (era * 146_097 + doe as i64 - 719_468) as u32
+    era * 146_097 + doe as i64 - 719_468
+}
+
+/// [`days_from_civil`] for a calendar day that exists and that a
+/// [`Value::Date`] can hold: `None` for month 0 or 13, day 0, April 31,
+/// February 29 of a common year, a date before 1970-01-01, or one more
+/// than `u32::MAX` days after it.
+pub fn checked_days_from_civil(y: i64, m: u32, d: u32) -> Option<u32> {
+    let leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+    let month_days = match m {
+        1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
+        4 | 6 | 9 | 11 => 30,
+        2 if leap => 29,
+        2 => 28,
+        _ => return None,
+    };
+    // `u32::MAX` days are about 11.76 million years: bounding the year
+    // first keeps `civil_days` far from overflow.
+    if d == 0 || d > month_days || !(1970..=12_000_000).contains(&y) {
+        return None;
+    }
+    u32::try_from(civil_days(y, m, d)).ok()
 }
 
 /// Total little-endian array read: copies up to `N` bytes from `bytes`,
@@ -262,6 +291,42 @@ impl fmt::Display for Value {
 mod tests {
     use super::*;
     use crate::rng::for_each_case;
+
+    #[test]
+    fn checked_civil_days_accept_real_days_in_the_date_domain_only() {
+        assert_eq!(checked_days_from_civil(1970, 1, 1), Some(0));
+        assert_eq!(checked_days_from_civil(1994, 1, 1), Some(8766));
+        assert_eq!(checked_days_from_civil(2000, 2, 29), Some(11_016));
+        assert_eq!(checked_days_from_civil(1996, 2, 29), Some(9_555));
+        for (y, m, d) in [
+            (1998, 2, 29), // common year
+            (1900, 2, 29), // century, not a leap year
+            (1998, 2, 31),
+            (1998, 4, 31),
+            (1998, 0, 1),
+            (1998, 13, 1),
+            (1998, 1, 0),
+            (1998, 1, 32),
+            (1969, 12, 31), // before the epoch
+            (1960, 1, 1),
+            (-4, 1, 1),
+            (11_761_191, 1, 21), // u32::MAX + 1 days
+            (i64::MAX, 1, 1),
+            (i64::MIN, 3, 1),
+        ] {
+            assert_eq!(checked_days_from_civil(y, m, d), None, "{y}-{m}-{d}");
+        }
+        // The last day a `Date` holds.
+        assert_eq!(checked_days_from_civil(11_761_191, 1, 20), Some(u32::MAX));
+        for_each_case("checked civil days agree with the unchecked ones", |rng| {
+            let (y, m) = (rng.gen_range(1970..3000i64), rng.gen_range(1..=12u32));
+            let d = rng.gen_range(1..=28u32);
+            assert_eq!(
+                checked_days_from_civil(y, m, d),
+                Some(days_from_civil(y, m, d))
+            );
+        });
+    }
 
     #[test]
     fn roundtrip_fixed_width() {

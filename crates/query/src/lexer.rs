@@ -6,7 +6,9 @@ use fabric_types::{FabricError, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
     Ident(String),
-    Int(i64),
+    /// An unsigned integer literal; the parser applies a leading `-`, so
+    /// `-9223372036854775808` is in range.
+    Int(u64),
     Float(f64),
     Str(String),
     /// Punctuation and operators: `( ) , * + - / = <> < <= > >=`
@@ -96,7 +98,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                     out.push(Token::Float(v));
                 } else {
                     let v = text
-                        .parse::<i64>()
+                        .parse::<u64>()
                         .map_err(|_| FabricError::Sql(format!("bad number `{text}`")))?;
                     out.push(Token::Int(v));
                 }

@@ -14,7 +14,7 @@
 //! integer, float, string, or `DATE 'yyyy-mm-dd'`.
 
 use crate::lexer::{lex, Token};
-use fabric_types::value::days_from_civil;
+use fabric_types::value::checked_days_from_civil;
 use fabric_types::{AggFunc, CmpOp, FabricError, Result};
 
 /// Expression AST over column *names*.
@@ -139,7 +139,9 @@ impl Parser {
 
     fn parse_literal_or_primary(&mut self) -> Result<AstExpr> {
         match self.next() {
-            Some(Token::Int(v)) => Ok(AstExpr::Int(v)),
+            Some(Token::Int(v)) => i64::try_from(v)
+                .map(AstExpr::Int)
+                .map_err(|_| FabricError::Sql(format!("bad number `{v}`"))),
             Some(Token::Float(v)) => Ok(AstExpr::Float(v)),
             Some(Token::Str(s)) => Ok(AstExpr::Str(s)),
             Some(Token::Kw("DATE")) => match self.next() {
@@ -159,7 +161,10 @@ impl Parser {
             Some(Token::Sym("-")) => {
                 // Unary minus on a numeric literal.
                 match self.next() {
-                    Some(Token::Int(v)) => Ok(AstExpr::Int(-v)),
+                    Some(Token::Int(v)) => 0i64
+                        .checked_sub_unsigned(v)
+                        .map(AstExpr::Int)
+                        .ok_or_else(|| FabricError::Sql(format!("bad number `-{v}`"))),
                     Some(Token::Float(v)) => Ok(AstExpr::Float(-v)),
                     other => Err(FabricError::Sql(format!(
                         "expected number, found {other:?}"
@@ -282,7 +287,9 @@ impl Parser {
             self.expect_kw("BY")?;
             loop {
                 let key = match self.next() {
-                    Some(Token::Int(n)) if n >= 1 => AstOrderTarget::Position(n as usize),
+                    Some(Token::Int(n)) if n >= 1 => {
+                        AstOrderTarget::Position(usize::try_from(n).unwrap_or(usize::MAX))
+                    }
                     Some(Token::Ident(name)) => AstOrderTarget::Column(name),
                     other => {
                         return Err(FabricError::Sql(format!(
@@ -313,7 +320,7 @@ impl Parser {
             if w.eq_ignore_ascii_case("limit") {
                 self.pos += 1;
                 match self.next() {
-                    Some(Token::Int(n)) if n >= 0 => limit = Some(n as usize),
+                    Some(Token::Int(n)) => limit = Some(usize::try_from(n).unwrap_or(usize::MAX)),
                     other => {
                         return Err(FabricError::Sql(format!(
                             "expected row count after LIMIT, found {other:?}"
@@ -353,10 +360,15 @@ fn parse_date(s: &str) -> Result<AstExpr> {
     let d: u32 = parts[2]
         .parse()
         .map_err(|_| FabricError::Sql(format!("bad day in `{s}`")))?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return Err(FabricError::Sql(format!("date `{s}` out of range")));
-    }
-    Ok(AstExpr::Date(days_from_civil(y, m, d)))
+    // A `Date` is a day count from 1970-01-01 in a `u32`: no earlier
+    // date, none after 11761191-01-20, and no day the calendar lacks.
+    checked_days_from_civil(y, m, d)
+        .map(AstExpr::Date)
+        .ok_or_else(|| {
+            FabricError::Sql(format!(
+                "date `{s}` does not exist or is outside 1970-01-01 ..= 11761191-01-20"
+            ))
+        })
 }
 
 /// Parse one SELECT statement.
@@ -454,5 +466,55 @@ mod tests {
     fn unary_minus_literals() {
         let s = parse("SELECT a FROM t WHERE a > -5").unwrap();
         assert_eq!(s.preds[0].literal, AstExpr::Int(-5));
+    }
+
+    #[test]
+    fn integer_literals_span_all_of_i64() {
+        let lit = |sql: &str| parse(sql).map(|s| s.preds[0].literal.clone());
+        assert_eq!(
+            lit("SELECT a FROM t WHERE a > -9223372036854775808").unwrap(),
+            AstExpr::Int(i64::MIN)
+        );
+        assert_eq!(
+            lit("SELECT a FROM t WHERE a < 9223372036854775807").unwrap(),
+            AstExpr::Int(i64::MAX)
+        );
+        for sql in [
+            "SELECT a FROM t WHERE a < 9223372036854775808",
+            "SELECT a FROM t WHERE a > -9223372036854775809",
+            "SELECT a FROM t WHERE a > 18446744073709551616",
+        ] {
+            let err = lit(sql).unwrap_err().to_string();
+            assert!(err.contains("bad number"), "{sql}: {err}");
+        }
+    }
+
+    #[test]
+    fn date_literals_must_be_real_days_inside_the_date_domain() {
+        let date = |lit: &str| {
+            parse(&format!("SELECT a FROM t WHERE d < DATE '{lit}'"))
+                .map(|s| s.preds[0].literal.clone())
+        };
+        assert_eq!(date("1970-01-01").unwrap(), AstExpr::Date(0));
+        assert_eq!(date("1996-02-29").unwrap(), AstExpr::Date(9_555));
+        assert_eq!(date("11761191-01-20").unwrap(), AstExpr::Date(u32::MAX));
+        for lit in [
+            "1960-01-01",
+            "1969-12-31",
+            "1998-02-31",
+            "1998-02-29",
+            "1900-02-29",
+            "1998-04-31",
+            "1998-00-10",
+            "1998-06-00",
+            "11761191-01-21",
+            "99999999999-01-01",
+        ] {
+            let err = date(lit).unwrap_err().to_string();
+            assert!(
+                err.contains("SQL error") && err.contains(lit),
+                "{lit}: {err}"
+            );
+        }
     }
 }

@@ -135,6 +135,44 @@ fn sql_statements_that_touch_no_column_run_on_every_path() {
     }
 }
 
+/// Literals at the edges of their types: a `DATE` that does not exist or
+/// that a `Date` cannot hold is a SQL error naming it on every path (it
+/// used to wrap or roll over into a wrong answer), and the most negative
+/// `i64` is a literal like any other (it used to be "bad number").
+#[test]
+fn literals_at_the_edges_of_their_types_on_every_path() {
+    const ROWS: usize = 2_048;
+    let mut engine = Engine::new(SimConfig::zynq_a53());
+    let li = Lineitem::generate(engine.mem(), ROWS, 0xDA7E).unwrap();
+    engine.register("lineitem", li.rows, li.cols);
+    let mut session = engine.session();
+    let count = |where_clause: &str| format!("SELECT count(*) FROM lineitem WHERE {where_clause}");
+    let all = vec![vec![Value::I64(ROWS as i64)]];
+    for (sql_text, want) in [
+        (count("l_orderkey > -9223372036854775808"), all.clone()),
+        (count("l_shipdate >= DATE '1970-01-01'"), all.clone()),
+        (
+            count("l_shipdate < DATE '1970-01-01'"),
+            vec![vec![Value::I64(0)]],
+        ),
+    ] {
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let out = session.run_on(&sql_text, path).unwrap();
+            assert_eq!(out.rows, want, "`{sql_text}` on {path}");
+        }
+    }
+    for literal in ["1960-01-01", "1998-02-31", "1997-02-29", "11761191-01-21"] {
+        let sql_text = count(&format!("l_shipdate < DATE '{literal}'"));
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let err = session.run_on(&sql_text, path).unwrap_err().to_string();
+            assert!(
+                err.contains("SQL error") && err.contains(literal),
+                "`{sql_text}` on {path}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn rm_stats_account_for_all_rows() {
     let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());

@@ -3,8 +3,12 @@
 //! several suites build. Each suite uses a subset.
 #![allow(dead_code)]
 
+pub mod map_prefetcher;
+pub mod ref_hierarchy;
+
 use colstore::ColTable;
-use fabric_sim::{MemoryHierarchy, SimConfig};
+use fabric_sim::hierarchy::OpCosts;
+use fabric_sim::{Cycles, DramModel, MemStats, MemoryHierarchy, SimConfig};
 use fabric_types::{ColumnSpec, ColumnType, Schema, Value};
 use query::Engine;
 use rowstore::RowTable;

@@ -56,7 +56,10 @@
 #                                wall-clock excluded; ends with the gate
 #                                self-test, which injects a synthetic
 #                                +10% cycle regression and asserts the
-#                                gate fails it)
+#                                gate fails it; each artifact appends a
+#                                results/TRAJECTORY.jsonl line with its
+#                                counter digest and cycle / byte / line
+#                                totals)
 #  12. crash-recovery matrix    (tests/crash_recovery.rs with the same
 #                                fixed seed: a power cut at every durable
 #                                write of a transactional workload, each
@@ -91,7 +94,15 @@
 #                                against its verbatim old per-row kernel
 #                                with every core's counters and clock
 #                                identical — DESIGN.md §21)
-#  17. benchmark smoke test     (cargo test in benchmark/, a workspace of
+#  17. line path reference      (tests/line_path_reference.rs under the
+#                                fixed seed: generated ROW/COL/gather/
+#                                random/re-scan/stall/flush traces into
+#                                MemoryHierarchy and a naive reference
+#                                with Vec-per-set LRU caches and the
+#                                map-based prefetcher at 1/2/4 cores,
+#                                every core's MemStats and clock identical
+#                                after every call — DESIGN.md §22)
+#  18. benchmark smoke test     (cargo test in benchmark/, a workspace of
 #                                its own: the two-clock benchmark at tiny
 #                                scale — schema against BENCHMARK.json,
 #                                trace validates and nests, simulated
@@ -198,6 +209,7 @@ cargo test -q --test alloc_steady_state
 
 seeded_test "result batches" result_batch "$GRID" "$SEED"
 seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
+seeded_test "line path reference" line_path_reference "$GRID" "$SEED"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
 # outside `cargo test --workspace`.
