@@ -1,6 +1,9 @@
 //! Regenerates **Fig. 5**: normalized execution time of ROW / COL / RM as
 //! projectivity varies from 1 to 11 columns (4-byte columns, 64-byte rows).
 //!
+//! Each point is `SELECT c0, …, c{p-1} FROM t` run through the engine's
+//! session on each access path at one core, from cold caches.
+//!
 //! Paper claims to reproduce (shape, not absolute numbers):
 //! * RM outperforms ROW at *every* projectivity;
 //! * COL is fastest below ~4 projected columns (the prefetcher keeps up and
@@ -11,10 +14,10 @@
 //! (`--streams` overrides the prefetcher stream capacity — the ablation
 //! probing the source of the crossover).
 
-use bench::{arg_usize, render_table};
-use fabric_sim::{MemoryHierarchy, SimConfig};
-use relmem::RmConfig;
-use workload::micro::{run_col, run_rm, run_row, MicroQuery};
+use bench::{arg_usize, render_table, run_paths_cold};
+use fabric_sim::{MetricsRegistry, SimConfig};
+use query::Engine;
+use workload::micro::{MicroQuery, TABLE};
 use workload::SyntheticData;
 
 fn main() {
@@ -25,47 +28,39 @@ fn main() {
 
     let mut cfg = SimConfig::zynq_a53();
     cfg.prefetch_streams = streams;
-    let mut mem = MemoryHierarchy::new(cfg);
+    let mut engine = Engine::new(cfg);
     eprintln!("# generating {rows} rows (16 x i32, 64-byte rows)...");
-    let data = SyntheticData::build(&mut mem, rows, 16, 0xF16_5).expect("generate");
+    let data = SyntheticData::build(engine.mem(), rows, 16, 0xF16_5).expect("generate");
+    engine.register(TABLE, data.rows, data.cols);
 
+    let mut reg = MetricsRegistry::new();
     let mut out_rows = Vec::new();
     if csv {
         println!("projectivity,row_ns,col_ns,rm_ns,row_norm,col_norm,rm_norm");
     }
     for p in 1..=11 {
-        let q = MicroQuery::projectivity(p);
-        let row = run_row(&mut mem, &data.rows, &q).expect("row engine");
-        let col = run_col(&mut mem, &data.cols, &q).expect("col engine");
-        let rm = run_rm(&mut mem, &data.rows, &q, RmConfig::prototype()).expect("rm engine");
-        assert_eq!(row.checksum, col.checksum, "engines disagree at p={p}");
-        assert_eq!(row.checksum, rm.checksum, "engines disagree at p={p}");
-        let norm = row.ns;
-        let m = mem.metrics_mut();
-        m.gauge_set(&format!("fig5.p{p:02}.row_ns"), row.ns);
-        m.gauge_set(&format!("fig5.p{p:02}.col_ns"), col.ns);
-        m.gauge_set(&format!("fig5.p{p:02}.rm_ns"), rm.ns);
-        m.gauge_set(&format!("fig5.p{p:02}.col_norm"), col.ns / norm);
-        m.gauge_set(&format!("fig5.p{p:02}.rm_norm"), rm.ns / norm);
+        let [row, col, rm] = run_paths_cold(&mut engine, &MicroQuery::projectivity(p).to_sql());
+        reg.gauge_set(&format!("fig5.p{p:02}.row_ns"), row);
+        reg.gauge_set(&format!("fig5.p{p:02}.col_ns"), col);
+        reg.gauge_set(&format!("fig5.p{p:02}.rm_ns"), rm);
+        reg.gauge_set(&format!("fig5.p{p:02}.col_norm"), col / row);
+        reg.gauge_set(&format!("fig5.p{p:02}.rm_norm"), rm / row);
         if csv {
             println!(
-                "{p},{:.0},{:.0},{:.0},{:.3},{:.3},{:.3}",
-                row.ns,
-                col.ns,
-                rm.ns,
+                "{p},{row:.0},{col:.0},{rm:.0},{:.3},{:.3},{:.3}",
                 1.0,
-                col.ns / norm,
-                rm.ns / norm
+                col / row,
+                rm / row
             );
         }
         out_rows.push(vec![
             p.to_string(),
             format!("{:.3}", 1.0),
-            format!("{:.3}", col.ns / norm),
-            format!("{:.3}", rm.ns / norm),
-            bench::fmt_ns(row.ns),
-            bench::fmt_ns(col.ns),
-            bench::fmt_ns(rm.ns),
+            format!("{:.3}", col / row),
+            format!("{:.3}", rm / row),
+            bench::fmt_ns(row),
+            bench::fmt_ns(col),
+            bench::fmt_ns(rm),
         ]);
     }
     if !csv {
@@ -78,7 +73,6 @@ fn main() {
             )
         );
     }
-    let stats = mem.stats();
-    stats.record_into(mem.metrics_mut(), "mem");
-    bench::emit_bench_json("fig5_projectivity", mem.metrics());
+    engine.mem().stats().record_into(&mut reg, "mem");
+    bench::emit_bench_json("fig5_projectivity", &reg);
 }

@@ -2,10 +2,13 @@
 //! COL (6b) as the number of projected columns (x) and selection columns
 //! (y) each range from 1 to 10.
 //!
+//! Each point is `SELECT c0, …, c{p-1} FROM t WHERE c{16-s} < thr AND …
+//! AND c15 < thr` run through the engine's session on each access path at
+//! one core, from cold caches.
+//!
 //! Paper claims to reproduce (shape):
 //! * 6a — RM beats direct row-wise access at *every* grid point (paper:
-//!   1.3–1.5×; our ROW baseline carries more per-tuple interpretation
-//!   overhead, so our speedups run higher);
+//!   1.3–1.5×);
 //! * 6b — direct columnar access wins in the lower-left corner (small
 //!   total column count); RM dominates as columns grow, with the largest
 //!   speedups in the upper region.
@@ -15,10 +18,10 @@
 //!        conjuncts keep ~50 % of rows, keeping work comparable across the
 //!        grid).
 
-use bench::{arg_f64, arg_usize};
-use fabric_sim::{MemoryHierarchy, SimConfig};
-use relmem::RmConfig;
-use workload::micro::{run_col, run_rm, run_row, MicroQuery};
+use bench::{arg_f64, arg_usize, run_paths_cold};
+use fabric_sim::{MetricsRegistry, SimConfig};
+use query::Engine;
+use workload::micro::{MicroQuery, TABLE};
 use workload::SyntheticData;
 
 fn main() {
@@ -27,28 +30,22 @@ fn main() {
     let selectivity = arg_f64(&args, "--selectivity", 0.93);
     let which = args.get(1).map(String::as_str).unwrap_or("both");
 
-    let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    let mut engine = Engine::new(SimConfig::zynq_a53());
     eprintln!("# generating {rows} rows (16 x i32)...");
-    let data = SyntheticData::build(&mut mem, rows, 16, 0xF16_6).expect("generate");
+    let data = SyntheticData::build(engine.mem(), rows, 16, 0xF16_6).expect("generate");
+    engine.register(TABLE, data.rows, data.cols);
 
+    let mut reg = MetricsRegistry::new();
     let mut vs_row = vec![vec![0.0f64; 10]; 10];
     let mut vs_col = vec![vec![0.0f64; 10]; 10];
     for s in 1..=10usize {
         for p in 1..=10usize {
-            let q = MicroQuery::proj_sel(p, s, 16, selectivity);
-            let row = run_row(&mut mem, &data.rows, &q).expect("row");
-            let col = run_col(&mut mem, &data.cols, &q).expect("col");
-            let rm = run_rm(&mut mem, &data.rows, &q, RmConfig::prototype()).expect("rm");
-            assert_eq!(
-                row.checksum, col.checksum,
-                "engines disagree at p={p} s={s}"
-            );
-            assert_eq!(row.checksum, rm.checksum, "engines disagree at p={p} s={s}");
-            vs_row[s - 1][p - 1] = row.ns / rm.ns;
-            vs_col[s - 1][p - 1] = col.ns / rm.ns;
-            let m = mem.metrics_mut();
-            m.gauge_set(&format!("fig6.s{s:02}.p{p:02}.rm_vs_row"), row.ns / rm.ns);
-            m.gauge_set(&format!("fig6.s{s:02}.p{p:02}.rm_vs_col"), col.ns / rm.ns);
+            let sql = MicroQuery::proj_sel(p, s, 16, selectivity).to_sql();
+            let [row, col, rm] = run_paths_cold(&mut engine, &sql);
+            vs_row[s - 1][p - 1] = row / rm;
+            vs_col[s - 1][p - 1] = col / rm;
+            reg.gauge_set(&format!("fig6.s{s:02}.p{p:02}.rm_vs_row"), row / rm);
+            reg.gauge_set(&format!("fig6.s{s:02}.p{p:02}.rm_vs_col"), col / rm);
         }
         eprintln!("# selection row {s}/10 done");
     }
@@ -59,9 +56,8 @@ fn main() {
     if which == "rm-vs-col" || which == "both" {
         print_grid("Fig. 6b — speedup of RM vs COL", &vs_col);
     }
-    let stats = mem.stats();
-    stats.record_into(mem.metrics_mut(), "mem");
-    bench::emit_bench_json("fig6_heatmap", mem.metrics());
+    engine.mem().stats().record_into(&mut reg, "mem");
+    bench::emit_bench_json("fig6_heatmap", &reg);
 }
 
 fn print_grid(title: &str, grid: &[Vec<f64>]) {

@@ -3,6 +3,9 @@
 //! the target-column-group size (the paper's convention: 2–128 MB of
 //! target columns, i.e. tables from ~9 MB to ~700 MB).
 //!
+//! Each point runs [`Q1_SQL`] or [`Q6_SQL`] through the engine's session
+//! on each access path at one core, from cold caches.
+//!
 //! Paper claims to reproduce (shape):
 //! * 7a (Q1) — all three layouts land close together: the eight grouped
 //!   aggregates dominate, so layout matters little;
@@ -13,20 +16,32 @@
 //! Usage: `fig7_tpch [q1|q6|both] [--max-target M] [--csv] [--cores N]`
 //! where targets double from 2 MiB up to `--max-target` (default 32; 128
 //! reproduces the paper's largest size but takes correspondingly longer to
-//! simulate). With `--cores N` (N > 1) an extra section re-runs Q1 and Q6
-//! through the SQL session API on every access path at 1 vs N simulated
-//! cores, asserting bit-identical answers and reporting the morsel-driven
-//! speedup.
+//! simulate). With `--cores N` (N > 1) an extra section re-runs the same
+//! statements on the 2 MiB-target table on every access path at 1 vs N
+//! simulated cores, asserting bit-identical answers and reporting the
+//! morsel-driven speedup.
 
-use bench::{arg_usize, fmt_ns, render_table};
-use fabric_sim::{MemoryHierarchy, SimConfig};
-use query::{AccessPath, Engine};
-use relmem::RmConfig;
-use workload::queries;
+use bench::{arg_usize, fmt_ns, render_table, run_cold, run_paths_cold, PATHS};
+use fabric_sim::{MetricsRegistry, SimConfig};
+use query::Engine;
+use workload::tpch::{Q1_SQL, Q6_SQL};
 use workload::Lineitem;
 
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0)
+/// The statement, and the rows for a `target_mib` target, of `which`.
+fn query(which: &str, target_mib: usize) -> (&'static str, usize) {
+    if which == "q1" {
+        (Q1_SQL, Lineitem::rows_for_q1_target(target_mib))
+    } else {
+        (Q6_SQL, Lineitem::rows_for_q6_target(target_mib))
+    }
+}
+
+/// A `cores`-core engine over `rows` rows of `lineitem`.
+fn engine(cores: usize, rows: usize, seed: u64) -> Engine {
+    let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
+    let li = Lineitem::generate(e.mem(), rows, seed).expect("generate");
+    e.register("lineitem", li.rows, li.cols);
+    e
 }
 
 fn run_query(which: &str, max_target: usize, csv: bool) {
@@ -37,63 +52,34 @@ fn run_query(which: &str, max_target: usize, csv: bool) {
     }
 
     let mut out_rows = Vec::new();
-    let mut reg = fabric_sim::MetricsRegistry::new();
+    let mut reg = MetricsRegistry::new();
     if csv {
         println!("query,target_mib,table_mib,row_ns,col_ns,rm_ns");
     }
     for &t in &targets {
-        let rows = if which == "q1" {
-            Lineitem::rows_for_q1_target(t)
-        } else {
-            Lineitem::rows_for_q6_target(t)
-        };
+        let (sql, rows) = query(which, t);
         let table_mib = rows * Lineitem::row_width() / (1024 * 1024);
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         eprintln!("# {which}: target {t} MiB -> {rows} rows ({table_mib} MiB table)");
-        let li = Lineitem::generate(&mut mem, rows, 0xF1_7 + t as u64).expect("generate");
+        let mut engine = engine(1, rows, 0xF1_7 + t as u64);
+        let [row, col, rm] = run_paths_cold(&mut engine, sql);
 
-        let (row, col, rm) = if which == "q1" {
-            (
-                queries::q1_row(&mut mem, &li).expect("q1 row"),
-                queries::q1_col(&mut mem, &li).expect("q1 col"),
-                queries::q1_rm(&mut mem, &li, RmConfig::prototype()).expect("q1 rm"),
-            )
-        } else {
-            (
-                queries::q6_row(&mut mem, &li).expect("q6 row"),
-                queries::q6_col(&mut mem, &li).expect("q6 col"),
-                queries::q6_rm(&mut mem, &li, RmConfig::prototype()).expect("q6 rm"),
-            )
-        };
-        assert!(
-            close(row.checksum, col.checksum),
-            "engines disagree at {t} MiB"
-        );
-        assert!(
-            close(row.checksum, rm.checksum),
-            "engines disagree at {t} MiB"
-        );
-
-        reg.gauge_set(&format!("fig7.{which}.t{t:03}.row_ns"), row.ns);
-        reg.gauge_set(&format!("fig7.{which}.t{t:03}.col_ns"), col.ns);
-        reg.gauge_set(&format!("fig7.{which}.t{t:03}.rm_ns"), rm.ns);
+        reg.gauge_set(&format!("fig7.{which}.t{t:03}.row_ns"), row);
+        reg.gauge_set(&format!("fig7.{which}.t{t:03}.col_ns"), col);
+        reg.gauge_set(&format!("fig7.{which}.t{t:03}.rm_ns"), rm);
         reg.counter_add(&format!("fig7.{which}.targets"), 1);
-        let stats = mem.stats();
+        let stats = engine.mem().stats();
         stats.record_into(&mut reg, &format!("fig7.{which}.t{t:03}.mem"));
         if csv {
-            println!(
-                "{which},{t},{table_mib},{:.0},{:.0},{:.0}",
-                row.ns, col.ns, rm.ns
-            );
+            println!("{which},{t},{table_mib},{row:.0},{col:.0},{rm:.0}");
         }
         out_rows.push(vec![
             format!("{t}"),
             format!("{table_mib}"),
-            fmt_ns(row.ns),
-            fmt_ns(col.ns),
-            fmt_ns(rm.ns),
-            format!("{:.2}x", row.ns / rm.ns),
-            format!("{:.2}x", col.ns / rm.ns),
+            fmt_ns(row),
+            fmt_ns(col),
+            fmt_ns(rm),
+            format!("{:.2}x", row / rm),
+            format!("{:.2}x", col / rm),
         ]);
     }
     if !csv {
@@ -121,45 +107,26 @@ fn run_query(which: &str, max_target: usize, csv: bool) {
     bench::emit_bench_json(&format!("fig7_tpch_{which}"), &reg);
 }
 
-/// The morsel-parallel section: Q1 and Q6 as SQL through the session API
-/// at 1 vs `cores` simulated cores on every access path. Answers must be
-/// bit-identical; the speedup column is simulated cycles, so it reflects
-/// the fabric model (shared L2 port, DRAM controller, serial RM beat),
-/// not host scheduling noise.
+/// The morsel-parallel section: Q1 and Q6 at 1 vs `cores` simulated cores
+/// on every access path. Answers must be bit-identical; the speedup column
+/// is simulated cycles, so it reflects the fabric model (shared L2 port,
+/// DRAM controller, serial RM beat), not host scheduling noise.
 fn run_parallel(cores: usize) {
-    const Q1: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity), \
-                      sum(l_extendedprice), sum(l_extendedprice * (1 - l_discount)), \
-                      avg(l_quantity), count(*) \
-                      FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
-                      GROUP BY l_returnflag, l_linestatus";
-    const Q6: &str = "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
-                      WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
-                      AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24";
-    let rows = Lineitem::rows_for_q6_target(2);
-    let engine_at = |n: usize| {
-        let mut e = Engine::with_cores(SimConfig::zynq_a53(), n);
-        let li = Lineitem::generate(e.mem(), rows, 0xF1_7).expect("generate");
-        e.register("lineitem", li.rows, li.cols);
-        e
-    };
-
     let mut table = Vec::new();
     let mut best = 0.0f64;
-    for (qname, sql) in [("Q1", Q1), ("Q6", Q6)] {
-        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
-            let base = engine_at(1).session().run_on(sql, path).expect("1-core");
-            let par = engine_at(cores)
-                .session()
-                .run_on(sql, path)
-                .expect("N-core");
+    for which in ["q1", "q6"] {
+        let (sql, rows) = query(which, 2);
+        for path in PATHS {
+            let base = run_cold(&mut engine(1, rows, 0xF1_7), sql, path);
+            let par = run_cold(&mut engine(cores, rows, 0xF1_7), sql, path);
             assert_eq!(
                 par.rows, base.rows,
-                "{qname} {path} at {cores} cores diverged from the 1-core answer"
+                "{which} {path} at {cores} cores diverged from the 1-core answer"
             );
             let speedup = base.ns / par.ns;
             best = best.max(speedup);
             table.push(vec![
-                qname.to_string(),
+                format!("{} ({rows} rows)", which.to_uppercase()),
                 path.to_string(),
                 fmt_ns(base.ns),
                 fmt_ns(par.ns),
@@ -167,7 +134,7 @@ fn run_parallel(cores: usize) {
             ]);
         }
     }
-    println!("Fig. 7 supplement — morsel-driven scaling at {cores} cores ({rows} rows)");
+    println!("Fig. 7 supplement — morsel-driven scaling at {cores} cores (2 MiB targets)");
     println!(
         "{}",
         render_table(

@@ -6,7 +6,37 @@ pub use harness::{
     bench_artifact_json, cli_args, emit_bench_json, results_dir, write_artifact, write_bench_json,
 };
 
+use fabric_types::Value;
+use query::{AccessPath, Engine, QueryOutput};
 use std::fmt::Write as _;
+
+/// The three access paths, in the order every figure reports them.
+pub const PATHS: [AccessPath; 3] = [AccessPath::Row, AccessPath::Col, AccessPath::Rm];
+
+/// One figure point: `sql` forced onto `path` in a fresh session, from
+/// flushed caches and an empty operator cache, so nothing of an earlier
+/// point is reused.
+pub fn run_cold(engine: &mut Engine, sql: &str, path: AccessPath) -> QueryOutput {
+    engine.mem().flush_caches();
+    engine.clear_op_cache();
+    let out = engine.session().run_on(sql, path);
+    out.unwrap_or_else(|e| panic!("`{sql}` on {path}: {e}"))
+}
+
+/// [`run_cold`] on ROW, COL and RM in turn. Asserts that the three answers
+/// are identical and returns the three simulated times in nanoseconds.
+pub fn run_paths_cold(engine: &mut Engine, sql: &str) -> [f64; 3] {
+    let mut first: Option<Vec<Vec<Value>>> = None;
+    PATHS.map(|path| {
+        let out = run_cold(engine, sql, path);
+        let ns = out.ns;
+        match &first {
+            None => first = Some(out.rows),
+            Some(rows) => assert_eq!(&out.rows, rows, "{path} disagrees with ROW on `{sql}`"),
+        }
+        ns
+    })
+}
 
 /// Simple command-line flag extraction: `--name value`.
 pub fn arg_value(args: &[String], name: &str) -> Option<String> {

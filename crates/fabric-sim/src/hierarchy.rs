@@ -28,16 +28,13 @@ use fabric_types::{Addr, Result};
 /// Per-operation CPU cost model (cycles), shared by all engines so that
 /// compute is charged consistently.
 ///
-/// The values approximate an in-order Cortex-A53: a virtual call plus
-/// per-tuple bookkeeping for a Volcano `next()`, a couple of cycles for an
-/// arithmetic op on a loaded value, and so on. They are deliberately simple;
-/// the reproduction's claims rest on *ratios* between data-movement costs,
-/// with compute providing realistic dilution.
+/// The values approximate an in-order Cortex-A53: a cycle for an
+/// arithmetic op on a loaded value, a few for a floating-point one, and so
+/// on. They are deliberately simple; the reproduction's claims rest on
+/// *ratios* between data-movement costs, with compute providing realistic
+/// dilution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCosts {
-    /// Per-row overhead of a Volcano-style `next()` chain hop
-    /// (virtual dispatch, tuple bookkeeping).
-    pub volcano_next: Cycles,
     /// One arithmetic/comparison op on a register value.
     pub value_op: Cycles,
     /// Amortized per-element cost of a tight vectorized kernel on an
@@ -66,7 +63,6 @@ pub struct OpCosts {
 impl Default for OpCosts {
     fn default() -> Self {
         OpCosts {
-            volcano_next: 6,
             value_op: 1,
             vector_elem: 2,
             decode: 2,

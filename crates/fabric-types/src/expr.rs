@@ -1,8 +1,8 @@
 //! Scalar expressions over decoded tuples, plus value-level aggregate
 //! accumulators.
 //!
-//! Every engine in the workspace (the Volcano row store, the vectorized
-//! column store, the RM consumer code, and the SQL executor) evaluates the
+//! Every engine in the workspace (the vectorized row and column stores,
+//! the RM consumer code, and the SQL executor) evaluates the
 //! same [`Expr`] tree, so results are comparable bit for bit. [`Expr::ops`]
 //! reports the number of arithmetic operations so engines can charge CPU
 //! cycles consistently.

@@ -5,8 +5,8 @@
 //! candidate paths are exactly three, and the per-row cost of each is a
 //! short closed form mirroring the calibrated engine behaviours:
 //!
-//! * **ROW** — Volcano over the base rows: line traffic for the touched
-//!   spans plus per-tuple interpretation;
+//! * **ROW** — a vectorized morsel scan over the base rows: line traffic
+//!   for the touched spans plus per-row decode and predicate cycles;
 //! * **COL** — column-at-a-time over the materialized columnar copy (only
 //!   if one exists!): one stream per column, selection passes, tuple
 //!   reconstruction past the prefetcher's stream budget;

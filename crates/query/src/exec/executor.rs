@@ -150,9 +150,9 @@ impl<'q> QueryExecutor<'q> {
     }
 
     /// ROW stage 0: fused vectorized scan→filter→consume per morsel
-    /// ([`rowstore::scan_range_chunks`]) — no per-operator
-    /// `volcano_next`, no mispredict charge on rejected rows, one chunk
-    /// scratch recycled from the scratchpad across every morsel.
+    /// ([`rowstore::scan_range_chunks`]) — no per-operator `next()`
+    /// charge, no mispredict charge on rejected rows, one chunk scratch
+    /// recycled from the scratchpad across every morsel.
     fn run_row(
         &mut self,
         mem: &mut MemoryHierarchy,

@@ -39,7 +39,7 @@ pub(crate) fn render_plan(
         entry.rows.len()
     )?;
     let access = match path {
-        AccessPath::Row => "Volcano sequential scan over the row layout".to_string(),
+        AccessPath::Row => "vectorized morsel scan over the row layout".to_string(),
         AccessPath::Col => "column-at-a-time over the materialized columnar copy".to_string(),
         AccessPath::Rm => format!(
             "Relational Memory: ephemeral column group of {} columns ({} B/row packed)",

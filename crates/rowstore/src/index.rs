@@ -253,18 +253,29 @@ mod tests {
         let (mut mem, t) = setup();
         let idx = HashIndex::build(&mut mem, &t, 0).unwrap();
         let t0 = mem.now();
-        idx.probe(&mut mem, &t, 21).unwrap();
+        let hits = idx.probe(&mut mem, &t, 21).unwrap();
         let probe = mem.now() - t0;
-        // A full Volcano scan for the same point query.
+        // A full scan for the same point query, with the ROW path's kernel.
         let t0 = mem.now();
-        let scan = crate::volcano::SeqScan::new(&t, vec![0, 1]).unwrap();
-        let mut f = crate::volcano::Filter::new(
-            Box::new(scan),
-            vec![(0, fabric_types::CmpOp::Eq, Value::I64(21))],
-        );
-        crate::volcano::execute_collect(&mut mem, &mut f).unwrap();
+        let mut found = Vec::new();
+        crate::vector::scan_range_vectorized(
+            &mut mem,
+            &t,
+            &[0, 1],
+            &[(0, fabric_types::CmpOp::Eq, Value::I64(21))],
+            0,
+            t.len(),
+            &mut Vec::new(),
+            |_, vals| {
+                found.push(vals.to_vec());
+                Ok(())
+            },
+        )
+        .unwrap();
         let scan_t = mem.now() - t0;
         assert!(scan_t > probe * 100, "scan {scan_t} vs probe {probe}");
+        // Both find the one row an untimed decode holds.
+        assert_eq!(found, vec![t.decode_row_untimed(&mem, hits[0]).unwrap()]);
     }
 
     #[test]

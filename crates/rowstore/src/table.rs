@@ -8,8 +8,8 @@ pub type RowId = usize;
 
 /// A fixed-width, row-oriented table stored contiguously in the simulated
 /// arena. This is the *single* base layout of the Relational Fabric design:
-/// OLTP writes land here, the RM device gathers from here, and the Volcano
-/// engine scans it directly.
+/// OLTP writes land here, the RM device gathers from here, and the ROW
+/// path scans it directly.
 pub struct RowTable {
     schema: Schema,
     layout: RowLayout,

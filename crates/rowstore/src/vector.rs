@@ -1,20 +1,11 @@
 //! Vectorized morsel scan over a [`RowTable`].
 //!
-//! The Volcano operators in [`crate::volcano`] pay `volcano_next` per
-//! tuple per operator and a `branch_miss` per rejected row — the
-//! interpretation tax the paper's host path does not need once morsels
-//! feed vector primitives. This kernel runs one *fused*
-//! scan→filter→emit pass over a row range: one `vector_setup` per
-//! invocation, then per row the same line-granular memory traffic as
-//! [`crate::SeqScan`] plus branch-free predicate evaluation (every
-//! conjunct is evaluated, no mispredict charge). Rejected rows cost
+//! The kernel runs one *fused* scan→filter→emit pass over a row range:
+//! one `vector_setup` per invocation, then per row one line-granular touch
+//! of the row's touched field spans plus branch-free predicate evaluation
+//! (every conjunct is evaluated, no mispredict charge). Rejected rows cost
 //! `decode·cols + value_op·preds`; there is no per-operator `next()`
 //! overhead at all.
-//!
-//! The memory-access pattern (which lines are touched, in which order,
-//! interleaved with how much compute) deliberately mirrors the Volcano
-//! scan row for row, so the kernel is a strict cycle improvement rather
-//! than a different memory model.
 //!
 //! Rows leave the kernel a *chunk* at a time, as typed column views over
 //! the table's own bytes ([`scan_range_chunks`]);
@@ -46,8 +37,7 @@ pub struct ScanCounts {
 ///
 /// Charges one `vector_setup` per call (amortize it by scanning
 /// morsel-sized ranges) and, per row, `decode` per column plus
-/// `value_op` per conjunct — branch-free, so no `branch_miss` and no
-/// `volcano_next`.
+/// `value_op` per conjunct — branch-free, so no `branch_miss`.
 ///
 /// `consume` is host-only and runs before its chunk's rows are charged;
 /// the simulated clock cannot tell (DESIGN.md §21). When it fails on a row,
@@ -111,8 +101,8 @@ pub fn scan_range_vectorized(
 
 /// The one ROW kernel. Per chunk: (i) the predicate and `consume`,
 /// host-only over untimed bytes; (ii) the per-row charge sequence — the
-/// row's line-granular traffic (the same as the Volcano scan: one touch
-/// per merged field span, gathered so independent misses overlap), its
+/// row's line-granular traffic (one touch per merged field span,
+/// gathered so independent misses overlap), its
 /// decode and predicate cycles, and `on_pass(mem, row id)` for a row that
 /// passed — which stops after the row `consume` failed on, if it did.
 #[allow(clippy::too_many_arguments)]
@@ -191,7 +181,6 @@ fn scan_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::volcano::{execute_collect, Filter, SeqScan};
     use fabric_sim::SimConfig;
     use fabric_types::{ColumnType, Schema};
 
@@ -233,17 +222,31 @@ mod tests {
         (rows, counts)
     }
 
+    /// The oracle: columns `cols` of every row an untimed decode of the
+    /// table says satisfies `keep`, in row order.
+    fn untimed(
+        mem: &MemoryHierarchy,
+        t: &RowTable,
+        cols: &[ColumnId],
+        keep: impl Fn(&[Value]) -> bool,
+    ) -> Vec<Vec<Value>> {
+        let rows = (0..t.len()).map(|r| t.decode_row_untimed(mem, r).unwrap());
+        rows.filter(|row| keep(row))
+            .map(|row| cols.iter().map(|&c| row[c].clone()).collect())
+            .collect()
+    }
+
     #[test]
-    fn matches_volcano_scan_filter_output() {
+    fn matches_untimed_scan_filter_output() {
         let (mut mem, t) = fixture();
         let preds = vec![
             (0, CmpOp::Ge, Value::I64(90)),
             (2, CmpOp::Lt, Value::F64(95.0)),
         ];
-        let scan = SeqScan::new(&t, vec![0, 1, 2]).unwrap();
-        let mut volcano = Filter::new(Box::new(scan), preds.clone());
-        let expected = execute_collect(&mut mem, &mut volcano).unwrap();
         let (rows, counts) = collect(&mut mem, &t, &[0, 1, 2], &preds, 0, 100);
+        let expected = untimed(&mem, &t, &[0, 1, 2], |r| {
+            r[0].as_i64().unwrap() >= 90 && r[2].as_f64().unwrap() < 95.0
+        });
         assert_eq!(rows, expected);
         assert_eq!(counts.rows_in, 100);
         assert_eq!(counts.rows_out, 5);
@@ -257,34 +260,12 @@ mod tests {
             let (rows, _) = collect(&mut mem, &t, &[0], &[], start, start + 32);
             all.extend(rows);
         }
-        let mut full = SeqScan::new(&t, vec![0]).unwrap();
-        assert_eq!(all, execute_collect(&mut mem, &mut full).unwrap());
+        assert_eq!(all, untimed(&mem, &t, &[0], |_| true));
         // Out-of-bounds ranges clamp instead of panicking.
         let (rows, _) = collect(&mut mem, &t, &[0], &[], 96, 1000);
         assert_eq!(rows.len(), 4);
         let (rows, _) = collect(&mut mem, &t, &[0], &[], 500, 600);
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn strictly_cheaper_than_volcano_per_morsel() {
-        let (mut mem, t) = fixture();
-        let preds = vec![(0, CmpOp::Lt, Value::I64(50))];
-        // Warm the caches identically before each measured pass.
-        let _ = collect(&mut mem, &t, &[0, 2], &preds, 0, 100);
-        let t0 = mem.now();
-        let _ = collect(&mut mem, &t, &[0, 2], &preds, 0, 100);
-        let vectorized = mem.now() - t0;
-
-        let t0 = mem.now();
-        let scan = SeqScan::new(&t, vec![0, 2]).unwrap();
-        let mut volcano = Filter::new(Box::new(scan), preds.clone());
-        execute_collect(&mut mem, &mut volcano).unwrap();
-        let tuple_at_a_time = mem.now() - t0;
-        assert!(
-            vectorized < tuple_at_a_time,
-            "vectorized {vectorized} !< volcano {tuple_at_a_time}"
-        );
     }
 
     #[test]

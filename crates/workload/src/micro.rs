@@ -1,19 +1,24 @@
-//! The §V projection/selection microbenchmarks (Figs. 5 and 6), one
-//! implementation per engine.
+//! The §V projection/selection microbenchmarks (Figs. 5 and 6).
 //!
 //! The measured query is `SELECT c_{p1}, …, c_{pk} FROM t [WHERE c_s <
-//! threshold AND …]`, with the result consumed by summing every projected
-//! value — so all engines do the same logical work and must produce the
-//! same checksum. Time is measured in simulated nanoseconds from cold
-//! caches.
+//! threshold AND …]` over the [`SyntheticData`] table. The figures run it
+//! as SQL ([`MicroQuery::to_sql`]) through the engine on every access
+//! path. The two RM programs here drive the device directly, for the
+//! ablations that vary what SQL cannot yet reach: the device
+//! configuration ([`RmConfig`]) and selection push-down (§IV-B). Both
+//! consume the result by summing every projected value, so their checksum
+//! is the sum of the SQL answer's values. Time is measured in simulated
+//! nanoseconds from cold caches.
 
 use crate::synthetic::SyntheticData;
 use crate::RunResult;
-use colstore::{exec as colx, ColTable};
 use fabric_sim::MemoryHierarchy;
 use fabric_types::{CmpOp, ColumnId, ColumnPredicate, Predicate, Result, Value};
 use relmem::{EphemeralColumns, RmConfig};
-use rowstore::{Filter, Operator, RowTable, SeqScan};
+use rowstore::RowTable;
+
+/// The name the figures register [`SyntheticData`] under.
+pub const TABLE: &str = "t";
 
 /// One microbenchmark query: projected columns plus `col < threshold`
 /// selection conjuncts.
@@ -54,91 +59,18 @@ impl MicroQuery {
         }
         cols
     }
-}
 
-/// ROW engine: Volcano scan → filter → tuple-at-a-time consumption.
-pub fn run_row(mem: &mut MemoryHierarchy, t: &RowTable, q: &MicroQuery) -> Result<RunResult> {
-    let cols = q.touched_cols();
-    let preds: Vec<(usize, CmpOp, Value)> = q
-        .sel
-        .iter()
-        .map(|(c, thr)| {
-            let slot = cols
-                .iter()
-                .position(|x| x == c)
-                .expect("sel col in touched");
-            (slot, CmpOp::Lt, Value::I32(*thr))
-        })
-        .collect();
-
-    mem.flush_caches();
-    let t0 = mem.now();
-    let costs = mem.costs();
-    let scan = SeqScan::new(t, cols)?;
-    let mut op: Box<dyn Operator> = if preds.is_empty() {
-        Box::new(scan)
-    } else {
-        Box::new(Filter::new(Box::new(scan), preds))
-    };
-
-    let p = q.proj.len() as u64;
-    let mut sum = 0.0f64;
-    let mut tuple = Vec::new();
-    while op.next(mem, &mut tuple)? {
-        // Materialize the projected output tuple and consume it.
-        mem.cpu(costs.value_op * p);
-        for slot in 0..q.proj.len() {
-            sum += tuple[slot].as_f64()?;
+    /// The query as SQL over [`TABLE`]: a plain projection, so every path
+    /// charges the same per-value consumption as the RM programs here.
+    pub fn to_sql(&self) -> String {
+        let cols: Vec<String> = self.proj.iter().map(|c| format!("c{c}")).collect();
+        let mut sql = format!("SELECT {} FROM {TABLE}", cols.join(", "));
+        for (i, (c, thr)) in self.sel.iter().enumerate() {
+            let glue = if i == 0 { "WHERE" } else { "AND" };
+            sql.push_str(&format!(" {glue} c{c} < {thr}"));
         }
+        sql
     }
-    Ok(RunResult {
-        ns: mem.ns_since(t0),
-        checksum: sum,
-    })
-}
-
-/// COL engine: column-at-a-time selection passes, then batched tuple
-/// reconstruction of the projected columns.
-pub fn run_col(mem: &mut MemoryHierarchy, t: &ColTable, q: &MicroQuery) -> Result<RunResult> {
-    mem.flush_caches();
-    let t0 = mem.now();
-    let costs = mem.costs();
-
-    let lt = |thr: &i32| [(CmpOp::Lt, Value::I32(*thr))];
-    let sel = match q.sel.split_first() {
-        None => None,
-        Some(((c0, thr0), rest)) => {
-            let (mut sv, mut cand) = (Vec::new(), Vec::new());
-            colx::scan_filter_conj_range_into(mem, t, *c0, &lt(thr0), 0, t.len(), &mut sv)?;
-            for (c, thr) in rest {
-                std::mem::swap(&mut sv, &mut cand);
-                colx::scan_filter_cand_range_into(
-                    mem,
-                    t,
-                    *c,
-                    &lt(thr),
-                    &cand,
-                    0,
-                    t.len(),
-                    &mut sv,
-                )?;
-            }
-            Some(sv)
-        }
-    };
-
-    let mut sum = 0.0f64;
-    colx::reconstruct(mem, t, &q.proj, sel.as_deref(), |mem, batch| {
-        mem.cpu(costs.value_op * batch.values.len() as u64);
-        for v in &batch.values {
-            sum += v.as_f64()?;
-        }
-        Ok(())
-    })?;
-    Ok(RunResult {
-        ns: mem.ns_since(t0),
-        checksum: sum,
-    })
 }
 
 /// RM engine: one ephemeral column-group covering the touched columns;
@@ -250,33 +182,44 @@ mod tests {
         (mem, d)
     }
 
+    /// The checksum both RM programs must return, folded a row at a time
+    /// over untimed decodes of the base rows.
+    fn oracle(mem: &MemoryHierarchy, t: &RowTable, q: &MicroQuery) -> f64 {
+        let mut sum = 0.0;
+        for r in 0..t.len() {
+            let row = t.decode_row_untimed(mem, r).unwrap();
+            let int = |c: usize| row[c].as_i64().unwrap();
+            if q.sel.iter().all(|&(c, thr)| int(c) < i64::from(thr)) {
+                sum += q.proj.iter().map(|&c| int(c) as f64).sum::<f64>();
+            }
+        }
+        sum
+    }
+
+    /// Both RM programs against the oracle; returns the checksum.
+    fn check(mem: &mut MemoryHierarchy, d: &SyntheticData, q: &MicroQuery) -> f64 {
+        let rm = run_rm(mem, &d.rows, q, RmConfig::prototype()).unwrap();
+        let pushed = run_rm_pushdown(mem, &d.rows, q, RmConfig::prototype()).unwrap();
+        assert!(rm.ns > 0.0 && pushed.ns > 0.0);
+        let want = oracle(mem, &d.rows, q);
+        assert_eq!(rm.checksum, want, "{q:?}");
+        assert_eq!(pushed.checksum, want, "{q:?}");
+        want
+    }
+
     #[test]
     fn all_engines_agree_on_projection_checksum() {
         let (mut mem, d) = setup(4000);
         for p in [1usize, 4, 9] {
-            let q = MicroQuery::projectivity(p);
-            let row = run_row(&mut mem, &d.rows, &q).unwrap();
-            let col = run_col(&mut mem, &d.cols, &q).unwrap();
-            let rm = run_rm(&mut mem, &d.rows, &q, RmConfig::prototype()).unwrap();
-            assert_eq!(row.checksum, col.checksum, "p={p}");
-            assert_eq!(row.checksum, rm.checksum, "p={p}");
-            assert!(row.ns > 0.0 && col.ns > 0.0 && rm.ns > 0.0);
+            check(&mut mem, &d, &MicroQuery::projectivity(p));
         }
     }
 
     #[test]
     fn all_engines_agree_with_selection() {
         let (mut mem, d) = setup(4000);
-        let q = MicroQuery::proj_sel(3, 2, 16, 0.7);
-        let row = run_row(&mut mem, &d.rows, &q).unwrap();
-        let col = run_col(&mut mem, &d.cols, &q).unwrap();
-        let rm = run_rm(&mut mem, &d.rows, &q, RmConfig::prototype()).unwrap();
-        let rm_pd = run_rm_pushdown(&mut mem, &d.rows, &q, RmConfig::prototype()).unwrap();
-        assert_eq!(row.checksum, col.checksum);
-        assert_eq!(row.checksum, rm.checksum);
-        assert_eq!(row.checksum, rm_pd.checksum);
         // ~49% of rows qualify; checksum must be nonzero.
-        assert!(row.checksum > 0.0);
+        assert!(check(&mut mem, &d, &MicroQuery::proj_sel(3, 2, 16, 0.7)) > 0.0);
     }
 
     #[test]
@@ -285,20 +228,24 @@ mod tests {
         // proj 0..12 and sel on last 8 -> columns 8..12 are in both sets.
         let q = MicroQuery::proj_sel(12, 8, 16, 0.9);
         assert!(q.touched_cols().len() < 12 + 8);
-        let row = run_row(&mut mem, &d.rows, &q).unwrap();
-        let col = run_col(&mut mem, &d.cols, &q).unwrap();
-        let rm = run_rm(&mut mem, &d.rows, &q, RmConfig::prototype()).unwrap();
-        assert_eq!(row.checksum, col.checksum);
-        assert_eq!(row.checksum, rm.checksum);
+        check(&mut mem, &d, &q);
     }
 
     #[test]
     fn zero_selectivity_selects_nothing() {
         let (mut mem, d) = setup(1000);
-        let q = MicroQuery::proj_sel(2, 1, 16, 0.0);
-        let row = run_row(&mut mem, &d.rows, &q).unwrap();
-        let rm = run_rm(&mut mem, &d.rows, &q, RmConfig::prototype()).unwrap();
-        assert_eq!(row.checksum, 0.0);
-        assert_eq!(rm.checksum, 0.0);
+        assert_eq!(
+            check(&mut mem, &d, &MicroQuery::proj_sel(2, 1, 16, 0.0)),
+            0.0
+        );
+    }
+
+    #[test]
+    fn sql_text_names_the_projection_and_every_conjunct() {
+        assert_eq!(MicroQuery::projectivity(2).to_sql(), "SELECT c0, c1 FROM t");
+        assert_eq!(
+            MicroQuery::proj_sel(1, 2, 16, 0.5).to_sql(),
+            "SELECT c0 FROM t WHERE c14 < 500000 AND c15 < 500000"
+        );
     }
 }

@@ -16,6 +16,20 @@ use rowstore::RowTable;
 
 pub use fabric_types::value::days_from_civil;
 
+/// TPC-H Q1 (Fig. 7a): eight aggregates over ~98 % of the rows, grouped by
+/// the two flags. The cutoff is 1998-12-01 minus 90 days.
+pub const Q1_SQL: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity), \
+     sum(l_extendedprice), sum(l_extendedprice * (1 - l_discount)), \
+     sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)), \
+     avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*) \
+     FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+     GROUP BY l_returnflag, l_linestatus ORDER BY 1, 2";
+
+/// TPC-H Q6 (Fig. 7b): one sum over a ~2 % conjunctive range filter.
+pub const Q6_SQL: &str = "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
+     WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
+     AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24";
+
 /// Column indices of the generated `lineitem` schema.
 pub mod col {
     pub const ORDERKEY: usize = 0;
@@ -233,6 +247,36 @@ mod tests {
                 assert_eq!(r[c], li.cols.value_untimed(&mem, i, c).unwrap());
             }
         }
+    }
+
+    /// The share of `rows` generated rows for which `keep` holds.
+    fn share(rows: usize, keep: impl Fn(&[Value]) -> bool) -> f64 {
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let li = Lineitem::generate(&mut mem, rows, 2023).unwrap();
+        let kept = (0..rows)
+            .filter(|&r| keep(&li.rows.decode_row_untimed(&mem, r).unwrap()))
+            .count();
+        kept as f64 / rows as f64
+    }
+
+    #[test]
+    fn q6_selectivity_is_about_two_percent() {
+        let lo = i64::from(days_from_civil(1994, 1, 1));
+        let hi = i64::from(days_from_civil(1995, 1, 1));
+        let s = share(50_000, |r| {
+            let f = |c: usize| r[c].as_f64().unwrap();
+            (lo..hi).contains(&r[col::SHIPDATE].as_i64().unwrap())
+                && (0.05..=0.07).contains(&f(col::DISCOUNT))
+                && f(col::QUANTITY) < 24.0
+        });
+        assert!((0.005..0.05).contains(&s), "selectivity {s}");
+    }
+
+    #[test]
+    fn q1_touches_most_rows() {
+        let cutoff = i64::from(days_from_civil(1998, 12, 1) - 90);
+        let s = share(20_000, |r| r[col::SHIPDATE].as_i64().unwrap() <= cutoff);
+        assert!(s > 0.9, "Q1 selectivity {s}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The simplified software stack of §III-B: SQL in, layout-aware plan out.
 //!
 //! The optimizer does not search a space of physical designs — it prices
-//! the three access paths (Volcano row scan, column-at-a-time, Relational
+//! the three access paths (vectorized row scan, column-at-a-time, Relational
 //! Memory) and constructs the fastest one. The example runs a small query
 //! mix and prints which path each query took and what the alternatives
 //! would have cost.

@@ -1,10 +1,12 @@
-//! TPC-H Q1 and Q6 across the three engines — a miniature of the paper's
-//! Fig. 7 runnable in a few seconds.
+//! TPC-H Q1 and Q6 across the three access paths — a miniature of the
+//! paper's Fig. 7 runnable in a few seconds.
 //!
 //! Run with: `cargo run --release --example tpch [-- target_mib]`
 
 use relational_fabric::prelude::*;
-use relational_fabric::workload::{queries, Lineitem};
+use relational_fabric::sql::AccessPath;
+use relational_fabric::workload::tpch::{Q1_SQL, Q6_SQL};
+use relational_fabric::workload::Lineitem;
 
 fn main() {
     let target_mib: usize = std::env::args()
@@ -12,55 +14,35 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
     let rows = Lineitem::rows_for_q6_target(target_mib);
-    let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+    let mut engine = Engine::new(SimConfig::zynq_a53());
     println!(
         "generating lineitem: {rows} rows (~{} MiB table, {} MiB Q6 target columns)...",
         rows * Lineitem::row_width() / (1024 * 1024),
         target_mib
     );
-    let li = Lineitem::generate(&mut mem, rows, 7).expect("generate");
+    let li = Lineitem::generate(engine.mem(), rows, 7).expect("generate");
+    engine.register("lineitem", li.rows, li.cols);
 
-    println!("\nTPC-H Q6 (movement-bound; the fabric's sweet spot):");
-    let row = queries::q6_row(&mut mem, &li).expect("row");
-    let col = queries::q6_col(&mut mem, &li).expect("col");
-    let rm = queries::q6_rm(&mut mem, &li, RmConfig::prototype()).expect("rm");
-    let push = queries::q6_rm_pushdown(&mut mem, &li, RmConfig::prototype()).expect("push");
-    println!(
-        "  ROW          {:9.3} ms   revenue = {:.2}",
-        row.ns / 1e6,
-        row.checksum
-    );
-    println!(
-        "  COL          {:9.3} ms   revenue = {:.2}",
-        col.ns / 1e6,
-        col.checksum
-    );
-    println!(
-        "  RM           {:9.3} ms   revenue = {:.2}",
-        rm.ns / 1e6,
-        rm.checksum
-    );
-    println!(
-        "  RM+pushdown  {:9.3} ms   revenue = {:.2}",
-        push.ns / 1e6,
-        push.checksum
-    );
-    println!(
-        "  RM speedup: {:.2}x vs ROW, {:.2}x vs COL",
-        row.ns / rm.ns,
-        col.ns / rm.ns
-    );
-
-    println!("\nTPC-H Q1 (compute-bound; layouts matter less):");
-    let row = queries::q1_row(&mut mem, &li).expect("row");
-    let col = queries::q1_col(&mut mem, &li).expect("col");
-    let rm = queries::q1_rm(&mut mem, &li, RmConfig::prototype()).expect("rm");
-    println!("  ROW          {:9.3} ms", row.ns / 1e6);
-    println!("  COL          {:9.3} ms", col.ns / 1e6);
-    println!("  RM           {:9.3} ms", rm.ns / 1e6);
-    println!(
-        "  RM speedup: {:.2}x vs ROW, {:.2}x vs COL",
-        row.ns / rm.ns,
-        col.ns / rm.ns
-    );
+    for (title, sql) in [
+        ("Q6 (movement-bound; the fabric's sweet spot)", Q6_SQL),
+        ("Q1 (compute-bound; layouts matter less)", Q1_SQL),
+    ] {
+        println!("\nTPC-H {title}:");
+        let mut ns = Vec::new();
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            // Every path starts from cold caches and recomputes its answer.
+            engine.mem().flush_caches();
+            engine.clear_op_cache();
+            let out = engine.session().run_on(sql, path).expect("query");
+            let name = path.to_string();
+            let groups = out.rows.len();
+            println!("  {name:<4} {:9.3} ms   {groups} row(s)", out.ns / 1e6);
+            ns.push(out.ns);
+        }
+        println!(
+            "  RM speedup: {:.2}x vs ROW, {:.2}x vs COL",
+            ns[0] / ns[2],
+            ns[1] / ns[2]
+        );
+    }
 }

@@ -12,14 +12,14 @@
 //! | [`types`] | schemas, values, layouts, geometries, predicates, expressions |
 //! | [`sim`] | the timed memory-hierarchy simulator (caches, prefetcher, DRAM) |
 //! | [`rm`] | **Relational Memory** — the paper's core: device model + ephemeral variables |
-//! | [`row`] | the Volcano row-store baseline |
+//! | [`row`] | the row-store baseline and its vectorized scan kernel |
 //! | [`col`] | the column-at-a-time column-store baseline |
 //! | [`mvcc`] | snapshot isolation over begin/end row timestamps (§III-C) |
 //! | [`durability`] | WAL + checkpoint media with seeded crash injection (§14 of DESIGN.md) |
 //! | [`compress`] | fabric-compatible codecs and the §III-D analysis |
 //! | [`rs`] | **Relational Storage** — the computational-SSD instance (§IV-D) |
 //! | [`sql`] | SQL front end + layout-aware optimizer (§III-B) |
-//! | [`workload`] | TPC-H-style and synthetic generators, the paper's queries |
+//! | [`workload`] | TPC-H-style and synthetic generators, the figures' queries as SQL |
 //!
 //! ## Quick start
 //!

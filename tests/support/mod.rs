@@ -55,9 +55,7 @@ pub const Q1: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_
      FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
      GROUP BY l_returnflag, l_linestatus";
 /// TPC-H Q6: a scalar aggregate over a selective conjunctive range filter.
-pub const Q6: &str = "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
-     WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
-     AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24";
+pub const Q6: &str = workload::tpch::Q6_SQL;
 /// A projection with ORDER BY / LIMIT post-processing.
 pub const TOP10: &str = "SELECT l_orderkey, l_extendedprice FROM lineitem \
      WHERE l_quantity < 5 ORDER BY 2 DESC LIMIT 10";

@@ -49,8 +49,10 @@
 #                                elapsed cycles; the bin asserts the
 #                                reconciliation)
 #  11. perf regression gate     (tools/perf_gate.sh --check on one bench
-#                                per family, compared against the checked-
-#                                in results/BENCH_*.json baselines: cycle
+#                                per family plus fig7_tpch, so Figs. 5
+#                                and 7 are both gated, compared against
+#                                the checked-in results/BENCH_*.json
+#                                baselines: cycle
 #                                counters exact, gauges — including the
 #                                q1/q6 latency percentiles — at 5%,
 #                                wall-clock excluded; ends with the gate
@@ -193,11 +195,12 @@ fi
 rm -rf "$PROF_SCRATCH"
 
 # One bench from each family (ablation, figure reproduction, traced query,
-# crash recovery, profiled query, query log). A legitimate perf change
-# re-stamps baselines with:
+# crash recovery, profiled query, query log), and both figure families the
+# engine produces (the micro queries of Figs. 5/6, TPC-H of Fig. 7). A
+# legitimate perf change re-stamps baselines with:
 #   tools/perf_gate.sh --update-baselines
-say "perf regression gate (abl_parallel fig5_projectivity trace_query abl_recovery profile_query querylog_report + self-test)"
-tools/perf_gate.sh --check abl_parallel fig5_projectivity trace_query abl_recovery profile_query querylog_report
+say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report + self-test)"
+tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report
 
 seeded_test "crash-recovery matrix" crash_recovery "$SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
