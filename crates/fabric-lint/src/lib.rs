@@ -9,7 +9,7 @@
 //! comments, lifetimes vs. char literals), a per-file model ([`model`])
 //! layers test-region tracking, `SAFETY:` proximity, the `use` graph and
 //! item index on top, and every rule ([`rules`]) matches token shapes,
-//! never text. Eleven rule families:
+//! never text. Twelve rule families:
 //!
 //! * **no-unwrap** — `.unwrap()` / `.expect(` / `panic!` / `todo!` /
 //!   `unimplemented!` are forbidden in non-test *library* code of the
@@ -53,6 +53,11 @@
 //! * **unattributed-charge** — `MemStats` counter fields mutate only at
 //!   the fabric-sim charge sites ([`rules::CHARGE_SITE_FILES`]), so the
 //!   buckets-sum==elapsed invariant is protected at the source level.
+//! * **formatted-metric-key** — in the per-query bookkeeping
+//!   ([`rules::METRIC_KEY_FILES`] / [`rules::METRIC_KEY_DIRS`]),
+//!   `counter_add` / `gauge_set` / `observe` / `scoped` must not take a
+//!   `&format!(…)` name: that allocates a `String` per key per query.
+//!   Static keys and `scoped(format_args!(…))` allocate nothing.
 //!
 //! Diagnostics are `file:line` anchored. Pre-existing debt lives in the
 //! checked-in `lint-baseline.txt`, counted per `(rule, file)`: a normal
@@ -103,7 +108,7 @@ pub const HOT_PATH_DIRS: &[&str] = &["crates/compress/src/"];
 /// `results_dir` / `write_artifact` API.
 pub const BENCH_HARNESS_FILE: &str = "crates/bench/src/harness.rs";
 
-/// The eleven rule families.
+/// The twelve rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     NoUnwrap,
@@ -117,6 +122,7 @@ pub enum Rule {
     LayeringViolation,
     NondeterministicCore,
     UnattributedCharge,
+    FormattedMetricKey,
 }
 
 /// Every rule, for coverage checks and docs.
@@ -132,6 +138,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::LayeringViolation,
     Rule::NondeterministicCore,
     Rule::UnattributedCharge,
+    Rule::FormattedMetricKey,
 ];
 
 impl Rule {
@@ -149,6 +156,7 @@ impl Rule {
             Rule::LayeringViolation => "layering-violation",
             Rule::NondeterministicCore => "nondeterministic-core",
             Rule::UnattributedCharge => "unattributed-charge",
+            Rule::FormattedMetricKey => "formatted-metric-key",
         }
     }
 
@@ -358,7 +366,7 @@ mod tests {
         for &r in ALL_RULES {
             assert_eq!(Rule::from_name(r.name()), Some(r));
         }
-        assert_eq!(ALL_RULES.len(), 11);
+        assert_eq!(ALL_RULES.len(), 12);
         assert!(Rule::from_name("made-up").is_none());
     }
 

@@ -17,7 +17,7 @@ usage: fabric-lint [--root DIR] [--baseline FILE] [--update-baseline] [--list] [
   --update-baseline  rewrite the baseline from the current scan and exit
   --list             print every diagnostic, baselined or not
   --self-check       CI mode: replay the fixture corpus (exact expected
-                     findings, all 11 rules covered) and fail on stale
+                     findings, all 12 rules covered) and fail on stale
                      baseline entries as well as new violations";
 
 fn main() -> ExitCode {

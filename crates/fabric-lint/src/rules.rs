@@ -1,4 +1,4 @@
-//! The eleven rule passes, all matching on the [`FileModel`] token
+//! The twelve rule passes, all matching on the [`FileModel`] token
 //! stream — never on raw text — so string literals, comments, and macro
 //! bodies can no longer masquerade as code.
 //!
@@ -6,7 +6,7 @@
 //! `undocumented-unsafe`, `narrowing-cast`, `no-exit`, `ignored-result`,
 //! `raw-stats-print`, `adhoc-bench-output`) with their scopes and
 //! messages intact, so `lint-baseline.txt` entries stay comparable
-//! across the rewrite. Four are newer:
+//! across the rewrite. Five are newer:
 //!
 //! * **`exec-internals`** — the staged executor's internals are
 //!   constructed only inside `crates/query`; everyone else drives
@@ -25,6 +25,9 @@
 //!   only by the charge sites in `fabric-sim` (`hierarchy.rs`, plus
 //!   `stats.rs`'s own accumulate/reconcile helpers), so the
 //!   buckets-sum==elapsed invariant is protected at the source level.
+//! * **`formatted-metric-key`** — the per-query bookkeeping names its
+//!   metrics without allocating: no `&format!(…)` as the name of a
+//!   `counter_add` / `gauge_set` / `observe` / `scoped` call there.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FileModel;
@@ -82,6 +85,20 @@ pub const CHARGE_SITE_FILES: &[&str] = &[
     "crates/fabric-sim/src/hierarchy.rs",
     "crates/fabric-sim/src/stats.rs",
 ];
+
+/// Files whose metric writes run on every query (rule
+/// `formatted-metric-key`), with [`METRIC_KEY_DIRS`].
+pub const METRIC_KEY_FILES: &[&str] = &[
+    "crates/query/src/engine.rs",
+    "crates/fabric-obs/src/topdown.rs",
+    "crates/fabric-obs/src/opstats.rs",
+];
+
+/// Directories whose every `.rs` file is in `formatted-metric-key` scope.
+pub const METRIC_KEY_DIRS: &[&str] = &["crates/query/src/exec/"];
+
+/// Registry calls whose first argument is a metric name.
+const METRIC_WRITES: &[&str] = &["counter_add", "gauge_set", "observe", "scoped"];
 
 /// Environment variables result-affecting code may read: the chaos/replay
 /// and artifact-redirect knobs that are themselves part of the
@@ -186,6 +203,8 @@ pub fn scan(
     let core_lib = class.is_core && class.is_lib;
     let charge_scope = class.is_lib && !CHARGE_SITE_FILES.contains(&rel);
     let nondet_scope = class.is_result_affecting && class.is_lib;
+    let key_scope = class.is_lib
+        && (METRIC_KEY_FILES.contains(&rel) || METRIC_KEY_DIRS.iter().any(|d| rel.starts_with(d)));
 
     for i in 0..code.len() {
         let t = &code[i];
@@ -451,6 +470,28 @@ pub fn scan(
             }
         }
 
+        // ---- formatted-metric-key: `write(&format!(…), …)` on the
+        // per-query tail allocates a name per key per query. ------------
+        if key_scope
+            && t.kind == TokKind::Ident
+            && METRIC_WRITES.contains(&t.text.as_str())
+            && code.get(i + 1).is_some_and(|n| n.is_punct("("))
+            && code.get(i + 2).is_some_and(|n| n.is_punct("&"))
+            && code.get(i + 3).is_some_and(|n| n.is_ident("format"))
+            && code.get(i + 4).is_some_and(|n| n.is_punct("!"))
+        {
+            push(
+                t.line,
+                Rule::FormattedMetricKey,
+                format!(
+                    "`{}(&format!(…))` allocates a metric name on every query (use a \
+                     `&'static str` key, or `scoped(format_args!(…))`, which assembles \
+                     names in the registry's reused buffer)",
+                    t.text
+                ),
+            );
+        }
+
         // ---- unattributed-charge: MemStats counters mutate only at the
         // charge sites. -------------------------------------------------
         if charge_scope && t.is_punct(".") {
@@ -689,6 +730,34 @@ pub fn f() -> &'static str {
             "fn f() { let ex = QueryExecutor::new(&v, path); }",
         );
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn formatted_metric_key_scope() {
+        let bad = "pub fn f(r: &mut MetricsRegistry, i: usize) { \
+                   r.counter_add(&format!(\"query.core{i}.busy\"), 1); }";
+        for rel in [
+            "crates/query/src/exec/mod.rs",
+            "crates/query/src/engine.rs",
+            "crates/fabric-obs/src/topdown.rs",
+        ] {
+            assert_eq!(
+                rules_of(&run(rel, bad)),
+                vec![Rule::FormattedMetricKey],
+                "{rel}"
+            );
+        }
+        // Off the per-query tail (the hierarchy's own stats export,
+        // EXPLAIN rendering) formatted names stay legal.
+        for rel in [
+            "crates/fabric-sim/src/stats.rs",
+            "crates/query/src/explain.rs",
+        ] {
+            assert!(run(rel, bad).is_empty(), "{rel}");
+        }
+        let fine = "pub fn f(r: &mut MetricsRegistry, i: usize) { \
+                    r.scoped(format_args!(\"query.core{i}\")).counter_add(\"busy\", 1); }";
+        assert!(run("crates/query/src/exec/mod.rs", fine).is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    line. The corpus is diffed as a multiset of `(line, rule)` pairs,
 //!    so a false positive (unexpected finding) and a false negative
 //!    (missing finding) both fail with the exact location. A final
-//!    completeness check requires every one of the eleven rules to be
+//!    completeness check requires every one of the twelve rules to be
 //!    exercised by at least one expected finding, so a rule can never
 //!    silently rot out of the corpus.
 //!

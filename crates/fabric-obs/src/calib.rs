@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::fmt_f64;
+use crate::metrics::{fmt_f64, MetricsRegistry};
 
 /// EWMA smoothing factor. 0.25 weights roughly the last seven runs —
 /// responsive enough to track a geometry migration, smooth enough that
@@ -53,6 +53,17 @@ impl CalibEntry {
             self.ewma_rel_err_ns += EWMA_ALPHA * (rel_err_ns - self.ewma_rel_err_ns);
             self.ewma_rel_err_bytes += EWMA_ALPHA * (rel_err_bytes - self.ewma_rel_err_bytes);
         }
+    }
+
+    /// Export as the `calib.<key>.*` gauges: the one per-entry export,
+    /// used after each observation and by [`CalibLedger::record_into`].
+    pub fn record_into(&self, registry: &mut MetricsRegistry, key: &str) {
+        let mut g = registry.scoped(format_args!("calib.{key}"));
+        g.gauge_set("runs", self.runs as f64);
+        g.gauge_set("mean_rel_err_ns", self.mean_rel_err_ns);
+        g.gauge_set("ewma_rel_err_ns", self.ewma_rel_err_ns);
+        g.gauge_set("mean_rel_err_bytes", self.mean_rel_err_bytes);
+        g.gauge_set("ewma_rel_err_bytes", self.ewma_rel_err_bytes);
     }
 }
 
@@ -102,19 +113,9 @@ impl CalibLedger {
     /// Export every entry as `calib.<key>.*` gauges. The monotonic
     /// `calib.observations` counter is advanced by the executor at
     /// observation time, not here.
-    pub fn record_into(&self, registry: &mut crate::metrics::MetricsRegistry) {
+    pub fn record_into(&self, registry: &mut MetricsRegistry) {
         for (key, e) in &self.entries {
-            registry.gauge_set(&format!("calib.{key}.runs"), e.runs as f64);
-            registry.gauge_set(&format!("calib.{key}.mean_rel_err_ns"), e.mean_rel_err_ns);
-            registry.gauge_set(&format!("calib.{key}.ewma_rel_err_ns"), e.ewma_rel_err_ns);
-            registry.gauge_set(
-                &format!("calib.{key}.mean_rel_err_bytes"),
-                e.mean_rel_err_bytes,
-            );
-            registry.gauge_set(
-                &format!("calib.{key}.ewma_rel_err_bytes"),
-                e.ewma_rel_err_bytes,
-            );
+            e.record_into(registry, key);
         }
     }
 
@@ -191,7 +192,7 @@ mod tests {
         assert_eq!(j, ledger.to_json());
         assert!(j.find("\"a/g/row\"") < j.find("\"b/g/rm\""), "sorted keys");
         assert!(crate::json::parse_json(&j).is_ok());
-        let mut reg = crate::metrics::MetricsRegistry::new();
+        let mut reg = MetricsRegistry::new();
         ledger.record_into(&mut reg);
         assert_eq!(reg.gauge("calib.a/g/row.mean_rel_err_ns"), Some(3.0));
     }

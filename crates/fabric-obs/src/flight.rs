@@ -12,7 +12,7 @@
 //! extracted from the ring. Every input is simulated state, so the
 //! artifact is byte-deterministic: the same seed produces the same dump.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::MetricsRegistry;
 use crate::topdown::TopDown;
 use crate::trace::{Phase, TraceBuffer, TraceEvent};
 use crate::Cycles;
@@ -41,7 +41,7 @@ pub struct Postmortem {
     pub trace: String,
     /// Metrics delta since the recorder was last armed (or the full
     /// snapshot if it never was), serialized via
-    /// [`MetricsSnapshot::to_json`].
+    /// [`crate::MetricsSnapshot::to_json`].
     pub metrics_delta: String,
     /// Top-down cycle breakdown at the dump instant
     /// ([`TopDown::to_json`]).
@@ -87,7 +87,8 @@ impl Postmortem {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: TraceBuffer,
-    baseline: Option<MetricsSnapshot>,
+    /// Whether [`FlightRecorder::arm`] has marked the registry.
+    armed: bool,
     postmortems: Vec<Postmortem>,
     dumps: u64,
 }
@@ -103,7 +104,7 @@ impl FlightRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
             ring: TraceBuffer::with_capacity(capacity),
-            baseline: None,
+            armed: false,
             postmortems: Vec::new(),
             dumps: 0,
         }
@@ -116,9 +117,11 @@ impl FlightRecorder {
     }
 
     /// Arm the recorder at the start of a measured window: postmortem
-    /// metrics report the delta since this snapshot.
-    pub fn arm(&mut self, baseline: MetricsSnapshot) {
-        self.baseline = Some(baseline);
+    /// metrics report the delta since this call. O(1) however many metrics
+    /// `metrics` holds: it marks the registry instead of copying it.
+    pub fn arm(&mut self, metrics: &mut MetricsRegistry) {
+        metrics.mark();
+        self.armed = true;
     }
 
     /// Total dumps taken (monotonic, survives postmortem eviction).
@@ -136,16 +139,17 @@ impl FlightRecorder {
         std::mem::take(&mut self.postmortems)
     }
 
-    /// Capture a postmortem at simulated cycle `now`. `current` is the
-    /// live metrics snapshot; `topdown` the breakdown at this instant.
+    /// Capture a postmortem at simulated cycle `now`. `metrics` is the
+    /// live registry the recorder was armed on; `topdown` the breakdown at
+    /// this instant.
     pub fn dump(
         &mut self,
         reason: &'static str,
         now: Cycles,
-        current: &MetricsSnapshot,
+        metrics: &MetricsRegistry,
         topdown: &TopDown,
     ) -> &Postmortem {
-        self.dump_with_context(reason, now, current, topdown, None)
+        self.dump_with_context(reason, now, metrics, topdown, None)
     }
 
     /// [`FlightRecorder::dump`] with a caller-supplied context document
@@ -155,15 +159,17 @@ impl FlightRecorder {
         &mut self,
         reason: &'static str,
         now: Cycles,
-        current: &MetricsSnapshot,
+        metrics: &MetricsRegistry,
         topdown: &TopDown,
         context: Option<String>,
     ) -> &Postmortem {
         self.dumps += 1;
-        let metrics_delta = match &self.baseline {
-            Some(base) => current.delta_since(base).to_json(),
-            None => current.to_json(),
-        };
+        let metrics_delta = if self.armed {
+            metrics.delta_since_mark()
+        } else {
+            metrics.snapshot()
+        }
+        .to_json();
         let pm = Postmortem {
             reason,
             cycle: now,
@@ -244,8 +250,8 @@ mod tests {
 
     fn armed_recorder() -> (FlightRecorder, MetricsRegistry) {
         let mut fr = FlightRecorder::with_capacity(8);
-        let reg = MetricsRegistry::new();
-        fr.arm(reg.snapshot());
+        let mut reg = MetricsRegistry::new();
+        fr.arm(&mut reg);
         (fr, reg)
     }
 
@@ -270,7 +276,7 @@ mod tests {
                     ..TopDownCore::default()
                 }],
             };
-            fr.dump("crc-failure", 20, &reg.snapshot(), &td).to_json()
+            fr.dump("crc-failure", 20, &reg, &td).to_json()
         };
         let a = build();
         let b = build();
@@ -285,7 +291,7 @@ mod tests {
         let (mut fr2, reg2) = armed_recorder();
         fr2.record(TraceEvent::new(Phase::Begin, 1, "s", Category::Rm, &[]));
         fr2.record(TraceEvent::new(Phase::End, 2, "s", Category::Rm, &[]));
-        let pm = fr2.dump("degraded", 2, &reg2.snapshot(), &TopDown::default());
+        let pm = fr2.dump("degraded", 2, &reg2, &TopDown::default());
         crate::validate_chrome_trace(&pm.trace).expect("trace validates");
     }
 
@@ -297,7 +303,7 @@ mod tests {
         // Wraps: "a"'s begin falls off; its end would be an orphan.
         fr.record(TraceEvent::new(Phase::End, 3, "a", Category::Query, &[]));
         let reg = MetricsRegistry::new();
-        let pm = fr.dump("degraded", 3, &reg.snapshot(), &TopDown::default());
+        let pm = fr.dump("degraded", 3, &reg, &TopDown::default());
         let s = crate::validate_chrome_trace(&pm.trace).expect("sanitized trace validates");
         assert_eq!(s.ends, 0, "orphan end must be elided");
         assert_eq!(s.begins, 1);
@@ -308,13 +314,7 @@ mod tests {
         let (mut fr, reg) = armed_recorder();
         let ctx = "{\"watermark\":7,\"degraded\":\"torn checkpoint\"}".to_string();
         let pm = fr
-            .dump_with_context(
-                "recovery-degraded",
-                9,
-                &reg.snapshot(),
-                &TopDown::default(),
-                Some(ctx),
-            )
+            .dump_with_context("recovery-degraded", 9, &reg, &TopDown::default(), Some(ctx))
             .to_json();
         let doc = crate::parse_json(&pm).expect("artifact with context parses");
         assert_eq!(
@@ -325,9 +325,7 @@ mod tests {
         );
         // Without context the key is absent entirely (byte-compatible
         // with pre-context artifacts).
-        let pm2 = fr
-            .dump("degraded", 9, &reg.snapshot(), &TopDown::default())
-            .to_json();
+        let pm2 = fr.dump("degraded", 9, &reg, &TopDown::default()).to_json();
         assert!(!pm2.contains("\"context\""));
     }
 
@@ -336,7 +334,7 @@ mod tests {
         let mut fr = FlightRecorder::with_capacity(4);
         let reg = MetricsRegistry::new();
         for _ in 0..(MAX_POSTMORTEMS + 3) {
-            fr.dump("degraded", 1, &reg.snapshot(), &TopDown::default());
+            fr.dump("degraded", 1, &reg, &TopDown::default());
         }
         assert_eq!(fr.postmortems().len(), MAX_POSTMORTEMS);
         assert_eq!(fr.dumps(), (MAX_POSTMORTEMS + 3) as u64);

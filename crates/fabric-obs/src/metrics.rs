@@ -196,17 +196,41 @@ fn quantile_from_buckets(
     max as f64
 }
 
+/// A monotonic counter, plus what [`MetricsRegistry::delta_since_mark`]
+/// needs: its value just before its first write after the latest mark.
+#[derive(Debug, Clone, Copy)]
+struct Counter {
+    value: u64,
+    /// The value before the first write under mark `mark`; meaningful only
+    /// while `mark` is the registry's current one.
+    at_mark: u64,
+    /// The mark this counter was last written under.
+    mark: u64,
+}
+
 /// The workspace-wide metrics registry.
 ///
 /// Counters are monotonic `u64`s, gauges are last-write-wins `f64`s,
 /// histograms are log2-bucketed. Names are dotted paths
 /// (`"mem.l1.hits"`, `"rm.retries"`, `"explain.rel_err_pct"`), owned
-/// strings so callers can build them dynamically.
+/// strings so callers can build them dynamically; a caller that builds
+/// one per write does so through [`MetricsRegistry::scoped`], which
+/// assembles names in one buffer the registry keeps.
+///
+/// [`MetricsRegistry::mark`] starts a window in O(1):
+/// [`MetricsRegistry::delta_since_mark`] later reports exactly the counter
+/// deltas against a snapshot taken at the mark, without taking one
+/// (DESIGN.md §24).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
+    /// The current mark; 0 until the first [`MetricsRegistry::mark`].
+    mark: u64,
+    /// Where [`crate::ScopedMetrics`] assembles names; lent to a scope
+    /// while it lives, so a scoped write allocates only for a new key.
+    pub(crate) key_buf: String,
 }
 
 impl MetricsRegistry {
@@ -216,16 +240,28 @@ impl MetricsRegistry {
 
     /// Add to a monotonic counter (created at 0 on first touch).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
+        let mark = self.mark;
         if let Some(c) = self.counters.get_mut(name) {
-            *c = c.saturating_add(delta);
+            if c.mark != mark {
+                // First write since the mark: remember where it started.
+                c.at_mark = c.value;
+                c.mark = mark;
+            }
+            c.value = c.value.saturating_add(delta);
         } else {
-            self.counters.insert(name.to_string(), delta);
+            // Created after the mark: its delta is its whole value.
+            let c = Counter {
+                value: delta,
+                at_mark: 0,
+                mark,
+            };
+            self.counters.insert(name.to_string(), c);
         }
     }
 
     /// Read a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).map_or(0, |c| c.value)
     }
 
     /// Set a gauge to its latest value.
@@ -258,24 +294,57 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Reset everything (counters to absent, not to 0 — a fresh registry).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
+    /// Start a new window for [`MetricsRegistry::delta_since_mark`].
+    /// O(1): counters note their start lazily, on their first write after
+    /// the mark.
+    pub fn mark(&mut self) {
+        self.mark += 1;
+    }
+
+    /// Counters that advanced since the latest [`MetricsRegistry::mark`]
+    /// (one created since then counts from 0), plus gauges and histograms
+    /// at their current values. Counters with zero delta are omitted, so a
+    /// delta over an idle window is empty. Before the first mark every
+    /// counter counts from 0.
+    pub fn delta_since_mark(&self) -> MetricsSnapshot {
+        let counters = self
+            .counters
+            .iter()
+            .filter_map(|(k, c)| {
+                let base = if c.mark == self.mark {
+                    c.at_mark
+                } else {
+                    c.value
+                };
+                let d = c.value - base;
+                (d > 0).then(|| (k.clone(), d))
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            gauges: self.gauges.clone(),
+            histograms: self.histogram_snapshots(),
+        }
     }
 
     /// Point-in-time snapshot of all metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
+            counters: self
+                .counters
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, c)| (k.clone(), c.value))
                 .collect(),
+            gauges: self.gauges.clone(),
+            histograms: self.histogram_snapshots(),
         }
+    }
+
+    fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
+        self.histograms
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect()
     }
 }
 
@@ -291,25 +360,6 @@ impl MetricsSnapshot {
     /// Counter value at snapshot time (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Counters that advanced since `earlier`, plus gauges/histograms at
-    /// their current values. Counters with zero delta are omitted, so a
-    /// delta over an idle interval is empty.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .filter_map(|(k, &v)| {
-                let d = v.saturating_sub(earlier.counter(k));
-                (d > 0).then(|| (k.clone(), d))
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
     }
 
     /// The single serialization path: deterministic JSON (sorted keys,
@@ -402,16 +452,86 @@ mod tests {
         assert_eq!(s.buckets, vec![(0, 2), (1, 2), (10, 1), (63, 1)]);
     }
 
+    /// The delta the flight recorder used to compute from a snapshot
+    /// taken when it was armed: the oracle for
+    /// [`MetricsRegistry::delta_since_mark`].
+    fn delta_since(now: &MetricsSnapshot, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        let counters = now
+            .counters
+            .iter()
+            .filter_map(|(k, &v)| {
+                let d = v.saturating_sub(earlier.counter(k));
+                (d > 0).then(|| (k.clone(), d))
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            gauges: now.gauges.clone(),
+            histograms: now.histograms.clone(),
+        }
+    }
+
     #[test]
     fn delta_omits_idle_counters() {
         let mut r = MetricsRegistry::new();
         r.counter_add("x", 10);
         r.counter_add("y", 1);
-        let before = r.snapshot();
+        r.mark();
         r.counter_add("x", 7);
-        let delta = r.snapshot().delta_since(&before);
+        r.counter_add("z", 2);
+        let delta = r.delta_since_mark();
         assert_eq!(delta.counter("x"), 7);
+        assert_eq!(delta.counter("z"), 2, "created after the mark: from 0");
         assert!(!delta.counters.contains_key("y"));
+        r.mark();
+        assert!(r.delta_since_mark().counters.is_empty());
+    }
+
+    /// Generated write sequences — counters created before and after a
+    /// mark, touched and untouched since, zero deltas, marks in a row,
+    /// scoped writes, gauges and histograms, never armed — give the same
+    /// postmortem bytes as the snapshot-at-arm recorder did.
+    #[test]
+    fn delta_since_mark_matches_a_snapshot_taken_at_the_mark() {
+        use crate::flight::FlightRecorder;
+        use crate::topdown::TopDown;
+        const NAMES: [&str; 6] = ["a", "b.c", "b.d", "query.core0.td.retired", "x", "zz"];
+        fabric_types::rng::for_each_case("delta_since_mark", |rng| {
+            let mut reg = MetricsRegistry::new();
+            let mut fr = FlightRecorder::with_capacity(4);
+            let mut at_arm: Option<MetricsSnapshot> = None;
+            for _ in 0..rng.gen_range(1..60usize) {
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                let delta = rng.gen_range(0..4u64);
+                match rng.gen_range(0..10u32) {
+                    0 | 1 => {
+                        // One mark, or two in a row.
+                        for _ in 0..rng.gen_range(1..3u32) {
+                            fr.arm(&mut reg);
+                            at_arm = Some(reg.snapshot());
+                        }
+                    }
+                    2 => {
+                        let session = rng.gen_range(0..3u32);
+                        reg.scoped(format_args!("session.{session}"))
+                            .counter_add(name, delta);
+                    }
+                    3 => reg.gauge_set(name, delta as f64),
+                    4 => reg.observe(name, delta),
+                    _ => reg.counter_add(name, delta),
+                }
+                let expected = match &at_arm {
+                    Some(at) => delta_since(&reg.snapshot(), at),
+                    None => reg.snapshot(),
+                }
+                .to_json();
+                if at_arm.is_some() {
+                    assert_eq!(reg.delta_since_mark().to_json(), expected);
+                }
+                let pm = fr.dump("check", 0, &reg, &TopDown::default());
+                assert_eq!(pm.metrics_delta, expected);
+            }
+        });
     }
 
     #[test]

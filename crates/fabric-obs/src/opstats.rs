@@ -40,9 +40,10 @@ impl OpStats {
     /// Export as monotonic counters under `<prefix>.<op>.{invocations,
     /// rows_in,rows_out}` — the `query.op.*` namespace the executor uses.
     pub fn record_into(&self, reg: &mut MetricsRegistry, prefix: &str, op: &str) {
-        reg.counter_add(&format!("{prefix}.{op}.invocations"), self.invocations);
-        reg.counter_add(&format!("{prefix}.{op}.rows_in"), self.rows_in);
-        reg.counter_add(&format!("{prefix}.{op}.rows_out"), self.rows_out);
+        let mut node = reg.scoped(format_args!("{prefix}.{op}"));
+        node.counter_add("invocations", self.invocations);
+        node.counter_add("rows_in", self.rows_in);
+        node.counter_add("rows_out", self.rows_out);
     }
 }
 

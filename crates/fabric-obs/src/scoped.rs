@@ -9,77 +9,99 @@
 //! prefix-stripped view back out of a snapshot.
 
 use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+use std::fmt::{self, Write as _};
 
 /// A write handle that namespaces metric names under a dotted prefix.
 ///
 /// Created by [`MetricsRegistry::scoped`]; the prefix always ends with
 /// `'.'` (appended if the caller omitted it), so `scoped("session.3")`
-/// and `scoped("session.3.")` name the same subtree.
+/// and `scoped("session.3.")` name the same subtree. The prefix may be
+/// formatted (`scoped(format_args!("query.core{i}"))`): names are
+/// assembled in a buffer the registry lends the scope and takes back when
+/// it drops, so opening a scope and writing keys that already exist
+/// allocates nothing (DESIGN.md §24).
 pub struct ScopedMetrics<'a> {
     reg: &'a mut MetricsRegistry,
-    prefix: String,
+    /// The prefix, then the name of the latest access.
+    key: String,
+    prefix_len: usize,
 }
 
 impl<'a> ScopedMetrics<'a> {
-    pub(crate) fn new(reg: &'a mut MetricsRegistry, prefix: &str) -> Self {
-        let mut prefix = prefix.to_string();
-        if !prefix.ends_with('.') {
-            prefix.push('.');
+    pub(crate) fn new(reg: &'a mut MetricsRegistry, prefix: impl fmt::Display) -> Self {
+        let mut key = std::mem::take(&mut reg.key_buf);
+        key.clear();
+        let _ignored = write!(key, "{prefix}");
+        if !key.ends_with('.') {
+            key.push('.');
         }
-        ScopedMetrics { reg, prefix }
+        let prefix_len = key.len();
+        ScopedMetrics {
+            reg,
+            key,
+            prefix_len,
+        }
     }
 
-    fn key(&self, name: &str) -> String {
-        let mut k = String::with_capacity(self.prefix.len() + name.len());
-        k.push_str(&self.prefix);
-        k.push_str(name);
-        k
+    /// Point the buffer at `"<prefix><name>"`.
+    fn name(&mut self, name: &str) {
+        self.key.truncate(self.prefix_len);
+        self.key.push_str(name);
     }
 
     /// The scope's full dotted prefix, trailing `'.'` included.
     pub fn prefix(&self) -> &str {
-        &self.prefix
+        &self.key[..self.prefix_len]
     }
 
     /// Add to `"<prefix><name>"` in the underlying registry.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        let k = self.key(name);
-        self.reg.counter_add(&k, delta);
+        self.name(name);
+        self.reg.counter_add(&self.key, delta);
     }
 
     /// Read counter `"<prefix><name>"` (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.reg.counter(&self.key(name))
+    pub fn counter(&mut self, name: &str) -> u64 {
+        self.name(name);
+        self.reg.counter(&self.key)
     }
 
     /// Set gauge `"<prefix><name>"`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        let k = self.key(name);
-        self.reg.gauge_set(&k, value);
+        self.name(name);
+        self.reg.gauge_set(&self.key, value);
     }
 
     /// Record a histogram sample under `"<prefix><name>"`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        let k = self.key(name);
-        self.reg.observe(&k, value);
+        self.name(name);
+        self.reg.observe(&self.key, value);
     }
 
     /// Read histogram `"<prefix><name>"`.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.reg.histogram(&self.key(name))
+    pub fn histogram(&mut self, name: &str) -> Option<&Histogram> {
+        self.name(name);
+        self.reg.histogram(&self.key)
     }
 
     /// A child scope: `scope("wal")` under `"durability."` writes to
     /// `"durability.wal.*"`. Reborrows the same registry.
     pub fn scope(&mut self, name: &str) -> ScopedMetrics<'_> {
-        let child = self.key(name);
-        ScopedMetrics::new(self.reg, &child)
+        let parent = &self.key[..self.prefix_len];
+        ScopedMetrics::new(self.reg, format_args!("{parent}{name}"))
+    }
+}
+
+impl Drop for ScopedMetrics<'_> {
+    fn drop(&mut self) {
+        // Hand the buffer, and the capacity it grew, back for the next scope.
+        self.reg.key_buf = std::mem::take(&mut self.key);
     }
 }
 
 impl MetricsRegistry {
     /// A scoped write handle over this registry; see [`ScopedMetrics`].
-    pub fn scoped(&mut self, prefix: &str) -> ScopedMetrics<'_> {
+    pub fn scoped(&mut self, prefix: impl fmt::Display) -> ScopedMetrics<'_> {
         ScopedMetrics::new(self, prefix)
     }
 }
@@ -140,6 +162,26 @@ mod tests {
         reg.scoped("durability.wal.").counter_add("appends", 1);
         reg.scoped("durability.wal").counter_add("appends", 1);
         assert_eq!(reg.counter("durability.wal.appends"), 2);
+    }
+
+    #[test]
+    fn formatted_prefixes_and_reads_share_one_buffer() {
+        let mut reg = MetricsRegistry::new();
+        for core in 0..3 {
+            let mut s = reg.scoped(format_args!("query.core{core}"));
+            assert_eq!(s.prefix(), format!("query.core{core}."));
+            s.counter_add("busy_cycles", core + 1);
+            s.counter_add("idle_cycles", 10);
+            assert_eq!(s.counter("busy_cycles"), core + 1);
+        }
+        assert_eq!(reg.counter("query.core2.busy_cycles"), 3);
+        assert_eq!(reg.counter("query.core0.idle_cycles"), 10);
+        let mut outer = reg.scoped("a");
+        outer.scope("b").observe("h", 4);
+        outer.counter_add("c", 1);
+        drop(outer);
+        assert_eq!(reg.histogram("a.b.h").map(Histogram::count), Some(1));
+        assert_eq!(reg.counter("a.c"), 1);
     }
 
     #[test]

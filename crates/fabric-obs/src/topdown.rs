@@ -125,10 +125,11 @@ impl TopDown {
     /// breakdown.
     pub fn record_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
         for c in &self.cores {
+            let mut td = registry.scoped(format_args!("{prefix}.core{}.td", c.core));
             for (name, v) in c.buckets() {
-                registry.counter_add(&format!("{prefix}.core{}.td.{name}", c.core), v);
+                td.counter_add(name, v);
             }
-            registry.counter_add(&format!("{prefix}.core{}.td.elapsed", c.core), c.elapsed);
+            td.counter_add("elapsed", c.elapsed);
         }
     }
 

@@ -477,8 +477,9 @@ impl MemoryHierarchy {
 
     /// Arm the flight recorder at the start of a measured window: a
     /// postmortem taken later reports the metrics delta since this call.
+    /// O(1) in the number of metrics (DESIGN.md §24).
     pub fn flight_arm(&mut self) {
-        self.flight.arm(self.metrics.snapshot());
+        self.flight.arm(&mut self.metrics);
     }
 
     /// Capture a postmortem artifact (last-N events, metrics delta,
@@ -488,8 +489,7 @@ impl MemoryHierarchy {
     pub fn flight_dump(&mut self, reason: &'static str) {
         let now = self.now();
         let td = self.topdown_now();
-        let snap = self.metrics.snapshot();
-        self.flight.dump(reason, now, &snap, &td);
+        self.flight.dump(reason, now, &self.metrics, &td);
         self.metrics.counter_add("flight.dumps", 1);
     }
 
@@ -499,9 +499,8 @@ impl MemoryHierarchy {
     pub fn flight_dump_with(&mut self, reason: &'static str, context: String) {
         let now = self.now();
         let td = self.topdown_now();
-        let snap = self.metrics.snapshot();
         self.flight
-            .dump_with_context(reason, now, &snap, &td, Some(context));
+            .dump_with_context(reason, now, &self.metrics, &td, Some(context));
         self.metrics.counter_add("flight.dumps", 1);
     }
 

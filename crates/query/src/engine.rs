@@ -48,6 +48,25 @@ use relmem::RmConfig;
 use rowstore::RowTable;
 use std::rc::Rc;
 
+/// The latency percentiles every class reports.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+/// Names under `query.class.<class>.`: the cold-run histogram and its
+/// percentile gauges, the same for op-cache hits, and the headline gauges
+/// (fed from cold runs).
+const COLD_KEYS: [&str; 4] = [
+    "cold.latency_cycles",
+    "cold.p50_cycles",
+    "cold.p95_cycles",
+    "cold.p99_cycles",
+];
+const HIT_KEYS: [&str; 4] = [
+    "hit.latency_cycles",
+    "hit.p50_cycles",
+    "hit.p95_cycles",
+    "hit.p99_cycles",
+];
+const HEADLINE_KEYS: [&str; 3] = ["p50_cycles", "p95_cycles", "p99_cycles"];
+
 /// Plans the cache keeps per engine. Small on purpose: the cache exists to
 /// make re-running a dashboard's query set free, not to be a buffer pool.
 const PLAN_CACHE_CAP: usize = 16;
@@ -362,27 +381,28 @@ impl Session<'_> {
         elapsed: u64,
         cache_hit: bool,
     ) {
-        let hist_key = format!("query.class.{class}.latency_cycles");
-        mem.metrics_mut().observe(&hist_key, elapsed);
-        let temp = if cache_hit { "hit" } else { "cold" };
-        let temp_key = format!("query.class.{class}.{temp}.latency_cycles");
-        mem.metrics_mut().observe(&temp_key, elapsed);
-        if let Some(h) = mem.metrics().histogram(&temp_key) {
-            let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
-            let reg = mem.metrics_mut();
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p50_cycles"), p50);
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p95_cycles"), p95);
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p99_cycles"), p99);
+        let [hist, percentiles @ ..] = if cache_hit { HIT_KEYS } else { COLD_KEYS };
+        let reg = mem.metrics_mut();
+        let mut scope = reg.scoped(format_args!("query.class.{class}"));
+        scope.observe("latency_cycles", elapsed);
+        scope.observe(hist, elapsed);
+        if let Some(h) = scope.histogram(hist) {
+            let q = QUANTILES.map(|q| h.quantile(q));
+            for (key, v) in percentiles.into_iter().zip(q) {
+                scope.gauge_set(key, v);
+            }
             if !cache_hit {
                 // Headline percentiles track cold execution only.
-                reg.gauge_set(&format!("query.class.{class}.p50_cycles"), p50);
-                reg.gauge_set(&format!("query.class.{class}.p95_cycles"), p95);
-                reg.gauge_set(&format!("query.class.{class}.p99_cycles"), p99);
+                for (key, v) in HEADLINE_KEYS.into_iter().zip(q) {
+                    scope.gauge_set(key, v);
+                }
             }
         }
-        let mut scope = mem.metrics_mut().scoped(&format!("session.{session_id}"));
-        scope.counter_add("queries", 1);
-        scope.observe(&format!("latency.{class}"), elapsed);
+        drop(scope);
+        reg.scoped(format_args!("session.{session_id}"))
+            .counter_add("queries", 1);
+        reg.scoped(format_args!("session.{session_id}.latency"))
+            .observe(class, elapsed);
     }
 
     /// Parse + bind + verify + price `sql`, consulting the engine's plan
@@ -871,13 +891,29 @@ mod tests {
         engine
             .open_recovered("orders", &schema, 64, image, DurabilityConfig::quiet(6), 0)
             .unwrap();
+        let sql = "SELECT sum(qty) FROM orders";
         let mut s = engine.session();
-        s.run("SELECT sum(qty) FROM orders").unwrap();
-        let text = s.explain_analyze("SELECT sum(qty) FROM orders").unwrap();
+        assert!(!s.run(sql).unwrap().cache_hit);
+        let text = s.explain_analyze(sql).unwrap();
         assert!(text.contains("latency (cycle-domain"), "{text}");
-        assert!(text.contains("q6 "), "{text}");
         assert!(text.contains("recovered tables:"), "{text}");
         assert!(text.contains("`orders`  watermark 4  commits 4"), "{text}");
+        let row = |text: &str, temp: &str| {
+            let head = format!("    q6    {temp}  ");
+            text.lines()
+                .find(|l| l.starts_with(&head))
+                .map(str::to_string)
+        };
+        let cold = row(&text, "cold").unwrap_or_else(|| panic!("no cold q6 row: {text}"));
+        assert!(cold.contains("n      1"), "{cold}");
+        assert_eq!(row(&text, "hit"), None, "{text}");
+        // An op-cache hit gets a row of its own and leaves the cold
+        // percentiles where they were.
+        assert!(s.run(sql).unwrap().cache_hit);
+        let text = s.explain_analyze(sql).unwrap();
+        assert_eq!(row(&text, "cold").as_deref(), Some(cold.as_str()), "{text}");
+        let hit = row(&text, "hit").unwrap_or_else(|| panic!("no hit q6 row: {text}"));
+        assert!(hit.contains("n      1"), "{hit}");
     }
 
     #[test]

@@ -822,16 +822,17 @@ fn finish_output(
     let path_str = path_tag(path);
     let metrics = mem.metrics_mut();
     metrics.counter_add("query.executions", 1);
-    metrics.counter_add(&format!("query.path.{path_str}"), 1);
+    metrics.scoped("query.path").counter_add(path_str, 1);
     metrics.counter_add("query.rows_out", rows.len() as u64);
     if degraded_from.is_some() {
         metrics.counter_add("query.degraded", 1);
     }
     metrics.observe("query.exec_cycles", total);
     for a in &cores {
-        metrics.counter_add(&format!("query.core{}.busy_cycles", a.core), a.busy_cycles);
-        metrics.counter_add(&format!("query.core{}.idle_cycles", a.core), a.idle_cycles);
-        metrics.counter_add(&format!("query.core{}.bytes_read", a.core), a.bytes_read);
+        let mut core = metrics.scoped(format_args!("query.core{}", a.core));
+        core.counter_add("busy_cycles", a.busy_cycles);
+        core.counter_add("idle_cycles", a.idle_cycles);
+        core.counter_add("bytes_read", a.bytes_read);
     }
     topdown.record_into(metrics, "query");
     if let Some(rm) = &rm_stats {
@@ -905,17 +906,7 @@ fn finish_output(
         );
         let metrics = mem.metrics_mut();
         metrics.counter_add("calib.observations", 1);
-        metrics.gauge_set(&format!("calib.{key}.runs"), e.runs as f64);
-        metrics.gauge_set(&format!("calib.{key}.mean_rel_err_ns"), e.mean_rel_err_ns);
-        metrics.gauge_set(&format!("calib.{key}.ewma_rel_err_ns"), e.ewma_rel_err_ns);
-        metrics.gauge_set(
-            &format!("calib.{key}.mean_rel_err_bytes"),
-            e.mean_rel_err_bytes,
-        );
-        metrics.gauge_set(
-            &format!("calib.{key}.ewma_rel_err_bytes"),
-            e.ewma_rel_err_bytes,
-        );
+        e.record_into(metrics, &key);
     }
 
     Ok(QueryOutput {

@@ -356,20 +356,26 @@ pub(crate) fn render_analyze(
 
 /// The per-class latency digest appended to `EXPLAIN ANALYZE` by the
 /// session API: sample count and deterministic p50/p95/p99 (in simulated
-/// cycles) of every query class the engine has executed so far. Empty
-/// when no session query has run yet.
+/// cycles) of every query class the engine has executed so far, cold runs
+/// and op-cache hits on rows of their own — a hit is orders of magnitude
+/// cheaper, and pooling the two would make both sets of percentiles
+/// meaningless. Empty when no session query has run yet.
 pub(crate) fn render_latency_section(reg: &MetricsRegistry) -> Result<String> {
     let mut out = String::new();
     for class in ["q1", "q6", "scan"] {
-        let key = format!("query.class.{class}.latency_cycles");
-        if let Some(h) = reg.histogram(&key) {
+        for temp in ["cold", "hit"] {
+            let key = format!("query.class.{class}.{temp}.latency_cycles");
+            let Some(h) = reg.histogram(&key) else {
+                continue;
+            };
             if out.is_empty() {
                 writeln!(out, "  latency (cycle-domain, engine lifetime):")?;
             }
             writeln!(
                 out,
-                "    {:<4}  n {:>6}  p50 {:>12.0}  p95 {:>12.0}  p99 {:>12.0} cycles",
+                "    {:<4}  {:<4}  n {:>6}  p50 {:>12.0}  p95 {:>12.0}  p99 {:>12.0} cycles",
                 class,
+                temp,
                 h.count(),
                 h.quantile(0.50),
                 h.quantile(0.95),

@@ -40,6 +40,7 @@ impl RmStats {
     /// `<prefix>.<counter>` — the single serialization path for stats
     /// (replaces hand-rolled formatters; see fabric-lint `raw-stats-print`).
     pub fn record_into(&self, registry: &mut fabric_sim::MetricsRegistry, prefix: &str) {
+        let mut scope = registry.scoped(prefix);
         for (name, value) in [
             ("rows_scanned", self.rows_scanned),
             ("rows_emitted", self.rows_emitted),
@@ -52,7 +53,7 @@ impl RmStats {
             ("crc_failures", self.crc_failures),
             ("retries", self.retries),
         ] {
-            registry.counter_add(&format!("{prefix}.{name}"), value);
+            scope.counter_add(name, value);
         }
     }
 }

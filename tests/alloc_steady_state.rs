@@ -11,7 +11,8 @@
 //! additionally allocates for the rows it *returns* (one vector each, plus
 //! one `String` per text item) and for nothing else: not per qualifying
 //! row under `ORDER BY … LIMIT`, and not per memoised row on an op-cache
-//! hit.
+//! hit. An op-cache hit's allocations do not depend on how many metric
+//! keys the registry holds.
 //!
 //! The allocator wraps `std::alloc::System` and affects this test binary
 //! only. It counts per thread (a `const`-initialised thread-local needs no
@@ -195,10 +196,13 @@ const PROJECTION: &str =
 const TEXT_ITEMS: u64 = 1;
 
 /// Allocations allowed to one execution whatever its size: the output
-/// spine, the row-number vector, the profile, the query-log record and
-/// the metric keys (measured on a hit returning 100 rows: 254 on ROW, 279
-/// on COL, 344 on RM, which also exports the device statistics).
-const PER_EXECUTION: u64 = 400;
+/// spine, the row-number vector, the profile, the attribution vectors and
+/// the query-log record. Measured beyond the returned rows: 17 on ROW, 14
+/// on COL and 15 on RM for a hit returning 100 rows; at most 39 (COL) for
+/// a cold two-morsel projection beyond its per-morsel terms. 50 leaves a
+/// margin of 11 over the tightest. Metric names allocate nothing once
+/// their keys exist (it was 400 while every key was a fresh `String`).
+const PER_EXECUTION: u64 = 50;
 
 /// One prepared execution of `sql` on `path` in a warmed-up session:
 /// allocations and the output.
@@ -304,4 +308,60 @@ fn comparing_floats_allocates_nothing() {
     });
     assert_eq!(equal, 3000);
     assert_eq!(allocations, 0, "Value::compare on numeric values");
+}
+
+/// The metric keys in `e`'s registry: counters, gauges and histograms.
+fn registry_keys(e: &Engine) -> usize {
+    let s = e.mem_ref().metrics().snapshot();
+    s.counters.len() + s.gauges.len() + s.histograms.len()
+}
+
+/// One op-cache hit of the one-row Q6 on COL, in a session that has
+/// already run it once (so the session's own metric keys exist): its
+/// allocations.
+fn one_row_hit(e: &mut Engine) -> u64 {
+    let q6 = QUERIES[1].1;
+    let mut s = e.session();
+    let prepared = s.prepare(q6).unwrap();
+    assert!(s.execute_on(&prepared, AccessPath::Col).unwrap().cache_hit);
+    let (allocations, out) = allocations_in(|| s.execute_on(&prepared, AccessPath::Col).unwrap());
+    assert!(out.cache_hit);
+    assert_eq!(out.rows.len(), 1);
+    allocations
+}
+
+/// Allocations allowed to a one-row op-cache hit: the attribution vectors,
+/// the profile, the returned row, the query-log record and the plan
+/// witness — 9 measured, 7 of margin. Nothing in it may depend on how
+/// many metric keys the registry holds: with a snapshot of the registry
+/// taken per query and a `String` per metric name it was 250 at 88 keys
+/// and 906 at 496.
+const ONE_ROW_HIT: u64 = 16;
+
+#[test]
+fn an_op_cache_hit_allocates_the_same_however_many_keys_the_registry_holds() {
+    let mut e = Engine::with_cores(SimConfig::zynq_a53(), 4);
+    let li = Lineitem::generate(e.mem(), 4 * MORSEL_ROWS, DATA_SEED).unwrap();
+    e.register("lineitem", li.rows, li.cols);
+    e.session().run_on(QUERIES[1].1, AccessPath::Col).unwrap();
+    let small = (registry_keys(&e), one_row_hit(&mut e));
+    // Every session leaves `session.<id>.*` keys behind.
+    for _ in 0..200 {
+        e.session().run_on(QUERIES[1].1, AccessPath::Col).unwrap();
+    }
+    let large = (registry_keys(&e), one_row_hit(&mut e));
+    println!(
+        "one-row hit: {} allocations at {} registry keys, {} at {}",
+        small.1, small.0, large.1, large.0
+    );
+    assert!(large.0 >= small.0 + 400, "the registry must have grown");
+    assert_eq!(
+        small.1, large.1,
+        "a hit's allocations must not grow with the registry"
+    );
+    assert!(
+        large.1 <= ONE_ROW_HIT,
+        "{} allocations for a one-row hit, more than {ONE_ROW_HIT}",
+        large.1
+    );
 }

@@ -245,3 +245,93 @@ fn same_seed_reruns_produce_bit_identical_postmortems() {
         "postmortems must be byte-deterministic for one seed (seed {s})"
     );
 }
+
+/// FNV-1a (64-bit) over every postmortem artifact, in dump order, each
+/// followed by a separator byte.
+fn postmortem_digest(pms: &[Postmortem]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for pm in pms {
+        for b in pm.to_json().bytes().chain([0xff]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The sweep seed of the pinned digests below: fixed, not
+/// `FABRIC_CHAOS_SEED`, because the digests are constants.
+const PINNED_SEED: u64 = 7;
+
+/// A durable store of four committed rows, crashed: what
+/// `Engine::open_recovered` replays.
+fn crashed_store() -> (fabric_types::Schema, durability::DurableImage) {
+    use fabric_types::{ColumnType, Schema, Value};
+    let schema = Schema::from_pairs(&[("id", ColumnType::I64), ("qty", ColumnType::F64)]);
+    let mut m = fabric_sim::MemoryHierarchy::new(fabric_sim::SimConfig::zynq_a53());
+    let mut store = mvcc::DurableStore::create(
+        &mut m,
+        schema.clone(),
+        64,
+        durability::DurabilityConfig::quiet(PINNED_SEED),
+        0,
+    )
+    .unwrap();
+    for i in 0..4i64 {
+        let mut t = store.begin();
+        t.insert(vec![Value::I64(i), Value::F64(i as f64)]);
+        store.commit(&mut m, t).unwrap();
+    }
+    (schema, store.crash_image())
+}
+
+/// Postmortems are byte-identical to those of the snapshot-at-arm flight
+/// recorder the delta-since-mark one replaced: the digests were computed
+/// with the old recorder, on a dead device (degraded runs, then the
+/// breaker open), on a partly faulty one (timeouts and corrupt batches)
+/// and across a crash recovery opened after queries had run. Every query
+/// opens its own session, so the registry grows under the arm.
+#[test]
+fn postmortem_bytes_match_the_pinned_digests() {
+    let (dead, _) = postmortem_run(dead_device(PINNED_SEED), 8);
+    let partial = FaultConfig {
+        rm_timeout_prob: 0.3,
+        rm_corrupt_prob: 0.2,
+        ..FaultConfig::quiet(PINNED_SEED)
+    };
+    let (partial, _) = postmortem_run(partial, 40);
+
+    let mut e = wide_rm_engine(4_096);
+    for _ in 0..3 {
+        e.session().run(RM_SQL).expect("quiet run");
+    }
+    let (schema, image) = crashed_store();
+    e.open_recovered(
+        "orders",
+        &schema,
+        64,
+        image,
+        durability::DurabilityConfig::quiet(PINNED_SEED ^ 1),
+        0,
+    )
+    .expect("recovery");
+    e.session()
+        .run("SELECT sum(qty) FROM orders")
+        .expect("query after recovery");
+    let recovered = e.mem().take_postmortems();
+
+    let got = [
+        (dead.len(), postmortem_digest(&dead)),
+        (partial.len(), postmortem_digest(&partial)),
+        (recovered.len(), postmortem_digest(&recovered)),
+    ];
+    assert_eq!(
+        got,
+        [
+            (8, 0x47e7_6e61_d4e2_ddef),
+            (6, 0x9920_0045_6cf9_de77),
+            (1, 0x6ceb_1a96_d5dd_12c9),
+        ],
+        "postmortem bytes moved: {got:x?}"
+    );
+}
