@@ -62,7 +62,7 @@ fn main() {
                 );
                 let speedup = base.ns / out.ns;
                 let busy: u64 = out.cores.iter().map(|c| c.busy_cycles).sum();
-                let stall: u64 = out.cores.iter().map(|c| c.stall_cycles).sum();
+                let stall: u64 = out.cores.iter().map(|c| c.stall_cycles()).sum();
                 let idle: u64 = out.cores.iter().map(|c| c.idle_cycles).sum();
                 let key = format!("abl_parallel.{qname}.{path}.c{n}");
                 reg.gauge_set(&format!("{key}.ns"), out.ns);

@@ -13,7 +13,7 @@
 //! artifact is byte-deterministic: the same seed produces the same dump.
 
 use crate::metrics::MetricsRegistry;
-use crate::topdown::TopDown;
+use crate::topdown::{self, CoreAttribution};
 use crate::trace::{Phase, TraceBuffer, TraceEvent};
 use crate::Cycles;
 use std::fmt::Write as _;
@@ -44,7 +44,7 @@ pub struct Postmortem {
     /// [`crate::MetricsSnapshot::to_json`].
     pub metrics_delta: String,
     /// Top-down cycle breakdown at the dump instant
-    /// ([`TopDown::to_json`]).
+    /// ([`topdown::to_json`]).
     pub topdown: String,
     /// Fault-category events from the ring, oldest first:
     /// `[{"ts":..,"name":"..",..}, ...]`.
@@ -140,16 +140,16 @@ impl FlightRecorder {
     }
 
     /// Capture a postmortem at simulated cycle `now`. `metrics` is the
-    /// live registry the recorder was armed on; `topdown` the breakdown at
-    /// this instant.
+    /// live registry the recorder was armed on; `cores` the per-core
+    /// attribution at this instant.
     pub fn dump(
         &mut self,
         reason: &'static str,
         now: Cycles,
         metrics: &MetricsRegistry,
-        topdown: &TopDown,
+        cores: &[CoreAttribution],
     ) -> &Postmortem {
-        self.dump_with_context(reason, now, metrics, topdown, None)
+        self.dump_with_context(reason, now, metrics, cores, None)
     }
 
     /// [`FlightRecorder::dump`] with a caller-supplied context document
@@ -160,7 +160,7 @@ impl FlightRecorder {
         reason: &'static str,
         now: Cycles,
         metrics: &MetricsRegistry,
-        topdown: &TopDown,
+        cores: &[CoreAttribution],
         context: Option<String>,
     ) -> &Postmortem {
         self.dumps += 1;
@@ -175,7 +175,7 @@ impl FlightRecorder {
             cycle: now,
             trace: self.sanitized_trace(),
             metrics_delta,
-            topdown: topdown.to_json(),
+            topdown: topdown::to_json(cores),
             fault_timeline: self.fault_timeline(),
             context,
         };
@@ -245,7 +245,6 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::topdown::TopDownCore;
     use crate::trace::Category;
 
     fn armed_recorder() -> (FlightRecorder, MetricsRegistry) {
@@ -269,13 +268,11 @@ mod tests {
             ));
             fr.record(TraceEvent::new(Phase::End, 20, "q", Category::Query, &[]));
             reg.counter_add("q.runs", 1);
-            let td = TopDown {
-                cores: vec![TopDownCore {
-                    retired: 20,
-                    elapsed: 20,
-                    ..TopDownCore::default()
-                }],
-            };
+            let td = [CoreAttribution {
+                busy_cycles: 20,
+                retired: 20,
+                ..CoreAttribution::default()
+            }];
             fr.dump("crc-failure", 20, &reg, &td).to_json()
         };
         let a = build();
@@ -291,7 +288,7 @@ mod tests {
         let (mut fr2, reg2) = armed_recorder();
         fr2.record(TraceEvent::new(Phase::Begin, 1, "s", Category::Rm, &[]));
         fr2.record(TraceEvent::new(Phase::End, 2, "s", Category::Rm, &[]));
-        let pm = fr2.dump("degraded", 2, &reg2, &TopDown::default());
+        let pm = fr2.dump("degraded", 2, &reg2, &[]);
         crate::validate_chrome_trace(&pm.trace).expect("trace validates");
     }
 
@@ -303,7 +300,7 @@ mod tests {
         // Wraps: "a"'s begin falls off; its end would be an orphan.
         fr.record(TraceEvent::new(Phase::End, 3, "a", Category::Query, &[]));
         let reg = MetricsRegistry::new();
-        let pm = fr.dump("degraded", 3, &reg, &TopDown::default());
+        let pm = fr.dump("degraded", 3, &reg, &[]);
         let s = crate::validate_chrome_trace(&pm.trace).expect("sanitized trace validates");
         assert_eq!(s.ends, 0, "orphan end must be elided");
         assert_eq!(s.begins, 1);
@@ -314,7 +311,7 @@ mod tests {
         let (mut fr, reg) = armed_recorder();
         let ctx = "{\"watermark\":7,\"degraded\":\"torn checkpoint\"}".to_string();
         let pm = fr
-            .dump_with_context("recovery-degraded", 9, &reg, &TopDown::default(), Some(ctx))
+            .dump_with_context("recovery-degraded", 9, &reg, &[], Some(ctx))
             .to_json();
         let doc = crate::parse_json(&pm).expect("artifact with context parses");
         assert_eq!(
@@ -325,7 +322,7 @@ mod tests {
         );
         // Without context the key is absent entirely (byte-compatible
         // with pre-context artifacts).
-        let pm2 = fr.dump("degraded", 9, &reg, &TopDown::default()).to_json();
+        let pm2 = fr.dump("degraded", 9, &reg, &[]).to_json();
         assert!(!pm2.contains("\"context\""));
     }
 
@@ -334,7 +331,7 @@ mod tests {
         let mut fr = FlightRecorder::with_capacity(4);
         let reg = MetricsRegistry::new();
         for _ in 0..(MAX_POSTMORTEMS + 3) {
-            fr.dump("degraded", 1, &reg, &TopDown::default());
+            fr.dump("degraded", 1, &reg, &[]);
         }
         assert_eq!(fr.postmortems().len(), MAX_POSTMORTEMS);
         assert_eq!(fr.dumps(), (MAX_POSTMORTEMS + 3) as u64);

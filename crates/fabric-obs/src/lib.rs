@@ -50,13 +50,12 @@ pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot
 pub use opstats::OpStats;
 pub use profile::{ProfileStats, SamplingProfiler};
 pub use querylog::{
-    OpRecord, QueryLog, QueryRecord, TopDownSummary, WorkloadEntry, WorkloadReport,
-    DEFAULT_QUERYLOG_CAP,
+    OpRecord, QueryLog, QueryRecord, WorkloadEntry, WorkloadReport, DEFAULT_QUERYLOG_CAP,
 };
 pub use recorder::{FabricRecorder, NoopRecorder, RingRecorder};
 pub use regress::{compare_bench, GatePolicy, GateReport, Regression, BENCH_SCHEMA_VERSION};
 pub use scoped::ScopedMetrics;
-pub use topdown::{TopDown, TopDownCore};
+pub use topdown::{CoreAttribution, TopDownSummary};
 pub use trace::{Category, Phase, TraceBuffer, TraceEvent, MAX_ARGS};
 
 /// Simulated time, measured in CPU core cycles (mirrors `fabric_sim::Cycles`;

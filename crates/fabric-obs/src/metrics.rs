@@ -494,7 +494,6 @@ mod tests {
     #[test]
     fn delta_since_mark_matches_a_snapshot_taken_at_the_mark() {
         use crate::flight::FlightRecorder;
-        use crate::topdown::TopDown;
         const NAMES: [&str; 6] = ["a", "b.c", "b.d", "query.core0.td.retired", "x", "zz"];
         fabric_types::rng::for_each_case("delta_since_mark", |rng| {
             let mut reg = MetricsRegistry::new();
@@ -528,7 +527,7 @@ mod tests {
                 if at_arm.is_some() {
                     assert_eq!(reg.delta_since_mark().to_json(), expected);
                 }
-                let pm = fr.dump("check", 0, &reg, &TopDown::default());
+                let pm = fr.dump("check", 0, &reg, &[]);
                 assert_eq!(pm.metrics_delta, expected);
             }
         });

@@ -21,25 +21,34 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use crate::metrics::fmt_f64;
+use crate::topdown::TopDownSummary;
 
 /// Default ring capacity. Large enough to hold every query of the CI
 /// workloads; small enough that an unbounded workload cannot grow the
 /// host heap without bound.
 pub const DEFAULT_QUERYLOG_CAP: usize = 256;
 
-/// Per-operator estimated and actual attribution inside one query.
+/// Per-operator estimated and actual attribution for one DAG node of an
+/// executed query — the rows of the EXPLAIN ANALYZE operator tree and of
+/// the query log's `ops` array.
+///
+/// Estimates are the node's share of the path estimate; the shares sum
+/// to the path total bit-exactly. Actuals apportion the measured scan
+/// phase: each stage-0 node gets cycles proportional to its estimate
+/// share (the scan node absorbing the integer remainder so the stage-0
+/// cycles also sum exactly), the scan node owns the phase's bytes, and
+/// the merge node carries its own phase's measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpRecord {
     /// Operator name as lowered (`scan_row`, `filter`, `aggregate`, ...).
-    pub op: String,
-    /// Estimated nanoseconds for this operator (its share of the path
-    /// estimate; shares sum exactly to the path total).
+    pub op: &'static str,
+    /// Estimated nanoseconds for this operator.
     pub est_ns: f64,
     /// Estimated bytes moved by this operator.
     pub est_bytes: f64,
     /// Observed simulated cycles attributed to this operator.
     pub actual_cycles: u64,
-    /// Observed bytes moved by this operator.
+    /// Observed bytes read attributed to this operator.
     pub actual_bytes: u64,
     /// Rows entering the operator.
     pub rows_in: u64,
@@ -47,22 +56,6 @@ pub struct OpRecord {
     pub rows_out: u64,
     /// Operator body invocations (morsels, or merge folds).
     pub invocations: u64,
-}
-
-/// Engine-wide top-down cycle summary for one query (leaf buckets summed
-/// over all participating cores).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TopDownSummary {
-    /// Useful work cycles.
-    pub retired: u64,
-    /// Memory-bound cycles (L1 + L2 + DRAM + RM device).
-    pub mem: u64,
-    /// Stalled cycles (bandwidth-ledger waits + fault retries).
-    pub stall: u64,
-    /// Idle cycles (core finished its morsels early).
-    pub idle: u64,
-    /// Elapsed cycles summed over cores; equals the other buckets' sum.
-    pub elapsed: u64,
 }
 
 /// One query's envelope in the log.
@@ -74,11 +67,11 @@ pub struct QueryRecord {
     /// degradation changes `path`, never the signature).
     pub plan_sig: u128,
     /// Query class (`q1`, `q6`, `scan`, ...).
-    pub class: String,
+    pub class: &'static str,
     /// Session id that issued the query (0 for engine-direct runs).
     pub session: u64,
     /// Path that actually ran (`row`, `col`, `rm`).
-    pub path: String,
+    pub path: &'static str,
     /// Planner's estimated nanoseconds for the executed path.
     pub est_ns: f64,
     /// Observed simulated cycles for the whole query.
@@ -92,7 +85,7 @@ pub struct QueryRecord {
     /// True when the answer was replayed from the op cache.
     pub cache_hit: bool,
     /// Path the query was planned on before degrading, when it did.
-    pub degraded_from: Option<String>,
+    pub degraded_from: Option<&'static str>,
     /// Tables recovered (WAL replay) before this query ran.
     pub recovered_tables: u64,
     /// Faults injected into this query's RM scan.
@@ -231,9 +224,9 @@ fn record_json(r: &QueryRecord) -> String {
         r.actual_bytes,
         r.actual_cycles,
         r.cache_hit,
-        crate::json::escaped(&r.class)
+        crate::json::escaped(r.class)
     );
-    match &r.degraded_from {
+    match r.degraded_from {
         Some(p) => {
             let _ignored = write!(out, ",\"degraded_from\":\"{}\"", crate::json::escaped(p));
         }
@@ -259,7 +252,7 @@ fn record_json(r: &QueryRecord) -> String {
             fmt_f64(o.est_bytes),
             fmt_f64(o.est_ns),
             o.invocations,
-            crate::json::escaped(&o.op),
+            crate::json::escaped(o.op),
             o.rows_in,
             o.rows_out
         );
@@ -269,7 +262,7 @@ fn record_json(r: &QueryRecord) -> String {
         "],\"path\":\"{}\",\"plan_sig\":\"{:032x}\",\"recovered_tables\":{},\"rows_out\":{},\
          \"seq\":{},\"session\":{},\"topdown\":{{\"elapsed\":{},\"idle\":{},\"mem\":{},\
          \"retired\":{},\"stall\":{}}}}}",
-        crate::json::escaped(&r.path),
+        crate::json::escaped(r.path),
         r.plan_sig,
         r.recovered_tables,
         r.rows_out,
@@ -357,13 +350,13 @@ impl WorkloadReport {
 mod tests {
     use super::*;
 
-    fn record(class: &str, path: &str, cycles: u64, hit: bool) -> QueryRecord {
+    fn record(class: &'static str, path: &'static str, cycles: u64, hit: bool) -> QueryRecord {
         QueryRecord {
             seq: 0,
             plan_sig: 0xDEAD_BEEF,
-            class: class.to_string(),
+            class,
             session: 1,
-            path: path.to_string(),
+            path,
             est_ns: 100.0,
             actual_cycles: cycles,
             est_bytes: 4096.0,
@@ -374,7 +367,7 @@ mod tests {
             recovered_tables: 0,
             faults_injected: 0,
             ops: vec![OpRecord {
-                op: "scan_row".to_string(),
+                op: "scan_row",
                 est_ns: 100.0,
                 est_bytes: 4096.0,
                 actual_cycles: cycles,

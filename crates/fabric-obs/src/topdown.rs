@@ -1,4 +1,4 @@
-//! Top-down cycle accounting (DESIGN.md §12).
+//! One attribution record per query (DESIGN.md §12, §25).
 //!
 //! Classifies every simulated cycle a core's clock advanced into a
 //! two-level hierarchy, in the spirit of Yasin's top-down method adapted
@@ -18,19 +18,35 @@
 //!     └── idle           barrier wait for peer cores
 //! ```
 //!
-//! The **hard invariant**: the eight leaf buckets sum *exactly* to the
-//! elapsed cycles of the measured window on every core — no cycle is
-//! unaccounted for and none is counted twice. [`TopDownCore::verify`]
-//! checks it; `query::exec` asserts it after every query.
+//! [`CoreAttribution`] is the one per-core record: EXPLAIN ANALYZE, the
+//! query log's [`TopDownSummary`], postmortems and the `query.core<i>.*`
+//! metrics all render it. The **hard invariant**: the leaf buckets sum
+//! *exactly* to the elapsed cycles of the measured window on every core —
+//! no cycle is unaccounted for and none is counted twice.
+//! [`CoreAttribution::verify`] checks it; `query::exec` asserts it after
+//! every query.
 
 use crate::metrics::MetricsRegistry;
 
-/// One core's top-down breakdown over a measured window. All fields are
-/// cycle counts; the leaf buckets partition `elapsed`.
+/// One core's share of a measured window: where its cycles went and how
+/// much data it pulled through the hierarchy.
+///
+/// `busy_cycles` comes from the hierarchy's aggregate counters
+/// (`cpu + stall + mem_lat`), the seven leaf buckets from their
+/// sub-buckets. The two are charged at every site independently, so
+/// [`verify`](Self::verify) catches a site that advanced the clock past
+/// the sub-bucket accounting. `busy_cycles + idle_cycles` is the window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TopDownCore {
+pub struct CoreAttribution {
     /// Core index.
     pub core: usize,
+    /// Cycles this core worked: its clock advance inside the window.
+    pub busy_cycles: u64,
+    /// Cycles this core sat at barriers waiting for slower peers (or for
+    /// the merge running on core 0).
+    pub idle_cycles: u64,
+    /// Payload bytes this core read through the hierarchy.
+    pub bytes_read: u64,
     /// Cycles spent retiring compute.
     pub retired: u64,
     /// L1 service latency (hits and miss issue slots).
@@ -46,18 +62,33 @@ pub struct TopDownCore {
     pub bw_wait: u64,
     /// Fault-retry backoff imposed by the recovery policy.
     pub fault_retry: u64,
-    /// Idle at the closing barrier, waiting for peer cores.
-    pub idle: u64,
-    /// Total elapsed cycles of the window (the global clock advance).
-    pub elapsed: u64,
 }
 
-/// The leaf buckets in canonical order, as `(short name, value)` pairs.
-/// Used by every renderer and exporter so the ordering is uniform.
+/// Number of leaf buckets, idle included.
 pub const BUCKETS: usize = 8;
 
-impl TopDownCore {
-    /// The eight leaf buckets in canonical order.
+/// The metric key of each leaf bucket under `<prefix>.core<i>.`, in
+/// [`CoreAttribution::buckets`] order.
+const BUCKET_KEYS: [&str; BUCKETS] = [
+    "td.retired",
+    "td.mem.l1",
+    "td.mem.l2",
+    "td.mem.dram",
+    "td.mem.rm_device",
+    "td.stall.bw",
+    "td.stall.retry",
+    "td.stall.idle",
+];
+
+impl CoreAttribution {
+    /// The window this core closes: `busy_cycles + idle_cycles`.
+    pub fn elapsed(&self) -> u64 {
+        self.busy_cycles + self.idle_cycles
+    }
+
+    /// The eight leaf buckets in canonical order, as `(short name, value)`
+    /// pairs. Used by every renderer and exporter so the ordering is
+    /// uniform.
     pub fn buckets(&self) -> [(&'static str, u64); BUCKETS] {
         [
             ("retired", self.retired),
@@ -67,120 +98,149 @@ impl TopDownCore {
             ("mem.rm_device", self.mem_rm_device),
             ("stall.bw", self.bw_wait),
             ("stall.retry", self.fault_retry),
-            ("stall.idle", self.idle),
+            ("stall.idle", self.idle_cycles),
         ]
     }
 
-    /// Level-1 memory-bound total (L1 + L2 + DRAM + RM-device).
+    /// Cache-hit service latency, the hierarchy's `mem_lat_cycles`:
+    /// L1 + L2.
+    pub fn mem_lat(&self) -> u64 {
+        self.mem_l1 + self.mem_l2
+    }
+
+    /// Cycles stalled on memory, the hierarchy's `stall_cycles`:
+    /// DRAM + RM-device + bandwidth-ledger + fault-retry waits.
+    pub fn stall_cycles(&self) -> u64 {
+        self.mem_dram + self.mem_rm_device + self.bw_wait + self.fault_retry
+    }
+
+    /// The top-down Level-1 memory-bound total: L1 + L2 + DRAM +
+    /// RM-device.
     pub fn memory_bound(&self) -> u64 {
-        self.mem_l1 + self.mem_l2 + self.mem_dram + self.mem_rm_device
+        self.mem_lat() + self.mem_dram + self.mem_rm_device
     }
 
-    /// Level-1 stall total (bandwidth-ledger + fault-retry + idle).
-    pub fn stall(&self) -> u64 {
-        self.bw_wait + self.fault_retry + self.idle
+    /// The top-down Level-1 stall total without barrier idle: the cycles
+    /// the fabric held a working core back, bandwidth-ledger waits plus
+    /// fault-retry backoff. The query log reports it as `topdown.stall`.
+    pub fn fabric_stall(&self) -> u64 {
+        self.bw_wait + self.fault_retry
     }
 
-    /// Sum of all leaf buckets; must equal `elapsed`.
-    pub fn sum(&self) -> u64 {
-        self.retired + self.memory_bound() + self.stall()
-    }
-
-    /// The hard invariant: every elapsed cycle lands in exactly one leaf
-    /// bucket.
+    /// The hard invariant: every busy cycle lands in exactly one leaf
+    /// bucket (and so every elapsed cycle, idle being its own bucket).
     pub fn verify(&self) -> Result<(), String> {
-        if self.sum() == self.elapsed {
+        let leaves = self.retired + self.memory_bound() + self.fabric_stall();
+        if leaves == self.busy_cycles {
             Ok(())
         } else {
             Err(format!(
                 "top-down buckets on core {} sum to {} but {} cycles elapsed ({:?})",
                 self.core,
-                self.sum(),
-                self.elapsed,
+                leaves + self.idle_cycles,
+                self.elapsed(),
                 self
             ))
         }
     }
 }
 
-/// A whole query's (or window's) top-down breakdown: one row per core.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TopDown {
-    /// Per-core breakdowns, indexed by core.
-    pub cores: Vec<TopDownCore>,
+/// Export every core under `<prefix>.core<i>.`: `busy_cycles`,
+/// `idle_cycles`, `bytes_read`, each leaf bucket as `td.<bucket>` (dots
+/// in bucket names kept) and `td.elapsed` — the snapshot-visible form of
+/// the record.
+pub fn record_into(cores: &[CoreAttribution], registry: &mut MetricsRegistry, prefix: &str) {
+    for c in cores {
+        let mut core = registry.scoped(format_args!("{prefix}.core{}", c.core));
+        core.counter_add("busy_cycles", c.busy_cycles);
+        core.counter_add("idle_cycles", c.idle_cycles);
+        core.counter_add("bytes_read", c.bytes_read);
+        for (key, (_, v)) in BUCKET_KEYS.iter().zip(c.buckets()) {
+            core.counter_add(key, v);
+        }
+        core.counter_add("td.elapsed", c.elapsed());
+    }
 }
 
-impl TopDown {
-    /// Verify the invariant on every core.
-    pub fn verify(&self) -> Result<(), String> {
-        for c in &self.cores {
-            c.verify()?;
-        }
-        Ok(())
-    }
-
-    /// Export every bucket as a counter under
-    /// `<prefix>.core<i>.td.<bucket>` (dots in bucket names kept), plus
-    /// `<prefix>.core<i>.td.elapsed` — the snapshot-visible form of the
-    /// breakdown.
-    pub fn record_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        for c in &self.cores {
-            let mut td = registry.scoped(format_args!("{prefix}.core{}.td", c.core));
-            for (name, v) in c.buckets() {
-                td.counter_add(name, v);
+/// Render as an aligned text table with per-bucket percentages of
+/// elapsed, for `EXPLAIN ANALYZE` and postmortem artifacts.
+pub fn render(cores: &[CoreAttribution]) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "  core   retired     mem.l1     mem.l2   mem.dram     mem.rm   stall.bw  stall.retry  stall.idle     elapsed\n",
+    );
+    for c in cores {
+        let elapsed = c.elapsed();
+        let pct = |v: u64| {
+            if elapsed == 0 {
+                0.0
+            } else {
+                v as f64 * 100.0 / elapsed as f64
             }
-            td.counter_add("elapsed", c.elapsed);
-        }
+        };
+        out.push_str(&format!(
+            "  {:>4} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>11} {:>11}\n",
+            c.core,
+            format!("{:.1}%", pct(c.retired)),
+            format!("{:.1}%", pct(c.mem_l1)),
+            format!("{:.1}%", pct(c.mem_l2)),
+            format!("{:.1}%", pct(c.mem_dram)),
+            format!("{:.1}%", pct(c.mem_rm_device)),
+            format!("{:.1}%", pct(c.bw_wait)),
+            format!("{:.1}%", pct(c.fault_retry)),
+            format!("{:.1}%", pct(c.idle_cycles)),
+            elapsed,
+        ));
     }
+    out
+}
 
-    /// Render as an aligned text table with per-bucket percentages of
-    /// elapsed, for `EXPLAIN ANALYZE` and postmortem artifacts.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "  core   retired     mem.l1     mem.l2   mem.dram     mem.rm   stall.bw  stall.retry  stall.idle     elapsed\n",
-        );
-        for c in &self.cores {
-            let pct = |v: u64| {
-                if c.elapsed == 0 {
-                    0.0
-                } else {
-                    v as f64 * 100.0 / c.elapsed as f64
-                }
-            };
-            out.push_str(&format!(
-                "  {:>4} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>11} {:>11}\n",
-                c.core,
-                format!("{:.1}%", pct(c.retired)),
-                format!("{:.1}%", pct(c.mem_l1)),
-                format!("{:.1}%", pct(c.mem_l2)),
-                format!("{:.1}%", pct(c.mem_dram)),
-                format!("{:.1}%", pct(c.mem_rm_device)),
-                format!("{:.1}%", pct(c.bw_wait)),
-                format!("{:.1}%", pct(c.fault_retry)),
-                format!("{:.1}%", pct(c.idle)),
-                c.elapsed,
-            ));
+/// Serialize the leaf buckets as a deterministic JSON array (fixed field
+/// order), for embedding in postmortem artifacts.
+pub fn to_json(cores: &[CoreAttribution]) -> String {
+    let mut out = String::from("[");
+    for (i, c) in cores.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out
+        out.push_str(&format!("{{\"core\":{}", c.core));
+        for (name, v) in c.buckets() {
+            out.push_str(&format!(",\"{name}\":{v}"));
+        }
+        out.push_str(&format!(",\"elapsed\":{}}}", c.elapsed()));
     }
+    out.push(']');
+    out
+}
 
-    /// Serialize as a deterministic JSON array (fixed field order), for
-    /// embedding in postmortem artifacts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, c) in self.cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"core\":{}", c.core));
-            for (name, v) in c.buckets() {
-                out.push_str(&format!(",\"{name}\":{v}"));
-            }
-            out.push_str(&format!(",\"elapsed\":{}}}", c.elapsed));
+/// Engine-wide top-down cycle summary for one query: the leaf buckets
+/// summed over all participating cores, as the query log records them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopDownSummary {
+    /// Useful work cycles.
+    pub retired: u64,
+    /// Memory-bound cycles ([`CoreAttribution::memory_bound`]).
+    pub mem: u64,
+    /// Stalled cycles ([`CoreAttribution::fabric_stall`]).
+    pub stall: u64,
+    /// Idle cycles (core finished its morsels early).
+    pub idle: u64,
+    /// Elapsed cycles summed over cores; equals the other buckets' sum.
+    pub elapsed: u64,
+}
+
+impl TopDownSummary {
+    /// Sum `cores` into the summary's five buckets.
+    pub fn of(cores: &[CoreAttribution]) -> Self {
+        let mut sum = TopDownSummary::default();
+        for c in cores {
+            sum.retired += c.retired;
+            sum.mem += c.memory_bound();
+            sum.stall += c.fabric_stall();
+            sum.idle += c.idle_cycles;
+            sum.elapsed += c.elapsed();
         }
-        out.push(']');
-        out
+        sum
     }
 }
 
@@ -188,9 +248,12 @@ impl TopDown {
 mod tests {
     use super::*;
 
-    fn sample() -> TopDownCore {
-        TopDownCore {
+    fn sample() -> CoreAttribution {
+        CoreAttribution {
             core: 0,
+            busy_cycles: 94,
+            idle_cycles: 6,
+            bytes_read: 4096,
             retired: 40,
             mem_l1: 10,
             mem_l2: 8,
@@ -198,40 +261,39 @@ mod tests {
             mem_rm_device: 5,
             bw_wait: 7,
             fault_retry: 4,
-            idle: 6,
-            elapsed: 100,
         }
     }
 
     #[test]
     fn buckets_partition_elapsed() {
         let c = sample();
-        assert_eq!(c.sum(), 100);
+        assert_eq!(c.buckets().iter().map(|&(_, v)| v).sum::<u64>(), 100);
+        assert_eq!(c.elapsed(), 100);
         c.verify().unwrap();
         assert_eq!(c.memory_bound(), 43);
-        assert_eq!(c.stall(), 17);
-    }
-
-    #[test]
-    fn verify_rejects_a_leak() {
-        let mut c = sample();
-        c.elapsed = 101; // one cycle unaccounted
-        assert!(c.verify().is_err());
+        assert_eq!(c.mem_lat(), 18);
+        assert_eq!(c.stall_cycles(), 36);
+        assert_eq!(c.fabric_stall(), 11);
+        let sum = TopDownSummary::of(&[c, c]);
+        assert_eq!(sum.retired + sum.mem + sum.stall + sum.idle, sum.elapsed);
+        assert_eq!(sum.elapsed, 200);
     }
 
     #[test]
     fn export_and_json_are_stable() {
-        let td = TopDown {
-            cores: vec![sample()],
-        };
+        let cores = [sample()];
         let mut reg = MetricsRegistry::new();
-        td.record_into(&mut reg, "query");
+        record_into(&cores, &mut reg, "query");
         assert_eq!(reg.counter("query.core0.td.retired"), 40);
+        assert_eq!(reg.counter("query.core0.td.stall.idle"), 6);
         assert_eq!(reg.counter("query.core0.td.elapsed"), 100);
-        let json = td.to_json();
+        assert_eq!(reg.counter("query.core0.busy_cycles"), 94);
+        assert_eq!(reg.counter("query.core0.bytes_read"), 4096);
+        let json = to_json(&cores);
         assert!(json.starts_with("[{\"core\":0,\"retired\":40,"));
+        assert!(json.ends_with(",\"stall.idle\":6,\"elapsed\":100}]"));
         crate::parse_json(&json).expect("topdown json parses");
-        let rendered = td.render();
+        let rendered = render(&cores);
         assert!(rendered.contains("40.0%"), "{rendered}");
     }
 }

@@ -20,8 +20,8 @@ use crate::prefetch::StreamPrefetcher;
 use crate::stats::MemStats;
 use crate::Cycles;
 use fabric_obs::{
-    CalibLedger, Category, FabricRecorder, FlightRecorder, MetricsRegistry, NoopRecorder, Phase,
-    Postmortem, QueryLog, TopDown, TraceEvent,
+    CalibLedger, Category, CoreAttribution, FabricRecorder, FlightRecorder, MetricsRegistry,
+    NoopRecorder, Phase, Postmortem, QueryLog, TraceEvent,
 };
 use fabric_types::{Addr, Result};
 
@@ -488,8 +488,8 @@ impl MemoryHierarchy {
     /// degradation, breaker trips, and CRC failures.
     pub fn flight_dump(&mut self, reason: &'static str) {
         let now = self.now();
-        let td = self.topdown_now();
-        self.flight.dump(reason, now, &self.metrics, &td);
+        let cores = self.attribution_now();
+        self.flight.dump(reason, now, &self.metrics, &cores);
         self.metrics.counter_add("flight.dumps", 1);
     }
 
@@ -498,9 +498,9 @@ impl MemoryHierarchy {
     /// postmortem under `"context"`.
     pub fn flight_dump_with(&mut self, reason: &'static str, context: String) {
         let now = self.now();
-        let td = self.topdown_now();
+        let cores = self.attribution_now();
         self.flight
-            .dump_with_context(reason, now, &self.metrics, &td, Some(context));
+            .dump_with_context(reason, now, &self.metrics, &cores, Some(context));
         self.metrics.counter_add("flight.dumps", 1);
     }
 
@@ -514,18 +514,15 @@ impl MemoryHierarchy {
         self.flight.take_postmortems()
     }
 
-    /// Cumulative top-down breakdown per core (no idle attribution —
-    /// barrier waits are attributed by the query layer, which owns the
-    /// fork/join windows). Used for mid-query postmortems.
-    pub fn topdown_now(&self) -> TopDown {
-        TopDown {
-            cores: self
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.stats.topdown(i, 0))
-                .collect(),
-        }
+    /// Cumulative attribution per core (no idle attribution — barrier
+    /// waits are attributed by the query layer, which owns the fork/join
+    /// windows). Used for mid-query postmortems.
+    fn attribution_now(&self) -> Vec<CoreAttribution> {
+        self.cores
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.stats.attribution(i, 0))
+            .collect()
     }
 
     // ---------------------------------------------------------------- time

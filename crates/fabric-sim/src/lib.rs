@@ -46,11 +46,12 @@ pub use stats::MemStats;
 // Observability spine (see `fabric-obs`): re-exported so instrumented
 // engines that already depend on `fabric-sim` need no extra manifest
 // entry to emit spans or metrics.
+pub use fabric_obs::topdown;
 pub use fabric_obs::{
     compare_bench, escaped, parse_json, validate_chrome_trace, CalibEntry, CalibLedger, Category,
-    ChromeTraceSummary, FabricRecorder, FlightRecorder, GatePolicy, GateReport, Json,
-    MetricsRegistry, MetricsSnapshot, NoopRecorder, OpRecord, OpStats, Postmortem, ProfileStats,
-    QueryLog, QueryRecord, RingRecorder, SamplingProfiler, ScopedMetrics, TopDown, TopDownCore,
+    ChromeTraceSummary, CoreAttribution, FabricRecorder, FlightRecorder, GatePolicy, GateReport,
+    Json, MetricsRegistry, MetricsSnapshot, NoopRecorder, OpRecord, OpStats, Postmortem,
+    ProfileStats, QueryLog, QueryRecord, RingRecorder, SamplingProfiler, ScopedMetrics,
     TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport, BENCH_SCHEMA_VERSION,
 };
 

@@ -133,15 +133,18 @@ impl MemStats {
         self.l1_hits as f64 / self.line_accesses as f64
     }
 
-    /// This window's top-down breakdown (DESIGN.md §12): maps the stat
-    /// buckets onto the Level-1/Level-2 taxonomy. `idle_cycles` is the
-    /// barrier wait attributed by the caller (0 outside a parallel
-    /// region); `elapsed == busy_cycles() + idle_cycles` by construction,
-    /// so the result always satisfies [`fabric_obs::TopDownCore::verify`]
-    /// when the sub-bucket partitions hold ([`Self::buckets_reconcile`]).
-    pub fn topdown(&self, core: usize, idle_cycles: u64) -> fabric_obs::TopDownCore {
-        fabric_obs::TopDownCore {
+    /// This window's attribution record (DESIGN.md §12, §25): `busy_cycles`
+    /// from the aggregates, the leaf buckets from the sub-buckets.
+    /// `idle_cycles` is the barrier wait attributed by the caller (0
+    /// outside a parallel region). The record passes
+    /// [`fabric_obs::CoreAttribution::verify`] exactly when the sub-bucket
+    /// partitions hold ([`Self::buckets_reconcile`]).
+    pub fn attribution(&self, core: usize, idle_cycles: u64) -> fabric_obs::CoreAttribution {
+        fabric_obs::CoreAttribution {
             core,
+            busy_cycles: self.busy_cycles(),
+            idle_cycles,
+            bytes_read: self.bytes_read,
             retired: self.cpu_cycles,
             mem_l1: self.lat_l1_cycles,
             mem_l2: self.lat_l2_cycles,
@@ -149,8 +152,6 @@ impl MemStats {
             mem_rm_device: self.stall_device_cycles,
             bw_wait: self.stall_bw_cycles,
             fault_retry: self.stall_retry_cycles,
-            idle: idle_cycles,
-            elapsed: self.busy_cycles() + idle_cycles,
         }
     }
 
@@ -203,6 +204,38 @@ mod tests {
         assert_eq!(d.l1_hits, 15);
         assert_eq!(d.demand_misses, 5);
         assert_eq!(d.line_accesses, 20);
+    }
+
+    /// A charge site that advances `stall_cycles` one cycle past its four
+    /// sub-buckets makes the record built from the delta fail `verify`.
+    #[test]
+    fn verify_rejects_a_leak() {
+        let clean = MemStats {
+            cpu_cycles: 40,
+            mem_lat_cycles: 18,
+            lat_l1_cycles: 10,
+            lat_l2_cycles: 8,
+            stall_cycles: 36,
+            stall_dram_cycles: 20,
+            stall_device_cycles: 5,
+            stall_bw_cycles: 7,
+            stall_retry_cycles: 4,
+            ..Default::default()
+        };
+        assert!(clean.buckets_reconcile());
+        let record = clean.attribution(0, 6);
+        record.verify().unwrap();
+        assert_eq!(record.elapsed(), 100);
+        assert_eq!(record.stall_cycles(), clean.stall_cycles);
+        assert_eq!(record.mem_lat(), clean.mem_lat_cycles);
+
+        let leaked = MemStats {
+            stall_cycles: clean.stall_cycles + 1,
+            ..clean
+        };
+        assert!(!leaked.buckets_reconcile());
+        let why = leaked.attribution(0, 6).verify().unwrap_err();
+        assert!(why.contains("sum to 100 but 101 cycles elapsed"), "{why}");
     }
 
     #[test]

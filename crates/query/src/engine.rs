@@ -607,11 +607,9 @@ impl Session<'_> {
         let entry = self.engine.catalog.get(&plan.bound.table)?;
         let header = render_plan(entry, &plan.bound, plan.path, &plan.cost)?;
         let has_cols = entry.cols.is_some();
-        let (_, reports, profile, cores, topdown, ops) =
+        let (reports, chosen) =
             analyze_paths(&mut self.engine.mem, &self.engine.catalog, &plan.bound)?;
-        let mut text = render_analyze(
-            &header, has_cols, &reports, &profile, &cores, &topdown, &ops,
-        )?;
+        let mut text = render_analyze(&header, has_cols, &reports, &chosen)?;
         text.push_str(&render_latency_section(self.engine.mem.metrics())?);
         text.push_str(&render_recovery_section(self.engine.recoveries())?);
         // Operator-cache provenance: the signature this plan executes
@@ -774,13 +772,10 @@ mod tests {
             assert_eq!(out.rows, baseline.rows, "{cores}-core rows must match");
             assert_eq!(out.cores.len(), cores);
             // Attribution books balance on every core.
-            let elapsed = out.cores[0].busy_cycles + out.cores[0].idle_cycles;
+            let elapsed = out.cores[0].elapsed();
             for a in &out.cores {
-                assert_eq!(a.busy_cycles + a.idle_cycles, elapsed, "{a:?}");
-                assert_eq!(
-                    a.busy_cycles,
-                    a.cpu_cycles + a.stall_cycles + a.mem_lat_cycles
-                );
+                assert_eq!(a.elapsed(), elapsed, "{a:?}");
+                assert_eq!(a.busy_cycles, a.retired + a.stall_cycles() + a.mem_lat());
             }
             assert!(
                 out.cores.iter().filter(|a| a.busy_cycles > 0).count() > 1,

@@ -45,8 +45,8 @@ use crate::bind::BoundQuery;
 use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, split_path_cost, AccessPath, PathCost};
 use fabric_sim::{
-    Category, CircuitBreaker, FaultConfig, FaultPlan, MemStats, MemoryHierarchy, OpStats,
-    RecoveryPolicy,
+    topdown, Category, CircuitBreaker, CoreAttribution, FaultConfig, FaultPlan, MemStats,
+    MemoryHierarchy, OpRecord, OpStats, RecoveryPolicy, TopDownSummary,
 };
 use fabric_types::{FabricError, Result, Value};
 use relmem::{RmConfig, RmStats};
@@ -78,72 +78,6 @@ pub struct PhaseProfile {
     pub failed: bool,
 }
 
-/// One simulated core's share of a query: where its cycles went and how
-/// much data it pulled through the hierarchy. The books balance by
-/// construction — `busy_cycles + idle_cycles` equals the query's
-/// wall-clock cycles on every core, and `busy_cycles` is exactly
-/// `cpu + stall + mem_lat` (the hierarchy attributes every clock advance
-/// to one of the three).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreAttribution {
-    pub core: usize,
-    /// Cycles this core spent working: `cpu + stall + mem_lat`.
-    pub busy_cycles: u64,
-    pub cpu_cycles: u64,
-    pub stall_cycles: u64,
-    pub mem_lat_cycles: u64,
-    /// L1-service share of `mem_lat_cycles` (with `lat_l2_cycles` it
-    /// partitions `mem_lat_cycles` exactly).
-    pub lat_l1_cycles: u64,
-    /// L2-service share of `mem_lat_cycles`.
-    pub lat_l2_cycles: u64,
-    /// Bandwidth-ledger share of `stall_cycles` (the four stall buckets
-    /// partition `stall_cycles` exactly — see `MemStats`).
-    pub stall_bw_cycles: u64,
-    /// DRAM-data-wait share of `stall_cycles`.
-    pub stall_dram_cycles: u64,
-    /// Producer-device-wait share of `stall_cycles` (RM beat, SSD, bus).
-    pub stall_device_cycles: u64,
-    /// Fault-retry-backoff share of `stall_cycles`.
-    pub stall_retry_cycles: u64,
-    /// Payload bytes this core read through the hierarchy.
-    pub bytes_read: u64,
-    /// Cycles this core sat at barriers waiting for slower peers (or for
-    /// the merge running on core 0).
-    pub idle_cycles: u64,
-}
-
-/// Per-operator estimated and actual attribution for one DAG node of an
-/// executed query — the rows of the EXPLAIN ANALYZE operator tree and of
-/// the query log's `ops` array.
-///
-/// Estimates are the node's share of the path estimate
-/// ([`split_path_cost`]); the shares sum to the path total bit-exactly.
-/// Actuals apportion the measured scan phase: each stage-0 node gets
-/// cycles proportional to its estimate share (the scan node absorbing
-/// the integer remainder so the stage-0 cycles also sum exactly), the
-/// scan node owns the phase's bytes, and the merge node carries its own
-/// phase's measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpReport {
-    /// Operator name as lowered (`scan_row`, `filter`, `aggregate`, ...).
-    pub op: &'static str,
-    /// Estimated nanoseconds attributed to this operator.
-    pub est_ns: f64,
-    /// Estimated bytes attributed to this operator.
-    pub est_bytes: f64,
-    /// Measured simulated cycles attributed to this operator.
-    pub actual_cycles: u64,
-    /// Measured bytes read attributed to this operator.
-    pub actual_bytes: u64,
-    /// Rows entering the operator.
-    pub rows_in: u64,
-    /// Rows leaving the operator.
-    pub rows_out: u64,
-    /// Operator body invocations (morsels, or merge folds).
-    pub invocations: u64,
-}
-
 /// Who issued the query and what the engine had been through when it
 /// ran — recorded into the query log alongside the execution itself.
 #[derive(Debug, Clone, Copy, Default)]
@@ -152,18 +86,6 @@ pub(crate) struct RecordMeta {
     pub session: u64,
     /// Tables the engine has recovered (WAL replay) so far.
     pub recovered_tables: u64,
-}
-
-/// How the run interacted with the operator cache, for provenance in the
-/// query log and the opcache metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CacheOutcome {
-    /// The entry point bypassed the cache (benches, EXPLAIN ANALYZE).
-    Bypass,
-    /// Probed and missed (and possibly filled).
-    Miss,
-    /// Replayed the memoized stage output.
-    Hit,
 }
 
 /// The result of a query: rows plus how they were obtained.
@@ -184,19 +106,17 @@ pub struct QueryOutput {
     /// Per-phase actuals (scan, merge, sort, failed attempts) in execution
     /// order — the plan-node breakdown `EXPLAIN ANALYZE` renders.
     pub profile: Vec<PhaseProfile>,
-    /// Per-core cycle/byte attribution for this query, one entry per
-    /// simulated core (a single entry on a 1-core engine).
+    /// Per-core attribution for the query window (DESIGN.md §12, §25), one
+    /// entry per simulated core (a single entry on a 1-core engine): every
+    /// core's elapsed cycles classified into retired / memory-bound /
+    /// stall buckets, plus the bytes it read. Verified (`buckets sum ==
+    /// elapsed`) before the output is returned, and exported into the
+    /// metrics registry as `query.core<i>.*`.
     pub cores: Vec<CoreAttribution>,
-    /// Top-down cycle accounting for the query window (DESIGN.md §12):
-    /// every core's elapsed cycles classified into retired / memory-bound
-    /// / stall buckets. Verified (`buckets sum == elapsed`) before the
-    /// output is returned, and exported into the metrics registry as
-    /// `query.core<i>.td.*`.
-    pub topdown: fabric_sim::TopDown,
     /// Per-operator estimate/actual attribution for the path that ran
     /// (empty on op-cache hits — no operator executed). Per-op estimates
     /// sum bit-exactly to `cost.ns(path)`.
-    pub ops: Vec<OpReport>,
+    pub ops: Vec<OpRecord>,
     /// True when the answer was replayed from the operator cache.
     pub cache_hit: bool,
 }
@@ -352,6 +272,10 @@ fn profiled<R>(
 /// phase, memoizes clean results, and finishes through the shared tail.
 /// Opens/closes the `query::exec` span and captures per-core attribution
 /// across the whole run.
+///
+/// The run travels as one [`QueryOutput`]: each stage fills in what it
+/// learns (the path that ran, device stats, phases, operators) and the
+/// tail closes the window with the rows and the per-core records.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_verified(
     mem: &mut MemoryHierarchy,
@@ -382,13 +306,26 @@ pub(crate) fn run_verified(
         ),
     };
     // Align the cores so the attribution window has one common origin.
-    let t0 = mem.fork_clocks();
+    let window = Window {
+        t0: mem.fork_clocks(),
+        before: (0..mem.num_cores()).map(|i| mem.core_stats(i)).collect(),
+    };
     // Arm the flight recorder: a mid-query postmortem reports its metrics
     // delta relative to this point.
     mem.flight_arm();
-    let before: Vec<MemStats> = (0..mem.num_cores()).map(|i| mem.core_stats(i)).collect();
     mem.trace_begin("query::exec", Category::Query);
-    let mut profile = Vec::new();
+    let mut out = QueryOutput {
+        rows: Vec::new(),
+        path,
+        ns: 0.0,
+        cost,
+        rm_stats: None,
+        degraded_from: None,
+        profile: Vec::new(),
+        cores: Vec::new(),
+        ops: Vec::new(),
+        cache_hit: false,
+    };
 
     if let Some((batch, cached_path, cached_rm)) = cache.probe() {
         // Operator-cache hit: the memoized stage output stands in for
@@ -396,48 +333,21 @@ pub(crate) fn run_verified(
         // copy-out — pure CPU on core 0, zero hierarchy traffic.
         mem.set_active_core(0);
         let n = batch.len() as u64;
-        let copied = profiled(mem, "query::opcache::hit", &mut profile, |m| {
+        let copied = profiled(mem, "query::opcache::hit", &mut out.profile, |m| {
             let costs = m.costs();
             m.cpu(costs.hash_op + costs.value_op * n);
             Ok(())
         });
         debug_assert!(copied.is_ok());
         mem.metrics_mut().counter_add("query.opcache.hits", 1);
-        return finish_output(
-            mem,
-            verified,
-            &batch,
-            cached_path,
-            cost,
-            t0,
-            cached_rm,
-            None,
-            profile,
-            &before,
-            RecordCtx {
-                meta,
-                sig,
-                outcome: CacheOutcome::Hit,
-                ops: Vec::new(),
-            },
-        );
+        out.path = cached_path;
+        out.rm_stats = cached_rm;
+        out.cache_hit = true;
+        return finish_output(mem, verified, &batch, out, window, meta, sig);
     }
-    let outcome = match &cache {
-        CacheSlot::Keyed(..) => CacheOutcome::Miss,
-        CacheSlot::None => CacheOutcome::Bypass,
-    };
 
-    let (partials, actuals, ran_path, rm_stats, degraded_from) = run_scan(
-        mem,
-        entry,
-        verified,
-        path,
-        &cost,
-        resilience,
-        &mut profile,
-        scratch,
-    )
-    .or_else(|e| fail_exec(mem, e))?;
+    let (partials, actuals) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
+        .or_else(|e| fail_exec(mem, e))?;
 
     // Stage 1: the pipeline-breaking merge, profiled as its own phase on
     // core 0. Its per-operator actuals are recorded here — the driver owns
@@ -448,7 +358,7 @@ pub(crate) fn run_verified(
         rows_in: partials.iter().map(|p| p.partial_len() as u64).sum(),
         rows_out: 0,
     };
-    let batch = profiled(mem, "query::stage::merge", &mut profile, |m| {
+    let batch = profiled(mem, "query::stage::merge", &mut out.profile, |m| {
         merge_partials(m, bound, &verified.output_types()?, partials)
     })
     .map(Rc::new)
@@ -461,28 +371,19 @@ pub(crate) fn run_verified(
 
     // Attribute estimates and measured cycles/bytes to the DAG nodes that
     // actually ran (the fallback executor's nodes when the run degraded).
-    let ops = build_op_reports(
-        mem,
-        entry,
-        verified,
-        ran_path,
-        &cost,
-        &actuals,
-        &profile,
-        &merge_full,
-    )
-    .or_else(|e| fail_exec(mem, e))?;
+    out.ops = build_op_records(mem, entry, verified, &out, &actuals, &merge_full)
+        .or_else(|e| fail_exec(mem, e))?;
 
     // Memoize the pre-sort/pre-limit stage output — clean runs only: a
     // degraded answer or a faulted RM attempt must be re-earned every
     // time so fault-path counters and breaker state stay truthful.
     if let CacheSlot::Keyed(opcache, key) = cache {
         mem.metrics_mut().counter_add("query.opcache.misses", 1);
-        let clean =
-            degraded_from.is_none() && rm_stats.as_ref().map_or(true, |s| s.injected_faults == 0);
+        let clean = out.degraded_from.is_none()
+            && out.rm_stats.as_ref().is_none_or(|s| s.injected_faults == 0);
         if clean {
             let evicted_before = opcache.evictions();
-            opcache.insert(key, Rc::clone(&batch), ran_path, rm_stats);
+            opcache.insert(key, Rc::clone(&batch), out.path, out.rm_stats);
             let metrics = mem.metrics_mut();
             metrics.counter_add("query.opcache.insertions", 1);
             metrics.counter_add(
@@ -496,66 +397,47 @@ pub(crate) fn run_verified(
         metrics.gauge_set("query.opcache.bytes", opcache.bytes() as f64);
     }
 
-    finish_output(
-        mem,
-        verified,
-        &batch,
-        ran_path,
-        cost,
-        t0,
-        rm_stats,
-        degraded_from,
-        profile,
-        &before,
-        RecordCtx {
-            meta,
-            sig,
-            outcome,
-            ops,
-        },
-    )
+    finish_output(mem, verified, &batch, out, window, meta, sig)
 }
 
-/// Everything `finish_output` needs to record the run into the query log
-/// and the calibration ledger, beyond the execution results themselves.
-pub(crate) struct RecordCtx {
-    pub meta: RecordMeta,
-    /// Plan signature (see [`run_verified`]).
-    pub sig: u128,
-    pub outcome: CacheOutcome,
-    /// Per-operator attribution (empty on cache hits).
-    pub ops: Vec<OpReport>,
+/// A query's attribution window, opened before anything executes and
+/// closed by [`finish_output`].
+struct Window {
+    /// When the *first* attempt started, so a degraded run's window
+    /// includes the time burnt on the failed RM path.
+    t0: fabric_sim::Cycles,
+    /// Every core's counters at `t0`.
+    before: Vec<MemStats>,
 }
 
-/// Build the per-operator reports for the path that ran: estimates from
-/// [`split_path_cost`], actuals apportioned from the measured scan and
-/// merge phases (see [`OpReport`]). Uses the *last* non-failed scan phase
-/// of `ran_path` so a degraded run attributes the fallback scan, not the
-/// faulted RM attempt.
-#[allow(clippy::too_many_arguments)]
-fn build_op_reports(
+/// Build the per-operator records for the path that ran (`out.path`):
+/// estimates from [`split_path_cost`], actuals apportioned from the
+/// measured scan and merge phases (see [`OpRecord`]). Uses the *last*
+/// non-failed scan phase of the path so a degraded run attributes the
+/// fallback scan, not the faulted RM attempt.
+fn build_op_records(
     mem: &MemoryHierarchy,
     entry: &TableEntry,
     verified: &VerifiedQuery<'_>,
-    ran_path: AccessPath,
-    cost: &PathCost,
+    out: &QueryOutput,
     actuals: &[(&'static str, OpStats)],
-    profile: &[PhaseProfile],
     merge: &OpStats,
-) -> Result<Vec<OpReport>> {
+) -> Result<Vec<OpRecord>> {
     let ests = split_path_cost(
         mem.config(),
         &RmConfig::prototype(),
         entry,
         verified.bound(),
-        ran_path,
-        cost,
+        out.path,
+        &out.cost,
     )?;
-    let scan_phase = profile
+    let scan_phase = out
+        .profile
         .iter()
         .rev()
-        .find(|p| p.name == scan_span(ran_path) && !p.failed);
-    let merge_phase = profile
+        .find(|p| p.name == scan_span(out.path) && !p.failed);
+    let merge_phase = out
+        .profile
         .iter()
         .rev()
         .find(|p| p.name == "query::stage::merge" && !p.failed);
@@ -605,7 +487,7 @@ fn build_op_reports(
                 .map_or(0, |(_, c)| *c);
             (c, 0, stats_for(e.op))
         };
-        ops.push(OpReport {
+        ops.push(OpRecord {
             op: e.op,
             est_ns: e.ns,
             est_bytes: e.bytes,
@@ -619,49 +501,47 @@ fn build_op_reports(
     Ok(ops)
 }
 
-/// Stage 0 of the pipeline: run the chosen path's fused morsel kernels on
-/// a [`QueryExecutor`], applying the resilience policy around RM
-/// delivery. Returns the per-morsel partials, the path that actually
-/// produced them, device stats when the RM path ran, and the original
-/// path when the query degraded.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// What stage 0 hands the merge: the per-morsel partials, and the
+/// executor's per-operator actuals.
+type Stage0<'v> = (Vec<Consumer<'v>>, Vec<(&'static str, OpStats)>);
+
+/// Stage 0 of the pipeline: run `out.path`'s fused morsel kernels on a
+/// [`QueryExecutor`], applying the resilience policy around RM delivery.
+/// Returns the per-morsel partials and the executor's per-operator
+/// actuals; records into `out` the scan phases, the path that actually
+/// produced the partials, device stats when the RM path ran, and the
+/// original path when the query degraded.
 fn run_scan<'v>(
     mem: &mut MemoryHierarchy,
     entry: &TableEntry,
     verified: &'v VerifiedQuery<'v>,
-    path: AccessPath,
-    cost: &PathCost,
     resilience: Resilience<'_>,
-    profile: &mut Vec<PhaseProfile>,
+    out: &mut QueryOutput,
     scratch: &mut Scratchpad,
-) -> Result<(
-    Vec<Consumer<'v>>,
-    Vec<(&'static str, OpStats)>,
-    AccessPath,
-    Option<RmStats>,
-    Option<AccessPath>,
-)> {
+) -> Result<Stage0<'v>> {
     let software = |m: &mut MemoryHierarchy,
                     p: &mut Vec<PhaseProfile>,
                     s: &mut Scratchpad,
                     fb: AccessPath|
-     -> Result<(Vec<Consumer<'v>>, Vec<(&'static str, OpStats)>)> {
+     -> Result<Stage0<'v>> {
         let mut ex = QueryExecutor::new(verified, fb);
         let res = profiled(m, scan_span(fb), p, |m| ex.run_stage0(m, entry, s));
         ex.record_metrics(m.metrics_mut());
         res.map(|partials| (partials, ex.op_actuals()))
     };
-    match (path, resilience) {
-        (AccessPath::Row | AccessPath::Col, _) => software(mem, profile, scratch, path)
-            .map(|(partials, actuals)| (partials, actuals, path, None, None)),
+    match (out.path, resilience) {
+        (path @ (AccessPath::Row | AccessPath::Col), _) => {
+            software(mem, &mut out.profile, scratch, path)
+        }
         (AccessPath::Rm, Resilience::Plain) => {
             let mut ex = QueryExecutor::new(verified, AccessPath::Rm);
-            let res = profiled(mem, scan_span(path), profile, |m| {
+            let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
                 ex.run_stage0_rm(m, scratch)
             });
             ex.record_metrics(mem.metrics_mut());
-            let actuals = ex.op_actuals();
-            res.map(|(partials, stats)| (partials, actuals, path, Some(stats), None))
+            let (partials, stats) = res?;
+            out.rm_stats = Some(stats);
+            Ok((partials, ex.op_actuals()))
         }
         (AccessPath::Rm, Resilience::Resilient(ctx)) => {
             if !ctx.rm_health.allow() {
@@ -674,26 +554,27 @@ fn run_scan<'v>(
                 // before this landed in the registry).
                 mem.metrics_mut().counter_add("query.breaker_skips", 1);
                 mem.flight_dump("breaker-open");
-                let fb = fallback_path(cost);
-                let (partials, actuals) = software(mem, profile, scratch, fb)?;
-                return Ok((partials, actuals, fb, None, Some(AccessPath::Rm)));
+                out.path = fallback_path(&out.cost);
+                out.degraded_from = Some(AccessPath::Rm);
+                return software(mem, &mut out.profile, scratch, out.path);
             }
 
             // The resilient RM stage reports device stats even when it
             // fails: they leave the profiled phase beside its result.
             let mut ex = QueryExecutor::new(verified, AccessPath::Rm);
             let mut stats = RmStats::default();
-            let res = profiled(mem, scan_span(AccessPath::Rm), profile, |m| {
+            let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
                 let (res, device) = ex.run_stage0_rm_resilient(m, scratch, ctx);
                 stats = device;
                 res
             });
             ex.record_metrics(mem.metrics_mut());
+            out.rm_stats = Some(stats);
 
             match res {
                 Ok(partials) => {
                     ctx.rm_health.record_success();
-                    Ok((partials, ex.op_actuals(), AccessPath::Rm, Some(stats), None))
+                    Ok((partials, ex.op_actuals()))
                 }
                 Err(e) if degradable(&e) => {
                     // The device is misbehaving past its retry budget:
@@ -701,15 +582,16 @@ fn run_scan<'v>(
                     // and stays inside the query's window.
                     ctx.rm_health.record_failure();
                     ctx.fallbacks += 1;
-                    let fb = fallback_path(cost);
+                    let fb = fallback_path(&out.cost);
                     mem.trace_instant(
                         "query.degraded",
                         Category::Fault,
                         &[("to_col", u64::from(fb == AccessPath::Col))],
                     );
                     mem.flight_dump("degraded");
-                    let (partials, actuals) = software(mem, profile, scratch, fb)?;
-                    Ok((partials, actuals, fb, Some(stats), Some(AccessPath::Rm)))
+                    out.path = fb;
+                    out.degraded_from = Some(AccessPath::Rm);
+                    software(mem, &mut out.profile, scratch, fb)
                 }
                 Err(e) => Err(e),
             }
@@ -742,32 +624,26 @@ pub(crate) fn rel_err(est: f64, actual: f64, base: f64) -> f64 {
 }
 
 /// Shared tail of every execution: ORDER BY / LIMIT post-processing,
-/// metrics accounting, query-log / calibration recording, and output
-/// assembly. `t0` is when the *first* attempt started, so a degraded
-/// run's `ns` includes the time burnt on the failed RM path. Closes the
-/// `query::exec` span its caller opened.
-#[allow(clippy::too_many_arguments)]
+/// the per-core attribution records, metrics accounting, query-log /
+/// calibration recording, and output assembly. Closes the `query::exec`
+/// span and the attribution `window` its caller opened.
 fn finish_output(
     mem: &mut MemoryHierarchy,
     verified: &VerifiedQuery<'_>,
     batch: &ResultBatch,
-    path: AccessPath,
-    cost: PathCost,
-    t0: fabric_sim::Cycles,
-    rm_stats: Option<RmStats>,
-    degraded_from: Option<AccessPath>,
-    mut profile: Vec<PhaseProfile>,
-    before: &[MemStats],
-    ctx: RecordCtx,
+    mut out: QueryOutput,
+    window: Window,
+    meta: RecordMeta,
+    sig: u128,
 ) -> Result<QueryOutput> {
     let bound = verified.bound();
     // The client-boundary form is built here, once, and only for the rows
     // the query returns.
-    let rows = if bound.order_by.is_empty() {
+    out.rows = if bound.order_by.is_empty() {
         let returned = bound.limit.map_or(batch.len(), |k| k.min(batch.len()));
         batch.rows(0..returned)
     } else {
-        let order = profiled(mem, "query::post::sort", &mut profile, |m| {
+        let order = profiled(mem, "query::post::sort", &mut out.profile, |m| {
             order_rows(m, batch, &bound.order_by, bound.limit)
         })
         .or_else(|e| fail_exec(mem, e))?;
@@ -775,36 +651,20 @@ fn finish_output(
     };
     // Close the attribution window: align every core to the frontier, then
     // the per-core busy deltas plus barrier idle add up to `total` each.
-    let t_end = mem.join_clocks();
-    let total = t_end - t0;
-    let mut cores: Vec<CoreAttribution> = Vec::with_capacity(before.len());
-    let mut td_cores: Vec<fabric_sim::TopDownCore> = Vec::with_capacity(before.len());
-    for (i, b) in before.iter().enumerate() {
-        let d = mem.core_stats(i).delta_since(b);
-        let busy = d.busy_cycles();
-        let idle = total.saturating_sub(busy);
-        td_cores.push(d.topdown(i, idle));
-        cores.push(CoreAttribution {
-            core: i,
-            busy_cycles: busy,
-            cpu_cycles: d.cpu_cycles,
-            stall_cycles: d.stall_cycles,
-            mem_lat_cycles: d.mem_lat_cycles,
-            lat_l1_cycles: d.lat_l1_cycles,
-            lat_l2_cycles: d.lat_l2_cycles,
-            stall_bw_cycles: d.stall_bw_cycles,
-            stall_dram_cycles: d.stall_dram_cycles,
-            stall_device_cycles: d.stall_device_cycles,
-            stall_retry_cycles: d.stall_retry_cycles,
-            bytes_read: d.bytes_read,
-            idle_cycles: idle,
-        });
-    }
-    let topdown = fabric_sim::TopDown { cores: td_cores };
+    let total = mem.join_clocks() - window.t0;
+    out.cores = window
+        .before
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let d = mem.core_stats(i).delta_since(b);
+            d.attribution(i, total.saturating_sub(d.busy_cycles()))
+        })
+        .collect();
     // Hard invariant (DESIGN.md §12): the top-down buckets partition each
     // core's elapsed cycles exactly. A violation means a charge site in
     // the hierarchy leaked cycles past the sub-bucket accounting.
-    if let Err(why) = topdown.verify() {
+    if let Err(why) = out.cores.iter().try_for_each(CoreAttribution::verify) {
         return fail_exec(
             mem,
             FabricError::Internal(format!("top-down accounting does not reconcile: {why}")),
@@ -814,85 +674,55 @@ fn finish_output(
         "query::exec",
         Category::Query,
         &[
-            ("rows", rows.len() as u64),
+            ("rows", out.rows.len() as u64),
             ("cycles", total),
-            ("degraded", u64::from(degraded_from.is_some())),
+            ("degraded", u64::from(out.degraded_from.is_some())),
         ],
     );
-    let path_str = path_tag(path);
+    let path_str = path_tag(out.path);
     let metrics = mem.metrics_mut();
     metrics.counter_add("query.executions", 1);
     metrics.scoped("query.path").counter_add(path_str, 1);
-    metrics.counter_add("query.rows_out", rows.len() as u64);
-    if degraded_from.is_some() {
+    metrics.counter_add("query.rows_out", out.rows.len() as u64);
+    if out.degraded_from.is_some() {
         metrics.counter_add("query.degraded", 1);
     }
     metrics.observe("query.exec_cycles", total);
-    for a in &cores {
-        let mut core = metrics.scoped(format_args!("query.core{}", a.core));
-        core.counter_add("busy_cycles", a.busy_cycles);
-        core.counter_add("idle_cycles", a.idle_cycles);
-        core.counter_add("bytes_read", a.bytes_read);
-    }
-    topdown.record_into(metrics, "query");
-    if let Some(rm) = &rm_stats {
+    topdown::record_into(&out.cores, metrics, "query");
+    if let Some(rm) = &out.rm_stats {
         rm.record_into(metrics, "query.rm");
     }
 
     // --- Query log + calibration ledger (host-side: no simulated time) ---
-    let cache_hit = ctx.outcome == CacheOutcome::Hit;
-    let est_ns = cost.ns(path).unwrap_or(0.0);
-    let est_bytes = cost.bytes(path).unwrap_or(0.0);
-    let actual_ns = mem.ns_since(t0);
-    let actual_bytes: u64 = cores.iter().map(|a| a.bytes_read).sum();
-    let faults_injected = rm_stats.as_ref().map_or(0, |s| s.injected_faults);
-    let mut td_sum = fabric_sim::TopDownSummary::default();
-    for c in &topdown.cores {
-        td_sum.retired += c.retired;
-        td_sum.mem += c.memory_bound();
-        // `TopDownCore::stall()` folds idle in; the summary keeps idle as
-        // its own bucket, so take the stall sub-buckets individually.
-        td_sum.stall += c.bw_wait + c.fault_retry;
-        td_sum.idle += c.idle;
-        td_sum.elapsed += c.elapsed;
-    }
+    let est_ns = out.cost.ns(out.path).unwrap_or(0.0);
+    let est_bytes = out.cost.bytes(out.path).unwrap_or(0.0);
+    out.ns = mem.ns_since(window.t0);
+    let actual_bytes: u64 = out.cores.iter().map(|a| a.bytes_read).sum();
+    let faults_injected = out.rm_stats.as_ref().map_or(0, |s| s.injected_faults);
     let record = fabric_sim::QueryRecord {
         seq: 0, // assigned by the log on push
-        plan_sig: ctx.sig,
-        class: bound.class().to_string(),
-        session: ctx.meta.session,
-        path: path_str.to_string(),
+        plan_sig: sig,
+        class: bound.class(),
+        session: meta.session,
+        path: path_str,
         est_ns,
         actual_cycles: total,
         est_bytes,
         actual_bytes,
-        rows_out: rows.len() as u64,
-        cache_hit,
-        degraded_from: degraded_from.map(|p| format!("{p:?}")),
-        recovered_tables: ctx.meta.recovered_tables,
+        rows_out: out.rows.len() as u64,
+        cache_hit: out.cache_hit,
+        degraded_from: out.degraded_from.map(path_tag),
+        recovered_tables: meta.recovered_tables,
         faults_injected,
-        ops: ctx
-            .ops
-            .iter()
-            .map(|o| fabric_sim::OpRecord {
-                op: o.op.to_string(),
-                est_ns: o.est_ns,
-                est_bytes: o.est_bytes,
-                actual_cycles: o.actual_cycles,
-                actual_bytes: o.actual_bytes,
-                rows_in: o.rows_in,
-                rows_out: o.rows_out,
-                invocations: o.invocations,
-            })
-            .collect(),
-        topdown: td_sum,
+        ops: out.ops.clone(),
+        topdown: TopDownSummary::of(&out.cores),
     };
     mem.querylog_mut().push(record);
     mem.metrics_mut().counter_add("querylog.records", 1);
 
     // Calibrate the cost model on clean cold runs only: hits measure the
     // cache, not the path; degraded/faulted runs measure the fault story.
-    if !cache_hit && degraded_from.is_none() && faults_injected == 0 {
+    if !out.cache_hit && out.degraded_from.is_none() && faults_injected == 0 {
         let key = format!(
             "{}/{}/{}",
             bound.table,
@@ -901,7 +731,7 @@ fn finish_output(
         );
         let e = mem.calib_mut().observe(
             &key,
-            rel_err(est_ns, actual_ns, est_ns),
+            rel_err(est_ns, out.ns, est_ns),
             rel_err(est_bytes, actual_bytes as f64, est_bytes),
         );
         let metrics = mem.metrics_mut();
@@ -909,19 +739,7 @@ fn finish_output(
         e.record_into(metrics, &key);
     }
 
-    Ok(QueryOutput {
-        rows,
-        path,
-        ns: actual_ns,
-        cost,
-        rm_stats,
-        degraded_from,
-        profile,
-        cores,
-        topdown,
-        ops: ctx.ops,
-        cache_hit,
-    })
+    Ok(out)
 }
 
 /// Is this an RM delivery fault the executor may transparently absorb by

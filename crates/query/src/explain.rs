@@ -7,9 +7,9 @@
 use crate::bind::{BoundQuery, OutputItem};
 use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
-use crate::exec::{execute_uncached, path_tag, rel_err, CoreAttribution, OpReport, PhaseProfile};
-use fabric_sim::{MemoryHierarchy, MetricsRegistry};
-use fabric_types::Result;
+use crate::exec::{execute_uncached, path_tag, rel_err, QueryOutput};
+use fabric_sim::{topdown, MemoryHierarchy, MetricsRegistry};
+use fabric_types::{FabricError, Result};
 use mvcc::RecoveryReport;
 use relmem::RmConfig;
 use std::fmt::Write as _;
@@ -143,24 +143,16 @@ fn rel_err_pct(est: f64, actual: f64) -> f64 {
 }
 
 /// Run `bound` on every *available* path and measure actual cost. Returns
-/// the per-path reports plus the chosen path's phase profile (its plan-node
-/// breakdown), per-core cycle/byte attribution, top-down cycle breakdown
-/// and per-operator estimate/actual reports. Each path's relative error
-/// lands in the hierarchy's metrics registry as
+/// the per-path reports plus the chosen path's output, whose phase
+/// profile, per-core attribution and per-operator records are the
+/// breakdowns EXPLAIN ANALYZE renders. Each path's relative error lands
+/// in the hierarchy's metrics registry as
 /// `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
-#[allow(clippy::type_complexity)]
 pub(crate) fn analyze_paths(
     mem: &mut MemoryHierarchy,
     catalog: &Catalog,
     bound: &BoundQuery,
-) -> Result<(
-    AccessPath,
-    Vec<PathReport>,
-    Vec<PhaseProfile>,
-    Vec<CoreAttribution>,
-    fabric_sim::TopDown,
-    Vec<OpReport>,
-)> {
+) -> Result<(Vec<PathReport>, QueryOutput)> {
     let entry = catalog.get(&bound.table)?;
     let (chosen, cost) = choose_path_parallel(
         mem.config(),
@@ -172,10 +164,7 @@ pub(crate) fn analyze_paths(
     let line = mem.config().line_size as u64;
 
     let mut reports = Vec::new();
-    let mut chosen_profile = Vec::new();
-    let mut chosen_cores = Vec::new();
-    let mut chosen_topdown = fabric_sim::TopDown::default();
-    let mut chosen_ops = Vec::new();
+    let mut chosen_out = None;
     for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
         // An unpriced path (COL without a columnar copy) is unavailable.
         let (Some(est_ns), Some(est_bytes)) = (cost.ns(path), cost.bytes(path)) else {
@@ -225,38 +214,28 @@ pub(crate) fn analyze_paths(
             report.bytes_rel_err_pct(),
         );
         if path == chosen {
-            chosen_profile = out.profile;
-            chosen_cores = out.cores;
-            chosen_topdown = out.topdown;
-            chosen_ops = out.ops;
+            chosen_out = Some(out);
         }
         reports.push(report);
     }
     mem.metrics_mut().counter_add("explain.analyze_runs", 1);
-    Ok((
-        chosen,
-        reports,
-        chosen_profile,
-        chosen_cores,
-        chosen_topdown,
-        chosen_ops,
-    ))
+    let chosen_out = chosen_out.ok_or_else(|| {
+        FabricError::Internal(format!("EXPLAIN ANALYZE chose the unpriced path {chosen}"))
+    })?;
+    Ok((reports, chosen_out))
 }
 
 /// `EXPLAIN ANALYZE`'s body under the rendered plan (`header`): a table of
 /// estimated vs. actual cost (cycles and bytes) per path with the cost
-/// model's relative error, then the chosen path's per-operator, per-phase,
-/// per-core and top-down breakdowns.
-#[allow(clippy::too_many_arguments)]
+/// model's relative error, then the chosen path's (`chosen`) per-operator,
+/// per-phase, per-core and top-down breakdowns.
 pub(crate) fn render_analyze(
     header: &str,
     has_cols: bool,
     reports: &[PathReport],
-    profile: &[PhaseProfile],
-    cores: &[CoreAttribution],
-    topdown: &fabric_sim::TopDown,
-    ops: &[OpReport],
+    chosen: &QueryOutput,
 ) -> Result<String> {
+    let (ops, profile, cores) = (&chosen.ops, &chosen.profile, &chosen.cores);
     let mut out = String::from(header);
     writeln!(out, "  analyze:")?;
     for r in reports {
@@ -326,11 +305,7 @@ pub(crate) fn render_analyze(
     }
     if !cores.is_empty() {
         writeln!(out, "  cores (chosen path):")?;
-        let elapsed: u64 = cores
-            .iter()
-            .map(|a| a.busy_cycles + a.idle_cycles)
-            .max()
-            .unwrap_or(0);
+        let elapsed: u64 = cores.iter().map(|a| a.elapsed()).max().unwrap_or(0);
         for a in cores {
             writeln!(
                 out,
@@ -338,18 +313,16 @@ pub(crate) fn render_analyze(
                 a.core,
                 a.busy_cycles,
                 a.busy_cycles as f64 / (elapsed.max(1)) as f64 * 100.0,
-                a.cpu_cycles,
-                a.stall_cycles,
-                a.mem_lat_cycles,
+                a.retired,
+                a.stall_cycles(),
+                a.mem_lat(),
                 a.idle_cycles,
                 a.bytes_read,
             )?;
         }
         writeln!(out, "    elapsed {elapsed} cycles (global clock)")?;
-    }
-    if !topdown.cores.is_empty() {
         writeln!(out, "  top-down (chosen path):")?;
-        out.push_str(&topdown.render());
+        out.push_str(&topdown::render(cores));
     }
     Ok(out)
 }
@@ -617,7 +590,7 @@ mod tests {
         c.register("orders", rt, ct);
         let stmt = crate::parser::parse("SELECT id FROM orders WHERE id < 100").unwrap();
         let bound = crate::bind::bind(&c, &stmt).unwrap();
-        let (chosen, reports, profile, ..) = analyze_paths(&mut mem, &c, &bound).unwrap();
+        let (reports, chosen) = analyze_paths(&mut mem, &c, &bound).unwrap();
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(r.actual_ns > 0.0, "{r:?}");
@@ -627,8 +600,11 @@ mod tests {
             assert!(r.bytes_rel_err_pct().is_finite());
         }
         // The chosen path's profile has at least its scan node.
-        assert!(reports.iter().any(|r| r.path == chosen));
-        assert!(!profile.is_empty());
-        assert!(profile.iter().any(|p| p.name.starts_with("query::scan::")));
+        assert!(reports.iter().any(|r| r.path == chosen.path));
+        assert!(!chosen.profile.is_empty());
+        assert!(chosen
+            .profile
+            .iter()
+            .any(|p| p.name.starts_with("query::scan::")));
     }
 }

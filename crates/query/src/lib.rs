@@ -50,9 +50,10 @@ pub use catalog::Catalog;
 pub use cost::{choose_path_parallel, split_path_cost, AccessPath, OpEstimate, PathCost};
 pub use engine::{Engine, Prepared, Session};
 pub use exec::{
-    BufferKind, BufferRef, CoreAttribution, FaultContext, OpCache, OpReport, PhaseProfile,
-    QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
+    BufferKind, BufferRef, FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput,
+    Scratchpad, MORSEL_ROWS,
 };
+pub use fabric_sim::{CoreAttribution, OpRecord};
 
 /// The engine-facing surface in one import: the [`Engine`]/[`Session`]
 /// lifecycle, the [`Prepared`] handle, execution outputs, and the staged
@@ -63,8 +64,9 @@ pub use exec::{
 pub mod prelude {
     pub use crate::engine::{Engine, Prepared, Session};
     pub use crate::exec::{
-        BufferKind, BufferRef, CoreAttribution, FaultContext, OpCache, OpReport, PhaseProfile,
-        QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
+        BufferKind, BufferRef, FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput,
+        Scratchpad, MORSEL_ROWS,
     };
     pub use crate::{AccessPath, BoundQuery, Catalog, PathCost};
+    pub use fabric_sim::{CoreAttribution, OpRecord};
 }

@@ -330,13 +330,14 @@ fn one_row_hit(e: &mut Engine) -> u64 {
     allocations
 }
 
-/// Allocations allowed to a one-row op-cache hit: the attribution vectors,
-/// the profile, the returned row, the query-log record and the plan
-/// witness — 9 measured, 7 of margin. Nothing in it may depend on how
-/// many metric keys the registry holds: with a snapshot of the registry
-/// taken per query and a `String` per metric name it was 250 at 88 keys
-/// and 906 at 496.
-const ONE_ROW_HIT: u64 = 16;
+/// Allocations allowed to a one-row op-cache hit: the window's counters
+/// and the attribution records, the profile, the returned row and the
+/// plan witness — 6 measured, 2 of margin. The query-log record borrows
+/// its names and has no operators to copy. Nothing in it may depend on
+/// how many metric keys the registry holds: with a snapshot of the
+/// registry taken per query and a `String` per metric name it was 250 at
+/// 88 keys and 906 at 496.
+const ONE_ROW_HIT: u64 = 8;
 
 #[test]
 fn an_op_cache_hit_allocates_the_same_however_many_keys_the_registry_holds() {

@@ -57,7 +57,7 @@ fn cache_temperature_never_changes_an_answer_on_any_grid_point() {
                 );
                 assert_eq!(warm.path, cold.path);
                 let warm_bytes: u64 = warm.cores.iter().map(|c| c.bytes_read).sum();
-                let warm_stall: u64 = warm.cores.iter().map(|c| c.stall_cycles).sum();
+                let warm_stall: u64 = warm.cores.iter().map(|c| c.stall_cycles()).sum();
                 assert_eq!(
                     warm_bytes, 0,
                     "{path:?} at {cores} cores: a cache hit must not touch the hierarchy"

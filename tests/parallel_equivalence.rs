@@ -32,16 +32,11 @@ fn assert_attribution_reconciles(out: &QueryOutput, cores: usize, ctx: &str) {
         cores,
         "{ctx}: one attribution row per core"
     );
-    let elapsed = out
-        .cores
-        .iter()
-        .map(|a| a.busy_cycles + a.idle_cycles)
-        .max()
-        .unwrap_or(0);
+    let elapsed = out.cores.iter().map(|a| a.elapsed()).max().unwrap_or(0);
     for a in &out.cores {
         assert_eq!(
             a.busy_cycles,
-            a.cpu_cycles + a.stall_cycles + a.mem_lat_cycles,
+            a.retired + a.stall_cycles() + a.mem_lat(),
             "{ctx}: core {} busy must equal cpu+stall+mem_lat",
             a.core
         );

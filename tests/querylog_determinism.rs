@@ -222,7 +222,7 @@ fn degraded_runs_are_logged_with_provenance_but_never_calibrate() {
     assert_eq!(out.degraded_from, Some(AccessPath::Rm));
     assert!(e.calib().is_empty(), "a degraded run must not calibrate");
     let rec = e.querylog().records().last().unwrap();
-    assert_eq!(rec.degraded_from.as_deref(), Some("Rm"));
+    assert_eq!(rec.degraded_from, Some("rm"), "spelled like `path`");
     assert!(!rec.cache_hit, "an armed fault plan bypasses the cache");
     assert_eq!(
         e.querylog().total_recorded(),

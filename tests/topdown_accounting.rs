@@ -16,12 +16,12 @@
 //! ```
 
 use fabric_sim::{
-    parse_json, validate_chrome_trace, FaultConfig, Json, Postmortem, RecoveryPolicy,
+    parse_json, validate_chrome_trace, FaultConfig, Json, MemStats, Postmortem, RecoveryPolicy,
 };
-use query::{AccessPath, FaultContext, QueryOutput};
+use query::{AccessPath, Engine, FaultContext, QueryOutput};
 
 mod support;
-use support::{core_grid, engine, seed, wide_rm_engine, Q1};
+use support::{core_grid, engine, seed, wide_rm_engine, DATA_SEED, Q1, Q6, ROWS};
 
 const RM_SQL: &str = "SELECT c0, c5 FROM t WHERE c0 < 1000000";
 
@@ -43,57 +43,66 @@ fn corrupting_device(sweep_seed: u64) -> FaultConfig {
     }
 }
 
-/// The full reconciliation contract between the per-core attribution
-/// table and the top-down breakdown built from the same clocks:
+/// Run `sql` on `path` in a new session: the output, and every core's
+/// hierarchy counters over the run (`core_stats` deltas).
+fn run_measured(e: &mut Engine, sql: &str, path: AccessPath) -> (QueryOutput, Vec<MemStats>) {
+    let stats = |e: &Engine| -> Vec<MemStats> {
+        let mem = e.mem_ref();
+        (0..mem.num_cores()).map(|i| mem.core_stats(i)).collect()
+    };
+    let before = stats(e);
+    let out = e.session().run_on(sql, path).unwrap();
+    let deltas = stats(e)
+        .iter()
+        .zip(&before)
+        .map(|(after, before)| after.delta_since(before))
+        .collect();
+    (out, deltas)
+}
+
+/// The full reconciliation contract between each core's attribution
+/// record and the hierarchy's own counters over the same run (`deltas`):
 ///
 /// * every core's eight buckets sum exactly to its elapsed window;
 /// * every core closes the same window (the global clock advance);
-/// * the taxonomy refines — not re-measures — the coarse attribution:
-///   `retired == cpu`, `mem.l1 + mem.l2 == mem_lat`, and the four stall
-///   buckets partition `stall_cycles` exactly.
-fn assert_topdown_reconciles(out: &QueryOutput, cores: usize, ctx: &str) {
-    out.topdown
-        .verify()
-        .unwrap_or_else(|why| panic!("{ctx}: {why}"));
-    assert_eq!(
-        out.topdown.cores.len(),
-        cores,
-        "{ctx}: one breakdown per core"
-    );
+/// * the taxonomy refines — not re-measures — the hierarchy's coarse
+///   counters: `retired == cpu`, `mem.l1 + mem.l2 == mem_lat`, and the
+///   four stall buckets partition `stall_cycles` exactly.
+fn assert_topdown_reconciles(out: &QueryOutput, deltas: &[MemStats], ctx: &str) {
     assert_eq!(
         out.cores.len(),
-        cores,
-        "{ctx}: one attribution row per core"
+        deltas.len(),
+        "{ctx}: one attribution record per core"
     );
-    let elapsed = out
-        .cores
-        .iter()
-        .map(|a| a.busy_cycles + a.idle_cycles)
-        .max()
-        .unwrap_or(0);
-    for (td, a) in out.topdown.cores.iter().zip(&out.cores) {
-        assert_eq!(td.core, a.core, "{ctx}: breakdown/attribution order");
-        let sum: u64 = td.buckets().iter().map(|&(_, v)| v).sum();
+    let elapsed = out.cores.iter().map(|c| c.elapsed()).max().unwrap_or(0);
+    for (i, (c, d)) in out.cores.iter().zip(deltas).enumerate() {
+        assert_eq!(c.core, i, "{ctx}: records in core order");
+        c.verify().unwrap_or_else(|why| panic!("{ctx}: {why}"));
+        let sum: u64 = c.buckets().iter().map(|&(_, v)| v).sum();
         assert_eq!(
-            sum, td.elapsed,
-            "{ctx}: core {} buckets must sum to elapsed",
-            td.core
+            sum,
+            c.elapsed(),
+            "{ctx}: core {i} buckets must sum to elapsed"
         );
         assert_eq!(
-            td.elapsed, elapsed,
-            "{ctx}: core {} must close the query window",
-            td.core
+            c.elapsed(),
+            elapsed,
+            "{ctx}: core {i} must close the query window"
         );
-        assert_eq!(td.retired, a.cpu_cycles, "{ctx}: retired == cpu");
-        assert_eq!(td.idle, a.idle_cycles, "{ctx}: idle bucket == idle wait");
         assert_eq!(
-            td.mem_l1 + td.mem_l2,
-            a.mem_lat_cycles,
+            c.busy_cycles,
+            d.busy_cycles(),
+            "{ctx}: busy == clock advance"
+        );
+        assert_eq!(c.retired, d.cpu_cycles, "{ctx}: retired == cpu");
+        assert_eq!(
+            c.mem_l1 + c.mem_l2,
+            d.mem_lat_cycles,
             "{ctx}: L1+L2 latency must partition mem_lat"
         );
         assert_eq!(
-            td.mem_dram + td.mem_rm_device + td.bw_wait + td.fault_retry,
-            a.stall_cycles,
+            c.mem_dram + c.mem_rm_device + c.bw_wait + c.fault_retry,
+            d.stall_cycles,
             "{ctx}: dram+device+bw+retry must partition stall_cycles"
         );
     }
@@ -104,8 +113,9 @@ fn buckets_sum_to_elapsed_on_every_path_and_core_count() {
     for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
         for &cores in &core_grid() {
             let mut e = engine(cores);
-            let out = e.session().run_on(Q1, path).unwrap();
-            assert_topdown_reconciles(&out, cores, &format!("{path:?} {cores}c"));
+            let (out, deltas) = run_measured(&mut e, Q1, path);
+            assert_eq!(deltas.len(), cores);
+            assert_topdown_reconciles(&out, &deltas, &format!("{path:?} {cores}c"));
             // The breakdown is exported into the metrics registry too.
             let snap = e.mem_ref().metrics().snapshot().to_json();
             for key in ["query.core0.td.retired", "query.core0.td.elapsed"] {
@@ -131,8 +141,8 @@ fn chaos_seeded_faulty_runs_still_reconcile_exactly() {
     for &cores in &core_grid() {
         let mut e = engine(cores);
         e.set_fault_context(FaultContext::new(stormy(), RecoveryPolicy::default()));
-        let out = e.session().run_on(Q1, AccessPath::Rm).unwrap();
-        assert_topdown_reconciles(&out, cores, &format!("chaos {cores}c (seed {s})"));
+        let (out, deltas) = run_measured(&mut e, Q1, AccessPath::Rm);
+        assert_topdown_reconciles(&out, &deltas, &format!("chaos {cores}c (seed {s})"));
     }
 }
 
@@ -145,7 +155,7 @@ fn attribution_reconciles_and_keeps_fault_counters_under_degradation() {
     let s = seed();
     let mut e = wide_rm_engine(4_096);
     e.set_fault_context(FaultContext::new(dead_device(s), RecoveryPolicy::default()));
-    let out = e.session().run_on(RM_SQL, AccessPath::Rm).unwrap();
+    let (out, deltas) = run_measured(&mut e, RM_SQL, AccessPath::Rm);
     assert_eq!(
         out.degraded_from,
         Some(AccessPath::Rm),
@@ -157,8 +167,8 @@ fn attribution_reconciles_and_keeps_fault_counters_under_degradation() {
         .expect("degraded output must keep the failed RM attempt's stats");
     assert!(rm.injected_faults > 0, "fault counters dropped: {rm:?}");
     assert!(rm.delivery_timeouts > 0, "timeout counters dropped: {rm:?}");
-    assert_topdown_reconciles(&out, 1, &format!("degraded (seed {s})"));
-    let retry: u64 = out.topdown.cores.iter().map(|c| c.fault_retry).sum();
+    assert_topdown_reconciles(&out, &deltas, &format!("degraded (seed {s})"));
+    let retry: u64 = out.cores.iter().map(|c| c.fault_retry).sum();
     assert!(
         retry > 0,
         "retry backoff must be attributed to the stall.retry bucket"
@@ -246,17 +256,22 @@ fn same_seed_reruns_produce_bit_identical_postmortems() {
     );
 }
 
-/// FNV-1a (64-bit) over every postmortem artifact, in dump order, each
-/// followed by a separator byte.
-fn postmortem_digest(pms: &[Postmortem]) -> u64 {
+/// FNV-1a (64-bit) over `texts` in order, each followed by a separator
+/// byte.
+fn digest(texts: impl IntoIterator<Item = String>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for pm in pms {
-        for b in pm.to_json().bytes().chain([0xff]) {
+    for text in texts {
+        for b in text.bytes().chain([0xff]) {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     }
     h
+}
+
+/// [`digest`] over every postmortem artifact, in dump order.
+fn postmortem_digest(pms: &[Postmortem]) -> u64 {
+    digest(pms.iter().map(Postmortem::to_json))
 }
 
 /// The sweep seed of the pinned digests below: fixed, not
@@ -333,5 +348,52 @@ fn postmortem_bytes_match_the_pinned_digests() {
             (1, 0x6ceb_1a96_d5dd_12c9),
         ],
         "postmortem bytes moved: {got:x?}"
+    );
+}
+
+/// `EXPLAIN ANALYZE` text is byte-identical to the per-path, per-operator,
+/// per-phase, per-core and top-down renderings it had when each kept its
+/// own copy of the attribution: the digests were computed before the
+/// copies were folded into one record. Each statement runs once through
+/// the session first, so the latency and op-cache sections carry data.
+/// The table without a columnar copy has no COL row and degrades nothing
+/// (EXPLAIN ANALYZE measures without a fault context).
+#[test]
+fn explain_analyze_bytes_match_the_pinned_digests() {
+    let statements = [
+        Q1,
+        Q6,
+        "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 5",
+    ];
+    let mut got = Vec::new();
+    for with_cols in [true, false] {
+        for cores in [1, 4] {
+            let mut e = Engine::with_cores(fabric_sim::SimConfig::zynq_a53(), cores);
+            let li = workload::Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
+            if with_cols {
+                e.register("lineitem", li.rows, li.cols);
+            } else {
+                e.register_rows("lineitem", li.rows);
+            }
+            let mut s = e.session();
+            let texts: Vec<String> = statements
+                .iter()
+                .map(|sql| {
+                    s.run(sql).expect("session run");
+                    s.explain_analyze(sql).expect("explain analyze")
+                })
+                .collect();
+            got.push((with_cols, cores, digest(texts)));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            (true, 1, 0x02ad_9e7c_25d5_e97e),
+            (true, 4, 0x0c05_8768_5d72_c6e6),
+            (false, 1, 0x74ee_a224_0646_266a),
+            (false, 4, 0x77c9_9fc9_e695_9af2),
+        ],
+        "EXPLAIN ANALYZE bytes moved: {got:x?}"
     );
 }

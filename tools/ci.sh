@@ -55,7 +55,10 @@
 #                                baselines: cycle
 #                                counters exact, gauges — including the
 #                                q1/q6 latency percentiles — at 5%,
-#                                wall-clock excluded; ends with the gate
+#                                wall-clock excluded; the query-log
+#                                documents results/QUERYLOG_{calib,
+#                                report,workload}.json byte for byte, so
+#                                they cannot go stale; ends with the gate
 #                                self-test, which injects a synthetic
 #                                +10% cycle regression and asserts the
 #                                gate fails it; each artifact appends a
@@ -81,7 +84,7 @@
 #                                batch, never per scanned row, and a
 #                                projection per returned row, never per
 #                                qualifying or memoised row; a one-row
-#                                op-cache hit allocates at most 16 times,
+#                                op-cache hit allocates at most 8 times,
 #                                the same at 88 metric keys as at 500)
 #  15. result batches           (tests/result_batch.rs under the fixed
 #                                seed: projections over all eight column

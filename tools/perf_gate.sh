@@ -6,7 +6,9 @@
 # compares each fresh BENCH_<name>.json against the checked-in baseline in
 # results/ with the perf_gate binary: cycle counters must match exactly
 # (the simulator is deterministic), gauges tolerate 5% drift, wall-clock
-# metrics are excluded. Offline, like everything else in tools/.
+# metrics are excluded. The query-log documents querylog_report writes
+# (QUERYLOG_{calib,report,workload}.json) must match results/ byte for
+# byte. Offline, like everything else in tools/.
 #
 # Usage:
 #   tools/perf_gate.sh --check [bench ...]              fail on regression
@@ -87,12 +89,24 @@ for name in $NAMES; do
         FAILED=1
         continue
     fi
-    # The folded profile is checked in beside its envelope (tools/ci.sh
-    # compares it byte for byte); re-stamp the two together.
-    if [ "$MODE" = update ] && [ -f "$SCRATCH/run/PROFILE_query.folded" ]; then
-        cp "$SCRATCH/run/PROFILE_query.folded" results/PROFILE_query.folded
-        echo "updated results/PROFILE_query.folded"
-    fi
+    # Documents checked in beside their envelope, re-stamped with it: the
+    # folded profile (tools/ci.sh compares it byte for byte) and the
+    # query-log documents (compared byte for byte here).
+    docs=$(cd "$SCRATCH/run" && ls PROFILE_query.folded QUERYLOG_*.json 2>/dev/null || true)
+    for doc in $docs; do
+        if [ "$MODE" = update ]; then
+            cp "$SCRATCH/run/$doc" "results/$doc"
+            echo "updated results/$doc"
+        elif [ "$doc" != PROFILE_query.folded ] && ! cmp -s "$SCRATCH/run/$doc" "results/$doc"; then
+            # One JSON value a line: the documents are single-line.
+            printf '\nperf_gate.sh: results/%s is stale:\n' "$doc" >&2
+            tr ',' '\n' <"results/$doc" >"$SCRATCH/checked_in"
+            tr ',' '\n' <"$SCRATCH/run/$doc" >"$SCRATCH/fresh"
+            diff "$SCRATCH/checked_in" "$SCRATCH/fresh" >&2 || true
+            printf 're-stamp it with:\n  tools/perf_gate.sh --update-baselines %s\n' "$name" >&2
+            FAILED=1
+        fi
+    done
     for art in $artifacts; do
         if [ "$MODE" = update ]; then
             mkdir -p results
