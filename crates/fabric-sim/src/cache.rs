@@ -59,13 +59,21 @@ impl SetAssocCache {
 
     /// Install the line containing `line_addr`, evicting the LRU way if the
     /// set is full. Returns the evicted line address, if any.
-    #[inline]
     pub fn fill(&mut self, line_addr: u64) -> Option<u64> {
-        let set = self.set_of(line_addr);
-        let ways = &mut self.sets[set];
-        if ways.contains(&line_addr) {
+        if self.contains(line_addr) {
             return None; // already present
         }
+        self.fill_missed(line_addr)
+    }
+
+    /// [`Self::fill`] for a line that [`Self::probe`] has just missed,
+    /// with nothing touching its set since: the line is known absent, so
+    /// the set is not scanned for it again.
+    #[inline]
+    pub fn fill_missed(&mut self, line_addr: u64) -> Option<u64> {
+        let set = self.set_of(line_addr);
+        let ways = &mut self.sets[set];
+        debug_assert!(!ways.contains(&line_addr), "fill_missed of a cached line");
         let evicted = if ways.len() == self.assoc {
             Some(ways.remove(0))
         } else {
@@ -138,6 +146,23 @@ mod tests {
         // Set is full but refilling an existing line must not evict.
         assert_eq!(c.fill(64), None);
         assert!(c.contains(0) && c.contains(64));
+    }
+
+    #[test]
+    fn fill_missed_after_a_miss_equals_fill() {
+        // 2 sets × 2 ways; the trace re-touches, evicts and re-fills.
+        let mut a = SetAssocCache::new(4 * 64, 2, 64);
+        let mut b = a.clone();
+        for line in [0u64, 128, 64, 256, 0, 384, 128, 192, 0, 64] {
+            let hit = a.probe(line);
+            assert_eq!(b.probe(line), hit);
+            if !hit {
+                assert_eq!(a.fill(line), b.fill_missed(line), "evicted by {line}");
+            }
+        }
+        for line in [0u64, 64, 128, 192, 256, 384] {
+            assert_eq!(a.contains(line), b.contains(line), "line {line}");
+        }
     }
 
     #[test]

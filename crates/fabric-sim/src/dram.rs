@@ -18,28 +18,54 @@ use crate::Cycles;
 /// Banked DRAM with open-row state.
 #[derive(Debug, Clone)]
 pub struct DramModel {
-    banks: usize,
-    lines_per_row: u64,
+    /// `banks - 1`: the bank of a hashed line index is its low bits.
+    bank_mask: u64,
+    /// `log2(banks)`.
+    bank_shift: u32,
+    /// `log2(banks · lines_per_row)`: a line index's DRAM row is its
+    /// bits above the bank and the line-within-row bits.
+    row_shift: u32,
     line_shift: u32,
     t_hit: Cycles,
     t_miss: Cycles,
-    bank_free: Vec<Cycles>,
-    open_row: Vec<Option<u64>>,
+    banks: Vec<Bank>,
     accesses: u64,
     row_hits: u64,
 }
 
+/// One bank's queue and open-row state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bank {
+    /// When the bank finishes the access it is serving.
+    free_at: Cycles,
+    /// The DRAM row held open in its row buffer.
+    open_row: Option<u64>,
+}
+
 impl DramModel {
-    /// Build from the simulator configuration.
+    /// Build from the simulator configuration. The bank count and the
+    /// lines per DRAM row must be powers of two, so that locating a line
+    /// is shifts and masks.
     pub fn new(cfg: &SimConfig) -> Self {
+        let banks = cfg.dram_banks;
+        let lines_per_row = (cfg.dram_row_bytes / cfg.line_size).max(1);
+        assert!(
+            banks.is_power_of_two(),
+            "{banks} DRAM banks (must be a power of two)"
+        );
+        assert!(
+            lines_per_row.is_power_of_two(),
+            "{lines_per_row} lines per DRAM row (must be a power of two)"
+        );
+        let bank_shift = banks.trailing_zeros();
         DramModel {
-            banks: cfg.dram_banks,
-            lines_per_row: (cfg.dram_row_bytes / cfg.line_size).max(1) as u64,
+            bank_mask: (banks - 1) as u64,
+            bank_shift,
+            row_shift: bank_shift + lines_per_row.trailing_zeros(),
             line_shift: cfg.line_size.trailing_zeros(),
             t_hit: cfg.ns_to_cycles(cfg.dram_row_hit_ns),
             t_miss: cfg.ns_to_cycles(cfg.dram_row_miss_ns),
-            bank_free: vec![0; cfg.dram_banks],
-            open_row: vec![None; cfg.dram_banks],
+            banks: vec![Bank::default(); banks],
             accesses: 0,
             row_hits: 0,
         }
@@ -57,8 +83,8 @@ impl DramModel {
             ^ (line_index >> 8)
             ^ (line_index >> 12)
             ^ (line_index >> 16);
-        let bank = (hashed % self.banks as u64) as usize;
-        let row = (line_index / self.banks as u64) / self.lines_per_row;
+        let bank = (hashed & self.bank_mask) as usize;
+        let row = line_index >> self.row_shift;
         (bank, row)
     }
 
@@ -72,17 +98,18 @@ impl DramModel {
     #[inline]
     pub fn access(&mut self, line_addr: u64, now: Cycles) -> Cycles {
         let (bank, row) = self.locate(line_addr);
-        let start = now.max(self.bank_free[bank]);
-        let occupancy = if self.open_row[bank] == Some(row) {
+        let bank = &mut self.banks[bank];
+        let start = now.max(bank.free_at);
+        let occupancy = if bank.open_row == Some(row) {
             self.row_hits += 1;
             self.t_hit
         } else {
-            self.open_row[bank] = Some(row);
+            bank.open_row = Some(row);
             self.t_miss
         };
         self.accesses += 1;
         let done = start + occupancy;
-        self.bank_free[bank] = done;
+        bank.free_at = done;
         done
     }
 
@@ -93,8 +120,7 @@ impl DramModel {
 
     /// Forget queue state and open rows (new experiment), keep geometry.
     pub fn reset(&mut self) {
-        self.bank_free.fill(0);
-        self.open_row.fill(None);
+        self.banks.fill(Bank::default());
         self.accesses = 0;
         self.row_hits = 0;
     }
@@ -102,6 +128,14 @@ impl DramModel {
     /// Row-hit occupancy in cycles (device throughput planning).
     pub fn t_row_hit(&self) -> Cycles {
         self.t_hit
+    }
+
+    /// `k · t_row_hit / banks`: how long after the start of a stream its
+    /// `k`-th line can arrive at the controller's peak throughput, with
+    /// every bank pipelined (the shared-controller ledger's slot).
+    #[inline]
+    pub fn stream_slot(&self, k: u64) -> Cycles {
+        (k * self.t_hit) >> self.bank_shift
     }
 }
 
@@ -194,6 +228,29 @@ mod tests {
             done >= lower && done <= upper,
             "done={done} not in [{lower},{upper}]"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "must be a power of two")]
+    fn rejects_a_bank_count_that_is_not_a_power_of_two() {
+        DramModel::new(&SimConfig {
+            dram_banks: 12,
+            ..SimConfig::zynq_a53()
+        });
+    }
+
+    #[test]
+    fn stream_slot_is_the_divided_ledger_term() {
+        for banks in [1usize, 2, 8, 16] {
+            let cfg = SimConfig {
+                dram_banks: banks,
+                ..SimConfig::zynq_a53()
+            };
+            let d = DramModel::new(&cfg);
+            for k in [0u64, 1, 7, 1000, 123_457] {
+                assert_eq!(d.stream_slot(k), k * d.t_row_hit() / banks as u64);
+            }
+        }
     }
 
     #[test]

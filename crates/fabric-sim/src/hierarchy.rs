@@ -829,16 +829,13 @@ impl LinePort<'_> {
         if self.l2.probe(line_addr) {
             self.stats.l2_hits += 1;
             self.l2_latency();
-            self.l1.fill(line_addr);
+            self.l1.fill_missed(line_addr);
             return 0;
         }
         // The line comes from DRAM (prefetched or on demand): meter the
         // shared controller's aggregate streaming bandwidth.
         if self.multi {
-            self.stall_bw_until(
-                self.shared_base
-                    + *self.dram_line_fills * self.dram.t_row_hit() / self.cfg.dram_banks as u64,
-            );
+            self.stall_bw_until(self.shared_base + self.dram.stream_slot(*self.dram_line_fills));
             *self.dram_line_fills += 1;
         }
         let stall_now = completion == Completion::StallNow;
@@ -863,8 +860,9 @@ impl LinePort<'_> {
             }
             arrives
         };
-        self.l2.fill(line_addr);
-        self.l1.fill(line_addr);
+        // Both probes above missed, and nothing since touched either set.
+        self.l2.fill_missed(line_addr);
+        self.l1.fill_missed(line_addr);
         self.prefetcher.observe(line_addr, *self.now, self.dram);
         arrives
     }

@@ -9,8 +9,9 @@
 //!    device's own [`DramModel`] port, where bank-level parallelism
 //!    determines completion times;
 //! 2. *"assembles multiple entries into a single packed cache line"* —
-//!    packing via [`crate::packer::pack_row`], with the engine emitting one
-//!    64-byte output line per engine clock (100 MHz in the prototype);
+//!    packing the bytes [`crate::packer::pack_row`] defines, with the
+//!    engine emitting one 64-byte output line per engine clock (100 MHz
+//!    in the prototype);
 //! 3. + 4. capture of CPU requests and delivery happen in
 //!    [`crate::ephemeral`], which imposes the staging-buffer flow control.
 
@@ -42,6 +43,12 @@ pub struct ProducedBatch {
 }
 
 /// Device-side execution state for one configured geometry.
+///
+/// The host simulates the engine a batch at a time (DESIGN.md §26): what
+/// depends only on the geometry is worked out once, at configure time, and
+/// each row pays for its DRAM gather — charged line by line in the order
+/// the engine issues them — plus one copy per contiguous run of requested
+/// bytes.
 pub struct DeviceRun {
     dram: DramModel,
     line_size: u64,
@@ -59,6 +66,15 @@ pub struct DeviceRun {
     /// Core cycles per nanosecond, for charging injected stall time.
     cpu_ghz: f64,
     stats: RmStats,
+    /// The copies that make one delivered row out of a base row, with
+    /// their offsets in both worked out at configure time.
+    copies: Vec<FieldCopy>,
+    /// Whether rows must be qualified: the geometry has a predicate or a
+    /// visibility filter. Without either every row qualifies.
+    filters: bool,
+    /// Source lines of the row being gathered (reused across rows and
+    /// batches).
+    lines: Vec<u64>,
 }
 
 impl DeviceRun {
@@ -84,6 +100,9 @@ impl DeviceRun {
             last_line: u64::MAX,
             cpu_ghz: sim.cpu_ghz,
             stats: RmStats::default(),
+            copies: row_copies(geometry),
+            filters: !geometry.predicate.is_trivial() || geometry.visibility.is_some(),
+            lines: Vec::with_capacity(8),
         }
     }
 
@@ -96,12 +115,40 @@ impl DeviceRun {
         self.stats
     }
 
+    /// `(accesses, open-row hits)` of the device's own DRAM port.
+    pub fn dram_counters(&self) -> (u64, u64) {
+        self.dram.counters()
+    }
+
     pub(crate) fn stats_mut(&mut self) -> &mut RmStats {
         &mut self.stats
     }
 
     pub(crate) fn note_configure(&mut self) {
         self.stats.configures += 1;
+    }
+
+    /// Gather the base row at `row_addr`: fetch each source line it needs
+    /// that the previous row did not, all issued at `issue_t`, and count
+    /// the row. Returns the latest completion (0 when every line was
+    /// already fetched).
+    #[inline]
+    fn gather_row(&mut self, row_addr: u64, issue_t: Cycles) -> Cycles {
+        self.lines.clear();
+        packer::row_source_lines(
+            row_addr,
+            &self.spans,
+            self.line_size,
+            &mut self.last_line,
+            &mut self.lines,
+        );
+        let mut done = 0;
+        for &la in &self.lines {
+            done = done.max(self.dram.access(la, issue_t));
+        }
+        self.stats.source_lines += self.lines.len() as u64;
+        self.stats.rows_scanned += 1;
+        done
     }
 
     /// Produce the next delivery batch of at most `max_bytes` of packed
@@ -131,39 +178,33 @@ impl DeviceRun {
             "delivery batch ({max_bytes} B) smaller than one packed row ({out_width} B)"
         );
 
-        let mut data = Vec::with_capacity(max_bytes.min(1 << 20));
+        // Rows that fit in the batch, and the base rows left to examine.
+        let fit = max_bytes / out_width;
+        let left = g.rows - self.cursor;
+        let mut data = vec![0u8; fit.min(left) * out_width];
         let mut rows_emitted = 0usize;
         let mut issue_t = start;
         let mut gather_done = start;
         let source_lines_before = self.stats.source_lines;
-        let mut line_buf: Vec<u64> = Vec::with_capacity(8);
+        let first = self.cursor;
+        let base_rows = arena.slice(row_addr(g, first), left * g.row_width);
 
-        while self.cursor < g.rows && data.len() + out_width <= max_bytes {
-            let row_addr = g.base + (self.cursor as u64) * g.row_width as u64;
-            // Gather the source lines this row needs.
-            line_buf.clear();
-            packer::row_source_lines(
-                row_addr,
-                &self.spans,
-                self.line_size,
-                &mut self.last_line,
-                &mut line_buf,
-            );
-            for &la in &line_buf {
-                let done = self.dram.access(la, issue_t);
-                gather_done = gather_done.max(done);
-                self.stats.source_lines += 1;
+        for (i, row) in base_rows.chunks_exact(g.row_width).enumerate() {
+            if rows_emitted == fit {
+                break;
             }
+            gather_done = gather_done.max(self.gather_row(row_addr(g, first + i), issue_t));
             issue_t += self.row_beat_cycles;
-            self.stats.rows_scanned += 1;
-
-            let row = arena.slice(row_addr, g.row_width);
-            if packer::row_qualifies(g, row).unwrap_or(false) {
-                packer::pack_row(g, row, &mut data);
+            self.cursor += 1;
+            if !self.filters || packer::row_qualifies(g, row).unwrap_or(false) {
+                let out = &mut data[rows_emitted * out_width..][..out_width];
+                for c in &self.copies {
+                    c.apply(row, out);
+                }
                 rows_emitted += 1;
             }
-            self.cursor += 1;
         }
+        data.truncate(rows_emitted * out_width);
 
         if data.is_empty() && self.cursor >= g.rows && rows_emitted == 0 && self.stats.batches > 0 {
             // Trailing empty scan (e.g. last rows all filtered out) still
@@ -219,28 +260,13 @@ impl DeviceRun {
         let mut bank = AggBank::new(specs);
         let mut issue_t = start;
         let mut gather_done = start;
-        let mut line_buf: Vec<u64> = Vec::with_capacity(8);
+        let first = self.cursor;
+        let base_rows = arena.slice(row_addr(g, first), (g.rows - first) * g.row_width);
 
-        while self.cursor < g.rows {
-            let row_addr = g.base + (self.cursor as u64) * g.row_width as u64;
-            line_buf.clear();
-            packer::row_source_lines(
-                row_addr,
-                &self.spans,
-                self.line_size,
-                &mut self.last_line,
-                &mut line_buf,
-            );
-            for &la in &line_buf {
-                let done = self.dram.access(la, issue_t);
-                gather_done = gather_done.max(done);
-                self.stats.source_lines += 1;
-            }
+        for (i, row) in base_rows.chunks_exact(g.row_width).enumerate() {
+            gather_done = gather_done.max(self.gather_row(row_addr(g, first + i), issue_t));
             issue_t += self.row_beat_cycles;
-            self.stats.rows_scanned += 1;
-
-            let row = arena.slice(row_addr, g.row_width);
-            if packer::row_qualifies(g, row)? {
+            if !self.filters || packer::row_qualifies(g, row)? {
                 bank.update_raw(row)?;
                 self.stats.rows_emitted += 1;
             }
@@ -252,6 +278,67 @@ impl DeviceRun {
         self.stats.output_lines += 1;
         self.stats.batches += 1;
         Ok((bank.finish()?, ready))
+    }
+}
+
+/// Address of base row `row`.
+#[inline]
+fn row_addr(g: &Geometry, row: usize) -> u64 {
+    g.base + row as u64 * g.row_width as u64
+}
+
+/// One run of bytes copied from a base row into a delivered row.
+struct FieldCopy {
+    /// Offset in the base row.
+    src: usize,
+    /// Offset in the delivered row.
+    dst: usize,
+    len: usize,
+}
+
+impl FieldCopy {
+    /// Copy this run of `row` into `out`. The common field widths are
+    /// fixed-size moves; anything else is a `memcpy`.
+    #[inline(always)]
+    fn apply(&self, row: &[u8], out: &mut [u8]) {
+        let (src, dst) = (&row[self.src..], &mut out[self.dst..]);
+        match self.len {
+            8 => dst[..8].copy_from_slice(&src[..8]),
+            4 => dst[..4].copy_from_slice(&src[..4]),
+            1 => dst[0] = src[0],
+            len => dst[..len].copy_from_slice(&src[..len]),
+        }
+    }
+}
+
+/// The copies that pack one row of `g` (see [`DeviceRun::copies`]):
+/// [`packer::pack_row`]'s output, with fields that are adjacent in both the
+/// base row and the output merged into one copy, or the whole row in
+/// [`OutputMode::FilteredRows`].
+fn row_copies(g: &Geometry) -> Vec<FieldCopy> {
+    match &g.mode {
+        OutputMode::PackedColumns => {
+            let mut copies: Vec<FieldCopy> = Vec::with_capacity(g.fields.len());
+            let mut dst = 0;
+            for f in &g.fields {
+                match copies.last_mut() {
+                    Some(c) if c.src + c.len == f.offset => c.len += f.width(),
+                    _ => copies.push(FieldCopy {
+                        src: f.offset,
+                        dst,
+                        len: f.width(),
+                    }),
+                }
+                dst += f.width();
+            }
+            copies
+        }
+        OutputMode::FilteredRows => vec![FieldCopy {
+            src: 0,
+            dst: 0,
+            len: g.row_width,
+        }],
+        OutputMode::Aggregate(_) => Vec::new(),
     }
 }
 

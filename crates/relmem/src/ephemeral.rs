@@ -57,6 +57,7 @@ const DEVICE_NAME: &str = "rm-engine";
 #[derive(Debug, Clone)]
 pub struct PackedBatch {
     data: Vec<u8>,
+    /// Number of qualifying rows in this batch.
     rows: usize,
     row_width: usize,
     /// Where each requested field lies in the payload (offset within a
@@ -64,7 +65,6 @@ pub struct PackedBatch {
     /// [`EphemeralColumns`] that delivered the batch (an `Arc`, not an
     /// `Rc`, only so batches stay `Send`).
     fields: Arc<[ColumnSpec]>,
-    /// Number of qualifying rows in this batch.
     pub(crate) _private: (),
 }
 
@@ -412,23 +412,29 @@ impl EphemeralColumns {
                 continue;
             }
 
-            // Pull the lines across the bus; the wire may flip a bit.
+            // Pull the lines across the bus; the wire may flip a bit. A
+            // clean transfer is the produced frame itself: only a flipped
+            // one needs bytes of its own.
             mem.stall_until(mem.now() + lines * self.bus_cycles_per_line);
-            let mut data = produced.data.clone();
-            if let Some((byte, mask)) = plan.rm_corrupt(data.len()) {
+            let flipped = plan.rm_corrupt(produced.data.len()).map(|(byte, mask)| {
+                let mut data = produced.data.clone();
                 data[byte] ^= mask;
+                data
+            });
+            if flipped.is_some() {
                 self.run.stats_mut().injected_faults += 1;
             }
+            let delivered = flipped.as_deref().unwrap_or(&produced.data);
 
             // CPU-side frame check, charged per delivered line.
             mem.cpu(lines * mem.costs().value_op);
-            if crc32(&data) == produced.crc {
+            if crc32(delivered) == produced.crc {
                 mem.trace_end(
                     "rm.deliver",
                     Category::Rm,
                     &[
                         ("rows", produced.rows as u64),
-                        ("bytes", data.len() as u64),
+                        ("bytes", delivered.len() as u64),
                         ("lines", lines),
                         ("attempts", attempts as u64),
                     ],
@@ -439,7 +445,7 @@ impl EphemeralColumns {
                 }
                 self.start_next_production(mem, mem.now(), Some(plan));
                 return Ok(Some(PackedBatch {
-                    data,
+                    data: flipped.unwrap_or(produced.data),
                     rows: produced.rows,
                     row_width: self.geometry.output_row_width(),
                     fields: Arc::clone(&self.fields),

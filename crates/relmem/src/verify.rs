@@ -17,10 +17,12 @@
 //!   in the output; in packed-columns mode destinations are prefix sums and a
 //!   duplicated source range means the same bytes are packed twice — both
 //!   indicate a malformed request and are rejected;
-//! * **buffer geometry** — one packed output row must fit inside a single
-//!   delivery batch, and the batch must fit inside the staging buffer with
-//!   room for double buffering (the prototype's 2 MB on-device memory,
-//!   paper §V).
+//! * **buffer geometry** — the delivery batch must be non-empty and fit
+//!   inside the staging buffer, and one output row must fit in half of it,
+//!   so that two rows can be double buffered (the prototype's 2 MB
+//!   on-device memory, paper §V). A row wider than the batch is admitted:
+//!   [`crate::EphemeralColumns::configure_verified`] widens that
+//!   geometry's batches to one row.
 
 use crate::config::RmConfig;
 use fabric_types::{FabricError, Geometry, Result};
@@ -53,9 +55,11 @@ impl VerifiedGeometry {
     }
 }
 
-/// The staging buffer must hold at least two delivery batches (double
-/// buffering), and one output row must fit inside a single batch — a wider
-/// row could never be delivered whole.
+/// The delivery batch must be non-empty and no larger than the staging
+/// buffer, and one output row must fit in half the buffer so that two can
+/// be double buffered. A row may be wider than `cfg.batch_bytes`:
+/// [`crate::EphemeralColumns::configure_verified`] then delivers one row
+/// per batch.
 fn check_buffer_geometry(cfg: &RmConfig, g: &Geometry) -> Result<()> {
     if cfg.batch_bytes == 0 {
         return Err(FabricError::InvalidGeometry(

@@ -148,10 +148,11 @@ fn run(rows: usize, sql: &str, path: AccessPath) -> Run {
 /// morsel before, or its group table (per group the key bytes, the key
 /// values and, when the partial is rendered for the merge, the rendered
 /// key and the accumulator list). Q1 measures 35–36, Q6 9–11, the lookup
-/// 5–7. Per extra RM batch: the payload and the device's line list. A
-/// per-row allocation would add 4096 per morsel.
+/// 5–7. Per extra RM batch: the payload, nothing else — the device keeps
+/// its line list across batches and a clean frame is delivered, not
+/// copied. A per-row allocation would add 4096 per morsel.
 const PER_MORSEL: u64 = 40;
-const PER_BATCH: u64 = 8;
+const PER_BATCH: u64 = 1;
 
 #[test]
 fn execution_allocates_per_morsel_and_per_batch_never_per_row() {

@@ -2,7 +2,9 @@
 //! fast paths and why they are exact"): each replaced a slower piece of
 //! code and must agree with it on generated inputs, bit for bit.
 //!
-//! * sliced CRC-32 against the byte-at-a-time loop;
+//! * CRC-32 against the byte-at-a-time loop: spans under 128 bytes take
+//!   the slicing-by-8 tables, longer ones the carry-less-multiply kernel
+//!   on a CPU that has one (`crc.rs`'s unit test runs both directly);
 //! * `Value::compare` against an oracle over every type pair;
 //! * `Value::decode_into` against `Value::decode`;
 //! * the compiled `f64` expression program, evaluated a chunk at a time,

@@ -73,11 +73,20 @@
 #                                watermark, replay idempotent, postmortems
 #                                validator-clean and byte-deterministic)
 #  13. host fast paths          (tests/host_fast_paths.rs under the fixed
-#                                seed: sliced CRC, Value::compare,
-#                                decode_into, compiled f64 sums and raw-key
-#                                grouping each against the code it
-#                                replaced, on ROW/COL/RM at 1/2/4 cores —
-#                                DESIGN.md §18)
+#                                seed: the CRC — slicing-by-8 tables and
+#                                carry-less-multiply folding, whichever
+#                                the CPU runs — against the bytewise loop,
+#                                Value::compare, decode_into, compiled f64
+#                                sums and raw-key grouping each against
+#                                the code it replaced, on ROW/COL/RM at
+#                                1/2/4 cores — DESIGN.md §18; then
+#                                tests/device_reference.rs under the same
+#                                seed: the RM device's batch-at-a-time
+#                                produce and run_aggregate against the
+#                                verbatim per-row loop, every batch's
+#                                bytes, CRC and times, RmStats, device
+#                                DRAM counters and fault draws identical,
+#                                quiet and armed — DESIGN.md §26)
 #  14. allocation steady state  (tests/alloc_steady_state.rs: a counting
 #                                global allocator shows Q1, Q6 and a key
 #                                lookup allocate per morsel and per RM
@@ -209,6 +218,7 @@ tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query 
 
 seeded_test "crash-recovery matrix" crash_recovery "$SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
+seeded_test "device reference" device_reference "$SEED"
 
 # Deterministic, no seed: the counting allocator exists in this test
 # binary only.
