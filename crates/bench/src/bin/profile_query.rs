@@ -64,8 +64,8 @@ fn main() {
         ("scan", "SELECT grp, c1 FROM t WHERE c1 >= 0"),
     ];
     for (class, sql) in shapes {
-        // One session per class: scoped `session.<id>.*` metrics separate
-        // the classes in the exported envelope.
+        // One session per class; the envelope separates the classes by
+        // their `query.class.<class>.*` latency histograms.
         let mut session = engine.session();
         let mut last_ns = 0.0;
         for _ in 0..reps.max(1) {

@@ -91,7 +91,6 @@ pub const CHARGE_SITE_FILES: &[&str] = &[
 pub const METRIC_KEY_FILES: &[&str] = &[
     "crates/query/src/engine.rs",
     "crates/fabric-obs/src/topdown.rs",
-    "crates/fabric-obs/src/opstats.rs",
 ];
 
 /// Directories whose every `.rs` file is in `formatted-metric-key` scope.

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::{fmt_f64, MetricsRegistry};
+use crate::metrics::fmt_f64;
 
 /// EWMA smoothing factor. 0.25 weights roughly the last seven runs —
 /// responsive enough to track a geometry migration, smooth enough that
@@ -54,17 +54,6 @@ impl CalibEntry {
             self.ewma_rel_err_bytes += EWMA_ALPHA * (rel_err_bytes - self.ewma_rel_err_bytes);
         }
     }
-
-    /// Export as the `calib.<key>.*` gauges: the one per-entry export,
-    /// used after each observation and by [`CalibLedger::record_into`].
-    pub fn record_into(&self, registry: &mut MetricsRegistry, key: &str) {
-        let mut g = registry.scoped(format_args!("calib.{key}"));
-        g.gauge_set("runs", self.runs as f64);
-        g.gauge_set("mean_rel_err_ns", self.mean_rel_err_ns);
-        g.gauge_set("ewma_rel_err_ns", self.ewma_rel_err_ns);
-        g.gauge_set("mean_rel_err_bytes", self.mean_rel_err_bytes);
-        g.gauge_set("ewma_rel_err_bytes", self.ewma_rel_err_bytes);
-    }
 }
 
 /// The per-engine ledger, keyed `table/geometry-tag/path`.
@@ -75,14 +64,13 @@ pub struct CalibLedger {
 }
 
 impl CalibLedger {
-    /// Fold one clean-cold observation into the `key` entry and return
-    /// the updated entry (copied out, so callers can export gauges
-    /// without holding the borrow).
-    pub fn observe(&mut self, key: &str, rel_err_ns: f64, rel_err_bytes: f64) -> CalibEntry {
+    /// Fold one clean-cold observation into the `key` entry.
+    pub fn observe(&mut self, key: &str, rel_err_ns: f64, rel_err_bytes: f64) {
         self.observations += 1;
-        let entry = self.entries.entry(key.to_string()).or_default();
-        entry.observe(rel_err_ns, rel_err_bytes);
-        *entry
+        self.entries
+            .entry(key.to_string())
+            .or_default()
+            .observe(rel_err_ns, rel_err_bytes);
     }
 
     /// Entry lookup.
@@ -108,15 +96,6 @@ impl CalibLedger {
     /// Total observations folded across all keys.
     pub fn observations(&self) -> u64 {
         self.observations
-    }
-
-    /// Export every entry as `calib.<key>.*` gauges. The monotonic
-    /// `calib.observations` counter is advanced by the executor at
-    /// observation time, not here.
-    pub fn record_into(&self, registry: &mut MetricsRegistry) {
-        for (key, e) in &self.entries {
-            e.record_into(registry, key);
-        }
     }
 
     /// Byte-deterministic JSON export (sorted keys, fixed floats).
@@ -192,8 +171,8 @@ mod tests {
         assert_eq!(j, ledger.to_json());
         assert!(j.find("\"a/g/row\"") < j.find("\"b/g/rm\""), "sorted keys");
         assert!(crate::json::parse_json(&j).is_ok());
-        let mut reg = MetricsRegistry::new();
-        ledger.record_into(&mut reg);
-        assert_eq!(reg.gauge("calib.a/g/row.mean_rel_err_ns"), Some(3.0));
+        let keys: Vec<&str> = ledger.entries().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["a/g/row", "b/g/rm"]);
+        assert_eq!(ledger.get("a/g/row").map(|e| e.mean_rel_err_ns), Some(3.0));
     }
 }

@@ -96,19 +96,6 @@ impl Histogram {
         )
     }
 
-    /// Fold another histogram into this one (bucket-wise). Used by scope
-    /// rollups: merging per-session histograms reproduces exactly the
-    /// histogram a single shared registry would have accumulated.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += n;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Immutable snapshot used by [`MetricsSnapshot`].
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -583,23 +570,6 @@ mod tests {
         one.observe(7);
         assert_eq!(one.quantile(0.0), 7.0);
         assert_eq!(one.quantile(1.0), 7.0);
-    }
-
-    #[test]
-    fn merge_matches_single_accumulation() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in [3u64, 900, 17, 0, 65536] {
-            whole.observe(v);
-            if v % 2 == 0 {
-                a.observe(v)
-            } else {
-                b.observe(v)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Per-operator actuals for the staged query executor (DESIGN.md §16).
 //!
 //! Each operator node in the executor's DAG accumulates row counts and
-//! invocation counts host-side while it runs; recording them into the
-//! metrics registry (as `query.op.<name>.*` counters) happens after the
+//! invocation counts host-side while it runs; the driver copies them into
+//! the query's one per-operator record ([`crate::OpRecord`]) after the
 //! query window closes, so — like every observability surface in this
 //! crate — the bookkeeping never advances the simulated clock.
-
-use crate::metrics::MetricsRegistry;
 
 /// One operator's accumulated actuals across a query (all morsels, all
 /// cores): how many times the operator body ran, how many rows it was fed,
@@ -29,22 +27,6 @@ impl OpStats {
         self.rows_in += rows_in;
         self.rows_out += rows_out;
     }
-
-    /// Fold another operator's accumulation into this one.
-    pub fn merge(&mut self, other: &OpStats) {
-        self.invocations += other.invocations;
-        self.rows_in += other.rows_in;
-        self.rows_out += other.rows_out;
-    }
-
-    /// Export as monotonic counters under `<prefix>.<op>.{invocations,
-    /// rows_in,rows_out}` — the `query.op.*` namespace the executor uses.
-    pub fn record_into(&self, reg: &mut MetricsRegistry, prefix: &str, op: &str) {
-        let mut node = reg.scoped(format_args!("{prefix}.{op}"));
-        node.counter_add("invocations", self.invocations);
-        node.counter_add("rows_in", self.rows_in);
-        node.counter_add("rows_out", self.rows_out);
-    }
 }
 
 #[cfg(test)]
@@ -52,21 +34,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulates_and_exports_counters() {
+    fn accumulates_invocations_and_rows() {
         let mut s = OpStats::default();
         s.record(4096, 100);
         s.record(4096, 99);
-        let mut other = OpStats::default();
-        other.record(1000, 1000);
-        s.merge(&other);
-        assert_eq!(s.invocations, 3);
-        assert_eq!(s.rows_in, 9192);
-        assert_eq!(s.rows_out, 1199);
-
-        let mut reg = MetricsRegistry::new();
-        s.record_into(&mut reg, "query.op", "filter");
-        assert_eq!(reg.counter("query.op.filter.invocations"), 3);
-        assert_eq!(reg.counter("query.op.filter.rows_in"), 9192);
-        assert_eq!(reg.counter("query.op.filter.rows_out"), 1199);
+        s.record(1000, 1000);
+        assert_eq!(
+            s,
+            OpStats {
+                invocations: 3,
+                rows_in: 9192,
+                rows_out: 1199,
+            }
+        );
     }
 }

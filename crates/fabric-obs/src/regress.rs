@@ -15,7 +15,9 @@
 //!   compared **exactly** (any drift is a real behavior change);
 //! * **gauges** — derived figures (simulated-ns, ratios): compared with a
 //!   relative tolerance ([`GatePolicy::gauge_rel_tol`]);
-//! * **histograms** — `count` and `sum` compared exactly;
+//! * **histograms** — `count`, `sum`, `min`, `max` and every bucket
+//!   compared exactly: a quantile is a function of exactly these, so the
+//!   gate covers every percentile a reader can compute from it;
 //! * names matching an exclude pattern (host wall-clock and friends) are
 //!   skipped entirely.
 //!
@@ -80,10 +82,10 @@ pub struct GateReport {
     pub missing: Vec<String>,
     /// Fresh metrics absent from the baseline (reported, does not fail).
     pub added: Vec<String>,
-    /// FNV-1a over the fresh artifact's exactly compared `name=value`
-    /// lines, sorted by name (counters, histogram `count` / `sum`): an
-    /// unchanged digest from one trajectory line to the next means a
-    /// bit-identical run.
+    /// FNV-1a over the fresh artifact's digested `name=value` lines,
+    /// sorted by name (counters, histogram `count` / `sum`): an unchanged
+    /// digest from one trajectory line to the next means a bit-identical
+    /// run.
     pub digest: u64,
     /// `(suffix, total)` of the fresh counters ending in each of
     /// [`TOTALED_COUNTERS`], for the suffixes the artifact has.
@@ -174,27 +176,57 @@ fn parse_artifact(src: &str, side: &str) -> Result<(String, Json), String> {
     Ok((bench, metrics))
 }
 
-/// Flatten one snapshot into comparable `(kind-prefixed name, value)`
-/// pairs: counters and gauges directly, histograms as `.count`/`.sum`.
-fn flatten(metrics: &Json) -> Vec<(String, f64, bool)> {
-    // (name, value, exact) — `exact` marks counter-kind comparisons.
+/// How one flattened metric is compared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Check {
+    /// Within [`GatePolicy::gauge_rel_tol`] (gauges).
+    Tolerance,
+    /// Exactly, and part of the trajectory digest (counters, histogram
+    /// `count` and `sum`).
+    Digested,
+    /// Exactly, but outside the digest (histogram `min`, `max` and
+    /// buckets), so digests stay comparable with the trajectory lines
+    /// written before these were gated.
+    Exact,
+}
+
+/// Flatten one snapshot into comparable `(kind-prefixed name, value,
+/// check)` triples: counters and gauges directly, histograms as
+/// `.count` / `.sum` / `.min` / `.max` and one `.bucket<i>` per non-empty
+/// bucket. With `count` equal, every baseline bucket equal means no
+/// fresh bucket can differ either.
+fn flatten(metrics: &Json) -> Vec<(String, f64, Check)> {
     let mut out = Vec::new();
-    let section = |key: &str, exact: bool, out: &mut Vec<(String, f64, bool)>| {
+    let section = |key: &str, check: Check, out: &mut Vec<(String, f64, Check)>| {
         if let Some(Json::Obj(members)) = metrics.get(key) {
             for (name, v) in members {
                 if let Some(n) = v.as_num() {
-                    out.push((format!("{key}:{name}"), n, exact));
+                    out.push((format!("{key}:{name}"), n, check));
                 }
             }
         }
     };
-    section("counters", true, &mut out);
-    section("gauges", false, &mut out);
+    section("counters", Check::Digested, &mut out);
+    section("gauges", Check::Tolerance, &mut out);
     if let Some(Json::Obj(members)) = metrics.get("histograms") {
         for (name, h) in members {
-            for field in ["count", "sum"] {
+            for (field, check) in [
+                ("count", Check::Digested),
+                ("sum", Check::Digested),
+                ("min", Check::Exact),
+                ("max", Check::Exact),
+            ] {
                 if let Some(n) = h.get(field).and_then(Json::as_num) {
-                    out.push((format!("histograms:{name}.{field}"), n, true));
+                    out.push((format!("histograms:{name}.{field}"), n, check));
+                }
+            }
+            if let Some(Json::Arr(buckets)) = h.get("buckets") {
+                for bucket in buckets {
+                    if let Json::Arr(pair) = bucket {
+                        if let [Json::Num(i), Json::Num(n)] = pair.as_slice() {
+                            out.push((format!("histograms:{name}.bucket{i}"), *n, Check::Exact));
+                        }
+                    }
                 }
             }
         }
@@ -202,12 +234,12 @@ fn flatten(metrics: &Json) -> Vec<(String, f64, bool)> {
     out
 }
 
-/// FNV-1a over the sorted `name=value` lines of the exactly compared
-/// metrics the policy does not exclude.
-fn digest(flat: &[(String, f64, bool)], policy: &GatePolicy) -> u64 {
+/// FNV-1a over the sorted `name=value` lines of the digested metrics the
+/// policy does not exclude.
+fn digest(flat: &[(String, f64, Check)], policy: &GatePolicy) -> u64 {
     let mut lines: Vec<String> = flat
         .iter()
-        .filter(|(name, _, exact)| *exact && !policy.excluded(name))
+        .filter(|(name, _, check)| *check == Check::Digested && !policy.excluded(name))
         .map(|(name, v, _)| format!("{name}={v}\n"))
         .collect();
     lines.sort();
@@ -220,7 +252,7 @@ fn digest(flat: &[(String, f64, bool)], policy: &GatePolicy) -> u64 {
 }
 
 /// Totals of the counters ending in each of [`TOTALED_COUNTERS`].
-fn totals(flat: &[(String, f64, bool)]) -> Vec<(&'static str, f64)> {
+fn totals(flat: &[(String, f64, Check)]) -> Vec<(&'static str, f64)> {
     TOTALED_COUNTERS
         .iter()
         .filter_map(|&suffix| {
@@ -255,7 +287,7 @@ pub fn compare_bench(
         totals: totals(&fresh_flat),
         ..GateReport::default()
     };
-    for (name, base_v, exact) in &base_flat {
+    for (name, base_v, check) in &base_flat {
         if policy.excluded(name) {
             report.excluded += 1;
             continue;
@@ -265,10 +297,11 @@ pub fn compare_bench(
             continue;
         };
         report.compared += 1;
-        let limit = if *exact { 0.0 } else { policy.gauge_rel_tol };
+        let exact = *check != Check::Tolerance;
+        let limit = if exact { 0.0 } else { policy.gauge_rel_tol };
         let denom = base_v.abs().max(f64::MIN_POSITIVE);
         let drift = (fresh_v - base_v).abs() / denom;
-        let ok = if *exact {
+        let ok = if exact {
             fresh_v == base_v
         } else {
             drift <= limit
@@ -358,7 +391,8 @@ mod tests {
         let gauge = report(1000, 51.0);
         assert!(gauge.passed());
         assert_eq!(base.digest, gauge.digest, "a gauge inside tolerance");
-        // The histogram's count and sum are in it; its min is not.
+        // The histogram's count and sum are in it; its min is not (it is
+        // gated, but outside the digest).
         let a = artifact("b1", 1000, 50.0);
         let moved = |from: &str, to: &str| {
             let b = a.replace(from, to);
@@ -366,6 +400,38 @@ mod tests {
         };
         assert_ne!(base.digest, moved("\"sum\":10", "\"sum\":11"));
         assert_eq!(base.digest, moved("\"min\":1", "\"min\":2"));
+    }
+
+    #[test]
+    fn a_histogram_shape_shift_fails_the_gate_with_count_and_sum_unchanged() {
+        // Samples {3, 4, 5, 8} against {3, 3, 6, 8}: the same count, sum,
+        // min and max, one sample moved from bucket 2 ([4, 8)) to bucket 1
+        // ([2, 4)) — and with it the p50.
+        let with = |buckets: &str| {
+            format!(
+                "{{\"schema_version\":1,\"bench\":\"b1\",\"metrics\":{{\"histograms\":{{\
+                 \"lat\":{{\"count\":4,\"sum\":20,\"min\":3,\"max\":8,\"buckets\":{buckets}}}}}}}}}"
+            )
+        };
+        let base = with("[[1,1],[2,2],[3,1]]");
+        let fresh = with("[[1,2],[2,1],[3,1]]");
+        let policy = GatePolicy::default();
+        assert!(compare_bench(&base, &base, &policy).unwrap().passed());
+        let r = compare_bench(&base, &fresh, &policy).unwrap();
+        assert!(!r.passed(), "{}", r.render());
+        let drifted: Vec<&str> = r.regressions.iter().map(|g| g.metric.as_str()).collect();
+        assert_eq!(
+            drifted,
+            ["histograms:lat.bucket1", "histograms:lat.bucket2"]
+        );
+        // Outside the digest, which covers count and sum only.
+        let same = compare_bench(&fresh, &fresh, &policy).unwrap();
+        assert_eq!(r.digest, same.digest);
+        // min and max are gated exactly too.
+        for (from, to) in [("\"min\":3", "\"min\":2"), ("\"max\":8", "\"max\":9")] {
+            let moved = base.replace(from, to);
+            assert!(!compare_bench(&base, &moved, &policy).unwrap().passed());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`MetricsSnapshot::subtree`] is the read-side complement: it carves a
 //! prefix-stripped view back out of a snapshot.
 
-use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use std::fmt::{self, Write as _};
 
 /// A write handle that namespaces metric names under a dotted prefix.
@@ -78,12 +78,6 @@ impl<'a> ScopedMetrics<'a> {
         self.reg.observe(&self.key, value);
     }
 
-    /// Read histogram `"<prefix><name>"`.
-    pub fn histogram(&mut self, name: &str) -> Option<&Histogram> {
-        self.name(name);
-        self.reg.histogram(&self.key)
-    }
-
     /// A child scope: `scope("wal")` under `"durability."` writes to
     /// `"durability.wal.*"`. Reborrows the same registry.
     pub fn scope(&mut self, name: &str) -> ScopedMetrics<'_> {
@@ -135,6 +129,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
 
     #[test]
     fn scopes_prefix_and_roll_up() {

@@ -45,9 +45,9 @@ impl BoundQuery {
     /// Latency-histogram class of this query, named after the TPC-H
     /// shapes the figure benchmarks reproduce: `"q1"` for grouped
     /// aggregation, `"q6"` for a global (ungrouped) aggregate, `"scan"`
-    /// for everything else. Session metrics bucket per-query latencies
-    /// under `session.<id>.latency.<class>` and the engine exports
-    /// p50/p95/p99 gauges per class.
+    /// for everything else. The engine buckets per-query latencies under
+    /// `query.class.<class>.{cold,hit}.latency_cycles`; percentiles are
+    /// read from those histograms when rendered.
     pub fn class(&self) -> &'static str {
         if self.has_aggregates() {
             if self.group_by.is_empty() {

@@ -48,25 +48,6 @@ use relmem::RmConfig;
 use rowstore::RowTable;
 use std::rc::Rc;
 
-/// The latency percentiles every class reports.
-const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
-/// Names under `query.class.<class>.`: the cold-run histogram and its
-/// percentile gauges, the same for op-cache hits, and the headline gauges
-/// (fed from cold runs).
-const COLD_KEYS: [&str; 4] = [
-    "cold.latency_cycles",
-    "cold.p50_cycles",
-    "cold.p95_cycles",
-    "cold.p99_cycles",
-];
-const HIT_KEYS: [&str; 4] = [
-    "hit.latency_cycles",
-    "hit.p50_cycles",
-    "hit.p95_cycles",
-    "hit.p99_cycles",
-];
-const HEADLINE_KEYS: [&str; 3] = ["p50_cycles", "p95_cycles", "p99_cycles"];
-
 /// Plans the cache keeps per engine. Small on purpose: the cache exists to
 /// make re-running a dashboard's query set free, not to be a buffer pool.
 const PLAN_CACHE_CAP: usize = 16;
@@ -140,7 +121,7 @@ pub struct Engine {
     /// crash and whether the recovery was degraded.
     recoveries: Vec<(String, RecoveryReport)>,
     /// Sessions handed out so far; the next session gets this + 1 as its
-    /// id, which scopes its metrics under `session.<id>.*`.
+    /// id, which tags its query-log records.
     sessions_opened: u64,
 }
 
@@ -324,9 +305,10 @@ impl Engine {
     }
 
     /// Open a session on this engine. Each session gets a stable numeric
-    /// id (1, 2, …) and every query it executes records its latency both
-    /// globally (`query.class.<class>.latency_cycles`) and under the
-    /// session's own metric scope (`session.<id>.latency.<class>`).
+    /// id (1, 2, …) that tags its queries' query-log records; every query
+    /// it executes records its latency in the engine-wide
+    /// `query.class.<class>.{cold,hit}.latency_cycles` histograms, so the
+    /// registry does not grow with the number of sessions.
     pub fn session(&mut self) -> Session<'_> {
         self.sessions_opened += 1;
         let id = self.sessions_opened;
@@ -348,7 +330,7 @@ pub struct Session<'e> {
 }
 
 impl Session<'_> {
-    /// This session's id (scopes its metrics under `session.<id>.*`).
+    /// This session's id: the `session` field of its query-log records.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -365,44 +347,18 @@ impl Session<'_> {
         self.scratch.reuses()
     }
 
-    /// Record one executed query's cycle-domain latency: into the global
-    /// per-class histogram, into a cache-temperature-split histogram
-    /// (`query.class.<class>.{cold,hit}.latency_cycles` — an op-cache hit
-    /// is orders of magnitude cheaper than a cold run, and pooling the two
-    /// made the headline percentiles meaningless), and into this session's
-    /// metric scope. The headline p50/p95/p99 gauges the perf gate checks
-    /// are fed from the *cold* histogram only; hits get their own gauge
-    /// set. Recording never advances the simulated clock, so an
-    /// instrumented run stays cycle-identical to an uninstrumented one.
-    fn record_latency(
-        mem: &mut MemoryHierarchy,
-        session_id: u64,
-        class: &str,
-        elapsed: u64,
-        cache_hit: bool,
-    ) {
-        let [hist, percentiles @ ..] = if cache_hit { HIT_KEYS } else { COLD_KEYS };
-        let reg = mem.metrics_mut();
-        let mut scope = reg.scoped(format_args!("query.class.{class}"));
-        scope.observe("latency_cycles", elapsed);
-        scope.observe(hist, elapsed);
-        if let Some(h) = scope.histogram(hist) {
-            let q = QUANTILES.map(|q| h.quantile(q));
-            for (key, v) in percentiles.into_iter().zip(q) {
-                scope.gauge_set(key, v);
-            }
-            if !cache_hit {
-                // Headline percentiles track cold execution only.
-                for (key, v) in HEADLINE_KEYS.into_iter().zip(q) {
-                    scope.gauge_set(key, v);
-                }
-            }
-        }
-        drop(scope);
-        reg.scoped(format_args!("session.{session_id}"))
-            .counter_add("queries", 1);
-        reg.scoped(format_args!("session.{session_id}.latency"))
-            .observe(class, elapsed);
+    /// Record one executed query's cycle-domain latency into its class's
+    /// cold or hit histogram (`query.class.<class>.{cold,hit}.latency_cycles`
+    /// — an op-cache hit is orders of magnitude cheaper than a cold run,
+    /// so the two are never pooled). Percentiles are read from the
+    /// histogram when rendered. Recording never advances the simulated
+    /// clock, so an instrumented run stays cycle-identical to an
+    /// uninstrumented one.
+    fn record_latency(mem: &mut MemoryHierarchy, class: &str, elapsed: u64, cache_hit: bool) {
+        let temp = if cache_hit { "hit" } else { "cold" };
+        mem.metrics_mut()
+            .scoped(format_args!("query.class.{class}.{temp}"))
+            .observe("latency_cycles", elapsed);
     }
 
     /// Parse + bind + verify + price `sql`, consulting the engine's plan
@@ -568,7 +524,7 @@ impl Session<'_> {
             },
         )?;
         let elapsed = mem.now().saturating_sub(t0);
-        Self::record_latency(mem, self.id, bound.class(), elapsed, out.cache_hit);
+        Self::record_latency(mem, bound.class(), elapsed, out.cache_hit);
         mem.metrics_mut().gauge_set(
             "query.scratchpad.hwm_bytes",
             self.scratch.hwm_bytes() as f64,
@@ -829,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_record_scoped_latency_histograms() {
+    fn queries_record_cold_and_hit_latency_histograms_once() {
         let mut engine = engine_with_data(1);
         {
             let mut s = engine.session();
@@ -841,32 +797,45 @@ mod tests {
         {
             let mut s2 = engine.session();
             assert_eq!(s2.id(), 2);
-            s2.run("SELECT sum(qty) FROM t WHERE id < 100").unwrap();
+            assert!(
+                s2.run("SELECT sum(qty) FROM t WHERE id < 100")
+                    .unwrap()
+                    .cache_hit
+            );
         }
         let m = engine.mem_ref().metrics();
-        assert_eq!(m.counter("session.1.queries"), 3);
-        assert_eq!(m.counter("session.2.queries"), 1);
         for class in ["q1", "q6", "scan"] {
             let h = m
-                .histogram(&format!("query.class.{class}.latency_cycles"))
+                .histogram(&format!("query.class.{class}.cold.latency_cycles"))
                 .unwrap_or_else(|| panic!("missing {class} histogram"));
-            assert!(h.count() >= 1);
+            assert_eq!(h.count(), 1);
             assert!(h.sum() > 0, "queries cost simulated cycles");
-            let p50 = m.gauge(&format!("query.class.{class}.p50_cycles")).unwrap();
-            let p99 = m.gauge(&format!("query.class.{class}.p99_cycles")).unwrap();
+            let (p50, p99) = (h.quantile(0.50), h.quantile(0.99));
             assert!(p50 > 0.0 && p99 >= p50, "{class}: p50 {p50} p99 {p99}");
         }
-        // The q6 class pooled both sessions' runs globally…
-        assert_eq!(
-            m.histogram("query.class.q6.latency_cycles")
-                .unwrap()
-                .count(),
-            2
-        );
-        // …while the per-session subtrees stayed separate.
+        // The second session's run was an op-cache hit: one sample in the
+        // hit histogram, the cold one untouched.
+        let hit = m.histogram("query.class.q6.hit.latency_cycles").unwrap();
+        assert_eq!(hit.count(), 1);
+        // The session id tags the query log's records; the registry keeps
+        // nothing per session.
+        let sessions: Vec<u64> = engine.querylog().records().map(|r| r.session).collect();
+        assert_eq!(sessions, [1, 1, 1, 2]);
         let snap = m.snapshot();
-        assert_eq!(snap.subtree("session.1").histograms["latency.q6"].count, 1);
-        assert_eq!(snap.subtree("session.2").histograms["latency.q6"].count, 1);
+        assert!(!snap.to_json().contains("session."), "no per-session keys");
+        let names = snap
+            .histograms
+            .keys()
+            .filter(|k| k.starts_with("query.class."));
+        assert_eq!(
+            names.collect::<Vec<_>>(),
+            [
+                "query.class.q1.cold.latency_cycles",
+                "query.class.q6.cold.latency_cycles",
+                "query.class.q6.hit.latency_cycles",
+                "query.class.scan.cold.latency_cycles",
+            ]
+        );
     }
 
     #[test]

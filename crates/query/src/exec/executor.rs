@@ -9,15 +9,15 @@
 //! stays in the driver, where it runs as its own profiled phase.
 //!
 //! Per-operator actuals accumulate on the DAG nodes as morsels flow
-//! through, and [`QueryExecutor::record_metrics`] exports them as
-//! `query.op.<name>.{invocations,rows_in,rows_out}` counters.
+//! through; [`QueryExecutor::op_actuals`] hands them to the driver, which
+//! records them once, in the query's `ops`.
 
 use crate::analyze::VerifiedQuery;
 use crate::bind::BoundQuery;
 use crate::catalog::TableEntry;
 use crate::cost::AccessPath;
 use colstore::exec as colx;
-use fabric_sim::{MemoryHierarchy, MetricsRegistry};
+use fabric_sim::MemoryHierarchy;
 use fabric_types::{Chunk, FabricError, Result, Value};
 use relmem::{EphemeralColumns, PackedBatch, RmConfig, RmStats};
 use std::rc::Rc;
@@ -123,16 +123,6 @@ impl<'q> QueryExecutor<'q> {
             .filter(|n| n.stats.invocations > 0)
             .map(|n| (n.kind.name(), n.stats))
             .collect()
-    }
-
-    /// Export the accumulated per-operator actuals as `query.op.*`
-    /// counters (merge is recorded by the driver, which owns that stage).
-    pub(crate) fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        for n in &self.nodes {
-            if n.stats.invocations > 0 {
-                n.stats.record_into(reg, "query.op", n.kind.name());
-            }
-        }
     }
 
     /// Run stage 0 on a software path (ROW / COL), returning the
@@ -467,18 +457,16 @@ mod tests {
         let mut ex = QueryExecutor::new(&v, AccessPath::Col);
         let partials = ex.run_stage0(&mut mem, entry, &mut scratch).unwrap();
         assert_eq!(partials.len(), 1, "50 rows fit one morsel");
-        ex.record_metrics(mem.metrics_mut());
-        let m = mem.metrics();
-        assert_eq!(m.counter("query.op.scan_col.rows_in"), 50);
-        assert_eq!(m.counter("query.op.scan_col.invocations"), 1);
-        assert_eq!(m.counter("query.op.filter.rows_in"), 50);
-        assert_eq!(m.counter("query.op.filter.rows_out"), 5);
-        assert_eq!(m.counter("query.op.project.rows_out"), 5);
-        assert_eq!(
-            m.counter("query.op.merge.invocations"),
-            0,
-            "driver owns merge"
-        );
+        let stats = |op: &str| {
+            ex.op_actuals()
+                .into_iter()
+                .find(|(name, _)| *name == op)
+                .map(|(_, s)| (s.invocations, s.rows_in, s.rows_out))
+        };
+        assert_eq!(stats("scan_col"), Some((1, 50, 50)));
+        assert_eq!(stats("filter"), Some((1, 50, 5)));
+        assert_eq!(stats("project"), Some((1, 5, 5)));
+        assert_eq!(stats("merge"), None, "driver owns merge");
         // The selection vectors and the chunk scratch went back to the
         // pool for the next query.
         assert_eq!(scratch.allocs(), 3);

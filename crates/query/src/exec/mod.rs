@@ -350,7 +350,7 @@ pub(crate) fn run_verified(
         .or_else(|e| fail_exec(mem, e))?;
 
     // Stage 1: the pipeline-breaking merge, profiled as its own phase on
-    // core 0. Its per-operator actuals are recorded here — the driver owns
+    // core 0. Its per-operator actuals are counted here — the driver owns
     // this stage, not the stage-0 executor.
     let bound = verified.bound();
     let merge_stats = OpStats {
@@ -367,7 +367,6 @@ pub(crate) fn run_verified(
         rows_out: batch.len() as u64,
         ..merge_stats
     };
-    merge_full.record_into(mem.metrics_mut(), "query.op", "merge");
 
     // Attribute estimates and measured cycles/bytes to the DAG nodes that
     // actually ran (the fallback executor's nodes when the run degraded).
@@ -525,9 +524,8 @@ fn run_scan<'v>(
                     fb: AccessPath|
      -> Result<Stage0<'v>> {
         let mut ex = QueryExecutor::new(verified, fb);
-        let res = profiled(m, scan_span(fb), p, |m| ex.run_stage0(m, entry, s));
-        ex.record_metrics(m.metrics_mut());
-        res.map(|partials| (partials, ex.op_actuals()))
+        profiled(m, scan_span(fb), p, |m| ex.run_stage0(m, entry, s))
+            .map(|partials| (partials, ex.op_actuals()))
     };
     match (out.path, resilience) {
         (path @ (AccessPath::Row | AccessPath::Col), _) => {
@@ -538,7 +536,6 @@ fn run_scan<'v>(
             let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
                 ex.run_stage0_rm(m, scratch)
             });
-            ex.record_metrics(mem.metrics_mut());
             let (partials, stats) = res?;
             out.rm_stats = Some(stats);
             Ok((partials, ex.op_actuals()))
@@ -568,7 +565,6 @@ fn run_scan<'v>(
                 stats = device;
                 res
             });
-            ex.record_metrics(mem.metrics_mut());
             out.rm_stats = Some(stats);
 
             match res {
@@ -600,7 +596,7 @@ fn run_scan<'v>(
 }
 
 /// Short stable tag for a verified geometry, used in calibration ledger
-/// keys (the full Debug form is too long for a metric name): FNV-1a over
+/// keys (the full Debug form is too long for a key): FNV-1a over
 /// the Debug rendering, folded to 8 hex digits.
 fn geometry_tag(geometry: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -729,14 +725,12 @@ fn finish_output(
             geometry_tag(&format!("{:?}", verified.geometry())),
             path_str
         );
-        let e = mem.calib_mut().observe(
+        mem.calib_mut().observe(
             &key,
             rel_err(est_ns, out.ns, est_ns),
             rel_err(est_bytes, actual_bytes as f64, est_bytes),
         );
-        let metrics = mem.metrics_mut();
-        metrics.counter_add("calib.observations", 1);
-        e.record_into(metrics, &key);
+        mem.metrics_mut().counter_add("calib.observations", 1);
     }
 
     Ok(out)
@@ -1093,17 +1087,27 @@ mod tests {
         // The merge and sort phases moved no hierarchy bytes (host-side).
         assert_eq!(out.profile[1].bytes_read, 0);
         assert_eq!(out.profile[2].bytes_read, 0);
-        // Metrics accounted the run, including per-operator actuals.
+        // Metrics accounted the run; the per-operator actuals live in its
+        // one record.
         let metrics = engine.mem_ref().metrics();
         assert_eq!(metrics.counter("query.executions"), 1);
         assert_eq!(metrics.counter("query.path.row"), 1);
         assert_eq!(metrics.counter("query.rows_out"), 20);
-        assert_eq!(metrics.counter("query.op.scan_row.rows_in"), 200);
-        assert_eq!(metrics.counter("query.op.filter.rows_in"), 200);
-        assert_eq!(metrics.counter("query.op.filter.rows_out"), 20);
-        assert_eq!(metrics.counter("query.op.project.rows_out"), 20);
-        assert_eq!(metrics.counter("query.op.merge.invocations"), 1);
-        assert_eq!(metrics.counter("query.op.merge.rows_out"), 20);
+        let ops: Vec<_> = out
+            .ops
+            .iter()
+            .map(|o| (o.op, o.invocations, o.rows_in, o.rows_out))
+            .collect();
+        assert_eq!(
+            ops,
+            vec![
+                ("scan_row", 1, 200, 200),
+                ("filter", 1, 200, 20),
+                ("project", 1, 20, 20),
+                ("merge", 1, 20, 20),
+            ]
+        );
+        assert_eq!(engine.querylog().records().last().unwrap().ops, out.ops);
     }
 
     #[test]

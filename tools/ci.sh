@@ -53,8 +53,10 @@
 #                                and 7 are both gated, compared against
 #                                the checked-in results/BENCH_*.json
 #                                baselines: cycle
-#                                counters exact, gauges — including the
-#                                q1/q6 latency percentiles — at 5%,
+#                                counters exact, histograms exact in
+#                                count, sum, min, max and every bucket
+#                                (so every latency percentile read from
+#                                them), gauges at 5%,
 #                                wall-clock excluded; the query-log
 #                                documents results/QUERYLOG_{calib,
 #                                report,workload}.json byte for byte, so
@@ -94,7 +96,14 @@
 #                                projection per returned row, never per
 #                                qualifying or memoised row; a one-row
 #                                op-cache hit allocates at most 8 times,
-#                                the same at 88 metric keys as at 500)
+#                                the same at 62 metric keys as at 485);
+#                                then tests/bounded_state.rs under the
+#                                fixed seed: a session per generated
+#                                statement over its own column set (a
+#                                plan geometry and ledger key of its own)
+#                                at 1/2/4 cores, and the metrics registry
+#                                holds exactly the same keys after 250
+#                                sessions as after 25 — DESIGN.md §27)
 #  15. result batches           (tests/result_batch.rs under the fixed
 #                                seed: projections over all eight column
 #                                types, every ORDER BY / LIMIT shape, on
@@ -224,6 +233,7 @@ seeded_test "device reference" device_reference "$SEED"
 # binary only.
 say "allocation steady state"
 cargo test -q --test alloc_steady_state
+seeded_test "bounded state" bounded_state "$GRID" "$SEED"
 
 seeded_test "result batches" result_batch "$GRID" "$SEED"
 seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
