@@ -7,21 +7,17 @@
 //!   stream; the prefetcher loves it), and
 //!   [`scan_filter_cand_range_into`], the same scan intersected with an
 //!   earlier pass's selection vector;
-//! * [`refine_conj`] — re-check a candidate list against another column
-//!   (data-dependent, irregular accesses; the prefetcher does not);
 //! * [`for_each_lockstep`] — stream several columns in lockstep batches.
 //!   Each batch switches between `p` column arrays: with more than the
 //!   prefetcher's stream capacity (4 on the A53) every switch retrains,
 //!   which is the mechanical source of the paper's four-column crossover;
-//! * [`reconstruct`] — lockstep iteration plus per-value tuple-stitching
-//!   cost, the "tuple reconstruction cost" of paper §II;
 //! * [`sum_expr`] — aggregate an expression over columns.
 //!
 //! Values leave the lockstep pass a *chunk* at a time, as typed column
 //! views over the arrays' own bytes ([`lockstep_chunks_range`],
-//! [`lockstep_chunks_fused`]); the `for_each_lockstep*` entry points and
-//! [`reconstruct`] are the same kernel with a decoded tuple per row, for
-//! callers that want `Value`s. Predicates compare through the same views.
+//! [`lockstep_chunks_fused`]); the `for_each_lockstep*` entry points are
+//! the same kernel with a decoded tuple per row, for callers that want
+//! `Value`s. Predicates compare through the same views.
 
 use crate::table::{ColRef, ColTable};
 use fabric_sim::MemoryHierarchy;
@@ -53,26 +49,6 @@ fn check_selection(t: &ColTable, sel: &[u32]) -> Result<()> {
             len: t.len(),
         }),
         _ => Ok(()),
-    }
-}
-
-/// A batch of reconstructed tuples, row-major.
-pub struct TupleBatch {
-    pub arity: usize,
-    pub values: Vec<Value>,
-}
-
-impl TupleBatch {
-    pub fn rows(&self) -> usize {
-        if self.arity == 0 {
-            0
-        } else {
-            self.values.len() / self.arity
-        }
-    }
-
-    pub fn row(&self, i: usize) -> &[Value] {
-        &self.values[i * self.arity..(i + 1) * self.arity]
     }
 }
 
@@ -205,46 +181,6 @@ pub fn scan_filter_cand_range_into(
     Ok(())
 }
 
-/// Refine a candidate list against another column (several conjuncts on
-/// it in one pass). The accesses follow the candidate positions —
-/// ascending but data-dependent, so prefetching is unreliable, which is
-/// why candidate-list scans degrade as more selection columns pile up.
-pub fn refine_conj(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    col: ColumnId,
-    preds: &[(CmpOp, Value)],
-    candidates: &[u32],
-) -> Result<Vec<u32>> {
-    let c = t.col(col)?;
-    check_selection(t, candidates)?;
-    let w = c.ty.width();
-    let costs = mem.costs();
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut done = 0usize;
-    for chunk in candidates.chunks(BATCH_ROWS) {
-        mem.cpu(costs.vector_setup);
-        mem.touch_read(t.sv_in_addr(done), chunk.len() * 4);
-        let out0 = out.len();
-        'cands: for &pos in chunk {
-            mem.touch_read(c.at(pos as usize), w);
-            mem.cpu(costs.vector_elem + costs.value_op * preds.len() as u64);
-            let v = ColumnView::new(c.ty, mem.bytes(c.at(pos as usize), w), w);
-            for (op, value) in preds {
-                if !op.matches(v.compare(0, value)?) {
-                    continue 'cands;
-                }
-            }
-            out.push(pos);
-        }
-        if out.len() > out0 {
-            mem.touch_write(t.sv_out_addr(out0), (out.len() - out0) * 4);
-        }
-        done += chunk.len();
-    }
-    Ok(out)
-}
-
 /// Stream `cols` in lockstep over `sel` (or all rows), invoking `f` with
 /// `(row_id, values)` for every row. No tuple-reconstruction cost is charged
 /// — use this for aggregation-style consumption; the caller charges its own
@@ -259,7 +195,7 @@ pub fn for_each_lockstep<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    lockstep_rows(mem, t, cols, RowSet::of(t, sel), false, true, f, |_| Ok(()))
+    lockstep_rows(mem, t, cols, RowSet::of(t, sel), true, f)
 }
 
 /// [`for_each_lockstep`] over an explicit selection vector that is still
@@ -278,7 +214,7 @@ pub fn for_each_lockstep_fused<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    lockstep_rows(mem, t, cols, RowSet::Sel(sel), false, false, f, |_| Ok(()))
+    lockstep_rows(mem, t, cols, RowSet::Sel(sel), false, f)
 }
 
 /// [`for_each_lockstep`] over the dense raw-row range `[start, end)` —
@@ -295,50 +231,7 @@ where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
     let rows = RowSet::range(t, start, end);
-    lockstep_rows(mem, t, cols, rows, false, true, f, |_| Ok(()))
-}
-
-/// Reconstruct row-major tuples batch by batch, charging the per-value
-/// reconstruction cost, and hand each [`TupleBatch`] to `f`. This is the
-/// materializing path whose cost grows with projectivity (paper §II:
-/// *"increased tuple reconstruction cost for queries with high
-/// projectivity"*).
-pub fn reconstruct<F>(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    cols: &[ColumnId],
-    sel: Option<&[u32]>,
-    mut f: F,
-) -> Result<()>
-where
-    F: FnMut(&mut MemoryHierarchy, &TupleBatch) -> Result<()>,
-{
-    let batch = std::cell::RefCell::new(TupleBatch {
-        arity: cols.len(),
-        values: Vec::new(),
-    });
-    let on_row = |_: &mut MemoryHierarchy, _, vals: &[Value]| {
-        batch.borrow_mut().values.extend_from_slice(vals);
-        Ok(())
-    };
-    let end_chunk = |mem: &mut MemoryHierarchy| {
-        let mut batch = batch.borrow_mut();
-        if !batch.values.is_empty() {
-            f(mem, &batch)?;
-            batch.values.clear();
-        }
-        Ok(())
-    };
-    lockstep_rows(
-        mem,
-        t,
-        cols,
-        RowSet::of(t, sel),
-        true,
-        true,
-        on_row,
-        end_chunk,
-    )
+    lockstep_rows(mem, t, cols, rows, true, f)
 }
 
 /// Lockstep pass over the dense raw-row range `[start, end)` a chunk at a
@@ -398,10 +291,7 @@ fn lockstep_chunks(
         mem.cpu(pass_cycles);
         Ok(())
     };
-    let end_chunk = |_: &mut MemoryHierarchy| Ok(());
-    lockstep_impl(
-        mem, t, cols, rows, false, read_sv, scratch, consume, on_row, end_chunk,
-    )
+    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, on_row)
 }
 
 /// Which rows a lockstep pass visits: a dense raw-row range (unselective
@@ -449,17 +339,14 @@ pub fn sum_expr(
 
 /// [`lockstep_impl`] a row at a time: every row is decoded into one tuple
 /// buffer and handed to `on_row(mem, row id, values)` where the kernel
-/// charges it; `end_chunk` fires at batch boundaries.
-#[allow(clippy::too_many_arguments)]
+/// charges it.
 fn lockstep_rows(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
-    materialize: bool,
     read_sv: bool,
     mut on_row: impl FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
-    end_chunk: impl FnMut(&mut MemoryHierarchy) -> Result<()>,
 ) -> Result<()> {
     let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
     let mut row_buf: Vec<Value> = Vec::with_capacity(cols.len());
@@ -473,18 +360,7 @@ fn lockstep_rows(
     };
     let scratch = &mut ScanScratch::default();
     let consume = |_: &Chunk<'_>, _: &[u32]| Ok(());
-    lockstep_impl(
-        mem,
-        t,
-        cols,
-        rows,
-        materialize,
-        read_sv,
-        scratch,
-        consume,
-        decoded,
-        end_chunk,
-    )
+    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, decoded)
 }
 
 /// The one lockstep kernel.
@@ -494,23 +370,19 @@ fn lockstep_rows(
 /// the charge sequence — the selection vector's read unless it is
 /// register-resident (`read_sv` false: fused producer→consumer), then per
 /// row each column array in turn (a stream switch per column, which is what
-/// exposes the prefetcher's stream limit), one `vector_elem` per value
-/// (plus the stitching cost when tuples are materialized) and
+/// exposes the prefetcher's stream limit), one `vector_elem` per value and
 /// `on_row(mem, row id)` — which stops after the row `consume` failed on,
-/// if it did; (iii) `end_chunk`. `vector_setup` is charged once per
-/// invocation.
+/// if it did. `vector_setup` is charged once per invocation.
 #[allow(clippy::too_many_arguments)]
 fn lockstep_impl(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
-    materialize: bool,
     read_sv: bool,
     scratch: &mut ScanScratch,
     mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
     mut on_row: impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>,
-    mut end_chunk: impl FnMut(&mut MemoryHierarchy) -> Result<()>,
 ) -> Result<()> {
     let costs = mem.costs();
     let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
@@ -529,10 +401,8 @@ fn lockstep_impl(
     // so the hierarchy sees one interleaved line stream per column — the
     // access pattern of tuple-at-a-time reconstruction from `p` arrays.
     let mut last_line: Vec<u64> = vec![u64::MAX; cols.len()];
-    // Per row: one `vector_elem` per value, plus the stitching cost when
-    // tuples are materialized.
-    let per_value = costs.vector_elem + if materialize { costs.reconstruct } else { 0 };
-    let row_cycles = per_value * cols.len() as u64;
+    // Per row: one `vector_elem` per value.
+    let row_cycles = costs.vector_elem * cols.len() as u64;
     let mut gather: Vec<(u64, usize)> = Vec::with_capacity(cols.len());
     // One byte region spanning the arrays; rows are table positions.
     let lo = refs.iter().map(|c| c.addr).min().unwrap_or(0);
@@ -589,7 +459,6 @@ fn lockstep_impl(
             return Err(e);
         }
         done += n;
-        end_chunk(mem)?;
     }
     Ok(())
 }
@@ -666,15 +535,6 @@ mod tests {
         let (mut mem, t) = fixture();
         let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 10);
         assert_eq!(sel, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn refine_narrows_candidates() {
-        let (mut mem, t) = fixture();
-        let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 500);
-        let sel = refine_conj(&mut mem, &t, 1, &[(CmpOp::Eq, Value::I32(7))], &sel).unwrap();
-        // i < 500 && i % 100 == 7 -> 7, 107, 207, 307, 407.
-        assert_eq!(sel, vec![7, 107, 207, 307, 407]);
     }
 
     #[test]
@@ -868,45 +728,11 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_builds_row_major_batches() {
-        let (mut mem, t) = fixture();
-        let mut total_rows = 0;
-        let mut first = None;
-        reconstruct(&mut mem, &t, &[2, 0], None, |_, batch| {
-            assert_eq!(batch.arity, 2);
-            if first.is_none() {
-                first = Some(batch.row(1).to_vec());
-            }
-            total_rows += batch.rows();
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(total_rows, 3000);
-        assert_eq!(first.unwrap(), vec![Value::F64(0.5), Value::I32(1)]);
-    }
-
-    #[test]
-    fn reconstruct_charges_more_cpu_than_lockstep() {
-        let (mut mem, t) = fixture();
-        let c0 = mem.stats().cpu_cycles;
-        for_each_lockstep(&mut mem, &t, &[0, 1, 2], None, |_, _, _| Ok(())).unwrap();
-        let lockstep_cpu = mem.stats().cpu_cycles - c0;
-
-        let (mut mem2, t2) = fixture();
-        let c0 = mem2.stats().cpu_cycles;
-        reconstruct(&mut mem2, &t2, &[0, 1, 2], None, |_, _| Ok(())).unwrap();
-        let reconstruct_cpu = mem2.stats().cpu_cycles - c0;
-        assert!(reconstruct_cpu > lockstep_cpu);
-    }
-
-    #[test]
     fn empty_selection_is_fine() {
         let (mut mem, t) = fixture();
         let sel: Vec<u32> = Vec::new();
         let s = sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&sel)).unwrap();
         assert_eq!(s, 0.0);
-        let out = refine_conj(&mut mem, &t, 0, &[(CmpOp::Eq, Value::I32(1))], &sel).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -914,7 +740,7 @@ mod tests {
         let (mut mem, t) = fixture();
         let bad = vec![0u32, 5000]; // table has 3000 rows
         let preds = [(CmpOp::Ge, Value::I32(0))];
-        let err = refine_conj(&mut mem, &t, 0, &preds, &bad).unwrap_err();
+        let err = scan_cand(&mut mem, &t, 0, &preds, &bad, (0, t.len())).unwrap_err();
         assert_eq!(
             err,
             FabricError::RowIndexOutOfRange {
@@ -922,7 +748,6 @@ mod tests {
                 len: 3000
             }
         );
-        assert!(scan_cand(&mut mem, &t, 0, &preds, &bad, (0, t.len())).is_err());
         assert!(for_each_lockstep(&mut mem, &t, &[0], Some(&bad), |_, _, _| Ok(())).is_err());
         assert!(sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&bad)).is_err());
     }

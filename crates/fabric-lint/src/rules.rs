@@ -49,7 +49,6 @@ const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "forma
 /// boundary visible in test code and future public-API drift.
 const EXEC_INTERNAL_TYPES: &[&str] = &[
     "QueryExecutor",
-    "OpNode",
     "Consumer",
     "CacheSlot",
     "OpCache",

@@ -34,7 +34,6 @@ pub mod calib;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod opstats;
 pub mod profile;
 pub mod querylog;
 pub mod recorder;
@@ -47,7 +46,6 @@ pub use calib::{CalibEntry, CalibLedger, EWMA_ALPHA};
 pub use flight::{FlightRecorder, Postmortem};
 pub use json::{escaped, parse_json, validate_chrome_trace, ChromeTraceSummary, Json};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use opstats::OpStats;
 pub use profile::{ProfileStats, SamplingProfiler};
 pub use querylog::{
     OpRecord, QueryLog, QueryRecord, WorkloadEntry, WorkloadReport, DEFAULT_QUERYLOG_CAP,

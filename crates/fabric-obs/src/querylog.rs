@@ -28,19 +28,21 @@ use crate::topdown::TopDownSummary;
 /// host heap without bound.
 pub const DEFAULT_QUERYLOG_CAP: usize = 256;
 
-/// Per-operator estimated and actual attribution for one DAG node of an
+/// Per-operator estimated and actual attribution for one operator of an
 /// executed query — the rows of the EXPLAIN ANALYZE operator tree and of
 /// the query log's `ops` array.
 ///
-/// Estimates are the node's share of the path estimate; the shares sum
-/// to the path total bit-exactly. Actuals apportion the measured scan
-/// phase: each stage-0 node gets cycles proportional to its estimate
-/// share (the scan node absorbing the integer remainder so the stage-0
-/// cycles also sum exactly), the scan node owns the phase's bytes, and
-/// the merge node carries its own phase's measurements.
+/// Estimates are the operator's share of the path estimate; the shares
+/// sum to the path total bit-exactly. Actuals apportion the measured scan
+/// phase: each stage-0 operator gets cycles proportional to its estimate
+/// share (the scan absorbing the integer remainder so the stage-0 cycles
+/// also sum exactly), the scan owns the phase's bytes, and the merge
+/// carries its own phase's measurements. Rows and invocations come from
+/// the stage's one total: every stage-0 operator ran once per kernel
+/// pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpRecord {
-    /// Operator name as lowered (`scan_row`, `filter`, `aggregate`, ...).
+    /// Operator name (`scan_row`, `filter`, `aggregate`, ...).
     pub op: &'static str,
     /// Estimated nanoseconds for this operator.
     pub est_ns: f64,

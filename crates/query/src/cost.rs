@@ -160,10 +160,9 @@ pub fn estimate_parallel(
 
 /// Per-operator cost components of the three paths, before parallel
 /// scaling. The per-row time of every path is the sum of a path-specific
-/// scan term plus the shared `pred` and `consume` terms — the same three
-/// pieces the executor lowers to `Scan → [Filter] → Project|Aggregate`,
-/// which is what lets [`split_path_cost`] attribute the path estimate to
-/// individual DAG nodes.
+/// scan term plus the shared `pred` and `consume` terms — the three pieces
+/// of stage 0's fused kernel, which is what lets [`split_path_cost`]
+/// attribute the path estimate to individual operators.
 struct PathTerms {
     /// ROW scan per-row ns: line traffic + morsel-kernel decode.
     row_scan_ns: f64,
@@ -300,7 +299,7 @@ fn path_terms(
 /// [`split_path_cost`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpEstimate {
-    /// Operator name as the executor lowers it (`scan_row`, `filter`,
+    /// Operator name (`scan_row`, `scan_col`, `scan_rm`, `filter`,
     /// `aggregate`, `project`, `merge`).
     pub op: &'static str,
     /// This operator's share of the path's estimated nanoseconds.
@@ -310,8 +309,11 @@ pub struct OpEstimate {
     pub bytes: f64,
 }
 
-/// Split a path's estimate across the operator DAG the executor lowers
-/// for `bound`: `scan_<path> → [filter] → project|aggregate → merge`.
+/// The one place a plan's operator list is decided: split a path's
+/// estimate across `scan_<path> → [filter] → project|aggregate → merge`,
+/// in that order. The first three are stage 0's fused kernel; `filter`
+/// exists only under predicates. The executor's per-operator records
+/// follow this list and derive their rows from the stage totals.
 ///
 /// Shares are proportional to the per-row cost terms of
 /// [`estimate_parallel`] (scan term, predicate term, consume term);
@@ -348,8 +350,8 @@ pub fn split_path_cost(
         AccessPath::Rm => "scan_rm",
     };
 
-    // Stage-0 weights mirror the lowering: Filter exists only under
-    // predicates; consumption is Aggregate or Project.
+    // Stage-0 weights: the filter exists only under predicates;
+    // consumption is an aggregate or a projection.
     let mut weighted: Vec<(&'static str, f64)> = vec![(scan_op, scan_weight)];
     if !bound.preds.is_empty() {
         weighted.push(("filter", t.pred_ns));
@@ -636,6 +638,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn operator_list_follows_the_plan() {
+        let c = catalog(true);
+        let sim = SimConfig::zynq_a53();
+        let rm = RmConfig::prototype();
+        let entry = c.get("t").unwrap();
+        let names = |sql: &str, path| {
+            let bound = bind(&c, &parse(sql).unwrap()).unwrap();
+            let cost = estimate_parallel(&sim, &rm, entry, &bound, 1).unwrap();
+            let ops = split_path_cost(&sim, &rm, entry, &bound, path, &cost).unwrap();
+            ops.iter().map(|o| o.op).collect::<Vec<_>>()
+        };
+        // Stage 0 is the scan, a filter under predicates and the
+        // consumer; the merge breaks the pipeline and comes last.
+        assert_eq!(
+            names("SELECT c0 FROM t WHERE c0 < 5", AccessPath::Row),
+            ["scan_row", "filter", "project", "merge"]
+        );
+        assert_eq!(
+            names("SELECT sum(c1) FROM t", AccessPath::Rm),
+            ["scan_rm", "aggregate", "merge"]
+        );
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The staged query executor: one lowered operator DAG per run, fused
-//! vectorized stage-0 kernels per path, scratch buffers from the
-//! session's [`Scratchpad`].
+//! Stage 0 of the pipeline in [`super::run_verified`]: the fused
+//! vectorized kernel of one access path, driven over morsels, with scratch
+//! buffers lent by the session's [`Scratchpad`].
 //!
-//! [`QueryExecutor`] is stage 0 of the pipeline in [`super::run_verified`]:
-//! it drives the path-specific fused kernel over morsels, schedules each
-//! morsel onto the earliest-free simulated core, and returns the
-//! per-morsel partial [`Consumer`]s. The pipeline-breaking merge (stage 1)
-//! stays in the driver, where it runs as its own profiled phase.
-//!
-//! Per-operator actuals accumulate on the DAG nodes as morsels flow
-//! through; [`QueryExecutor::op_actuals`] hands them to the driver, which
-//! records them once, in the query's `ops`.
+//! [`QueryExecutor`] runs the path's kernel on each morsel (ROW/COL: a
+//! [`MORSEL_ROWS`] range; RM: the delivered batches, rolled over at the
+//! same boundaries) on the earliest-free simulated core, and returns the
+//! per-morsel partial [`Consumer`]s with one [`StageTotal`] of what the
+//! kernel passes saw. The pipeline-breaking merge (stage 1) stays in the
+//! driver, where it runs as its own profiled phase, and the driver derives
+//! every operator's actuals from the two stages' totals.
 
 use crate::analyze::VerifiedQuery;
 use crate::bind::BoundQuery;
@@ -23,62 +21,46 @@ use relmem::{EphemeralColumns, PackedBatch, RmConfig, RmStats};
 use std::rc::Rc;
 
 use super::buffer::{ChunkScratch, Scratchpad};
-use super::operators::{earliest_core, ConsumePlan, Consumer, OpKind, OpNode};
+use super::operators::{ConsumePlan, Consumer};
 use super::{FaultContext, MORSEL_ROWS};
 
-/// Stage-0 executor for one verified plan on one access path. Lowers the
-/// plan to its operator DAG at construction; [`Self::stages`] exposes the
-/// stage partition (streamable operators fuse, `Merge` breaks).
+/// What one stage of a run did, summed over its invocations: kernel
+/// passes (morsels on ROW/COL, delivered batches on RM) with the rows
+/// they scanned and the rows that passed the filter, or the merge's folds
+/// with the partial rows folded and the rows produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StageTotal {
+    pub(crate) passes: u64,
+    pub(crate) rows_in: u64,
+    pub(crate) rows_out: u64,
+}
+
+impl StageTotal {
+    fn add(&mut self, rows_in: u64, rows_out: u64) {
+        self.passes += 1;
+        self.rows_in += rows_in;
+        self.rows_out += rows_out;
+    }
+}
+
+/// Stage 0's output: the per-morsel partials, in morsel order, and what
+/// the kernel passes saw.
+pub(crate) type Stage0<'q> = (Vec<Consumer<'q>>, StageTotal);
+
+/// Stage-0 executor for one verified plan on one access path.
 pub struct QueryExecutor<'q> {
     verified: &'q VerifiedQuery<'q>,
     path: AccessPath,
-    nodes: Vec<OpNode>,
 }
 
 impl<'q> QueryExecutor<'q> {
-    /// Lower `verified` to its operator DAG for `path`.
+    /// Stage 0 of `verified` on `path`.
     pub fn new(verified: &'q VerifiedQuery<'q>, path: AccessPath) -> Self {
-        let bound = verified.bound();
-        let mut nodes = vec![OpNode::new(OpKind::Scan(path))];
-        if !bound.preds.is_empty() {
-            nodes.push(OpNode::new(OpKind::Filter));
-        }
-        nodes.push(OpNode::new(if bound.has_aggregates() {
-            OpKind::Aggregate
-        } else {
-            OpKind::Project
-        }));
-        nodes.push(OpNode::new(OpKind::Merge));
-        QueryExecutor {
-            verified,
-            path,
-            nodes,
-        }
+        QueryExecutor { verified, path }
     }
 
     fn bound(&self) -> &'q BoundQuery {
         self.verified.bound()
-    }
-
-    /// The stage partition of the DAG: consecutive streamable operators
-    /// fuse into one stage; each pipeline breaker is a stage of its own.
-    pub fn stages(&self) -> Vec<Vec<&'static str>> {
-        let mut stages = Vec::new();
-        let mut fused = Vec::new();
-        for n in &self.nodes {
-            if n.kind.streamable() {
-                fused.push(n.kind.name());
-            } else {
-                if !fused.is_empty() {
-                    stages.push(std::mem::take(&mut fused));
-                }
-                stages.push(vec![n.kind.name()]);
-            }
-        }
-        if !fused.is_empty() {
-            stages.push(fused);
-        }
-        stages
     }
 
     /// The plan's consumption resolved once for this run; every morsel
@@ -100,39 +82,13 @@ impl<'q> QueryExecutor<'q> {
         )
     }
 
-    /// Credit one fused kernel pass (`rows_in` scanned, `rows_out`
-    /// surviving the filter) to every stage-0 node it flowed through.
-    fn note_scan(&mut self, rows_in: u64, rows_out: u64) {
-        for node in &mut self.nodes {
-            match node.kind {
-                OpKind::Scan(_) => node.stats.record(rows_in, rows_in),
-                OpKind::Filter => node.stats.record(rows_in, rows_out),
-                OpKind::Project | OpKind::Aggregate => node.stats.record(rows_out, rows_out),
-                OpKind::Merge => {} // stage 1: the driver records it
-            }
-        }
-    }
-
-    /// The accumulated per-operator actuals of stage 0, in DAG order,
-    /// for nodes that ran (merge is driver-owned and never appears).
-    /// Carried out through `run_scan` so `finish_output` can attribute
-    /// the scan phase's cycles and bytes to individual operators.
-    pub(crate) fn op_actuals(&self) -> Vec<(&'static str, fabric_sim::OpStats)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.stats.invocations > 0)
-            .map(|n| (n.kind.name(), n.stats))
-            .collect()
-    }
-
-    /// Run stage 0 on a software path (ROW / COL), returning the
-    /// per-morsel partials for the driver's merge stage.
+    /// Run stage 0 on a software path (ROW / COL).
     pub(crate) fn run_stage0(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         entry: &TableEntry,
         scratch: &mut Scratchpad,
-    ) -> Result<Vec<Consumer<'q>>> {
+    ) -> Result<Stage0<'q>> {
         match self.path {
             AccessPath::Col => self.run_col(mem, entry, scratch),
             _ => self.run_row(mem, entry, scratch),
@@ -141,28 +97,19 @@ impl<'q> QueryExecutor<'q> {
 
     /// ROW stage 0: fused vectorized scan→filter→consume per morsel
     /// ([`rowstore::scan_range_chunks`]) — no per-operator `next()`
-    /// charge, no mispredict charge on rejected rows, one chunk scratch
-    /// recycled from the scratchpad across every morsel.
+    /// charge, no mispredict charge on rejected rows.
     fn run_row(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         entry: &TableEntry,
         scratch: &mut Scratchpad,
-    ) -> Result<Vec<Consumer<'q>>> {
+    ) -> Result<Stage0<'q>> {
         let bound = self.bound();
         let plan = self.consume_plan()?;
         let row_cycles = Consumer::row_cycles(&plan, &mem.costs());
-        let total = entry.rows.len();
-        mem.fork_clocks();
-        let (cref, mut chunk) = scratch.take_chunk();
-        let mut partials: Vec<Consumer<'q>> = Vec::with_capacity(total / MORSEL_ROWS + 1);
-        let mut start = 0usize;
-        let res = loop {
-            let end = (start + MORSEL_ROWS).min(total);
-            mem.set_active_core(earliest_core(mem));
-            let mut consumer = next_partial(&plan, &partials);
-            let ChunkScratch { scan, eval } = &mut chunk;
-            let scanned = rowstore::scan_range_chunks(
+        let ChunkScratch { scan, eval } = scratch.chunk();
+        run_morsels(mem, &plan, entry.rows.len(), |mem, start, end, consumer| {
+            let counts = rowstore::scan_range_chunks(
                 mem,
                 &entry.rows,
                 &bound.touched,
@@ -172,33 +119,21 @@ impl<'q> QueryExecutor<'q> {
                 row_cycles,
                 scan,
                 |chunk, rows| consumer.consume(chunk, rows, eval),
-            );
-            match scanned {
-                Ok(counts) => self.note_scan(counts.rows_in, counts.rows_out),
-                Err(e) => break Err(e),
-            }
-            partials.push(consumer);
-            start = end;
-            if start >= total {
-                break Ok(());
-            }
-        };
-        scratch.put_chunk(cref, chunk);
-        mem.join_clocks();
-        mem.set_active_core(0);
-        res.map(|()| partials)
+            )?;
+            Ok(counts.rows_out)
+        })
     }
 
-    /// COL stage 0: column-at-a-time selection into pooled selection
+    /// COL stage 0: column-at-a-time selection into the two selection
     /// vectors (ping-ponged between candidate passes), then a fused
     /// lockstep reconstruction that keeps the survivor list
     /// register-resident instead of re-reading it from its backing store.
     fn run_col(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         entry: &TableEntry,
         scratch: &mut Scratchpad,
-    ) -> Result<Vec<Consumer<'q>>> {
+    ) -> Result<Stage0<'q>> {
         let bound = self.bound();
         let table = entry.cols.as_ref().ok_or_else(|| {
             FabricError::Sql(format!("table `{}` has no columnar copy", bound.table))
@@ -219,62 +154,24 @@ impl<'q> QueryExecutor<'q> {
             }
         }
 
-        let total = table.len();
-        mem.fork_clocks();
-        let (aref, mut sv) = scratch.take_sel();
-        let (bref, mut sv_next) = scratch.take_sel();
-        let (cref, mut chunk) = scratch.take_chunk();
-        let mut partials: Vec<Consumer<'q>> = Vec::with_capacity(total / MORSEL_ROWS + 1);
-        let mut start = 0usize;
-        let res = loop {
-            let end = (start + MORSEL_ROWS).min(total);
-            mem.set_active_core(earliest_core(mem));
-            let mut consumer = next_partial(&plan, &partials);
-            let ChunkScratch { scan, eval } = &mut chunk;
+        let cols = &bound.touched;
+        let (ChunkScratch { scan, eval }, [sv, sv_next]) = scratch.chunk_and_sels();
+        run_morsels(mem, &plan, table.len(), |mem, start, end, consumer| {
             let consume = |chunk: &Chunk<'_>, rows: &[u32]| consumer.consume(chunk, rows, eval);
-            let cols = &bound.touched;
-            let streamed = match by_col.split_first() {
-                None => colx::lockstep_chunks_range(
+            let Some(((c0, preds0), rest)) = by_col.split_first() else {
+                colx::lockstep_chunks_range(
                     mem, table, cols, start, end, row_cycles, scan, consume,
-                )
-                .map(|()| (end - start) as u64),
-                Some(((c0, preds0), rest)) => (|| {
-                    colx::scan_filter_conj_range_into(
-                        mem, table, *c0, preds0, start, end, &mut sv,
-                    )?;
-                    for (c, preds) in rest {
-                        colx::scan_filter_cand_range_into(
-                            mem,
-                            table,
-                            *c,
-                            preds,
-                            &sv,
-                            start,
-                            end,
-                            &mut sv_next,
-                        )?;
-                        std::mem::swap(&mut sv, &mut sv_next);
-                    }
-                    colx::lockstep_chunks_fused(mem, table, cols, &sv, row_cycles, scan, consume)?;
-                    Ok(sv.len() as u64)
-                })(),
+                )?;
+                return Ok((end - start) as u64);
             };
-            match streamed {
-                Ok(kept) => self.note_scan((end - start) as u64, kept),
-                Err(e) => break Err(e),
+            colx::scan_filter_conj_range_into(mem, table, *c0, preds0, start, end, sv)?;
+            for (c, preds) in rest {
+                colx::scan_filter_cand_range_into(mem, table, *c, preds, sv, start, end, sv_next)?;
+                std::mem::swap(sv, sv_next);
             }
-            partials.push(consumer);
-            start = end;
-            if start >= total {
-                break Ok(());
-            }
-        };
-        scratch.put_sel(aref, sv);
-        scratch.put_sel(bref, sv_next);
-        scratch.put_chunk(cref, chunk);
-        mem.join_clocks();
-        mem.set_active_core(0);
-        res.map(|()| partials)
+            colx::lockstep_chunks_fused(mem, table, cols, sv, row_cycles, scan, consume)?;
+            Ok(sv.len() as u64)
+        })
     }
 
     /// RM stage 0: consume delivered batches with a branch-free
@@ -282,12 +179,12 @@ impl<'q> QueryExecutor<'q> {
     /// data dependency, not a mispredicted branch), rolling partials over
     /// at the same [`MORSEL_ROWS`] boundaries as the software paths.
     pub(crate) fn run_stage0_rm(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         scratch: &mut Scratchpad,
-    ) -> Result<(Vec<Consumer<'q>>, RmStats)> {
-        let (partials, stats) = self.run_rm(mem, scratch, |eph, mem| Ok(eph.next_batch(mem)));
-        Ok((partials?, stats))
+    ) -> Result<(Stage0<'q>, RmStats)> {
+        let (stage0, stats) = self.run_rm(mem, scratch, |eph, mem| Ok(eph.next_batch(mem)));
+        Ok((stage0?, stats))
     }
 
     /// The RM stage 0 of [`Self::run_stage0_rm`], but every delivery runs
@@ -296,11 +193,11 @@ impl<'q> QueryExecutor<'q> {
     /// device stats — on error they carry the injected fault counts of
     /// the failed attempt into the degraded output.
     pub(crate) fn run_stage0_rm_resilient(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         scratch: &mut Scratchpad,
         ctx: &mut FaultContext,
-    ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
+    ) -> (Result<Stage0<'q>>, RmStats) {
         self.run_rm(mem, scratch, |eph, mem| {
             eph.next_batch_resilient(mem, &mut ctx.plan, &ctx.policy)
         })
@@ -308,17 +205,17 @@ impl<'q> QueryExecutor<'q> {
 
     /// Both RM variants: configure the device, pull batches with
     /// `next_batch` and consume them ([`PackedBatch::consume_chunks`]).
-    /// Error exits re-join the clocks and credit the batches consumed so
-    /// far, so the caller's accounting stays aligned.
+    /// Error exits re-join the clocks, so the caller's accounting stays
+    /// aligned.
     fn run_rm(
-        &mut self,
+        &self,
         mem: &mut MemoryHierarchy,
         scratch: &mut Scratchpad,
         mut next_batch: impl FnMut(
             &mut EphemeralColumns,
             &mut MemoryHierarchy,
         ) -> Result<Option<PackedBatch>>,
-    ) -> (Result<Vec<Consumer<'q>>>, RmStats) {
+    ) -> (Result<Stage0<'q>>, RmStats) {
         let bound = self.bound();
         let costs = mem.costs();
         let plan = match self.consume_plan() {
@@ -341,9 +238,10 @@ impl<'q> QueryExecutor<'q> {
         mem.fork_clocks();
         let mut partials: Vec<Consumer<'q>> = Vec::new();
         let mut current = Consumer::new(&plan);
+        let mut total = StageTotal::default();
         let row_cycles = Consumer::row_cycles(&plan, &costs) + costs.vector_elem;
         let mut consumed = 0usize;
-        let (cref, mut chunk) = scratch.take_chunk();
+        let ChunkScratch { scan, eval } = scratch.chunk();
         let res = loop {
             mem.set_active_core(earliest_core(mem));
             let b = match next_batch(&mut eph, mem) {
@@ -361,7 +259,6 @@ impl<'q> QueryExecutor<'q> {
                         partials.push(std::mem::replace(&mut current, next));
                     }
                     let n = (MORSEL_ROWS - consumed % MORSEL_ROWS).min(b.len() - r);
-                    let ChunkScratch { scan, eval } = &mut chunk;
                     kept += b.consume_chunks(
                         mem,
                         r..r + n,
@@ -376,16 +273,58 @@ impl<'q> QueryExecutor<'q> {
                 Ok(kept)
             })();
             match kept {
-                Ok(kept) => self.note_scan(b.len() as u64, kept),
+                Ok(kept) => total.add(b.len() as u64, kept),
                 Err(e) => break Err(e),
             }
         };
         partials.push(current);
-        scratch.put_chunk(cref, chunk);
         mem.join_clocks();
         mem.set_active_core(0);
-        (res.map(|()| partials), eph.stats())
+        (res.map(|()| (partials, total)), eph.stats())
     }
+}
+
+/// The ROW/COL morsel loop: fork the clocks, run `kernel` over each
+/// [`MORSEL_ROWS`] range of the `rows`-row table on the earliest-free core
+/// into a partial of its own, and join. `kernel` returns the rows of its
+/// range that passed the filter. An empty table is still one (empty)
+/// morsel; an error stops the loop with the clocks joined.
+fn run_morsels<'q>(
+    mem: &mut MemoryHierarchy,
+    plan: &Rc<ConsumePlan<'q>>,
+    rows: usize,
+    mut kernel: impl FnMut(&mut MemoryHierarchy, usize, usize, &mut Consumer<'q>) -> Result<u64>,
+) -> Result<Stage0<'q>> {
+    mem.fork_clocks();
+    let mut partials: Vec<Consumer<'q>> = Vec::with_capacity(rows / MORSEL_ROWS + 1);
+    let mut total = StageTotal::default();
+    let mut start = 0usize;
+    let res = loop {
+        let end = (start + MORSEL_ROWS).min(rows);
+        mem.set_active_core(earliest_core(mem));
+        let mut consumer = next_partial(plan, &partials);
+        match kernel(mem, start, end, &mut consumer) {
+            Ok(kept) => total.add((end - start) as u64, kept),
+            Err(e) => break Err(e),
+        }
+        partials.push(consumer);
+        start = end;
+        if start >= rows {
+            break Ok(());
+        }
+    };
+    mem.join_clocks();
+    mem.set_active_core(0);
+    res.map(|()| (partials, total))
+}
+
+/// Deterministic morsel scheduling: the earliest-free core, ties broken
+/// toward the lowest id. With one core this is always core 0 and the
+/// stage-0 kernels reduce to the serial engine.
+fn earliest_core(mem: &MemoryHierarchy) -> usize {
+    (0..mem.num_cores())
+        .min_by_key(|&i| (mem.core_now(i), i))
+        .unwrap_or(0)
 }
 
 /// An empty partial for the morsel after `partials`, sized like the last
@@ -424,56 +363,43 @@ mod tests {
     }
 
     #[test]
-    fn dag_shape_and_stage_partition_follow_the_plan() {
-        let (_mem, c) = setup();
-        let entry = c.get("t").unwrap();
-
-        let bound = bind(&c, &parse("SELECT id FROM t WHERE id < 5").unwrap()).unwrap();
-        let v = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
-        let ex = QueryExecutor::new(&v, AccessPath::Row);
-        assert_eq!(
-            ex.stages(),
-            vec![vec!["scan_row", "filter", "project"], vec!["merge"]],
-            "streamable ops fuse into stage 0; merge breaks"
-        );
-
-        let bound = bind(&c, &parse("SELECT sum(qty) FROM t").unwrap()).unwrap();
-        let v = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
-        let ex = QueryExecutor::new(&v, AccessPath::Rm);
-        assert_eq!(
-            ex.stages(),
-            vec![vec!["scan_rm", "aggregate"], vec!["merge"]]
-        );
-    }
-
-    #[test]
     fn stage0_records_per_operator_actuals() {
         let (mut mem, c) = setup();
         let entry = c.get("t").unwrap();
         let bound = bind(&c, &parse("SELECT id FROM t WHERE id < 5").unwrap()).unwrap();
         let v = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
         let mut scratch = Scratchpad::new();
-        scratch.begin_query();
-        let mut ex = QueryExecutor::new(&v, AccessPath::Col);
-        let partials = ex.run_stage0(&mut mem, entry, &mut scratch).unwrap();
+        let ex = QueryExecutor::new(&v, AccessPath::Col);
+        let (partials, total) = ex.run_stage0(&mut mem, entry, &mut scratch).unwrap();
         assert_eq!(partials.len(), 1, "50 rows fit one morsel");
-        let stats = |op: &str| {
-            ex.op_actuals()
-                .into_iter()
-                .find(|(name, _)| *name == op)
-                .map(|(_, s)| (s.invocations, s.rows_in, s.rows_out))
+        let want = StageTotal {
+            passes: 1,
+            rows_in: 50,
+            rows_out: 5,
         };
-        assert_eq!(stats("scan_col"), Some((1, 50, 50)));
-        assert_eq!(stats("filter"), Some((1, 50, 5)));
-        assert_eq!(stats("project"), Some((1, 5, 5)));
-        assert_eq!(stats("merge"), None, "driver owns merge");
-        // The selection vectors and the chunk scratch went back to the
-        // pool for the next query.
+        assert_eq!(total, want);
+        // The two selection vectors and the chunk scratch, allocated once.
         assert_eq!(scratch.allocs(), 3);
-        scratch.begin_query();
-        let mut ex = QueryExecutor::new(&v, AccessPath::Col);
         ex.run_stage0(&mut mem, entry, &mut scratch).unwrap();
         assert_eq!(scratch.allocs(), 3, "no new allocations on a warm pad");
         assert_eq!(scratch.reuses(), 3);
+
+        // Every stage-0 record of the run is a function of that total;
+        // merge is the driver's.
+        let out = crate::exec::execute_uncached(&mut mem, &c, &bound, AccessPath::Col).unwrap();
+        let actuals: Vec<_> = out
+            .ops
+            .iter()
+            .map(|o| (o.op, (o.invocations, o.rows_in, o.rows_out)))
+            .collect();
+        assert_eq!(
+            actuals,
+            [
+                ("scan_col", (1, 50, 50)),
+                ("filter", (1, 50, 5)),
+                ("project", (1, 5, 5)),
+                ("merge", (1, 5, 5)),
+            ]
+        );
     }
 }

@@ -6,11 +6,10 @@
 //! engine" property (§III-B): the engine always assumes only relevant data
 //! arrives.
 //!
-//! Execution is **staged and morsel-driven** (DESIGN.md §16). A verified
-//! plan lowers to a small operator DAG ([`operators`]); its streamable
-//! operators fuse into stage 0, which a [`QueryExecutor`] drives as one
-//! vectorized kernel pass per morsel ([`MORSEL_ROWS`] rows for ROW/COL,
-//! one delivered batch for RM), scheduling each morsel onto the
+//! Execution is **staged and morsel-driven** (DESIGN.md §16). Stage 0 —
+//! scan, filter and consumption fused — is one vectorized kernel pass per
+//! morsel, which a [`QueryExecutor`] drives ([`MORSEL_ROWS`] rows for
+//! ROW/COL, one delivered batch for RM), scheduling each morsel onto the
 //! earliest-free simulated core (ties to the lowest core id — fully
 //! deterministic). Each morsel feeds a private partial consumer; the
 //! pipeline-breaking merge is stage 1, its own profiled phase on core 0,
@@ -18,12 +17,14 @@
 //! for every core count — a single core simply runs the morsels back to
 //! back and the merge degenerates to concatenation in scan order.
 //!
-//! Stage buffers come from a per-session [`Scratchpad`] ([`buffer`]):
-//! morsel-sized vectors are recycled across stages and queries, with
-//! epoch-stamped tickets making aliasing a panic instead of a wrong
-//! answer. Results travel as typed [`batch::ResultBatch`]es from the
-//! consumers through the merge to the shared tail, which turns the rows it
-//! returns — and only those — into [`QueryOutput::rows`]. The merged stage
+//! Stage buffers are lent by a per-session [`Scratchpad`] ([`buffer`]):
+//! morsel-sized vectors recycled across stages and queries, owned by the
+//! session and borrowed by `&mut`, so the borrow checker rules out
+//! aliasing. Stage 0 reports one total of its kernel passes and rows, from
+//! which every operator's record is derived. Results travel as typed
+//! [`batch::ResultBatch`]es from the consumers through the merge to the
+//! shared tail, which turns the rows it returns — and only those — into
+//! [`QueryOutput::rows`]. The merged stage
 //! output of a clean run is memoized in a signature-keyed [`OpCache`]
 //! ([`opcache`]); a session re-running the same plan shape against the
 //! same table shares the memoized batch without touching the hierarchy
@@ -35,7 +36,7 @@ mod executor;
 pub mod opcache;
 pub(crate) mod operators;
 
-pub use buffer::{BufferKind, BufferRef, ChunkScratch, Scratchpad};
+pub use buffer::{ChunkScratch, Scratchpad};
 pub use executor::QueryExecutor;
 pub(crate) use opcache::CacheSlot;
 pub use opcache::OpCache;
@@ -46,14 +47,15 @@ use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, split_path_cost, AccessPath, PathCost};
 use fabric_sim::{
     topdown, Category, CircuitBreaker, CoreAttribution, FaultConfig, FaultPlan, MemStats,
-    MemoryHierarchy, OpRecord, OpStats, RecoveryPolicy, TopDownSummary,
+    MemoryHierarchy, OpRecord, RecoveryPolicy, TopDownSummary,
 };
 use fabric_types::{FabricError, Result, Value};
 use relmem::{RmConfig, RmStats};
 use std::rc::Rc;
 
 use batch::ResultBatch;
-use operators::{merge_partials, Consumer};
+use executor::{Stage0, StageTotal};
+use operators::merge_partials;
 
 /// Rows per ROW/COL morsel: large enough to amortize per-morsel operator
 /// setup and keep scans sequential, small enough to load-balance across
@@ -288,9 +290,6 @@ pub(crate) fn run_verified(
     scratch: &mut Scratchpad,
     meta: RecordMeta,
 ) -> Result<QueryOutput> {
-    // New query, new buffer epoch: tickets minted by the previous query
-    // are now invalid (see `buffer`).
-    scratch.begin_query();
     // The plan signature recorded in the query log: the cache key when
     // the run is keyed, else the same signature computed locally (bypass
     // entry points still get stable provenance).
@@ -346,15 +345,15 @@ pub(crate) fn run_verified(
         return finish_output(mem, verified, &batch, out, window, meta, sig);
     }
 
-    let (partials, actuals) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
+    let (partials, scanned) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
         .or_else(|e| fail_exec(mem, e))?;
 
     // Stage 1: the pipeline-breaking merge, profiled as its own phase on
-    // core 0. Its per-operator actuals are counted here — the driver owns
-    // this stage, not the stage-0 executor.
+    // core 0 and counted here — the driver owns this stage, not the
+    // stage-0 executor.
     let bound = verified.bound();
-    let merge_stats = OpStats {
-        invocations: partials.len() as u64,
+    let mut merged = StageTotal {
+        passes: partials.len() as u64,
         rows_in: partials.iter().map(|p| p.partial_len() as u64).sum(),
         rows_out: 0,
     };
@@ -363,14 +362,11 @@ pub(crate) fn run_verified(
     })
     .map(Rc::new)
     .or_else(|e| fail_exec(mem, e))?;
-    let merge_full = OpStats {
-        rows_out: batch.len() as u64,
-        ..merge_stats
-    };
+    merged.rows_out = batch.len() as u64;
 
-    // Attribute estimates and measured cycles/bytes to the DAG nodes that
-    // actually ran (the fallback executor's nodes when the run degraded).
-    out.ops = build_op_records(mem, entry, verified, &out, &actuals, &merge_full)
+    // Attribute estimates and measured cycles/bytes to the operators of
+    // the path that ran (the fallback path's when the run degraded).
+    out.ops = build_op_records(mem, entry, verified, &out, scanned, merged)
         .or_else(|e| fail_exec(mem, e))?;
 
     // Memoize the pre-sort/pre-limit stage output — clean runs only: a
@@ -409,18 +405,19 @@ struct Window {
     before: Vec<MemStats>,
 }
 
-/// Build the per-operator records for the path that ran (`out.path`):
-/// estimates from [`split_path_cost`], actuals apportioned from the
-/// measured scan and merge phases (see [`OpRecord`]). Uses the *last*
-/// non-failed scan phase of the path so a degraded run attributes the
-/// fallback scan, not the faulted RM attempt.
+/// Build the per-operator records for the path that ran (`out.path`), in
+/// the order [`split_path_cost`] lists its operators: estimates from that
+/// split; invocations and rows from the stage totals; cycles and bytes
+/// apportioned from the measured scan and merge phases (see
+/// [`OpRecord`]). Uses the *last* non-failed scan phase of the path so a
+/// degraded run attributes the fallback scan, not the faulted RM attempt.
 fn build_op_records(
     mem: &MemoryHierarchy,
     entry: &TableEntry,
     verified: &VerifiedQuery<'_>,
     out: &QueryOutput,
-    actuals: &[(&'static str, OpStats)],
-    merge: &OpStats,
+    scanned: StageTotal,
+    merged: StageTotal,
 ) -> Result<Vec<OpRecord>> {
     let ests = split_path_cost(
         mem.config(),
@@ -430,86 +427,68 @@ fn build_op_records(
         out.path,
         &out.cost,
     )?;
-    let scan_phase = out
-        .profile
-        .iter()
-        .rev()
-        .find(|p| p.name == scan_span(out.path) && !p.failed);
-    let merge_phase = out
-        .profile
-        .iter()
-        .rev()
-        .find(|p| p.name == "query::stage::merge" && !p.failed);
-    let phase_cycles = scan_phase.map_or(0, |p| p.cycles);
-    let phase_bytes = scan_phase.map_or(0, |p| p.bytes_read);
+    let last_phase = |name: &str| {
+        let phase = out
+            .profile
+            .iter()
+            .rev()
+            .find(|p| p.name == name && !p.failed);
+        phase.map_or((0, 0), |p| (p.cycles, p.bytes_read))
+    };
+    let (scan_cycles, scan_bytes) = last_phase(scan_span(out.path));
+    let merge_phase = last_phase("query::stage::merge");
 
-    // Apportion the scan phase's cycles by estimate share; non-scan nodes
-    // floor, the scan node absorbs the integer remainder so the stage-0
+    // Apportion the scan phase's cycles by estimate share over stage 0
+    // (every operator but the trailing merge); the operators after the
+    // scan floor, the scan absorbs the integer remainder so the stage-0
     // actuals sum to the measured phase exactly.
-    let stage0: Vec<&crate::cost::OpEstimate> = ests.iter().filter(|e| e.op != "merge").collect();
+    let stage0 = &ests[..ests.len().saturating_sub(1)];
     let wsum: f64 = stage0.iter().map(|e| e.ns).sum();
-    let mut attributed = 0u64;
-    let mut cycles_for: Vec<(&'static str, u64)> = Vec::with_capacity(stage0.len());
-    for e in stage0.iter().skip(1) {
-        let share = if wsum > 0.0 {
-            (phase_cycles as f64 * (e.ns / wsum)) as u64
+    let share = |ns: f64| {
+        if wsum > 0.0 {
+            (scan_cycles as f64 * (ns / wsum)) as u64
         } else {
             0
-        };
-        attributed += share;
-        cycles_for.push((e.op, share));
-    }
-    let stats_for = |op: &str| {
-        actuals
-            .iter()
-            .find(|(n, _)| *n == op)
-            .map_or(OpStats::default(), |(_, s)| *s)
+        }
     };
-    let mut ops = Vec::with_capacity(ests.len());
-    for e in &ests {
-        let (actual_cycles, actual_bytes, stats) = if e.op == "merge" {
-            (
-                merge_phase.map_or(0, |p| p.cycles),
-                merge_phase.map_or(0, |p| p.bytes_read),
-                *merge,
-            )
-        } else if stage0.first().is_some_and(|f| std::ptr::eq(e, *f)) {
-            (
-                phase_cycles.saturating_sub(attributed),
-                phase_bytes,
-                stats_for(e.op),
-            )
-        } else {
-            let c = cycles_for
-                .iter()
-                .find(|(n, _)| *n == e.op)
-                .map_or(0, |(_, c)| *c);
-            (c, 0, stats_for(e.op))
+    let attributed: u64 = stage0.iter().skip(1).map(|e| share(e.ns)).sum();
+    // The scan passes every row on, the filter keeps `rows_out` of them,
+    // and the consumer is fed only those.
+    let scan = StageTotal {
+        rows_out: scanned.rows_in,
+        ..scanned
+    };
+    let consume = StageTotal {
+        rows_in: scanned.rows_out,
+        ..scanned
+    };
+    let records = ests.iter().enumerate().map(|(i, e)| {
+        let ((actual_cycles, actual_bytes), stage) = match (i, e.op) {
+            (0, _) => ((scan_cycles.saturating_sub(attributed), scan_bytes), scan),
+            (_, "merge") => (merge_phase, merged),
+            (_, "filter") => ((share(e.ns), 0), scanned),
+            _ => ((share(e.ns), 0), consume),
         };
-        ops.push(OpRecord {
+        OpRecord {
             op: e.op,
             est_ns: e.ns,
             est_bytes: e.bytes,
             actual_cycles,
             actual_bytes,
-            rows_in: stats.rows_in,
-            rows_out: stats.rows_out,
-            invocations: stats.invocations,
-        });
-    }
-    Ok(ops)
+            rows_in: stage.rows_in,
+            rows_out: stage.rows_out,
+            invocations: stage.passes,
+        }
+    });
+    Ok(records.collect())
 }
-
-/// What stage 0 hands the merge: the per-morsel partials, and the
-/// executor's per-operator actuals.
-type Stage0<'v> = (Vec<Consumer<'v>>, Vec<(&'static str, OpStats)>);
 
 /// Stage 0 of the pipeline: run `out.path`'s fused morsel kernels on a
 /// [`QueryExecutor`], applying the resilience policy around RM delivery.
-/// Returns the per-morsel partials and the executor's per-operator
-/// actuals; records into `out` the scan phases, the path that actually
-/// produced the partials, device stats when the RM path ran, and the
-/// original path when the query degraded.
+/// Returns the per-morsel partials and the stage's total; records into
+/// `out` the scan phases, the path that actually produced the partials,
+/// device stats when the RM path ran, and the original path when the
+/// query degraded.
 fn run_scan<'v>(
     mem: &mut MemoryHierarchy,
     entry: &TableEntry,
@@ -523,22 +502,21 @@ fn run_scan<'v>(
                     s: &mut Scratchpad,
                     fb: AccessPath|
      -> Result<Stage0<'v>> {
-        let mut ex = QueryExecutor::new(verified, fb);
+        let ex = QueryExecutor::new(verified, fb);
         profiled(m, scan_span(fb), p, |m| ex.run_stage0(m, entry, s))
-            .map(|partials| (partials, ex.op_actuals()))
     };
     match (out.path, resilience) {
         (path @ (AccessPath::Row | AccessPath::Col), _) => {
             software(mem, &mut out.profile, scratch, path)
         }
         (AccessPath::Rm, Resilience::Plain) => {
-            let mut ex = QueryExecutor::new(verified, AccessPath::Rm);
+            let ex = QueryExecutor::new(verified, AccessPath::Rm);
             let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
                 ex.run_stage0_rm(m, scratch)
             });
-            let (partials, stats) = res?;
+            let (stage0, stats) = res?;
             out.rm_stats = Some(stats);
-            Ok((partials, ex.op_actuals()))
+            Ok(stage0)
         }
         (AccessPath::Rm, Resilience::Resilient(ctx)) => {
             if !ctx.rm_health.allow() {
@@ -558,7 +536,7 @@ fn run_scan<'v>(
 
             // The resilient RM stage reports device stats even when it
             // fails: they leave the profiled phase beside its result.
-            let mut ex = QueryExecutor::new(verified, AccessPath::Rm);
+            let ex = QueryExecutor::new(verified, AccessPath::Rm);
             let mut stats = RmStats::default();
             let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
                 let (res, device) = ex.run_stage0_rm_resilient(m, scratch, ctx);
@@ -568,9 +546,9 @@ fn run_scan<'v>(
             out.rm_stats = Some(stats);
 
             match res {
-                Ok(partials) => {
+                Ok(stage0) => {
                     ctx.rm_health.record_success();
-                    Ok((partials, ex.op_actuals()))
+                    Ok(stage0)
                 }
                 Err(e) if degradable(&e) => {
                     // The device is misbehaving past its retry budget:

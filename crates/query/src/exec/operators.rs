@@ -1,26 +1,24 @@
-//! Operator DAG nodes and the shared consumption operator.
+//! The shared consumption operator and the merge.
 //!
-//! A verified plan lowers to a small, fixed operator DAG (DESIGN.md §16):
+//! A plan runs as two stages (DESIGN.md §16):
 //!
 //! ```text
-//! Scan(path) → [Filter] → Project | Aggregate  ──barrier──▶  Merge
-//! └──────────── stage 0 (fused, per morsel) ─┘   └ stage 1 (core 0) ┘
+//! scan(path) → [filter] → project | aggregate  ──barrier──▶  merge
+//! └──────────── stage 0 (fused, per morsel) ──┘   └ stage 1 (core 0) ┘
 //! ```
 //!
-//! Stage 0's operators are *streamable*: each morsel flows through all of
-//! them in one fused kernel pass without materializing between nodes.
-//! Merge is the pipeline breaker — it needs every partial, in morsel
-//! order, so it forms its own stage. The node list exists so the
-//! executor can attribute per-operator actuals ([`fabric_sim::OpStats`],
-//! exported as `query.op.*`) and so EXPLAIN-style surfaces can render
-//! the stage partition; operators are constructed only inside this crate
-//! (lint rule `exec-internals`).
+//! Stage 0 is one fused kernel pass per morsel, which ends in a
+//! [`Consumer`]: a partial of its own per morsel, projecting rows or
+//! folding them into groups. [`merge_partials`] is the pipeline breaker —
+//! it needs every partial, in morsel order. The operator list itself, as
+//! EXPLAIN ANALYZE and the query log report it, is decided in one place,
+//! [`crate::cost::split_path_cost`]. Consumers are constructed only inside
+//! this crate (lint rule `exec-internals`).
 
 use super::batch::ResultBatch;
 use super::buffer::EvalScratch;
 use crate::bind::{BoundQuery, OutputItem};
-use crate::cost::AccessPath;
-use fabric_sim::{MemoryHierarchy, OpStats};
+use fabric_sim::MemoryHierarchy;
 use fabric_types::{
     le_array, AggFunc, Chunk, ChunkError, ColumnType, ColumnView, Expr, F64Program, FabricError,
     Result, Value, ValueAgg,
@@ -28,67 +26,6 @@ use fabric_types::{
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
-
-/// The operator vocabulary of the staged executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpKind {
-    /// Path-specific morsel scan (the fused kernel's input end).
-    Scan(AccessPath),
-    /// Conjunctive predicate over scanned slots.
-    Filter,
-    /// Per-row expression evaluation into output rows.
-    Project,
-    /// Grouped/scalar aggregation into partial accumulators.
-    Aggregate,
-    /// Morsel-order partial merge + finalization (pipeline breaker).
-    Merge,
-}
-
-impl OpKind {
-    /// Metric segment for `query.op.<name>.*`.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            OpKind::Scan(AccessPath::Row) => "scan_row",
-            OpKind::Scan(AccessPath::Col) => "scan_col",
-            OpKind::Scan(AccessPath::Rm) => "scan_rm",
-            OpKind::Filter => "filter",
-            OpKind::Project => "project",
-            OpKind::Aggregate => "aggregate",
-            OpKind::Merge => "merge",
-        }
-    }
-
-    /// Streamable operators fuse into stage 0; pipeline breakers start a
-    /// new stage.
-    pub(crate) fn streamable(self) -> bool {
-        !matches!(self, OpKind::Merge)
-    }
-}
-
-/// One node of the lowered DAG: its kind plus accumulated actuals.
-#[derive(Debug)]
-pub(crate) struct OpNode {
-    pub(crate) kind: OpKind,
-    pub(crate) stats: OpStats,
-}
-
-impl OpNode {
-    pub(crate) fn new(kind: OpKind) -> Self {
-        OpNode {
-            kind,
-            stats: OpStats::default(),
-        }
-    }
-}
-
-/// Deterministic morsel scheduling: the earliest-free core, ties broken
-/// toward the lowest id. With one core this is always core 0 and the
-/// stage-0 kernels reduce to the serial engine.
-pub(crate) fn earliest_core(mem: &MemoryHierarchy) -> usize {
-    (0..mem.num_cores())
-        .min_by_key(|&i| (mem.core_now(i), i))
-        .unwrap_or(0)
-}
 
 /// A group key as decoded values, ordered so that two keys are equal
 /// exactly when their rendered forms ([`render_key`]) are: per column the

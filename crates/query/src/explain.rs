@@ -185,8 +185,8 @@ pub(crate) fn analyze_paths(
             actual_bytes,
         };
         let key = path_tag(path);
-        // Per-operator calibration gauges for this path: how far each DAG
-        // node's estimate share drifted from its apportioned actual. The
+        // Per-operator calibration gauges for this path: how far each
+        // operator's estimate share drifted from its apportioned actual. The
         // merge is excluded — its estimate is the f64 fix-up remainder, so
         // a relative error against it is numerology, not calibration.
         let op_errs: Vec<(String, f64)> = out

@@ -15,11 +15,11 @@
 //!   and returns structured diagnostics instead of panicking;
 //! * [`cost`] prices the plan on each access path with a model mirroring
 //!   the calibrated engine behaviours (movement + per-row compute);
-//! * [`exec`] lowers the plan to a staged operator DAG and runs it on the
-//!   chosen path (plus ORDER BY / LIMIT post-processing), returning
-//!   identical results regardless of path; stage buffers recycle through
-//!   a per-session [`Scratchpad`], and clean stage outputs memoize in a
-//!   signature-keyed [`OpCache`];
+//! * [`exec`] runs the plan in two stages on the chosen path — a fused
+//!   scan→filter→consume kernel per morsel, then the merge — plus ORDER BY
+//!   / LIMIT post-processing, returning identical results regardless of
+//!   path; stage buffers are lent from a per-session [`Scratchpad`], and
+//!   clean stage outputs memoize in a signature-keyed [`OpCache`];
 //! * `explain` renders the chosen plan and the per-path
 //!   estimates; `EXPLAIN ANALYZE` additionally runs the query on every
 //!   available path and reports estimated vs. measured cycles and bytes —
@@ -50,22 +50,20 @@ pub use catalog::Catalog;
 pub use cost::{choose_path_parallel, split_path_cost, AccessPath, OpEstimate, PathCost};
 pub use engine::{Engine, Prepared, Session};
 pub use exec::{
-    BufferKind, BufferRef, FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput,
-    Scratchpad, MORSEL_ROWS,
+    FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
 };
 pub use fabric_sim::{CoreAttribution, OpRecord};
 
 /// The engine-facing surface in one import: the [`Engine`]/[`Session`]
 /// lifecycle, the [`Prepared`] handle, execution outputs, and the staged
 /// executor's public types ([`QueryExecutor`], [`Scratchpad`],
-/// [`BufferRef`], [`OpCache`]). Operator *construction* stays inside this
-/// crate (lint rule `exec-internals`); the prelude exposes everything a
-/// host needs to drive it.
+/// [`OpCache`]). Their *construction* stays inside this crate (lint rule
+/// `exec-internals`); the prelude exposes everything a host needs to
+/// drive them.
 pub mod prelude {
     pub use crate::engine::{Engine, Prepared, Session};
     pub use crate::exec::{
-        BufferKind, BufferRef, FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput,
-        Scratchpad, MORSEL_ROWS,
+        FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
     };
     pub use crate::{AccessPath, BoundQuery, Catalog, PathCost};
     pub use fabric_sim::{CoreAttribution, OpRecord};

@@ -334,29 +334,39 @@ impl EphemeralColumns {
         mem.stall_until(produced.ready_at);
         let lines = produced.data.len().div_ceil(self.line_size) as u64;
         mem.stall_until(mem.now() + lines * self.bus_cycles_per_line);
-        mem.trace_end(
-            "rm.deliver",
-            Category::Rm,
-            &[
-                ("rows", produced.rows as u64),
-                ("bytes", produced.data.len() as u64),
-                ("lines", lines),
-            ],
-        );
+        let args = [
+            ("rows", produced.rows as u64),
+            ("bytes", produced.data.len() as u64),
+            ("lines", lines),
+        ];
+        Some(self.hand_over(mem, produced.data, produced.rows, &args, None))
+    }
 
+    /// The end of every successful delivery: close the `rm.deliver` span
+    /// with `args`, note when the batch was taken (the device's window
+    /// slides on it), start producing the next batch and hand this one to
+    /// the consumer.
+    fn hand_over(
+        &mut self,
+        mem: &mut MemoryHierarchy,
+        data: Vec<u8>,
+        rows: usize,
+        args: &[(&'static str, u64)],
+        faults: Option<&mut FaultPlan>,
+    ) -> PackedBatch {
+        mem.trace_end("rm.deliver", Category::Rm, args);
         self.taken_at.push_back(mem.now());
         if self.taken_at.len() > self.cfg.window_batches() + 1 {
             self.taken_at.pop_front();
         }
-        self.start_next_production(mem, mem.now(), None);
-
-        Some(PackedBatch {
-            data: produced.data,
-            rows: produced.rows,
+        self.start_next_production(mem, mem.now(), faults);
+        PackedBatch {
+            data,
+            rows,
             row_width: self.geometry.output_row_width(),
             fields: Arc::clone(&self.fields),
             _private: (),
-        })
+        }
     }
 
     /// Fault-aware variant of [`Self::next_batch`]: delivery runs under a
@@ -429,28 +439,20 @@ impl EphemeralColumns {
             // CPU-side frame check, charged per delivered line.
             mem.cpu(lines * mem.costs().value_op);
             if crc32(delivered) == produced.crc {
-                mem.trace_end(
-                    "rm.deliver",
-                    Category::Rm,
-                    &[
-                        ("rows", produced.rows as u64),
-                        ("bytes", delivered.len() as u64),
-                        ("lines", lines),
-                        ("attempts", attempts as u64),
-                    ],
-                );
-                self.taken_at.push_back(mem.now());
-                if self.taken_at.len() > self.cfg.window_batches() + 1 {
-                    self.taken_at.pop_front();
-                }
-                self.start_next_production(mem, mem.now(), Some(plan));
-                return Ok(Some(PackedBatch {
-                    data: flipped.unwrap_or(produced.data),
-                    rows: produced.rows,
-                    row_width: self.geometry.output_row_width(),
-                    fields: Arc::clone(&self.fields),
-                    _private: (),
-                }));
+                let args = [
+                    ("rows", produced.rows as u64),
+                    ("bytes", delivered.len() as u64),
+                    ("lines", lines),
+                    ("attempts", attempts as u64),
+                ];
+                let data = flipped.unwrap_or(produced.data);
+                return Ok(Some(self.hand_over(
+                    mem,
+                    data,
+                    produced.rows,
+                    &args,
+                    Some(plan),
+                )));
             }
 
             self.run.stats_mut().crc_failures += 1;

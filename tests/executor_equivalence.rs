@@ -2,9 +2,9 @@
 //! path, core count, chaos seed, and operator-cache temperature, a
 //! query's answer is **bit-identical**; an op-cache hit replays the
 //! memoized stage output without touching the hierarchy; and the
-//! per-session scratchpad recycles morsel buffers across queries without
-//! ever aliasing a live one (buffer epochs make aliasing a panic, reuse
-//! counters make recycling observable).
+//! per-session scratchpad recycles morsel buffers across queries (reuse
+//! counters make recycling observable; the borrow checker rules out
+//! aliasing a lent buffer).
 //!
 //! The grid is environment-tunable like the chaos suite:
 //!
@@ -144,9 +144,9 @@ fn post_processing_variants_share_one_cache_entry() {
 
 /// Scratchpad lifetime rules, observed from outside: buffers recycle
 /// across queries within a session (allocation count stays flat after
-/// warm-up) and a cache hit does not take stage buffers at all. The
-/// aliasing guarantee itself is a panic inside the pool (`buffer.rs`
-/// epoch asserts), exercised by every run in this file.
+/// warm-up) and a cache hit does not take stage buffers at all. That no
+/// two stages alias a buffer is checked at compile time: the scratchpad
+/// lends its buffers by `&mut`.
 #[test]
 fn scratchpad_recycles_across_queries_without_fresh_allocations() {
     let mut e = engine(1);

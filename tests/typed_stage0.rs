@@ -10,7 +10,10 @@
 //!   rows — bit for bit — or the error of [`row_at_a_time`], the retained
 //!   oracle: decode a tuple per row, `Value::compare`, `Expr::eval`,
 //!   `ValueAgg::update`, groups under rendered keys, partials merged in
-//!   morsel order.
+//!   morsel order. Each run's per-operator records must count every table
+//!   row into the scan, the qualifying rows out of the filter, and one
+//!   invocation per morsel (per delivered batch on RM) on every stage-0
+//!   operator.
 //! * **clocks** — each layout's chunk kernel and its row-callback adaptor
 //!   run beside the verbatim old per-row kernel (kept below) over the same
 //!   morsel loop on identically built hierarchies, and must leave every
@@ -34,7 +37,7 @@ use fabric_types::{
     ScanScratch, Schema, Value, ValueAgg,
 };
 use query::bind::{BoundQuery, OutputItem};
-use query::{AccessPath, MORSEL_ROWS};
+use query::{AccessPath, QueryOutput, MORSEL_ROWS};
 use relmem::{EphemeralColumns, RmConfig};
 use rowstore::RowTable;
 use std::collections::BTreeMap;
@@ -374,6 +377,48 @@ fn row_at_a_time(bound: &BoundQuery, table: &[Vec<Value>]) -> Result<Vec<Vec<Val
     Ok(out)
 }
 
+/// The rows of `table` that pass every conjunct of `bound`, compared as
+/// [`row_at_a_time`] compares them.
+fn qualifying(bound: &BoundQuery, table: &[Vec<Value>]) -> u64 {
+    let passes = |row: &Vec<Value>| {
+        let pass = |(slot, op, lit): &(usize, CmpOp, Value)| {
+            let v = &row[bound.touched[*slot]];
+            v.compare(lit).is_ok_and(|o| op.matches(o))
+        };
+        bound.preds.iter().all(pass)
+    };
+    table.iter().filter(|row| passes(row)).count() as u64
+}
+
+/// Stage 0's per-operator actuals in `out`: every stage-0 operator ran
+/// once per kernel pass (a morsel on ROW and COL, a delivered batch on
+/// RM), the scan read all `rows` of the table, and the filter kept — and
+/// the consumer was fed — the `qualifying` ones.
+fn check_actuals(out: &QueryOutput, rows: usize, qualifying: u64, ctx: &str) {
+    assert!(!out.cache_hit, "{ctx}: a cold run is what is checked");
+    let passes = match out.path {
+        AccessPath::Rm => out.rm_stats.expect("the RM path ran").batches,
+        _ => rows.div_ceil(MORSEL_ROWS) as u64,
+    };
+    let Some((merge, stage0)) = out.ops.split_last() else {
+        panic!("{ctx}: no operator records");
+    };
+    assert_eq!(merge.op, "merge", "{ctx}");
+    let (scan, consumer) = (&stage0[0], &stage0[stage0.len() - 1]);
+    for op in stage0 {
+        assert_eq!(op.invocations, passes, "{ctx}: {} invocations", op.op);
+    }
+    assert_eq!(scan.rows_in, rows as u64, "{ctx}: {} rows in", scan.op);
+    if let Some(filter) = stage0.iter().find(|op| op.op == "filter") {
+        assert_eq!(filter.rows_out, qualifying, "{ctx}: filter rows out");
+    }
+    assert_eq!(
+        consumer.rows_in, qualifying,
+        "{ctx}: {} rows in",
+        consumer.op
+    );
+}
+
 /// Which output items are computed by floating-point arithmetic (sums,
 /// averages, arithmetic expressions) rather than passed through. A computed
 /// NaN is compared as "a NaN": which operand's payload an addition of two
@@ -408,7 +453,9 @@ fn every_path_returns_the_row_at_a_time_rows_or_its_error() {
         let many_groups = table.len() > 2 * MORSEL_ROWS && rng.gen_bool(0.5);
         let bound = statement(rng, many_groups);
         let cores = [1, 2, 4][rng.gen_range(0..3usize)];
-        let want = row_at_a_time(&bound, &read_back(&table));
+        let stored = read_back(&table);
+        let want = row_at_a_time(&bound, &stored);
+        let kept = qualifying(&bound, &stored);
         match &want {
             Ok(rows) => {
                 answers += 1;
@@ -423,11 +470,15 @@ fn every_path_returns_the_row_at_a_time_rows_or_its_error() {
         }
         let mut e = support::table_engine(cores, &schema(), &table);
         for path in PATHS {
-            let got = e.session().run_bound_on(&bound, path).map(|out| out.rows);
+            let got = e.session().run_bound_on(&bound, path);
             let ctx = format!(
                 "{path:?} at {cores} cores over {} rows diverged on {bound:?}",
                 table.len()
             );
+            if let Ok(out) = &got {
+                check_actuals(out, table.len(), kept, &ctx);
+            }
+            let got = got.map(|out| out.rows);
             match (&got, &want) {
                 (Ok(got), Ok(want)) => {
                     let computed = computed_items(&bound);
