@@ -201,6 +201,16 @@ impl<'a> ColumnView<'a> {
         T::read(&self.bytes[r * self.stride..][..T::WIDTH])
     }
 
+    /// The `W` bytes of value `r` from its byte `at` on, as the low bytes
+    /// of a little-endian word (`W` ≤ 8, `at + W` within the value): a
+    /// fixed-width read, whatever the column's type.
+    #[inline]
+    pub fn word_at<const W: usize>(&self, r: usize, at: usize) -> u64 {
+        let mut word = [0u8; 8];
+        word[..W].copy_from_slice(&self.bytes[r * self.stride + at..][..W]);
+        u64::from_le_bytes(word)
+    }
+
     /// Value `r` decoded ([`Value::decode`]).
     #[inline]
     pub fn value(&self, r: usize) -> Value {

@@ -189,26 +189,83 @@ pub struct F64Program {
 }
 
 /// One operand of a chunk evaluation: a constant, or one value per row in
-/// a register of the [`F64Regs`].
+/// a register of the [`F64Regs`] — a loaded input column that a later read
+/// still needs, which is read only, or a register an instruction may
+/// overwrite.
 #[derive(Debug, Clone, Copy)]
 enum Operand {
     Scalar(f64),
+    Input(usize),
     Reg(usize),
 }
 
-/// The operand vectors chunk evaluation runs on (host-side scratch, kept by
-/// the caller so evaluation allocates nothing once they have grown).
+/// A chunk column [`F64Regs::load`] gathered as `f64`s, into the register
+/// of the same index.
+#[derive(Debug)]
+struct Input {
+    slot: usize,
+    /// The error reading the column raised, if it could not be read.
+    error: Option<FabricError>,
+    /// Instructions still to run that read the column. Once none is left
+    /// and no operand on the stack is the column, its register may be
+    /// overwritten.
+    reads: usize,
+}
+
+/// The registers chunk evaluation runs on: the loaded input columns, then
+/// the operand vectors (host-side scratch, kept by the caller so
+/// evaluation allocates nothing once they have grown).
 #[derive(Debug, Default)]
 pub struct F64Regs {
+    /// The input column in `bufs[j]`, for every `j < inputs.len()`.
+    inputs: Vec<Input>,
+    /// Rows loaded.
+    rows: usize,
     bufs: Vec<Vec<f64>>,
     stack: Vec<Operand>,
 }
 
 impl F64Regs {
+    /// Gather `slots` of `chunk` at `rows` as `f64`, each distinct slot
+    /// once, for the programs [`F64Program::eval_loaded`] evaluates next:
+    /// `slots` names each slot once per read ([`F64Program::slots`]), and
+    /// a column's register becomes an operand vector after its last read.
+    /// A slot that cannot be read keeps its error, raised by the program
+    /// that reads it.
+    pub fn load(
+        &mut self,
+        chunk: &Chunk<'_>,
+        rows: &[u32],
+        slots: impl IntoIterator<Item = usize>,
+    ) {
+        self.inputs.clear();
+        self.rows = rows.len();
+        for slot in slots {
+            if let Some(input) = self.inputs.iter_mut().find(|i| i.slot == slot) {
+                input.reads += 1;
+                continue;
+            }
+            let j = self.inputs.len();
+            if self.bufs.len() == j {
+                self.bufs.push(Vec::with_capacity(BATCH_ROWS));
+            }
+            let error = chunk
+                .col(slot)
+                .and_then(|col| col.gather_f64(rows, &mut self.bufs[j]))
+                .err();
+            self.inputs.push(Input {
+                slot,
+                error,
+                reads: 1,
+            });
+        }
+    }
+
     /// Heap bytes held (capacities).
     pub fn heap_bytes(&self) -> usize {
         let values: usize = self.bufs.iter().map(Vec::capacity).sum();
         values * size_of::<f64>()
+            + self.inputs.capacity() * size_of::<Input>()
             + self.bufs.capacity() * size_of::<Vec<f64>>()
             + self.stack.capacity() * size_of::<Operand>()
     }
@@ -232,10 +289,38 @@ impl F64Column<'_> {
     }
 }
 
-/// `f(a, b)` row by row, into the register of `a` if it has one, else of
-/// `b`.
+/// Register `i` to write and register `j` to read, `i != j`.
+fn write_read(bufs: &mut [Vec<f64>], i: usize, j: usize) -> (&mut Vec<f64>, &Vec<f64>) {
+    if i < j {
+        let (lo, hi) = bufs.split_at_mut(j);
+        (&mut lo[i], &hi[0])
+    } else {
+        let (lo, hi) = bufs.split_at_mut(i);
+        (&mut hi[0], &lo[j])
+    }
+}
+
+/// `f(a, b)` row by row: into the register of `a` if it has one, else of
+/// `b`, else into register `free`, which is then in use. An input is read,
+/// never written.
 #[inline]
-fn apply(bufs: &mut [Vec<f64>], a: Operand, b: Operand, f: impl Fn(f64, f64) -> f64) -> Operand {
+fn apply(
+    bufs: &mut Vec<Vec<f64>>,
+    free: usize,
+    a: Operand,
+    b: Operand,
+    f: impl Fn(f64, f64) -> f64,
+) -> Operand {
+    /// Register `free`, emptied, and the registers below it, which hold
+    /// every input.
+    fn fresh(bufs: &mut Vec<Vec<f64>>, free: usize) -> (&mut Vec<f64>, &[Vec<f64>]) {
+        if bufs.len() == free {
+            bufs.push(Vec::with_capacity(BATCH_ROWS));
+        }
+        let (lo, hi) = bufs.split_at_mut(free);
+        hi[0].clear();
+        (&mut hi[0], lo)
+    }
     match (a, b) {
         (Operand::Scalar(x), Operand::Scalar(y)) => Operand::Scalar(f(x, y)),
         (Operand::Reg(i), Operand::Scalar(y)) => {
@@ -246,39 +331,110 @@ fn apply(bufs: &mut [Vec<f64>], a: Operand, b: Operand, f: impl Fn(f64, f64) -> 
             bufs[j].iter_mut().for_each(|y| *y = f(x, *y));
             Operand::Reg(j)
         }
-        (Operand::Reg(i), Operand::Reg(j)) => {
-            // Registers are handed out in stack order, so `i < j`.
-            let (lo, hi) = bufs.split_at_mut(j);
-            let pairs = lo[i].iter_mut().zip(&hi[0]);
-            pairs.for_each(|(x, y)| *x = f(*x, *y));
+        // A register is on the stack once, and an input that is on the
+        // stack is no register, so `i != j`.
+        (Operand::Reg(i), Operand::Reg(j) | Operand::Input(j)) => {
+            let (xs, ys) = write_read(bufs, i, j);
+            xs.iter_mut().zip(ys).for_each(|(x, y)| *x = f(*x, *y));
             Operand::Reg(i)
+        }
+        (Operand::Input(i), Operand::Reg(j)) => {
+            let (ys, xs) = write_read(bufs, j, i);
+            ys.iter_mut().zip(xs).for_each(|(y, x)| *y = f(*x, *y));
+            Operand::Reg(j)
+        }
+        (Operand::Input(i), Operand::Scalar(y)) => {
+            let (out, inputs) = fresh(bufs, free);
+            out.extend(inputs[i].iter().map(|x| f(*x, y)));
+            Operand::Reg(free)
+        }
+        (Operand::Scalar(x), Operand::Input(j)) => {
+            let (out, inputs) = fresh(bufs, free);
+            out.extend(inputs[j].iter().map(|y| f(x, *y)));
+            Operand::Reg(free)
+        }
+        (Operand::Input(i), Operand::Input(j)) => {
+            let (out, inputs) = fresh(bufs, free);
+            let pairs = inputs[i].iter().zip(&inputs[j]);
+            out.extend(pairs.map(|(x, y)| f(*x, *y)));
+            Operand::Reg(free)
         }
     }
 }
 
 impl F64Program {
-    /// Evaluate over `rows` of `chunk`, one instruction at a time across
-    /// all rows. Every row sees the operands, in the order,
-    /// [`Expr::eval_f64`] gives it, so every value has the same bits; an
-    /// error is the one a row-at-a-time loop over `rows` would have hit
-    /// first (earliest row, then earliest instruction), with that row's
-    /// index in `rows`.
+    /// The slots the program reads, once per read: what
+    /// [`F64Regs::load`] must have loaded for [`Self::eval_loaded`].
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            F64Op::Col(i) => Some(*i),
+            _ => None,
+        })
+    }
+
+    /// Evaluate over `rows` of `chunk`: [`F64Regs::load`] of the program's
+    /// own slots, then [`Self::eval_loaded`].
     pub fn eval_chunk<'r>(
         &self,
         chunk: &Chunk<'_>,
         rows: &[u32],
         regs: &'r mut F64Regs,
     ) -> std::result::Result<F64Column<'r>, ChunkError> {
+        regs.load(chunk, rows, self.slots());
+        self.eval_loaded(regs)
+    }
+
+    /// Evaluate over the rows `regs` loaded, one instruction at a time
+    /// across all rows. Every row sees the operands, in the order,
+    /// [`Expr::eval_f64`] gives it, so every value has the same bits; an
+    /// error is the one a row-at-a-time loop over the rows would have hit
+    /// first (earliest row, then earliest instruction), with that row's
+    /// index among them. A slot that was not loaded, or that the load
+    /// counted no read of left, is an internal error.
+    pub fn eval_loaded<'r>(
+        &self,
+        regs: &'r mut F64Regs,
+    ) -> std::result::Result<F64Column<'r>, ChunkError> {
         fn underflow() -> FabricError {
             FabricError::Internal("expression program stack underflow".into())
         }
-        if rows.is_empty() {
+        /// Pop `b`, then `a`: an input that no instruction reads again, and
+        /// that no other operand is, is a register now. Also the first
+        /// register past every input and every register left on the stack,
+        /// for the result if it needs one.
+        fn operands(
+            stack: &mut Vec<Operand>,
+            inputs: &[Input],
+        ) -> Option<(Operand, Operand, usize)> {
+            let (b, a) = (stack.pop()?, stack.pop()?);
+            let taken = |o: Operand, other: Operand| match o {
+                Operand::Input(j) if inputs[j].reads == 0 => {
+                    let shared = |s: &Operand| matches!(s, Operand::Input(k) if *k == j);
+                    if shared(&other) || stack.iter().any(shared) {
+                        o
+                    } else {
+                        Operand::Reg(j)
+                    }
+                }
+                o => o,
+            };
+            let (a, b) = (taken(a, b), taken(b, a));
+            let free = stack.iter().filter_map(|o| match o {
+                Operand::Reg(i) => Some(i + 1),
+                _ => None,
+            });
+            Some((a, b, free.fold(inputs.len(), usize::max)))
+        }
+        if regs.rows == 0 {
             return Ok(F64Column::Vector(&[]));
         }
-        let F64Regs { bufs, stack } = regs;
+        let F64Regs {
+            inputs,
+            bufs,
+            stack,
+            ..
+        } = regs;
         stack.clear();
-        // Registers in use are exactly those on the stack, in stack order.
-        let mut used = 0usize;
         let mut first: Option<ChunkError> = None;
         let mut fail = |at: usize, error: FabricError| {
             if first.as_ref().is_none_or(|f| at < f.at) {
@@ -286,23 +442,25 @@ impl F64Program {
             }
         };
         for op in &self.ops {
-            let operands = |stack: &mut Vec<Operand>| Some((stack.pop()?, stack.pop()?));
             let result = match op {
-                F64Op::Col(i) => {
-                    if bufs.len() == used {
-                        bufs.push(Vec::with_capacity(BATCH_ROWS));
-                    }
-                    let gathered = chunk
-                        .col(*i)
-                        .and_then(|col| col.gather_f64(rows, &mut bufs[used]));
-                    if let Err(e) = gathered {
-                        // The same for every row, so the first row's.
-                        fail(0, e);
+                F64Op::Col(i) => match inputs.iter().position(|input| input.slot == *i) {
+                    Some(j) if inputs[j].reads > 0 => match &inputs[j].error {
+                        Some(e) => {
+                            // The same for every row, so the first row's.
+                            fail(0, e.clone());
+                            break;
+                        }
+                        None => {
+                            inputs[j].reads -= 1;
+                            Some(Operand::Input(j))
+                        }
+                    },
+                    _ => {
+                        let missing = format!("expression column {i} was not loaded");
+                        fail(0, FabricError::Internal(missing));
                         break;
                     }
-                    used += 1;
-                    Some(Operand::Reg(used - 1))
-                }
+                },
                 F64Op::Lit(v) => match v.as_f64() {
                     Ok(x) => Some(Operand::Scalar(x)),
                     Err(e) => {
@@ -313,7 +471,9 @@ impl F64Program {
                 F64Op::NonZero => {
                     let zero = match stack.last() {
                         Some(Operand::Scalar(d)) => (*d == 0.0).then_some(0),
-                        Some(Operand::Reg(i)) => bufs[*i].iter().position(|&d| d == 0.0),
+                        Some(Operand::Input(i) | Operand::Reg(i)) => {
+                            bufs[*i].iter().position(|&d| d == 0.0)
+                        }
                         None => None,
                     };
                     if let Some(at) = zero {
@@ -323,29 +483,28 @@ impl F64Program {
                     }
                     continue;
                 }
-                F64Op::Add => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a + b)),
-                F64Op::Sub => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a - b)),
-                F64Op::Mul => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| a * b)),
+                F64Op::Add => operands(stack, inputs)
+                    .map(|(a, b, free)| apply(bufs, free, a, b, |a, b| a + b)),
+                F64Op::Sub => operands(stack, inputs)
+                    .map(|(a, b, free)| apply(bufs, free, a, b, |a, b| a - b)),
+                F64Op::Mul => operands(stack, inputs)
+                    .map(|(a, b, free)| apply(bufs, free, a, b, |a, b| a * b)),
                 // Pushed first the divisor, then the dividend.
-                F64Op::DivBy => operands(stack).map(|(b, a)| apply(bufs, a, b, |a, b| b / a)),
+                F64Op::DivBy => operands(stack, inputs)
+                    .map(|(a, b, free)| apply(bufs, free, a, b, |a, b| b / a)),
             };
             let Some(result) = result else {
                 fail(0, underflow());
                 break;
             };
             stack.push(result);
-            // A binary instruction's result lives in its lowest operand
-            // register, which is then the highest in use.
-            if let Operand::Reg(i) = result {
-                used = i + 1;
-            }
         }
         if let Some(e) = first {
             return Err(e);
         }
         match stack.pop() {
             Some(Operand::Scalar(x)) => Ok(F64Column::Scalar(x)),
-            Some(Operand::Reg(i)) => Ok(F64Column::Vector(&bufs[i])),
+            Some(Operand::Input(i) | Operand::Reg(i)) => Ok(F64Column::Vector(&bufs[i])),
             None => Err(ChunkError {
                 at: 0,
                 error: underflow(),
@@ -433,26 +592,22 @@ impl ValueAgg {
         Ok(())
     }
 
-    /// Fast-path feed for numeric aggregates.
+    /// [`Self::update`] of a `count`: one row more; its value is not
+    /// read.
     #[inline]
-    pub fn update_f64(&mut self, v: f64) {
+    pub fn count_row(&mut self) {
+        debug_assert_eq!(self.func, AggFunc::Count);
         self.count += 1;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => self.sum += v,
-            AggFunc::Min => {
-                let cur = self.min.as_ref().and_then(|m| m.as_f64().ok());
-                if cur.is_none_or(|m| v < m) {
-                    self.min = Some(Value::F64(v));
-                }
-            }
-            AggFunc::Max => {
-                let cur = self.max.as_ref().and_then(|m| m.as_f64().ok());
-                if cur.is_none_or(|m| v > m) {
-                    self.max = Some(Value::F64(v));
-                }
-            }
-        }
+    }
+
+    /// [`Self::update`] of a `sum` or an `avg` with a value whose
+    /// [`Value::as_f64`] is `v`: one row more and one addition, the same
+    /// bits.
+    #[inline]
+    pub fn add_f64(&mut self, v: f64) {
+        debug_assert!(matches!(self.func, AggFunc::Sum | AggFunc::Avg));
+        self.count += 1;
+        self.sum += v;
     }
 
     /// Fold another accumulator of the *same* aggregate into this one
@@ -618,6 +773,62 @@ mod tests {
     }
 
     #[test]
+    fn programs_sharing_one_load_equal_eval_f64() {
+        let table = vec![
+            tuple(),
+            vec![Value::I32(7), Value::F64(-4.0), Value::I64(-4)],
+            vec![Value::I32(-3), Value::F64(0.5), Value::I64(9)],
+        ];
+        let (bytes, specs) = packed(&table);
+        let chunk = Chunk::new(&bytes, &specs);
+        // The first program holds two fresh registers at once. `$1` is
+        // read for the last time in the third program, whose result goes
+        // to its register; `$2` in the fourth, by an instruction that
+        // must not write it while the stack below still holds it. The
+        // fifth returns `$0` as it was loaded, and the sixth reads it twice
+        // in its last instruction.
+        let one = || Expr::lit(Value::I64(1));
+        let exprs = [
+            Expr::mul(
+                Expr::sub(one(), Expr::col(1)),
+                Expr::add(Expr::col(2), one()),
+            ),
+            Expr::mul(Expr::col(0), Expr::sub(one(), Expr::col(1))),
+            Expr::add(Expr::col(1), Expr::col(2)),
+            Expr::mul(Expr::col(2), Expr::sub(Expr::col(2), Expr::col(0))),
+            Expr::col(0),
+            Expr::mul(Expr::col(0), Expr::col(0)),
+        ];
+        let programs: Vec<F64Program> = exprs.iter().map(Expr::compile_f64).collect();
+        let mut regs = F64Regs::default();
+        for rows in [&[0u32, 1, 2][..], &[2, 0], &[1]] {
+            regs.load(&chunk, rows, programs.iter().flat_map(F64Program::slots));
+            for (e, program) in exprs.iter().zip(&programs) {
+                let want: Vec<u64> = rows
+                    .iter()
+                    .map(|&r| e.eval_f64(&table[r as usize]).unwrap().to_bits())
+                    .collect();
+                let col = program.eval_loaded(&mut regs).unwrap();
+                let got: Vec<u64> = (0..rows.len()).map(|k| col.at(k).to_bits()).collect();
+                assert_eq!(got, want, "{e} over rows {rows:?}");
+            }
+            // Every read the load counted is taken, and `$1`'s register
+            // was overwritten: a program that reads again fails instead.
+            let again = programs[0].eval_loaded(&mut regs).map(|_| ());
+            assert!(
+                matches!(
+                    again,
+                    Err(ChunkError {
+                        at: 0,
+                        error: FabricError::Internal(_)
+                    })
+                ),
+                "{again:?}"
+            );
+        }
+    }
+
+    #[test]
     fn out_of_range_column_is_error() {
         assert!(Expr::col(9).eval_f64(&tuple()).is_err());
     }
@@ -659,14 +870,46 @@ mod tests {
     }
 
     #[test]
-    fn value_agg_update_f64_matches_update() {
-        let mut a = ValueAgg::new(AggFunc::Min);
-        let mut b = ValueAgg::new(AggFunc::Min);
-        for v in [5.0, 2.0, 9.0] {
-            a.update(&Value::F64(v)).unwrap();
-            b.update_f64(v);
+    fn count_row_and_add_f64_match_update_bit_for_bit() {
+        let payload = f64::from_bits(0x7ff0_0000_0000_0001);
+        // Sums that stay finite, overflow, meet `-0.0`, or turn NaN — from a
+        // NaN of either sign or payload, or from `inf + -inf`. Two NaNs of
+        // different bits never meet in one sum: which one an addition
+        // returns then depends on the operand order the compiler picks.
+        let runs: [&[f64]; 7] = [
+            &[0.1, -0.0, 0.0, -1e-310, 3.5, -2.25],
+            &[-0.0, -0.0],
+            &[1e308, 1e308, -1.0, f64::NEG_INFINITY],
+            &[1.0, f64::NAN, 2.0, f64::NAN],
+            &[-f64::NAN, 1.0, f64::INFINITY],
+            &[payload, -0.0, payload],
+            &[f64::INFINITY, 1.0, f64::NEG_INFINITY, 0.0],
+        ];
+        for run in runs {
+            // Every prefix. The values are opaque to the optimiser, so
+            // both sides add at run time.
+            for n in 0..=run.len() {
+                for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+                    let (mut fed, mut updated) = (ValueAgg::new(func), ValueAgg::new(func));
+                    for &v in std::hint::black_box(&run[..n]) {
+                        updated.update(&Value::F64(v)).unwrap();
+                        match func {
+                            AggFunc::Count => fed.count_row(),
+                            _ => fed.add_f64(v),
+                        }
+                    }
+                    // What `finish` reads, and what it returns.
+                    let state =
+                        |a: &ValueAgg| (a.count, a.sum.to_bits(), format!("{:?}", a.finish()));
+                    assert_eq!(
+                        state(&fed),
+                        state(&updated),
+                        "{func:?} over {:?}",
+                        &run[..n]
+                    );
+                }
+            }
         }
-        assert_eq!(a.finish().unwrap(), b.finish().unwrap());
     }
 
     #[test]

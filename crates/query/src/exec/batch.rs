@@ -65,28 +65,69 @@ macro_rules! per_type {
 /// number and equal to itself. `Value::compare` alone calls NaN equal to
 /// everything, which is not transitive — `std`'s sorts may panic on such
 /// a comparator, or return an order that depends on the element size.
+///
+/// [`Self::key_word`] is the same order as an unsigned word of
+/// [`Self::WORD_BITS`] bits: two keys compare as their words do.
 trait SortKey: Copy {
+    const WORD_BITS: u32;
     fn key_cmp(self, other: Self) -> Ordering;
+    fn key_word(self) -> u64;
 }
 
 macro_rules! sort_keys {
-    (ints: $($int:ty),*; floats: $($float:ty),*) => {
+    (signed: $($int:ty as $bits:literal),*;
+     floats: $($float:ty as $fbits:literal),*) => {
         $(impl SortKey for $int {
+            const WORD_BITS: u32 = $bits;
             #[inline]
             fn key_cmp(self, other: Self) -> Ordering {
                 self.cmp(&other)
             }
+            /// Sign-flipped: `MIN` is word 0.
+            #[inline]
+            fn key_word(self) -> u64 {
+                (i64::from(self) as u64).wrapping_add(1 << ($bits - 1))
+            }
         })*
         $(impl SortKey for $float {
+            const WORD_BITS: u32 = $fbits;
             #[inline]
             fn key_cmp(self, other: Self) -> Ordering {
                 self.partial_cmp(&other)
                     .unwrap_or_else(|| self.is_nan().cmp(&other.is_nan()))
             }
+            /// Negative numbers bit-flipped, the rest sign-flipped, with
+            /// `-0.0` folded onto `0.0` and every NaN one word above
+            /// `+inf`.
+            #[inline]
+            fn key_word(self) -> u64 {
+                const SIGN: u64 = 1 << ($fbits - 1);
+                if self.is_nan() {
+                    return <$float>::INFINITY.key_word() + 1;
+                }
+                let bits = if self == 0.0 { 0 } else { u64::from(self.to_bits()) };
+                if bits & SIGN == 0 {
+                    bits | SIGN
+                } else {
+                    !bits & (SIGN | (SIGN - 1))
+                }
+            }
         })*
     };
 }
-sort_keys!(ints: i8, i16, i32, i64, u32; floats: f32, f64);
+sort_keys!(signed: i8 as 32, i16 as 32, i32 as 32, i64 as 64; floats: f32 as 32, f64 as 64);
+
+impl SortKey for u32 {
+    const WORD_BITS: u32 = 32;
+    #[inline]
+    fn key_cmp(self, other: Self) -> Ordering {
+        self.cmp(&other)
+    }
+    #[inline]
+    fn key_word(self) -> u64 {
+        u64::from(self)
+    }
+}
 
 impl Column {
     fn new(ty: ColumnType) -> Self {
@@ -282,26 +323,18 @@ fn text<'a>(data: &'a str, ends: &[usize], r: usize) -> &'a str {
     data.get(start..ends[r]).unwrap_or_default()
 }
 
-/// Row numbers `0..n` in the order `by_keys` (reversed when `desc`) puts
-/// the rows in, cut to `limit`. Without a limit, or with one that `n` does
-/// not reach, a stable sort; with `LIMIT k`, `k < n`, the `k` first rows
-/// under the total order (keys, row number) are selected and those sorted
-/// — the rows a stable sort followed by truncation returns, in the same
-/// order, because that total order is the stable sort's.
+/// Row numbers `0..n` in the order `by_keys` puts the rows in, cut to
+/// `limit`. Without a limit, or with one that `n` does not reach, a
+/// stable sort; with `LIMIT k`, `k < n`, the `k` first rows under the
+/// total order (keys, row number) are selected and those sorted — the rows
+/// a stable sort followed by truncation returns, in the same order,
+/// because that total order is the stable sort's.
 fn sorted_rows(
     n: u32,
     limit: Option<usize>,
-    desc: bool,
     by_keys: impl Fn(usize, usize) -> Ordering,
 ) -> Vec<u32> {
-    let by_keys = |a: &u32, b: &u32| {
-        let ord = by_keys(*a as usize, *b as usize);
-        if desc {
-            ord.reverse()
-        } else {
-            ord
-        }
-    };
+    let by_keys = |a: &u32, b: &u32| by_keys(*a as usize, *b as usize);
     let mut rows: Vec<u32> = (0..n).collect();
     match limit {
         Some(0) => rows.clear(),
@@ -314,6 +347,43 @@ fn sorted_rows(
         _ => rows.sort_by(by_keys),
     }
     rows
+}
+
+/// The row numbers of `keys`, one sort key per row, in key order
+/// (descending: every word bitwise NOT), cut to `limit`. Each row's key
+/// word is paired with its row number, so the pairs are distinct and their
+/// order is the total order (key, row number) that [`sorted_rows`] uses —
+/// the stable sort's — however the unstable sort or selection moves them.
+#[allow(clippy::cast_possible_truncation)] // a row number is a pair's low 32 bits
+fn word_order<T: SortKey>(keys: &[T], limit: Option<usize>, desc: bool) -> Vec<u32> {
+    let flip = if desc {
+        u64::MAX >> (64 - T::WORD_BITS)
+    } else {
+        0
+    };
+    let words = keys.iter().map(|k| k.key_word() ^ flip);
+    if T::WORD_BITS <= 32 {
+        let pairs = words.zip(0u64..).map(|(w, row)| w << 32 | row);
+        sort_pairs(pairs.collect(), limit, |p| p as u32)
+    } else {
+        let pairs = words.zip(0u128..).map(|(w, row)| u128::from(w) << 32 | row);
+        sort_pairs(pairs.collect(), limit, |p| p as u32)
+    }
+}
+
+/// `pairs` sorted, or their `limit` least selected and sorted; then each
+/// pair's row number.
+fn sort_pairs<P: Ord>(mut pairs: Vec<P>, limit: Option<usize>, row: impl Fn(P) -> u32) -> Vec<u32> {
+    match limit {
+        Some(0) => pairs.clear(),
+        Some(k) if k < pairs.len() => {
+            pairs.select_nth_unstable(k - 1);
+            pairs.truncate(k);
+        }
+        _ => {}
+    }
+    pairs.sort_unstable();
+    pairs.into_iter().map(row).collect()
 }
 
 /// A plan's output (or one morsel's share of it): one [`Column`] per
@@ -406,7 +476,9 @@ impl ResultBatch {
     /// The rows `ORDER BY keys [LIMIT limit]` returns, as row numbers in
     /// output order; `keys` are `(output position, descending)`.
     ///
-    /// See [`sorted_rows`] for how a limit is applied.
+    /// A single fixed-width key sorts words ([`word_order`]); a text key or
+    /// several keys, the comparator ([`sorted_rows`]). Both return the
+    /// stable sort's order, cut to the limit.
     pub(crate) fn order(&self, keys: &[(usize, bool)], limit: Option<usize>) -> Result<Vec<u32>> {
         let n = u32::try_from(self.rows).map_err(|_| {
             FabricError::Internal(format!("cannot order a result of {} rows", self.rows))
@@ -418,24 +490,23 @@ impl ResultBatch {
             })?;
             key_cols.push((col, desc));
         }
-        Ok(match key_cols[..] {
-            // One key, the common case: the comparator is compiled for the
-            // key's type instead of looking the type up per comparison.
-            [(col, desc)] => per_type!(col,
-            buf => sorted_rows(n, limit, desc, |a, b| buf[a].key_cmp(buf[b])),
-            Str { data, ends } => sorted_rows(n, limit, desc, |a, b| {
-                text(data, ends, a).as_bytes().cmp(text(data, ends, b).as_bytes())
-            })),
-            _ => sorted_rows(n, limit, false, |a, b| {
-                for &(col, desc) in &key_cols {
-                    let ord = col.compare(a, b);
-                    if ord.is_ne() {
-                        return if desc { ord.reverse() } else { ord };
-                    }
+        // One fixed-width key: sorted as (word, row number) pairs.
+        if let [(col, desc)] = key_cols[..] {
+            let words = per_type!(col, buf => Some(word_order(buf, limit, desc)),
+                Str { _data, _ends } => None);
+            if let Some(order) = words {
+                return Ok(order);
+            }
+        }
+        Ok(sorted_rows(n, limit, |a, b| {
+            for &(col, desc) in &key_cols {
+                let ord = col.compare(a, b);
+                if ord.is_ne() {
+                    return if desc { ord.reverse() } else { ord };
                 }
-                Ordering::Equal
-            }),
-        })
+            }
+            Ordering::Equal
+        }))
     }
 
     /// The given rows as `Value` vectors — the client-boundary form, built
@@ -548,5 +619,112 @@ mod tests {
             }
         }
         assert!(b.order(&[(3, false)], None).is_err());
+    }
+
+    /// Every pair of `keys` compares as its words do.
+    fn words_order_as_keys<T: SortKey + std::fmt::Debug>(keys: &[T]) {
+        for &a in keys {
+            for &b in keys {
+                let words = a.key_word().cmp(&b.key_word());
+                assert_eq!(words, a.key_cmp(b), "{a:?} vs {b:?}");
+                let above = a.key_word().checked_shr(T::WORD_BITS).unwrap_or(0);
+                assert_eq!(
+                    above,
+                    0,
+                    "{a:?} has a word wider than {} bits",
+                    T::WORD_BITS
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_order_is_the_comparator_order_on_every_fixed_width_type() {
+        let f64s = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_dead_beef),
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1.5,
+            -1.5,
+        ];
+        let f32s = f64s.map(|x| x as f32);
+        let f32s = [
+            &f32s[..],
+            &[
+                f32::from_bits(0x7f80_0001),
+                f32::from_bits(0xffc0_beef),
+                f32::MAX,
+                f32::MIN,
+            ],
+        ]
+        .concat();
+        macro_rules! ints {
+            ($variant:ident, $t:ty) => {
+                [
+                    <$t>::MIN,
+                    <$t>::MIN + 1,
+                    -1,
+                    0,
+                    1,
+                    <$t>::MAX - 1,
+                    <$t>::MAX,
+                    7,
+                    -7,
+                ]
+                .map(Value::$variant)
+            };
+        }
+        let columns: [Vec<Value>; 7] = [
+            ints!(I8, i8).to_vec(),
+            ints!(I16, i16).to_vec(),
+            ints!(I32, i32).to_vec(),
+            ints!(I64, i64).to_vec(),
+            f32s.iter().map(|&x| Value::F32(x)).collect(),
+            f64s.map(Value::F64).to_vec(),
+            [0, 1, u32::MAX, u32::MAX - 1, 1 << 31, (1 << 31) - 1, 9000]
+                .map(Value::Date)
+                .to_vec(),
+        ];
+        for values in columns {
+            let ty = values[0].column_type();
+            let mut b = ResultBatch::new(&[ty]);
+            // Every value twice, the second time in reverse order, so equal
+            // keys tie and ties must keep their row order.
+            for v in values.iter().chain(values.iter().rev()) {
+                b.push_row(|_, col| col.push(v)).unwrap();
+            }
+            per_type!(&b.cols[0], buf => words_order_as_keys(buf), Str { _data, _ends } => {
+                panic!("{ty:?} is fixed-width")
+            });
+            let n = b.len();
+            for desc in [false, true] {
+                let by_keys = |x: &u32, y: &u32| {
+                    let ord = b.cols[0].compare(*x as usize, *y as usize);
+                    if desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                };
+                let mut stable: Vec<u32> = (0..n as u32).collect();
+                stable.sort_by(by_keys);
+                assert_eq!(b.order(&[(0, desc)], None).unwrap(), stable, "{ty:?}");
+                for k in 0..=n + 1 {
+                    let top = b.order(&[(0, desc)], Some(k)).unwrap();
+                    assert_eq!(top, stable[..k.min(n)], "{ty:?}, desc {desc}, k = {k}");
+                }
+            }
+        }
     }
 }

@@ -18,8 +18,9 @@ use fabric_types::{F64Regs, ScanScratch, BATCH_ROWS};
 
 /// What consuming one chunk needs besides the chunk: the kernel's
 /// [`ScanScratch`] (column specs, pass bits, passing positions) and the
-/// consumer's group ids, raw group keys and `f64` operand vectors. Sized
-/// for [`BATCH_ROWS`] rows when first allocated, then recycled.
+/// consumer's group ids, group key words, and `f64` input columns and
+/// operand vectors. Sized for [`BATCH_ROWS`] rows when first allocated,
+/// then recycled.
 #[derive(Debug)]
 pub struct ChunkScratch {
     pub(crate) scan: ScanScratch,
@@ -31,12 +32,11 @@ pub struct ChunkScratch {
 pub(crate) struct EvalScratch {
     /// Group of each consumed row.
     pub(crate) gids: Vec<u32>,
-    /// The consumed rows' raw group-key bytes, back to back.
-    pub(crate) keys: Vec<u8>,
-    /// The last row's raw key of the chunk before (the previous-row memo
-    /// across a chunk boundary), and the canonical form of a key being
-    /// looked up.
-    pub(crate) last_key: Vec<u8>,
+    /// The consumed rows' group key words, back to back.
+    pub(crate) words: Vec<u64>,
+    /// The raw key bytes and the canonical form of a key seen for the
+    /// first time.
+    pub(crate) raw: Vec<u8>,
     pub(crate) canon: Vec<u8>,
     pub(crate) regs: F64Regs,
 }
@@ -47,8 +47,8 @@ impl ChunkScratch {
             scan: ScanScratch::with_rows(BATCH_ROWS),
             eval: EvalScratch {
                 gids: Vec::with_capacity(BATCH_ROWS),
-                keys: Vec::new(),
-                last_key: Vec::new(),
+                words: Vec::new(),
+                raw: Vec::new(),
                 canon: Vec::new(),
                 regs: F64Regs::default(),
             },
@@ -59,8 +59,8 @@ impl ChunkScratch {
         let eval = &self.eval;
         self.scan.heap_bytes()
             + eval.gids.capacity() * size_of::<u32>()
-            + eval.keys.capacity()
-            + eval.last_key.capacity()
+            + eval.words.capacity() * size_of::<u64>()
+            + eval.raw.capacity()
             + eval.canon.capacity()
             + eval.regs.heap_bytes()
     }

@@ -20,8 +20,8 @@ use super::buffer::EvalScratch;
 use crate::bind::{BoundQuery, OutputItem};
 use fabric_sim::MemoryHierarchy;
 use fabric_types::{
-    le_array, AggFunc, Chunk, ChunkError, ColumnType, ColumnView, Expr, F64Program, FabricError,
-    Result, Value, ValueAgg,
+    le_array, AggFunc, Chunk, ChunkError, ColumnType, ColumnView, Expr, F64Column, F64Program,
+    FabricError, Result, Value, ValueAgg, BATCH_ROWS,
 };
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -151,7 +151,82 @@ pub(crate) struct ConsumePlan<'q> {
     feeds: Vec<AggFeed<'q>>,
     /// The GROUP BY columns' types, in `group_by` order.
     key_types: Vec<ColumnType>,
+    /// How a row's raw group key is read into words.
+    key: KeyLayout,
     aggregated: bool,
+}
+
+/// A row's raw group key — the GROUP BY columns' encoded bytes back to
+/// back — as `words` little-endian `u64`s, zero-padded. Two rows have
+/// equal words exactly when they have equal raw keys.
+struct KeyLayout {
+    /// Reads that fill the words, none crossing a word boundary.
+    pieces: Vec<KeyPiece>,
+    /// Bytes of the raw key.
+    width: usize,
+    /// Words per row, at least one.
+    words: usize,
+}
+
+/// `width` (1, 2, 4 or 8) bytes of a GROUP BY column's value, from its
+/// byte `at` on, into word `word` at bit `shift`.
+struct KeyPiece {
+    slot: usize,
+    at: usize,
+    width: usize,
+    word: usize,
+    shift: u32,
+}
+
+impl KeyLayout {
+    fn new(slots: &[usize], types: &[ColumnType]) -> Self {
+        let mut pieces = Vec::new();
+        // Byte offset in the raw key.
+        let mut to = 0;
+        for (&slot, ty) in slots.iter().zip(types) {
+            let mut at = 0;
+            while at < ty.width() {
+                let fits = |w: usize| w <= ty.width() - at && w <= 8 - to % 8;
+                let width = [8, 4, 2, 1].into_iter().find(|&w| fits(w)).unwrap_or(1);
+                let word = to / 8;
+                let shift = (to % 8 * 8) as u32;
+                pieces.push(KeyPiece {
+                    slot,
+                    at,
+                    width,
+                    word,
+                    shift,
+                });
+                at += width;
+                to += width;
+            }
+        }
+        KeyLayout {
+            pieces,
+            width: to,
+            words: to.div_ceil(8).max(1),
+        }
+    }
+}
+
+/// `words[k * stride + word] |= piece of rows[k]`, `W` bytes a read.
+fn fill_words<const W: usize>(
+    col: &ColumnView<'_>,
+    piece: &KeyPiece,
+    rows: &[u32],
+    words: &mut [u64],
+    stride: usize,
+) {
+    let slots = words.iter_mut().skip(piece.word).step_by(stride);
+    for (w, &r) in slots.zip(rows) {
+        *w |= col.word_at::<W>(r as usize, piece.at) << piece.shift;
+    }
+}
+
+/// Key equality as an inline loop: `==` on slices calls `memcmp`, which
+/// costs more than the compare for keys of a word or two.
+fn words_eq(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x == y)
 }
 
 /// One morsel's groups, dense ids in first-seen order.
@@ -165,9 +240,116 @@ struct Groups {
     /// Canonical key bytes ([`canonical_key`]) → group id. Looked up, never
     /// iterated.
     index: BTreeMap<Box<[u8]>, u32>,
-    /// The group of the row consumed last, whose raw key the scratch's
-    /// `last_key` holds: consecutive rows of one group skip the lookup.
-    last: Option<u32>,
+    /// Raw key words → group id, for the keys this morsel saw first that
+    /// fit.
+    seen: SeenKeys,
+}
+
+/// Words of the linear table of [`SeenKeys`].
+const LINEAR_WORDS: usize = 16;
+
+/// Slots of the open-addressed index into the linear table, four times as
+/// many as it can hold keys, so a probe ends at an empty slot.
+const SLOTS: usize = 64;
+
+/// The raw key words a morsel has seen, each with its group: as many as
+/// fit in a short linear table, reached through an open-addressed index
+/// hashed from the words. Looked up, never iterated. A key that does not
+/// fit is not held: each of its rows is canonicalized and looked up in
+/// [`Groups::index`].
+///
+/// Once the morsel has seen a row's key, the probe nearly always ends at
+/// the first slot it tries, whichever key the row has: the path does not
+/// depend on the order of the keys, so shuffled keys cost about what
+/// sorted ones do.
+struct SeenKeys {
+    linear: [u64; LINEAR_WORDS],
+    linear_groups: [u32; LINEAR_WORDS],
+    /// Keys in the linear table.
+    held: usize,
+    /// Linear-table entry + 1 of the key hashed here, or 0.
+    slots: [u8; SLOTS],
+}
+
+impl Default for SeenKeys {
+    fn default() -> Self {
+        SeenKeys {
+            linear: [0; LINEAR_WORDS],
+            linear_groups: [0; LINEAR_WORDS],
+            held: 0,
+            slots: [0; SLOTS],
+        }
+    }
+}
+
+impl SeenKeys {
+    /// The first slot to probe for `key`.
+    fn slot(key: &[u64]) -> usize {
+        let h = key
+            .iter()
+            .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        (h >> (64 - SLOTS.trailing_zeros())) as usize
+    }
+
+    fn get(&self, key: &[u64]) -> Option<u32> {
+        let mut s = Self::slot(key);
+        // At most a quarter of the slots are taken, so the probe ends.
+        while let Some(e) = self.slots[s].checked_sub(1) {
+            let e = usize::from(e);
+            if words_eq(&self.linear[e * key.len()..][..key.len()], key) {
+                return Some(self.linear_groups[e]);
+            }
+            s = (s + 1) % SLOTS;
+        }
+        None
+    }
+
+    /// Hold `key` with its group `g`, if the linear table has room.
+    fn insert(&mut self, key: &[u64], g: u32) {
+        let at = self.held * key.len();
+        let Some(entry) = self.linear.get_mut(at..at + key.len()) else {
+            return;
+        };
+        entry.copy_from_slice(key);
+        self.linear_groups[self.held] = g;
+        self.held += 1;
+        let mut s = Self::slot(key);
+        while self.slots[s] != 0 {
+            s = (s + 1) % SLOTS;
+        }
+        self.slots[s] = self.held as u8;
+    }
+}
+
+impl Groups {
+    /// The group of a key whose words [`Self::seen`] does not hold: by its
+    /// canonical form, created if that is new. `raw` and `canon` are
+    /// scratch.
+    fn canonical_group(
+        &mut self,
+        plan: &ConsumePlan<'_>,
+        key: &[u64],
+        raw: &mut Vec<u8>,
+        canon: &mut Vec<u8>,
+    ) -> u32 {
+        raw.clear();
+        raw.extend(key.iter().flat_map(|w| w.to_le_bytes()));
+        raw.truncate(plan.key.width);
+        canonical_key(&plan.key_types, raw, canon);
+        if let Some(&g) = self.index.get(canon.as_slice()) {
+            return g;
+        }
+        let g = self.index.len() as u32;
+        self.index.insert(canon.as_slice().into(), g);
+        self.accs.extend(new_accs(plan.bound));
+        let mut rest = raw.as_slice();
+        for &ty in &plan.key_types {
+            let (field, after) = rest.split_at(ty.width());
+            self.keys.push(Value::decode(ty, field));
+            rest = after;
+        }
+        g
+    }
 }
 
 /// Shared consumption: either appends projected rows to a typed batch or
@@ -266,12 +448,14 @@ impl<'q> Consumer<'q> {
                 });
             }
         }
+        let key = KeyLayout::new(&bound.group_by, &key_types);
         Ok(Rc::new(ConsumePlan {
             bound,
             types,
             projections,
             feeds,
             key_types,
+            key,
             aggregated,
         }))
     }
@@ -375,8 +559,9 @@ impl<'q> Consumer<'q> {
     }
 
     /// `scratch.gids[k]` ← the group of `rows[k]`, created on first sight:
-    /// the raw key bytes are compared with the previous row's, and only a
-    /// different key is canonicalized and looked up.
+    /// the rows' raw keys are read into words a column piece at a time, and
+    /// each row's words are looked up among those [`Groups::seen`] holds —
+    /// canonicalized only if it does not hold them.
     fn assign_groups(
         &mut self,
         chunk: &Chunk<'_>,
@@ -387,8 +572,8 @@ impl<'q> Consumer<'q> {
         let groups = &mut self.groups;
         let EvalScratch {
             gids,
-            keys,
-            last_key,
+            words,
+            raw,
             canon,
             ..
         } = scratch;
@@ -402,13 +587,7 @@ impl<'q> Consumer<'q> {
             gids.resize(rows.len(), 0);
             return Ok(());
         }
-        // The rows' raw keys back to back, filled a column at a time.
-        let types = &plan.key_types;
-        let width: usize = types.iter().map(ColumnType::width).sum();
-        keys.clear();
-        keys.resize(rows.len() * width, 0);
-        let mut offset = 0;
-        for (&ty, &slot) in types.iter().zip(slots) {
+        for (&ty, &slot) in plan.key_types.iter().zip(slots) {
             let col = chunk.col(slot).map_err(on_first_row)?;
             if col.ty() != ty {
                 return Err(on_first_row(FabricError::Internal(format!(
@@ -417,46 +596,38 @@ impl<'q> Consumer<'q> {
                     ty.name()
                 ))));
             }
-            for (k, &r) in rows.iter().enumerate() {
-                keys[k * width + offset..][..ty.width()].copy_from_slice(col.raw(r as usize));
-            }
-            offset += ty.width();
         }
-        let mut previous: &[u8] = last_key;
-        for k in 0..rows.len() {
-            let key = &keys[k * width..(k + 1) * width];
-            let g = match groups.last {
-                Some(g) if key == previous => g,
-                _ => {
-                    canonical_key(types, key, canon);
-                    match groups.index.get(canon.as_slice()) {
-                        Some(&g) => g,
-                        None => {
-                            let g = groups.index.len() as u32;
-                            groups.index.insert(canon.as_slice().into(), g);
-                            groups.accs.extend(new_accs(plan.bound));
-                            let mut raw = key;
-                            for &ty in types.iter() {
-                                let (field, rest) = raw.split_at(ty.width());
-                                groups.keys.push(Value::decode(ty, field));
-                                raw = rest;
-                            }
-                            g
-                        }
-                    }
+        let stride = plan.key.words;
+        words.clear();
+        // Sized for a whole chunk the first time, like the other buffers.
+        words.reserve_exact(BATCH_ROWS * stride);
+        words.resize(rows.len() * stride, 0);
+        for piece in &plan.key.pieces {
+            let col = chunk.col(piece.slot).map_err(on_first_row)?;
+            match piece.width {
+                1 => fill_words::<1>(&col, piece, rows, words, stride),
+                2 => fill_words::<2>(&col, piece, rows, words, stride),
+                4 => fill_words::<4>(&col, piece, rows, words, stride),
+                _ => fill_words::<8>(&col, piece, rows, words, stride),
+            }
+        }
+        for key in words.chunks_exact(stride) {
+            let g = match groups.seen.get(key) {
+                Some(g) => g,
+                None => {
+                    let g = groups.canonical_group(plan, key, raw, canon);
+                    groups.seen.insert(key, g);
+                    g
                 }
             };
-            groups.last = Some(g);
-            previous = key;
             gids.push(g);
         }
-        last_key.clear();
-        last_key.extend_from_slice(&keys[keys.len() - width..]);
         Ok(())
     }
 
     /// Update every accumulator with its rows, an accumulator at a time,
-    /// each in row order.
+    /// each in row order. The columns the feeds' programs read are
+    /// gathered once for all of them.
     fn accumulate(
         &mut self,
         chunk: &Chunk<'_>,
@@ -465,19 +636,29 @@ impl<'q> Consumer<'q> {
         failed: &mut Option<ChunkError>,
     ) {
         let EvalScratch { gids, regs, .. } = scratch;
-        let feeds = &self.plan.feeds;
+        let plan = &*self.plan;
+        let programs = plan.feeds.iter().filter_map(|feed| match feed {
+            AggFeed::Sum(p) | AggFeed::Value(MinMaxInput::Arithmetic(p)) => Some(p),
+            AggFeed::Count | AggFeed::Value(_) => None,
+        });
+        regs.load(chunk, rows, programs.flat_map(F64Program::slots));
         let accs = &mut self.groups.accs;
-        let stride = feeds.len();
-        for (a, feed) in feeds.iter().enumerate() {
-            // Row `k`'s accumulator for this feed.
-            let at = |k: usize| gids[k] as usize * stride + a;
+        let stride = plan.feeds.len();
+        for (a, feed) in plan.feeds.iter().enumerate() {
+            // Group `g`'s accumulator for this feed, and row `k`'s.
+            let of = |g: u32| g as usize * stride + a;
+            let at = |k: usize| of(gids[k]);
             let fed = match feed {
                 AggFeed::Count => {
-                    (0..rows.len()).for_each(|k| accs[at(k)].update_f64(0.0));
+                    gids.iter().for_each(|&g| accs[of(g)].count_row());
                     Ok(())
                 }
-                AggFeed::Sum(program) => program.eval_chunk(chunk, rows, regs).map(|values| {
-                    (0..rows.len()).for_each(|k| accs[at(k)].update_f64(values.at(k)));
+                AggFeed::Sum(program) => program.eval_loaded(regs).map(|values| match values {
+                    F64Column::Scalar(x) => gids.iter().for_each(|&g| accs[of(g)].add_f64(x)),
+                    F64Column::Vector(v) => {
+                        let fed = gids.iter().zip(v);
+                        fed.for_each(|(&g, &x)| accs[of(g)].add_f64(x));
+                    }
                 }),
                 AggFeed::Value(MinMaxInput::Slot(s)) => {
                     chunk.col(*s).map_err(on_first_row).and_then(|col| {
@@ -493,7 +674,7 @@ impl<'q> Consumer<'q> {
                         .map_err(|error| ChunkError { at: k, error })
                 }),
                 AggFeed::Value(MinMaxInput::Arithmetic(program)) => {
-                    program.eval_chunk(chunk, rows, regs).and_then(|values| {
+                    program.eval_loaded(regs).and_then(|values| {
                         (0..rows.len()).try_for_each(|k| {
                             let updated = accs[at(k)].update(&Value::F64(values.at(k)));
                             updated.map_err(|error| ChunkError { at: k, error })

@@ -453,8 +453,11 @@ fn rendered_key_reference(bound: &BoundQuery, table: &[Vec<Value>]) -> Vec<Vec<V
 
 /// Rows whose group columns hold what raw-key grouping must get right:
 /// NaNs of several payloads and both signs (one group), `-0.0` beside
-/// `0.0` (two groups), strings that are prefixes of each other, and an
-/// integer column with more distinct values than a morsel has rows.
+/// `0.0` (two groups), strings that are prefixes of each other, strings
+/// that differ only after an embedded NUL (one group: a text is read up to
+/// its first NUL), and an integer column with more distinct values than a
+/// morsel has rows, so a morsel sees far more distinct keys than the
+/// linear table of seen keys holds.
 fn grouping_rows(rng: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
     let floats = [
         f64::NAN,
@@ -468,7 +471,7 @@ fn grouping_rows(rng: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
         1e300,
         f64::INFINITY,
     ];
-    let texts = ["", "a", "ab", "b"];
+    let texts = ["", "a", "ab", "b", "a\0b", "a\0c", "\0z"];
     (0..n)
         .map(|_| {
             // Magnitudes far apart, so a sum folded in another order
@@ -485,15 +488,33 @@ fn grouping_rows(rng: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn grouping_engine(cores: usize, table: &[Vec<Value>]) -> Engine {
-    let schema = Schema::from_pairs(&[
+fn grouping_schema() -> Schema {
+    Schema::from_pairs(&[
         ("k", ColumnType::F64),
         ("s", ColumnType::FixedStr(3)),
         ("g", ColumnType::I32),
         ("v", ColumnType::F64),
         ("w", ColumnType::I64),
-    ]);
-    support::table_engine(cores, &schema, table)
+    ])
+}
+
+fn grouping_engine(cores: usize, table: &[Vec<Value>]) -> Engine {
+    support::table_engine(cores, &grouping_schema(), table)
+}
+
+/// `table` as the engine stores and reads it back: a text up to its
+/// first NUL.
+fn as_stored(table: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let schema = grouping_schema();
+    let round_trip = |(v, c): (&Value, &fabric_types::ColumnDef)| {
+        let mut bytes = vec![0; c.ty.width()];
+        v.encode_into(c.ty, &mut bytes).unwrap();
+        Value::decode(c.ty, &bytes)
+    };
+    table
+        .iter()
+        .map(|row| row.iter().zip(schema.columns()).map(round_trip).collect())
+        .collect()
 }
 
 #[test]
@@ -502,10 +523,15 @@ fn raw_key_grouping_returns_the_rendered_key_rows_in_the_rendered_key_order() {
     let mut rng = DetRng::seed_from_u64(seed ^ 0x6200);
     // Three full morsels and a short one.
     let table = grouping_rows(&mut rng, 3 * MORSEL_ROWS + 1000);
+    let stored = as_stored(&table);
+    // Keys of one word (`k`: 8 bytes), two (`k, s` and `g, k, s`: 11 and
+    // 15 bytes) and three (`w, k, s`: 19 bytes).
     let queries = [
         "SELECT k, s, sum(v), avg(v), count(*), min(w), max(v) FROM t GROUP BY k, s",
         "SELECT g, sum(v * 2 + w), count(*), avg(w) FROM t WHERE w >= 0 GROUP BY g",
         "SELECT s, k, g, sum(v / (w + 51)) FROM t WHERE g < 4500 GROUP BY g, k, s",
+        "SELECT w, s, count(*), sum(v), max(g), k FROM t GROUP BY w, k, s",
+        "SELECT k, count(*), sum(w) FROM t WHERE s = 'a' GROUP BY k",
         "SELECT sum(v), count(*), min(k) FROM t WHERE w < 900",
     ];
     for sql in queries {
@@ -513,9 +539,9 @@ fn raw_key_grouping_returns_the_rendered_key_rows_in_the_rendered_key_order() {
             let e = grouping_engine(1, &table);
             let stmt = query::parser::parse(sql).unwrap();
             let bound = bind(e.catalog(), &stmt).unwrap();
-            rendered_key_reference(&bound, &table)
+            rendered_key_reference(&bound, &stored)
         };
-        if sql.contains("GROUP BY g") {
+        if sql.contains("GROUP BY g") || sql.contains("GROUP BY w") {
             assert!(reference.len() > 4096, "{} groups", reference.len());
         }
         for &cores in &core_grid() {
@@ -543,6 +569,7 @@ fn raw_key_grouping_returns_the_rendered_key_rows_in_the_rendered_key_order() {
             .filter(|r| matches!(r[0], Value::F64(k) if pred(k)))
             .count()
     };
+    // Four texts: "a\0b" and "a\0c" are "a", "\0z" is "".
     assert_eq!(keyed(&|k| k.is_nan()), 4, "one NaN group per string");
     assert_eq!(keyed(&|k| k == 0.0), 8, "-0.0 and 0.0 per string");
     assert_eq!(rows.len(), 7 * 4);

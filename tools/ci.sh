@@ -75,13 +75,19 @@
 #                                watermark, replay idempotent, postmortems
 #                                validator-clean and byte-deterministic)
 #  13. host fast paths          (tests/host_fast_paths.rs under the fixed
+#                                seed and again under a second fixed
 #                                seed: the CRC — slicing-by-8 tables and
 #                                carry-less-multiply folding, whichever
 #                                the CPU runs — against the bytewise loop,
 #                                Value::compare, decode_into, compiled f64
-#                                sums and raw-key grouping each against
-#                                the code it replaced, on ROW/COL/RM at
-#                                1/2/4 cores — DESIGN.md §18; then
+#                                sums, and grouping on key words — one,
+#                                two and three words a row, NaN payloads,
+#                                texts equal up to an embedded NUL, more
+#                                distinct keys a morsel than the linear
+#                                table of seen keys holds — against the
+#                                rendered-key grouping it replaced, on
+#                                ROW/COL/RM at 1/2/4 cores — DESIGN.md
+#                                §18, §29; then
 #                                tests/device_reference.rs under the same
 #                                seed: the RM device's batch-at-a-time
 #                                produce and run_aggregate against the
@@ -112,7 +118,8 @@
 #                                sort-and-truncate pipeline they replaced
 #                                — DESIGN.md §19)
 #  16. typed stage 0            (tests/typed_stage0.rs under the fixed
-#                                seed: generated statements over all
+#                                seed and the second one, as in step 13:
+#                                generated statements over all
 #                                eight column types on ROW/COL/RM at
 #                                1/2/4 cores against the row-at-a-time
 #                                pipeline, and each layout's chunk kernel
@@ -178,6 +185,9 @@ CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
+# The differential of grouping and aggregation on key words (steps 13
+# and 16) runs under a second fixed seed too.
+SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
 
 seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
 
@@ -227,6 +237,7 @@ tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query 
 
 seeded_test "crash-recovery matrix" crash_recovery "$SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
+seeded_test "host fast paths, second seed" host_fast_paths "$GRID" "$SECOND_SEED"
 seeded_test "device reference" device_reference "$SEED"
 
 # Deterministic, no seed: the counting allocator exists in this test
@@ -237,6 +248,7 @@ seeded_test "bounded state" bounded_state "$GRID" "$SEED"
 
 seeded_test "result batches" result_batch "$GRID" "$SEED"
 seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
+seeded_test "typed stage 0, second seed" typed_stage0 "$GRID" "$SECOND_SEED"
 seeded_test "line path reference" line_path_reference "$GRID" "$SEED"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
