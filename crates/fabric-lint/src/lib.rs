@@ -31,7 +31,7 @@
 //!   counter structs are forbidden in non-test library code of the core
 //!   crates: statistics flow through the `fabric-obs` metrics registry.
 //! * **exec-internals** — the staged executor's internals
-//!   (`QueryExecutor` / `OpNode` / `Consumer` / `CacheSlot` / `OpCache` /
+//!   (`QueryExecutor` / `Consumer` / `CacheSlot` / `OpCache` /
 //!   `Scratchpad`) are constructed only inside `crates/query`: the
 //!   engine owns operator lifetimes, scratch buffers, and cache
 //!   invalidation. Out-of-crate construction is flagged everywhere,

@@ -45,7 +45,10 @@ pub mod trace;
 pub use calib::{CalibEntry, CalibLedger, EWMA_ALPHA};
 pub use flight::{FlightRecorder, Postmortem};
 pub use json::{escaped, parse_json, validate_chrome_trace, ChromeTraceSummary, Json};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    CounterId, GaugeId, Histogram, HistogramId, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, RegistryId,
+};
 pub use profile::{ProfileStats, SamplingProfiler};
 pub use querylog::{
     OpRecord, QueryLog, QueryRecord, WorkloadEntry, WorkloadReport, DEFAULT_QUERYLOG_CAP,

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets in a [`Histogram`]. Bucket `i` counts values
 /// `v` with `63 - v.leading_zeros() == i` (bucket 0 also takes `v == 0`),
@@ -195,6 +196,84 @@ struct Counter {
     mark: u64,
 }
 
+/// Which registry issued a handle: every [`MetricsRegistry`] gets its own
+/// when it is created, so a holder of handles can tell that the
+/// registry it writes to is still the one it resolved them on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistryId(u64);
+
+impl RegistryId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        RegistryId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A slot of one registry: what the three handle types wrap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Handle {
+    registry: RegistryId,
+    slot: usize,
+}
+
+/// A counter resolved once by [`MetricsRegistry::counter_id`]; writing
+/// through it with [`MetricsRegistry::counter_add_id`] looks up no name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(Handle);
+
+/// A gauge resolved once by [`MetricsRegistry::gauge_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(Handle);
+
+/// A histogram resolved once by [`MetricsRegistry::histogram_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(Handle);
+
+/// One kind of metric: the ordered name index and the slots it points
+/// into. A slot is `None` until its first write, so a name resolved but
+/// never written is in no snapshot.
+#[derive(Debug)]
+struct Slots<T> {
+    names: BTreeMap<String, usize>,
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            names: BTreeMap::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    /// The slot of `name`, made (unwritten) on first sight.
+    fn resolve(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.names.get(name) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.slots.push(None);
+        self.names.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// The written value of `name`, if any.
+    fn get(&self, name: &str) -> Option<&T> {
+        self.names
+            .get(name)
+            .and_then(|&slot| self.slots[slot].as_ref())
+    }
+
+    /// Written metrics in name order.
+    fn written(&self) -> impl Iterator<Item = (&String, &T)> {
+        self.names
+            .iter()
+            .filter_map(|(k, &slot)| self.slots[slot].as_ref().map(|v| (k, v)))
+    }
+}
+
 /// The workspace-wide metrics registry.
 ///
 /// Counters are monotonic `u64`s, gauges are last-write-wins `f64`s,
@@ -204,15 +283,27 @@ struct Counter {
 /// one per write does so through [`MetricsRegistry::scoped`], which
 /// assembles names in one buffer the registry keeps.
 ///
+/// Each name maps to a slot. A writer that writes the same metrics over
+/// and over resolves their names once ([`MetricsRegistry::counter_id`],
+/// [`MetricsRegistry::gauge_id`], [`MetricsRegistry::histogram_id`]) and
+/// writes through the handles, which index the slot directly; a write by
+/// name is a resolution and then the same write. A handle is valid only on
+/// the registry that resolved it ([`MetricsRegistry::id`]); using it on
+/// another panics instead of writing whatever that registry keeps in the
+/// same slot (DESIGN.md §30).
+///
 /// [`MetricsRegistry::mark`] starts a window in O(1):
 /// [`MetricsRegistry::delta_since_mark`] later reports exactly the counter
 /// deltas against a snapshot taken at the mark, without taking one
 /// (DESIGN.md §24).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    id: RegistryId,
+    counters: Slots<Counter>,
+    gauges: Slots<f64>,
+    histograms: Slots<Histogram>,
+    /// Names looked up to resolve a handle or to write by name.
+    resolutions: u64,
     /// The current mark; 0 until the first [`MetricsRegistry::mark`].
     mark: u64,
     /// Where [`crate::ScopedMetrics`] assembles names; lent to a scope
@@ -220,29 +311,100 @@ pub struct MetricsRegistry {
     pub(crate) key_buf: String,
 }
 
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            id: RegistryId::fresh(),
+            counters: Slots::default(),
+            gauges: Slots::default(),
+            histograms: Slots::default(),
+            resolutions: 0,
+            mark: 0,
+            key_buf: String::new(),
+        }
+    }
+}
+
 impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
 
+    /// This registry's identity: the one its handles carry.
+    pub fn id(&self) -> RegistryId {
+        self.id
+    }
+
+    /// How many names this registry has looked up to resolve a handle or
+    /// to write by name — a writer that holds handles adds none.
+    pub fn resolutions(&self) -> u64 {
+        self.resolutions
+    }
+
+    /// The slot a handle names, after checking that this registry issued it.
+    fn slot(&self, h: Handle) -> usize {
+        assert!(
+            h.registry == self.id,
+            "a metric handle is valid only on the registry that resolved it"
+        );
+        h.slot
+    }
+
+    /// Resolve counter `name` once for [`MetricsRegistry::counter_add_id`].
+    /// The counter appears in snapshots from its first write on.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        self.resolutions += 1;
+        CounterId(Handle {
+            registry: self.id,
+            slot: self.counters.resolve(name),
+        })
+    }
+
+    /// Resolve gauge `name` once for [`MetricsRegistry::gauge_set_id`].
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        self.resolutions += 1;
+        GaugeId(Handle {
+            registry: self.id,
+            slot: self.gauges.resolve(name),
+        })
+    }
+
+    /// Resolve histogram `name` once for [`MetricsRegistry::observe_id`].
+    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
+        self.resolutions += 1;
+        HistogramId(Handle {
+            registry: self.id,
+            slot: self.histograms.resolve(name),
+        })
+    }
+
     /// Add to a monotonic counter (created at 0 on first touch).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
+        let id = self.counter_id(name);
+        self.counter_add_id(id, delta);
+    }
+
+    /// [`MetricsRegistry::counter_add`] through a resolved handle.
+    pub fn counter_add_id(&mut self, id: CounterId, delta: u64) {
         let mark = self.mark;
-        if let Some(c) = self.counters.get_mut(name) {
-            if c.mark != mark {
-                // First write since the mark: remember where it started.
-                c.at_mark = c.value;
-                c.mark = mark;
+        let slot = self.slot(id.0);
+        match &mut self.counters.slots[slot] {
+            Some(c) => {
+                if c.mark != mark {
+                    // First write since the mark: remember where it started.
+                    c.at_mark = c.value;
+                    c.mark = mark;
+                }
+                c.value = c.value.saturating_add(delta);
             }
-            c.value = c.value.saturating_add(delta);
-        } else {
-            // Created after the mark: its delta is its whole value.
-            let c = Counter {
-                value: delta,
-                at_mark: 0,
-                mark,
-            };
-            self.counters.insert(name.to_string(), c);
+            // First write ever, after the mark: its delta is its whole value.
+            unwritten => {
+                *unwritten = Some(Counter {
+                    value: delta,
+                    at_mark: 0,
+                    mark,
+                })
+            }
         }
     }
 
@@ -253,11 +415,14 @@ impl MetricsRegistry {
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
+        let id = self.gauge_id(name);
+        self.gauge_set_id(id, value);
+    }
+
+    /// [`MetricsRegistry::gauge_set`] through a resolved handle.
+    pub fn gauge_set_id(&mut self, id: GaugeId, value: f64) {
+        let slot = self.slot(id.0);
+        self.gauges.slots[slot] = Some(value);
     }
 
     /// Read a gauge (`None` when never set).
@@ -267,13 +432,16 @@ impl MetricsRegistry {
 
     /// Record a histogram sample (histogram created on first touch).
     pub fn observe(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::new();
-            h.observe(value);
-            self.histograms.insert(name.to_string(), h);
-        }
+        let id = self.histogram_id(name);
+        self.observe_id(id, value);
+    }
+
+    /// [`MetricsRegistry::observe`] through a resolved handle.
+    pub fn observe_id(&mut self, id: HistogramId, value: u64) {
+        let slot = self.slot(id.0);
+        self.histograms.slots[slot]
+            .get_or_insert_with(Histogram::new)
+            .observe(value);
     }
 
     /// Read a histogram by name.
@@ -296,7 +464,7 @@ impl MetricsRegistry {
     pub fn delta_since_mark(&self) -> MetricsSnapshot {
         let counters = self
             .counters
-            .iter()
+            .written()
             .filter_map(|(k, c)| {
                 let base = if c.mark == self.mark {
                     c.at_mark
@@ -309,7 +477,7 @@ impl MetricsRegistry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges: self.gauges.clone(),
+            gauges: self.gauge_values(),
             histograms: self.histogram_snapshots(),
         }
     }
@@ -319,17 +487,24 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters: self
                 .counters
-                .iter()
+                .written()
                 .map(|(k, c)| (k.clone(), c.value))
                 .collect(),
-            gauges: self.gauges.clone(),
+            gauges: self.gauge_values(),
             histograms: self.histogram_snapshots(),
         }
     }
 
+    fn gauge_values(&self) -> BTreeMap<String, f64> {
+        self.gauges
+            .written()
+            .map(|(k, &v)| (k.clone(), v))
+            .collect()
+    }
+
     fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
         self.histograms
-            .iter()
+            .written()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
     }
@@ -518,6 +693,94 @@ mod tests {
                 assert_eq!(pm.metrics_delta, expected);
             }
         });
+    }
+
+    /// One generated write sequence, applied to one registry by name and
+    /// to another through handles resolved at random points — some
+    /// resolved again, some resolved and never written — with marks
+    /// interleaved: after every step the two read, snapshot and delta
+    /// alike, and the handle side's delta is the one a snapshot taken at
+    /// the mark gives.
+    #[test]
+    fn handles_write_what_names_write() {
+        const NAMES: [&str; 6] = ["a", "b.c", "b.d", "query.core0.td.retired", "x", "zz"];
+        fabric_types::rng::for_each_case("handles_vs_names", |rng| {
+            let mut by_name = MetricsRegistry::new();
+            let mut by_id = MetricsRegistry::new();
+            let mut counters: [Option<CounterId>; NAMES.len()] = [None; NAMES.len()];
+            let mut gauges: [Option<GaugeId>; NAMES.len()] = [None; NAMES.len()];
+            let mut histograms: [Option<HistogramId>; NAMES.len()] = [None; NAMES.len()];
+            let mut at_mark: Option<MetricsSnapshot> = None;
+            for _ in 0..rng.gen_range(1..80usize) {
+                let i = rng.gen_range(0..NAMES.len());
+                let name = NAMES[i];
+                let v = rng.gen_range(0..4u64);
+                match rng.gen_range(0..12u32) {
+                    0 => {
+                        by_name.mark();
+                        by_id.mark();
+                        at_mark = Some(by_id.snapshot());
+                    }
+                    // Resolve (perhaps again) without writing.
+                    1 => match rng.gen_range(0..3u32) {
+                        0 => counters[i] = Some(by_id.counter_id(name)),
+                        1 => gauges[i] = Some(by_id.gauge_id(name)),
+                        _ => histograms[i] = Some(by_id.histogram_id(name)),
+                    },
+                    2 | 3 => {
+                        by_name.gauge_set(name, v as f64);
+                        let id = *gauges[i].get_or_insert_with(|| by_id.gauge_id(name));
+                        by_id.gauge_set_id(id, v as f64);
+                    }
+                    4 | 5 => {
+                        by_name.observe(name, v);
+                        let id = *histograms[i].get_or_insert_with(|| by_id.histogram_id(name));
+                        by_id.observe_id(id, v);
+                    }
+                    _ => {
+                        by_name.counter_add(name, v);
+                        let id = *counters[i].get_or_insert_with(|| by_id.counter_id(name));
+                        by_id.counter_add_id(id, v);
+                    }
+                }
+                assert_eq!(by_id.snapshot().to_json(), by_name.snapshot().to_json());
+                let delta = by_id.delta_since_mark().to_json();
+                assert_eq!(delta, by_name.delta_since_mark().to_json());
+                if let Some(at) = &at_mark {
+                    assert_eq!(delta, delta_since(&by_id.snapshot(), at).to_json());
+                }
+                for name in NAMES {
+                    assert_eq!(by_id.counter(name), by_name.counter(name), "{name}");
+                    assert_eq!(by_id.gauge(name), by_name.gauge(name), "{name}");
+                    assert_eq!(by_id.histogram(name), by_name.histogram(name), "{name}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_handle_counts_no_resolution_and_writes_only_its_own_registry() {
+        let mut r = MetricsRegistry::new();
+        let id = r.counter_id("x");
+        assert_eq!(r.resolutions(), 1);
+        assert!(r.snapshot().counters.is_empty(), "resolved, not written");
+        r.counter_add_id(id, 0);
+        assert_eq!(r.snapshot().counter("x"), 0);
+        assert!(
+            r.snapshot().counters.contains_key("x"),
+            "a zero write adds the key"
+        );
+        r.counter_add_id(id, 2);
+        r.counter_add("x", 1);
+        assert_eq!((r.counter("x"), r.resolutions()), (3, 2));
+        let mut other = MetricsRegistry::new();
+        other.counter_id("x");
+        assert_ne!(other.id(), r.id());
+        let foreign = std::panic::catch_unwind(move || other.counter_add_id(id, 1));
+        assert!(
+            foreign.is_err(),
+            "a handle from another registry must not write"
+        );
     }
 
     #[test]

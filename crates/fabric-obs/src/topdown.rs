@@ -26,8 +26,6 @@
 //! [`CoreAttribution::verify`] checks it; `query::exec` asserts it after
 //! every query.
 
-use crate::metrics::MetricsRegistry;
-
 /// One core's share of a measured window: where its cycles went and how
 /// much data it pulled through the hierarchy.
 ///
@@ -67,18 +65,8 @@ pub struct CoreAttribution {
 /// Number of leaf buckets, idle included.
 pub const BUCKETS: usize = 8;
 
-/// The metric key of each leaf bucket under `<prefix>.core<i>.`, in
-/// [`CoreAttribution::buckets`] order.
-const BUCKET_KEYS: [&str; BUCKETS] = [
-    "td.retired",
-    "td.mem.l1",
-    "td.mem.l2",
-    "td.mem.dram",
-    "td.mem.rm_device",
-    "td.stall.bw",
-    "td.stall.retry",
-    "td.stall.idle",
-];
+/// Number of counters in [`CoreAttribution::counters`].
+pub const COUNTERS: usize = BUCKETS + 4;
 
 impl CoreAttribution {
     /// The window this core closes: `busy_cycles + idle_cycles`.
@@ -99,6 +87,29 @@ impl CoreAttribution {
             ("stall.bw", self.bw_wait),
             ("stall.retry", self.fault_retry),
             ("stall.idle", self.idle_cycles),
+        ]
+    }
+
+    /// The record as the counters of `<prefix>.core<i>.`, as `(key,
+    /// value)` pairs: `busy_cycles`, `idle_cycles`, `bytes_read`, each leaf
+    /// bucket as `td.<bucket>` (dots in bucket names kept) and
+    /// `td.elapsed` — the snapshot-visible form of the record. The query
+    /// layer resolves the keys once per core and writes the values through
+    /// handles (DESIGN.md §30).
+    pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+        [
+            ("busy_cycles", self.busy_cycles),
+            ("idle_cycles", self.idle_cycles),
+            ("bytes_read", self.bytes_read),
+            ("td.retired", self.retired),
+            ("td.mem.l1", self.mem_l1),
+            ("td.mem.l2", self.mem_l2),
+            ("td.mem.dram", self.mem_dram),
+            ("td.mem.rm_device", self.mem_rm_device),
+            ("td.stall.bw", self.bw_wait),
+            ("td.stall.retry", self.fault_retry),
+            ("td.stall.idle", self.idle_cycles),
+            ("td.elapsed", self.elapsed()),
         ]
     }
 
@@ -142,23 +153,6 @@ impl CoreAttribution {
                 self
             ))
         }
-    }
-}
-
-/// Export every core under `<prefix>.core<i>.`: `busy_cycles`,
-/// `idle_cycles`, `bytes_read`, each leaf bucket as `td.<bucket>` (dots
-/// in bucket names kept) and `td.elapsed` — the snapshot-visible form of
-/// the record.
-pub fn record_into(cores: &[CoreAttribution], registry: &mut MetricsRegistry, prefix: &str) {
-    for c in cores {
-        let mut core = registry.scoped(format_args!("{prefix}.core{}", c.core));
-        core.counter_add("busy_cycles", c.busy_cycles);
-        core.counter_add("idle_cycles", c.idle_cycles);
-        core.counter_add("bytes_read", c.bytes_read);
-        for (key, (_, v)) in BUCKET_KEYS.iter().zip(c.buckets()) {
-            core.counter_add(key, v);
-        }
-        core.counter_add("td.elapsed", c.elapsed());
     }
 }
 
@@ -282,13 +276,17 @@ mod tests {
     #[test]
     fn export_and_json_are_stable() {
         let cores = [sample()];
-        let mut reg = MetricsRegistry::new();
-        record_into(&cores, &mut reg, "query");
-        assert_eq!(reg.counter("query.core0.td.retired"), 40);
-        assert_eq!(reg.counter("query.core0.td.stall.idle"), 6);
-        assert_eq!(reg.counter("query.core0.td.elapsed"), 100);
-        assert_eq!(reg.counter("query.core0.busy_cycles"), 94);
-        assert_eq!(reg.counter("query.core0.bytes_read"), 4096);
+        let counters = cores[0].counters();
+        let value = |key: &str| counters.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+        assert_eq!(value("td.retired"), Some(40));
+        assert_eq!(value("td.stall.idle"), Some(6));
+        assert_eq!(value("td.elapsed"), Some(100));
+        assert_eq!(value("busy_cycles"), Some(94));
+        assert_eq!(value("bytes_read"), Some(4096));
+        // Every leaf bucket, under its short name, in `buckets` order.
+        for ((key, v), (name, b)) in counters[3..].iter().zip(cores[0].buckets()) {
+            assert_eq!((*key, *v), (&*format!("td.{name}"), b));
+        }
         let json = to_json(&cores);
         assert!(json.starts_with("[{\"core\":0,\"retired\":40,"));
         assert!(json.ends_with(",\"stall.idle\":6,\"elapsed\":100}]"));

@@ -49,10 +49,11 @@ pub use stats::MemStats;
 pub use fabric_obs::topdown;
 pub use fabric_obs::{
     compare_bench, escaped, parse_json, validate_chrome_trace, CalibEntry, CalibLedger, Category,
-    ChromeTraceSummary, CoreAttribution, FabricRecorder, FlightRecorder, GatePolicy, GateReport,
-    Json, MetricsRegistry, MetricsSnapshot, NoopRecorder, OpRecord, Postmortem, ProfileStats,
-    QueryLog, QueryRecord, RingRecorder, SamplingProfiler, ScopedMetrics, TopDownSummary,
-    TraceBuffer, WorkloadEntry, WorkloadReport, BENCH_SCHEMA_VERSION,
+    ChromeTraceSummary, CoreAttribution, CounterId, FabricRecorder, FlightRecorder, GatePolicy,
+    GateReport, GaugeId, HistogramId, Json, MetricsRegistry, MetricsSnapshot, NoopRecorder,
+    OpRecord, Postmortem, ProfileStats, QueryLog, QueryRecord, RegistryId, RingRecorder,
+    SamplingProfiler, ScopedMetrics, TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport,
+    BENCH_SCHEMA_VERSION,
 };
 
 /// Simulated time, measured in CPU core cycles.

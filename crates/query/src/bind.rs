@@ -14,6 +14,9 @@ pub enum OutputItem {
     Agg(AggFunc, Expr),
 }
 
+/// Every [`BoundQuery::class`], by [`BoundQuery::class_index`].
+pub(crate) const CLASSES: [&str; 3] = ["scan", "q6", "q1"];
+
 /// A bound query: everything resolved to slot indices over `touched`.
 #[derive(Debug, Clone)]
 pub struct BoundQuery {
@@ -49,14 +52,15 @@ impl BoundQuery {
     /// `query.class.<class>.{cold,hit}.latency_cycles`; percentiles are
     /// read from those histograms when rendered.
     pub fn class(&self) -> &'static str {
-        if self.has_aggregates() {
-            if self.group_by.is_empty() {
-                "q6"
-            } else {
-                "q1"
-            }
-        } else {
-            "scan"
+        CLASSES[self.class_index()]
+    }
+
+    /// This query's position in [`CLASSES`].
+    pub(crate) fn class_index(&self) -> usize {
+        match (self.has_aggregates(), self.group_by.is_empty()) {
+            (false, _) => 0,
+            (true, true) => 1,
+            (true, false) => 2,
         }
     }
 }

@@ -33,7 +33,8 @@ use crate::catalog::Catalog;
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
 use crate::exec::opcache::{self, OpCache};
 use crate::exec::{
-    run_verified, CacheSlot, FaultContext, QueryOutput, RecordMeta, Resilience, Scratchpad,
+    run_verified, CacheSlot, FaultContext, QueryMetrics, QueryOutput, RecordMeta, Resilience,
+    Scratchpad,
 };
 use crate::explain::{
     analyze_paths, render_analyze, render_latency_section, render_plan, render_recovery_section,
@@ -116,6 +117,10 @@ pub struct Engine {
     /// every session on this engine. Invalidated together with the plan
     /// cache — both are bound to the catalog contents and machine shape.
     op_cache: OpCache,
+    /// Handles for the metrics every query writes, resolved on the
+    /// hierarchy's registry at the first query and again whenever that
+    /// registry is replaced or the machine gains cores.
+    query_metrics: QueryMetrics,
     /// Recovery reports from every [`Engine::open_recovered`] call, in
     /// order — the engine's record of which tables came back from a
     /// crash and whether the recovery was degraded.
@@ -146,6 +151,7 @@ impl Engine {
             cache_hits: 0,
             cache_misses: 0,
             op_cache: OpCache::default(),
+            query_metrics: QueryMetrics::default(),
             recoveries: Vec::new(),
             sessions_opened: 0,
         }
@@ -347,20 +353,6 @@ impl Session<'_> {
         self.scratch.reuses()
     }
 
-    /// Record one executed query's cycle-domain latency into its class's
-    /// cold or hit histogram (`query.class.<class>.{cold,hit}.latency_cycles`
-    /// — an op-cache hit is orders of magnitude cheaper than a cold run,
-    /// so the two are never pooled). Percentiles are read from the
-    /// histogram when rendered. Recording never advances the simulated
-    /// clock, so an instrumented run stays cycle-identical to an
-    /// uninstrumented one.
-    fn record_latency(mem: &mut MemoryHierarchy, class: &str, elapsed: u64, cache_hit: bool) {
-        let temp = if cache_hit { "hit" } else { "cold" };
-        mem.metrics_mut()
-            .scoped(format_args!("query.class.{class}.{temp}"))
-            .observe("latency_cycles", elapsed);
-    }
-
     /// Parse + bind + verify + price `sql`, consulting the engine's plan
     /// cache (keyed by SQL text, MRU, capacity [`PLAN_CACHE_CAP`]). A hit
     /// returns the cached plan unchanged, so a re-prepared query executes
@@ -370,10 +362,11 @@ impl Session<'_> {
             let entry = self.engine.cache.remove(i);
             self.engine.cache.insert(0, entry);
             self.engine.cache_hits += 1;
+            let tail = self.engine.query_metrics.on(&mut self.engine.mem);
             self.engine
                 .mem
                 .metrics_mut()
-                .counter_add("query.plan_cache.hits", 1);
+                .counter_add_id(tail.plan_cache_hits, 1);
             return Ok(Prepared {
                 plan: Rc::clone(&self.engine.cache[0].1),
             });
@@ -404,10 +397,11 @@ impl Session<'_> {
             .insert(0, (sql.to_string(), Rc::clone(&plan)));
         self.engine.cache.truncate(PLAN_CACHE_CAP);
         self.engine.cache_misses += 1;
+        let tail = self.engine.query_metrics.on(&mut self.engine.mem);
         self.engine
             .mem
             .metrics_mut()
-            .counter_add("query.plan_cache.misses", 1);
+            .counter_add_id(tail.plan_cache_misses, 1);
         Ok(Prepared { plan })
     }
 
@@ -490,6 +484,7 @@ impl Session<'_> {
             ref catalog,
             ref mut faults,
             ref mut op_cache,
+            ref mut query_metrics,
             ref recoveries,
             ..
         } = *self.engine;
@@ -509,8 +504,10 @@ impl Session<'_> {
         // Cycle-domain latency: queries fork/join internally, so the
         // global-frontier delta around the run is the query's wall time.
         let t0 = mem.now();
+        let tail = query_metrics.on(mem);
         let out = run_verified(
             mem,
+            tail,
             entry,
             verified,
             path,
@@ -523,12 +520,12 @@ impl Session<'_> {
                 recovered_tables: recoveries.len() as u64,
             },
         )?;
+        // Into the class's cold or hit histogram: an op-cache hit is orders
+        // of magnitude cheaper than a cold run, so the two are never pooled.
         let elapsed = mem.now().saturating_sub(t0);
-        Self::record_latency(mem, bound.class(), elapsed, out.cache_hit);
-        mem.metrics_mut().gauge_set(
-            "query.scratchpad.hwm_bytes",
-            self.scratch.hwm_bytes() as f64,
-        );
+        let metrics = mem.metrics_mut();
+        metrics.observe_id(tail.latency(bound.class_index(), out.cache_hit), elapsed);
+        metrics.gauge_set_id(tail.scratchpad_hwm, self.scratch.hwm_bytes() as f64);
         Ok(out)
     }
 
@@ -563,8 +560,12 @@ impl Session<'_> {
         let entry = self.engine.catalog.get(&plan.bound.table)?;
         let header = render_plan(entry, &plan.bound, plan.path, &plan.cost)?;
         let has_cols = entry.cols.is_some();
-        let (reports, chosen) =
-            analyze_paths(&mut self.engine.mem, &self.engine.catalog, &plan.bound)?;
+        let (reports, chosen) = analyze_paths(
+            &mut self.engine.mem,
+            &mut self.engine.query_metrics,
+            &self.engine.catalog,
+            &plan.bound,
+        )?;
         let mut text = render_analyze(&header, has_cols, &reports, &chosen)?;
         text.push_str(&render_latency_section(self.engine.mem.metrics())?);
         text.push_str(&render_recovery_section(self.engine.recoveries())?);

@@ -386,7 +386,14 @@ mod tests {
 
         // Every stage-0 record of the run is a function of that total;
         // merge is the driver's.
-        let out = crate::exec::execute_uncached(&mut mem, &c, &bound, AccessPath::Col).unwrap();
+        let out = crate::exec::execute_uncached(
+            &mut mem,
+            &mut crate::exec::QueryMetrics::default(),
+            &c,
+            &bound,
+            AccessPath::Col,
+        )
+        .unwrap();
         let actuals: Vec<_> = out
             .ops
             .iter()

@@ -35,19 +35,21 @@ pub mod buffer;
 mod executor;
 pub mod opcache;
 pub(crate) mod operators;
+mod tail_metrics;
 
 pub use buffer::{ChunkScratch, Scratchpad};
 pub use executor::QueryExecutor;
 pub(crate) use opcache::CacheSlot;
 pub use opcache::OpCache;
+pub(crate) use tail_metrics::{QueryMetrics, TailMetrics};
 
 use crate::analyze::{analyze, VerifiedQuery};
 use crate::bind::BoundQuery;
 use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, split_path_cost, AccessPath, PathCost};
 use fabric_sim::{
-    topdown, Category, CircuitBreaker, CoreAttribution, FaultConfig, FaultPlan, MemStats,
-    MemoryHierarchy, OpRecord, RecoveryPolicy, TopDownSummary,
+    Category, CircuitBreaker, CoreAttribution, FaultConfig, FaultPlan, MemStats, MemoryHierarchy,
+    OpRecord, RecoveryPolicy, TopDownSummary,
 };
 use fabric_types::{FabricError, Result, Value};
 use relmem::{RmConfig, RmStats};
@@ -176,9 +178,11 @@ pub(crate) enum Resilience<'f> {
 /// Verify, price and run `bound` on `path` with no operator cache, no
 /// fault context and a throw-away scratchpad: `EXPLAIN ANALYZE`'s
 /// measurement run, which must observe the real hierarchy and must not
-/// pay the resilient path's per-line CRC charge.
+/// pay the resilient path's per-line CRC charge. Its metrics go through
+/// `metrics`' handles like a session's.
 pub(crate) fn execute_uncached(
     mem: &mut MemoryHierarchy,
+    metrics: &mut QueryMetrics,
     catalog: &Catalog,
     bound: &BoundQuery,
     path: AccessPath,
@@ -192,8 +196,10 @@ pub(crate) fn execute_uncached(
         bound,
         mem.num_cores(),
     )?;
+    let tail = metrics.on(mem);
     run_verified(
         mem,
+        tail,
         entry,
         &verified,
         path,
@@ -281,6 +287,7 @@ fn profiled<R>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_verified(
     mem: &mut MemoryHierarchy,
+    tail: &TailMetrics,
     entry: &TableEntry,
     verified: &VerifiedQuery<'_>,
     path: AccessPath,
@@ -338,11 +345,11 @@ pub(crate) fn run_verified(
             Ok(())
         });
         debug_assert!(copied.is_ok());
-        mem.metrics_mut().counter_add("query.opcache.hits", 1);
+        mem.metrics_mut().counter_add_id(tail.opcache_hits, 1);
         out.path = cached_path;
         out.rm_stats = cached_rm;
         out.cache_hit = true;
-        return finish_output(mem, verified, &batch, out, window, meta, sig);
+        return finish_output(mem, tail, verified, &batch, out, window, meta, sig);
     }
 
     let (partials, scanned) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
@@ -373,26 +380,23 @@ pub(crate) fn run_verified(
     // degraded answer or a faulted RM attempt must be re-earned every
     // time so fault-path counters and breaker state stay truthful.
     if let CacheSlot::Keyed(opcache, key) = cache {
-        mem.metrics_mut().counter_add("query.opcache.misses", 1);
+        mem.metrics_mut().counter_add_id(tail.opcache_misses, 1);
         let clean = out.degraded_from.is_none()
             && out.rm_stats.as_ref().is_none_or(|s| s.injected_faults == 0);
         if clean {
             let evicted_before = opcache.evictions();
             opcache.insert(key, Rc::clone(&batch), out.path, out.rm_stats);
             let metrics = mem.metrics_mut();
-            metrics.counter_add("query.opcache.insertions", 1);
-            metrics.counter_add(
-                "query.opcache.evictions",
-                opcache.evictions() - evicted_before,
-            );
+            metrics.counter_add_id(tail.opcache_insertions, 1);
+            metrics.counter_add_id(tail.opcache_evictions, opcache.evictions() - evicted_before);
         }
         // Occupancy after this run, visible next to the hit/miss counters.
         let metrics = mem.metrics_mut();
-        metrics.gauge_set("query.opcache.entries", opcache.len() as f64);
-        metrics.gauge_set("query.opcache.bytes", opcache.bytes() as f64);
+        metrics.gauge_set_id(tail.opcache_entries, opcache.len() as f64);
+        metrics.gauge_set_id(tail.opcache_bytes, opcache.bytes() as f64);
     }
 
-    finish_output(mem, verified, &batch, out, window, meta, sig)
+    finish_output(mem, tail, verified, &batch, out, window, meta, sig)
 }
 
 /// A query's attribution window, opened before anything executes and
@@ -601,8 +605,10 @@ pub(crate) fn rel_err(est: f64, actual: f64, base: f64) -> f64 {
 /// the per-core attribution records, metrics accounting, query-log /
 /// calibration recording, and output assembly. Closes the `query::exec`
 /// span and the attribution `window` its caller opened.
+#[allow(clippy::too_many_arguments)]
 fn finish_output(
     mem: &mut MemoryHierarchy,
+    tail: &TailMetrics,
     verified: &VerifiedQuery<'_>,
     batch: &ResultBatch,
     mut out: QueryOutput,
@@ -654,18 +660,7 @@ fn finish_output(
         ],
     );
     let path_str = path_tag(out.path);
-    let metrics = mem.metrics_mut();
-    metrics.counter_add("query.executions", 1);
-    metrics.scoped("query.path").counter_add(path_str, 1);
-    metrics.counter_add("query.rows_out", out.rows.len() as u64);
-    if out.degraded_from.is_some() {
-        metrics.counter_add("query.degraded", 1);
-    }
-    metrics.observe("query.exec_cycles", total);
-    topdown::record_into(&out.cores, metrics, "query");
-    if let Some(rm) = &out.rm_stats {
-        rm.record_into(metrics, "query.rm");
-    }
+    tail.record_execution(mem.metrics_mut(), &out, total);
 
     // --- Query log + calibration ledger (host-side: no simulated time) ---
     let est_ns = out.cost.ns(out.path).unwrap_or(0.0);
@@ -692,7 +687,7 @@ fn finish_output(
         topdown: TopDownSummary::of(&out.cores),
     };
     mem.querylog_mut().push(record);
-    mem.metrics_mut().counter_add("querylog.records", 1);
+    mem.metrics_mut().counter_add_id(tail.querylog_records, 1);
 
     // Calibrate the cost model on clean cold runs only: hits measure the
     // cache, not the path; degraded/faulted runs measure the fault story.
@@ -708,7 +703,7 @@ fn finish_output(
             rel_err(est_ns, out.ns, est_ns),
             rel_err(est_bytes, actual_bytes as f64, est_bytes),
         );
-        mem.metrics_mut().counter_add("calib.observations", 1);
+        mem.metrics_mut().counter_add_id(tail.calib_observations, 1);
     }
 
     Ok(out)
@@ -980,7 +975,14 @@ mod tests {
         let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         let mut c = Catalog::new();
         c.register_rows("t", wide_rows(&mut mem, 1000));
-        let plain = execute_uncached(&mut mem, &c, &b, AccessPath::Rm).unwrap();
+        let plain = execute_uncached(
+            &mut mem,
+            &mut QueryMetrics::default(),
+            &c,
+            &b,
+            AccessPath::Rm,
+        )
+        .unwrap();
         assert_eq!(plain.rows, out.rows);
     }
 
@@ -1209,8 +1211,11 @@ mod tests {
         let mut ctx = dead_device();
         let mut cacheobj = OpCache::default();
         let key = opcache::keyed(opcache::plan_signature(&bound, 1000, "g"), path);
+        let mut metrics = QueryMetrics::default();
+        let tail = metrics.on(&mut mem);
         let out = run_verified(
             &mut mem,
+            tail,
             entry,
             &verified,
             path,

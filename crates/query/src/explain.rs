@@ -7,7 +7,7 @@
 use crate::bind::{BoundQuery, OutputItem};
 use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
-use crate::exec::{execute_uncached, path_tag, rel_err, QueryOutput};
+use crate::exec::{execute_uncached, path_tag, rel_err, QueryMetrics, QueryOutput};
 use fabric_sim::{topdown, MemoryHierarchy, MetricsRegistry};
 use fabric_types::{FabricError, Result};
 use mvcc::RecoveryReport;
@@ -150,6 +150,7 @@ fn rel_err_pct(est: f64, actual: f64) -> f64 {
 /// `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
 pub(crate) fn analyze_paths(
     mem: &mut MemoryHierarchy,
+    metrics: &mut QueryMetrics,
     catalog: &Catalog,
     bound: &BoundQuery,
 ) -> Result<(Vec<PathReport>, QueryOutput)> {
@@ -171,7 +172,7 @@ pub(crate) fn analyze_paths(
             continue;
         };
         let before = mem.stats();
-        let out = execute_uncached(mem, catalog, bound, path)?;
+        let out = execute_uncached(mem, metrics, catalog, bound, path)?;
         let d = mem.stats().delta_since(&before);
         let actual_bytes = match (&out.rm_stats, path) {
             (Some(rm), AccessPath::Rm) => rm.output_lines * line,
@@ -590,7 +591,8 @@ mod tests {
         c.register("orders", rt, ct);
         let stmt = crate::parser::parse("SELECT id FROM orders WHERE id < 100").unwrap();
         let bound = crate::bind::bind(&c, &stmt).unwrap();
-        let (reports, chosen) = analyze_paths(&mut mem, &c, &bound).unwrap();
+        let (reports, chosen) =
+            analyze_paths(&mut mem, &mut QueryMetrics::default(), &c, &bound).unwrap();
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(r.actual_ns > 0.0, "{r:?}");

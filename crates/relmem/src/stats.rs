@@ -36,12 +36,11 @@ impl RmStats {
         self.source_lines as f64 / self.output_lines as f64
     }
 
-    /// Record every counter into a metrics registry under
-    /// `<prefix>.<counter>` — the single serialization path for stats
-    /// (replaces hand-rolled formatters; see fabric-lint `raw-stats-print`).
-    pub fn record_into(&self, registry: &mut fabric_sim::MetricsRegistry, prefix: &str) {
-        let mut scope = registry.scoped(prefix);
-        for (name, value) in [
+    /// Every counter as a `(name, value)` pair, in declaration order: the
+    /// query layer writes them as `query.rm.<name>`, each name resolved
+    /// once (DESIGN.md §30).
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
             ("rows_scanned", self.rows_scanned),
             ("rows_emitted", self.rows_emitted),
             ("source_lines", self.source_lines),
@@ -52,9 +51,7 @@ impl RmStats {
             ("delivery_timeouts", self.delivery_timeouts),
             ("crc_failures", self.crc_failures),
             ("retries", self.retries),
-        ] {
-            scope.counter_add(name, value);
-        }
+        ]
     }
 }
 

@@ -20,7 +20,7 @@
 //! test harness runs tests on parallel threads, and a process-wide counter
 //! would charge one test with another's allocations.
 
-use fabric_sim::SimConfig;
+use fabric_sim::{MetricsRegistry, MetricsSnapshot, SimConfig};
 use fabric_types::Value;
 use query::{AccessPath, Engine, MORSEL_ROWS};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -372,4 +372,140 @@ fn an_op_cache_hit_allocates_the_same_however_many_keys_the_registry_holds() {
         "{} allocations for a one-row hit, more than {ONE_ROW_HIT}",
         large.1
     );
+}
+
+/// The metric names `e`'s registry has looked up so far.
+fn resolutions(e: &Engine) -> u64 {
+    e.mem_ref().metrics().resolutions()
+}
+
+/// A warm op-cache hit writes every metric of the per-query tail through
+/// handles the engine resolved at its first query: it looks up no name.
+/// (Writing them by name, a hit at 4 cores looked up 57 names, 67 on RM.)
+#[test]
+fn a_warm_hit_resolves_no_metric_name() {
+    for cores in [1, 2, 4] {
+        let mut e = Engine::with_cores(SimConfig::zynq_a53(), cores);
+        let li = Lineitem::generate(e.mem(), 2 * MORSEL_ROWS, DATA_SEED).unwrap();
+        e.register("lineitem", li.rows, li.cols);
+        for &(name, sql) in QUERIES {
+            for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+                e.session().run_on(sql, path).unwrap();
+                let before = resolutions(&e);
+                let out = e.session().run_on(sql, path).unwrap();
+                assert!(out.cache_hit);
+                assert_eq!(
+                    resolutions(&e) - before,
+                    0,
+                    "{name} on {path:?} at {cores} cores: a warm hit looked up metric names"
+                );
+            }
+        }
+    }
+}
+
+/// Assert that `fresh`, a registry that saw only some queries, holds what
+/// the same queries wrote into another registry that held `before` then
+/// `after`: each counter's increase, each gauge's value, each histogram's
+/// added samples — and nothing else changed.
+fn assert_wrote(fresh: &MetricsSnapshot, before: &MetricsSnapshot, after: &MetricsSnapshot) {
+    for (k, &v) in &after.counters {
+        let wrote = v - before.counter(k);
+        match fresh.counters.get(k) {
+            Some(&f) => assert_eq!(f, wrote, "counter {k}"),
+            None => assert_eq!(
+                wrote, 0,
+                "counter {k} advanced, but not in the fresh registry"
+            ),
+        }
+    }
+    for (k, v) in &after.gauges {
+        match fresh.gauges.get(k) {
+            Some(f) => assert_eq!(f, v, "gauge {k}"),
+            None => assert_eq!(before.gauges.get(k), Some(v), "gauge {k} moved"),
+        }
+    }
+    for (k, h) in &after.histograms {
+        let old = before.histograms.get(k).cloned().unwrap_or_default();
+        let Some(f) = fresh.histograms.get(k) else {
+            assert_eq!(&old, h, "histogram {k} moved");
+            continue;
+        };
+        let added: Vec<(u32, u64)> = h
+            .buckets
+            .iter()
+            .map(|&(b, n)| {
+                let was = old
+                    .buckets
+                    .iter()
+                    .find(|&&(ob, _)| ob == b)
+                    .map_or(0, |p| p.1);
+                (b, n - was)
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(
+            (f.count, f.sum, &f.buckets),
+            (h.count - old.count, h.sum - old.sum, &added),
+            "histogram {k}"
+        );
+    }
+    let keys = |s: &MetricsSnapshot| s.counters.len() + s.gauges.len() + s.histograms.len();
+    let unknown = fresh
+        .counters
+        .keys()
+        .filter(|k| !after.counters.contains_key(*k));
+    assert_eq!(
+        unknown.count(),
+        0,
+        "the fresh registry has counters the other lacks"
+    );
+    assert!(keys(fresh) <= keys(after));
+}
+
+/// Replacing the hierarchy's registry, and adding cores, leave the engine
+/// holding handles resolved on the old registry or for fewer cores; the
+/// next query must resolve them again. Two twin engines run the same
+/// queries — so every simulated value agrees — and each step compares the
+/// twin whose registry was just replaced with the twin that kept its own:
+/// the first step tests the replacement, the second adding cores.
+#[test]
+fn a_replaced_registry_and_added_cores_get_what_a_fresh_registry_gets() {
+    let q6 = QUERIES[1].1;
+    let snapshot = |e: &Engine| e.mem_ref().metrics().snapshot();
+    for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+        let twin = || {
+            let mut e = Engine::with_cores(SimConfig::zynq_a53(), 4);
+            let li = Lineitem::generate(e.mem(), 2 * MORSEL_ROWS, DATA_SEED).unwrap();
+            e.register("lineitem", li.rows, li.cols);
+            e.session().run_on(q6, path).unwrap();
+            e
+        };
+        let (mut a, mut b) = (twin(), twin());
+        // Each step runs a hit and a cold execution, in either order.
+        let hit_then_cold = |e: &mut Engine| {
+            assert!(e.session().run_on(q6, path).unwrap().cache_hit);
+            e.clear_op_cache();
+            assert!(!e.session().run_on(q6, path).unwrap().cache_hit);
+        };
+        let cold_then_hit = |e: &mut Engine| {
+            assert!(!e.session().run_on(q6, path).unwrap().cache_hit);
+            assert!(e.session().run_on(q6, path).unwrap().cache_hit);
+        };
+
+        *a.mem().metrics_mut() = MetricsRegistry::new();
+        let b0 = snapshot(&b);
+        hit_then_cold(&mut a);
+        hit_then_cold(&mut b);
+        assert_wrote(&snapshot(&a), &b0, &snapshot(&b));
+
+        a.set_cores(8);
+        b.set_cores(8);
+        *b.mem().metrics_mut() = MetricsRegistry::new();
+        let a0 = snapshot(&a);
+        cold_then_hit(&mut a);
+        cold_then_hit(&mut b);
+        assert_wrote(&snapshot(&b), &a0, &snapshot(&a));
+        assert!(snapshot(&a).counters.contains_key("query.core7.td.elapsed"));
+    }
 }

@@ -102,8 +102,15 @@
 #                                projection per returned row, never per
 #                                qualifying or memoised row; a one-row
 #                                op-cache hit allocates at most 8 times,
-#                                the same at 62 metric keys as at 485);
-#                                then tests/bounded_state.rs under the
+#                                the same at 62 metric keys as at 485; a
+#                                warm hit on ROW/COL/RM at 1/2/4 cores
+#                                resolves no metric name, and a replaced
+#                                registry or added cores get what a fresh
+#                                registry gets — DESIGN.md §30); then
+#                                fabric-obs's handles-vs-names
+#                                differential under the fixed seed and
+#                                the second seed, as in step 13; then
+#                                tests/bounded_state.rs under the
 #                                fixed seed: a session per generated
 #                                statement over its own column set (a
 #                                plan geometry and ledger key of its own)
@@ -185,8 +192,9 @@ CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
-# The differential of grouping and aggregation on key words (steps 13
-# and 16) runs under a second fixed seed too.
+# The differentials of grouping and aggregation on key words (steps 13
+# and 16) and of metric handles against names (step 14) run under a
+# second fixed seed too.
 SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
 
 seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
@@ -242,8 +250,18 @@ seeded_test "device reference" device_reference "$SEED"
 
 # Deterministic, no seed: the counting allocator exists in this test
 # binary only.
-say "allocation steady state"
+say "allocation steady state and metric-name resolutions"
 cargo test -q --test alloc_steady_state
+for seed in "$SEED" "$SECOND_SEED"; do
+    say "metric handles against names ($seed)"
+    if ! env "$seed" cargo test -q -p fabric-obs --lib metrics::tests::handles_write_what_names_write; then
+        printf '
+metric handles FAILED — replay with:
+  %s cargo test -p fabric-obs --lib handles_write_what_names_write
+' "$seed"
+        exit 1
+    fi
+done
 seeded_test "bounded state" bounded_state "$GRID" "$SEED"
 
 seeded_test "result batches" result_batch "$GRID" "$SEED"
