@@ -7,7 +7,7 @@
 //! span stack is sampled into a folded-stack accumulator. Three query
 //! classes (q1 grouped aggregate, q6 global aggregate, plain scan) run in
 //! separate sessions, so the bench envelope also carries the per-class
-//! p50/p99 latency gauges and per-session scoped counters.
+//! cold and hit latency histograms.
 //!
 //! Render with `inferno-flamegraph results/PROFILE_query.folded` or any
 //! `flamegraph.pl`-compatible tool.

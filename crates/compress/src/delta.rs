@@ -92,21 +92,9 @@ impl BlockDelta {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Compressed size in bytes (bases + offsets + delta stream).
     pub fn compressed_bytes(&self) -> usize {
         self.bases.len() * 8 + self.offsets.len() * 8 + self.deltas.len()
-    }
-
-    pub fn original_bytes(&self) -> usize {
-        self.len * 8
     }
 
     /// Decode one whole block (the fabric's on-the-fly unit). Returns the
@@ -178,7 +166,7 @@ mod tests {
         // Sorted timestamps with small gaps: ~1 byte per value.
         let vals: Vec<i64> = (0..10_000).map(|i| 1_600_000_000 + i * 3).collect();
         let enc = BlockDelta::encode(&vals);
-        assert!(enc.compressed_bytes() < enc.original_bytes() / 4);
+        assert!(enc.compressed_bytes() < vals.len() * 8 / 4);
         assert_eq!(enc.decode_all().unwrap(), vals);
     }
 
@@ -204,7 +192,6 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let enc = BlockDelta::encode(&[]);
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all().unwrap(), Vec::<i64>::new());
         let enc = BlockDelta::encode(&[42]);
         assert_eq!(enc.get(0).unwrap(), 42);

@@ -65,20 +65,6 @@ impl DictEncoded {
         })
     }
 
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of distinct values.
-    pub fn cardinality(&self) -> usize {
-        self.dict.len() / self.value_width
-    }
-
     /// Compressed size in bytes (dictionary + codes).
     pub fn compressed_bytes(&self) -> usize {
         self.dict.len() + self.codes.len()
@@ -122,8 +108,8 @@ mod tests {
         let vals = vec![5i32, 7, 5, 5, 9, 7, 5];
         let raw = raw_from_i32(&vals);
         let enc = DictEncoded::encode(&raw, 4).unwrap();
-        assert_eq!(enc.len(), 7);
-        assert_eq!(enc.cardinality(), 3);
+        // Three distinct 4-byte values and seven 1-byte codes.
+        assert_eq!(enc.compressed_bytes(), 3 * 4 + 7);
         assert_eq!(enc.decode_all(), raw);
         assert_eq!(enc.get(4), &9i32.to_le_bytes());
     }
@@ -142,7 +128,6 @@ mod tests {
     fn wide_cardinality_uses_wider_codes() {
         let vals: Vec<i32> = (0..300).collect();
         let enc = DictEncoded::encode(&raw_from_i32(&vals), 4).unwrap();
-        assert_eq!(enc.cardinality(), 300);
         // 300 distinct -> 2-byte codes.
         assert_eq!(enc.compressed_bytes(), 300 * 4 + 300 * 2);
     }
@@ -156,7 +141,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let enc = DictEncoded::encode(&[], 4).unwrap();
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all(), Vec::<u8>::new());
     }
 

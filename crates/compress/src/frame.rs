@@ -69,25 +69,9 @@ impl ForEncoded {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Compressed size: per block, reference (8) + width (1) + packed bits.
     pub fn compressed_bytes(&self) -> usize {
         self.blocks.iter().map(|b| 9 + b.bits.len()).sum()
-    }
-
-    pub fn original_bytes(&self) -> usize {
-        self.len * 8
     }
 
     /// O(1) random access: one block header plus one bit-packed slot.
@@ -188,7 +172,6 @@ mod tests {
     #[test]
     fn empty() {
         let enc = ForEncoded::encode(&[]);
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all().unwrap(), Vec::<i64>::new());
     }
 

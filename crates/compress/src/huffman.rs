@@ -166,21 +166,9 @@ impl HuffmanEncoded {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Compressed size: bitstream + 256-byte length table + block index.
     pub fn compressed_bytes(&self) -> usize {
         self.bits.len() + 256 + self.block_offsets.len() * 8
-    }
-
-    pub fn original_bytes(&self) -> usize {
-        self.len
     }
 
     fn decode_from(&self, mut pos: u64, n: usize) -> Result<Vec<u8>> {
@@ -300,7 +288,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let enc = HuffmanEncoded::encode(&[]);
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all().unwrap(), Vec::<u8>::new());
     }
 

@@ -79,20 +79,8 @@ impl Lz77 {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     pub fn compressed_bytes(&self) -> usize {
         self.tokens.len()
-    }
-
-    pub fn original_bytes(&self) -> usize {
-        self.len
     }
 
     /// Full decompression — the only way to read anything from an LZ
@@ -172,7 +160,6 @@ mod tests {
     #[test]
     fn empty() {
         let enc = Lz77::encode(&[]);
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all().unwrap(), Vec::<u8>::new());
     }
 

@@ -37,24 +37,8 @@ impl RleEncoded {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     pub fn compressed_bytes(&self) -> usize {
         self.runs.len() * 12
-    }
-
-    pub fn original_bytes(&self) -> usize {
-        self.len * 8
     }
 
     /// Random access via binary search over run starts — the "expensive
@@ -88,7 +72,7 @@ mod tests {
     fn runs_collapse() {
         let vals = vec![5i64, 5, 5, 7, 7, 5];
         let enc = RleEncoded::encode(&vals);
-        assert_eq!(enc.num_runs(), 3);
+        assert_eq!(enc.compressed_bytes(), 3 * 12, "three runs");
         assert_eq!(enc.decode_all(), vals);
     }
 
@@ -106,14 +90,12 @@ mod tests {
     fn sorted_low_cardinality_compresses_extremely() {
         let vals: Vec<i64> = (0..4).flat_map(|v| vec![v; 2500]).collect();
         let enc = RleEncoded::encode(&vals);
-        assert_eq!(enc.num_runs(), 4);
-        assert!(enc.compressed_bytes() < 100);
+        assert_eq!(enc.compressed_bytes(), 4 * 12, "four runs");
     }
 
     #[test]
     fn empty() {
         let enc = RleEncoded::encode(&[]);
-        assert!(enc.is_empty());
         assert_eq!(enc.decode_all(), Vec::<i64>::new());
     }
 

@@ -4,10 +4,9 @@ use fabric_sim::{FaultConfig, RecoveryPolicy};
 
 /// Configuration of one [`DurableMedia`](crate::DurableMedia).
 ///
-/// Write timings follow the flash-program numbers of `relstore`'s
-/// SmartSSD model: a program operation is an order of magnitude slower
-/// than a read, and the byte-proportional term models the channel
-/// transfer into the plane register.
+/// Write timings are those of a SmartSSD-class NAND program: an order of
+/// magnitude slower than `relstore`'s page read, with a byte-proportional
+/// term for the channel transfer into the plane register.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilityConfig {
     /// Fault posture of the device (seed, crash/tear/program-error rates).

@@ -225,11 +225,11 @@ impl DurableMedia {
                 self.stats.append_bytes += frame.len() as u64;
                 self.stats.durable_writes += 1;
                 let elapsed = mem.now().saturating_sub(t0);
-                let mut wal = mem.metrics_mut().scoped("durability.wal");
-                wal.counter_add("appends", 1);
-                wal.counter_add("bytes", frame.len() as u64);
-                wal.counter_add("commit_cycles", elapsed);
-                wal.observe("append_cycles", elapsed);
+                let m = mem.metrics_mut();
+                m.counter_add("durability.wal.appends", 1);
+                m.counter_add("durability.wal.bytes", frame.len() as u64);
+                m.counter_add("durability.wal.commit_cycles", elapsed);
+                m.observe("durability.wal.append_cycles", elapsed);
                 Ok(lsn)
             }
             Err(FabricError::PowerLoss {
@@ -321,12 +321,12 @@ impl DurableMedia {
         // Even a torn or incomplete blob occupies the medium — recovery
         // must see it, fail its CRC check, and fall back.
         self.checkpoints.push(blob);
-        let mut ckpt = mem.metrics_mut().scoped("durability.ckpt");
+        let m = mem.metrics_mut();
         if failure.is_none() {
-            ckpt.counter_add("count", 1);
-            ckpt.counter_add("bytes", payload.len() as u64);
+            m.counter_add("durability.ckpt.count", 1);
+            m.counter_add("durability.ckpt.bytes", payload.len() as u64);
         } else {
-            ckpt.counter_add("failures", 1);
+            m.counter_add("durability.ckpt.failures", 1);
         }
         match failure {
             Some(e) => Err(e),

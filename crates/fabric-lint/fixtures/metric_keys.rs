@@ -1,20 +1,18 @@
 //@ scan-as: crates/query/src/exec/fx_keys.rs
 //! `formatted-metric-key`: the per-query tail names metrics without
-//! allocating. Static keys, `scoped(format_args!(…))` and formatted
-//! strings that are not metric names are fine.
+//! allocating. Static keys, resolved handles and formatted strings that
+//! are not metric names are fine.
 
 pub fn per_query_tail(reg: &mut MetricsRegistry, core: usize, path: &str) {
     reg.counter_add(&format!("query.core{core}.busy_cycles"), 1); //~ formatted-metric-key
     reg.gauge_set(&format!("query.path.{path}"), 1.0); //~ formatted-metric-key
     reg.observe(&format!("query.class.{path}.latency_cycles"), 7); //~ formatted-metric-key
-    let mut s = reg.scoped(&format!("session.{core}")); //~ formatted-metric-key
-    s.counter_add("queries", 1);
 }
 
-pub fn allocation_free(reg: &mut MetricsRegistry, core: usize, key: &str) {
+pub fn allocation_free(reg: &mut MetricsRegistry, core: usize, key: &str, id: CounterId) {
     reg.counter_add("query.executions", 1);
     reg.counter_add(key, 1);
-    reg.scoped(format_args!("query.core{core}")).counter_add("busy_cycles", 1);
+    reg.counter_add_id(id, 1);
     let label = format!("core {core}");
     reg.gauge_set(&label, 0.0);
 }

@@ -55,9 +55,10 @@
 //!   buckets-sum==elapsed invariant is protected at the source level.
 //! * **formatted-metric-key** — in the per-query bookkeeping
 //!   ([`rules::METRIC_KEY_FILES`] / [`rules::METRIC_KEY_DIRS`]),
-//!   `counter_add` / `gauge_set` / `observe` / `scoped` must not take a
+//!   `counter_add` / `gauge_set` / `observe` must not take a
 //!   `&format!(…)` name: that allocates a `String` per key per query.
-//!   Static keys and `scoped(format_args!(…))` allocate nothing.
+//!   Static keys and resolved handles (`counter_add_id` and kin) allocate
+//!   nothing.
 //!
 //! Diagnostics are `file:line` anchored. Pre-existing debt lives in the
 //! checked-in `lint-baseline.txt`, counted per `(rule, file)`: a normal

@@ -27,7 +27,7 @@
 //!   buckets-sum==elapsed invariant is protected at the source level.
 //! * **`formatted-metric-key`** — the per-query bookkeeping names its
 //!   metrics without allocating: no `&format!(…)` as the name of a
-//!   `counter_add` / `gauge_set` / `observe` / `scoped` call there.
+//!   `counter_add` / `gauge_set` / `observe` call there.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FileModel;
@@ -96,7 +96,7 @@ pub const METRIC_KEY_FILES: &[&str] = &[
 pub const METRIC_KEY_DIRS: &[&str] = &["crates/query/src/exec/"];
 
 /// Registry calls whose first argument is a metric name.
-const METRIC_WRITES: &[&str] = &["counter_add", "gauge_set", "observe", "scoped"];
+const METRIC_WRITES: &[&str] = &["counter_add", "gauge_set", "observe"];
 
 /// Environment variables result-affecting code may read: the chaos/replay
 /// and artifact-redirect knobs that are themselves part of the
@@ -483,8 +483,8 @@ pub fn scan(
                 Rule::FormattedMetricKey,
                 format!(
                     "`{}(&format!(…))` allocates a metric name on every query (use a \
-                     `&'static str` key, or `scoped(format_args!(…))`, which assembles \
-                     names in the registry's reused buffer)",
+                     `&'static str` key, or a handle resolved once with `counter_id` / \
+                     `gauge_id` / `histogram_id`)",
                     t.text
                 ),
             );
@@ -753,8 +753,8 @@ pub fn f() -> &'static str {
         ] {
             assert!(run(rel, bad).is_empty(), "{rel}");
         }
-        let fine = "pub fn f(r: &mut MetricsRegistry, i: usize) { \
-                    r.scoped(format_args!(\"query.core{i}\")).counter_add(\"busy\", 1); }";
+        let fine = "pub fn f(r: &mut MetricsRegistry, id: CounterId) { \
+                    r.counter_add(\"query.busy\", 1); r.counter_add_id(id, 1); }";
         assert!(run("crates/query/src/exec/mod.rs", fine).is_empty());
     }
 

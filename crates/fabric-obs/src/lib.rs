@@ -38,7 +38,6 @@ pub mod profile;
 pub mod querylog;
 pub mod recorder;
 pub mod regress;
-pub mod scoped;
 pub mod topdown;
 pub mod trace;
 
@@ -55,7 +54,6 @@ pub use querylog::{
 };
 pub use recorder::{FabricRecorder, NoopRecorder, RingRecorder};
 pub use regress::{compare_bench, GatePolicy, GateReport, Regression, BENCH_SCHEMA_VERSION};
-pub use scoped::ScopedMetrics;
 pub use topdown::{CoreAttribution, TopDownSummary};
 pub use trace::{Category, Phase, TraceBuffer, TraceEvent, MAX_ARGS};
 

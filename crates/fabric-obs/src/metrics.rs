@@ -279,9 +279,7 @@ impl<T> Slots<T> {
 /// Counters are monotonic `u64`s, gauges are last-write-wins `f64`s,
 /// histograms are log2-bucketed. Names are dotted paths
 /// (`"mem.l1.hits"`, `"rm.retries"`, `"explain.rel_err_pct"`), owned
-/// strings so callers can build them dynamically; a caller that builds
-/// one per write does so through [`MetricsRegistry::scoped`], which
-/// assembles names in one buffer the registry keeps.
+/// strings so callers can build them dynamically.
 ///
 /// Each name maps to a slot. A writer that writes the same metrics over
 /// and over resolves their names once ([`MetricsRegistry::counter_id`],
@@ -306,9 +304,6 @@ pub struct MetricsRegistry {
     resolutions: u64,
     /// The current mark; 0 until the first [`MetricsRegistry::mark`].
     mark: u64,
-    /// Where [`crate::ScopedMetrics`] assembles names; lent to a scope
-    /// while it lives, so a scoped write allocates only for a new key.
-    pub(crate) key_buf: String,
 }
 
 impl Default for MetricsRegistry {
@@ -320,7 +315,6 @@ impl Default for MetricsRegistry {
             histograms: Slots::default(),
             resolutions: 0,
             mark: 0,
-            key_buf: String::new(),
         }
     }
 }
@@ -524,6 +518,27 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// The prefix-stripped subtree of this snapshot: every metric whose
+    /// name starts with `"<prefix>."` (the dot is appended if missing),
+    /// re-keyed without the prefix, so `subtree("durability")` reads
+    /// `"durability.wal.appends"` as `"wal.appends"`.
+    pub fn subtree(&self, prefix: &str) -> MetricsSnapshot {
+        let mut p = prefix.to_string();
+        if !p.ends_with('.') {
+            p.push('.');
+        }
+        fn strip<V: Clone>(m: &BTreeMap<String, V>, p: &str) -> BTreeMap<String, V> {
+            m.iter()
+                .filter_map(|(k, v)| k.strip_prefix(p).map(|rest| (rest.to_string(), v.clone())))
+                .collect()
+        }
+        MetricsSnapshot {
+            counters: strip(&self.counters, &p),
+            gauges: strip(&self.gauges, &p),
+            histograms: strip(&self.histograms, &p),
+        }
+    }
+
     /// The single serialization path: deterministic JSON (sorted keys,
     /// fixed float formatting). Every stats export in the workspace —
     /// bench `BENCH_*.json` files, EXPLAIN ANALYZE appendices, CI
@@ -586,6 +601,20 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn subtree_strips_the_prefix() {
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("session.1.queries", 4);
+        reg.counter_add("session.11.queries", 9);
+        reg.counter_add("unrelated", 1);
+        let snap = reg.snapshot();
+        let s1 = snap.subtree("session.1");
+        assert_eq!(s1.counter("queries"), 4);
+        // "session.11.*" must not leak into "session.1"'s subtree.
+        assert_eq!(s1.counters.len(), 1);
+        assert!(snap.subtree("session.2").counters.is_empty());
+    }
 
     #[test]
     fn counters_are_monotonic_and_sorted() {
@@ -651,7 +680,7 @@ mod tests {
 
     /// Generated write sequences — counters created before and after a
     /// mark, touched and untouched since, zero deltas, marks in a row,
-    /// scoped writes, gauges and histograms, never armed — give the same
+    /// per-session keys, gauges and histograms, never armed — give the same
     /// postmortem bytes as the snapshot-at-arm recorder did.
     #[test]
     fn delta_since_mark_matches_a_snapshot_taken_at_the_mark() {
@@ -674,8 +703,7 @@ mod tests {
                     }
                     2 => {
                         let session = rng.gen_range(0..3u32);
-                        reg.scoped(format_args!("session.{session}"))
-                            .counter_add(name, delta);
+                        reg.counter_add(&format!("session.{session}.{name}"), delta);
                     }
                     3 => reg.gauge_set(name, delta as f64),
                     4 => reg.observe(name, delta),

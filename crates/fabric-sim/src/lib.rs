@@ -52,7 +52,7 @@ pub use fabric_obs::{
     ChromeTraceSummary, CoreAttribution, CounterId, FabricRecorder, FlightRecorder, GatePolicy,
     GateReport, GaugeId, HistogramId, Json, MetricsRegistry, MetricsSnapshot, NoopRecorder,
     OpRecord, Postmortem, ProfileStats, QueryLog, QueryRecord, RegistryId, RingRecorder,
-    SamplingProfiler, ScopedMetrics, TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport,
+    SamplingProfiler, TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport,
     BENCH_SCHEMA_VERSION,
 };
 

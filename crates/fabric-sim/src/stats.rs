@@ -119,20 +119,6 @@ impl MemStats {
             && self.lat_l1_cycles + self.lat_l2_cycles == self.mem_lat_cycles
     }
 
-    /// Bytes of cache-line traffic that actually crossed the memory bus
-    /// (demand misses + prefetch fills), assuming `line_size`-byte lines.
-    pub fn dram_traffic_bytes(&self, line_size: usize) -> u64 {
-        (self.demand_misses + self.prefetch_hits) * line_size as u64
-    }
-
-    /// Fraction of line accesses that hit in L1.
-    pub fn l1_hit_rate(&self) -> f64 {
-        if self.line_accesses == 0 {
-            return 0.0;
-        }
-        self.l1_hits as f64 / self.line_accesses as f64
-    }
-
     /// This window's attribution record (DESIGN.md §12, §25): `busy_cycles`
     /// from the aggregates, the leaf buckets from the sub-buckets.
     /// `idle_cycles` is the barrier wait attributed by the caller (0
@@ -236,19 +222,5 @@ mod tests {
         assert!(!leaked.buckets_reconcile());
         let why = leaked.attribution(0, 6).verify().unwrap_err();
         assert!(why.contains("sum to 100 but 101 cycles elapsed"), "{why}");
-    }
-
-    #[test]
-    fn traffic_and_hit_rate() {
-        let s = MemStats {
-            l1_hits: 75,
-            demand_misses: 20,
-            prefetch_hits: 5,
-            line_accesses: 100,
-            ..Default::default()
-        };
-        assert_eq!(s.dram_traffic_bytes(64), 25 * 64);
-        assert!((s.l1_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(MemStats::default().l1_hit_rate(), 0.0);
     }
 }

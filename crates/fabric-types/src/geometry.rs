@@ -211,11 +211,6 @@ impl Geometry {
         }
     }
 
-    /// Total bytes of base data the geometry spans.
-    pub fn base_bytes(&self) -> usize {
-        self.rows * self.row_width
-    }
-
     /// Distinct source columns the device must *touch* per row: requested
     /// fields plus predicate and visibility fields. This drives the device's
     /// source-traffic model.
@@ -392,11 +387,5 @@ mod tests {
         assert!(!mk(20).visible_raw(&row)); // at end: invisible
         row[8..].copy_from_slice(&0u64.to_le_bytes()); // live row
         assert!(mk(1_000_000).visible_raw(&row));
-    }
-
-    #[test]
-    fn base_bytes() {
-        let g = Geometry::packed(128, 64, 1000, vec![f(0, 0)]);
-        assert_eq!(g.base_bytes(), 64_000);
     }
 }

@@ -399,17 +399,18 @@ impl DurableStore {
             Err(_) => mem.trace_end("replay", Category::Store, &[("error", 1)]),
         }
         let (store, report) = result?;
-        {
-            let mut rp = mem.metrics_mut().scoped("durability.replay");
-            rp.counter_add("count", 1);
-            rp.counter_add("records", report.records_scanned as u64);
-            rp.counter_add("commits", report.commits_replayed);
-            rp.counter_add("truncated_tail_bytes", report.truncated_bytes as u64);
-            if report.degraded.is_some() {
-                rp.counter_add("degraded", 1);
-            }
-            rp.gauge_set("watermark", report.watermark as f64);
+        let m = mem.metrics_mut();
+        m.counter_add("durability.replay.count", 1);
+        m.counter_add("durability.replay.records", report.records_scanned as u64);
+        m.counter_add("durability.replay.commits", report.commits_replayed);
+        m.counter_add(
+            "durability.replay.truncated_tail_bytes",
+            report.truncated_bytes as u64,
+        );
+        if report.degraded.is_some() {
+            m.counter_add("durability.replay.degraded", 1);
         }
+        m.gauge_set("durability.replay.watermark", report.watermark as f64);
         let reason = if report.degraded.is_some() {
             "recovery-degraded"
         } else {

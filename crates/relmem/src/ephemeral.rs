@@ -78,11 +78,6 @@ impl PackedBatch {
         self.rows == 0
     }
 
-    /// Number of packed rows (field alias used widely in engine code).
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
     /// Width of one packed row in bytes.
     pub fn row_width(&self) -> usize {
         self.row_width
@@ -188,18 +183,6 @@ impl PackedBatch {
     #[inline]
     pub fn f64_at(&self, row: usize, field: usize) -> f64 {
         f64::from_le_bytes(le_array(self.field_bytes(row, field)))
-    }
-
-    /// Fast path: little-endian `u32` field (dates).
-    #[inline]
-    pub fn u32_at(&self, row: usize, field: usize) -> u32 {
-        u32::from_le_bytes(le_array(self.field_bytes(row, field)))
-    }
-
-    /// Fast path: first byte of a field (one-character flags).
-    #[inline]
-    pub fn byte_at(&self, row: usize, field: usize) -> u8 {
-        self.field_bytes(row, field)[0]
     }
 }
 
@@ -816,6 +799,5 @@ mod tests {
         assert_eq!(b.value(3, 1), Value::I32(b.i32_at(3, 1)));
         assert_eq!(b.row_bytes(0).len(), 8);
         assert!(!b.is_empty());
-        assert_eq!(b.row_count(), b.len());
     }
 }

@@ -12,11 +12,10 @@ use crate::config::RsConfig;
 use crate::store::{RsStats, SsdDevice};
 use compress::DictEncoded;
 use fabric_sim::MemoryHierarchy;
-use fabric_types::{ColumnId, ColumnType, FabricError, Result, Schema};
+use fabric_types::{ColumnId, FabricError, Result, Schema};
 
 /// A table stored as dictionary-compressed columns on the device.
 pub struct CompressedTable {
-    schema: Schema,
     rows: usize,
     /// One encoded column per schema column, plus the flash footprint of
     /// each (pages).
@@ -54,15 +53,7 @@ impl CompressedTable {
             let stored = dev.store_rows(&vec![0u8; image_len.max(1)], 1)?;
             cols.push((enc, stored));
         }
-        Ok(CompressedTable { schema, rows, cols })
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+        Ok(CompressedTable { rows, cols })
     }
 
     /// Total compressed bytes on flash.
@@ -171,11 +162,6 @@ impl CompressedTable {
             },
         ))
     }
-
-    /// Column type helper.
-    pub fn column_type(&self, c: ColumnId) -> Result<ColumnType> {
-        Ok(self.schema.column(c)?.ty)
-    }
 }
 
 /// Shared pipeline-timing helper: flash reads + controller work + link.
@@ -204,6 +190,7 @@ fn timing(
 mod tests {
     use super::*;
     use fabric_sim::SimConfig;
+    use fabric_types::ColumnType;
 
     /// 10k rows, 2 columns: low-cardinality i32 and repetitive i64.
     fn setup() -> (MemoryHierarchy, SsdDevice, CompressedTable) {

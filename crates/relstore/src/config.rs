@@ -16,9 +16,6 @@ pub struct RsConfig {
     pub page_bytes: usize,
     /// NAND array read time per page (ns).
     pub read_page_ns: f64,
-    /// NAND array program (write) time per page (ns) — an order of
-    /// magnitude slower than a read on MLC/TLC flash.
-    pub write_page_ns: f64,
     /// Channel-bus transfer time per page (ns) — the per-channel
     /// serialization resource.
     pub channel_xfer_ns: f64,
@@ -42,7 +39,6 @@ impl RsConfig {
             dies_per_channel: 8,
             page_bytes: 4096,
             read_page_ns: 25_000.0,
-            write_page_ns: 200_000.0,
             channel_xfer_ns: 3_300.0,
             link_ns_per_byte: 0.3125,
             link_base_ns: 10_000.0,

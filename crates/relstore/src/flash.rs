@@ -16,14 +16,9 @@ pub struct FlashArray {
     channels: usize,
     dies: usize,
     read_cycles: Cycles,
-    write_cycles: Cycles,
     xfer_cycles: Cycles,
     die_free: Vec<Cycles>,
     channel_free: Vec<Cycles>,
-    page_reads: u64,
-    failed_reads: u64,
-    page_writes: u64,
-    failed_writes: u64,
 }
 
 impl FlashArray {
@@ -34,14 +29,9 @@ impl FlashArray {
             channels: cfg.channels,
             dies: cfg.dies_per_channel,
             read_cycles: ns_to_cycles(cfg.read_page_ns),
-            write_cycles: ns_to_cycles(cfg.write_page_ns),
             xfer_cycles: ns_to_cycles(cfg.channel_xfer_ns),
             die_free: vec![0; cfg.channels * cfg.dies_per_channel],
             channel_free: vec![0; cfg.channels],
-            page_reads: 0,
-            failed_reads: 0,
-            page_writes: 0,
-            failed_writes: 0,
         }
     }
 
@@ -65,69 +55,13 @@ impl FlashArray {
         let xfer_start = array_done.max(self.channel_free[channel]);
         let done = xfer_start + self.xfer_cycles;
         self.channel_free[channel] = done;
-        self.page_reads += 1;
         done
-    }
-
-    /// Schedule a page program issued at `now`; returns the time the
-    /// page is durable on the die. The mirror of [`Self::read_page`] with
-    /// the resource order reversed: the channel moves the data into the
-    /// plane register first, then the (much slower) array program
-    /// occupies the die.
-    pub fn write_page(&mut self, page: u64, now: Cycles) -> Cycles {
-        let (channel, die) = self.locate(page);
-        let die_idx = channel * self.dies + die;
-        let xfer_start = now.max(self.channel_free[channel]);
-        let xfer_done = xfer_start + self.xfer_cycles;
-        self.channel_free[channel] = xfer_done;
-        let program_start = xfer_done.max(self.die_free[die_idx]);
-        let done = program_start + self.write_cycles;
-        self.die_free[die_idx] = done;
-        self.page_writes += 1;
-        done
-    }
-
-    /// Pages read so far.
-    pub fn page_reads(&self) -> u64 {
-        self.page_reads
-    }
-
-    /// Pages programmed so far.
-    pub fn page_writes(&self) -> u64 {
-        self.page_writes
-    }
-
-    /// Record that the program just scheduled failed (injected write
-    /// fault). Like failed reads, it still occupied its resources.
-    pub fn note_failed_write(&mut self) {
-        self.failed_writes += 1;
-    }
-
-    /// Programs that failed.
-    pub fn failed_writes(&self) -> u64 {
-        self.failed_writes
-    }
-
-    /// Record that the read just scheduled came back unreadable (ECC
-    /// failure injected by a fault plan). The read still occupied its die
-    /// and channel — failed work is not free work.
-    pub fn note_failed_read(&mut self) {
-        self.failed_reads += 1;
-    }
-
-    /// Reads that came back unreadable.
-    pub fn failed_reads(&self) -> u64 {
-        self.failed_reads
     }
 
     /// Clear queue state between experiments.
     pub fn reset(&mut self) {
         self.die_free.fill(0);
         self.channel_free.fill(0);
-        self.page_reads = 0;
-        self.failed_reads = 0;
-        self.page_writes = 0;
-        self.failed_writes = 0;
     }
 }
 
@@ -154,7 +88,6 @@ mod tests {
         }
         let expect = sim.ns_to_cycles(25_000.0) + sim.ns_to_cycles(3_300.0);
         assert_eq!(done, expect);
-        assert_eq!(f.page_reads(), 8);
     }
 
     #[test]
@@ -195,39 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn writes_pay_program_time_and_stripe_like_reads() {
-        let (mut f, sim) = array();
-        // One write: channel transfer, then the slow array program.
-        let d = f.write_page(0, 0);
-        assert_eq!(d, sim.ns_to_cycles(3_300.0) + sim.ns_to_cycles(200_000.0));
-        assert!(d > f.read_page(1, 0), "programs are slower than reads");
-        // 8 consecutive pages across 8 channels program in parallel.
-        f.reset();
-        let mut done = 0;
-        for p in 0..8u64 {
-            done = done.max(f.write_page(p, 0));
-        }
-        assert_eq!(
-            done,
-            sim.ns_to_cycles(3_300.0) + sim.ns_to_cycles(200_000.0)
-        );
-        assert_eq!(f.page_writes(), 8);
-        // Same-die writes serialize on the array program.
-        f.reset();
-        let d1 = f.write_page(0, 0);
-        let d2 = f.write_page(64, 0);
-        assert!(d2 >= d1 + sim.ns_to_cycles(200_000.0));
-        f.note_failed_write();
-        assert_eq!(f.failed_writes(), 1);
-    }
-
-    #[test]
     fn reset_clears_queues() {
         let (mut f, _) = array();
-        f.read_page(0, 0);
+        let first = f.read_page(0, 0);
         f.reset();
-        assert_eq!(f.page_reads(), 0);
-        let d = f.read_page(0, 0);
-        assert!(d > 0);
+        assert_eq!(f.read_page(0, 0), first);
     }
 }

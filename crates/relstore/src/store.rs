@@ -6,7 +6,7 @@ use crate::flash::FlashArray;
 use fabric_sim::{
     Category, CircuitBreaker, Cycles, FaultPlan, FaultStats, MemoryHierarchy, RecoveryPolicy,
 };
-use fabric_types::{crc32, FabricError, FieldSlice, Geometry, OutputMode, Predicate, Result};
+use fabric_types::{FabricError, FieldSlice, Geometry, OutputMode, Predicate, Result};
 use relmem::packer;
 
 /// Device name reported in breaker fail-fast errors.
@@ -49,24 +49,6 @@ pub struct RsStats {
     pub retries: u64,
 }
 
-impl RsStats {
-    /// Record every counter into a metrics registry under
-    /// `<prefix>.<counter>` — the single serialization path for stats
-    /// (replaces hand-rolled formatters; see fabric-lint `raw-stats-print`).
-    pub fn record_into(&self, registry: &mut fabric_sim::MetricsRegistry, prefix: &str) {
-        for (name, value) in [
-            ("pages_read", self.pages_read),
-            ("rows_scanned", self.rows_scanned),
-            ("rows_emitted", self.rows_emitted),
-            ("bytes_shipped", self.bytes_shipped),
-            ("injected_faults", self.injected_faults),
-            ("retries", self.retries),
-        ] {
-            registry.counter_add(&format!("{prefix}.{name}"), value);
-        }
-    }
-}
-
 /// The simulated computational SSD.
 pub struct SsdDevice {
     cfg: RsConfig,
@@ -83,13 +65,6 @@ pub struct SsdDevice {
     policy: RecoveryPolicy,
     /// Consecutive-failure breaker guarding the whole device.
     health: CircuitBreaker,
-    /// CRC-32 of every stored page, computed at store time; the frame the
-    /// host checks shipments against.
-    page_crcs: Vec<u32>,
-    /// Durable page programs completed over the device's lifetime — the
-    /// device-global counter [`FabricError::PowerLoss::writes_done`]
-    /// reports.
-    durable_writes: u64,
 }
 
 impl SsdDevice {
@@ -110,16 +85,8 @@ impl SsdDevice {
             faults: None,
             health: CircuitBreaker::new(&policy),
             policy,
-            page_crcs: Vec::new(),
-            durable_writes: 0,
             cfg,
         }
-    }
-
-    /// Durable page programs completed so far, across every
-    /// [`Self::store_rows_durable`] call.
-    pub fn durable_writes(&self) -> u64 {
-        self.durable_writes
     }
 
     pub fn config(&self) -> &RsConfig {
@@ -144,13 +111,13 @@ impl SsdDevice {
         &self.health
     }
 
-    /// CRC-32 frame of stored page `page`, if it exists.
-    pub fn page_crc(&self, page: u64) -> Option<u32> {
-        self.page_crcs.get(page as usize).copied()
-    }
-
     fn ns_to_cycles(&self, ns: f64) -> Cycles {
         ((ns * self.cpu_ghz).round() as Cycles).max(1)
+    }
+
+    /// Cycles from the first byte on the host link to the last of `bytes`.
+    fn link_cycles(&self, bytes: usize) -> Cycles {
+        self.link_base + self.ns_to_cycles(bytes.max(1) as f64 * self.link_ns_per_byte)
     }
 
     /// Store `rows` fixed-width rows (concatenated in `bytes`) onto flash.
@@ -179,12 +146,6 @@ impl SsdDevice {
             self.data[dst..dst + row_width]
                 .copy_from_slice(&bytes[i * row_width..(i + 1) * row_width]);
         }
-        // Frame every page with a CRC-32 at store time.
-        self.page_crcs.resize(self.next_page as usize, 0);
-        for p in first_page as usize..self.next_page as usize {
-            let base = p * self.cfg.page_bytes;
-            self.page_crcs[p] = crc32(&self.data[base..base + self.cfg.page_bytes]);
-        }
         Ok(StoredTable {
             first_page,
             pages,
@@ -192,202 +153,6 @@ impl SsdDevice {
             row_width,
             rows_per_page,
         })
-    }
-
-    /// Store rows through the *timed, fault-aware* write path: every page
-    /// is programmed through the flash array under the active fault plan,
-    /// so flash write errors (retried with backoff, then
-    /// [`FabricError::FlashWriteError`]), silent torn page writes (caught
-    /// later by [`Self::verify_pages`]), and power cuts
-    /// ([`FabricError::PowerLoss`], leaving a prefix of the in-flight
-    /// page) all apply. The recorded page CRC is always that of the
-    /// *intended* page image — a torn page is exactly a CRC mismatch.
-    ///
-    /// `PowerLoss::writes_done` reports the *device-global* durable-write
-    /// count ([`Self::durable_writes`]), not a per-call index. On any
-    /// failure the unused remainder of the allocation is rolled back:
-    /// `next_page` retreats to just past the last page the device
-    /// physically touched (a power cut's torn prefix stays on the
-    /// medium, with its intended CRC recorded), so a failed store never
-    /// leaves never-programmed zero pages behind. Pages fully programmed
-    /// by the failed call remain on the medium but are unreachable — no
-    /// [`StoredTable`] refers to them.
-    pub fn store_rows_durable(
-        &mut self,
-        mem: &mut MemoryHierarchy,
-        bytes: &[u8],
-        row_width: usize,
-    ) -> Result<StoredTable> {
-        if row_width == 0 || !bytes.len().is_multiple_of(row_width) {
-            return Err(FabricError::Storage(format!(
-                "byte length {} not a multiple of row width {row_width}",
-                bytes.len()
-            )));
-        }
-        if row_width > self.cfg.page_bytes {
-            return Err(FabricError::Storage("row wider than a flash page".into()));
-        }
-        let rows = bytes.len() / row_width;
-        let rows_per_page = self.cfg.page_bytes / row_width;
-        let pages = rows.div_ceil(rows_per_page).max(1);
-        let first_page = self.next_page;
-        self.next_page += pages as u64;
-        self.data
-            .resize((self.next_page as usize) * self.cfg.page_bytes, 0);
-        self.page_crcs.resize(self.next_page as usize, 0);
-
-        mem.trace_begin("rs.store_durable", Category::Store);
-        let start = mem.now();
-        let mut write_done = start;
-        let mut failure = None;
-        // Pages the device physically touched (for failure rollback).
-        let mut reached = 0usize;
-        for p in 0..pages {
-            let page = first_page + p as u64;
-            // The intended page image: whole rows plus zero padding.
-            let mut image = vec![0u8; self.cfg.page_bytes];
-            let row_lo = p * rows_per_page;
-            let row_hi = ((p + 1) * rows_per_page).min(rows);
-            for i in row_lo..row_hi {
-                let off = (i - row_lo) * row_width;
-                image[off..off + row_width]
-                    .copy_from_slice(&bytes[i * row_width..(i + 1) * row_width]);
-            }
-            self.page_crcs[page as usize] = crc32(&image);
-
-            // Fault dance: power cut first (one draw per durable write),
-            // then the program-retry loop, then a possible silent tear.
-            enum PageOutcome {
-                Stored(Cycles),
-                Torn(usize, Cycles),
-                Crashed(usize),
-                Failed(u32),
-            }
-            let page_bytes = self.cfg.page_bytes;
-            let outcome = {
-                let flash = &mut self.flash;
-                match self.faults.as_mut() {
-                    None => PageOutcome::Stored(flash.write_page(page, start)),
-                    Some(plan) => {
-                        if plan.write_crash() {
-                            PageOutcome::Crashed(plan.crash_keep(page_bytes))
-                        } else {
-                            let mut attempts = 0u32;
-                            let mut at = start;
-                            loop {
-                                attempts += 1;
-                                let done = flash.write_page(page, at);
-                                if !plan.flash_write_failed() {
-                                    break match plan.torn_write(page_bytes) {
-                                        Some(keep) => PageOutcome::Torn(keep, done),
-                                        None => PageOutcome::Stored(done),
-                                    };
-                                }
-                                flash.note_failed_write();
-                                if attempts > self.policy.max_retries {
-                                    break PageOutcome::Failed(attempts);
-                                }
-                                at = done + self.policy.backoff_cycles(attempts, self.cpu_ghz);
-                            }
-                        }
-                    }
-                }
-            };
-
-            let base = page as usize * self.cfg.page_bytes;
-            match outcome {
-                PageOutcome::Stored(done) => {
-                    self.data[base..base + self.cfg.page_bytes].copy_from_slice(&image);
-                    write_done = write_done.max(done);
-                    self.durable_writes += 1;
-                    reached = p + 1;
-                }
-                PageOutcome::Torn(keep, done) => {
-                    // The device reports success; only `keep` bytes made it.
-                    self.data[base..base + keep].copy_from_slice(&image[..keep]);
-                    write_done = write_done.max(done);
-                    self.durable_writes += 1;
-                    reached = p + 1;
-                    mem.trace_instant(
-                        "rs.fault.torn",
-                        Category::Fault,
-                        &[("page", page), ("keep", keep as u64)],
-                    );
-                }
-                PageOutcome::Crashed(keep) => {
-                    // The torn prefix is physically on the medium; the
-                    // page's intended CRC stays recorded so the tear is a
-                    // plain CRC mismatch to any later reader.
-                    self.data[base..base + keep].copy_from_slice(&image[..keep]);
-                    reached = p + 1;
-                    mem.trace_instant("rs.fault.power", Category::Fault, &[("page", page)]);
-                    mem.metrics_mut().counter_add("rs.power_losses", 1);
-                    mem.flight_dump("power-loss");
-                    failure = Some(FabricError::PowerLoss {
-                        device: DEVICE_NAME.into(),
-                        writes_done: self.durable_writes,
-                    });
-                    break;
-                }
-                PageOutcome::Failed(attempts) => {
-                    reached = p;
-                    mem.trace_instant(
-                        "rs.fault.flash_write",
-                        Category::Fault,
-                        &[("page", page), ("attempt", attempts as u64)],
-                    );
-                    failure = Some(FabricError::FlashWriteError { page, attempts });
-                    break;
-                }
-            }
-        }
-        if failure.is_some() {
-            // Roll back the never-programmed remainder of the allocation:
-            // the medium ends just past the last page the device touched.
-            let keep_pages = first_page as usize + reached;
-            self.next_page = keep_pages as u64;
-            self.data.truncate(keep_pages * self.cfg.page_bytes);
-            self.page_crcs.truncate(keep_pages);
-        }
-        mem.stall_until(write_done);
-        mem.trace_end(
-            "rs.store_durable",
-            Category::Store,
-            &[
-                ("pages", pages as u64),
-                ("failed", u64::from(failure.is_some())),
-            ],
-        );
-        let mut rs = mem.metrics_mut().scoped("durability.relstore");
-        if failure.is_none() {
-            rs.counter_add("tables", 1);
-            rs.counter_add("pages", pages as u64);
-            rs.counter_add("bytes", bytes.len() as u64);
-        } else {
-            rs.counter_add("failures", 1);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(StoredTable {
-                first_page,
-                pages,
-                rows,
-                row_width,
-                rows_per_page,
-            }),
-        }
-    }
-
-    /// Pages of `t` whose stored bytes no longer match the CRC recorded
-    /// at store time — the scrub pass that exposes silent torn writes.
-    pub fn verify_pages(&self, t: &StoredTable) -> Vec<u64> {
-        (t.first_page..t.first_page + t.pages as u64)
-            .filter(|&p| {
-                let base = p as usize * self.cfg.page_bytes;
-                let stored = &self.data[base..base + self.cfg.page_bytes];
-                self.page_crcs.get(p as usize).copied() != Some(crc32(stored))
-            })
-            .collect()
     }
 
     fn row_bytes(&self, t: &StoredTable, i: usize) -> &[u8] {
@@ -421,7 +186,6 @@ impl SsdDevice {
                 return Ok(done);
             }
             stats.injected_faults += 1;
-            flash.note_failed_read();
             mem.trace_instant(
                 "rs.fault.flash",
                 Category::Fault,
@@ -480,15 +244,57 @@ impl SsdDevice {
         }
     }
 
-    /// Breaker gate shared by every fetch entry point.
-    fn admit(&mut self) -> Result<()> {
-        if self.health.allow() {
-            Ok(())
-        } else {
-            Err(FabricError::DeviceTimeout {
+    /// The timed half of every fetch, run once its functional result is
+    /// in hand: admit through the breaker, read every page of `t` (issued
+    /// as fast as the channels accept them), then ship
+    /// `stats.bytes_shipped` bytes to arrive at `arrival(start,
+    /// flash_done)` — all under span `span`, which closes with `args` on
+    /// success and `failed` on error; the breaker records the outcome.
+    fn run_fetch(
+        &mut self,
+        mem: &mut MemoryHierarchy,
+        t: &StoredTable,
+        span: &'static str,
+        mut stats: RsStats,
+        arrival: impl FnOnce(Cycles, Cycles) -> Cycles,
+        args: &[(&'static str, u64)],
+    ) -> Result<RsStats> {
+        if !self.health.allow() {
+            return Err(FabricError::DeviceTimeout {
                 device: DEVICE_NAME.into(),
                 attempts: 0,
-            })
+            });
+        }
+        mem.trace_begin(span, Category::Store);
+        let start = mem.now();
+        let mut flash_done = start;
+        let mut shipped = Ok(());
+        for p in 0..t.pages as u64 {
+            match self.read_page_checked(mem, t.first_page + p, start, &mut stats) {
+                Ok(done) => flash_done = flash_done.max(done),
+                Err(e) => {
+                    self.health.record_failure();
+                    shipped = Err(e);
+                    break;
+                }
+            }
+        }
+        if shipped.is_ok() {
+            let bytes = stats.bytes_shipped as usize;
+            shipped = self.finish_shipment(mem, arrival(start, flash_done), bytes, &mut stats);
+            if shipped.is_ok() {
+                self.health.record_success();
+            }
+        }
+        match shipped {
+            Ok(()) => {
+                mem.trace_end(span, Category::Store, args);
+                Ok(stats)
+            }
+            Err(e) => {
+                mem.trace_end(span, Category::Store, &[("failed", 1)]);
+                Err(e)
+            }
         }
     }
 
@@ -505,31 +311,6 @@ impl SsdDevice {
     ) -> Result<(Vec<u8>, RsStats)> {
         let g = Geometry::packed(0, t.row_width, t.rows, fields).with_predicate(predicate);
         g.validate()?;
-        self.admit()?;
-
-        mem.trace_begin("rs.fetch_geometry", Category::Store);
-        let start = mem.now();
-        let mut stats = RsStats {
-            pages_read: t.pages as u64,
-            rows_scanned: t.rows as u64,
-            ..RsStats::default()
-        };
-        // Flash: all pages, issued as fast as the channels accept them.
-        let mut flash_done = start;
-        for p in 0..t.pages as u64 {
-            match self.read_page_checked(mem, t.first_page + p, start, &mut stats) {
-                Ok(done) => flash_done = flash_done.max(done),
-                Err(e) => {
-                    self.health.record_failure();
-                    mem.trace_end("rs.fetch_geometry", Category::Store, &[("failed", 1)]);
-                    return Err(e);
-                }
-            }
-        }
-        // Controller: streams rows as pages land.
-        let ctrl_done = start + t.rows as u64 * self.ctrl_row;
-
-        // Functional result.
         let mut out = Vec::new();
         let mut emitted = 0u64;
         for i in 0..t.rows {
@@ -539,34 +320,25 @@ impl SsdDevice {
                 emitted += 1;
             }
         }
-
-        // Host link: pipelined with production; the last byte arrives after
-        // the slower of (device production, link drain).
-        let link_done = start
-            + self.link_base
-            + self.ns_to_cycles(out.len().max(1) as f64 * self.link_ns_per_byte);
-        if let Err(e) = self.finish_shipment(
-            mem,
-            flash_done.max(ctrl_done).max(link_done),
-            out.len(),
-            &mut stats,
-        ) {
-            mem.trace_end("rs.fetch_geometry", Category::Store, &[("failed", 1)]);
-            return Err(e);
-        }
-        self.health.record_success();
-
-        stats.rows_emitted = emitted;
-        stats.bytes_shipped = out.len() as u64;
-        mem.trace_end(
-            "rs.fetch_geometry",
-            Category::Store,
-            &[
-                ("pages", stats.pages_read),
-                ("rows_emitted", emitted),
-                ("bytes_shipped", stats.bytes_shipped),
-            ],
-        );
+        // The controller streams rows as pages land, and the host link is
+        // pipelined with it: the last byte arrives after the slowest of
+        // flash, controller and link drain.
+        let ctrl = t.rows as u64 * self.ctrl_row;
+        let link = self.link_cycles(out.len());
+        let stats = RsStats {
+            pages_read: t.pages as u64,
+            rows_scanned: t.rows as u64,
+            rows_emitted: emitted,
+            bytes_shipped: out.len() as u64,
+            ..RsStats::default()
+        };
+        let args = [
+            ("pages", stats.pages_read),
+            ("rows_emitted", emitted),
+            ("bytes_shipped", stats.bytes_shipped),
+        ];
+        let arrival = |start: Cycles, flash: Cycles| flash.max(start + ctrl).max(start + link);
+        let stats = self.run_fetch(mem, t, "rs.fetch_geometry", stats, arrival, &args)?;
         Ok((out, stats))
     }
 
@@ -584,28 +356,6 @@ impl SsdDevice {
             ));
         };
         g.validate()?;
-        self.admit()?;
-        mem.trace_begin("rs.fetch_aggregate", Category::Store);
-        let start = mem.now();
-        let mut stats = RsStats {
-            pages_read: t.pages as u64,
-            rows_scanned: t.rows as u64,
-            bytes_shipped: 64,
-            ..RsStats::default()
-        };
-        let mut flash_done = start;
-        for p in 0..t.pages as u64 {
-            match self.read_page_checked(mem, t.first_page + p, start, &mut stats) {
-                Ok(done) => flash_done = flash_done.max(done),
-                Err(e) => {
-                    self.health.record_failure();
-                    mem.trace_end("rs.fetch_aggregate", Category::Store, &[("failed", 1)]);
-                    return Err(e);
-                }
-            }
-        }
-        let ctrl_done = start + t.rows as u64 * self.ctrl_row;
-
         let mut bank = relmem::aggregate::AggBank::new(specs);
         let mut emitted = 0u64;
         for i in 0..t.rows {
@@ -615,23 +365,21 @@ impl SsdDevice {
                 emitted += 1;
             }
         }
-        if let Err(e) = self.finish_shipment(
-            mem,
-            flash_done.max(ctrl_done) + self.link_base,
-            64,
-            &mut stats,
-        ) {
-            mem.trace_end("rs.fetch_aggregate", Category::Store, &[("failed", 1)]);
-            return Err(e);
-        }
-        self.health.record_success();
-        stats.rows_emitted = emitted;
-        mem.trace_end(
-            "rs.fetch_aggregate",
-            Category::Store,
-            &[("pages", stats.pages_read), ("rows_emitted", emitted)],
-        );
-        Ok((bank.finish()?, stats))
+        let values = bank.finish()?;
+        // The scalars leave once the controller has seen every row.
+        let ctrl = t.rows as u64 * self.ctrl_row;
+        let link_base = self.link_base;
+        let stats = RsStats {
+            pages_read: t.pages as u64,
+            rows_scanned: t.rows as u64,
+            rows_emitted: emitted,
+            bytes_shipped: 64,
+            ..RsStats::default()
+        };
+        let args = [("pages", stats.pages_read), ("rows_emitted", emitted)];
+        let arrival = |start: Cycles, flash: Cycles| flash.max(start + ctrl) + link_base;
+        let stats = self.run_fetch(mem, t, "rs.fetch_aggregate", stats, arrival, &args)?;
+        Ok((values, stats))
     }
 
     /// Host-side baseline: ship every page over the link; the host filters
@@ -642,47 +390,22 @@ impl SsdDevice {
         mem: &mut MemoryHierarchy,
         t: &StoredTable,
     ) -> Result<(Vec<u8>, RsStats)> {
-        self.admit()?;
-        mem.trace_begin("rs.fetch_raw", Category::Store);
-        let start = mem.now();
-        let mut stats = RsStats {
-            pages_read: t.pages as u64,
-            rows_scanned: t.rows as u64,
-            rows_emitted: t.rows as u64,
-            ..RsStats::default()
-        };
-        let mut flash_done = start;
-        for p in 0..t.pages as u64 {
-            match self.read_page_checked(mem, t.first_page + p, start, &mut stats) {
-                Ok(done) => flash_done = flash_done.max(done),
-                Err(e) => {
-                    self.health.record_failure();
-                    mem.trace_end("rs.fetch_raw", Category::Store, &[("failed", 1)]);
-                    return Err(e);
-                }
-            }
-        }
-        let shipped = (t.pages * self.cfg.page_bytes) as u64;
-        let link_done =
-            start + self.link_base + self.ns_to_cycles(shipped as f64 * self.link_ns_per_byte);
-        if let Err(e) =
-            self.finish_shipment(mem, flash_done.max(link_done), shipped as usize, &mut stats)
-        {
-            mem.trace_end("rs.fetch_raw", Category::Store, &[("failed", 1)]);
-            return Err(e);
-        }
-        self.health.record_success();
-
         let mut out = Vec::with_capacity(t.rows * t.row_width);
         for i in 0..t.rows {
             out.extend_from_slice(self.row_bytes(t, i));
         }
-        stats.bytes_shipped = shipped;
-        mem.trace_end(
-            "rs.fetch_raw",
-            Category::Store,
-            &[("pages", stats.pages_read), ("bytes_shipped", shipped)],
-        );
+        let shipped = (t.pages * self.cfg.page_bytes) as u64;
+        let link = self.link_cycles(shipped as usize);
+        let stats = RsStats {
+            pages_read: t.pages as u64,
+            rows_scanned: t.rows as u64,
+            rows_emitted: t.rows as u64,
+            bytes_shipped: shipped,
+            ..RsStats::default()
+        };
+        let args = [("pages", stats.pages_read), ("bytes_shipped", shipped)];
+        let arrival = |start: Cycles, flash: Cycles| flash.max(start + link);
+        let stats = self.run_fetch(mem, t, "rs.fetch_raw", stats, arrival, &args)?;
         Ok((out, stats))
     }
 
@@ -900,15 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn page_crcs_frame_stored_pages() {
-        let (_, dev, t) = setup();
-        for p in 0..t.pages as u64 {
-            assert!(dev.page_crc(t.first_page + p).is_some());
-        }
-        assert!(dev.page_crc(t.first_page + t.pages as u64).is_none());
-    }
-
-    #[test]
     fn multiple_tables_coexist() {
         let (mut mem, mut dev, t1) = setup();
         let bytes: Vec<u8> = (0..64u8).collect();
@@ -918,135 +632,50 @@ mod tests {
         assert_eq!(out, bytes);
     }
 
-    fn row_bytes_i32(rows: usize) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(rows * 16);
-        for i in 0..rows {
-            for j in 0..4 {
-                bytes.extend_from_slice(&((i * 4 + j) as i32).to_le_bytes());
-            }
-        }
-        bytes
-    }
-
+    /// A predicate that compares an `I32` field with a string passes
+    /// `Geometry::validate` but cannot be evaluated. Both near-data fetches
+    /// return the type error before they are admitted: no span is left
+    /// open, no flash or link time is charged, and the breaker is not
+    /// consulted — whether it is closed or open.
     #[test]
-    fn durable_store_pays_program_time_and_reads_back_identical() {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-        let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-        let bytes = row_bytes_i32(2000);
-        let t0 = mem.now();
-        let t = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap();
-        assert!(mem.now() > t0, "page programs cost time");
-        assert_eq!(dev.verify_pages(&t), Vec::<u64>::new());
-        let (out, _) = dev.fetch_raw(&mut mem, &t).unwrap();
-        assert_eq!(out, bytes);
-    }
-
-    #[test]
-    fn flash_write_faults_retry_then_fail_past_the_budget() {
-        use fabric_sim::{FaultConfig, FaultPlan, RecoveryPolicy};
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-        let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-        let mut cfg = FaultConfig::quiet(77);
-        cfg.flash_write_prob = 0.1;
-        dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-        // Retries absorb a 10% program-failure rate over many pages.
-        let bytes = row_bytes_i32(4000);
-        let t = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap();
-        assert!(dev.fault_stats().flash_write_errors > 0);
-        assert_eq!(dev.verify_pages(&t), Vec::<u64>::new());
-        let (out, _) = dev.fetch_raw(&mut mem, &t).unwrap();
-        assert_eq!(out, bytes);
-        // A certain-failure plan exhausts the retry budget.
-        let mut cfg = FaultConfig::quiet(78);
-        cfg.flash_write_prob = 1.0;
-        dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-        let err = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap_err();
-        assert!(matches!(err, FabricError::FlashWriteError { .. }), "{err}");
-    }
-
-    #[test]
-    fn torn_pages_are_caught_by_verify_pages() {
-        use fabric_sim::{FaultConfig, FaultPlan, RecoveryPolicy};
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-        let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-        let mut cfg = FaultConfig::quiet(79);
-        cfg.torn_write_prob = 0.25;
-        dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-        let bytes = row_bytes_i32(4000);
-        let t = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap();
-        let torn = dev.verify_pages(&t);
-        let expect = dev.fault_stats().torn_writes;
-        assert!(expect > 0, "seed 79 should tear at least one page");
-        assert_eq!(torn.len() as u64, expect);
-        for p in &torn {
-            assert!((t.first_page..t.first_page + t.pages as u64).contains(p));
-        }
-    }
-
-    #[test]
-    fn a_power_cut_leaves_a_prefix_and_is_deterministic() {
-        use fabric_sim::{FaultConfig, FaultPlan, RecoveryPolicy};
-        let run = |crash_at: u64| {
-            let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-            let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-            let cfg = FaultConfig::quiet(80).with_crash_at(crash_at);
-            dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-            let bytes = row_bytes_i32(2000);
-            let err = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap_err();
-            // The failed store rolls its unused allocation back: the
-            // medium ends at the torn in-flight page, with no zero pages
-            // (or zero CRCs) beyond it.
-            assert_eq!(dev.next_page, 3);
-            assert_eq!(dev.data.len(), 3 * dev.cfg.page_bytes);
-            assert_eq!(dev.page_crcs.len(), 3);
-            (err, dev.data.clone())
+    fn a_predicate_type_error_returns_before_the_device_is_touched() {
+        use fabric_sim::{
+            validate_chrome_trace, BreakerState, FaultConfig, FaultPlan, RingRecorder,
         };
-        let (err, data) = run(3);
-        match err {
-            FabricError::PowerLoss {
-                device,
-                writes_done,
-            } => {
-                assert_eq!(device, DEVICE_NAME);
-                assert_eq!(writes_done, 2, "two pages durable before the cut");
-            }
-            other => panic!("expected PowerLoss, got {other}"),
+        let (mut mem, mut dev, t) = setup();
+        mem.set_recorder(Box::new(RingRecorder::new(1 << 12)));
+        let bad = Predicate::always_true().and(ColumnPredicate::new(
+            f32field(0, 0),
+            CmpOp::Lt,
+            Value::Str("x".into()),
+        ));
+        let agg = Geometry::packed(0, 16, t.rows, vec![f32field(1, 4)])
+            .with_predicate(bad.clone())
+            .with_mode(OutputMode::Aggregate(vec![AggSpec::count()]));
+        let check = |mem: &mut MemoryHierarchy, dev: &mut SsdDevice| {
+            let (now, state) = (mem.now(), dev.health().state());
+            let err = dev
+                .fetch_geometry(mem, &t, vec![f32field(1, 4)], bad.clone())
+                .unwrap_err();
+            assert!(matches!(err, FabricError::TypeMismatch { .. }), "{err}");
+            let err = dev.fetch_aggregate(mem, &t, &agg).unwrap_err();
+            assert!(matches!(err, FabricError::TypeMismatch { .. }), "{err}");
+            assert_eq!(mem.now(), now, "no device time is charged");
+            assert_eq!(dev.health().state(), state, "the breaker is not consulted");
+        };
+        check(&mut mem, &mut dev);
+        // Trip the breaker with latent sector errors, then try again.
+        dev.inject_faults(
+            FaultPlan::new(FaultConfig::quiet(3).with_latent(1.0)),
+            RecoveryPolicy::default(),
+        );
+        while dev.health().state() == BreakerState::Closed {
+            let _ = dev.fetch_raw(&mut mem, &t).unwrap_err();
         }
-        // Same seed, same crash point → bit-identical surviving media.
-        let (_, data2) = run(3);
-        assert_eq!(data, data2);
-    }
-
-    #[test]
-    fn power_cut_counts_durable_writes_device_globally() {
-        use fabric_sim::{FaultConfig, FaultPlan, RecoveryPolicy};
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-        let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-        // One plan across two stores: the first (8 pages) survives whole,
-        // the second cuts at device write 11 — its 3rd page.
-        let cfg = FaultConfig::quiet(80).with_crash_at(11);
-        dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-        let bytes = row_bytes_i32(2000);
-        let t1 = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap();
-        assert_eq!(t1.pages, 8);
-        assert_eq!(dev.durable_writes(), 8);
-        let err = dev.store_rows_durable(&mut mem, &bytes, 16).unwrap_err();
-        match err {
-            FabricError::PowerLoss { writes_done, .. } => {
-                assert_eq!(
-                    writes_done, 10,
-                    "writes_done spans the device, not the failing call"
-                );
-            }
-            other => panic!("expected PowerLoss, got {other}"),
-        }
-        // Rollback keeps the first table intact and ends the medium at
-        // the second store's torn page.
-        assert_eq!(dev.next_page, t1.first_page + t1.pages as u64 + 3);
-        assert_eq!(dev.page_crcs.len() as u64, dev.next_page);
-        assert_eq!(dev.data.len(), dev.next_page as usize * dev.cfg.page_bytes);
-        assert_eq!(dev.verify_pages(&t1), Vec::<u64>::new());
-        let (out, _) = dev.fetch_raw(&mut mem, &t1).unwrap();
-        assert_eq!(out, bytes);
+        check(&mut mem, &mut dev);
+        let trace = mem.export_trace().unwrap();
+        let summary = validate_chrome_trace(&trace).unwrap();
+        assert!(summary.begins > 0);
+        assert_eq!(summary.begins, summary.ends, "every span closes");
     }
 }

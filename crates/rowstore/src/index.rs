@@ -8,8 +8,8 @@
 //!
 //! * [`HashIndex`] — equality lookups: O(1) probes, useless for ranges;
 //! * [`OrderedIndex`] — a sorted (key, row) array with binary search:
-//!   point and range lookups, at logarithmic probe cost and per-match
-//!   random row access.
+//!   range lookups and range sums, at logarithmic probe cost and
+//!   per-match random row access.
 
 use crate::table::{RowId, RowTable};
 use fabric_sim::MemoryHierarchy;
@@ -59,11 +59,6 @@ impl HashIndex {
         })
     }
 
-    /// The indexed column.
-    pub fn column(&self) -> ColumnId {
-        self.col
-    }
-
     #[inline]
     fn bucket_of(&self, key: i64) -> u64 {
         // Fibonacci hashing for the simulated bucket address.
@@ -96,9 +91,8 @@ impl HashIndex {
 }
 
 /// A sorted `(key, row id)` secondary index with binary search — supports
-/// point and range lookups.
+/// range lookups (a point lookup is the range `k..k + 1`).
 pub struct OrderedIndex {
-    col: ColumnId,
     entries: Vec<(i64, RowId)>,
     entries_addr: fabric_types::Addr,
 }
@@ -120,22 +114,9 @@ impl OrderedIndex {
         entries.sort_unstable();
         let entries_addr = mem.alloc(entries.len().max(1) * ENTRY_BYTES, 64)?;
         Ok(OrderedIndex {
-            col,
             entries,
             entries_addr,
         })
-    }
-
-    pub fn column(&self) -> ColumnId {
-        self.col
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Charge the binary-search traffic: log2(n) random entry touches.
@@ -151,22 +132,6 @@ impl OrderedIndex {
             // halving `hi` charges exactly that many touches.
             hi = mid;
         }
-    }
-
-    /// Timed point lookup.
-    pub fn probe(&self, mem: &mut MemoryHierarchy, key: i64) -> Result<Vec<RowId>> {
-        self.charge_search(mem);
-        let start = self.entries.partition_point(|&(k, _)| k < key);
-        let mut out = Vec::new();
-        let costs = mem.costs();
-        for &(k, rid) in &self.entries[start..] {
-            if k != key {
-                break;
-            }
-            mem.cpu(costs.value_op);
-            out.push(rid);
-        }
-        Ok(out)
     }
 
     /// Timed range lookup `lo..hi` (half-open): returns matching row ids in
@@ -282,9 +247,6 @@ mod tests {
     fn ordered_index_point_and_range() {
         let (mut mem, t) = setup();
         let idx = OrderedIndex::build(&mut mem, &t, 0).unwrap();
-        assert_eq!(idx.len(), 10_000);
-        let rows = idx.probe(&mut mem, 35).unwrap();
-        assert_eq!(rows.len(), 1);
         // Range [100, 110): ten distinct keys exist (permutation).
         let rows = idx.range(&mut mem, 100, 110).unwrap();
         assert_eq!(rows.len(), 10);
@@ -329,7 +291,7 @@ mod tests {
         let h = HashIndex::build(&mut mem, &t, 0).unwrap();
         assert_eq!(h.probe(&mut mem, &t, 3).unwrap().len(), 10);
         let o = OrderedIndex::build(&mut mem, &t, 0).unwrap();
-        assert_eq!(o.probe(&mut mem, 3).unwrap().len(), 10);
+        assert_eq!(o.range(&mut mem, 3, 4).unwrap().len(), 10);
     }
 
     #[test]
@@ -348,8 +310,6 @@ mod tests {
         let schema = Schema::from_pairs(&[("key", ColumnType::I64)]);
         let t = RowTable::create(&mut mem, schema, 4).unwrap();
         let o = OrderedIndex::build(&mut mem, &t, 0).unwrap();
-        assert!(o.is_empty());
-        assert!(o.probe(&mut mem, 1).unwrap().is_empty());
         assert!(o.range(&mut mem, 0, 100).unwrap().is_empty());
     }
 }

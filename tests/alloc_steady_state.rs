@@ -352,10 +352,9 @@ fn an_op_cache_hit_allocates_the_same_however_many_keys_the_registry_holds() {
     // query writes.
     let reg = e.mem().metrics_mut();
     for i in 0..140 {
-        let mut grown = reg.scoped(format_args!("query.grown{i:03}"));
-        grown.counter_add("n", 1);
-        grown.gauge_set("g", 1.0);
-        grown.observe("h", i);
+        reg.counter_add(&format!("query.grown{i:03}.n"), 1);
+        reg.gauge_set(&format!("query.grown{i:03}.g"), 1.0);
+        reg.observe(&format!("query.grown{i:03}.h"), i);
     }
     let large = (registry_keys(&e), one_row_hit(&mut e));
     println!(

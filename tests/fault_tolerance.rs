@@ -237,84 +237,89 @@ fn chaos_relstore_recovers_or_fails_cleanly() {
     }
 }
 
-/// The flash *write* path under chaos (DESIGN.md §14): seeded program
-/// failures either retry invisibly — the stored table reads back
-/// bit-identical — or exhaust the budget as a typed `FlashWriteError`;
-/// silent torn pages are exactly the set the CRC scrub reports; and the
-/// same seed replays answers, fault stats, scrub sets, and the simulated
-/// clock to the bit.
+/// FNV-1a (64-bit) over `texts` in order, each followed by a separator
+/// byte.
+fn digest(texts: impl IntoIterator<Item = String>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for text in texts {
+        for b in text.bytes().chain([0xff]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The SSD's read-side fault path, pinned to the bit: the geometry,
+/// aggregate and raw fetches each run twice under transient page and link
+/// faults, at three fixed seeds and two rates (the higher one exhausts
+/// retry budgets and trips the breaker). Each fetch's bytes or values,
+/// `RsStats` or typed error, the simulated clock, the fault counters and
+/// the breaker state are digested with FNV-1a. The constants were computed
+/// in a separate clone of the commit before the three fetches shared one
+/// pipeline, so every draw, retry and cycle of the fold is checked against
+/// the code it replaced.
 #[test]
-fn chaos_flash_write_path_recovers_and_replays() {
-    let seed = seed();
-    let rows = 16_384usize;
+fn relstore_fault_path_matches_the_pinned_digests() {
+    use fabric_types::{
+        AggFunc, AggSpec, CmpOp, ColumnPredicate, ColumnType, FieldSlice, Geometry, OutputMode,
+        Predicate,
+    };
+    let rows = 2048usize;
     let mut bytes = Vec::with_capacity(rows * 32);
     for i in 0..rows {
         for j in 0..8 {
             bytes.extend_from_slice(&((i * 8 + j) as i32).to_le_bytes());
         }
     }
-
-    // Fault-free durable store: pages cost program time, bytes round-trip.
-    let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-    let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-    let t = dev.store_rows_durable(&mut mem, &bytes, 32).unwrap();
-    assert_eq!(dev.verify_pages(&t), Vec::<u64>::new());
-    let (clean, _) = dev.fetch_raw(&mut mem, &t).unwrap();
-    assert_eq!(clean, bytes);
-
-    // One chaos run: store under the derived write-fault plan, scrub,
-    // read back. Everything observable is returned for replay checks.
-    let run = |flash_write_prob: f64, torn_write_prob: f64| {
-        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-        let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
-        let cfg = FaultConfig {
-            flash_write_prob,
-            torn_write_prob,
-            ..FaultConfig::quiet(seed)
-        };
-        dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
-        match dev.store_rows_durable(&mut mem, &bytes, 32) {
-            Ok(t) => {
-                let torn = dev.verify_pages(&t);
-                let (out, _) = dev.fetch_raw(&mut mem, &t).unwrap();
-                (Some((torn, out)), dev.fault_stats(), mem.now())
+    let f = |c: usize| FieldSlice::new(c, c * 4, ColumnType::I32);
+    let mut got = Vec::new();
+    for seed in [1u64, 7, 42] {
+        for rate in [0.1, 0.5] {
+            let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+            let mut dev = SsdDevice::new(RsConfig::smartssd(), &mem);
+            let t = dev.store_rows(&bytes, 32).unwrap();
+            let cfg = FaultConfig {
+                flash_transient_prob: rate,
+                link_corrupt_prob: rate,
+                ..FaultConfig::quiet(seed)
+            };
+            dev.inject_faults(FaultPlan::new(cfg), RecoveryPolicy::default());
+            let pred = Predicate::always_true().and(ColumnPredicate::new(
+                f(3),
+                CmpOp::Lt,
+                Value::I32(4_000),
+            ));
+            let agg =
+                Geometry::packed(0, 32, t.rows, vec![f(1)]).with_mode(OutputMode::Aggregate(vec![
+                    AggSpec::count(),
+                    AggSpec::over(AggFunc::Sum, f(1)),
+                ]));
+            let mut texts = Vec::new();
+            for _ in 0..2 {
+                let r = dev.fetch_geometry(&mut mem, &t, vec![f(0), f(5)], pred.clone());
+                texts.push(format!("{r:?}"));
+                let r = dev.fetch_aggregate(&mut mem, &t, &agg);
+                texts.push(format!("{r:?}"));
+                let r = dev.fetch_raw(&mut mem, &t);
+                texts.push(format!("{r:?}"));
+                texts.push(format!(
+                    "{} {:?} {:?}",
+                    mem.now(),
+                    dev.fault_stats(),
+                    dev.health().state()
+                ));
             }
-            Err(e) => {
-                assert!(
-                    matches!(e, FabricError::FlashWriteError { .. }),
-                    "untyped write failure: {e:?} (replay: FABRIC_CHAOS_SEED={seed})"
-                );
-                (None, dev.fault_stats(), mem.now())
-            }
+            got.push((seed, rate.to_bits(), digest(texts)));
         }
-    };
-
-    // Transient program failures only: success means bit-identical bytes
-    // and a clean scrub — retries are invisible in the data.
-    let (state, stats, _) = run(0.08, 0.0);
-    if let Some((torn, out)) = &state {
-        assert!(torn.is_empty(), "replay: FABRIC_CHAOS_SEED={seed}");
-        assert_eq!(*out, bytes, "replay: FABRIC_CHAOS_SEED={seed}");
-        assert!(
-            stats.flash_write_errors > 0,
-            "write sweep vacuous at seed {seed}"
-        );
     }
-
-    // Torn pages: the scrub must report exactly the injected tears.
-    let (state, stats, _) = run(0.0, 0.1);
-    let (torn, _) = state.expect("tears never exhaust the retry budget");
-    assert_eq!(
-        torn.len() as u64,
-        stats.torn_writes,
-        "scrub must find exactly the injected tears (seed {seed})"
-    );
-    assert!(stats.torn_writes > 0, "torn sweep vacuous at seed {seed}");
-
-    // Replay: same seed, same everything — including the clock.
-    for (p, q) in [(0.08, 0.0), (0.0, 0.1), (0.04, 0.04)] {
-        let a = run(p, q);
-        let b = run(p, q);
-        assert_eq!(a, b, "write path must replay bit-identically (seed {seed})");
-    }
+    let want: [(u64, u64, u64); 6] = [
+        (1, 0.1f64.to_bits(), 577164851826429344),
+        (1, 0.5f64.to_bits(), 15650500935020704606),
+        (7, 0.1f64.to_bits(), 1535911875768251133),
+        (7, 0.5f64.to_bits(), 5866454202565716620),
+        (42, 0.1f64.to_bits(), 4624081826563585387),
+        (42, 0.5f64.to_bits(), 10933704647945720650),
+    ];
+    assert_eq!(got, want);
 }

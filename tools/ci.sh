@@ -50,7 +50,11 @@
 #                                reconciliation)
 #  11. perf regression gate     (tools/perf_gate.sh --check on one bench
 #                                per family plus fig7_tpch, so Figs. 5
-#                                and 7 are both gated, compared against
+#                                and 7 are both gated, and the three
+#                                ablations that alone reach relstore,
+#                                rowstore::index and compress
+#                                (abl_relstore abl_index abl_compression),
+#                                compared against
 #                                the checked-in results/BENCH_*.json
 #                                baselines: cycle
 #                                counters exact, histograms exact in
@@ -236,12 +240,14 @@ fi
 rm -rf "$PROF_SCRATCH"
 
 # One bench from each family (ablation, figure reproduction, traced query,
-# crash recovery, profiled query, query log), and both figure families the
-# engine produces (the micro queries of Figs. 5/6, TPC-H of Fig. 7). A
-# legitimate perf change re-stamps baselines with:
+# crash recovery, profiled query, query log), both figure families the
+# engine produces (the micro queries of Figs. 5/6, TPC-H of Fig. 7), and
+# the three ablations that are the only callers of relstore,
+# rowstore::index and compress. A legitimate perf change re-stamps
+# baselines with:
 #   tools/perf_gate.sh --update-baselines
-say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report + self-test)"
-tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report
+say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression + self-test)"
+tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression
 
 seeded_test "crash-recovery matrix" crash_recovery "$SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
