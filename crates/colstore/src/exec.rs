@@ -23,7 +23,7 @@ use crate::table::{ColRef, ColTable};
 use fabric_sim::MemoryHierarchy;
 use fabric_types::{
     Chunk, ChunkError, CmpOp, ColumnId, ColumnSpec, ColumnView, Expr, F64Regs, FabricError, Result,
-    ScanScratch, Value,
+    RowCharge, ScanScratch, Value,
 };
 
 /// Rows per vectorized batch (a classic vector size: 1024 values).
@@ -287,12 +287,12 @@ fn lockstep_chunks(
     scratch: &mut ScanScratch,
     consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
 ) -> Result<()> {
-    let on_row = |mem: &mut MemoryHierarchy, _| {
-        mem.cpu(pass_cycles);
-        Ok(())
-    };
-    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, on_row)
+    let charge = RowCharge::<NoCall>::Cycles(pass_cycles);
+    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, charge)
 }
+
+/// The row callback type of a [`RowCharge::Cycles`] pass (never called).
+type NoCall = fn(&mut MemoryHierarchy, usize) -> Result<()>;
 
 /// Which rows a lockstep pass visits: a dense raw-row range (unselective
 /// scans and per-morsel slices of them) or an explicit selection vector.
@@ -360,7 +360,8 @@ fn lockstep_rows(
     };
     let scratch = &mut ScanScratch::default();
     let consume = |_: &Chunk<'_>, _: &[u32]| Ok(());
-    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, decoded)
+    let charge = RowCharge::Call(decoded);
+    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, charge)
 }
 
 /// The one lockstep kernel.
@@ -371,8 +372,12 @@ fn lockstep_rows(
 /// register-resident (`read_sv` false: fused producer→consumer), then per
 /// row each column array in turn (a stream switch per column, which is what
 /// exposes the prefetcher's stream limit), one `vector_elem` per value and
-/// `on_row(mem, row id)` — which stops after the row `consume` failed on,
+/// the row's `charge` — which stops after the row `consume` failed on,
 /// if it did. `vector_setup` is charged once per invocation.
+///
+/// Only a row that starts a new line in some column reaches the
+/// hierarchy's line path; under [`RowCharge::Cycles`] the rows from one
+/// such row to the next are charged their cycles in one call.
 #[allow(clippy::too_many_arguments)]
 fn lockstep_impl(
     mem: &mut MemoryHierarchy,
@@ -382,7 +387,7 @@ fn lockstep_impl(
     read_sv: bool,
     scratch: &mut ScanScratch,
     mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
-    mut on_row: impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>,
+    mut charge: RowCharge<impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>>,
 ) -> Result<()> {
     let costs = mem.costs();
     let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
@@ -436,6 +441,8 @@ fn lockstep_impl(
         if sel.is_some() && read_sv {
             mem.touch_read(t.sv_in_addr(done), n * 4);
         }
+        // Rows charged since the last line access, not yet reported.
+        let mut unbilled = 0u64;
         for &pos in &positions[..reached] {
             let row_id = pos as usize;
             // The p column loads of one tuple are independent: issue the
@@ -449,11 +456,30 @@ fn lockstep_impl(
                     last_line[j] = la;
                 }
             }
-            if !gather.is_empty() {
-                mem.touch_read_gather(&gather);
+            match &mut charge {
+                RowCharge::Cycles(pass_cycles) => {
+                    if !gather.is_empty() {
+                        if unbilled > 0 {
+                            mem.cpu(unbilled * (row_cycles + *pass_cycles));
+                        }
+                        unbilled = 0;
+                        mem.touch_read_gather(&gather);
+                    }
+                    unbilled += 1;
+                }
+                RowCharge::Call(on_row) => {
+                    if !gather.is_empty() {
+                        mem.touch_read_gather(&gather);
+                    }
+                    mem.cpu(row_cycles);
+                    on_row(mem, row_id)?;
+                }
             }
-            mem.cpu(row_cycles);
-            on_row(mem, row_id)?;
+        }
+        if let RowCharge::Cycles(pass_cycles) = charge {
+            if unbilled > 0 {
+                mem.cpu(unbilled * (row_cycles + pass_cycles));
+            }
         }
         if let Some(e) = failure {
             return Err(e);

@@ -4,33 +4,67 @@
 //! exists purely to decide hit/miss and therefore latency.
 
 /// A set-associative, LRU, tag-only cache.
+///
+/// Ways never move. Each set keeps its LRU order as a word of 4-bit way
+/// numbers, least recently used in the low nibble, so a fill takes the
+/// low nibble as its victim and a hit moves one nibble to the top: a few
+/// shifts, where an ordered list of tags moves memory.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// `sets[s]` holds up to `assoc` line addresses, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// Set `s`'s ways are `tags[s * assoc..][..assoc]`; [`VACANT`] marks
+    /// a way that holds no line.
+    tags: Vec<u64>,
+    /// Set `s`'s ways in LRU order: nibble `i` of `order[s]` is the way
+    /// used `i`-th least recently, for `i < assoc`. Vacant ways are the
+    /// least recent (only a fill makes a way valid, and it becomes the
+    /// most recent), so a full set is never scanned for a free way.
+    order: Vec<u64>,
     assoc: usize,
+    /// Shift of the most recent way's nibble, `4 × (assoc − 1)`.
+    top: u32,
     set_mask: u64,
     line_shift: u32,
+}
+
+/// Tag of a vacant way: no line-aligned address equals it.
+const VACANT: u64 = u64::MAX;
+
+/// Most ways a set can have: one nibble each in a 64-bit order word.
+pub const MAX_ASSOC: usize = 16;
+
+/// The way of `ways` holding `line_addr`, if any. Sized `N`, the scan is
+/// unrolled; the calibrated L1 and L2 widths (4 and 16) take that path.
+#[inline(always)]
+fn find<const N: usize>(ways: &[u64], line_addr: u64) -> Option<usize> {
+    let ways: &[u64; N] = ways.try_into().expect("a set has N ways");
+    ways.iter().position(|&t| t == line_addr)
 }
 
 impl SetAssocCache {
     /// Build a cache of `capacity_bytes` with `assoc` ways and
     /// `line_size`-byte lines. Capacity must divide into a power-of-two
-    /// number of sets.
+    /// number of sets, of at most [`MAX_ASSOC`] ways.
     pub fn new(capacity_bytes: usize, assoc: usize, line_size: usize) -> Self {
-        assert!(assoc >= 1);
+        assert!(
+            (1..=MAX_ASSOC).contains(&assoc),
+            "{assoc} ways (must be 1 to {MAX_ASSOC})"
+        );
         let num_lines = capacity_bytes / line_size;
         let num_sets = (num_lines / assoc).max(1);
         assert!(
             num_sets.is_power_of_two(),
             "cache with {num_lines} lines / {assoc} ways gives {num_sets} sets (must be a power of two)"
         );
-        SetAssocCache {
-            sets: vec![Vec::with_capacity(assoc); num_sets],
+        let mut cache = SetAssocCache {
+            tags: vec![VACANT; num_sets * assoc],
+            order: vec![0; num_sets],
             assoc,
+            top: u32::try_from(4 * (assoc - 1)).expect("at most 16 ways"),
             set_mask: (num_sets - 1) as u64,
             line_shift: line_size.trailing_zeros(),
-        }
+        };
+        cache.flush();
+        cache
     }
 
     #[inline]
@@ -38,23 +72,44 @@ impl SetAssocCache {
         ((line_addr >> self.line_shift) & self.set_mask) as usize
     }
 
+    /// The way of set `set` holding `line_addr`.
+    #[inline(always)]
+    fn way_of(&self, set: usize, line_addr: u64) -> Option<usize> {
+        let ways = &self.tags[set * self.assoc..][..self.assoc];
+        match self.assoc {
+            4 => find::<4>(ways, line_addr),
+            16 => find::<16>(ways, line_addr),
+            _ => ways.iter().position(|&t| t == line_addr),
+        }
+    }
+
     /// Look up the line containing `line_addr` (must be line aligned).
     /// On hit, refresh LRU position and return `true`.
     #[inline]
     pub fn probe(&mut self, line_addr: u64) -> bool {
         let set = self.set_of(line_addr);
-        let ways = &mut self.sets[set];
+        let top = self.top;
+        let order = self.order[set];
         // Most hits re-touch the line that is already most recently used
         // (consecutive fields of one row): nothing to reorder then.
-        if ways.last() == Some(&line_addr) {
+        if self.tags[set * self.assoc + (order >> top) as usize] == line_addr {
             return true;
         }
-        if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
-            ways[pos..].rotate_left(1);
-            true
-        } else {
-            false
-        }
+        let Some(way) = self.way_of(set, line_addr) else {
+            return false;
+        };
+        // The lowest nibble equal to `way` (nibbles at `assoc` and above
+        // are zero, but `way` occurs below them): zero in `x`, and the
+        // lowest zero nibble is the lowest flagged one.
+        let x = order ^ (way as u64 * 0x1111_1111_1111_1111);
+        let flags = x.wrapping_sub(0x1111_1111_1111_1111) & !x & 0x8888_8888_8888_8888;
+        let at = flags.trailing_zeros() & !3;
+        // `at < top` (`way` is not the most recent): the nibbles above
+        // `at` move down one, `way` goes on top.
+        let below = order & ((1 << at) - 1);
+        let above = (order >> (at + 4)) << at;
+        self.order[set] = below | above | ((way as u64) << top);
+        true
     }
 
     /// Install the line containing `line_addr`, evicting the LRU way if the
@@ -72,33 +127,32 @@ impl SetAssocCache {
     #[inline]
     pub fn fill_missed(&mut self, line_addr: u64) -> Option<u64> {
         let set = self.set_of(line_addr);
-        let ways = &mut self.sets[set];
-        debug_assert!(!ways.contains(&line_addr), "fill_missed of a cached line");
-        let evicted = if ways.len() == self.assoc {
-            Some(ways.remove(0))
-        } else {
-            None
-        };
-        ways.push(line_addr);
-        evicted
+        debug_assert!(
+            self.way_of(set, line_addr).is_none(),
+            "fill_missed of a cached line"
+        );
+        let order = self.order[set];
+        let way = order & 0xF;
+        self.order[set] = (order >> 4) | (way << self.top);
+        let evicted = std::mem::replace(&mut self.tags[set * self.assoc + way as usize], line_addr);
+        (evicted != VACANT).then_some(evicted)
     }
 
     /// Check for presence without updating LRU.
     pub fn contains(&self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        self.sets[set].contains(&line_addr)
+        self.way_of(self.set_of(line_addr), line_addr).is_some()
     }
 
     /// Drop every cached line (e.g. between experiments).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(VACANT);
+        let identity = (0..self.assoc as u64).fold(0, |o, w| o | w << (4 * w));
+        self.order.fill(identity);
     }
 
     /// Number of sets (for tests / introspection).
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.order.len()
     }
 }
 
@@ -162,6 +216,47 @@ mod tests {
         }
         for line in [0u64, 64, 128, 192, 256, 384] {
             assert_eq!(a.contains(line), b.contains(line), "line {line}");
+        }
+    }
+
+    #[test]
+    fn every_width_evicts_as_an_lru_list_does() {
+        // The calibrated widths take the unrolled scans, the others the
+        // generic one; all must keep the order a list of tags, least
+        // recently used first, keeps.
+        let seed = fabric_types::rng::chaos_seed();
+        let mut rng = fabric_types::DetRng::seed_from_u64(seed ^ 0x1_2C);
+        for assoc in 1..=MAX_ASSOC {
+            let sets = 4;
+            let mut cache = SetAssocCache::new(sets * assoc * 64, assoc, 64);
+            let mut lists: Vec<Vec<u64>> = vec![Vec::new(); sets];
+            // A universe a little larger than the cache: hits, misses and
+            // evictions all recur.
+            let universe = (sets * assoc + sets * 2) as u64;
+            for step in 0..4_000 {
+                let line = rng.gen_range(0..universe) * 64;
+                let ctx = format!("{assoc} ways, step {step}, seed {seed}");
+                let list = &mut lists[(line / 64 % sets as u64) as usize];
+                let pos = list.iter().position(|&t| t == line);
+                assert_eq!(cache.contains(line), pos.is_some(), "contains, {ctx}");
+                if rng.gen_bool(0.02) {
+                    cache.flush();
+                    lists.iter_mut().for_each(Vec::clear);
+                    continue;
+                }
+                assert_eq!(cache.probe(line), pos.is_some(), "probe, {ctx}");
+                match pos {
+                    Some(i) => {
+                        let tag = list.remove(i);
+                        list.push(tag);
+                    }
+                    None => {
+                        let evicted = (list.len() == assoc).then(|| list.remove(0));
+                        list.push(line);
+                        assert_eq!(cache.fill_missed(line), evicted, "evicted, {ctx}");
+                    }
+                }
+            }
         }
     }
 

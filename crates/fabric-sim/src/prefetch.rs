@@ -22,7 +22,11 @@ struct Stream {
     stride: u64,
     /// Consecutive confirmations; prefetch starts at `train`.
     score: usize,
-    /// Highest line index already sent to DRAM for this stream.
+    /// Highest line index already sent to DRAM for this stream. Always
+    /// congruent to every line the stream matches, modulo `stride`: it
+    /// starts as the allocating line, which the stride lock at the second
+    /// access measures from; after that `stride` never changes, matched
+    /// lines step by it, and issues only raise it to such lines.
     issued_until: u64,
 }
 
@@ -41,6 +45,17 @@ fn xorshift(mut x: u64) -> u64 {
     x ^= x >> 7;
     x ^= x << 17;
     x
+}
+
+/// `x % n` for `n > 0`, without a division when `n` is a power of two
+/// (the calibrated stream table has four entries).
+#[inline]
+fn reduce(x: u64, n: usize) -> usize {
+    if n.is_power_of_two() {
+        (x & (n as u64 - 1)) as usize
+    } else {
+        (x % n as u64) as usize
+    }
 }
 
 /// Lines below this bound (4 GiB of 64-byte lines, the default arena
@@ -317,14 +332,12 @@ impl StreamPrefetcher {
                 s.score += 1;
                 s.next_line = line + s.stride;
                 if s.score >= train {
-                    // Keep `degree` lines of lookahead in flight.
+                    // Keep `degree` lines of lookahead in flight. `next`
+                    // is on the stream's phase (`issued_until` is, see
+                    // the field), so no rounding is needed.
                     let target = line + degree * s.stride;
                     let mut next = s.issued_until.max(line + s.stride);
-                    // Round `next` up onto the stream's phase.
-                    let phase_off = (next.wrapping_sub(line)) % s.stride;
-                    if phase_off != 0 {
-                        next += s.stride - phase_off;
-                    }
+                    debug_assert_eq!((next - line) % s.stride, 0, "off the stream's phase");
                     let stride = s.stride;
                     let mut issued_until = s.issued_until;
                     while next <= target {
@@ -348,7 +361,7 @@ impl StreamPrefetcher {
                     // table, a fraction of streams survives each round, so
                     // prefetch coverage degrades gradually — adversarial
                     // LRU would collapse to zero coverage at N+1 streams.
-                    let victim = (xorshift(self.tick) as usize) % self.streams.len();
+                    let victim = reduce(xorshift(self.tick), self.capacity);
                     self.streams.swap_remove(victim);
                 }
                 self.streams.push(Stream {

@@ -258,8 +258,8 @@ impl<'a> ColumnView<'a> {
     }
 
     /// `pass[r] &= value r <op> lit` for the first `pass.len()` values:
-    /// one typed loop per column type and literal class, each deciding as
-    /// [`Self::compare`] does.
+    /// one typed loop per column type, literal class and operator, each
+    /// deciding as [`Self::compare`] does.
     pub fn select(&self, op: CmpOp, lit: &Value, pass: &mut [bool]) -> Result<()> {
         if pass.is_empty() {
             // No row, no comparison, no type error either.
@@ -272,35 +272,51 @@ impl<'a> ColumnView<'a> {
             });
         }
         let lit = Literal::of(lit);
-        per_scalar!(self.ty, T => {
-            let rows = pass.iter_mut().enumerate();
-            match lit {
-                Literal::Int(y) if integral(self.ty) => {
-                    for (r, p) in rows {
-                        *p &= op.matches(self.get::<T>(r).to_i64().cmp(&y));
-                    }
-                }
-                Literal::Int(y) => {
-                    for (r, p) in rows {
-                        *p &= op.matches(float_cmp(self.get::<T>(r).to_f64(), y as f64));
-                    }
-                }
-                Literal::Float(y) => {
-                    for (r, p) in rows {
-                        *p &= op.matches(float_cmp(self.get::<T>(r).to_f64(), y));
-                    }
-                }
-                Literal::Text(_) => return Err(incomparable()),
+        per_scalar!(self.ty, T => match lit {
+            Literal::Int(y) if integral(self.ty) => {
+                select_ord(pass, op, |r| self.get::<T>(r).to_i64().cmp(&y))
             }
+            Literal::Int(y) => select_float(pass, op, |r| self.get::<T>(r).to_f64(), y as f64),
+            Literal::Float(y) => select_float(pass, op, |r| self.get::<T>(r).to_f64(), y),
+            Literal::Text(_) => return Err(incomparable()),
         }, text => match lit {
-            Literal::Text(y) => {
-                for (r, p) in pass.iter_mut().enumerate() {
-                    *p &= op.matches(self.text(r).as_bytes().cmp(y));
-                }
-            }
+            Literal::Text(y) => select_ord(pass, op, |r| self.text(r).as_bytes().cmp(y)),
             _ => return Err(incomparable()),
         });
         Ok(())
+    }
+}
+
+/// `pass[r] &= op.matches(ord(r))`, with the operator matched once,
+/// outside the row loop.
+#[inline(always)]
+fn select_ord(pass: &mut [bool], op: CmpOp, ord: impl Fn(usize) -> Ordering) {
+    let rows = pass.iter_mut().enumerate();
+    match op {
+        CmpOp::Eq => rows.for_each(|(r, p)| *p &= ord(r) == Ordering::Equal),
+        CmpOp::Ne => rows.for_each(|(r, p)| *p &= ord(r) != Ordering::Equal),
+        CmpOp::Lt => rows.for_each(|(r, p)| *p &= ord(r) == Ordering::Less),
+        CmpOp::Le => rows.for_each(|(r, p)| *p &= ord(r) != Ordering::Greater),
+        CmpOp::Gt => rows.for_each(|(r, p)| *p &= ord(r) == Ordering::Greater),
+        CmpOp::Ge => rows.for_each(|(r, p)| *p &= ord(r) != Ordering::Less),
+    }
+}
+
+/// `pass[r] &= op.matches(float_cmp(at(r), y))`, the operator matched
+/// once. NaN equals everything, so `Le` is `!(x > y)`, not `x <= y`.
+#[inline(always)]
+fn select_float(pass: &mut [bool], op: CmpOp, at: impl Fn(usize) -> f64, y: f64) {
+    let rows = pass.iter_mut().enumerate();
+    // Only `<` and `>` are asked, both false on a NaN.
+    let (less, greater) = (|x: f64| x < y, |x: f64| x > y);
+    let unequal = |x: f64| less(x) || greater(x);
+    match op {
+        CmpOp::Eq => rows.for_each(|(r, p)| *p &= !unequal(at(r))),
+        CmpOp::Ne => rows.for_each(|(r, p)| *p &= unequal(at(r))),
+        CmpOp::Lt => rows.for_each(|(r, p)| *p &= less(at(r))),
+        CmpOp::Le => rows.for_each(|(r, p)| *p &= !greater(at(r))),
+        CmpOp::Gt => rows.for_each(|(r, p)| *p &= greater(at(r))),
+        CmpOp::Ge => rows.for_each(|(r, p)| *p &= !less(at(r))),
     }
 }
 
@@ -395,6 +411,18 @@ impl RowSelection {
     pub fn sel(&self) -> &[u32] {
         &self.sel
     }
+}
+
+/// What a stage-0 kernel charges for a row on top of its own per-row
+/// cycles.
+pub enum RowCharge<F> {
+    /// A fixed number of cycles (a chunk consumer's per-row cost). The
+    /// kernel may add them into its own charge for the row, or into one
+    /// charge for a run of rows between two memory accesses: `cpu` charges
+    /// add, and nothing reads the clock between them.
+    Cycles(u64),
+    /// `f(mem, row id)`, which charges the row itself.
+    Call(F),
 }
 
 /// A kernel's per-chunk buffers — the region's column specs and the
@@ -534,6 +562,102 @@ mod tests {
                     assert_eq!(got, want);
                 }
                 Err(e) => assert_eq!(Err(e), view.f64_at(0)),
+            }
+        });
+    }
+
+    #[test]
+    fn select_decides_every_row_as_compare_and_matches_do() {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let nan = f64::from_bits;
+        // NaNs of both signs and several payloads, signed zeros and
+        // infinities: where `float_cmp`'s "NaN equals everything" and the
+        // IEEE operators part ways.
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            nan(0x7FF0_0000_0000_0001),
+            nan(0xFFF8_0000_0000_BEEF),
+            nan(0x7FF4_0000_DEAD_0000),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -1e300,
+        ];
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::from(i32::MIN),
+            -129,
+            -1,
+            0,
+            1,
+            7,
+            255,
+            i64::from(u32::MAX),
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let texts = ["", "a", "ab", "abc", "b", "\u{e9}"];
+        let mut literals: Vec<Value> = ints.iter().map(|&i| Value::I64(i)).collect();
+        literals.extend([
+            Value::I8(-3),
+            Value::I16(300),
+            Value::I32(-7),
+            Value::Date(4),
+        ]);
+        literals.extend(floats.iter().map(|&f| Value::F64(f)));
+        literals.extend(floats.iter().map(|&f| Value::F32(f as f32)));
+        literals.extend(texts.iter().map(|&t| Value::Str(t.into())));
+        for_each_case("select is compare + matches", |rng| {
+            let ty = TYPES[rng.gen_range(0..TYPES.len())];
+            // The edge values of the column's type, then random ones.
+            let pick_int = |rng: &mut DetRng| ints[rng.gen_range(0..ints.len())];
+            let pick_float = |rng: &mut DetRng| floats[rng.gen_range(0..floats.len())];
+            let values: Vec<Value> = (0..rng.gen_range(1..48usize))
+                .map(|_| match ty {
+                    ColumnType::I8 => Value::I8(pick_int(rng) as i8),
+                    ColumnType::I16 => Value::I16(pick_int(rng) as i16),
+                    ColumnType::I32 => Value::I32(pick_int(rng) as i32),
+                    ColumnType::I64 => Value::I64(pick_int(rng)),
+                    ColumnType::Date => Value::Date(pick_int(rng) as u32),
+                    ColumnType::F32 => Value::F32(pick_float(rng) as f32),
+                    ColumnType::F64 => Value::F64(pick_float(rng)),
+                    ColumnType::FixedStr(_) => Value::Str(texts[rng.gen_range(0..5usize)].into()),
+                })
+                .collect();
+            let offset = rng.gen_range(0..3usize);
+            let stride = ty.width() + offset + rng.gen_range(0..3usize);
+            let bytes = encode(ty, &values, offset, stride);
+            let view = ColumnView::new(ty, &bytes[offset..], stride);
+            for lit in &literals {
+                for op in OPS {
+                    let start: Vec<bool> = (0..values.len()).map(|_| rng.gen_bool(0.8)).collect();
+                    let mut pass = start.clone();
+                    let selected = view.select(op, lit, &mut pass);
+                    for (r, (&before, &after)) in start.iter().zip(&pass).enumerate() {
+                        match Value::decode(ty, view.raw(r)).compare(lit) {
+                            Ok(ord) => {
+                                assert_eq!(selected, Ok(()));
+                                let want = before && op.matches(ord);
+                                assert_eq!(after, want, "{:?} {op} {lit:?}", view.value(r));
+                            }
+                            Err(e) => assert_eq!(selected, Err(e)),
+                        }
+                    }
+                }
             }
         });
     }

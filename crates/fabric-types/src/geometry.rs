@@ -242,7 +242,8 @@ impl Geometry {
     }
 
     /// Validate internal consistency: fields within the row, non-empty
-    /// request, sane mode.
+    /// request, sane mode, and predicate literals that compare with their
+    /// fields ([`crate::ColumnPredicate::check`]).
     pub fn validate(&self) -> Result<()> {
         if self.row_width == 0 {
             return Err(FabricError::InvalidGeometry(
@@ -262,6 +263,7 @@ impl Geometry {
         for f in self.touched_fields() {
             check(&f)?;
         }
+        self.predicate.check()?;
         match &self.mode {
             OutputMode::PackedColumns if self.fields.is_empty() => Err(
                 FabricError::InvalidGeometry("packed-columns geometry with no fields".into()),

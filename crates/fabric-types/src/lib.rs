@@ -25,7 +25,9 @@ pub mod rng;
 pub mod schema;
 pub mod value;
 
-pub use chunk::{Chunk, ChunkError, ColumnSpec, ColumnView, RowSelection, ScanScratch, BATCH_ROWS};
+pub use chunk::{
+    Chunk, ChunkError, ColumnSpec, ColumnView, RowCharge, RowSelection, ScanScratch, BATCH_ROWS,
+};
 pub use crc::{crc32, Crc32};
 pub use error::{FabricError, Result};
 pub use expr::{Expr, F64Column, F64Program, F64Regs, ValueAgg};

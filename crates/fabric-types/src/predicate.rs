@@ -6,8 +6,9 @@
 //! row image and decodes only the predicate's field. The same code path is
 //! used by the software engines so that every engine agrees on semantics.
 
-use crate::error::Result;
+use crate::error::{FabricError, Result};
 use crate::geometry::FieldSlice;
+use crate::schema::ColumnType;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -78,6 +79,21 @@ impl ColumnPredicate {
         ColumnPredicate { field, op, value }
     }
 
+    /// Whether the literal compares with the field, by
+    /// [`Value::compare`]'s rule: text with text, numbers with numbers.
+    /// `TypeMismatch` otherwise, the error [`Self::eval_raw`] would raise
+    /// on every row.
+    pub fn check(&self) -> Result<()> {
+        let text_field = matches!(self.field.ty, ColumnType::FixedStr(_));
+        if text_field == matches!(self.value, Value::Str(_)) {
+            return Ok(());
+        }
+        Err(FabricError::TypeMismatch {
+            expected: format!("a literal comparable with {:?}", self.field.ty),
+            found: format!("{self}"),
+        })
+    }
+
     /// Evaluate against the raw bytes of one row.
     pub fn eval_raw(&self, row: &[u8]) -> Result<bool> {
         let bytes = &row[self.field.offset..self.field.offset + self.field.width()];
@@ -134,6 +150,11 @@ impl Predicate {
             }
         }
         Ok(true)
+    }
+
+    /// [`ColumnPredicate::check`] of every conjunct.
+    pub fn check(&self) -> Result<()> {
+        self.conjuncts.iter().try_for_each(ColumnPredicate::check)
     }
 
     /// The distinct columns this predicate touches, in first-seen order.

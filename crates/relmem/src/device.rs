@@ -20,7 +20,7 @@ use crate::config::RmConfig;
 use crate::packer;
 use crate::stats::RmStats;
 use fabric_sim::{Cycles, DramModel, FaultPlan, MemArena, SimConfig};
-use fabric_types::{crc32, FabricError, Geometry, OutputMode, Result, Value};
+use fabric_types::{crc32, le_array, FabricError, Geometry, OutputMode, Result, Value};
 
 /// One batch of packed output as produced by the device, with the simulated
 /// time at which its last line left the engine.
@@ -158,7 +158,8 @@ impl DeviceRun {
     ///
     /// `faults`, when present, may inject an engine-side stall: the batch
     /// is produced correctly but becomes ready late (recoverable slowness,
-    /// not an error).
+    /// not an error). A predicate whose literal cannot compare with its
+    /// field is an error, returned before the device does anything.
     pub fn produce(
         &mut self,
         arena: &MemArena,
@@ -166,9 +167,10 @@ impl DeviceRun {
         start_at: Cycles,
         max_bytes: usize,
         faults: Option<&mut FaultPlan>,
-    ) -> Option<ProducedBatch> {
+    ) -> Result<Option<ProducedBatch>> {
+        g.predicate.check()?;
         if self.cursor >= g.rows {
-            return None;
+            return Ok(None);
         }
         let start = start_at.max(self.device_free);
         let out_width = g.output_row_width();
@@ -196,7 +198,7 @@ impl DeviceRun {
             gather_done = gather_done.max(self.gather_row(row_addr(g, first + i), issue_t));
             issue_t += self.row_beat_cycles;
             self.cursor += 1;
-            if !self.filters || packer::row_qualifies(g, row).unwrap_or(false) {
+            if !self.filters || packer::row_qualifies(g, row)? {
                 let out = &mut data[rows_emitted * out_width..][..out_width];
                 for c in &self.copies {
                     c.apply(row, out);
@@ -210,7 +212,7 @@ impl DeviceRun {
             // Trailing empty scan (e.g. last rows all filtered out) still
             // consumed device time; fold it into device_free and stop.
             self.device_free = gather_done.max(self.device_free);
-            return None;
+            return Ok(None);
         }
 
         let out_lines = (data.len() as u64).div_ceil(self.line_size);
@@ -231,7 +233,7 @@ impl DeviceRun {
         self.stats.batches += 1;
 
         let crc = crc32(&data);
-        Some(ProducedBatch {
+        Ok(Some(ProducedBatch {
             data,
             rows: rows_emitted,
             ready_at: ready,
@@ -239,12 +241,14 @@ impl DeviceRun {
             started_at: start,
             gather_done,
             source_lines: self.stats.source_lines - source_lines_before,
-        })
+        }))
     }
 
     /// Run the whole geometry as a device-side aggregation (paper §IV-B):
     /// only the aggregate results leave the device. Returns the values and
-    /// the simulated time they are ready.
+    /// the simulated time they are ready. A predicate whose literal cannot
+    /// compare with its field is an error, returned before the device
+    /// does anything.
     pub fn run_aggregate(
         &mut self,
         arena: &MemArena,
@@ -256,6 +260,7 @@ impl DeviceRun {
                 "run_aggregate on a non-aggregate geometry".into(),
             ));
         };
+        g.predicate.check()?;
         let start = start_at.max(self.device_free);
         let mut bank = AggBank::new(specs);
         let mut issue_t = start;
@@ -297,18 +302,41 @@ struct FieldCopy {
 }
 
 impl FieldCopy {
-    /// Copy this run of `row` into `out`. The common field widths are
-    /// fixed-size moves; anything else is a `memcpy`.
+    /// Copy this run of `row` into `out` with fixed-size moves and no
+    /// library call: a run of `len` bytes, `W ≤ len ≤ 2W`, is two `W`-byte
+    /// moves, one from each end, which overlap in the middle; a longer
+    /// one is 32-byte moves and a last one that ends at the run's end.
     #[inline(always)]
     fn apply(&self, row: &[u8], out: &mut [u8]) {
-        let (src, dst) = (&row[self.src..], &mut out[self.dst..]);
-        match self.len {
-            8 => dst[..8].copy_from_slice(&src[..8]),
-            4 => dst[..4].copy_from_slice(&src[..4]),
+        let len = self.len;
+        let (src, dst) = (&row[self.src..][..len], &mut out[self.dst..][..len]);
+        match len {
+            0 => {}
             1 => dst[0] = src[0],
-            len => dst[..len].copy_from_slice(&src[..len]),
+            2..=3 => ends::<2>(src, dst),
+            4..=7 => ends::<4>(src, dst),
+            8..=15 => ends::<8>(src, dst),
+            16..=31 => ends::<16>(src, dst),
+            _ => {
+                let mut at = 0;
+                while at + 32 < len {
+                    dst[at..at + 32].copy_from_slice(&src[at..at + 32]);
+                    at += 32;
+                }
+                dst[len - 32..][..32].copy_from_slice(&src[len - 32..][..32]);
+            }
         }
     }
+}
+
+/// Copy `src` to `dst` (equal lengths in `W..=2W`) as two `W`-byte moves,
+/// the first `W` bytes and the last `W`.
+#[inline(always)]
+fn ends<const W: usize>(src: &[u8], dst: &mut [u8]) {
+    let last = src.len() - W;
+    let (head, tail): ([u8; W], [u8; W]) = (le_array(src), le_array(&src[last..]));
+    dst[..W].copy_from_slice(&head);
+    dst[last..][..W].copy_from_slice(&tail);
 }
 
 /// The copies that pack one row of `g` (see [`DeviceRun::copies`]):
@@ -373,7 +401,7 @@ mod tests {
         let mut all = Vec::new();
         let mut rows = 0;
         let mut last_ready = 0;
-        while let Some(b) = dev.produce(arena, g, 0, cfg.batch_bytes, None) {
+        while let Some(b) = dev.produce(arena, g, 0, cfg.batch_bytes, None).unwrap() {
             all.extend_from_slice(&b.data);
             rows += b.rows;
             last_ready = b.ready_at;
@@ -401,12 +429,88 @@ mod tests {
     }
 
     #[test]
+    fn an_incomparable_predicate_fails_before_any_device_time() {
+        let (arena, g) = setup();
+        let text = ColumnPredicate::new(
+            FieldSlice::new(0, 0, ColumnType::I32),
+            CmpOp::Ge,
+            Value::Str("x".into()),
+        );
+        let packed = g.with_predicate(Predicate::always_true().and(text));
+        let agg = packed
+            .clone()
+            .with_mode(OutputMode::Aggregate(vec![AggSpec::count()]));
+        let (sim, cfg) = (SimConfig::zynq_a53(), RmConfig::prototype());
+        let untouched = |dev: &DeviceRun| {
+            assert_eq!(dev.stats(), RmStats::default());
+            assert_eq!((dev.dram_counters(), dev.cursor()), ((0, 0), 0));
+        };
+        let mut dev = DeviceRun::new(&sim, &cfg, &agg);
+        let err = dev.run_aggregate(&arena, &agg, 0).unwrap_err();
+        assert!(matches!(err, FabricError::TypeMismatch { .. }), "{err}");
+        untouched(&dev);
+        let mut dev = DeviceRun::new(&sim, &cfg, &packed);
+        let err = dev
+            .produce(&arena, &packed, 0, cfg.batch_bytes, None)
+            .unwrap_err();
+        assert!(matches!(err, FabricError::TypeMismatch { .. }), "{err}");
+        untouched(&dev);
+    }
+
+    #[test]
+    fn a_run_copies_what_copy_from_slice_copies_and_nothing_else() {
+        let row: Vec<u8> = (0..=255u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        let lens = (1..=64).chain([65, 96, 100, 152]);
+        for len in lens {
+            for src in [0, 1, 7, 60] {
+                for dst in [0, 3, 8, 33] {
+                    let mut out = vec![0xEE; 256];
+                    let mut want = out.clone();
+                    want[dst..dst + len].copy_from_slice(&row[src..src + len]);
+                    FieldCopy { src, dst, len }.apply(&row, &mut out);
+                    assert_eq!(out, want, "len {len}, src {src}, dst {dst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lineitem_geometries_pack_with_the_runs_they_always_had() {
+        // `lineitem`'s packed 152-byte rows, fields in the order the
+        // executor binds them for the benchmark's Q1, Q6 and key lookup.
+        use ColumnType::{Date, FixedStr, F64, I32, I64};
+        let runs = |fields: &[(usize, usize, ColumnType)]| {
+            let fields = fields.iter().map(|&(c, o, t)| FieldSlice::new(c, o, t));
+            let g = Geometry::packed(0, 152, 1, fields.collect());
+            let copies = row_copies(&g);
+            copies
+                .iter()
+                .map(|c| (c.src, c.dst, c.len))
+                .collect::<Vec<_>>()
+        };
+        let q1 = [
+            (8, 60, FixedStr(1)),
+            (9, 61, FixedStr(1)),
+            (4, 28, F64),
+            (5, 36, F64),
+            (6, 44, F64),
+            (7, 52, F64),
+            (10, 62, Date),
+        ];
+        assert_eq!(runs(&q1), [(60, 0, 2), (28, 2, 32), (62, 34, 4)]);
+        let q6 = [(5, 36, F64), (6, 44, F64), (10, 62, Date), (4, 28, F64)];
+        assert_eq!(runs(&q6), [(36, 0, 16), (62, 16, 4), (28, 20, 8)]);
+        let lookup = [(0, 0, I64), (3, 24, I32), (4, 28, F64), (5, 36, F64)];
+        assert_eq!(runs(&lookup), [(0, 0, 8), (24, 8, 20)]);
+    }
+
+    #[test]
     fn batches_respect_max_bytes() {
         let (arena, g) = setup();
         let sim = SimConfig::zynq_a53();
         let cfg = RmConfig::prototype();
         let mut dev = DeviceRun::new(&sim, &cfg, &g);
-        let b = dev.produce(&arena, &g, 0, 256, None).unwrap();
+        let b = dev.produce(&arena, &g, 0, 256, None).unwrap().unwrap();
         assert!(b.data.len() <= 256);
         assert_eq!(b.rows, 32); // 256 / 8 bytes per packed row
         assert_eq!(dev.cursor(), 32);
@@ -458,7 +562,11 @@ mod tests {
         let sim = SimConfig::zynq_a53();
         let cfg = RmConfig::prototype();
         let mut dev = DeviceRun::new(&sim, &cfg, &g);
-        while dev.produce(&arena, &g, 0, cfg.batch_bytes, None).is_some() {}
+        while dev
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .is_some()
+        {}
         assert_eq!(dev.stats().source_lines, 100); // 400 rows / 4 per line
         assert_eq!(dev.stats().rows_scanned, 400);
     }
@@ -498,8 +606,15 @@ mod tests {
         let sim = SimConfig::zynq_a53();
         let cfg = RmConfig::prototype();
         let mut dev = DeviceRun::new(&sim, &cfg, &g);
-        while dev.produce(&arena, &g, 0, cfg.batch_bytes, None).is_some() {}
-        assert!(dev.produce(&arena, &g, 0, cfg.batch_bytes, None).is_none());
+        while dev
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .is_some()
+        {}
+        assert!(dev
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .is_none());
         assert_eq!(dev.cursor(), 1000);
     }
 
@@ -509,7 +624,10 @@ mod tests {
         let sim = SimConfig::zynq_a53();
         let cfg = RmConfig::prototype();
         let mut dev = DeviceRun::new(&sim, &cfg, &g);
-        let b = dev.produce(&arena, &g, 0, cfg.batch_bytes, None).unwrap();
+        let b = dev
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(b.crc, crc32(&b.data));
         let mut flipped = b.data.clone();
         flipped[3] ^= 0x40;
@@ -530,9 +648,13 @@ mod tests {
         });
         let mut clean = DeviceRun::new(&sim, &cfg, &g);
         let mut faulty = DeviceRun::new(&sim, &cfg, &g);
-        let c = clean.produce(&arena, &g, 0, cfg.batch_bytes, None).unwrap();
+        let c = clean
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .unwrap();
         let f = faulty
             .produce(&arena, &g, 0, cfg.batch_bytes, Some(&mut plan))
+            .unwrap()
             .unwrap();
         assert_eq!(c.data, f.data, "a stall must not change the payload");
         assert_eq!(c.crc, f.crc);
@@ -548,10 +670,14 @@ mod tests {
         let sim = SimConfig::zynq_a53();
         let cfg = RmConfig::prototype();
         let mut d1 = DeviceRun::new(&sim, &cfg, &g);
-        let r1 = d1.produce(&arena, &g, 0, cfg.batch_bytes, None).unwrap();
+        let r1 = d1
+            .produce(&arena, &g, 0, cfg.batch_bytes, None)
+            .unwrap()
+            .unwrap();
         let mut d2 = DeviceRun::new(&sim, &cfg, &g);
         let r2 = d2
             .produce(&arena, &g, 1_000_000, cfg.batch_bytes, None)
+            .unwrap()
             .unwrap();
         assert_eq!(r2.ready_at - 1_000_000, r1.ready_at);
     }

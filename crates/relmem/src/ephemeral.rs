@@ -294,13 +294,17 @@ impl EphemeralColumns {
             0
         };
         let start_at = slot_free_at.max(if self.taken_at.is_empty() { cpu_now } else { 0 });
-        self.pending = self.run.produce(
+        let produced = self.run.produce(
             mem.arena(),
             &self.geometry,
             start_at,
             self.batch_bytes,
             faults,
         );
+        // `produce` fails only on a literal that cannot compare with its
+        // field, which verification (`Geometry::validate`) has ruled out.
+        debug_assert!(produced.is_ok(), "{produced:?}");
+        self.pending = produced.ok().flatten();
     }
 
     /// Pull the next batch of packed rows (paper Fig. 3 line 31: touching
@@ -615,6 +619,26 @@ mod tests {
         let mut eph =
             EphemeralColumns::configure(&mut mem, RmConfig::prototype(), g.clone()).unwrap();
         assert!(eph.run_aggregate(&mut mem).is_err());
+    }
+
+    #[test]
+    fn an_incomparable_predicate_is_refused_before_any_device_time() {
+        let (mut mem, g, layout) = fixture(100);
+        let text =
+            ColumnPredicate::new(layout.field(0).unwrap(), CmpOp::Lt, Value::Str("x".into()));
+        let g = g.with_predicate(Predicate::always_true().and(text));
+        let agg = g
+            .clone()
+            .with_mode(OutputMode::Aggregate(vec![AggSpec::count()]));
+        for g in [g, agg] {
+            let now = mem.now();
+            let refused = EphemeralColumns::configure(&mut mem, RmConfig::prototype(), g).err();
+            assert!(
+                matches!(refused, Some(FabricError::TypeMismatch { .. })),
+                "{refused:?}"
+            );
+            assert_eq!(mem.now(), now, "no device time is charged");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use fabric_sim::MemoryHierarchy;
 use fabric_types::geometry::merge_field_spans;
 use fabric_types::{
-    Chunk, ChunkError, CmpOp, ColumnId, ColumnSpec, Result, ScanScratch, Value, BATCH_ROWS,
+    Chunk, ChunkError, CmpOp, ColumnId, ColumnSpec, Result, RowCharge, ScanScratch, Value,
+    BATCH_ROWS,
 };
 
 use crate::table::RowTable;
@@ -54,14 +55,14 @@ pub fn scan_range_chunks(
     scratch: &mut ScanScratch,
     consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
 ) -> Result<ScanCounts> {
-    let on_pass = |mem: &mut MemoryHierarchy, _| {
-        mem.cpu(pass_cycles);
-        Ok(())
-    };
+    let charge = RowCharge::<NoCall>::Cycles(pass_cycles);
     scan_chunks(
-        mem, table, cols, preds, start, end, scratch, consume, on_pass,
+        mem, table, cols, preds, start, end, scratch, consume, charge,
     )
 }
+
+/// The row callback type of a [`RowCharge::Cycles`] scan (never called).
+type NoCall = fn(&mut MemoryHierarchy, usize) -> Result<()>;
 
 /// [`scan_range_chunks`] a row at a time: passing rows are decoded into
 /// `tuple` (the caller's buffer, refilled in place —
@@ -95,7 +96,7 @@ pub fn scan_range_vectorized(
         end,
         scratch,
         |_, _| Ok(()),
-        on_pass,
+        RowCharge::Call(on_pass),
     )
 }
 
@@ -103,8 +104,9 @@ pub fn scan_range_vectorized(
 /// host-only over untimed bytes; (ii) the per-row charge sequence — the
 /// row's line-granular traffic (one touch per merged field span,
 /// gathered so independent misses overlap), its
-/// decode and predicate cycles, and `on_pass(mem, row id)` for a row that
-/// passed — which stops after the row `consume` failed on, if it did.
+/// decode and predicate cycles, and the row's `charge` if it passed —
+/// which stops after the row `consume` failed on, if it did. A fixed
+/// per-pass charge is added into the row's own cycles.
 #[allow(clippy::too_many_arguments)]
 fn scan_chunks(
     mem: &mut MemoryHierarchy,
@@ -115,7 +117,7 @@ fn scan_chunks(
     end: usize,
     scratch: &mut ScanScratch,
     mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
-    mut on_pass: impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>,
+    mut charge: RowCharge<impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>>,
 ) -> Result<ScanCounts> {
     let costs = mem.costs();
     let layout = table.layout();
@@ -164,10 +166,17 @@ fn scan_chunks(
                 parts.extend(spans.iter().map(|&(off, len)| (row_addr + off as u64, len)));
                 mem.touch_read_gather(&parts);
             }
-            mem.cpu(row_cycles);
-            if pass {
-                counts.rows_out += 1;
-                on_pass(mem, r)?;
+            counts.rows_out += u64::from(pass);
+            match &mut charge {
+                RowCharge::Cycles(pass_cycles) => {
+                    mem.cpu(row_cycles + if pass { *pass_cycles } else { 0 });
+                }
+                RowCharge::Call(on_pass) => {
+                    mem.cpu(row_cycles);
+                    if pass {
+                        on_pass(mem, r)?;
+                    }
+                }
             }
         }
         if let Some(e) = failure {

@@ -4,8 +4,10 @@
 //! `support::ref_hierarchy::RefHierarchy` is the same memory model with
 //! none of the host-side work: `Vec`-per-set LRU caches and the
 //! map-based prefetcher that keeps every completion time exactly, where
-//! `MemoryHierarchy` has MRU-first caches and an in-flight store that
-//! forgets completion times once they have passed. Generated traces —
+//! `MemoryHierarchy` has caches whose ways stay put under a per-set word
+//! of LRU order (scans unrolled at the calibrated 4 and 16 ways) and an
+//! in-flight store that forgets completion times once they have passed.
+//! Cache widths are drawn from 1 to 16 ways. Generated traces —
 //! ROW-shaped strided rows with one to four spans, COL-shaped lockstep
 //! spans, four-stream gathers, random lines (some above the in-flight
 //! bitmap), re-scans of old regions, long stalls, and flushes while
@@ -49,9 +51,12 @@ const FAR: u64 = 1 << 33;
 /// The configurations a case runs under: the calibrated one, small
 /// caches (more misses and evictions per line), and a narrow DRAM with
 /// deep lookahead, whose bank queues push completion times far ahead of
-/// the clock.
+/// the clock. Half of the small-cache ones redraw both caches' widths:
+/// the calibrated 4 and 16 ways, which the cache scans unrolled, and
+/// others (1, 2, 3, 8), which take its generic scan, over a power-of-two
+/// number of sets.
 fn config(rng: &mut DetRng) -> SimConfig {
-    match rng.gen_range(0..4u32) {
+    let cfg = match rng.gen_range(0..4u32) {
         0 => SimConfig::zynq_a53(),
         1 => SimConfig::tiny(),
         2 => SimConfig {
@@ -66,7 +71,20 @@ fn config(rng: &mut DetRng) -> SimConfig {
             dram_banks: 1 << rng.gen_range(0..5u32),
             ..SimConfig::tiny()
         },
+    };
+    if cfg.l1_bytes == SimConfig::tiny().l1_bytes && rng.gen_bool(0.5) {
+        const WAYS: [usize; 6] = [1, 2, 3, 4, 8, 16];
+        let l1_assoc = WAYS[rng.gen_range(0..WAYS.len())];
+        let l2_assoc = WAYS[rng.gen_range(1..WAYS.len())];
+        return SimConfig {
+            l1_assoc,
+            l1_bytes: (4 << rng.gen_range(0..3u32)) * l1_assoc * cfg.line_size,
+            l2_assoc,
+            l2_bytes: (32 << rng.gen_range(0..3u32)) * l2_assoc * cfg.line_size,
+            ..cfg
+        };
     }
+    cfg
 }
 
 /// The first byte of a random 64-line word (one page of the in-flight
@@ -282,9 +300,11 @@ line_path!(RefHierarchy);
 #[test]
 fn generated_traces_match_the_reference_hierarchy() {
     let grid = support::core_grid();
-    let (mut lines, mut prefetch_hits) = (0u64, 0u64);
+    let (mut lines, mut prefetch_hits, mut generic_widths) = (0u64, 0u64, 0u32);
     for_each_case("line path matches the reference", |rng| {
         let cfg = config(rng);
+        let calibrated = |ways| ways == 4 || ways == 16;
+        generic_widths += u32::from(!calibrated(cfg.l1_assoc) || !calibrated(cfg.l2_assoc));
         for &cores in &grid {
             let mut fast = MemoryHierarchy::new(cfg.clone());
             let mut slow = RefHierarchy::new(cfg.clone());
@@ -308,5 +328,9 @@ fn generated_traces_match_the_reference_hierarchy() {
     assert!(
         prefetch_hits > lines / 20,
         "the traces must exercise prefetch hits: {prefetch_hits} of {lines} lines"
+    );
+    assert!(
+        generic_widths > 0,
+        "no case drew a cache width of 1, 2, 3 or 8 ways"
     );
 }

@@ -138,13 +138,15 @@
 #                                with every core's counters and clock
 #                                identical — DESIGN.md §21)
 #  17. line path reference      (tests/line_path_reference.rs under the
-#                                fixed seed: generated ROW/COL/gather/
+#                                fixed seed and the second one, as in
+#                                step 13: generated ROW/COL/gather/
 #                                random/re-scan/stall/flush traces into
 #                                MemoryHierarchy and a naive reference
 #                                with Vec-per-set LRU caches and the
-#                                map-based prefetcher at 1/2/4 cores,
-#                                every core's MemStats and clock identical
-#                                after every call — DESIGN.md §22)
+#                                map-based prefetcher at 1/2/4 cores and
+#                                cache widths of 1 to 16 ways, every
+#                                core's MemStats and clock identical
+#                                after every call — DESIGN.md §18, §22)
 #  18. benchmark smoke test     (cargo test in benchmark/, a workspace of
 #                                its own: the two-clock benchmark at tiny
 #                                scale — schema against BENCHMARK.json,
@@ -274,6 +276,7 @@ seeded_test "result batches" result_batch "$GRID" "$SEED"
 seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
 seeded_test "typed stage 0, second seed" typed_stage0 "$GRID" "$SECOND_SEED"
 seeded_test "line path reference" line_path_reference "$GRID" "$SEED"
+seeded_test "line path reference, second seed" line_path_reference "$GRID" "$SECOND_SEED"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
 # outside `cargo test --workspace`.
