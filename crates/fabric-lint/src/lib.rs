@@ -31,8 +31,8 @@
 //!   counter structs are forbidden in non-test library code of the core
 //!   crates: statistics flow through the `fabric-obs` metrics registry.
 //! * **exec-internals** — the staged executor's internals
-//!   (`QueryExecutor` / `Consumer` / `CacheSlot` / `OpCache` /
-//!   `Scratchpad`) are constructed only inside `crates/query`: the
+//!   (`QueryExecutor` / `Consumer` / `OpCache` / `Scratchpad`) are
+//!   constructed only inside `crates/query`: the
 //!   engine owns operator lifetimes, scratch buffers, and cache
 //!   invalidation. Out-of-crate construction is flagged everywhere,
 //!   tests included — hosts drive execution through `Session`.

@@ -47,13 +47,7 @@ const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "forma
 /// construction belongs to `crates/query` alone. The compiler already
 /// enforces most of this (`pub(crate)` constructors); the lint keeps the
 /// boundary visible in test code and future public-API drift.
-const EXEC_INTERNAL_TYPES: &[&str] = &[
-    "QueryExecutor",
-    "Consumer",
-    "CacheSlot",
-    "OpCache",
-    "Scratchpad",
-];
+const EXEC_INTERNAL_TYPES: &[&str] = &["QueryExecutor", "Consumer", "OpCache", "Scratchpad"];
 const EXEC_INTERNAL_CTORS: &[&str] = &["new", "default"];
 
 /// The sixteen `MemStats` counter fields (rule `unattributed-charge`).

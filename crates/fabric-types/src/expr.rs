@@ -14,7 +14,7 @@ use crate::value::Value;
 use std::fmt;
 
 /// A scalar expression over a positional tuple.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Value of the tuple's `i`-th slot.
     Col(usize),

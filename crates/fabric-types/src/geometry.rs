@@ -50,7 +50,7 @@ impl FieldSlice {
 /// `ts` iff `begin <= ts && (end == 0 || ts < end)` (`end == 0` means "still
 /// live"). *"A key advantage of this approach is that the timestamp
 /// comparison can be implemented in hardware."*
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TsFilter {
     /// Field holding the begin (creation) timestamp, an `I64`.
     pub begin: FieldSlice,
@@ -96,7 +96,7 @@ impl AggFunc {
 }
 
 /// One aggregate requested from the device.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct AggSpec {
     pub func: AggFunc,
     /// Field aggregated over; `None` only for `Count`.
@@ -120,7 +120,7 @@ impl AggSpec {
 }
 
 /// Shape of the data the device returns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum OutputMode {
     /// Densely packed column-group rows: for each qualifying base row, the
     /// requested fields concatenated back to back (paper's ephemeral
@@ -152,7 +152,7 @@ pub fn merge_field_spans(fields: &[FieldSlice], slack: usize) -> Vec<(usize, usi
 }
 
 /// A complete ephemeral-access descriptor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Geometry {
     /// Address of row 0 in the memory arena.
     pub base: Addr,

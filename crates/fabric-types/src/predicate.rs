@@ -66,7 +66,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A single `column <op> constant` comparison.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ColumnPredicate {
     /// Where the column lives inside a raw row.
     pub field: FieldSlice,
@@ -109,7 +109,7 @@ impl fmt::Display for ColumnPredicate {
 }
 
 /// A conjunction (`AND`) of column predicates. Empty means "always true".
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Hash)]
 pub struct Predicate {
     conjuncts: Vec<ColumnPredicate>,
 }

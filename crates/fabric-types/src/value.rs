@@ -9,6 +9,7 @@ use crate::error::{FabricError, Result};
 use crate::schema::ColumnType;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Days since 1970-01-01 for a proleptic-Gregorian `(year, month, day)`
 /// (Howard Hinnant's algorithm; valid far beyond the TPC-H date range).
@@ -270,6 +271,27 @@ impl Value {
 pub(crate) fn trim_padding(bytes: &[u8]) -> &[u8] {
     let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
     &bytes[..end]
+}
+
+/// Hashes by bit pattern: the variant, then the payload, floats by
+/// `to_bits`. Two values hash alike only if they are the same bits of the
+/// same type, so `F32(1.0)` and `F64(1.0)`, `0.0` and `-0.0`, or two NaN
+/// payloads hash apart although `==` may call them equal (or unequal).
+/// A plan's identity needs that; `Value` is not `Eq` and keys no map.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::I8(v) => v.hash(state),
+            Value::I16(v) => v.hash(state),
+            Value::I32(v) => v.hash(state),
+            Value::I64(v) => v.hash(state),
+            Value::F32(v) => v.to_bits().hash(state),
+            Value::F64(v) => v.to_bits().hash(state),
+            Value::Date(v) => v.hash(state),
+            Value::Str(v) => v.hash(state),
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -152,24 +152,18 @@ impl From<AnalysisError> for FabricError {
 
 /// A plan that passed every check in [`analyze`]. The executors only accept
 /// this type; its fields are private so the analyzer is the sole source.
+/// It owns its plan, so a prepared statement keeps the one [`analyze`]
+/// returned and every execution borrows it.
 #[derive(Debug)]
-pub struct VerifiedQuery<'a> {
-    bound: &'a BoundQuery,
+pub struct VerifiedQuery {
+    bound: BoundQuery,
     geometry: VerifiedGeometry,
 }
 
-impl<'a> VerifiedQuery<'a> {
-    /// Reassemble a verified plan from parts that came out of [`analyze`]
-    /// (the plan cache stores the owned pieces of a verified plan and
-    /// rebuilds the witness per execution). Crate-private so the analyzer
-    /// remains the only original source of verified plans.
-    pub(crate) fn from_parts(bound: &'a BoundQuery, geometry: VerifiedGeometry) -> Self {
-        VerifiedQuery { bound, geometry }
-    }
-
+impl VerifiedQuery {
     /// The underlying bound plan.
     pub fn bound(&self) -> &BoundQuery {
-        self.bound
+        &self.bound
     }
 
     /// The device-admitted geometry for the RM access path.
@@ -206,11 +200,12 @@ impl<'a> VerifiedQuery<'a> {
 }
 
 /// Verify `bound` against `entry`'s schema and the RM device configuration.
-pub fn analyze<'a>(
+/// The verified plan holds a copy of `bound`.
+pub fn analyze(
     entry: &TableEntry,
-    bound: &'a BoundQuery,
+    bound: &BoundQuery,
     rm: &RmConfig,
-) -> Result<VerifiedQuery<'a>, AnalysisError> {
+) -> Result<VerifiedQuery, AnalysisError> {
     let schema = entry.schema();
     let mut diags = Vec::new();
 
@@ -240,7 +235,10 @@ pub fn analyze<'a>(
     };
 
     match geometry {
-        Some(geometry) if diags.is_empty() => Ok(VerifiedQuery { bound, geometry }),
+        Some(geometry) if diags.is_empty() => Ok(VerifiedQuery {
+            bound: bound.clone(),
+            geometry,
+        }),
         _ => Err(AnalysisError { diagnostics: diags }),
     }
 }

@@ -5,7 +5,7 @@ use crate::parser::{AstExpr, AstItem, AstOrderTarget, AstPred, SelectStmt};
 use fabric_types::{AggFunc, CmpOp, ColumnId, Expr, FabricError, Result, Value};
 
 /// One output column of the bound query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum OutputItem {
     /// Plain expression over slots (must be a group-by column when the
     /// query aggregates).

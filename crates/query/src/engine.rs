@@ -33,8 +33,7 @@ use crate::catalog::Catalog;
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
 use crate::exec::opcache::{self, OpCache};
 use crate::exec::{
-    run_verified, CacheSlot, FaultContext, QueryMetrics, QueryOutput, RecordMeta, Resilience,
-    Scratchpad,
+    run_verified, FaultContext, QueryMetrics, QueryOutput, RecordMeta, Resilience, Scratchpad,
 };
 use crate::explain::{
     analyze_paths, render_analyze, render_latency_section, render_plan, render_recovery_section,
@@ -55,9 +54,10 @@ const PLAN_CACHE_CAP: usize = 16;
 
 /// A parsed, bound, verified, and priced query, reusable across
 /// executions — the typed handle [`Session::prepare`] returns. Running a
-/// `&Prepared` skips the SQL-text cache entirely: the plan *and* its
-/// operator-cache base signature travel with the handle, so repeated
-/// execution re-hashes nothing. Cheap to clone (the plan body is shared).
+/// `&Prepared` skips the SQL-text cache entirely: the verified plan, its
+/// estimates *and* its signature travel with the handle, so repeated
+/// execution re-verifies, re-prices and re-hashes nothing. Cheap to clone
+/// (the plan body is shared).
 #[derive(Clone)]
 pub struct Prepared {
     plan: Rc<PreparedPlan>,
@@ -65,13 +65,12 @@ pub struct Prepared {
 
 struct PreparedPlan {
     sql: String,
-    bound: BoundQuery,
-    geometry: relmem::VerifiedGeometry,
-    path: AccessPath,
+    /// The plan [`analyze`] returned; every execution borrows it.
+    verified: VerifiedQuery,
     cost: PathCost,
-    /// Path-independent operator-cache signature (plan shape + table +
-    /// geometry + predicate constants), computed once at cold prepare.
-    base_sig: u128,
+    /// Path-independent signature ([`opcache::plan_signature`]), computed
+    /// once at cold prepare.
+    key: u128,
 }
 
 impl Prepared {
@@ -82,7 +81,7 @@ impl Prepared {
 
     /// The access path the optimizer chose at prepare time.
     pub fn path(&self) -> AccessPath {
-        self.plan.path
+        self.plan.cost.best()
     }
 
     /// The per-path estimates the choice was based on.
@@ -92,13 +91,24 @@ impl Prepared {
 
     /// The operator-cache key this plan executes under on `path`.
     pub fn cache_key(&self, path: AccessPath) -> u128 {
-        opcache::keyed(self.plan.base_sig, path)
+        opcache::keyed(self.plan.key, path)
     }
+}
 
-    /// Rebuild the analyzer's verified-plan witness for execution.
-    fn verified(&self) -> VerifiedQuery<'_> {
-        VerifiedQuery::from_parts(&self.plan.bound, self.plan.geometry.clone())
-    }
+/// Verify and price `bound` against the engine's catalog and machine, and
+/// sign it: what [`Session::prepare`] stores, and what the bound-plan entry
+/// points compute per call.
+pub(crate) fn prepare_plan(
+    mem: &MemoryHierarchy,
+    catalog: &Catalog,
+    bound: &BoundQuery,
+) -> Result<(VerifiedQuery, PathCost, u128)> {
+    let rm = RmConfig::prototype();
+    let entry = catalog.get(&bound.table)?;
+    let verified = analyze(entry, bound, &rm)?;
+    let (_, cost) = choose_path_parallel(mem.config(), &rm, entry, bound, mem.num_cores())?;
+    let key = opcache::plan_signature(bound, entry.rows.len(), verified.geometry().geometry());
+    Ok((verified, cost, key))
 }
 
 /// The fabric engine: simulated machine + catalog + fault state + plan
@@ -108,9 +118,8 @@ pub struct Engine {
     mem: MemoryHierarchy,
     catalog: Catalog,
     faults: FaultContext,
-    rm: RmConfig,
-    /// MRU-first plan cache keyed by SQL text.
-    cache: Vec<(String, Rc<PreparedPlan>)>,
+    /// MRU-first plan cache, searched by SQL text.
+    cache: Vec<Rc<PreparedPlan>>,
     cache_hits: u64,
     cache_misses: u64,
     /// Signature-keyed operator cache: memoized stage outputs, shared by
@@ -146,7 +155,6 @@ impl Engine {
             mem,
             catalog: Catalog::new(),
             faults: FaultContext::quiet(),
-            rm: RmConfig::prototype(),
             cache: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
@@ -358,7 +366,7 @@ impl Session<'_> {
     /// returns the cached plan unchanged, so a re-prepared query executes
     /// bit-identically to its cold first run.
     pub fn prepare(&mut self, sql: &str) -> Result<Prepared> {
-        if let Some(i) = self.engine.cache.iter().position(|(k, _)| k == sql) {
+        if let Some(i) = self.engine.cache.iter().position(|p| p.sql == sql) {
             let entry = self.engine.cache.remove(i);
             self.engine.cache.insert(0, entry);
             self.engine.cache_hits += 1;
@@ -368,33 +376,19 @@ impl Session<'_> {
                 .metrics_mut()
                 .counter_add_id(tail.plan_cache_hits, 1);
             return Ok(Prepared {
-                plan: Rc::clone(&self.engine.cache[0].1),
+                plan: Rc::clone(&self.engine.cache[0]),
             });
         }
         let stmt = parse(sql)?;
         let bound = bind(&self.engine.catalog, &stmt)?;
-        let entry = self.engine.catalog.get(&bound.table)?;
-        let verified = analyze(entry, &bound, &self.engine.rm)?;
-        let geometry = verified.geometry().clone();
-        let (path, cost) = choose_path_parallel(
-            self.engine.mem.config(),
-            &self.engine.rm,
-            entry,
-            &bound,
-            self.engine.mem.num_cores(),
-        )?;
-        let base_sig = opcache::plan_signature(&bound, entry.rows.len(), &format!("{geometry:?}"));
+        let (verified, cost, key) = prepare_plan(&self.engine.mem, &self.engine.catalog, &bound)?;
         let plan = Rc::new(PreparedPlan {
             sql: sql.to_string(),
-            bound,
-            geometry,
-            path,
+            verified,
             cost,
-            base_sig,
+            key,
         });
-        self.engine
-            .cache
-            .insert(0, (sql.to_string(), Rc::clone(&plan)));
+        self.engine.cache.insert(0, Rc::clone(&plan));
         self.engine.cache.truncate(PLAN_CACHE_CAP);
         self.engine.cache_misses += 1;
         let tail = self.engine.query_metrics.on(&mut self.engine.mem);
@@ -421,7 +415,7 @@ impl Session<'_> {
 
     /// Execute a prepared query on its planned path.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<QueryOutput> {
-        self.execute_on(prepared, prepared.plan.path)
+        self.execute_on(prepared, prepared.path())
     }
 
     /// Execute a prepared query on `path`, through the engine's operator
@@ -430,7 +424,7 @@ impl Session<'_> {
     /// hierarchy (clean runs only — degraded/faulted runs are re-earned).
     pub fn execute_on(&mut self, prepared: &Prepared, path: AccessPath) -> Result<QueryOutput> {
         let plan = &prepared.plan;
-        self.run_plan(&prepared.verified(), path, plan.cost, Some(plan.base_sig))
+        self.run_plan(&plan.verified, path, plan.cost, plan.key, true)
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on the
@@ -443,41 +437,28 @@ impl Session<'_> {
     /// so they bypass the plan cache and the operator cache (but still
     /// recycle the session's scratch buffers).
     pub fn run_bound(&mut self, bound: &BoundQuery) -> Result<QueryOutput> {
-        let (verified, chosen, cost) = self.plan_bound(bound)?;
-        self.run_plan(&verified, chosen, cost, None)
+        let (verified, cost, key) = prepare_plan(&self.engine.mem, &self.engine.catalog, bound)?;
+        self.run_plan(&verified, cost.best(), cost, key, false)
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on an explicitly
     /// chosen path (engine comparisons / tests). Verifies exactly like
     /// [`Session::run_bound`].
     pub fn run_bound_on(&mut self, bound: &BoundQuery, path: AccessPath) -> Result<QueryOutput> {
-        let (verified, _, cost) = self.plan_bound(bound)?;
-        self.run_plan(&verified, path, cost, None)
+        let (verified, cost, key) = prepare_plan(&self.engine.mem, &self.engine.catalog, bound)?;
+        self.run_plan(&verified, path, cost, key, false)
     }
 
-    /// Verify and price a plan that did not come through [`Session::prepare`].
-    fn plan_bound<'b>(
-        &self,
-        bound: &'b BoundQuery,
-    ) -> Result<(VerifiedQuery<'b>, AccessPath, PathCost)> {
-        let Engine {
-            mem, catalog, rm, ..
-        } = &*self.engine;
-        let entry = catalog.get(&bound.table)?;
-        let verified = analyze(entry, bound, rm)?;
-        let (chosen, cost) = choose_path_parallel(mem.config(), rm, entry, bound, mem.num_cores())?;
-        Ok((verified, chosen, cost))
-    }
-
-    /// Every session execution: run a verified plan on `path` under the
-    /// engine's fault policy — through the operator cache when the plan
-    /// carries a signature (`base_sig`) — and record its latency.
+    /// Every session execution: run a verified plan signed `key` on `path`
+    /// under the engine's fault policy — through the operator cache when
+    /// `cached` — and record its latency.
     fn run_plan(
         &mut self,
-        verified: &VerifiedQuery<'_>,
+        verified: &VerifiedQuery,
         path: AccessPath,
         cost: PathCost,
-        base_sig: Option<u128>,
+        key: u128,
+        cached: bool,
     ) -> Result<QueryOutput> {
         let Engine {
             ref mut mem,
@@ -495,12 +476,8 @@ impl Session<'_> {
         // degradation/breaker behaviour the device is configured to
         // exhibit, and a lucky clean run under fire is not a stable
         // fact worth memoizing.
-        let cache = match base_sig {
-            Some(sig) if path != AccessPath::Rm || faults.plan.config().is_quiet() => {
-                CacheSlot::Keyed(op_cache, opcache::keyed(sig, path))
-            }
-            _ => CacheSlot::None,
-        };
+        let armed_rm = path == AccessPath::Rm && !faults.plan.config().is_quiet();
+        let cache = (cached && !armed_rm).then_some(op_cache);
         // Cycle-domain latency: queries fork/join internally, so the
         // global-frontier delta around the run is the query's wall time.
         let t0 = mem.now();
@@ -514,6 +491,7 @@ impl Session<'_> {
             cost,
             Resilience::Resilient(faults),
             cache,
+            opcache::keyed(key, path),
             &mut self.scratch,
             RecordMeta {
                 session: self.id,
@@ -539,8 +517,9 @@ impl Session<'_> {
     /// already-prepared query, without touching the SQL-text cache.
     pub fn explain_prepared(&mut self, prepared: &Prepared) -> Result<String> {
         let plan = &prepared.plan;
-        let entry = self.engine.catalog.get(&plan.bound.table)?;
-        render_plan(entry, &plan.bound, plan.path, &plan.cost)
+        let bound = plan.verified.bound();
+        let entry = self.engine.catalog.get(&bound.table)?;
+        render_plan(entry, bound, prepared.path(), &plan.cost)
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` on every available path and render
@@ -551,20 +530,23 @@ impl Session<'_> {
         self.explain_analyze_prepared(&prepared)
     }
 
-    /// [`Session::explain_analyze`] for an already-prepared query. The
-    /// measurement runs bypass the operator cache — `EXPLAIN ANALYZE`
+    /// [`Session::explain_analyze`] for an already-prepared query: the
+    /// prepared plan runs as it is, under its own estimates and signature.
+    /// The measurement runs bypass the operator cache — `EXPLAIN ANALYZE`
     /// exists to observe the real hierarchy, so a memoized replay would
     /// defeat its purpose.
     pub fn explain_analyze_prepared(&mut self, prepared: &Prepared) -> Result<String> {
         let plan = &prepared.plan;
-        let entry = self.engine.catalog.get(&plan.bound.table)?;
-        let header = render_plan(entry, &plan.bound, plan.path, &plan.cost)?;
+        let entry = self.engine.catalog.get(&plan.verified.bound().table)?;
+        let header = render_plan(entry, plan.verified.bound(), prepared.path(), &plan.cost)?;
         let has_cols = entry.cols.is_some();
         let (reports, chosen) = analyze_paths(
             &mut self.engine.mem,
             &mut self.engine.query_metrics,
-            &self.engine.catalog,
-            &plan.bound,
+            entry,
+            &plan.verified,
+            &plan.cost,
+            plan.key,
         )?;
         let mut text = render_analyze(&header, has_cols, &reports, &chosen)?;
         text.push_str(&render_latency_section(self.engine.mem.metrics())?);
@@ -575,7 +557,7 @@ impl Session<'_> {
         let (hits, misses) = oc.stats();
         text.push_str(&format!(
             "  op-cache: key {:032x} (chosen path)  entries {}  bytes {}  hits {}  misses {}  insertions {}  evictions {}\n",
-            prepared.cache_key(prepared.plan.path),
+            prepared.cache_key(prepared.path()),
             oc.len(),
             oc.bytes(),
             hits,
@@ -596,6 +578,7 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::path_tag;
     use fabric_types::{ColumnType, Schema, Value};
 
     fn engine_with_data(cores: usize) -> Engine {
@@ -879,6 +862,29 @@ mod tests {
         assert_eq!(row(&text, "cold").as_deref(), Some(cold.as_str()), "{text}");
         let hit = row(&text, "hit").unwrap_or_else(|| panic!("no hit q6 row: {text}"));
         assert!(hit.contains("n      1"), "{hit}");
+    }
+
+    #[test]
+    fn explain_analyze_logs_the_prepared_plans_signature() {
+        let mut engine = engine_with_data(2);
+        let mut s = engine.session();
+        let p = s.prepare("SELECT sum(qty) FROM t WHERE id < 2000").unwrap();
+        s.explain_analyze_prepared(&p).unwrap();
+        assert!(!s.execute(&p).unwrap().cache_hit);
+        let id = s.id();
+        let log: Vec<_> = engine.querylog().records().collect();
+        let (run, measured) = log.split_last().unwrap();
+        assert_eq!((run.session, run.path), (id, path_tag(p.path())));
+        // One measurement per path, each under the prepared plan's key
+        // for that path; the chosen path's is the session run's.
+        let paths = [AccessPath::Row, AccessPath::Col, AccessPath::Rm];
+        assert_eq!(measured.len(), paths.len());
+        for (r, path) in measured.iter().zip(paths) {
+            assert_eq!((r.session, r.path), (0, path_tag(path)));
+            assert_eq!(r.plan_sig, p.cache_key(path));
+        }
+        let chosen = measured.iter().find(|r| r.path == run.path).unwrap();
+        assert_eq!(chosen.plan_sig, run.plan_sig);
     }
 
     #[test]

@@ -49,13 +49,13 @@ pub(crate) type Stage0<'q> = (Vec<Consumer<'q>>, StageTotal);
 
 /// Stage-0 executor for one verified plan on one access path.
 pub struct QueryExecutor<'q> {
-    verified: &'q VerifiedQuery<'q>,
+    verified: &'q VerifiedQuery,
     path: AccessPath,
 }
 
 impl<'q> QueryExecutor<'q> {
     /// Stage 0 of `verified` on `path`.
-    pub fn new(verified: &'q VerifiedQuery<'q>, path: AccessPath) -> Self {
+    pub fn new(verified: &'q VerifiedQuery, path: AccessPath) -> Self {
         QueryExecutor { verified, path }
     }
 
@@ -386,12 +386,15 @@ mod tests {
 
         // Every stage-0 record of the run is a function of that total;
         // merge is the driver's.
+        let (verified, cost, key) = crate::engine::prepare_plan(&mem, &c, &bound).unwrap();
         let out = crate::exec::execute_uncached(
             &mut mem,
             &mut crate::exec::QueryMetrics::default(),
-            &c,
-            &bound,
+            entry,
+            &verified,
             AccessPath::Col,
+            cost,
+            crate::exec::opcache::keyed(key, AccessPath::Col),
         )
         .unwrap();
         let actuals: Vec<_> = out

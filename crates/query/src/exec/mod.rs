@@ -39,14 +39,12 @@ mod tail_metrics;
 
 pub use buffer::{ChunkScratch, Scratchpad};
 pub use executor::QueryExecutor;
-pub(crate) use opcache::CacheSlot;
 pub use opcache::OpCache;
 pub(crate) use tail_metrics::{QueryMetrics, TailMetrics};
 
-use crate::analyze::{analyze, VerifiedQuery};
-use crate::bind::BoundQuery;
-use crate::catalog::{Catalog, TableEntry};
-use crate::cost::{choose_path_parallel, split_path_cost, AccessPath, PathCost};
+use crate::analyze::VerifiedQuery;
+use crate::catalog::TableEntry;
+use crate::cost::{split_path_cost, AccessPath, PathCost};
 use fabric_sim::{
     Category, CircuitBreaker, CoreAttribution, FaultConfig, FaultPlan, MemStats, MemoryHierarchy,
     OpRecord, RecoveryPolicy, TopDownSummary,
@@ -175,37 +173,31 @@ pub(crate) enum Resilience<'f> {
     Resilient(&'f mut FaultContext),
 }
 
-/// Verify, price and run `bound` on `path` with no operator cache, no
-/// fault context and a throw-away scratchpad: `EXPLAIN ANALYZE`'s
+/// Run a prepared plan on `path` under its `key` with no operator cache,
+/// no fault context and a throw-away scratchpad: `EXPLAIN ANALYZE`'s
 /// measurement run, which must observe the real hierarchy and must not
 /// pay the resilient path's per-line CRC charge. Its metrics go through
 /// `metrics`' handles like a session's.
 pub(crate) fn execute_uncached(
     mem: &mut MemoryHierarchy,
     metrics: &mut QueryMetrics,
-    catalog: &Catalog,
-    bound: &BoundQuery,
+    entry: &TableEntry,
+    verified: &VerifiedQuery,
     path: AccessPath,
+    cost: PathCost,
+    key: u128,
 ) -> Result<QueryOutput> {
-    let entry = catalog.get(&bound.table)?;
-    let verified = analyze(entry, bound, &RmConfig::prototype())?;
-    let (_, cost) = choose_path_parallel(
-        mem.config(),
-        &RmConfig::prototype(),
-        entry,
-        bound,
-        mem.num_cores(),
-    )?;
     let tail = metrics.on(mem);
     run_verified(
         mem,
         tail,
         entry,
-        &verified,
+        verified,
         path,
         cost,
         Resilience::Plain,
-        CacheSlot::None,
+        None,
+        key,
         &mut Scratchpad::new(),
         RecordMeta::default(),
     )
@@ -270,14 +262,16 @@ fn profiled<R>(
     res
 }
 
-/// The one pipeline every entry point funnels into.
+/// The one pipeline every entry point funnels into, for a plan whose
+/// path-keyed signature is `key` (the query log's `plan_sig`).
 ///
-/// Probes the operator cache first: a hit replays the memoized
-/// stage-0+merge output (pure CPU probe cost, zero hierarchy traffic) and
-/// goes straight to the post-processing tail. A miss runs stage 0 on the
-/// [`QueryExecutor`] for the chosen path (under the requested resilience
-/// policy), merges the partials as its own profiled `query::stage::merge`
-/// phase, memoizes clean results, and finishes through the shared tail.
+/// Probes the operator cache first, when given one: a hit replays the
+/// memoized stage-0+merge output (pure CPU probe cost, zero hierarchy
+/// traffic) and goes straight to the post-processing tail. A miss runs
+/// stage 0 on the [`QueryExecutor`] for the chosen path (under the
+/// requested resilience policy), merges the partials as its own profiled
+/// `query::stage::merge` phase, memoizes clean results, and finishes
+/// through the shared tail.
 /// Opens/closes the `query::exec` span and captures per-core attribution
 /// across the whole run.
 ///
@@ -289,28 +283,15 @@ pub(crate) fn run_verified(
     mem: &mut MemoryHierarchy,
     tail: &TailMetrics,
     entry: &TableEntry,
-    verified: &VerifiedQuery<'_>,
+    verified: &VerifiedQuery,
     path: AccessPath,
     cost: PathCost,
     resilience: Resilience<'_>,
-    mut cache: CacheSlot<'_>,
+    mut cache: Option<&mut OpCache>,
+    key: u128,
     scratch: &mut Scratchpad,
     meta: RecordMeta,
 ) -> Result<QueryOutput> {
-    // The plan signature recorded in the query log: the cache key when
-    // the run is keyed, else the same signature computed locally (bypass
-    // entry points still get stable provenance).
-    let sig = match &cache {
-        CacheSlot::Keyed(_, key) => *key,
-        CacheSlot::None => opcache::keyed(
-            opcache::plan_signature(
-                verified.bound(),
-                entry.rows.len(),
-                &format!("{:?}", verified.geometry()),
-            ),
-            path,
-        ),
-    };
     // Align the cores so the attribution window has one common origin.
     let window = Window {
         t0: mem.fork_clocks(),
@@ -333,7 +314,7 @@ pub(crate) fn run_verified(
         cache_hit: false,
     };
 
-    if let Some((batch, cached_path, cached_rm)) = cache.probe() {
+    if let Some((batch, cached_path, cached_rm)) = cache.as_mut().and_then(|c| c.probe(key)) {
         // Operator-cache hit: the memoized stage output stands in for
         // stage 0 and the merge. The only cost is the probe plus the
         // copy-out — pure CPU on core 0, zero hierarchy traffic.
@@ -349,7 +330,7 @@ pub(crate) fn run_verified(
         out.path = cached_path;
         out.rm_stats = cached_rm;
         out.cache_hit = true;
-        return finish_output(mem, tail, verified, &batch, out, window, meta, sig);
+        return finish_output(mem, tail, verified, &batch, out, window, meta, key);
     }
 
     let (partials, scanned) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
@@ -379,7 +360,7 @@ pub(crate) fn run_verified(
     // Memoize the pre-sort/pre-limit stage output — clean runs only: a
     // degraded answer or a faulted RM attempt must be re-earned every
     // time so fault-path counters and breaker state stay truthful.
-    if let CacheSlot::Keyed(opcache, key) = cache {
+    if let Some(opcache) = cache {
         mem.metrics_mut().counter_add_id(tail.opcache_misses, 1);
         let clean = out.degraded_from.is_none()
             && out.rm_stats.as_ref().is_none_or(|s| s.injected_faults == 0);
@@ -396,7 +377,7 @@ pub(crate) fn run_verified(
         metrics.gauge_set_id(tail.opcache_bytes, opcache.bytes() as f64);
     }
 
-    finish_output(mem, tail, verified, &batch, out, window, meta, sig)
+    finish_output(mem, tail, verified, &batch, out, window, meta, key)
 }
 
 /// A query's attribution window, opened before anything executes and
@@ -418,7 +399,7 @@ struct Window {
 fn build_op_records(
     mem: &MemoryHierarchy,
     entry: &TableEntry,
-    verified: &VerifiedQuery<'_>,
+    verified: &VerifiedQuery,
     out: &QueryOutput,
     scanned: StageTotal,
     merged: StageTotal,
@@ -496,7 +477,7 @@ fn build_op_records(
 fn run_scan<'v>(
     mem: &mut MemoryHierarchy,
     entry: &TableEntry,
-    verified: &'v VerifiedQuery<'v>,
+    verified: &'v VerifiedQuery,
     resilience: Resilience<'_>,
     out: &mut QueryOutput,
     scratch: &mut Scratchpad,
@@ -577,18 +558,6 @@ fn run_scan<'v>(
     }
 }
 
-/// Short stable tag for a verified geometry, used in calibration ledger
-/// keys (the full Debug form is too long for a key): FNV-1a over
-/// the Debug rendering, folded to 8 hex digits.
-fn geometry_tag(geometry: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in geometry.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{:08x}", (h as u32) ^ ((h >> 32) as u32))
-}
-
 /// |est − actual| relative to `base`, as a fraction (0.0 when `base` is
 /// not positive). The calibration ledger grades an observation against
 /// its estimate (`base = est`: nothing to be wrong about without one);
@@ -609,7 +578,7 @@ pub(crate) fn rel_err(est: f64, actual: f64, base: f64) -> f64 {
 fn finish_output(
     mem: &mut MemoryHierarchy,
     tail: &TailMetrics,
-    verified: &VerifiedQuery<'_>,
+    verified: &VerifiedQuery,
     batch: &ResultBatch,
     mut out: QueryOutput,
     window: Window,
@@ -693,9 +662,9 @@ fn finish_output(
     // cache, not the path; degraded/faulted runs measure the fault story.
     if !out.cache_hit && out.degraded_from.is_none() && faults_injected == 0 {
         let key = format!(
-            "{}/{}/{}",
+            "{}/{:08x}/{}",
             bound.table,
-            geometry_tag(&format!("{:?}", verified.geometry())),
+            opcache::geometry_signature(verified.geometry().geometry()) >> 96,
             path_str
         );
         mem.calib_mut().observe(
@@ -751,7 +720,10 @@ fn order_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::bind;
+    use crate::bind::{bind, BoundQuery};
+    use crate::catalog::Catalog;
+    use crate::cost::choose_path_parallel;
+    use crate::engine::prepare_plan;
     use crate::parser::parse;
     use crate::Engine;
     use colstore::ColTable;
@@ -975,12 +947,15 @@ mod tests {
         let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         let mut c = Catalog::new();
         c.register_rows("t", wide_rows(&mut mem, 1000));
+        let (verified, cost, key) = prepare_plan(&mem, &c, &b).unwrap();
         let plain = execute_uncached(
             &mut mem,
             &mut QueryMetrics::default(),
-            &c,
-            &b,
+            c.get("t").unwrap(),
+            &verified,
             AccessPath::Rm,
+            cost,
+            opcache::keyed(key, AccessPath::Rm),
         )
         .unwrap();
         assert_eq!(plain.rows, out.rows);
@@ -1197,31 +1172,23 @@ mod tests {
         let mut c = Catalog::new();
         c.register_rows("t", wide_rows(&mut mem, 1000));
         let bound = bind(&c, &parse(RM_SQL).unwrap()).unwrap();
-        let entry = c.get("t").unwrap();
-        let verified = analyze(entry, &bound, &RmConfig::prototype()).unwrap();
-        let (path, cost) = choose_path_parallel(
-            mem.config(),
-            &RmConfig::prototype(),
-            entry,
-            &bound,
-            mem.num_cores(),
-        )
-        .unwrap();
+        let (verified, cost, key) = prepare_plan(&mem, &c, &bound).unwrap();
+        let path = cost.best();
         assert_eq!(path, AccessPath::Rm);
         let mut ctx = dead_device();
         let mut cacheobj = OpCache::default();
-        let key = opcache::keyed(opcache::plan_signature(&bound, 1000, "g"), path);
         let mut metrics = QueryMetrics::default();
         let tail = metrics.on(&mut mem);
         let out = run_verified(
             &mut mem,
             tail,
-            entry,
+            c.get("t").unwrap(),
             &verified,
             path,
             cost,
             Resilience::Resilient(&mut ctx),
-            CacheSlot::Keyed(&mut cacheobj, key),
+            Some(&mut cacheobj),
+            opcache::keyed(key, path),
             &mut Scratchpad::new(),
             RecordMeta::default(),
         )

@@ -5,7 +5,14 @@
 //! access path). A [`Session`](crate::Session) therefore memoizes that
 //! output in an [`OpCache`] keyed by a 128-bit FNV-1a signature over
 //! exactly those inputs; a hit returns the memoized batch without
-//! re-touching the memory hierarchy at all. ORDER BY and LIMIT are
+//! re-touching the memory hierarchy at all. The signature hashes the
+//! plan's fields through their `Hash` impls — never a rendering — and is
+//! computed once, when the plan is prepared: the same number keys the
+//! cache, names the plan in the query log (`plan_sig`), and, over the
+//! geometry alone, names it in the calibration ledger (DESIGN.md §32).
+//! Float literals hash by bit pattern, so `0.0` and `-0.0`, two NaN
+//! payloads, or an `F32` and an `F64` of the same number are different
+//! plans. ORDER BY and LIMIT are
 //! deliberately **excluded** from the signature — a cached batch is the
 //! pre-sort/pre-limit stage output, so plans differing only in their
 //! post-processing share one entry. Entries are shared, not copied: the
@@ -29,8 +36,10 @@
 use super::batch::ResultBatch;
 use crate::bind::BoundQuery;
 use crate::cost::AccessPath;
+use fabric_types::Geometry;
 use relmem::RmStats;
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 /// Default byte budget for memoized stage outputs. Generous on purpose:
@@ -188,41 +197,29 @@ impl OpCache {
     }
 }
 
-/// How a pipeline run participates in the operator cache: `None` runs
-/// cold and fills nothing (measurement entry points — benches and
-/// EXPLAIN ANALYZE must observe the real hierarchy), `Keyed` probes and
-/// fills the session's cache under a precomputed signature.
-pub(crate) enum CacheSlot<'c> {
-    None,
-    Keyed(&'c mut OpCache, u128),
-}
-
-impl CacheSlot<'_> {
-    pub(crate) fn probe(&mut self) -> Option<(Rc<ResultBatch>, AccessPath, Option<RmStats>)> {
-        match self {
-            CacheSlot::Keyed(c, key) => c.probe(*key),
-            CacheSlot::None => None,
-        }
-    }
-}
-
-/// 128-bit FNV-1a over the cache-relevant plan identity: table name,
-/// row count, the RM geometry the analyzer admitted, and the plan shape
-/// (touched columns, predicates *with constants*, output items, GROUP
-/// BY). `order_by` and `limit` are excluded by design — see module docs.
-pub(crate) fn plan_signature(bound: &BoundQuery, table_rows: usize, geometry: &str) -> u128 {
+/// A plan's identity, 128-bit FNV-1a over its fields: table name, row
+/// count, the RM geometry the analyzer admitted, and the plan shape
+/// (touched columns, predicates *with constants*, output items, GROUP BY),
+/// each hashed structurally, float literals by bit pattern.
+/// `order_by` and `limit` are excluded by design — see module docs.
+pub(crate) fn plan_signature(bound: &BoundQuery, table_rows: usize, geometry: &Geometry) -> u128 {
     let mut h = Fnv128::new();
-    h.update(bound.table.as_bytes());
-    h.update(&(table_rows as u64).to_le_bytes());
-    h.update(geometry.as_bytes());
-    h.update(
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            bound.touched, bound.preds, bound.items, bound.group_by
-        )
-        .as_bytes(),
-    );
-    h.finish()
+    bound.table.hash(&mut h);
+    table_rows.hash(&mut h);
+    geometry.hash(&mut h);
+    bound.touched.hash(&mut h);
+    bound.preds.hash(&mut h);
+    bound.items.hash(&mut h);
+    bound.group_by.hash(&mut h);
+    h.0
+}
+
+/// The same hash over the geometry alone: the calibration ledger keys
+/// its entries by the top 32 bits.
+pub(crate) fn geometry_signature(geometry: &Geometry) -> u128 {
+    let mut h = Fnv128::new();
+    geometry.hash(&mut h);
+    h.0
 }
 
 /// Mix the executed access path into a base signature: the same plan on
@@ -235,10 +232,12 @@ pub(crate) fn keyed(base: u128, path: AccessPath) -> u128 {
         AccessPath::Rm => 3,
     };
     let mut h = Fnv128(base);
-    h.update(&[tag]);
-    h.finish()
+    h.write(&[tag]);
+    h.0
 }
 
+/// 128-bit FNV-1a, fed through [`Hasher`] so derived `Hash` impls can
+/// write into it; the full state is the signature.
 struct Fnv128(u128);
 
 impl Fnv128 {
@@ -248,16 +247,19 @@ impl Fnv128 {
     fn new() -> Self {
         Fnv128(Self::OFFSET)
     }
+}
 
-    fn update(&mut self, bytes: &[u8]) {
+impl Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u128;
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
-    fn finish(&self) -> u128 {
-        self.0
+    /// The low 64 bits; signatures read the whole state instead.
+    fn finish(&self) -> u64 {
+        self.0 as u64
     }
 }
 
@@ -265,7 +267,12 @@ impl Fnv128 {
 mod tests {
     use super::*;
     use crate::bind::OutputItem;
-    use fabric_types::{CmpOp, ColumnType, Expr, Value};
+    use fabric_types::rng::{for_each_case, DetRng};
+    use fabric_types::{
+        AggFunc, AggSpec, CmpOp, ColumnPredicate, ColumnType, Expr, FieldSlice, OutputMode,
+        Predicate, TsFilter, Value,
+    };
+    use std::collections::BTreeSet;
 
     /// `rows` rows of `arity` `i64` items, row `r` holding `r` throughout.
     fn batch(rows: usize, arity: usize) -> Rc<ResultBatch> {
@@ -289,27 +296,248 @@ mod tests {
         }
     }
 
+    fn field(column: usize) -> FieldSlice {
+        FieldSlice::new(column, 8 * column, ColumnType::I64)
+    }
+
+    /// A packed geometry over the first `fields` `i64` columns of a
+    /// 64-byte row.
+    fn geom(fields: usize) -> Geometry {
+        Geometry::packed(0x1000, 64, 100, (0..fields).map(field).collect())
+    }
+
+    /// Literals `==` confuses or that sit at the edge of their type, every
+    /// one a different bit pattern or type from the others.
+    fn edge_literals() -> [Value; 10] {
+        [
+            Value::F64(0.0),
+            Value::F64(-0.0),
+            Value::F64(f64::NAN),
+            Value::F64(f64::from_bits(f64::NAN.to_bits() | 1)),
+            Value::I64(i64::MIN),
+            Value::I64(i64::MAX),
+            Value::F32(1.5),
+            Value::F64(1.5),
+            Value::I32(7),
+            Value::I64(7),
+        ]
+    }
+
+    /// Geometries equal in everything but their mode, visibility or base.
+    fn geometry_variants() -> [Geometry; 5] {
+        let g = geom(2);
+        let ts = TsFilter {
+            begin: field(4),
+            end: field(5),
+            snapshot_ts: 9,
+        };
+        [
+            g.clone(),
+            g.clone().with_mode(OutputMode::FilteredRows),
+            g.clone()
+                .with_mode(OutputMode::Aggregate(vec![AggSpec::count()])),
+            g.clone().with_visibility(ts),
+            Geometry {
+                base: g.base + 64,
+                ..g
+            },
+        ]
+    }
+
     #[test]
     fn signature_tracks_constants_but_not_post_processing() {
-        let base = plan_signature(&q("t", 5), 100, "g");
-        assert_eq!(base, plan_signature(&q("t", 5), 100, "g"), "deterministic");
-        assert_ne!(base, plan_signature(&q("t", 6), 100, "g"), "constants");
-        assert_ne!(base, plan_signature(&q("u", 5), 100, "g"), "table");
-        assert_ne!(base, plan_signature(&q("t", 5), 101, "g"), "row count");
-        assert_ne!(base, plan_signature(&q("t", 5), 100, "g2"), "geometry");
+        let g = geom(2);
+        let base = plan_signature(&q("t", 5), 100, &g);
+        assert_eq!(base, plan_signature(&q("t", 5), 100, &g), "deterministic");
+        assert_ne!(base, plan_signature(&q("t", 6), 100, &g), "constants");
+        assert_ne!(base, plan_signature(&q("u", 5), 100, &g), "table");
+        assert_ne!(base, plan_signature(&q("t", 5), 101, &g), "row count");
+        assert_ne!(base, plan_signature(&q("t", 5), 100, &geom(3)), "geometry");
+
+        // A literal is its bits and its type: ±0.0, two NaN payloads, the
+        // integer extremes, and one number as F32 and F64 (or I32 and
+        // I64) are different plans, in a predicate and in an output item.
+        let in_pred = |v: Value| {
+            let mut b = q("t", 0);
+            b.preds[0].2 = v;
+            plan_signature(&b, 100, &g)
+        };
+        let in_item = |v: Value| {
+            let mut b = q("t", 0);
+            b.items = vec![OutputItem::Expr(Expr::mul(Expr::Col(0), Expr::Const(v)))];
+            plan_signature(&b, 100, &g)
+        };
+        for sign in [&in_pred as &dyn Fn(Value) -> u128, &in_item] {
+            let sigs: BTreeSet<u128> = edge_literals().into_iter().map(sign).collect();
+            assert_eq!(sigs.len(), edge_literals().len(), "{sigs:x?}");
+            assert_eq!(sign(Value::F64(f64::NAN)), sign(Value::F64(f64::NAN)));
+        }
+        let sigs: BTreeSet<u128> = geometry_variants()
+            .iter()
+            .map(|g| plan_signature(&q("t", 5), 100, g))
+            .collect();
+        assert_eq!(sigs.len(), 5, "mode, visibility and base are identity");
+        let tags: BTreeSet<u128> = geometry_variants()
+            .iter()
+            .map(|g| geometry_signature(g) >> 96)
+            .collect();
+        assert_eq!(tags.len(), 5, "so are they for the ledger's tag");
 
         let mut sorted = q("t", 5);
         sorted.order_by = vec![(0, true)];
         sorted.limit = Some(3);
         assert_eq!(
             base,
-            plan_signature(&sorted, 100, "g"),
+            plan_signature(&sorted, 100, &g),
             "ORDER BY/LIMIT share the cached stage output"
         );
 
         let k = keyed(base, AccessPath::Row);
         assert_ne!(k, keyed(base, AccessPath::Col));
         assert_ne!(k, keyed(base, AccessPath::Rm));
+    }
+
+    /// Everything the signature covers, with every float literal replaced
+    /// by a text of its type and bits — so `==` on it is bitwise equality.
+    type Identity = (
+        String,
+        usize,
+        Geometry,
+        Vec<usize>,
+        Vec<(usize, CmpOp, Value)>,
+        Vec<OutputItem>,
+        Vec<usize>,
+    );
+
+    fn bits(v: &Value) -> Value {
+        match v {
+            Value::F32(x) => Value::Str(format!("f32:{:08x}", x.to_bits())),
+            Value::F64(x) => Value::Str(format!("f64:{:016x}", x.to_bits())),
+            v => v.clone(),
+        }
+    }
+
+    fn expr_bits(e: &Expr) -> Expr {
+        match e {
+            Expr::Col(s) => Expr::Col(*s),
+            Expr::Const(v) => Expr::Const(bits(v)),
+            Expr::Add(a, b) => Expr::add(expr_bits(a), expr_bits(b)),
+            Expr::Sub(a, b) => Expr::sub(expr_bits(a), expr_bits(b)),
+            Expr::Mul(a, b) => Expr::mul(expr_bits(a), expr_bits(b)),
+            Expr::Div(a, b) => Expr::div(expr_bits(a), expr_bits(b)),
+        }
+    }
+
+    fn identity(b: &BoundQuery, rows: usize, g: &Geometry) -> Identity {
+        let conjuncts = g.predicate.conjuncts().iter();
+        let predicate = conjuncts
+            .map(|c| ColumnPredicate::new(c.field, c.op, bits(&c.value)))
+            .collect();
+        let items = b.items.iter().map(|i| match i {
+            OutputItem::Expr(e) => OutputItem::Expr(expr_bits(e)),
+            OutputItem::Agg(f, e) => OutputItem::Agg(*f, expr_bits(e)),
+        });
+        (
+            b.table.clone(),
+            rows,
+            g.clone().with_predicate(Predicate::new(predicate)),
+            b.touched.clone(),
+            b.preds
+                .iter()
+                .map(|(s, op, v)| (*s, *op, bits(v)))
+                .collect(),
+            items.collect(),
+            b.group_by.clone(),
+        )
+    }
+
+    fn pick<T: Clone>(rng: &mut DetRng, from: &[T]) -> T {
+        from[rng.gen_range(0..from.len())].clone()
+    }
+
+    /// One part of a plan, drawn from a domain small enough that two
+    /// draws often agree.
+    fn draw_part(
+        rng: &mut DetRng,
+        part: usize,
+        b: &mut BoundQuery,
+        rows: &mut usize,
+        g: &mut Geometry,
+    ) {
+        let lit = |rng: &mut DetRng| pick(rng, &edge_literals());
+        match part {
+            0 => b.table = pick(rng, &["t", "u"]).into(),
+            1 => *rows = pick(rng, &[100, 101]),
+            2 => b.touched = pick(rng, &[vec![0, 2], vec![2, 0], vec![0, 1, 2]]),
+            3 => {
+                let n = rng.gen_range(0..3usize);
+                b.preds = (0..n)
+                    .map(|_| {
+                        (
+                            rng.gen_range(0..2usize),
+                            pick(rng, &[CmpOp::Lt, CmpOp::Ge]),
+                            lit(rng),
+                        )
+                    })
+                    .collect();
+            }
+            4 => {
+                let e = match rng.gen_range(0..3u32) {
+                    0 => Expr::Col(rng.gen_range(0..2usize)),
+                    1 => Expr::Const(lit(rng)),
+                    _ => Expr::mul(Expr::Col(0), Expr::Const(lit(rng))),
+                };
+                b.items = vec![match rng.gen_range(0..2u32) {
+                    0 => OutputItem::Expr(e),
+                    _ => OutputItem::Agg(pick(rng, &[AggFunc::Sum, AggFunc::Min]), e),
+                }];
+            }
+            5 => b.group_by = pick(rng, &[vec![], vec![0], vec![1]]),
+            6 => {
+                *g = pick(rng, &geometry_variants());
+                if rng.gen_bool(0.5) {
+                    let p = ColumnPredicate::new(field(0), CmpOp::Lt, lit(rng));
+                    *g = g.clone().with_predicate(Predicate::new(vec![p]));
+                }
+            }
+            _ => {
+                b.order_by = pick(rng, &[vec![], vec![(0, false)], vec![(0, true)]]);
+                b.limit = pick(rng, &[None, Some(1), Some(5)]);
+            }
+        }
+    }
+
+    /// Equal signatures if and only if the plans are bitwise equal outside
+    /// ORDER BY and LIMIT: each case draws a plan, copies it, and redraws
+    /// one part of the copy — often to what it was, often only its ORDER
+    /// BY / LIMIT, otherwise to something else.
+    #[test]
+    fn equal_signatures_iff_bitwise_equal_plans() {
+        let (mut equal, mut unequal) = (0, 0);
+        for_each_case("plan signature is bitwise plan identity", |rng| {
+            let (mut a, mut rows_a, mut ga) = (q("t", 0), 100, geom(2));
+            for part in 0..8 {
+                draw_part(rng, part, &mut a, &mut rows_a, &mut ga);
+            }
+            let (mut b, mut rows_b, mut gb) = (a.clone(), rows_a, ga.clone());
+            let part = rng.gen_range(0..8usize);
+            draw_part(rng, part, &mut b, &mut rows_b, &mut gb);
+            let same = identity(&a, rows_a, &ga) == identity(&b, rows_b, &gb);
+            let keys = (
+                plan_signature(&a, rows_a, &ga),
+                plan_signature(&b, rows_b, &gb),
+            );
+            assert_eq!(keys.0 == keys.1, same, "{a:?} {ga:?}\n{b:?} {gb:?}");
+            if same {
+                equal += 1;
+            } else {
+                unequal += 1;
+            }
+        });
+        assert!(
+            equal > 16 && unequal > 16,
+            "{equal} equal, {unequal} unequal"
+        );
     }
 
     #[test]

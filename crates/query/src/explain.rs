@@ -4,14 +4,14 @@
 //! vs. measured cost (cycles and bytes), recording the cost model's
 //! relative error into the hierarchy's metrics registry.
 
+use crate::analyze::VerifiedQuery;
 use crate::bind::{BoundQuery, OutputItem};
-use crate::catalog::{Catalog, TableEntry};
-use crate::cost::{choose_path_parallel, AccessPath, PathCost};
-use crate::exec::{execute_uncached, path_tag, rel_err, QueryMetrics, QueryOutput};
+use crate::catalog::TableEntry;
+use crate::cost::{AccessPath, PathCost};
+use crate::exec::{execute_uncached, opcache, path_tag, rel_err, QueryMetrics, QueryOutput};
 use fabric_sim::{topdown, MemoryHierarchy, MetricsRegistry};
 use fabric_types::{FabricError, Result};
 use mvcc::RecoveryReport;
-use relmem::RmConfig;
 use std::fmt::Write as _;
 
 /// Render the chosen plan for `bound` as human-readable text, including
@@ -142,26 +142,21 @@ fn rel_err_pct(est: f64, actual: f64) -> f64 {
     rel_err(est, actual, actual.max(1.0)) * 100.0
 }
 
-/// Run `bound` on every *available* path and measure actual cost. Returns
-/// the per-path reports plus the chosen path's output, whose phase
-/// profile, per-core attribution and per-operator records are the
-/// breakdowns EXPLAIN ANALYZE renders. Each path's relative error lands
-/// in the hierarchy's metrics registry as
-/// `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
+/// Run a prepared plan — `verified`, priced at `cost`, signed `key` — on
+/// every *available* path and measure actual cost. Returns the per-path
+/// reports plus the chosen path's output, whose phase profile, per-core
+/// attribution and per-operator records are the breakdowns EXPLAIN
+/// ANALYZE renders. Each path's relative error lands in the hierarchy's
+/// metrics registry as `explain.rel_err_pct.{ns,bytes}.<path>` gauges.
 pub(crate) fn analyze_paths(
     mem: &mut MemoryHierarchy,
     metrics: &mut QueryMetrics,
-    catalog: &Catalog,
-    bound: &BoundQuery,
+    entry: &TableEntry,
+    verified: &VerifiedQuery,
+    cost: &PathCost,
+    key: u128,
 ) -> Result<(Vec<PathReport>, QueryOutput)> {
-    let entry = catalog.get(&bound.table)?;
-    let (chosen, cost) = choose_path_parallel(
-        mem.config(),
-        &RmConfig::prototype(),
-        entry,
-        bound,
-        mem.num_cores(),
-    )?;
+    let chosen = cost.best();
     let line = mem.config().line_size as u64;
 
     let mut reports = Vec::new();
@@ -172,7 +167,8 @@ pub(crate) fn analyze_paths(
             continue;
         };
         let before = mem.stats();
-        let out = execute_uncached(mem, metrics, catalog, bound, path)?;
+        let path_key = opcache::keyed(key, path);
+        let out = execute_uncached(mem, metrics, entry, verified, path, *cost, path_key)?;
         let d = mem.stats().delta_since(&before);
         let actual_bytes = match (&out.rm_stats, path) {
             (Some(rm), AccessPath::Rm) => rm.output_lines * line,
@@ -587,12 +583,21 @@ mod tests {
     fn analyze_reports_are_structurally_sound() {
         let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         let (rt, ct) = both_layouts(&mut mem, 500);
-        let mut c = Catalog::new();
+        let mut c = crate::catalog::Catalog::new();
         c.register("orders", rt, ct);
         let stmt = crate::parser::parse("SELECT id FROM orders WHERE id < 100").unwrap();
         let bound = crate::bind::bind(&c, &stmt).unwrap();
-        let (reports, chosen) =
-            analyze_paths(&mut mem, &mut QueryMetrics::default(), &c, &bound).unwrap();
+        let (verified, cost, key) = crate::engine::prepare_plan(&mem, &c, &bound).unwrap();
+        let entry = c.get("orders").unwrap();
+        let (reports, chosen) = analyze_paths(
+            &mut mem,
+            &mut QueryMetrics::default(),
+            entry,
+            &verified,
+            &cost,
+            key,
+        )
+        .unwrap();
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert!(r.actual_ns > 0.0, "{r:?}");

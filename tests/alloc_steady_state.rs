@@ -332,13 +332,13 @@ fn one_row_hit(e: &mut Engine) -> u64 {
 }
 
 /// Allocations allowed to a one-row op-cache hit: the window's counters
-/// and the attribution records, the profile, the returned row and the
-/// plan witness — 6 measured, 2 of margin. The query-log record borrows
-/// its names and has no operators to copy. Nothing in it may depend on
-/// how many metric keys the registry holds: with a snapshot of the
-/// registry taken per query and a `String` per metric name it was 250 at
-/// 88 keys and 906 at 496.
-const ONE_ROW_HIT: u64 = 8;
+/// and the attribution records, the profile and the returned row — 5
+/// measured, 2 of margin. The hit borrows the prepared plan; the
+/// query-log record borrows its names and has no operators to copy.
+/// Nothing in it may depend on how many metric keys the registry holds:
+/// with a snapshot of the registry taken per query and a `String` per
+/// metric name it was 250 at 88 keys and 906 at 496.
+const ONE_ROW_HIT: u64 = 7;
 
 #[test]
 fn an_op_cache_hit_allocates_the_same_however_many_keys_the_registry_holds() {

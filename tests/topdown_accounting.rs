@@ -356,13 +356,15 @@ fn postmortem_bytes_match_the_pinned_digests() {
 /// `EXPLAIN ANALYZE` text is byte-identical to the per-path, per-operator,
 /// per-phase, per-core and top-down renderings it had when each kept its
 /// own copy of the attribution: the digests were computed before the
-/// copies were folded into one record. They were recomputed once since,
-/// when grouping moved to key words and aggregates to columns gathered
-/// once a chunk: the session's scratchpad retains more, and its `hwm`
+/// copies were folded into one record. They were recomputed twice since.
+/// When grouping moved to key words and aggregates to columns gathered
+/// once a chunk, the session's scratchpad retained more, and its `hwm`
 /// line (29 744 → 42 416 B, 38 320 → 50 992 B with the COL selection
-/// vectors) is the only text that changed. Each statement runs once
-/// through the session first, so the latency and op-cache sections carry
-/// data.
+/// vectors) was the only text that changed. When the plan signature
+/// became a structural hash, the `op-cache: key` hex was the only text
+/// that changed: the twelve texts compared equal with it masked. Each
+/// statement runs once through the session first, so the latency and
+/// op-cache sections carry data.
 /// The table without a columnar copy has no COL row and degrades nothing
 /// (EXPLAIN ANALYZE measures without a fault context).
 #[test]
@@ -396,10 +398,10 @@ fn explain_analyze_bytes_match_the_pinned_digests() {
     assert_eq!(
         got,
         [
-            (true, 1, 0xc619_566e_9c86_9e11),
-            (true, 4, 0x9ecd_7d9d_a995_e6df),
-            (false, 1, 0x68d2_4619_0f0c_698b),
-            (false, 4, 0x683c_f284_3154_d411),
+            (true, 1, 0x608b_78ba_3c9e_a0fa),
+            (true, 4, 0x39a6_ab85_b7a4_bd08),
+            (false, 1, 0xe1bf_7595_35f1_bd42),
+            (false, 4, 0xad73_5a1f_3874_ef37),
         ],
         "EXPLAIN ANALYZE bytes moved: {got:x?}"
     );

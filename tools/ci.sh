@@ -38,7 +38,13 @@
 #                                identically seeded engines, per-operator
 #                                estimates summing bit-exactly to the
 #                                path estimate, hits and degraded runs
-#                                logged but never calibrated)
+#                                logged but never calibrated); then the
+#                                plan-key property under the fixed seed
+#                                and the second one, as in step 13:
+#                                generated plan pairs get equal
+#                                signatures if and only if they are
+#                                bitwise equal outside ORDER BY / LIMIT
+#                                — DESIGN.md §32)
 #  10. profiler determinism     (profile_query bin twice under the fixed
 #                                seed: the cycle-domain sampling profiler
 #                                must export byte-identical .folded
@@ -105,7 +111,7 @@
 #                                batch, never per scanned row, and a
 #                                projection per returned row, never per
 #                                qualifying or memoised row; a one-row
-#                                op-cache hit allocates at most 8 times,
+#                                op-cache hit allocates at most 7 times,
 #                                the same at 62 metric keys as at 485; a
 #                                warm hit on ROW/COL/RM at 1/2/4 cores
 #                                resolves no metric name, and a replaced
@@ -198,9 +204,9 @@ CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
-# The differentials of grouping and aggregation on key words (steps 13
-# and 16) and of metric handles against names (step 14) run under a
-# second fixed seed too.
+# The plan-key property (step 9), the differentials of grouping and
+# aggregation on key words (steps 13 and 16) and of metric handles
+# against names (step 14) run under a second fixed seed too.
 SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
 
 seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
@@ -214,6 +220,16 @@ seeded_test "trace determinism" trace_determinism "$SEED"
 seeded_test "parallel equivalence" parallel_equivalence "$GRID" "$SEED"
 seeded_test "executor equivalence" executor_equivalence "$GRID" "$SEED"
 seeded_test "querylog determinism" querylog_determinism "$GRID" "$SEED"
+for seed in "$SEED" "$SECOND_SEED"; do
+    say "plan keys are bitwise plan identity ($seed)"
+    if ! env "$seed" cargo test -q -p query --lib exec::opcache::tests::equal_signatures_iff_bitwise_equal_plans; then
+        printf '
+plan keys FAILED — replay with:
+  %s cargo test -p query --lib equal_signatures_iff_bitwise_equal_plans
+' "$seed"
+        exit 1
+    fi
+done
 
 say "profiler determinism (profile_query twice, byte-identical .folded)"
 PROF_SCRATCH="$(mktemp -d)"
