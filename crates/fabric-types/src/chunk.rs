@@ -168,6 +168,16 @@ macro_rules! per_scalar {
     };
 }
 
+/// The decoder of one encoded `ty` value as `f64` ([`Value::as_f64`]),
+/// fixed once for a loop over many values; `None` for a string column,
+/// which has no numeric view.
+pub fn f64_decoder(ty: ColumnType) -> Option<fn(&[u8]) -> f64> {
+    fn read<T: Scalar>(bytes: &[u8]) -> f64 {
+        T::read(bytes).to_f64()
+    }
+    per_scalar!(ty, T => Some(read::<T>), text => None)
+}
+
 impl<'a> ColumnView<'a> {
     /// A view of the `ty` values at `bytes[0..]`, `bytes[stride..]`, ….
     pub fn new(ty: ColumnType, bytes: &'a [u8], stride: usize) -> Self {

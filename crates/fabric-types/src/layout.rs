@@ -7,6 +7,7 @@
 use crate::error::{FabricError, Result};
 use crate::geometry::FieldSlice;
 use crate::schema::{ColumnId, ColumnType, Schema};
+use crate::value::{trim_padding, Value};
 
 /// Byte-level placement of a schema's columns within a fixed-width row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +128,37 @@ impl RowLayout {
         }
         Ok(total)
     }
+
+    /// Rewrite, in place, the `FixedStr` fields of the whole rows of this
+    /// layout laid back to back in `rows` into the bytes a round trip
+    /// through [`Value::decode`] and [`Value::encode_into`] leaves: the
+    /// text up to the first NUL, decoded lossily, then zero padded.
+    /// Every other type is already a fixed point of that round trip, so a
+    /// row image canonicalised here is byte for byte the row its decoded
+    /// `Value`s re-encode to — the same bytes, or the same error when a
+    /// lossy decode no longer fits the field.
+    pub fn canonicalize_text(&self, rows: &mut [u8]) -> Result<()> {
+        let text = |ty: &ColumnType| matches!(ty, ColumnType::FixedStr(_));
+        if self.row_width == 0 || !self.types.iter().any(text) {
+            return Ok(());
+        }
+        for row in rows.chunks_exact_mut(self.row_width) {
+            for (&ty, &off) in self.types.iter().zip(&self.offsets) {
+                if !text(&ty) {
+                    continue;
+                }
+                let field = &mut row[off..off + ty.width()];
+                let kept = trim_padding(field).len();
+                if std::str::from_utf8(&field[..kept]).is_ok() {
+                    field[kept..].fill(0);
+                } else {
+                    let lossy = String::from_utf8_lossy(&field[..kept]).into_owned();
+                    Value::Str(lossy).encode_into(ty, field)?;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -198,5 +230,60 @@ mod tests {
         assert_eq!(layout.offset(1).unwrap(), 8);
         assert_eq!(layout.offset(2).unwrap(), 9);
         assert_eq!(layout.row_width(), 17);
+    }
+
+    /// The `Value` round trip `canonicalize_text` replaces: decode every
+    /// field, re-encode it.
+    fn round_trip(layout: &RowLayout, row: &[u8]) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; row.len()];
+        for c in 0..layout.num_columns() {
+            let (ty, r) = (layout.column_type(c)?, layout.range(c)?);
+            Value::decode(ty, &row[r.clone()]).encode_into(ty, &mut out[r])?;
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn canonical_text_is_the_value_round_trip() {
+        let s = Schema::from_pairs(&[
+            ("t", ColumnType::FixedStr(4)),
+            ("x", ColumnType::F32),
+            ("u", ColumnType::FixedStr(2)),
+        ]);
+        let layout = RowLayout::packed(&s);
+        let nan = f32::from_bits(0x7f80_0001).to_le_bytes();
+        let texts: [&[u8]; 8] = [
+            b"\0\0\0\0",
+            b"abcd",
+            b"a\0b\0",
+            b"\0xyz",
+            "é\0\x01".as_bytes(),
+            b"\xffa\0\0",
+            b"\xff\xff\xff\xff", // decodes to 12 bytes: no longer fits
+            b"ab\xc3\0",
+        ];
+        for t in texts {
+            for u in [*b"\0q", *b"\xc3\xa9", *b"\xe9\0"] {
+                let row: Vec<u8> = [t, &nan[..], &u[..]].concat();
+                let mut image = row.clone();
+                let canon = layout.canonicalize_text(&mut image);
+                match round_trip(&layout, &row) {
+                    Ok(want) => assert_eq!((canon, image), (Ok(()), want), "{row:?}"),
+                    Err(e) => assert_eq!(canon, Err(e), "{row:?}"),
+                }
+            }
+        }
+        // Rows back to back are each canonicalised; a table without text
+        // is left as it is.
+        let mut two = [&b"a\0b\0"[..], &nan, b"x\0", b"\0zzz", &nan, b"ok"].concat();
+        layout.canonicalize_text(&mut two).unwrap();
+        assert_eq!(
+            two,
+            [&b"a\0\0\0"[..], &nan, b"x\0", b"\0\0\0\0", &nan, b"ok"].concat()
+        );
+        let numeric = RowLayout::packed(&Schema::uniform(2, ColumnType::F32));
+        let mut raw = [nan, nan].concat();
+        numeric.canonicalize_text(&mut raw).unwrap();
+        assert_eq!(raw, [nan, nan].concat());
     }
 }

@@ -26,7 +26,8 @@ pub mod schema;
 pub mod value;
 
 pub use chunk::{
-    Chunk, ChunkError, ColumnSpec, ColumnView, RowCharge, RowSelection, ScanScratch, BATCH_ROWS,
+    f64_decoder, Chunk, ChunkError, ColumnSpec, ColumnView, RowCharge, RowSelection, ScanScratch,
+    BATCH_ROWS,
 };
 pub use crc::{crc32, Crc32};
 pub use error::{FabricError, Result};

@@ -57,11 +57,17 @@ pub fn checked_days_from_civil(y: i64, m: u32, d: u32) -> Option<u32> {
 /// whose width was already validated (`Geometry::validate`,
 /// `query::analyze`); zero-padding keeps every decoder total anyway, per
 /// the repo's no-panic rule for core-crate library code (`fabric-lint`).
+///
+/// A slice of at least `N` bytes is one fixed-width copy: where the
+/// compiler cannot see the slice's length, a copy of `min(len, N)` bytes
+/// would be a `memcpy` call per value.
 #[inline]
 pub fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    if let Some(head) = bytes.first_chunk::<N>() {
+        return *head;
+    }
     let mut out = [0u8; N];
-    let n = bytes.len().min(N);
-    out[..n].copy_from_slice(&bytes[..n]);
+    out[..bytes.len()].copy_from_slice(bytes);
     out
 }
 
@@ -313,6 +319,15 @@ impl fmt::Display for Value {
 mod tests {
     use super::*;
     use crate::rng::for_each_case;
+
+    #[test]
+    fn le_array_takes_the_first_n_bytes_and_zero_pads_a_short_slice() {
+        let bytes: Vec<u8> = (1..=10).collect();
+        assert_eq!(le_array::<4>(&bytes), [1, 2, 3, 4]);
+        assert_eq!(le_array::<8>(&bytes[2..10]), [3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(le_array::<8>(&bytes[..3]), [1, 2, 3, 0, 0, 0, 0, 0]);
+        assert_eq!(le_array::<2>(&[]), [0, 0]);
+    }
 
     #[test]
     fn checked_civil_days_accept_real_days_in_the_date_domain_only() {

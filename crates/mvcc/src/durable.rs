@@ -37,12 +37,12 @@
 //! commit survives any later restart. Replay is idempotent: it only
 //! reads the image, so replaying twice yields bit-identical state.
 
-use crate::table::{LogicalId, VersionedTable, BEGIN_COL, END_COL};
+use crate::table::{LogicalId, VersionedTable};
 use crate::txn::{CommitReceipt, Transaction, TxnManager, WriteOp};
 use crate::wal as codec;
-use durability::{DurabilityConfig, DurableImage, DurableMedia, RecordKind, WalRecord};
+use durability::{DurabilityConfig, DurableImage, DurableMedia, RecordKind};
 use fabric_sim::{Category, MemoryHierarchy};
-use fabric_types::{ColumnDef, ColumnType, FabricError, Result, Schema, Value};
+use fabric_types::{FabricError, Result, Schema, Value};
 
 /// What `replay()` found and did, for tests, postmortems, and the
 /// engine's degraded-mode surfacing.
@@ -458,20 +458,30 @@ impl DurableStore {
         mem.trace_begin("replay-ckpt-load", Category::Store);
         let mut degraded = None;
         let loaded = (|| -> Result<_> {
-            let mut chosen: Option<(u64, &WalRecord, codec::CheckpointImage)> = None;
-            let full_schema = full_schema_of(&user_schema);
+            let full_schema = VersionedTable::full_schema(&user_schema);
             for rec in records.iter().rev() {
                 if rec.kind != RecordKind::Checkpoint {
                     continue;
                 }
                 let (id, _watermark) = codec::decode_checkpoint_ref(&rec.payload)?;
-                match media
-                    .read_checkpoint(id)
-                    .and_then(|bytes| codec::decode_checkpoint(&full_schema, &bytes))
-                {
+                let blob = media.read_checkpoint(id);
+                let img = match &blob {
+                    Ok(bytes) => codec::decode_checkpoint(&full_schema, bytes),
+                    Err(e) => Err(e.clone()),
+                };
+                match img {
+                    // The restore installs the row images straight from
+                    // the blob.
                     Ok(img) => {
-                        chosen = Some((id, rec, img));
-                        break;
+                        let t = VersionedTable::restore(
+                            mem,
+                            user_schema.clone(),
+                            capacity,
+                            img.rows,
+                            img.chains,
+                            img.last_commit,
+                        )?;
+                        return Ok((t, img.watermark, Some(rec.lsn), Some(id)));
                     }
                     Err(e) => {
                         if degraded.is_none() {
@@ -480,25 +490,12 @@ impl DurableStore {
                     }
                 }
             }
-            match chosen {
-                Some((id, rec, img)) => {
-                    let t = VersionedTable::restore(
-                        mem,
-                        user_schema.clone(),
-                        capacity,
-                        &img.rows,
-                        img.chains,
-                        img.last_commit,
-                    )?;
-                    Ok((t, img.watermark, Some(rec.lsn), Some(id)))
-                }
-                None => Ok((
-                    VersionedTable::create(mem, user_schema.clone(), capacity)?,
-                    0,
-                    None,
-                    None,
-                )),
-            }
+            Ok((
+                VersionedTable::create(mem, user_schema.clone(), capacity)?,
+                0,
+                None,
+                None,
+            ))
         })();
         mem.trace_end(
             "replay-ckpt-load",
@@ -582,19 +579,11 @@ impl DurableStore {
     }
 }
 
-/// The physical schema a [`VersionedTable`] uses for `user_schema`.
-fn full_schema_of(user_schema: &Schema) -> Schema {
-    let mut cols: Vec<ColumnDef> = user_schema.columns().to_vec();
-    cols.push(ColumnDef::new(BEGIN_COL, ColumnType::I64));
-    cols.push(ColumnDef::new(END_COL, ColumnType::I64));
-    Schema::new(cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fabric_sim::{FaultConfig, SimConfig};
-    use fabric_types::{FabricError, Value};
+    use fabric_types::{ColumnType, FabricError, Value};
 
     fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(SimConfig::zynq_a53())

@@ -6,13 +6,15 @@
 use crate::table::VersionedTable;
 use fabric_sim::MemoryHierarchy;
 use fabric_types::chunk::Scalar;
-use fabric_types::{ColumnId, ColumnView, Result, Value};
+use fabric_types::{f64_decoder, ColumnId, FabricError, Result, Value};
 use relmem::{EphemeralColumns, RmConfig};
 use std::ops::Range;
 
 /// Software baseline: scan every physical version, evaluate visibility on
 /// the CPU, and sum `col` over the visible ones. Returns `(sum, visible
-/// rows)`.
+/// rows)`. A version costs its gather of both stamps and the value, then
+/// one charge of `vector_elem + 2·value_op` plus `f64_op` when it is
+/// visible or `branch_miss` when not.
 pub fn sw_visible_sum(
     mem: &mut MemoryHierarchy,
     table: &VersionedTable,
@@ -25,8 +27,9 @@ pub fn sw_visible_sum(
     let begin_r = layout.range(table.user_cols())?;
     let end_r = layout.range(table.user_cols() + 1)?;
     let col_r = layout.range(col)?;
-    let col_ty = layout.column_type(col)?;
+    let value_of = f64_decoder(layout.column_type(col)?);
     let w = layout.row_width();
+    let checked = costs.vector_elem + costs.value_op * 2;
 
     let mut sum = 0.0f64;
     let mut visible = 0u64;
@@ -35,18 +38,20 @@ pub fn sw_visible_sum(
         // The CPU must read both timestamp fields and the payload column.
         mem.touch_read_gather(&[
             (addr + begin_r.start as u64, 16), // begin + end are adjacent
-            (addr + col_r.start as u64, col_ty.width()),
+            (addr + col_r.start as u64, col_r.len()),
         ]);
-        mem.cpu(costs.vector_elem + costs.value_op * 2);
         let row = mem.bytes(addr, w);
         let (begin, end) = timestamps(row, &begin_r, &end_r);
-        let value = ColumnView::new(col_ty, &row[col_r.clone()], w).f64_at(0);
         if begin <= ts && (end == 0 || ts < end) {
-            mem.cpu(costs.f64_op);
-            sum += value?;
+            let value_of = value_of.ok_or_else(|| FabricError::TypeMismatch {
+                expected: "numeric".into(),
+                found: "string".into(),
+            })?;
+            sum += value_of(&row[col_r.clone()]);
             visible += 1;
+            mem.cpu(checked + costs.f64_op);
         } else {
-            mem.cpu(costs.branch_miss);
+            mem.cpu(checked + costs.branch_miss);
         }
     }
     Ok((sum, visible))

@@ -3,7 +3,8 @@
 
 use fabric_sim::MemoryHierarchy;
 use fabric_types::{
-    ColumnDef, ColumnId, ColumnType, FabricError, Geometry, Result, Schema, TsFilter, Value,
+    le_array, ColumnDef, ColumnId, ColumnType, FabricError, Geometry, Result, Schema, TsFilter,
+    Value,
 };
 use rowstore::{RowId, RowTable};
 
@@ -21,30 +22,48 @@ pub const END_COL: &str = "__end_ts";
 /// plus two trailing `i64` timestamp columns, exactly the representation of
 /// paper §III-C. Updates append; deletes stamp; nothing is rewritten in
 /// place, so concurrent snapshot readers never block.
+///
+/// The layout is packed, so a version's row image is its columns' bytes
+/// back to back: an update copies the current image and re-encodes only
+/// the columns it changes, and a checkpoint's row section is the images
+/// themselves (DESIGN.md §14).
 pub struct VersionedTable {
     inner: RowTable,
     user_cols: usize,
+    /// Byte offset of the begin stamp in a row; the end stamp follows it.
+    stamps_at: usize,
     /// Version chains, oldest first; indexed by [`LogicalId`].
     chains: Vec<Vec<RowId>>,
     /// Commit timestamp of each logical row's newest version (for
     /// first-committer-wins validation).
     last_commit: Vec<u64>,
+    /// The image of the version being written, reused by every write.
+    image: Vec<u8>,
 }
 
 impl VersionedTable {
+    /// The physical schema of a versioned table over `user_schema`: its
+    /// columns, then the begin and end stamps.
+    pub fn full_schema(user_schema: &Schema) -> Schema {
+        let mut cols: Vec<ColumnDef> = user_schema.columns().to_vec();
+        cols.push(ColumnDef::new(BEGIN_COL, ColumnType::I64));
+        cols.push(ColumnDef::new(END_COL, ColumnType::I64));
+        Schema::new(cols)
+    }
+
     /// Create a versioned table for `user_schema` with room for `capacity`
     /// physical versions.
     pub fn create(mem: &mut MemoryHierarchy, user_schema: Schema, capacity: usize) -> Result<Self> {
         let user_cols = user_schema.len();
-        let mut cols: Vec<ColumnDef> = user_schema.columns().to_vec();
-        cols.push(ColumnDef::new(BEGIN_COL, ColumnType::I64));
-        cols.push(ColumnDef::new(END_COL, ColumnType::I64));
-        let inner = RowTable::create(mem, Schema::new(cols), capacity)?;
+        let inner = RowTable::create(mem, Self::full_schema(&user_schema), capacity)?;
+        let stamps_at = inner.layout().offset(user_cols)?;
         Ok(VersionedTable {
             inner,
             user_cols,
+            stamps_at,
             chains: Vec::new(),
             last_commit: Vec::new(),
+            image: Vec::new(),
         })
     }
 
@@ -83,21 +102,59 @@ impl VersionedTable {
         Ok(())
     }
 
+    /// The newest version of `logical`.
+    fn newest(&self, logical: LogicalId) -> Result<RowId> {
+        self.check_logical(logical)?;
+        self.chains[logical]
+            .last()
+            .copied()
+            .ok_or_else(|| FabricError::Txn(format!("logical row {logical} has no versions")))
+    }
+
+    /// Byte offset of the end stamp in a row.
+    fn end_at(&self) -> usize {
+        self.stamps_at + 8
+    }
+
     /// Is the newest version of `logical` live (end stamp unset)? Untimed
     /// — this is the commit-path precheck, not a snapshot read.
     pub fn latest_is_live(&self, mem: &mut MemoryHierarchy, logical: LogicalId) -> Result<bool> {
-        self.check_logical(logical)?;
-        let cur = *self.chains[logical]
-            .last()
-            .ok_or_else(|| FabricError::Txn(format!("logical row {logical} has no versions")))?;
-        let row = self.inner.decode_row_untimed(mem, cur)?;
-        Ok(row[self.user_cols + 1] == Value::I64(0))
+        let cur = self.newest(logical)?;
+        let end = mem.read_untimed(self.inner.row_addr(cur) + self.end_at() as u64, 8);
+        Ok(stamp(end) == 0)
     }
 
     // ------------------------------------------------------------- writes
     //
     // The `apply_*` methods are called by `TxnManager::commit` with an
     // allocated commit timestamp; they perform the timed writes.
+
+    /// Encode user column `col` of the version image being written.
+    fn put(&mut self, col: ColumnId, v: &Value) -> Result<()> {
+        if col >= self.user_cols {
+            return Err(FabricError::ColumnIndexOutOfRange {
+                index: col,
+                len: self.user_cols,
+            });
+        }
+        let layout = self.inner.layout();
+        v.encode_into(
+            layout.column_type(col)?,
+            &mut self.image[layout.range(col)?],
+        )
+    }
+
+    /// Stamp the version image being written as begun at `commit_ts` and
+    /// not yet ended, and check that the table has room for it.
+    fn seal(&mut self, commit_ts: u64) -> Result<()> {
+        let at = self.stamps_at;
+        self.image[at..at + 8].copy_from_slice(&(commit_ts as i64).to_le_bytes());
+        self.image[at + 8..at + 16].fill(0);
+        if self.inner.len() == self.inner.capacity() {
+            return Err(FabricError::Internal("table full".into()));
+        }
+        Ok(())
+    }
 
     /// Append the first version of a new logical row.
     pub fn apply_insert(
@@ -113,17 +170,23 @@ impl VersionedTable {
                 self.user_cols
             )));
         }
-        let mut row = values.to_vec();
-        row.push(Value::I64(commit_ts as i64));
-        row.push(Value::I64(0));
-        let rid = self.inner.append(mem, &row)?;
+        self.image.clear();
+        self.image.resize(self.inner.layout().row_width(), 0);
+        for (col, v) in values.iter().enumerate() {
+            self.put(col, v)?;
+        }
+        self.seal(commit_ts)?;
+        let rid = self.inner.append_image(mem, &self.image)?;
         self.chains.push(vec![rid]);
         self.last_commit.push(commit_ts);
         Ok(self.chains.len() - 1)
     }
 
     /// Supersede the current version of `logical` with one whose columns
-    /// are updated per `updates`.
+    /// are updated per `updates`: a copy of the current row image with
+    /// only those columns re-encoded. Every check runs before the old
+    /// version is stamped, so a rejected update leaves the table as it
+    /// was.
     pub fn apply_update(
         &mut self,
         mem: &mut MemoryHierarchy,
@@ -131,36 +194,26 @@ impl VersionedTable {
         updates: &[(ColumnId, Value)],
         commit_ts: u64,
     ) -> Result<()> {
-        self.check_logical(logical)?;
-        let cur = *self.chains[logical]
-            .last()
-            .ok_or_else(|| FabricError::Txn(format!("logical row {logical} has no versions")))?;
+        let cur = self.newest(logical)?;
         // Read the current version (timed: the OLTP path touches the row).
-        let mut row = {
-            let w = self.inner.layout().row_width();
-            mem.touch_read(self.inner.row_addr(cur), w);
-            self.inner.decode_row_untimed(mem, cur)?
-        };
-        if row[self.user_cols + 1] != Value::I64(0) {
+        let (addr, w) = (self.inner.row_addr(cur), self.inner.layout().row_width());
+        mem.touch_read(addr, w);
+        self.image.clear();
+        self.image.extend_from_slice(mem.read_untimed(addr, w));
+        if stamp(&self.image[self.end_at()..]) != 0 {
             return Err(FabricError::Txn(format!(
                 "logical row {logical} is deleted"
             )));
         }
+        self.inner.layout().canonicalize_text(&mut self.image)?;
         for (col, v) in updates {
-            if *col >= self.user_cols {
-                return Err(FabricError::ColumnIndexOutOfRange {
-                    index: *col,
-                    len: self.user_cols,
-                });
-            }
-            row[*col] = v.clone();
+            self.put(*col, v)?;
         }
+        self.seal(commit_ts)?;
         // Stamp the old version's end and append the new version.
         self.inner
             .update_column(mem, cur, self.user_cols + 1, &Value::I64(commit_ts as i64))?;
-        row[self.user_cols] = Value::I64(commit_ts as i64);
-        row[self.user_cols + 1] = Value::I64(0);
-        let rid = self.inner.append(mem, &row)?;
+        let rid = self.inner.append_image(mem, &self.image)?;
         self.chains[logical].push(rid);
         self.last_commit[logical] = commit_ts;
         Ok(())
@@ -173,10 +226,7 @@ impl VersionedTable {
         logical: LogicalId,
         commit_ts: u64,
     ) -> Result<()> {
-        self.check_logical(logical)?;
-        let cur = *self.chains[logical]
-            .last()
-            .ok_or_else(|| FabricError::Txn(format!("logical row {logical} has no versions")))?;
+        let cur = self.newest(logical)?;
         let end = self.inner.read_column(mem, cur, self.user_cols + 1)?;
         if end != Value::I64(0) {
             return Err(FabricError::Txn(format!(
@@ -252,19 +302,28 @@ impl VersionedTable {
         &self.last_commit
     }
 
-    /// Rebuild a table from checkpointed state: `rows` are *full*
-    /// physical rows (user columns plus the two timestamp columns) in rid
-    /// order, `chains`/`last_commit` the logical bookkeeping. Timed — the
-    /// restore streams every version back through the hierarchy, which is
-    /// exactly the recovery cost `abl_recovery` measures.
+    /// Rebuild a table from checkpointed state: `rows` are the *full*
+    /// physical row images (user columns plus the two timestamp columns,
+    /// packed) back to back in rid order, `chains`/`last_commit` the
+    /// logical bookkeeping. Timed — the restore streams every version back
+    /// through the hierarchy, which is exactly the recovery cost
+    /// `abl_recovery` measures.
     pub fn restore(
         mem: &mut MemoryHierarchy,
         user_schema: Schema,
         capacity: usize,
-        rows: &[Vec<Value>],
+        rows: &[u8],
         chains: Vec<Vec<RowId>>,
         last_commit: Vec<u64>,
     ) -> Result<Self> {
+        let w = Self::full_schema(&user_schema).unpadded_width();
+        if !rows.len().is_multiple_of(w) {
+            return Err(FabricError::Codec(format!(
+                "checkpoint rows of {} bytes are not whole {w}-byte rows",
+                rows.len()
+            )));
+        }
+        let versions = rows.len() / w;
         if chains.len() != last_commit.len() {
             return Err(FabricError::Codec(format!(
                 "checkpoint has {} chains but {} commit stamps",
@@ -274,17 +333,19 @@ impl VersionedTable {
         }
         for chain in &chains {
             for &rid in chain {
-                if rid >= rows.len() {
+                if rid >= versions {
                     return Err(FabricError::Codec(format!(
-                        "checkpoint chain references version {rid} of {}",
-                        rows.len()
+                        "checkpoint chain references version {rid} of {versions}"
                     )));
                 }
             }
         }
         let mut t = VersionedTable::create(mem, user_schema, capacity)?;
-        for row in rows {
-            t.inner.append(mem, row)?;
+        for row in rows.chunks_exact(w) {
+            t.image.clear();
+            t.image.extend_from_slice(row);
+            t.inner.layout().canonicalize_text(&mut t.image)?;
+            t.inner.append_image(mem, &t.image)?;
         }
         t.chains = chains;
         t.last_commit = last_commit;
@@ -354,6 +415,11 @@ impl VersionedTable {
         }
         Ok(removed)
     }
+}
+
+/// A timestamp from its eight little-endian bytes.
+fn stamp(bytes: &[u8]) -> i64 {
+    i64::from_le_bytes(le_array(bytes))
 }
 
 #[cfg(test)]
@@ -507,9 +573,10 @@ mod tests {
         t.apply_update(&mut mem, l0, &[(1, Value::I64(11))], 4)
             .unwrap();
 
-        let rows: Vec<Vec<Value>> = (0..t.version_count())
-            .map(|rid| t.physical().decode_row_untimed(&mem, rid).unwrap())
-            .collect();
+        let w = t.physical().layout().row_width();
+        let rows = mem
+            .read_untimed(t.physical().base(), t.version_count() * w)
+            .to_vec();
         let schema = Schema::from_pairs(&[("k", ColumnType::I64), ("v", ColumnType::I64)]);
         let r = VersionedTable::restore(
             &mut mem,
@@ -542,9 +609,16 @@ mod tests {
             vec![1]
         )
         .is_err());
-        assert!(
-            VersionedTable::restore(&mut mem, schema, 16, &rows, vec![vec![0]], vec![]).is_err()
-        );
+        assert!(VersionedTable::restore(
+            &mut mem,
+            schema.clone(),
+            16,
+            &rows,
+            vec![vec![0]],
+            vec![]
+        )
+        .is_err());
+        assert!(VersionedTable::restore(&mut mem, schema, 16, &rows[1..], vec![], vec![]).is_err());
     }
 
     #[test]

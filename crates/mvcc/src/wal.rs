@@ -8,10 +8,10 @@
 //!   the user schema's fixed column widths so replay re-applies exactly
 //!   the committed write set;
 //! * a **checkpoint image** — the oracle watermark plus the *physical*
-//!   table state (full versioned rows in rid order, version chains,
-//!   per-logical commit stamps), so a restore reproduces scan order
-//!   bit-for-bit — plus the tiny **checkpoint ref** that goes into the
-//!   log to name the blob.
+//!   table state (the packed row images of every version in rid order,
+//!   version chains, per-logical commit stamps), so a restore reproduces
+//!   scan order bit-for-bit — plus the tiny **checkpoint ref** that goes
+//!   into the log to name the blob.
 //!
 //! All integers are little-endian. The codecs never panic on garbage:
 //! every read is bounds-checked and surfaces [`FabricError::Codec`] —
@@ -31,13 +31,14 @@ pub struct CommitImage {
     pub writes: Vec<WriteOp>,
 }
 
-/// A decoded checkpoint image.
+/// A decoded checkpoint image, borrowing its row section from the blob.
 #[derive(Debug, Clone)]
-pub struct CheckpointImage {
+pub struct CheckpointImage<'a> {
     /// Oracle watermark at checkpoint time (latest allocated timestamp).
     pub watermark: u64,
-    /// Full physical rows (user columns + begin/end ts) in rid order.
-    pub rows: Vec<Vec<Value>>,
+    /// The full physical row images (user columns + begin/end ts, packed)
+    /// back to back in rid order.
+    pub rows: &'a [u8],
     /// Version chains per logical row.
     pub chains: Vec<Vec<RowId>>,
     /// Newest commit timestamp per logical row.
@@ -206,24 +207,32 @@ pub fn decode_commit(user_schema: &Schema, bytes: &[u8]) -> Result<CommitImage> 
 // ------------------------------------------------------ checkpoint codec
 
 /// Encode the full physical state of `table` plus the oracle watermark.
+/// The row section is the table's packed row images, copied out of the
+/// arena in one piece, their text fields canonicalised
+/// ([`fabric_types::RowLayout::canonicalize_text`]): byte for byte what
+/// decoding every version into `Value`s and re-encoding them would write.
 pub fn encode_checkpoint(
     mem: &MemoryHierarchy,
     table: &VersionedTable,
     watermark: u64,
 ) -> Result<Vec<u8>> {
-    let full = table.physical().schema();
-    let mut out = Vec::new();
-    out.extend_from_slice(&watermark.to_le_bytes());
-    let n_rows = table.version_count();
-    out.extend_from_slice(&u32::try_from(n_rows).map_err(len_err)?.to_le_bytes());
-    for rid in 0..n_rows {
-        let row = table.physical().decode_row_untimed(mem, rid)?;
-        for (col, v) in row.iter().enumerate() {
-            push_value(&mut out, full, col, v)?;
-        }
+    let rows = table.physical();
+    let layout = rows.layout();
+    if layout.row_width() != rows.schema().unpadded_width() {
+        return Err(FabricError::Codec(
+            "checkpoint rows must be packed row images".into(),
+        ));
     }
+    let n_rows = rows.len();
+    let row_bytes = n_rows * layout.row_width();
     let chains = table.chains();
     let stamps = table.last_commits();
+    let mut out = Vec::with_capacity(16 + row_bytes + 12 * chains.len() + 4 * n_rows);
+    out.extend_from_slice(&watermark.to_le_bytes());
+    out.extend_from_slice(&u32::try_from(n_rows).map_err(len_err)?.to_le_bytes());
+    let at = out.len();
+    out.extend_from_slice(mem.read_untimed(rows.base(), row_bytes));
+    layout.canonicalize_text(&mut out[at..])?;
     out.extend_from_slice(&u32::try_from(chains.len()).map_err(len_err)?.to_le_bytes());
     for (chain, stamp) in chains.iter().zip(stamps) {
         out.extend_from_slice(&stamp.to_le_bytes());
@@ -236,19 +245,16 @@ pub fn encode_checkpoint(
 }
 
 /// Decode a checkpoint image against the *full* physical schema (user
-/// columns plus the two timestamp columns).
-pub fn decode_checkpoint(full_schema: &Schema, bytes: &[u8]) -> Result<CheckpointImage> {
+/// columns plus the two timestamp columns). The row images stay in
+/// `bytes`.
+pub fn decode_checkpoint<'a>(full_schema: &Schema, bytes: &'a [u8]) -> Result<CheckpointImage<'a>> {
     let mut r = Reader::new(bytes);
     let watermark = r.u64()?;
     let n_rows = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(full_schema.len());
-        for col in 0..full_schema.len() {
-            row.push(read_value(&mut r, full_schema, col)?);
-        }
-        rows.push(row);
-    }
+    let row_bytes = n_rows
+        .checked_mul(full_schema.unpadded_width())
+        .ok_or_else(|| len_err(()))?;
+    let rows = r.take(row_bytes)?;
     let n_logical = r.u32()? as usize;
     let mut chains = Vec::with_capacity(n_logical);
     let mut last_commit = Vec::with_capacity(n_logical);
@@ -380,7 +386,7 @@ mod tests {
         let bytes = encode_checkpoint(&mem, &t, 5).unwrap();
         let img = decode_checkpoint(t.physical().schema(), &bytes).unwrap();
         assert_eq!(img.watermark, 5);
-        assert_eq!(img.rows.len(), 3);
+        assert_eq!(img.rows.len(), 3 * t.physical().layout().row_width());
         assert_eq!(img.chains, t.chains().to_vec());
         assert_eq!(img.last_commit, t.last_commits().to_vec());
 
@@ -388,7 +394,7 @@ mod tests {
             &mut mem,
             user_schema(),
             256,
-            &img.rows,
+            img.rows,
             img.chains,
             img.last_commit,
         )

@@ -29,7 +29,7 @@
 
 use crate::analyze::{analyze, VerifiedQuery};
 use crate::bind::{bind, BoundQuery};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry};
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
 use crate::exec::opcache::{self, OpCache};
 use crate::exec::{
@@ -56,8 +56,10 @@ const PLAN_CACHE_CAP: usize = 16;
 /// executions — the typed handle [`Session::prepare`] returns. Running a
 /// `&Prepared` skips the SQL-text cache entirely: the verified plan, its
 /// estimates *and* its signature travel with the handle, so repeated
-/// execution re-verifies, re-prices and re-hashes nothing. Cheap to clone
-/// (the plan body is shared).
+/// execution re-verifies, re-prices and re-hashes nothing — unless
+/// [`Engine::set_cores`] changed the machine since the prepare: a session
+/// then prices the plan for the current core count, as a fresh prepare
+/// would. Cheap to clone (the plan body is shared).
 #[derive(Clone)]
 pub struct Prepared {
     plan: Rc<PreparedPlan>,
@@ -67,6 +69,7 @@ struct PreparedPlan {
     sql: String,
     /// The plan [`analyze`] returned; every execution borrows it.
     verified: VerifiedQuery,
+    /// The estimates at prepare time, for `cost.cores` cores.
     cost: PathCost,
     /// Path-independent signature ([`opcache::plan_signature`]), computed
     /// once at cold prepare.
@@ -84,7 +87,8 @@ impl Prepared {
         self.plan.cost.best()
     }
 
-    /// The per-path estimates the choice was based on.
+    /// The per-path estimates the choice was based on, priced for the
+    /// core count at prepare time.
     pub fn cost(&self) -> &PathCost {
         &self.plan.cost
     }
@@ -103,12 +107,19 @@ pub(crate) fn prepare_plan(
     catalog: &Catalog,
     bound: &BoundQuery,
 ) -> Result<(VerifiedQuery, PathCost, u128)> {
-    let rm = RmConfig::prototype();
     let entry = catalog.get(&bound.table)?;
-    let verified = analyze(entry, bound, &rm)?;
-    let (_, cost) = choose_path_parallel(mem.config(), &rm, entry, bound, mem.num_cores())?;
+    let verified = analyze(entry, bound, &RmConfig::prototype())?;
+    let cost = price(mem, entry, bound)?;
     let key = opcache::plan_signature(bound, entry.rows.len(), verified.geometry().geometry());
     Ok((verified, cost, key))
+}
+
+/// The per-path estimates of `bound` over `entry` on the machine as it is
+/// now.
+fn price(mem: &MemoryHierarchy, entry: &TableEntry, bound: &BoundQuery) -> Result<PathCost> {
+    let rm = RmConfig::prototype();
+    let (_, cost) = choose_path_parallel(mem.config(), &rm, entry, bound, mem.num_cores())?;
+    Ok(cost)
 }
 
 /// The fabric engine: simulated machine + catalog + fault state + plan
@@ -413,9 +424,27 @@ impl Session<'_> {
         self.execute_on(&prepared, path)
     }
 
+    /// The estimates `prepared` runs under: its own, or — for a handle
+    /// held across [`Engine::set_cores`] — the plan priced for the
+    /// current core count.
+    fn cost_now(&self, prepared: &Prepared) -> Result<PathCost> {
+        let plan = &prepared.plan;
+        if plan.cost.cores == self.engine.mem.num_cores() {
+            return Ok(plan.cost);
+        }
+        let bound = plan.verified.bound();
+        price(
+            &self.engine.mem,
+            self.engine.catalog.get(&bound.table)?,
+            bound,
+        )
+    }
+
     /// Execute a prepared query on its planned path.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<QueryOutput> {
-        self.execute_on(prepared, prepared.path())
+        let cost = self.cost_now(prepared)?;
+        let plan = &prepared.plan;
+        self.run_plan(&plan.verified, cost.best(), cost, plan.key, true)
     }
 
     /// Execute a prepared query on `path`, through the engine's operator
@@ -423,8 +452,9 @@ impl Session<'_> {
     /// signature and a repeat run replays it without touching the
     /// hierarchy (clean runs only — degraded/faulted runs are re-earned).
     pub fn execute_on(&mut self, prepared: &Prepared, path: AccessPath) -> Result<QueryOutput> {
+        let cost = self.cost_now(prepared)?;
         let plan = &prepared.plan;
-        self.run_plan(&plan.verified, path, plan.cost, plan.key, true)
+        self.run_plan(&plan.verified, path, cost, plan.key, true)
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on the
@@ -516,10 +546,10 @@ impl Session<'_> {
     /// Render the chosen plan and per-path estimates for an
     /// already-prepared query, without touching the SQL-text cache.
     pub fn explain_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let plan = &prepared.plan;
-        let bound = plan.verified.bound();
+        let cost = self.cost_now(prepared)?;
+        let bound = prepared.plan.verified.bound();
         let entry = self.engine.catalog.get(&bound.table)?;
-        render_plan(entry, bound, prepared.path(), &plan.cost)
+        render_plan(entry, bound, cost.best(), &cost)
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` on every available path and render
@@ -536,16 +566,17 @@ impl Session<'_> {
     /// exists to observe the real hierarchy, so a memoized replay would
     /// defeat its purpose.
     pub fn explain_analyze_prepared(&mut self, prepared: &Prepared) -> Result<String> {
+        let cost = self.cost_now(prepared)?;
         let plan = &prepared.plan;
         let entry = self.engine.catalog.get(&plan.verified.bound().table)?;
-        let header = render_plan(entry, plan.verified.bound(), prepared.path(), &plan.cost)?;
+        let header = render_plan(entry, plan.verified.bound(), cost.best(), &cost)?;
         let has_cols = entry.cols.is_some();
         let (reports, chosen) = analyze_paths(
             &mut self.engine.mem,
             &mut self.engine.query_metrics,
             entry,
             &plan.verified,
-            &plan.cost,
+            &cost,
             plan.key,
         )?;
         let mut text = render_analyze(&header, has_cols, &reports, &chosen)?;
@@ -557,7 +588,7 @@ impl Session<'_> {
         let (hits, misses) = oc.stats();
         text.push_str(&format!(
             "  op-cache: key {:032x} (chosen path)  entries {}  bytes {}  hits {}  misses {}  insertions {}  evictions {}\n",
-            prepared.cache_key(prepared.path()),
+            prepared.cache_key(cost.best()),
             oc.len(),
             oc.bytes(),
             hits,
@@ -885,6 +916,45 @@ mod tests {
         }
         let chosen = measured.iter().find(|r| r.path == run.path).unwrap();
         assert_eq!(chosen.plan_sig, run.plan_sig);
+    }
+
+    /// The estimate columns of an `EXPLAIN ANALYZE` text: each line's
+    /// part before its measurements.
+    fn estimates(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| l.contains(" est "))
+            .map(|l| l.split("actual").next().unwrap_or(l))
+            .collect()
+    }
+
+    #[test]
+    fn a_handle_held_across_set_cores_runs_as_a_fresh_prepare() {
+        // ROW at four cores, RM at one.
+        let sql = "SELECT grp, sum(qty) FROM t GROUP BY grp";
+        let mut held = engine_with_data(4);
+        let p = held.session().prepare(sql).unwrap();
+        held.set_cores(1);
+        let mut fresh = engine_with_data(1);
+        let q = fresh.session().prepare(sql).unwrap();
+        assert_eq!((p.path(), q.path()), (AccessPath::Row, AccessPath::Rm));
+
+        let (mut a, mut b) = (held.session(), fresh.session());
+        assert_eq!(
+            a.explain_prepared(&p).unwrap(),
+            b.explain_prepared(&q).unwrap()
+        );
+        let (ta, tb) = (
+            a.explain_analyze_prepared(&p).unwrap(),
+            b.explain_analyze_prepared(&q).unwrap(),
+        );
+        assert_eq!(estimates(&ta), estimates(&tb), "{ta}\n{tb}");
+        let (ra, rb) = (a.execute(&p).unwrap(), b.execute(&q).unwrap());
+        assert_eq!((ra.path, &ra.rows), (AccessPath::Rm, &rb.rows));
+        let (la, lb) = (
+            held.querylog().records().last().unwrap(),
+            fresh.querylog().records().last().unwrap(),
+        );
+        assert_eq!((la.path, la.est_ns), (lb.path, lb.est_ns));
     }
 
     #[test]

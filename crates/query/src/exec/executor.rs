@@ -223,7 +223,8 @@ impl<'q> QueryExecutor<'q> {
             Err(e) => return (Err(e), RmStats::default()),
         };
         // The geometry was admitted by the analyzer; configuration cannot
-        // fail.
+        // fail. The device shares the plan's descriptor: the clone copies
+        // a pointer, not the field list and predicate.
         let mut eph = EphemeralColumns::configure_verified(
             mem,
             RmConfig::prototype(),

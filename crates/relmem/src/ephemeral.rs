@@ -189,7 +189,7 @@ impl PackedBatch {
 /// A configured ephemeral variable: the handle through which the CPU streams
 /// an arbitrary data geometry out of row-oriented base data.
 pub struct EphemeralColumns {
-    geometry: Geometry,
+    geometry: Arc<Geometry>,
     cfg: RmConfig,
     run: DeviceRun,
     bus_cycles_per_line: Cycles,
@@ -221,7 +221,7 @@ impl EphemeralColumns {
         cfg: RmConfig,
         verified: crate::verify::VerifiedGeometry,
     ) -> Self {
-        let geometry = verified.into_inner();
+        let geometry = verified.into_shared();
         let sim = mem.config().clone();
         mem.trace_begin("rm.configure", Category::Rm);
         mem.cpu(sim.ns_to_cycles(cfg.configure_ns));

@@ -26,12 +26,15 @@
 
 use crate::config::RmConfig;
 use fabric_types::{FabricError, Geometry, Result};
+use std::sync::Arc;
 
 /// A geometry that has passed every device-side admission check for a given
-/// [`RmConfig`]. Construction is the verification.
+/// [`RmConfig`]. Construction is the verification. Cheap to clone: the
+/// descriptor is shared, with the plan that holds it and with every
+/// [`crate::EphemeralColumns`] configured from it.
 #[derive(Debug, Clone)]
 pub struct VerifiedGeometry {
-    geometry: Geometry,
+    geometry: Arc<Geometry>,
 }
 
 impl VerifiedGeometry {
@@ -41,7 +44,9 @@ impl VerifiedGeometry {
         geometry.validate()?;
         check_buffer_geometry(cfg, &geometry)?;
         check_destination_overlap(&geometry)?;
-        Ok(VerifiedGeometry { geometry })
+        Ok(VerifiedGeometry {
+            geometry: Arc::new(geometry),
+        })
     }
 
     /// The verified geometry.
@@ -49,8 +54,8 @@ impl VerifiedGeometry {
         &self.geometry
     }
 
-    /// Unwrap back into the raw descriptor.
-    pub fn into_inner(self) -> Geometry {
+    /// The shared descriptor.
+    pub(crate) fn into_shared(self) -> Arc<Geometry> {
         self.geometry
     }
 }
@@ -181,6 +186,6 @@ mod tests {
         let g = packed(vec![f(0, 0, ColumnType::I32)]);
         let vg = VerifiedGeometry::new(&RmConfig::prototype(), g.clone()).unwrap();
         assert_eq!(vg.geometry(), &g);
-        assert_eq!(vg.into_inner(), g);
+        assert_eq!(*vg.into_shared(), g);
     }
 }

@@ -16,6 +16,8 @@ pub struct RowTable {
     base: Addr,
     rows: usize,
     capacity: usize,
+    /// One row image, reused by every write that encodes `Value`s.
+    row_buf: Vec<u8>,
 }
 
 impl RowTable {
@@ -45,6 +47,7 @@ impl RowTable {
             base,
             rows: 0,
             capacity,
+            row_buf: Vec::new(),
         })
     }
 
@@ -83,7 +86,16 @@ impl RowTable {
         self.base + (id * self.layout.row_width()) as u64
     }
 
-    fn encode_row(&self, values: &[Value], buf: &mut [u8]) -> Result<()> {
+    fn check_room(&self) -> Result<()> {
+        if self.rows == self.capacity {
+            return Err(FabricError::Internal("table full".into()));
+        }
+        Ok(())
+    }
+
+    /// `values` encoded into the reused row buffer, which the caller puts
+    /// back into `row_buf` when done with it.
+    fn encode_row(&mut self, values: &[Value]) -> Result<Vec<u8>> {
         if values.len() != self.schema.len() {
             return Err(FabricError::Internal(format!(
                 "row has {} values, schema has {} columns",
@@ -91,25 +103,42 @@ impl RowTable {
                 self.schema.len()
             )));
         }
+        let mut buf = std::mem::take(&mut self.row_buf);
+        buf.clear();
+        buf.resize(self.layout.row_width(), 0);
         for (id, v) in values.iter().enumerate() {
             let ty = self.layout.column_type(id)?;
             let range = self.layout.range(id)?;
             v.encode_into(ty, &mut buf[range])?;
         }
-        Ok(())
+        Ok(buf)
     }
 
     /// Append a row through the timed hierarchy — the OLTP ingest path.
     /// Row stores shine here: one contiguous write per row.
     pub fn append(&mut self, mem: &mut MemoryHierarchy, values: &[Value]) -> Result<RowId> {
-        if self.rows == self.capacity {
-            return Err(FabricError::Internal("table full".into()));
+        self.check_room()?;
+        let buf = self.encode_row(values)?;
+        let id = self.append_image(mem, &buf);
+        self.row_buf = buf;
+        id
+    }
+
+    /// Append one encoded row (`image`, exactly a row of this layout)
+    /// through the timed hierarchy, charging what [`Self::append`] charges:
+    /// a `value_op` per column, then the write.
+    pub fn append_image(&mut self, mem: &mut MemoryHierarchy, image: &[u8]) -> Result<RowId> {
+        self.check_room()?;
+        if image.len() != self.layout.row_width() {
+            return Err(FabricError::Internal(format!(
+                "row image of {} bytes, rows are {} wide",
+                image.len(),
+                self.layout.row_width()
+            )));
         }
-        let mut buf = vec![0u8; self.layout.row_width()];
-        self.encode_row(values, &mut buf)?;
         let id = self.rows;
         mem.cpu(mem.costs().value_op * self.schema.len() as u64);
-        mem.write(self.row_addr(id), &buf);
+        mem.write(self.row_addr(id), image);
         self.rows += 1;
         Ok(id)
     }
@@ -117,13 +146,11 @@ impl RowTable {
     /// Append without charging simulated time — bulk loading outside the
     /// measured window.
     pub fn load(&mut self, mem: &mut MemoryHierarchy, values: &[Value]) -> Result<RowId> {
-        if self.rows == self.capacity {
-            return Err(FabricError::Internal("table full".into()));
-        }
-        let mut buf = vec![0u8; self.layout.row_width()];
-        self.encode_row(values, &mut buf)?;
+        self.check_room()?;
+        let buf = self.encode_row(values)?;
         let id = self.rows;
         mem.write_untimed(self.row_addr(id), &buf);
+        self.row_buf = buf;
         self.rows += 1;
         Ok(id)
     }
@@ -141,10 +168,13 @@ impl RowTable {
             return Err(FabricError::Internal(format!("row {id} out of bounds")));
         }
         let ty = self.layout.column_type(col)?;
-        let mut buf = vec![0u8; ty.width()];
+        let mut buf = std::mem::take(&mut self.row_buf);
+        buf.clear();
+        buf.resize(ty.width(), 0);
         v.encode_into(ty, &mut buf)?;
         mem.cpu(mem.costs().value_op);
         mem.write(self.row_addr(id) + self.layout.offset(col)? as u64, &buf);
+        self.row_buf = buf;
         Ok(())
     }
 
@@ -278,6 +308,23 @@ mod tests {
         assert_eq!(mem.now(), t0);
         t.append(&mut mem, &row).unwrap();
         assert!(mem.now() > t0);
+    }
+
+    #[test]
+    fn append_image_charges_what_append_charges() {
+        let (mut m1, mut m2) = (mem(), mem());
+        let mut a = RowTable::create(&mut m1, schema(), 2).unwrap();
+        let mut b = RowTable::create(&mut m2, schema(), 2).unwrap();
+        let row = vec![Value::I64(-3), Value::Str("ab".into()), Value::F64(0.25)];
+        a.append(&mut m1, &row).unwrap();
+        let w = a.layout().row_width();
+        let image = m1.read_untimed(a.row_addr(0), w).to_vec();
+        b.append_image(&mut m2, &image).unwrap();
+        assert_eq!((m1.now(), m1.stats()), (m2.now(), m2.stats()));
+        assert_eq!(b.decode_row_untimed(&m2, 0).unwrap(), row);
+        assert!(b.append_image(&mut m2, &image[1..]).is_err());
+        b.append_image(&mut m2, &image).unwrap();
+        assert!(b.append_image(&mut m2, &image).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 pub mod map_prefetcher;
 pub mod ref_hierarchy;
+pub mod value_rows;
 
 use colstore::ColTable;
 use fabric_sim::hierarchy::OpCosts;

@@ -60,7 +60,9 @@
 #                                ablations that alone reach relstore,
 #                                rowstore::index and compress
 #                                (abl_relstore abl_index abl_compression),
-#                                compared against
+#                                and the two that reach the versioned
+#                                table's commit and snapshot-scan code
+#                                (abl_mvcc abl_htap), compared against
 #                                the checked-in results/BENCH_*.json
 #                                baselines: cycle
 #                                counters exact, histograms exact in
@@ -78,12 +80,23 @@
 #                                counter digest and cycle / byte / line
 #                                totals)
 #  12. crash-recovery matrix    (tests/crash_recovery.rs with the same
-#                                fixed seed: a power cut at every durable
-#                                write of a transactional workload, each
-#                                recovered and checked bit-identical to
-#                                the never-crashed run at the recovered
-#                                watermark, replay idempotent, postmortems
-#                                validator-clean and byte-deterministic)
+#                                fixed seed and again under the second
+#                                one, as in step 13: a power cut at every
+#                                durable write of a transactional
+#                                workload, each recovered and checked
+#                                bit-identical to the never-crashed run at
+#                                the recovered watermark, replay
+#                                idempotent, postmortems validator-clean
+#                                and byte-deterministic; then
+#                                tests/checkpoint_images.rs under both
+#                                seeds: generated histories over all
+#                                eight column types on the versioned
+#                                table's row images against the Value
+#                                round trip they replaced — identical row
+#                                bytes, chains, clock and MemStats after
+#                                every write, byte-identical checkpoint
+#                                blobs, restores and snapshot reads —
+#                                DESIGN.md §14, §18)
 #  13. host fast paths          (tests/host_fast_paths.rs under the fixed
 #                                seed and again under a second fixed
 #                                seed: the CRC — slicing-by-8 tables and
@@ -204,7 +217,8 @@ CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
-# The plan-key property (step 9), the differentials of grouping and
+# The plan-key property (step 9), the crash-recovery matrix and the
+# checkpoint row images (step 12), the differentials of grouping and
 # aggregation on key words (steps 13 and 16) and of metric handles
 # against names (step 14) run under a second fixed seed too.
 SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
@@ -261,13 +275,17 @@ rm -rf "$PROF_SCRATCH"
 # crash recovery, profiled query, query log), both figure families the
 # engine produces (the micro queries of Figs. 5/6, TPC-H of Fig. 7), and
 # the three ablations that are the only callers of relstore,
-# rowstore::index and compress. A legitimate perf change re-stamps
-# baselines with:
+# rowstore::index and compress, and the two that run the versioned
+# table's commit, checkpoint and software snapshot scan. A legitimate
+# perf change re-stamps baselines with:
 #   tools/perf_gate.sh --update-baselines
-say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression + self-test)"
-tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression
+say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression abl_mvcc abl_htap + self-test)"
+tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression abl_mvcc abl_htap
 
 seeded_test "crash-recovery matrix" crash_recovery "$SEED"
+seeded_test "crash-recovery matrix, second seed" crash_recovery "$SECOND_SEED"
+seeded_test "checkpoint row images" checkpoint_images "$SEED"
+seeded_test "checkpoint row images, second seed" checkpoint_images "$SECOND_SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
 seeded_test "host fast paths, second seed" host_fast_paths "$GRID" "$SECOND_SEED"
 seeded_test "device reference" device_reference "$SEED"
