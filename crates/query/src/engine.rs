@@ -59,7 +59,10 @@ const PLAN_CACHE_CAP: usize = 16;
 /// execution re-verifies, re-prices and re-hashes nothing — unless
 /// [`Engine::set_cores`] changed the machine since the prepare: a session
 /// then prices the plan for the current core count, as a fresh prepare
-/// would. Cheap to clone (the plan body is shared).
+/// would — or a table was registered since: a session then runs what a
+/// fresh prepare of the same SQL returns, since the plan was verified
+/// against a catalog that is gone. Cheap to clone (the plan body is
+/// shared).
 #[derive(Clone)]
 pub struct Prepared {
     plan: Rc<PreparedPlan>,
@@ -74,6 +77,8 @@ struct PreparedPlan {
     /// Path-independent signature ([`opcache::plan_signature`]), computed
     /// once at cold prepare.
     key: u128,
+    /// [`Catalog::generation`] at prepare time.
+    generation: u64,
 }
 
 impl Prepared {
@@ -398,6 +403,7 @@ impl Session<'_> {
             verified,
             cost,
             key,
+            generation: self.engine.catalog.generation(),
         });
         self.engine.cache.insert(0, Rc::clone(&plan));
         self.engine.cache.truncate(PLAN_CACHE_CAP);
@@ -424,26 +430,33 @@ impl Session<'_> {
         self.execute_on(&prepared, path)
     }
 
-    /// The estimates `prepared` runs under: its own, or — for a handle
-    /// held across [`Engine::set_cores`] — the plan priced for the
-    /// current core count.
-    fn cost_now(&self, prepared: &Prepared) -> Result<PathCost> {
-        let plan = &prepared.plan;
+    /// The plan `prepared` runs as, and its estimates: its own — or, for a
+    /// handle held across a registration ([`Engine::register`],
+    /// [`Engine::register_rows`], [`Engine::open_recovered`]), what a
+    /// fresh prepare of its SQL returns; priced for the current core count
+    /// (for a handle held across [`Engine::set_cores`]).
+    fn current(&mut self, prepared: &Prepared) -> Result<(Rc<PreparedPlan>, PathCost)> {
+        let plan = if prepared.plan.generation == self.engine.catalog.generation() {
+            Rc::clone(&prepared.plan)
+        } else {
+            self.prepare(&prepared.plan.sql)?.plan
+        };
         if plan.cost.cores == self.engine.mem.num_cores() {
-            return Ok(plan.cost);
+            let cost = plan.cost;
+            return Ok((plan, cost));
         }
         let bound = plan.verified.bound();
-        price(
+        let cost = price(
             &self.engine.mem,
             self.engine.catalog.get(&bound.table)?,
             bound,
-        )
+        )?;
+        Ok((plan, cost))
     }
 
     /// Execute a prepared query on its planned path.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<QueryOutput> {
-        let cost = self.cost_now(prepared)?;
-        let plan = &prepared.plan;
+        let (plan, cost) = self.current(prepared)?;
         self.run_plan(&plan.verified, cost.best(), cost, plan.key, true)
     }
 
@@ -452,8 +465,7 @@ impl Session<'_> {
     /// signature and a repeat run replays it without touching the
     /// hierarchy (clean runs only — degraded/faulted runs are re-earned).
     pub fn execute_on(&mut self, prepared: &Prepared, path: AccessPath) -> Result<QueryOutput> {
-        let cost = self.cost_now(prepared)?;
-        let plan = &prepared.plan;
+        let (plan, cost) = self.current(prepared)?;
         self.run_plan(&plan.verified, path, cost, plan.key, true)
     }
 
@@ -546,8 +558,8 @@ impl Session<'_> {
     /// Render the chosen plan and per-path estimates for an
     /// already-prepared query, without touching the SQL-text cache.
     pub fn explain_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let cost = self.cost_now(prepared)?;
-        let bound = prepared.plan.verified.bound();
+        let (plan, cost) = self.current(prepared)?;
+        let bound = plan.verified.bound();
         let entry = self.engine.catalog.get(&bound.table)?;
         render_plan(entry, bound, cost.best(), &cost)
     }
@@ -561,13 +573,13 @@ impl Session<'_> {
     }
 
     /// [`Session::explain_analyze`] for an already-prepared query: the
-    /// prepared plan runs as it is, under its own estimates and signature.
+    /// prepared plan runs as [`Session::execute`] would run it, under the
+    /// same estimates and signature.
     /// The measurement runs bypass the operator cache — `EXPLAIN ANALYZE`
     /// exists to observe the real hierarchy, so a memoized replay would
     /// defeat its purpose.
     pub fn explain_analyze_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let cost = self.cost_now(prepared)?;
-        let plan = &prepared.plan;
+        let (plan, cost) = self.current(prepared)?;
         let entry = self.engine.catalog.get(&plan.verified.bound().table)?;
         let header = render_plan(entry, plan.verified.bound(), cost.best(), &cost)?;
         let has_cols = entry.cols.is_some();
@@ -588,7 +600,7 @@ impl Session<'_> {
         let (hits, misses) = oc.stats();
         text.push_str(&format!(
             "  op-cache: key {:032x} (chosen path)  entries {}  bytes {}  hits {}  misses {}  insertions {}  evictions {}\n",
-            prepared.cache_key(cost.best()),
+            opcache::keyed(plan.key, cost.best()),
             oc.len(),
             oc.bytes(),
             hits,
@@ -955,6 +967,58 @@ mod tests {
             fresh.querylog().records().last().unwrap(),
         );
         assert_eq!((la.path, la.est_ns), (lb.path, lb.est_ns));
+    }
+
+    /// `t` as `rows` rows whose `qty` is `qty` each, registered on `e`
+    /// with both layouts.
+    fn register_qty(e: &mut Engine, rows: i64, qty: f64) {
+        let schema = Schema::from_pairs(&[("id", ColumnType::I64), ("qty", ColumnType::F64)]);
+        let mut rt = RowTable::create(e.mem(), schema.clone(), 1024).unwrap();
+        let mut ct = ColTable::create(e.mem(), schema, 1024).unwrap();
+        for i in 0..rows {
+            let row = [Value::I64(i), Value::F64(qty)];
+            rt.load(e.mem(), &row).unwrap();
+            ct.load(e.mem(), &row).unwrap();
+        }
+        e.register("t", rt, ct);
+    }
+
+    #[test]
+    fn a_handle_held_across_a_registration_runs_against_the_new_table() {
+        let sql = "SELECT sum(qty) FROM t";
+        let sum = |x: f64| vec![vec![Value::F64(x)]];
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let mut e = Engine::with_cores(SimConfig::zynq_a53(), 2);
+            register_qty(&mut e, 1000, 1.0);
+            let held = e.session().prepare(sql).unwrap();
+            // The old table's answer, memoised under the handle's key.
+            assert_eq!(
+                e.session().execute_on(&held, path).unwrap().rows,
+                sum(1000.0)
+            );
+            assert!(e.session().execute_on(&held, path).unwrap().cache_hit);
+
+            // Fewer rows (the RM geometry the handle verified would gather
+            // the old arena), then as many rows as before (the same plan
+            // signature) with other values.
+            for (rows, qty) in [(10, 5.0), (1000, 2.0)] {
+                register_qty(&mut e, rows, qty);
+                let out = e.session().execute_on(&held, path).unwrap();
+                assert_eq!(out.rows, sum(rows as f64 * qty), "{path:?}, {rows} rows");
+                assert!(!out.cache_hit, "{path:?}: served a memoised result");
+                let again = e.session().execute_on(&held, path).unwrap();
+                assert!(again.cache_hit);
+                assert_eq!(again.rows, out.rows);
+
+                let fresh = e.session().prepare(sql).unwrap();
+                let mut s = e.session();
+                assert_eq!(s.execute(&held).unwrap().rows, out.rows);
+                assert_eq!(
+                    s.explain_prepared(&held).unwrap(),
+                    s.explain_prepared(&fresh).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod opcache;
 pub(crate) mod operators;
 mod tail_metrics;
 
+pub use batch::{CLIENT_FILL_ROWS, CLIENT_GATHER_BYTES};
 pub use buffer::{ChunkScratch, Scratchpad};
 pub use executor::QueryExecutor;
 pub use opcache::OpCache;
@@ -53,7 +54,7 @@ use fabric_types::{FabricError, Result, Value};
 use relmem::{RmConfig, RmStats};
 use std::rc::Rc;
 
-use batch::ResultBatch;
+use batch::{ResultBatch, Returned};
 use executor::{Stage0, StageTotal};
 use operators::merge_partials;
 
@@ -588,16 +589,19 @@ fn finish_output(
     let bound = verified.bound();
     // The client-boundary form is built here, once, and only for the rows
     // the query returns.
-    out.rows = if bound.order_by.is_empty() {
-        let returned = bound.limit.map_or(batch.len(), |k| k.min(batch.len()));
-        batch.rows(0..returned)
+    let order = if bound.order_by.is_empty() {
+        None
     } else {
         let order = profiled(mem, "query::post::sort", &mut out.profile, |m| {
             order_rows(m, batch, &bound.order_by, bound.limit)
-        })
-        .or_else(|e| fail_exec(mem, e))?;
-        batch.rows(order.iter().map(|&r| r as usize))
+        });
+        Some(order.or_else(|e| fail_exec(mem, e))?)
     };
+    let returned = order.as_deref().map_or(
+        Returned::First(bound.limit.unwrap_or(usize::MAX)),
+        Returned::Ordered,
+    );
+    out.rows = batch.rows(returned).or_else(|e| fail_exec(mem, e))?;
     // Close the attribution window: align every core to the frontier, then
     // the per-core busy deltas plus barrier idle add up to `total` each.
     let total = mem.join_clocks() - window.t0;

@@ -267,6 +267,7 @@ impl Hasher for Fnv128 {
 mod tests {
     use super::*;
     use crate::bind::OutputItem;
+    use crate::exec::batch::Returned;
     use fabric_types::rng::{for_each_case, DetRng};
     use fabric_types::{
         AggFunc, AggSpec, CmpOp, ColumnPredicate, ColumnType, Expr, FieldSlice, OutputMode,
@@ -550,7 +551,7 @@ mod tests {
         let (hit, path, rm) = c.probe(7).expect("hit");
         assert!(Rc::ptr_eq(&hit, &stored), "a hit shares the entry");
         assert_eq!(
-            hit.rows(0..2),
+            hit.rows(Returned::First(2)).unwrap(),
             vec![vec![Value::I64(0)], vec![Value::I64(1)]]
         );
         assert_eq!(path, AccessPath::Col);

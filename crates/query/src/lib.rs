@@ -50,7 +50,8 @@ pub use catalog::Catalog;
 pub use cost::{choose_path_parallel, split_path_cost, AccessPath, OpEstimate, PathCost};
 pub use engine::{Engine, Prepared, Session};
 pub use exec::{
-    FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput, Scratchpad, MORSEL_ROWS,
+    FaultContext, OpCache, PhaseProfile, QueryExecutor, QueryOutput, Scratchpad, CLIENT_FILL_ROWS,
+    CLIENT_GATHER_BYTES, MORSEL_ROWS,
 };
 pub use fabric_sim::{CoreAttribution, OpRecord};
 

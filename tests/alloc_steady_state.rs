@@ -197,12 +197,15 @@ const PROJECTION: &str =
 const TEXT_ITEMS: u64 = 1;
 
 /// Allocations allowed to one execution whatever its size: the output
-/// spine, the row-number vector, the profile, the attribution vectors and
-/// the query-log record. Measured beyond the returned rows: 17 on ROW, 14
-/// on COL and 15 on RM for a hit returning 100 rows; at most 39 (COL) for
-/// a cold two-morsel projection beyond its per-morsel terms. 50 leaves a
-/// margin of 11 over the tightest. Metric names allocate nothing once
-/// their keys exist (it was 400 while every key was a fresh `String`).
+/// spine, the row-number vector, the gather scratch of an ordered result
+/// of more than 64 rows (the column list and a buffer per item, two for a
+/// text item: 5 here), the profile, the attribution vectors and the
+/// query-log record. Measured beyond the returned rows: 12 for a top-100
+/// hit on every path; for a cold two-morsel projection on COL, 95 in scan
+/// order and 103 fully sorted, per-morsel work included, where
+/// `50 + 2 × PER_MORSEL` = 130 are allowed. Metric names allocate nothing
+/// once their keys exist (it was 400 while every key was a fresh
+/// `String`).
 const PER_EXECUTION: u64 = 50;
 
 /// One prepared execution of `sql` on `path` in a warmed-up session:
@@ -216,6 +219,7 @@ fn measured(e: &mut Engine, sql: &str, path: AccessPath) -> (u64, query::QueryOu
 #[test]
 fn a_projection_allocates_per_returned_row_never_per_qualifying_or_memoised_row() {
     let top_k = format!("{PROJECTION} ORDER BY 1 LIMIT 100");
+    let sorted = format!("{PROJECTION} ORDER BY 1");
     // The large table has more than 50 000 qualifying rows.
     let sizes = [2 * MORSEL_ROWS, 14 * MORSEL_ROWS];
     let mut engines = sizes.map(|rows| {
@@ -233,27 +237,36 @@ fn a_projection_allocates_per_returned_row_never_per_qualifying_or_memoised_row(
             // Warm the session pools and the simulator's tables up.
             e.session().run_on(PROJECTION, path).unwrap();
 
-            // Everything returned: one vector per row and one `String`
-            // per text item, on top of the per-morsel terms.
-            e.clear_op_cache();
-            let (allocations, out) = measured(e, PROJECTION, path);
-            assert!(!out.cache_hit);
-            let batches = out.rm_stats.map_or(0, |s| s.batches);
-            let returned = out.rows.len() as u64;
-            let allowed = PER_EXECUTION
-                + PER_MORSEL * morsels
-                + PER_BATCH * batches
-                + (1 + TEXT_ITEMS) * returned;
-            println!(
-                "projection {path:?} {} rows: {allocations} allocations returning {returned} \
-                 (allowed {allowed})",
-                sizes[i]
-            );
-            assert!(
-                allocations <= allowed,
-                "{path:?}: {allocations} allocations to return {returned} rows, more than \
-                 {allowed} — something other than the returned rows allocates per row"
-            );
+            // Everything returned, in scan order and fully sorted: one
+            // vector per row and one `String` per text item, on top of the
+            // per-morsel terms. The sorted rows are gathered a block at a
+            // time into scratch allocated once per execution.
+            let mut counts = Vec::new();
+            for sql in [PROJECTION, &sorted] {
+                e.clear_op_cache();
+                let (allocations, out) = measured(e, sql, path);
+                assert!(!out.cache_hit);
+                let batches = out.rm_stats.map_or(0, |s| s.batches);
+                let returned = out.rows.len() as u64;
+                let allowed = PER_EXECUTION
+                    + PER_MORSEL * morsels
+                    + PER_BATCH * batches
+                    + (1 + TEXT_ITEMS) * returned;
+                println!(
+                    "`{sql}` {path:?} {} rows: {allocations} allocations returning {returned} \
+                     (allowed {allowed})",
+                    sizes[i]
+                );
+                assert!(
+                    allocations <= allowed,
+                    "`{sql}` on {path:?}: {allocations} allocations to return {returned} rows, \
+                     more than {allowed} — something other than the returned rows allocates \
+                     per row"
+                );
+                counts.push((batches, returned));
+            }
+            assert_eq!(counts[0], counts[1], "sorting keeps every qualifying row");
+            let (batches, returned) = counts[0];
 
             // Top-100 of the same rows, cold and as a hit on the entry
             // the cold run filled.

@@ -3,6 +3,7 @@
 //! several suites build. Each suite uses a subset.
 #![allow(dead_code)]
 
+pub mod client_rows;
 pub mod map_prefetcher;
 pub mod ref_hierarchy;
 pub mod value_rows;

@@ -96,7 +96,16 @@
 #                                bytes, chains, clock and MemStats after
 #                                every write, byte-identical checkpoint
 #                                blobs, restores and snapshot reads —
-#                                DESIGN.md §14, §18)
+#                                DESIGN.md §14, §18; then
+#                                tests/client_rows.rs under both seeds:
+#                                generated tables over all eight column
+#                                types, plain / LIMIT / ORDER BY / top-k
+#                                results around a fill block and a
+#                                gather block, on every path at 1/2/4
+#                                cores cold and as a hit, against the
+#                                per-value row builder they replaced —
+#                                bit-identical rows in order (DESIGN.md
+#                                "The client boundary"))
 #  13. host fast paths          (tests/host_fast_paths.rs under the fixed
 #                                seed and again under a second fixed
 #                                seed: the CRC — slicing-by-8 tables and
@@ -286,6 +295,8 @@ seeded_test "crash-recovery matrix" crash_recovery "$SEED"
 seeded_test "crash-recovery matrix, second seed" crash_recovery "$SECOND_SEED"
 seeded_test "checkpoint row images" checkpoint_images "$SEED"
 seeded_test "checkpoint row images, second seed" checkpoint_images "$SECOND_SEED"
+seeded_test "client rows" client_rows "$SEED"
+seeded_test "client rows, second seed" client_rows "$SECOND_SEED"
 seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
 seeded_test "host fast paths, second seed" host_fast_paths "$GRID" "$SECOND_SEED"
 seeded_test "device reference" device_reference "$SEED"
