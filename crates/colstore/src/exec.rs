@@ -7,16 +7,16 @@
 //!   stream; the prefetcher loves it), and
 //!   [`scan_filter_cand_range_into`], the same scan intersected with an
 //!   earlier pass's selection vector;
-//! * [`for_each_lockstep`] — stream several columns in lockstep batches.
-//!   Each batch switches between `p` column arrays: with more than the
-//!   prefetcher's stream capacity (4 on the A53) every switch retrains,
-//!   which is the mechanical source of the paper's four-column crossover;
+//! * [`lockstep_chunks_range`] and [`lockstep_chunks_fused`] — stream
+//!   several columns in lockstep batches. Each batch switches between `p`
+//!   column arrays: with more than the prefetcher's stream capacity (4 on
+//!   the A53) every switch retrains, which is the mechanical source of the
+//!   paper's four-column crossover;
 //! * [`sum_expr`] — aggregate an expression over columns.
 //!
 //! Values leave the lockstep pass a *chunk* at a time, as typed column
-//! views over the arrays' own bytes ([`lockstep_chunks_range`],
-//! [`lockstep_chunks_fused`]); the `for_each_lockstep*` entry points are
-//! the same kernel with a decoded tuple per row, for callers that want
+//! views over the arrays' own bytes; [`for_each_lockstep_range`] is the
+//! same kernel with a decoded tuple per row, for callers that want
 //! `Value`s. Predicates compare through the same views.
 
 use crate::table::{ColRef, ColTable};
@@ -181,44 +181,10 @@ pub fn scan_filter_cand_range_into(
     Ok(())
 }
 
-/// Stream `cols` in lockstep over `sel` (or all rows), invoking `f` with
-/// `(row_id, values)` for every row. No tuple-reconstruction cost is charged
-/// — use this for aggregation-style consumption; the caller charges its own
-/// compute (e.g. via [`sum_expr`]).
-pub fn for_each_lockstep<F>(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    cols: &[ColumnId],
-    sel: Option<&[u32]>,
-    f: F,
-) -> Result<()>
-where
-    F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
-{
-    lockstep_rows(mem, t, cols, RowSet::of(t, sel), true, f)
-}
-
-/// [`for_each_lockstep`] over an explicit selection vector that is still
-/// *register-resident*: the caller just produced `sel` in the same fused
-/// stage (e.g. the staged executor's filter feeding its project within one
-/// morsel), so the positions never round-tripped through the materialized
-/// selection-vector arena and re-reading them charges nothing. Column
-/// accesses are charged exactly as in [`for_each_lockstep`].
-pub fn for_each_lockstep_fused<F>(
-    mem: &mut MemoryHierarchy,
-    t: &ColTable,
-    cols: &[ColumnId],
-    sel: &[u32],
-    f: F,
-) -> Result<()>
-where
-    F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
-{
-    lockstep_rows(mem, t, cols, RowSet::Sel(sel), false, f)
-}
-
-/// [`for_each_lockstep`] over the dense raw-row range `[start, end)` —
-/// one morsel of an unselective scan.
+/// Stream `cols` in lockstep over the dense raw-row range `[start, end)`
+/// (clamped to the table) — one morsel of an unselective scan — invoking
+/// `f` with `(row_id, values)` for every row. No tuple-reconstruction cost
+/// is charged; the caller charges its own compute.
 pub fn for_each_lockstep_range<F>(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
@@ -230,8 +196,7 @@ pub fn for_each_lockstep_range<F>(
 where
     F: FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 {
-    let rows = RowSet::range(t, start, end);
-    lockstep_rows(mem, t, cols, rows, true, f)
+    lockstep_rows(mem, t, cols, RowSet::range(t, start, end), f)
 }
 
 /// Lockstep pass over the dense raw-row range `[start, end)` a chunk at a
@@ -255,12 +220,16 @@ pub fn lockstep_chunks_range(
     consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
 ) -> Result<()> {
     let rows = RowSet::range(t, start, end);
-    lockstep_chunks(mem, t, cols, rows, true, pass_cycles, scratch, consume)
+    lockstep_chunks(mem, t, cols, rows, pass_cycles, scratch, consume)
 }
 
-/// Chunk-at-a-time lockstep pass over a register-resident selection vector
-/// (see [`for_each_lockstep_fused`] for what that means for the charges,
-/// [`lockstep_chunks_range`] for the chunks).
+/// Chunk-at-a-time lockstep pass over an explicit selection vector that is
+/// still *register-resident*: the caller just produced `sel` in the same
+/// fused stage (e.g. the staged executor's filter feeding its project
+/// within one morsel), so the positions never round-tripped through the
+/// materialized selection-vector arena and reading them charges nothing.
+/// Column accesses are charged as in [`lockstep_chunks_range`], which
+/// describes the chunks.
 pub fn lockstep_chunks_fused(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
@@ -271,7 +240,7 @@ pub fn lockstep_chunks_fused(
     consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
 ) -> Result<()> {
     let rows = RowSet::Sel(sel);
-    lockstep_chunks(mem, t, cols, rows, false, pass_cycles, scratch, consume)
+    lockstep_chunks(mem, t, cols, rows, pass_cycles, scratch, consume)
 }
 
 /// [`lockstep_impl`] for a chunk consumer whose every row costs
@@ -282,13 +251,12 @@ fn lockstep_chunks(
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
-    read_sv: bool,
     pass_cycles: u64,
     scratch: &mut ScanScratch,
     consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
 ) -> Result<()> {
     let charge = RowCharge::<NoCall>::Cycles(pass_cycles);
-    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, charge)
+    lockstep_impl(mem, t, cols, rows, scratch, consume, charge)
 }
 
 /// The row callback type of a [`RowCharge::Cycles`] pass (never called).
@@ -301,12 +269,7 @@ enum RowSet<'a> {
     Sel(&'a [u32]),
 }
 
-impl<'a> RowSet<'a> {
-    /// `sel`, or every row of `t`.
-    fn of(t: &ColTable, sel: Option<&'a [u32]>) -> Self {
-        sel.map_or(RowSet::Range(0, t.len()), RowSet::Sel)
-    }
-
+impl RowSet<'_> {
     /// `[start, end)` clamped to `t`.
     fn range(t: &ColTable, start: usize, end: usize) -> Self {
         let end = end.min(t.len());
@@ -314,13 +277,12 @@ impl<'a> RowSet<'a> {
     }
 }
 
-/// Sum `expr` (over slots matching `cols` order) across `sel` (or all rows).
+/// Sum `expr` (over slots matching `cols` order) across every row.
 pub fn sum_expr(
     mem: &mut MemoryHierarchy,
     t: &ColTable,
     cols: &[ColumnId],
     expr: &Expr,
-    sel: Option<&[u32]>,
 ) -> Result<f64> {
     let per_row = mem.costs().value_op * (expr.ops() + 1);
     let program = expr.compile_f64();
@@ -332,8 +294,7 @@ pub fn sum_expr(
         Ok(())
     };
     let scratch = &mut ScanScratch::default();
-    let rows = RowSet::of(t, sel);
-    lockstep_chunks(mem, t, cols, rows, true, per_row, scratch, consume)?;
+    lockstep_chunks_range(mem, t, cols, 0, t.len(), per_row, scratch, consume)?;
     Ok(total)
 }
 
@@ -345,7 +306,6 @@ fn lockstep_rows(
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
-    read_sv: bool,
     mut on_row: impl FnMut(&mut MemoryHierarchy, usize, &[Value]) -> Result<()>,
 ) -> Result<()> {
     let refs: Vec<ColRef> = cols.iter().map(|&c| t.col(c)).collect::<Result<_>>()?;
@@ -361,19 +321,17 @@ fn lockstep_rows(
     let scratch = &mut ScanScratch::default();
     let consume = |_: &Chunk<'_>, _: &[u32]| Ok(());
     let charge = RowCharge::Call(decoded);
-    lockstep_impl(mem, t, cols, rows, read_sv, scratch, consume, charge)
+    lockstep_impl(mem, t, cols, rows, scratch, consume, charge)
 }
 
 /// The one lockstep kernel.
 ///
 /// Per batch of up to [`BATCH_ROWS`] positions: (i) `consume`, host-only,
 /// over typed views of the column arrays and the batch's positions; (ii)
-/// the charge sequence — the selection vector's read unless it is
-/// register-resident (`read_sv` false: fused producer→consumer), then per
-/// row each column array in turn (a stream switch per column, which is what
-/// exposes the prefetcher's stream limit), one `vector_elem` per value and
-/// the row's `charge` — which stops after the row `consume` failed on,
-/// if it did. `vector_setup` is charged once per invocation.
+/// the charge sequence — per row each column array in turn (a stream
+/// switch per column, which is what exposes the prefetcher's stream
+/// limit), one `vector_elem` per value and the row's `charge` — which
+/// stops after the row `consume` failed on, if it did. `vector_setup` is charged once per invocation.
 ///
 /// Only a row that starts a new line in some column reaches the
 /// hierarchy's line path; under [`RowCharge::Cycles`] the rows from one
@@ -384,7 +342,6 @@ fn lockstep_impl(
     t: &ColTable,
     cols: &[ColumnId],
     rows: RowSet<'_>,
-    read_sv: bool,
     scratch: &mut ScanScratch,
     mut consume: impl FnMut(&Chunk<'_>, &[u32]) -> std::result::Result<(), ChunkError>,
     mut charge: RowCharge<impl FnMut(&mut MemoryHierarchy, usize) -> Result<()>>,
@@ -438,9 +395,6 @@ fn lockstep_impl(
             Ok(()) => (n, None),
             Err(ChunkError { at, error }) => (at + 1, Some(error)),
         };
-        if sel.is_some() && read_sv {
-            mem.touch_read(t.sv_in_addr(done), n * 4);
-        }
         // Rows charged since the last line access, not yet reported.
         let mut unbilled = 0u64;
         for &pos in &positions[..reached] {
@@ -563,11 +517,32 @@ mod tests {
         assert_eq!(sel, (0..10).collect::<Vec<u32>>());
     }
 
+    /// `(row, values)` of every row a fused lockstep pass of `cols` over
+    /// `sel` hands its consumer.
+    fn fused_rows(
+        mem: &mut MemoryHierarchy,
+        t: &ColTable,
+        cols: &[ColumnId],
+        sel: &[u32],
+    ) -> Result<Vec<(usize, Vec<Value>)>> {
+        let mut rows = Vec::new();
+        let consume = |chunk: &Chunk<'_>, positions: &[u32]| {
+            for &r in positions {
+                let value = |c| chunk.col(c).unwrap().value(r as usize);
+                rows.push((r as usize, (0..chunk.arity()).map(value).collect()));
+            }
+            Ok(())
+        };
+        let scratch = &mut ScanScratch::default();
+        lockstep_chunks_fused(mem, t, cols, sel, 0, scratch, consume)?;
+        Ok(rows)
+    }
+
     #[test]
     fn lockstep_visits_all_rows_in_order() {
         let (mut mem, t) = fixture();
         let mut seen = Vec::new();
-        for_each_lockstep(&mut mem, &t, &[0, 2], None, |_, row, vals| {
+        for_each_lockstep_range(&mut mem, &t, &[0, 2], 0, t.len(), |_, row, vals| {
             assert_eq!(vals[0], Value::I32(row as i32));
             seen.push(row);
             Ok(())
@@ -581,18 +556,13 @@ mod tests {
     fn lockstep_respects_selection_vector() {
         let (mut mem, t) = fixture();
         let sel = vec![5u32, 100, 2999];
-        let mut rows = Vec::new();
-        for_each_lockstep(&mut mem, &t, &[0], Some(&sel), |_, row, vals| {
-            rows.push((row, vals[0].clone()));
-            Ok(())
-        })
-        .unwrap();
+        let rows = fused_rows(&mut mem, &t, &[0], &sel).unwrap();
         assert_eq!(
             rows,
             vec![
-                (5, Value::I32(5)),
-                (100, Value::I32(100)),
-                (2999, Value::I32(2999))
+                (5, vec![Value::I32(5)]),
+                (100, vec![Value::I32(100)]),
+                (2999, vec![Value::I32(2999)])
             ]
         );
     }
@@ -669,11 +639,12 @@ mod tests {
     fn ranged_lockstep_concatenates_to_the_full_pass() {
         let (mut mem, t) = fixture();
         let mut whole = Vec::new();
-        for_each_lockstep(&mut mem, &t, &[0, 2], None, |_, row, vals| {
+        for_each_lockstep_range(&mut mem, &t, &[0, 2], 0, t.len(), |_, row, vals| {
             whole.push((row, vals.to_vec()));
             Ok(())
         })
         .unwrap();
+        assert_eq!(whole.len(), t.len());
 
         let mut pieced = Vec::new();
         let step = 611;
@@ -707,57 +678,38 @@ mod tests {
     fn fused_lockstep_matches_output_and_skips_sv_reread() {
         let (mut mem, t) = fixture();
         let sel = scan_all(&mut mem, &t, 1, CmpOp::Lt, 3);
-
-        let mut via_sv = Vec::new();
         let b0 = mem.stats();
-        for_each_lockstep(&mut mem, &t, &[0, 2], Some(&sel), |_, row, vals| {
-            via_sv.push((row, vals.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        let sv_bytes = mem.stats().delta_since(&b0).bytes_read;
-
-        let mut fused = Vec::new();
-        let b0 = mem.stats();
-        for_each_lockstep_fused(&mut mem, &t, &[0, 2], &sel, |_, row, vals| {
-            fused.push((row, vals.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        let fused_bytes = mem.stats().delta_since(&b0).bytes_read;
-
-        assert_eq!(fused, via_sv);
-        // The fused pass skips re-reading the materialized selection vector
-        // (4 B per position) but touches the same column lines.
-        assert!(
-            fused_bytes < sv_bytes,
-            "fused {fused_bytes} !< via-sv {sv_bytes}"
-        );
-        // Bounds are still validated.
-        assert!(for_each_lockstep_fused(&mut mem, &t, &[0], &[9999], |_, _, _| Ok(())).is_err());
+        let rows = fused_rows(&mut mem, &t, &[0, 2], &sel).unwrap();
+        let bytes = mem.stats().delta_since(&b0).bytes_read;
+        let want: Vec<_> = (sel.iter().map(|&r| r as usize))
+            .map(|r| (r, vec![Value::I32(r as i32), Value::F64(r as f64 / 2.0)]))
+            .collect();
+        assert_eq!(rows, want);
+        // The selected rows come in runs of three that share a line of
+        // either column: the pass reads one value of each column per run,
+        // and nothing of the selection vector.
+        assert_eq!(bytes, (sel.len() / 3) as u64 * (4 + 8));
     }
 
     #[test]
     fn sum_expr_computes_expression() {
         let (mut mem, t) = fixture();
-        // sum(a * c) over rows with a < 4: 0*0 + 1*0.5 + 2*1 + 3*1.5 = 7.
-        let sel = scan_all(&mut mem, &t, 0, CmpOp::Lt, 4);
-        let s = sum_expr(
-            &mut mem,
-            &t,
-            &[0, 2],
-            &Expr::mul(Expr::col(0), Expr::col(1)),
-            Some(&sel),
-        )
-        .unwrap();
-        assert_eq!(s, 7.0);
+        // sum(a * c) over every row: sum of i * i / 2.
+        let expr = Expr::mul(Expr::col(0), Expr::col(1));
+        let s = sum_expr(&mut mem, &t, &[0, 2], &expr).unwrap();
+        assert_eq!(
+            s,
+            (0..3000).map(|i| i as f64 * (i as f64 / 2.0)).sum::<f64>()
+        );
     }
 
     #[test]
     fn empty_selection_is_fine() {
         let (mut mem, t) = fixture();
-        let sel: Vec<u32> = Vec::new();
-        let s = sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&sel)).unwrap();
+        assert!(fused_rows(&mut mem, &t, &[0], &[]).unwrap().is_empty());
+        let schema = Schema::from_pairs(&[("a", ColumnType::I32)]);
+        let empty = ColTable::create(&mut mem, schema, 8).unwrap();
+        let s = sum_expr(&mut mem, &empty, &[0], &Expr::col(0)).unwrap();
         assert_eq!(s, 0.0);
     }
 
@@ -767,15 +719,12 @@ mod tests {
         let bad = vec![0u32, 5000]; // table has 3000 rows
         let preds = [(CmpOp::Ge, Value::I32(0))];
         let err = scan_cand(&mut mem, &t, 0, &preds, &bad, (0, t.len())).unwrap_err();
-        assert_eq!(
-            err,
-            FabricError::RowIndexOutOfRange {
-                index: 5000,
-                len: 3000
-            }
-        );
-        assert!(for_each_lockstep(&mut mem, &t, &[0], Some(&bad), |_, _, _| Ok(())).is_err());
-        assert!(sum_expr(&mut mem, &t, &[0], &Expr::col(0), Some(&bad)).is_err());
+        let want = FabricError::RowIndexOutOfRange {
+            index: 5000,
+            len: 3000,
+        };
+        assert_eq!(err, want);
+        assert_eq!(fused_rows(&mut mem, &t, &[0], &bad).unwrap_err(), want);
     }
 
     #[test]

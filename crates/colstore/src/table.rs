@@ -164,40 +164,11 @@ impl ColTable {
         Ok(self.rows - 1)
     }
 
-    /// Build a columnar copy of a row table (untimed: physical-design-time
-    /// conversion, exactly the duplication HTAP systems pay for).
-    pub fn from_rows(
-        mem: &mut MemoryHierarchy,
-        rows: &rowstore_view::RowTableView<'_>,
-    ) -> Result<Self> {
-        let mut t = Self::create(mem, rows.schema.clone(), rows.len)?;
-        for i in 0..rows.len {
-            let vals = (rows.decode)(i)?;
-            t.load(mem, &vals)?;
-        }
-        Ok(t)
-    }
-
     /// Decode one value without timing (verification helper).
     pub fn value_untimed(&self, mem: &MemoryHierarchy, row: usize, col: ColumnId) -> Result<Value> {
         let c = self.col(col)?;
         let bytes = mem.read_untimed(c.at(row), c.ty.width());
         Ok(Value::decode(c.ty, bytes))
-    }
-}
-
-/// A light abstraction so `ColTable::from_rows` does not depend on the
-/// `rowstore` crate (avoids a dependency cycle); `workload` provides the
-/// glue.
-pub mod rowstore_view {
-    use fabric_types::{Result, Schema, Value};
-
-    /// Borrowed view of a row table: its schema, length, and a row decoder.
-    pub struct RowTableView<'a> {
-        pub schema: Schema,
-        pub len: usize,
-        #[allow(clippy::type_complexity)]
-        pub decode: Box<dyn Fn(usize) -> Result<Vec<Value>> + 'a>,
     }
 }
 

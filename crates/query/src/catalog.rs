@@ -30,10 +30,6 @@ impl TableEntry {
 #[derive(Default)]
 pub struct Catalog {
     tables: BTreeMap<String, TableEntry>,
-    /// Registrations so far: a plan verified at one generation was
-    /// verified against tables that a later registration may have
-    /// replaced.
-    generation: u64,
 }
 
 impl Catalog {
@@ -46,7 +42,6 @@ impl Catalog {
     pub fn register_rows(&mut self, name: impl Into<String>, rows: RowTable) {
         self.tables
             .insert(name.into(), TableEntry { rows, cols: None });
-        self.generation += 1;
     }
 
     /// Register a table with both layouts.
@@ -58,13 +53,6 @@ impl Catalog {
                 cols: Some(cols),
             },
         );
-        self.generation += 1;
-    }
-
-    /// How many registrations the catalog has seen: it changes whenever a
-    /// table is added or replaced.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     pub fn get(&self, name: &str) -> Result<&TableEntry> {
@@ -96,8 +84,5 @@ mod tests {
         assert!(c.get("t").unwrap().cols.is_none());
         assert!(c.get("nope").is_err());
         assert_eq!(c.names(), vec!["t"]);
-        let u = RowTable::create(&mut mem, Schema::uniform(1, ColumnType::I8), 4).unwrap();
-        c.register_rows("t", u);
-        assert_eq!(c.generation(), 2, "replacing a table is a registration too");
     }
 }

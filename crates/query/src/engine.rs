@@ -22,19 +22,17 @@
 //! ```
 //!
 //! Every query runs through one resilient pipeline: the engine owns a
-//! [`FaultContext`] (quiet by default, so fault handling is free until
-//! faults are configured) and executes on however many simulated cores the
-//! engine was given — morsel-parallel, with results bit-identical to a
-//! single core.
+//! [`FaultContext`] (quiet by default: until faults are configured, fault
+//! handling costs only the RM path's per-line CRC check) and executes on
+//! however many simulated cores the engine was given — morsel-parallel,
+//! with results bit-identical to a single core.
 
 use crate::analyze::{analyze, VerifiedQuery};
 use crate::bind::{bind, BoundQuery};
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::Catalog;
 use crate::cost::{choose_path_parallel, AccessPath, PathCost};
 use crate::exec::opcache::{self, OpCache};
-use crate::exec::{
-    run_verified, FaultContext, QueryMetrics, QueryOutput, RecordMeta, Resilience, Scratchpad,
-};
+use crate::exec::{run_verified, FaultContext, QueryMetrics, QueryOutput, RecordMeta, Scratchpad};
 use crate::explain::{
     analyze_paths, render_analyze, render_latency_section, render_plan, render_recovery_section,
 };
@@ -56,12 +54,12 @@ const PLAN_CACHE_CAP: usize = 16;
 /// executions — the typed handle [`Session::prepare`] returns. Running a
 /// `&Prepared` skips the SQL-text cache entirely: the verified plan, its
 /// estimates *and* its signature travel with the handle, so repeated
-/// execution re-verifies, re-prices and re-hashes nothing — unless
-/// [`Engine::set_cores`] changed the machine since the prepare: a session
-/// then prices the plan for the current core count, as a fresh prepare
-/// would — or a table was registered since: a session then runs what a
-/// fresh prepare of the same SQL returns, since the plan was verified
-/// against a catalog that is gone. Cheap to clone (the plan body is
+/// execution re-verifies, re-prices and re-hashes nothing — unless the
+/// engine invalidated its plans since the prepare ([`Engine::register`],
+/// [`Engine::register_rows`], [`Engine::open_recovered`],
+/// [`Engine::set_cores`]): a session then runs what a fresh prepare of the
+/// same SQL returns, since the plan was verified and priced against a
+/// catalog or a machine that is gone. Cheap to clone (the plan body is
 /// shared).
 #[derive(Clone)]
 pub struct Prepared {
@@ -77,7 +75,7 @@ struct PreparedPlan {
     /// Path-independent signature ([`opcache::plan_signature`]), computed
     /// once at cold prepare.
     key: u128,
-    /// [`Catalog::generation`] at prepare time.
+    /// [`Engine`]'s plan generation at prepare time.
     generation: u64,
 }
 
@@ -87,18 +85,15 @@ impl Prepared {
         &self.plan.sql
     }
 
-    /// The access path the optimizer chose at prepare time.
+    /// The access path the optimizer chose at prepare time. A handle held
+    /// across a registration or [`Engine::set_cores`] may run on another
+    /// one: route it with [`Session::execute`], which re-prepares it.
     pub fn path(&self) -> AccessPath {
         self.plan.cost.best()
     }
 
-    /// The per-path estimates the choice was based on, priced for the
-    /// core count at prepare time.
-    pub fn cost(&self) -> &PathCost {
-        &self.plan.cost
-    }
-
-    /// The operator-cache key this plan executes under on `path`.
+    /// The operator-cache key this plan executed under on `path` at
+    /// prepare time (a re-prepared handle runs under its fresh plan's).
     pub fn cache_key(&self, path: AccessPath) -> u128 {
         opcache::keyed(self.plan.key, path)
     }
@@ -113,18 +108,11 @@ pub(crate) fn prepare_plan(
     bound: &BoundQuery,
 ) -> Result<(VerifiedQuery, PathCost, u128)> {
     let entry = catalog.get(&bound.table)?;
-    let verified = analyze(entry, bound, &RmConfig::prototype())?;
-    let cost = price(mem, entry, bound)?;
+    let rm = RmConfig::prototype();
+    let verified = analyze(entry, bound, &rm)?;
+    let (_, cost) = choose_path_parallel(mem.config(), &rm, entry, bound, mem.num_cores())?;
     let key = opcache::plan_signature(bound, entry.rows.len(), verified.geometry().geometry());
     Ok((verified, cost, key))
-}
-
-/// The per-path estimates of `bound` over `entry` on the machine as it is
-/// now.
-fn price(mem: &MemoryHierarchy, entry: &TableEntry, bound: &BoundQuery) -> Result<PathCost> {
-    let rm = RmConfig::prototype();
-    let (_, cost) = choose_path_parallel(mem.config(), &rm, entry, bound, mem.num_cores())?;
-    Ok(cost)
 }
 
 /// The fabric engine: simulated machine + catalog + fault state + plan
@@ -153,6 +141,10 @@ pub struct Engine {
     /// Sessions handed out so far; the next session gets this + 1 as its
     /// id, which tags its query-log records.
     sessions_opened: u64,
+    /// How often the plans were invalidated ([`Engine::clear_plan_cache`]):
+    /// a handle prepared at an older generation was verified and priced
+    /// against a catalog or a machine that is gone.
+    generation: u64,
 }
 
 impl Engine {
@@ -178,12 +170,12 @@ impl Engine {
             query_metrics: QueryMetrics::default(),
             recoveries: Vec::new(),
             sessions_opened: 0,
+            generation: 0,
         }
     }
 
-    /// Change the core count. Plans stay valid (the path choice is priced
-    /// per run), but the cache is cleared so cached costs match the new
-    /// machine.
+    /// Change the core count. Invalidates the plans: each is priced for
+    /// the machine it was prepared on.
     pub fn set_cores(&mut self, cores: usize) {
         self.mem.set_core_count(cores.max(1));
         self.clear_plan_cache();
@@ -293,10 +285,12 @@ impl Engine {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Drop every cached plan and memoized stage output.
+    /// Drop every cached plan and memoized stage output. A handle
+    /// prepared before runs as a fresh prepare of its SQL.
     pub fn clear_plan_cache(&mut self) {
         self.cache.clear();
         self.op_cache.clear();
+        self.generation += 1;
     }
 
     /// Drop memoized stage outputs while keeping cached plans.
@@ -403,7 +397,7 @@ impl Session<'_> {
             verified,
             cost,
             key,
-            generation: self.engine.catalog.generation(),
+            generation: self.engine.generation,
         });
         self.engine.cache.insert(0, Rc::clone(&plan));
         self.engine.cache.truncate(PLAN_CACHE_CAP);
@@ -430,34 +424,21 @@ impl Session<'_> {
         self.execute_on(&prepared, path)
     }
 
-    /// The plan `prepared` runs as, and its estimates: its own — or, for a
-    /// handle held across a registration ([`Engine::register`],
-    /// [`Engine::register_rows`], [`Engine::open_recovered`]), what a
-    /// fresh prepare of its SQL returns; priced for the current core count
-    /// (for a handle held across [`Engine::set_cores`]).
-    fn current(&mut self, prepared: &Prepared) -> Result<(Rc<PreparedPlan>, PathCost)> {
-        let plan = if prepared.plan.generation == self.engine.catalog.generation() {
-            Rc::clone(&prepared.plan)
-        } else {
-            self.prepare(&prepared.plan.sql)?.plan
-        };
-        if plan.cost.cores == self.engine.mem.num_cores() {
-            let cost = plan.cost;
-            return Ok((plan, cost));
+    /// The plan `prepared` runs as: its own, or — for a handle prepared
+    /// before the engine last invalidated its plans — what a fresh prepare
+    /// of its SQL returns.
+    fn current(&mut self, prepared: &Prepared) -> Result<Rc<PreparedPlan>> {
+        if prepared.plan.generation == self.engine.generation {
+            return Ok(Rc::clone(&prepared.plan));
         }
-        let bound = plan.verified.bound();
-        let cost = price(
-            &self.engine.mem,
-            self.engine.catalog.get(&bound.table)?,
-            bound,
-        )?;
-        Ok((plan, cost))
+        Ok(self.prepare(&prepared.plan.sql)?.plan)
     }
 
     /// Execute a prepared query on its planned path.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<QueryOutput> {
-        let (plan, cost) = self.current(prepared)?;
-        self.run_plan(&plan.verified, cost.best(), cost, plan.key, true)
+        let plan = self.current(prepared)?;
+        let path = plan.cost.best();
+        self.run_plan(&plan.verified, path, plan.cost, plan.key, true)
     }
 
     /// Execute a prepared query on `path`, through the engine's operator
@@ -465,8 +446,8 @@ impl Session<'_> {
     /// signature and a repeat run replays it without touching the
     /// hierarchy (clean runs only — degraded/faulted runs are re-earned).
     pub fn execute_on(&mut self, prepared: &Prepared, path: AccessPath) -> Result<QueryOutput> {
-        let (plan, cost) = self.current(prepared)?;
-        self.run_plan(&plan.verified, path, cost, plan.key, true)
+        let plan = self.current(prepared)?;
+        self.run_plan(&plan.verified, path, plan.cost, plan.key, true)
     }
 
     /// Verify and execute a hand-built [`BoundQuery`] on the
@@ -531,7 +512,7 @@ impl Session<'_> {
             verified,
             path,
             cost,
-            Resilience::Resilient(faults),
+            faults,
             cache,
             opcache::keyed(key, path),
             &mut self.scratch,
@@ -558,10 +539,10 @@ impl Session<'_> {
     /// Render the chosen plan and per-path estimates for an
     /// already-prepared query, without touching the SQL-text cache.
     pub fn explain_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let (plan, cost) = self.current(prepared)?;
+        let plan = self.current(prepared)?;
         let bound = plan.verified.bound();
         let entry = self.engine.catalog.get(&bound.table)?;
-        render_plan(entry, bound, cost.best(), &cost)
+        render_plan(entry, bound, plan.cost.best(), &plan.cost)
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` on every available path and render
@@ -577,9 +558,12 @@ impl Session<'_> {
     /// same estimates and signature.
     /// The measurement runs bypass the operator cache — `EXPLAIN ANALYZE`
     /// exists to observe the real hierarchy, so a memoized replay would
-    /// defeat its purpose.
+    /// defeat its purpose — and the engine's fault context: each runs
+    /// under a fresh quiet one, so it pays what a clean session run pays
+    /// and moves no breaker.
     pub fn explain_analyze_prepared(&mut self, prepared: &Prepared) -> Result<String> {
-        let (plan, cost) = self.current(prepared)?;
+        let plan = self.current(prepared)?;
+        let cost = plan.cost;
         let entry = self.engine.catalog.get(&plan.verified.bound().table)?;
         let header = render_plan(entry, plan.verified.bound(), cost.best(), &cost)?;
         let has_cols = entry.cols.is_some();
@@ -626,6 +610,13 @@ mod tests {
 
     fn engine_with_data(cores: usize) -> Engine {
         let mut engine = Engine::with_cores(SimConfig::zynq_a53(), cores);
+        register_t(&mut engine, 10_000);
+        engine
+    }
+
+    /// `t` as `rows` rows of (id, grp, qty), registered on `engine` with
+    /// both layouts.
+    fn register_t(engine: &mut Engine, rows: i64) {
         let schema = Schema::from_pairs(&[
             ("id", ColumnType::I64),
             ("grp", ColumnType::FixedStr(1)),
@@ -633,7 +624,7 @@ mod tests {
         ]);
         let mut rt = RowTable::create(engine.mem(), schema.clone(), 16384).unwrap();
         let mut ct = ColTable::create(engine.mem(), schema, 16384).unwrap();
-        for i in 0..10_000i64 {
+        for i in 0..rows {
             let row = vec![
                 Value::I64(i),
                 Value::Str(if i % 3 == 0 { "A" } else { "B" }.into()),
@@ -643,7 +634,6 @@ mod tests {
             ct.load(engine.mem(), &row).unwrap();
         }
         engine.register("t", rt, ct);
-        engine
     }
 
     #[test]
@@ -967,6 +957,42 @@ mod tests {
             fresh.querylog().records().last().unwrap(),
         );
         assert_eq!((la.path, la.est_ns), (lb.path, lb.est_ns));
+    }
+
+    /// A handle held across [`Engine::set_cores`] and then a registration
+    /// of its table runs, renders and logs what a fresh prepare of its SQL
+    /// on an engine with the same history does.
+    #[test]
+    fn a_handle_held_across_set_cores_and_a_registration_runs_as_a_fresh_prepare() {
+        let sql = "SELECT grp, sum(qty) FROM t GROUP BY grp";
+        let mut held = engine_with_data(4);
+        let p = held.session().prepare(sql).unwrap();
+        held.set_cores(1);
+        register_t(&mut held, 6_000);
+        let mut fresh = engine_with_data(1);
+        register_t(&mut fresh, 6_000);
+        let q = fresh.session().prepare(sql).unwrap();
+        assert_eq!(p.path(), AccessPath::Row, "the plan prepared at four cores");
+
+        let (mut a, mut b) = (held.session(), fresh.session());
+        assert_eq!(
+            a.explain_prepared(&p).unwrap(),
+            b.explain_prepared(&q).unwrap()
+        );
+        let (ra, rb) = (a.execute(&p).unwrap(), b.execute(&q).unwrap());
+        assert_eq!((ra.path, &ra.rows), (q.path(), &rb.rows));
+        assert_eq!(
+            ra.rows[0][1],
+            Value::F64((0..6_000).step_by(3).sum::<i64>() as f64)
+        );
+        let (la, lb) = (
+            held.querylog().records().last().unwrap(),
+            fresh.querylog().records().last().unwrap(),
+        );
+        assert_eq!(
+            (la.path, la.est_ns, la.plan_sig),
+            (lb.path, lb.est_ns, lb.plan_sig)
+        );
     }
 
     /// `t` as `rows` rows whose `qty` is `qty` each, registered on `e`

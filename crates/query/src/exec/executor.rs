@@ -17,7 +17,7 @@ use crate::cost::AccessPath;
 use colstore::exec as colx;
 use fabric_sim::MemoryHierarchy;
 use fabric_types::{Chunk, FabricError, Result, Value};
-use relmem::{EphemeralColumns, PackedBatch, RmConfig, RmStats};
+use relmem::{EphemeralColumns, RmConfig, RmStats};
 use std::rc::Rc;
 
 use super::buffer::{ChunkScratch, Scratchpad};
@@ -178,43 +178,18 @@ impl<'q> QueryExecutor<'q> {
     /// predicate (every conjunct charged and evaluated; rejection is a
     /// data dependency, not a mispredicted branch), rolling partials over
     /// at the same [`MORSEL_ROWS`] boundaries as the software paths.
+    ///
+    /// Every delivery runs under `ctx`'s fault plan
+    /// ([`EphemeralColumns::next_batch_resilient`]) and is consumed with
+    /// [`relmem::PackedBatch::consume_chunks`]. Always returns the device
+    /// stats — on error they carry the injected fault counts of the failed
+    /// attempt into the degraded output. Error exits re-join the clocks,
+    /// so the caller's accounting stays aligned.
     pub(crate) fn run_stage0_rm(
         &self,
         mem: &mut MemoryHierarchy,
         scratch: &mut Scratchpad,
-    ) -> Result<(Stage0<'q>, RmStats)> {
-        let (stage0, stats) = self.run_rm(mem, scratch, |eph, mem| Ok(eph.next_batch(mem)));
-        Ok((stage0?, stats))
-    }
-
-    /// The RM stage 0 of [`Self::run_stage0_rm`], but every delivery runs
-    /// under `ctx`'s fault plan via
-    /// [`EphemeralColumns::next_batch_resilient`]. Always returns the
-    /// device stats — on error they carry the injected fault counts of
-    /// the failed attempt into the degraded output.
-    pub(crate) fn run_stage0_rm_resilient(
-        &self,
-        mem: &mut MemoryHierarchy,
-        scratch: &mut Scratchpad,
         ctx: &mut FaultContext,
-    ) -> (Result<Stage0<'q>>, RmStats) {
-        self.run_rm(mem, scratch, |eph, mem| {
-            eph.next_batch_resilient(mem, &mut ctx.plan, &ctx.policy)
-        })
-    }
-
-    /// Both RM variants: configure the device, pull batches with
-    /// `next_batch` and consume them ([`PackedBatch::consume_chunks`]).
-    /// Error exits re-join the clocks, so the caller's accounting stays
-    /// aligned.
-    fn run_rm(
-        &self,
-        mem: &mut MemoryHierarchy,
-        scratch: &mut Scratchpad,
-        mut next_batch: impl FnMut(
-            &mut EphemeralColumns,
-            &mut MemoryHierarchy,
-        ) -> Result<Option<PackedBatch>>,
     ) -> (Result<Stage0<'q>>, RmStats) {
         let bound = self.bound();
         let costs = mem.costs();
@@ -245,7 +220,7 @@ impl<'q> QueryExecutor<'q> {
         let ChunkScratch { scan, eval } = scratch.chunk();
         let res = loop {
             mem.set_active_core(earliest_core(mem));
-            let b = match next_batch(&mut eph, mem) {
+            let b = match eph.next_batch_resilient(mem, &mut ctx.plan, &ctx.policy) {
                 Ok(Some(b)) => b,
                 Ok(None) => break Ok(()),
                 Err(e) => break Err(e),

@@ -162,23 +162,12 @@ impl FaultContext {
     }
 }
 
-/// How the shared pipeline reacts to injected faults: `Plain` lets RM
-/// delivery errors propagate to the caller; `Resilient` retries every
-/// delivery under the context's policy and transparently degrades onto a
-/// software path once the budget is exhausted (or skips the device when
-/// its breaker is open). Resilience is a *policy wrapper* around one
-/// pipeline — both variants run exactly the same stage-0/merge/post
-/// stages.
-pub(crate) enum Resilience<'f> {
-    Plain,
-    Resilient(&'f mut FaultContext),
-}
-
 /// Run a prepared plan on `path` under its `key` with no operator cache,
-/// no fault context and a throw-away scratchpad: `EXPLAIN ANALYZE`'s
-/// measurement run, which must observe the real hierarchy and must not
-/// pay the resilient path's per-line CRC charge. Its metrics go through
-/// `metrics`' handles like a session's.
+/// a fresh quiet fault context and a throw-away scratchpad: `EXPLAIN
+/// ANALYZE`'s measurement run, which must observe the real hierarchy and
+/// pay what a session's run of the plan pays, the RM path's per-line CRC
+/// check included. Its metrics go through `metrics`' handles like a
+/// session's.
 pub(crate) fn execute_uncached(
     mem: &mut MemoryHierarchy,
     metrics: &mut QueryMetrics,
@@ -196,7 +185,7 @@ pub(crate) fn execute_uncached(
         verified,
         path,
         cost,
-        Resilience::Plain,
+        &mut FaultContext::quiet(),
         None,
         key,
         &mut Scratchpad::new(),
@@ -269,8 +258,8 @@ fn profiled<R>(
 /// Probes the operator cache first, when given one: a hit replays the
 /// memoized stage-0+merge output (pure CPU probe cost, zero hierarchy
 /// traffic) and goes straight to the post-processing tail. A miss runs
-/// stage 0 on the [`QueryExecutor`] for the chosen path (under the
-/// requested resilience policy), merges the partials as its own profiled
+/// stage 0 on the [`QueryExecutor`] for the chosen path (RM delivery under
+/// `faults`), merges the partials as its own profiled
 /// `query::stage::merge` phase, memoizes clean results, and finishes
 /// through the shared tail.
 /// Opens/closes the `query::exec` span and captures per-core attribution
@@ -287,7 +276,7 @@ pub(crate) fn run_verified(
     verified: &VerifiedQuery,
     path: AccessPath,
     cost: PathCost,
-    resilience: Resilience<'_>,
+    faults: &mut FaultContext,
     mut cache: Option<&mut OpCache>,
     key: u128,
     scratch: &mut Scratchpad,
@@ -334,8 +323,8 @@ pub(crate) fn run_verified(
         return finish_output(mem, tail, verified, &batch, out, window, meta, key);
     }
 
-    let (partials, scanned) = run_scan(mem, entry, verified, resilience, &mut out, scratch)
-        .or_else(|e| fail_exec(mem, e))?;
+    let (partials, scanned) =
+        run_scan(mem, entry, verified, faults, &mut out, scratch).or_else(|e| fail_exec(mem, e))?;
 
     // Stage 1: the pipeline-breaking merge, profiled as its own phase on
     // core 0 and counted here — the driver owns this stage, not the
@@ -470,16 +459,17 @@ fn build_op_records(
 }
 
 /// Stage 0 of the pipeline: run `out.path`'s fused morsel kernels on a
-/// [`QueryExecutor`], applying the resilience policy around RM delivery.
-/// Returns the per-morsel partials and the stage's total; records into
-/// `out` the scan phases, the path that actually produced the partials,
-/// device stats when the RM path ran, and the original path when the
-/// query degraded.
+/// [`QueryExecutor`], every RM delivery under `ctx`'s fault plan: retried
+/// under its policy, and degraded onto a software path once the budget
+/// is exhausted (or skipped when the RM breaker is open). Returns the
+/// per-morsel partials and the stage's total; records into `out` the scan
+/// phases, the path that actually produced the partials, device stats
+/// when the RM path ran, and the original path when the query degraded.
 fn run_scan<'v>(
     mem: &mut MemoryHierarchy,
     entry: &TableEntry,
     verified: &'v VerifiedQuery,
-    resilience: Resilience<'_>,
+    ctx: &mut FaultContext,
     out: &mut QueryOutput,
     scratch: &mut Scratchpad,
 ) -> Result<Stage0<'v>> {
@@ -491,71 +481,58 @@ fn run_scan<'v>(
         let ex = QueryExecutor::new(verified, fb);
         profiled(m, scan_span(fb), p, |m| ex.run_stage0(m, entry, s))
     };
-    match (out.path, resilience) {
-        (path @ (AccessPath::Row | AccessPath::Col), _) => {
-            software(mem, &mut out.profile, scratch, path)
-        }
-        (AccessPath::Rm, Resilience::Plain) => {
-            let ex = QueryExecutor::new(verified, AccessPath::Rm);
-            let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
-                ex.run_stage0_rm(m, scratch)
-            });
-            let (stage0, stats) = res?;
-            out.rm_stats = Some(stats);
+    if out.path != AccessPath::Rm {
+        return software(mem, &mut out.profile, scratch, out.path);
+    }
+    if !ctx.rm_health.allow() {
+        // Breaker open: don't even try the device; fail fast onto
+        // software.
+        ctx.breaker_skips += 1;
+        mem.trace_instant("query.breaker_skip", Category::Fault, &[]);
+        // The skip must be visible in every MetricsSnapshot, not
+        // only in the context counters (it was silently dropped
+        // before this landed in the registry).
+        mem.metrics_mut().counter_add("query.breaker_skips", 1);
+        mem.flight_dump("breaker-open");
+        out.path = fallback_path(&out.cost);
+        out.degraded_from = Some(AccessPath::Rm);
+        return software(mem, &mut out.profile, scratch, out.path);
+    }
+
+    // The RM stage reports device stats even when it fails: they leave
+    // the profiled phase beside its result.
+    let ex = QueryExecutor::new(verified, AccessPath::Rm);
+    let mut stats = RmStats::default();
+    let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
+        let (res, device) = ex.run_stage0_rm(m, scratch, ctx);
+        stats = device;
+        res
+    });
+    out.rm_stats = Some(stats);
+
+    match res {
+        Ok(stage0) => {
+            ctx.rm_health.record_success();
             Ok(stage0)
         }
-        (AccessPath::Rm, Resilience::Resilient(ctx)) => {
-            if !ctx.rm_health.allow() {
-                // Breaker open: don't even try the device; fail fast onto
-                // software.
-                ctx.breaker_skips += 1;
-                mem.trace_instant("query.breaker_skip", Category::Fault, &[]);
-                // The skip must be visible in every MetricsSnapshot, not
-                // only in the context counters (it was silently dropped
-                // before this landed in the registry).
-                mem.metrics_mut().counter_add("query.breaker_skips", 1);
-                mem.flight_dump("breaker-open");
-                out.path = fallback_path(&out.cost);
-                out.degraded_from = Some(AccessPath::Rm);
-                return software(mem, &mut out.profile, scratch, out.path);
-            }
-
-            // The resilient RM stage reports device stats even when it
-            // fails: they leave the profiled phase beside its result.
-            let ex = QueryExecutor::new(verified, AccessPath::Rm);
-            let mut stats = RmStats::default();
-            let res = profiled(mem, scan_span(AccessPath::Rm), &mut out.profile, |m| {
-                let (res, device) = ex.run_stage0_rm_resilient(m, scratch, ctx);
-                stats = device;
-                res
-            });
-            out.rm_stats = Some(stats);
-
-            match res {
-                Ok(stage0) => {
-                    ctx.rm_health.record_success();
-                    Ok(stage0)
-                }
-                Err(e) if degradable(&e) => {
-                    // The device is misbehaving past its retry budget:
-                    // re-plan onto software. The wasted RM time is real
-                    // and stays inside the query's window.
-                    ctx.rm_health.record_failure();
-                    ctx.fallbacks += 1;
-                    let fb = fallback_path(&out.cost);
-                    mem.trace_instant(
-                        "query.degraded",
-                        Category::Fault,
-                        &[("to_col", u64::from(fb == AccessPath::Col))],
-                    );
-                    mem.flight_dump("degraded");
-                    out.path = fb;
-                    out.degraded_from = Some(AccessPath::Rm);
-                    software(mem, &mut out.profile, scratch, fb)
-                }
-                Err(e) => Err(e),
-            }
+        Err(e) if degradable(&e) => {
+            // The device is misbehaving past its retry budget:
+            // re-plan onto software. The wasted RM time is real
+            // and stays inside the query's window.
+            ctx.rm_health.record_failure();
+            ctx.fallbacks += 1;
+            let fb = fallback_path(&out.cost);
+            mem.trace_instant(
+                "query.degraded",
+                Category::Fault,
+                &[("to_col", u64::from(fb == AccessPath::Col))],
+            );
+            mem.flight_dump("degraded");
+            out.path = fb;
+            out.degraded_from = Some(AccessPath::Rm);
+            software(mem, &mut out.profile, scratch, fb)
         }
+        Err(e) => Err(e),
     }
 }
 
@@ -947,12 +924,12 @@ mod tests {
         assert_eq!(stats.rows_scanned, 1000);
         assert_eq!(stats.injected_faults, 0);
 
-        // The plain pipeline (`EXPLAIN ANALYZE`'s) returns the same rows.
+        // `EXPLAIN ANALYZE`'s measurement run returns the same rows.
         let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
         let mut c = Catalog::new();
         c.register_rows("t", wide_rows(&mut mem, 1000));
         let (verified, cost, key) = prepare_plan(&mem, &c, &b).unwrap();
-        let plain = execute_uncached(
+        let measured = execute_uncached(
             &mut mem,
             &mut QueryMetrics::default(),
             c.get("t").unwrap(),
@@ -962,7 +939,7 @@ mod tests {
             opcache::keyed(key, AccessPath::Rm),
         )
         .unwrap();
-        assert_eq!(plain.rows, out.rows);
+        assert_eq!(measured.rows, out.rows);
     }
 
     #[test]
@@ -1190,7 +1167,7 @@ mod tests {
             &verified,
             path,
             cost,
-            Resilience::Resilient(&mut ctx),
+            &mut ctx,
             Some(&mut cacheobj),
             opcache::keyed(key, path),
             &mut Scratchpad::new(),

@@ -8,10 +8,9 @@
 //! plain rows of the requested column group; the baseline ships the
 //! compressed blobs and decodes on the host CPU.
 
-use crate::config::RsConfig;
-use crate::store::{RsStats, SsdDevice};
+use crate::store::{RsStats, SsdDevice, StoredTable};
 use compress::DictEncoded;
-use fabric_sim::MemoryHierarchy;
+use fabric_sim::{Cycles, MemoryHierarchy};
 use fabric_types::{ColumnId, FabricError, Result, Schema};
 
 /// A table stored as dictionary-compressed columns on the device.
@@ -19,7 +18,7 @@ pub struct CompressedTable {
     rows: usize,
     /// One encoded column per schema column, plus the flash footprint of
     /// each (pages).
-    cols: Vec<(DictEncoded, crate::store::StoredTable)>,
+    cols: Vec<(DictEncoded, StoredTable)>,
 }
 
 impl CompressedTable {
@@ -66,6 +65,35 @@ impl CompressedTable {
         self.cols.iter().map(|(e, _)| e.original_bytes()).sum()
     }
 
+    /// The encoded columns `cols` names, in that order, each with its
+    /// flash footprint.
+    fn columns(&self, cols: &[ColumnId]) -> Result<Vec<&(DictEncoded, StoredTable)>> {
+        let len = self.cols.len();
+        let col = |&index: &ColumnId| {
+            (self.cols.get(index)).ok_or(FabricError::ColumnIndexOutOfRange { index, len })
+        };
+        cols.iter().map(col).collect()
+    }
+
+    /// Row-major tuples of `touched`, decoded untimed, and the statistics
+    /// of a fetch that reads their images and ships the tuples.
+    fn rows_of(&self, touched: &[&(DictEncoded, StoredTable)]) -> (Vec<u8>, RsStats) {
+        let mut out = Vec::new();
+        for i in 0..self.rows {
+            for (enc, _) in touched {
+                out.extend_from_slice(enc.get(i));
+            }
+        }
+        let stats = RsStats {
+            pages_read: touched.iter().map(|(_, s)| s.pages as u64).sum(),
+            rows_scanned: self.rows as u64,
+            rows_emitted: self.rows as u64,
+            bytes_shipped: out.len() as u64,
+            ..RsStats::default()
+        };
+        (out, stats)
+    }
+
     /// Near-data path: the controller reads the compressed columns,
     /// decodes them, and ships reconstructed row-major tuples of the
     /// requested columns.
@@ -75,121 +103,65 @@ impl CompressedTable {
         mem: &mut MemoryHierarchy,
         cols: &[ColumnId],
     ) -> Result<(Vec<u8>, RsStats)> {
-        let cfg = *dev.config();
-        let start = mem.now();
-        // Flash: only the compressed images of the touched columns.
-        let mut pages = 0u64;
-        for &c in cols {
-            let stored = &self
-                .cols
-                .get(c)
-                .ok_or(FabricError::ColumnIndexOutOfRange {
-                    index: c,
-                    len: self.cols.len(),
-                })?
-                .1;
-            pages += stored.pages as u64;
-        }
-        // Controller decode: per value per requested column.
+        let touched = self.columns(cols)?;
+        let (out, stats) = self.rows_of(&touched);
+        // The controller decodes every value of the requested columns and
+        // reconstructs every row as pages land; the link is pipelined with
+        // it, as in `SsdDevice::fetch_geometry`.
+        let cfg = dev.config();
         let values = (self.rows * cols.len()) as f64;
         let ctrl_ns = values * cfg.ctrl_ns_per_value + self.rows as f64 * cfg.ctrl_ns_per_row;
-
-        // Functional reconstruction.
-        let mut out = Vec::new();
-        for i in 0..self.rows {
-            for &c in cols {
-                out.extend_from_slice(self.cols[c].0.get(i));
-            }
-        }
-
-        let done = timing(mem, &cfg, start, pages, ctrl_ns, out.len());
-        mem.stall_until(done);
-        Ok((
-            out.clone(),
-            RsStats {
-                pages_read: pages,
-                rows_scanned: self.rows as u64,
-                rows_emitted: self.rows as u64,
-                bytes_shipped: out.len() as u64,
-                ..RsStats::default()
-            },
-        ))
+        let ctrl = dev.ns_to_cycles(ctrl_ns);
+        let link = dev.link_cycles(out.len());
+        let args = [
+            ("pages", stats.pages_read),
+            ("bytes_shipped", stats.bytes_shipped),
+        ];
+        let arrival = |start: Cycles, flash: Cycles| flash.max(start + ctrl).max(start + link);
+        let runs = touched.iter().map(|(_, s)| s.page_range());
+        let stats = dev.run_fetch(mem, runs, "rs.fetch_decompressed", stats, arrival, &args)?;
+        Ok((out, stats))
     }
 
     /// Host path: ship the compressed images; the host CPU decodes and
-    /// reconstructs (decode cost charged to the CPU).
+    /// reconstructs once they have arrived (decode cost charged to the
+    /// CPU).
     pub fn fetch_rows_host_decode(
         &self,
         dev: &mut SsdDevice,
         mem: &mut MemoryHierarchy,
         cols: &[ColumnId],
     ) -> Result<(Vec<u8>, RsStats)> {
-        let cfg = *dev.config();
-        let start = mem.now();
-        let mut pages = 0u64;
-        let mut shipped = 0u64;
-        for &c in cols {
-            let (enc, stored) = self.cols.get(c).ok_or(FabricError::ColumnIndexOutOfRange {
-                index: c,
-                len: self.cols.len(),
-            })?;
-            pages += stored.pages as u64;
-            shipped += enc.compressed_bytes() as u64;
-        }
-        let done = timing(mem, &cfg, start, pages, 0.0, shipped as usize);
-        mem.stall_until(done);
-
-        // Host-side decode + reconstruction.
+        let touched = self.columns(cols)?;
+        let (out, mut stats) = self.rows_of(&touched);
+        let shipped = touched.iter().map(|(e, _)| e.compressed_bytes()).sum();
+        stats.bytes_shipped = shipped as u64;
+        let link = dev.link_cycles(shipped);
+        let args = [
+            ("pages", stats.pages_read),
+            ("bytes_shipped", stats.bytes_shipped),
+        ];
+        let arrival = |start: Cycles, flash: Cycles| flash.max(start + link);
+        let runs = touched.iter().map(|(_, s)| s.page_range());
+        let stats = dev.run_fetch(mem, runs, "rs.fetch_host_decode", stats, arrival, &args)?;
         let costs = mem.costs();
-        let mut out = Vec::new();
-        for i in 0..self.rows {
-            for &c in cols {
-                out.extend_from_slice(self.cols[c].0.get(i));
-            }
-        }
         mem.cpu(
             (self.rows * cols.len()) as u64 * (costs.vector_elem + costs.value_op)
                 + self.rows as u64 * costs.reconstruct,
         );
-        Ok((
-            out.clone(),
-            RsStats {
-                pages_read: pages,
-                rows_scanned: self.rows as u64,
-                rows_emitted: self.rows as u64,
-                bytes_shipped: shipped,
-                ..RsStats::default()
-            },
-        ))
+        Ok((out, stats))
     }
-}
-
-/// Shared pipeline-timing helper: flash reads + controller work + link.
-fn timing(
-    mem: &MemoryHierarchy,
-    cfg: &RsConfig,
-    start: fabric_sim::Cycles,
-    pages: u64,
-    ctrl_ns: f64,
-    ship_bytes: usize,
-) -> fabric_sim::Cycles {
-    let sim = mem.config();
-    // Approximate flash time: channel-parallel page stream.
-    let per_wave = cfg.channels as u64;
-    let waves = pages.div_ceil(per_wave).max(1);
-    let flash_done =
-        start + sim.ns_to_cycles(cfg.read_page_ns) + waves * sim.ns_to_cycles(cfg.channel_xfer_ns);
-    let ctrl_done = start + sim.ns_to_cycles(ctrl_ns.max(1.0));
-    let link_done = start
-        + sim.ns_to_cycles(cfg.link_base_ns)
-        + sim.ns_to_cycles(ship_bytes.max(1) as f64 * cfg.link_ns_per_byte);
-    flash_done.max(ctrl_done).max(link_done)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_sim::SimConfig;
+    use crate::config::RsConfig;
+    use fabric_sim::{
+        validate_chrome_trace, BreakerState, FaultConfig, FaultPlan, RecoveryPolicy, RingRecorder,
+        SimConfig,
+    };
+    use fabric_types::rng::chaos_seed;
     use fabric_types::ColumnType;
 
     /// 10k rows, 2 columns: low-cardinality i32 and repetitive i64.
@@ -260,5 +232,113 @@ mod tests {
         let schema = Schema::from_pairs(&[("a", ColumnType::I32)]);
         assert!(CompressedTable::store(&mut dev, schema.clone(), 10, vec![]).is_err());
         assert!(CompressedTable::store(&mut dev, schema, 10, vec![vec![0u8; 3]]).is_err());
+    }
+
+    // The fetches under a fault plan, seeded from `FABRIC_CHAOS_SEED`:
+    // the same pipeline as `SsdDevice`'s own fetches.
+
+    type Fetch = fn(
+        &CompressedTable,
+        &mut SsdDevice,
+        &mut MemoryHierarchy,
+        &[ColumnId],
+    ) -> Result<(Vec<u8>, RsStats)>;
+
+    const FETCHES: [Fetch; 2] = [
+        CompressedTable::fetch_rows_decompressed,
+        CompressedTable::fetch_rows_host_decode,
+    ];
+
+    /// Budgets no transient fault at the rates below exhausts.
+    fn patient() -> RecoveryPolicy {
+        RecoveryPolicy {
+            max_retries: 24,
+            ..RecoveryPolicy::default()
+        }
+    }
+
+    #[test]
+    fn under_faults_transient_page_and_link_faults_return_quiet_bytes() {
+        let (mut mem, mut dev, t) = setup();
+        let quiet: Vec<_> = FETCHES
+            .iter()
+            .map(|f| f(&t, &mut dev, &mut mem, &[1, 0]).unwrap())
+            .collect();
+        let cfg = FaultConfig {
+            flash_transient_prob: 0.3,
+            link_corrupt_prob: 0.3,
+            ..FaultConfig::quiet(chaos_seed())
+        };
+        dev.inject_faults(FaultPlan::new(cfg), patient());
+        let mut injected = 0;
+        for _ in 0..4 {
+            for (f, (bytes, clean)) in FETCHES.iter().zip(&quiet) {
+                let t0 = mem.now();
+                let (out, stats) = f(&t, &mut dev, &mut mem, &[1, 0]).unwrap();
+                assert_eq!(&out, bytes, "a recovered fetch returns the quiet bytes");
+                assert_eq!(stats.retries, stats.injected_faults);
+                let faults = RsStats {
+                    injected_faults: 0,
+                    retries: 0,
+                    ..stats
+                };
+                assert_eq!(&faults, clean);
+                assert!(mem.now() > t0);
+                injected += stats.injected_faults;
+            }
+        }
+        assert!(injected > 0, "p = 0.3 over 8 fetches should hit");
+        assert_eq!(dev.fault_stats().total(), injected);
+        assert_eq!(dev.health().state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn under_faults_a_latent_page_surfaces_flash_read_error() {
+        let (mut mem, mut dev, t) = setup();
+        let cfg = FaultConfig::quiet(chaos_seed()).with_latent(1.0);
+        let policy = RecoveryPolicy::default();
+        dev.inject_faults(FaultPlan::new(cfg), policy);
+        for (f, c) in FETCHES.iter().zip([1, 0]) {
+            let err = f(&t, &mut dev, &mut mem, &[c]).unwrap_err();
+            assert_eq!(
+                err,
+                FabricError::FlashReadError {
+                    page: t.cols[c].1.first_page,
+                    attempts: policy.max_retries + 1,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn under_faults_trace_spans_balance() {
+        let (mut mem, mut dev, t) = setup();
+        mem.set_recorder(Box::new(RingRecorder::new(1 << 14)));
+        let transient = FaultConfig {
+            flash_transient_prob: 0.3,
+            link_corrupt_prob: 0.3,
+            ..FaultConfig::quiet(chaos_seed())
+        };
+        let dead_link = FaultConfig {
+            link_corrupt_prob: 1.0,
+            ..FaultConfig::quiet(chaos_seed())
+        };
+        let latent = FaultConfig::quiet(chaos_seed()).with_latent(1.0);
+        let mut failed = 0;
+        for (cfg, policy) in [
+            (transient, patient()),
+            (dead_link, RecoveryPolicy::default()),
+            (latent, RecoveryPolicy::default()),
+        ] {
+            dev.inject_faults(FaultPlan::new(cfg), policy);
+            // Past the breaker threshold: failures, then fail-fast rejections.
+            for f in FETCHES.iter().cycle().take(6) {
+                failed += u32::from(f(&t, &mut dev, &mut mem, &[0, 1]).is_err());
+            }
+        }
+        assert_eq!(failed, 12, "the dead link and the latent pages fail");
+        let summary = validate_chrome_trace(&mem.export_trace().unwrap()).unwrap();
+        assert!(summary.begins > 0 && summary.instants > 0);
+        assert_eq!(summary.begins, summary.ends, "every span closes");
     }
 }

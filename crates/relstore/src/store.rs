@@ -8,6 +8,7 @@ use fabric_sim::{
 };
 use fabric_types::{FabricError, FieldSlice, Geometry, OutputMode, Predicate, Result};
 use relmem::packer;
+use std::ops::Range;
 
 /// Device name reported in breaker fail-fast errors.
 const DEVICE_NAME: &str = "relstore-ssd";
@@ -31,6 +32,11 @@ impl StoredTable {
         let page = self.first_page + (i / self.rows_per_page) as u64;
         let off = (i % self.rows_per_page) * self.row_width;
         (page, off)
+    }
+
+    /// The flash pages the table occupies.
+    pub(crate) fn page_range(&self) -> Range<u64> {
+        self.first_page..self.first_page + self.pages as u64
     }
 }
 
@@ -111,12 +117,12 @@ impl SsdDevice {
         &self.health
     }
 
-    fn ns_to_cycles(&self, ns: f64) -> Cycles {
+    pub(crate) fn ns_to_cycles(&self, ns: f64) -> Cycles {
         ((ns * self.cpu_ghz).round() as Cycles).max(1)
     }
 
     /// Cycles from the first byte on the host link to the last of `bytes`.
-    fn link_cycles(&self, bytes: usize) -> Cycles {
+    pub(crate) fn link_cycles(&self, bytes: usize) -> Cycles {
         self.link_base + self.ns_to_cycles(bytes.max(1) as f64 * self.link_ns_per_byte)
     }
 
@@ -245,15 +251,17 @@ impl SsdDevice {
     }
 
     /// The timed half of every fetch, run once its functional result is
-    /// in hand: admit through the breaker, read every page of `t` (issued
-    /// as fast as the channels accept them), then ship
+    /// in hand: admit through the breaker, read every page of `runs`
+    /// (issued as fast as the channels accept them), then ship
     /// `stats.bytes_shipped` bytes to arrive at `arrival(start,
     /// flash_done)` — all under span `span`, which closes with `args` on
-    /// success and `failed` on error; the breaker records the outcome.
-    fn run_fetch(
+    /// success and `failed` on error. The breaker records the outcome: a
+    /// page that stays unreadable and a shipment that stays corrupt both
+    /// count as failures.
+    pub(crate) fn run_fetch(
         &mut self,
         mem: &mut MemoryHierarchy,
-        t: &StoredTable,
+        runs: impl IntoIterator<Item = Range<u64>>,
         span: &'static str,
         mut stats: RsStats,
         arrival: impl FnOnce(Cycles, Cycles) -> Cycles,
@@ -267,31 +275,20 @@ impl SsdDevice {
         }
         mem.trace_begin(span, Category::Store);
         let start = mem.now();
-        let mut flash_done = start;
-        let mut shipped = Ok(());
-        for p in 0..t.pages as u64 {
-            match self.read_page_checked(mem, t.first_page + p, start, &mut stats) {
-                Ok(done) => flash_done = flash_done.max(done),
-                Err(e) => {
-                    self.health.record_failure();
-                    shipped = Err(e);
-                    break;
-                }
-            }
-        }
-        if shipped.is_ok() {
-            let bytes = stats.bytes_shipped as usize;
-            shipped = self.finish_shipment(mem, arrival(start, flash_done), bytes, &mut stats);
-            if shipped.is_ok() {
-                self.health.record_success();
-            }
-        }
+        let bytes = stats.bytes_shipped as usize;
+        let flash_done = runs.into_iter().flatten().try_fold(start, |done, page| {
+            Ok(done.max(self.read_page_checked(mem, page, start, &mut stats)?))
+        });
+        let shipped = flash_done
+            .and_then(|flash| self.finish_shipment(mem, arrival(start, flash), bytes, &mut stats));
         match shipped {
             Ok(()) => {
+                self.health.record_success();
                 mem.trace_end(span, Category::Store, args);
                 Ok(stats)
             }
             Err(e) => {
+                self.health.record_failure();
                 mem.trace_end(span, Category::Store, &[("failed", 1)]);
                 Err(e)
             }
@@ -338,7 +335,14 @@ impl SsdDevice {
             ("bytes_shipped", stats.bytes_shipped),
         ];
         let arrival = |start: Cycles, flash: Cycles| flash.max(start + ctrl).max(start + link);
-        let stats = self.run_fetch(mem, t, "rs.fetch_geometry", stats, arrival, &args)?;
+        let stats = self.run_fetch(
+            mem,
+            [t.page_range()],
+            "rs.fetch_geometry",
+            stats,
+            arrival,
+            &args,
+        )?;
         Ok((out, stats))
     }
 
@@ -378,7 +382,14 @@ impl SsdDevice {
         };
         let args = [("pages", stats.pages_read), ("rows_emitted", emitted)];
         let arrival = |start: Cycles, flash: Cycles| flash.max(start + ctrl) + link_base;
-        let stats = self.run_fetch(mem, t, "rs.fetch_aggregate", stats, arrival, &args)?;
+        let stats = self.run_fetch(
+            mem,
+            [t.page_range()],
+            "rs.fetch_aggregate",
+            stats,
+            arrival,
+            &args,
+        )?;
         Ok((values, stats))
     }
 
@@ -405,7 +416,7 @@ impl SsdDevice {
         };
         let args = [("pages", stats.pages_read), ("bytes_shipped", shipped)];
         let arrival = |start: Cycles, flash: Cycles| flash.max(start + link);
-        let stats = self.run_fetch(mem, t, "rs.fetch_raw", stats, arrival, &args)?;
+        let stats = self.run_fetch(mem, [t.page_range()], "rs.fetch_raw", stats, arrival, &args)?;
         Ok((out, stats))
     }
 
@@ -606,6 +617,37 @@ mod tests {
                 attempts: policy.max_retries + 1,
             }
         );
+    }
+
+    /// A shipment that stays corrupt past its retries is a device failure
+    /// like an unreadable page: `breaker_threshold` of them open the
+    /// breaker, and the next fetch fails fast without touching the clock.
+    #[test]
+    fn shipment_failures_trip_the_breaker() {
+        use fabric_sim::{BreakerState, FaultConfig, FaultPlan, RecoveryPolicy};
+        let (mut mem, mut dev, t) = setup();
+        let cfg = FaultConfig {
+            link_corrupt_prob: 1.0,
+            ..FaultConfig::quiet(3)
+        };
+        let policy = RecoveryPolicy::default();
+        dev.inject_faults(FaultPlan::new(cfg), policy);
+        for _ in 0..policy.breaker_threshold {
+            assert_eq!(dev.health().state(), BreakerState::Closed);
+            let err = dev.fetch_raw(&mut mem, &t).unwrap_err();
+            assert!(matches!(err, FabricError::CorruptBatch { .. }), "{err}");
+        }
+        assert_eq!(dev.health().trips, 1);
+        let now = mem.now();
+        let err = dev.fetch_raw(&mut mem, &t).unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::DeviceTimeout {
+                device: "relstore-ssd".into(),
+                attempts: 0,
+            }
+        );
+        assert_eq!(mem.now(), now, "a rejected fetch charges nothing");
     }
 
     #[test]

@@ -240,26 +240,6 @@ impl RowTable {
         ))
     }
 
-    /// Geometry of `cols` restricted to the row range `[start, end)` — the
-    /// paper's §III-A combination of on-the-fly vertical partitioning with
-    /// conventional horizontal partitioning/sharding: *"the data system can
-    /// request the desired column group on a sharding key range"*.
-    pub fn geometry_range(&self, cols: &[ColumnId], start: RowId, end: RowId) -> Result<Geometry> {
-        if start > end || end > self.rows {
-            return Err(FabricError::Internal(format!(
-                "row range {start}..{end} out of bounds (len {})",
-                self.rows
-            )));
-        }
-        let fields = self.layout.fields(cols)?;
-        Ok(Geometry::packed(
-            self.row_addr(start),
-            self.layout.row_width(),
-            end - start,
-            fields,
-        ))
-    }
-
     /// Geometry of columns named `names`.
     pub fn geometry_by_name(&self, names: &[&str]) -> Result<Geometry> {
         let ids: Vec<ColumnId> = names
@@ -371,25 +351,6 @@ mod tests {
         assert_eq!(g.output_row_width(), 16);
         assert!(g.validate().is_ok());
         assert!(t.geometry_by_name(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn geometry_range_is_a_horizontal_partition() {
-        let mut mem = mem();
-        let mut t = RowTable::create(&mut mem, schema(), 8).unwrap();
-        for i in 0..8i64 {
-            t.load(
-                &mut mem,
-                &[Value::I64(i), Value::Str("x".into()), Value::F64(0.0)],
-            )
-            .unwrap();
-        }
-        let g = t.geometry_range(&[0], 2, 6).unwrap();
-        assert_eq!(g.rows, 4);
-        assert_eq!(g.base, t.row_addr(2));
-        assert!(g.validate().is_ok());
-        assert!(t.geometry_range(&[0], 5, 3).is_err());
-        assert!(t.geometry_range(&[0], 0, 9).is_err());
     }
 
     #[test]

@@ -185,7 +185,7 @@ pub fn run_dual_layout_htap(mem: &mut MemoryHierarchy, p: &MixParams) -> Result<
 
         if p.scans {
             let t0 = mem.now();
-            let sum = colx::sum_expr(mem, &copy, &[0], &Expr::col(0), None)?;
+            let sum = colx::sum_expr(mem, &copy, &[0], &Expr::col(0))?;
             out.olap_ns += mem.ns_since(t0);
             out.scan_checksum += sum;
             out.scans += 1;
@@ -211,19 +211,19 @@ fn convert(mem: &mut MemoryHierarchy, o: &Oltp, copy: &mut ColTable) -> Result<(
     Ok(())
 }
 
-/// Convenience: run both models and return `(fabric, dual)`.
-pub fn compare_htap(p: &MixParams) -> Result<(MixOutcome, MixOutcome)> {
-    use fabric_sim::SimConfig;
-    let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-    let fabric = run_fabric_htap(&mut mem, p)?;
-    let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
-    let dual = run_dual_layout_htap(&mut mem, p)?;
-    Ok((fabric, dual))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_sim::SimConfig;
+
+    /// Run both models, each on a machine of its own: `(fabric, dual)`.
+    fn compare_htap(p: &MixParams) -> Result<(MixOutcome, MixOutcome)> {
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let fabric = run_fabric_htap(&mut mem, p)?;
+        let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
+        let dual = run_dual_layout_htap(&mut mem, p)?;
+        Ok((fabric, dual))
+    }
 
     fn small() -> MixParams {
         MixParams {

@@ -16,7 +16,8 @@
 //! ```
 
 use fabric_sim::{
-    parse_json, validate_chrome_trace, FaultConfig, Json, MemStats, Postmortem, RecoveryPolicy,
+    parse_json, validate_chrome_trace, FaultConfig, Json, MemStats, Postmortem, QueryRecord,
+    RecoveryPolicy,
 };
 use query::{AccessPath, Engine, FaultContext, QueryOutput};
 
@@ -353,6 +354,44 @@ fn postmortem_bytes_match_the_pinned_digests() {
     );
 }
 
+/// `EXPLAIN ANALYZE` measures what a session runs. On twin engines with
+/// the same history, one renders `EXPLAIN ANALYZE` and the other runs the
+/// statement cold on every path in the order the rendering measures them
+/// (ROW, COL, RM); the query log then holds the same record for each path
+/// — measured cycles, bytes, operators and top-down buckets, bit for bit
+/// — for a statement the optimizer routes to RM and one it routes to COL.
+#[test]
+fn explain_analyze_measures_what_a_session_runs() {
+    let sum_qty = "SELECT sum(l_quantity) FROM lineitem";
+    for cores in [1, 4] {
+        for (sql, chosen) in [(Q1, AccessPath::Rm), (sum_qty, AccessPath::Col)] {
+            let twin = || {
+                let mut e = Engine::with_cores(fabric_sim::SimConfig::zynq_a53(), cores);
+                let li = workload::Lineitem::generate(e.mem(), ROWS, DATA_SEED).unwrap();
+                e.register("lineitem", li.rows, li.cols);
+                e
+            };
+            let (mut explained, mut ran) = (twin(), twin());
+            let text = explained.session().explain_analyze(sql).unwrap();
+            assert!(text.contains(&format!("access: {chosen} ")), "{text}");
+            let stmt = query::parser::parse(sql).unwrap();
+            let bound = query::bind::bind(ran.catalog(), &stmt).unwrap();
+            let mut s = ran.session();
+            for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+                s.run_bound_on(&bound, path).unwrap();
+            }
+            let records = |e: &Engine| {
+                let anonymous = |r: &QueryRecord| QueryRecord {
+                    session: 0,
+                    ..r.clone()
+                };
+                e.querylog().records().map(anonymous).collect::<Vec<_>>()
+            };
+            assert_eq!(records(&explained), records(&ran), "{cores} cores: {sql}");
+        }
+    }
+}
+
 /// `EXPLAIN ANALYZE` text is byte-identical to the per-path, per-operator,
 /// per-phase, per-core and top-down renderings it had when each kept its
 /// own copy of the attribution: the digests were computed before the
@@ -362,11 +401,14 @@ fn postmortem_bytes_match_the_pinned_digests() {
 /// line (29 744 → 42 416 B, 38 320 → 50 992 B with the COL selection
 /// vectors) was the only text that changed. When the plan signature
 /// became a structural hash, the `op-cache: key` hex was the only text
-/// that changed: the twelve texts compared equal with it masked. Each
+/// that changed: the twelve texts compared equal with it masked. When the
+/// measurement runs moved onto the session's RM pipeline (a quiet fault
+/// context, so RM pays its per-line CRC check), only the RM rows and the
+/// breakdowns of texts whose chosen path is RM changed. Each
 /// statement runs once through the session first, so the latency and
 /// op-cache sections carry data.
 /// The table without a columnar copy has no COL row and degrades nothing
-/// (EXPLAIN ANALYZE measures without a fault context).
+/// (EXPLAIN ANALYZE measures under a fresh quiet fault context).
 #[test]
 fn explain_analyze_bytes_match_the_pinned_digests() {
     let statements = [
@@ -398,10 +440,10 @@ fn explain_analyze_bytes_match_the_pinned_digests() {
     assert_eq!(
         got,
         [
-            (true, 1, 0x608b_78ba_3c9e_a0fa),
-            (true, 4, 0x39a6_ab85_b7a4_bd08),
-            (false, 1, 0xe1bf_7595_35f1_bd42),
-            (false, 4, 0xad73_5a1f_3874_ef37),
+            (true, 1, 0x150a_7ed6_a19a_52d6),
+            (true, 4, 0x392b_ffcc_c5eb_c080),
+            (false, 1, 0xc575_3acc_7921_912a),
+            (false, 4, 0x3e1c_9f2f_521a_de3b),
         ],
         "EXPLAIN ANALYZE bytes moved: {got:x?}"
     );

@@ -869,7 +869,7 @@ fn select_into(
 
 #[test]
 fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
-    let (mut failures, mut multi_morsel) = (0, 0);
+    let (mut failures, mut multi_morsel, mut unfiltered) = (0, 0, 0);
     for_each_case("typed stage 0 clocks", |rng| {
         let rows = table_rows(rng).min(2 * MORSEL_ROWS + 300);
         let table = table(rng, rows);
@@ -1003,10 +1003,12 @@ fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
             })
         };
         assert_eq!(chunked, old, "COL chunk kernel: {ctx}");
-        let adapted = {
+        // The row adaptor runs dense ranges only: the pass without a
+        // predicate.
+        if by_col.is_empty() {
+            unfiltered += 1;
             let (mut mem, _, ct) = load(cores, &table);
-            let (mut sv, mut next) = (Vec::new(), Vec::new());
-            drive(&mut mem, sink(), |mem, sink, i| {
+            let adapted = drive(&mut mem, sink(), |mem, sink, i| {
                 let Some((start, end)) = morsel(rows, i) else {
                     return Ok(None);
                 };
@@ -1014,15 +1016,11 @@ fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
                     mem.cpu(pass_cycles);
                     sink.row(vals)
                 };
-                if !select_into(mem, &ct, &by_col, (start, end), &mut sv, &mut next)? {
-                    colx::for_each_lockstep_range(mem, &ct, cols, start, end, emit)?;
-                    return Ok(Some((end - start) as u64));
-                }
-                colx::for_each_lockstep_fused(mem, &ct, cols, &sv, emit)?;
-                Ok(Some(sv.len() as u64))
-            })
-        };
-        assert_eq!(adapted, old, "COL row adaptor: {ctx}");
+                colx::for_each_lockstep_range(mem, &ct, cols, start, end, emit)?;
+                Ok(Some((end - start) as u64))
+            });
+            assert_eq!(adapted, old, "COL row adaptor: {ctx}");
+        }
 
         // RM: delivered batches consumed on the earliest-free core, the
         // sink's rows rolling over at morsel boundaries (which only the
@@ -1094,5 +1092,9 @@ fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
     assert!(
         multi_morsel >= 10,
         "{multi_morsel} tables of several morsels"
+    );
+    assert!(
+        unfiltered >= 20,
+        "{unfiltered} statements without a predicate"
     );
 }

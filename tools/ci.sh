@@ -15,7 +15,15 @@
 #                                failing on new debt AND on stale entries)
 #   5. bounded chaos sweep      (tests/fault_tolerance.rs with a fixed
 #                                seed; fails on any answer divergence and
-#                                prints the replay seed)
+#                                prints the replay seed); then the
+#                                Relational Storage pipeline under the
+#                                fixed seed and the second one, as in
+#                                step 13: a compressed table on a device
+#                                under injected faults retries transient
+#                                page and link faults to the quiet bytes,
+#                                surfaces a latent page as FlashReadError
+#                                and leaves balanced trace spans — the one
+#                                fetch pipeline of DESIGN.md §31)
 #   6. traced query             (trace_query bin: one Fig-5-shaped query
 #                                under the ring recorder; the exported
 #                                Chrome trace is structurally validated
@@ -226,13 +234,24 @@ CHAOS_PLANS="${FABRIC_CHAOS_PLANS:-12}"
 PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
-# The plan-key property (step 9), the crash-recovery matrix and the
-# checkpoint row images (step 12), the differentials of grouping and
-# aggregation on key words (steps 13 and 16) and of metric handles
-# against names (step 14) run under a second fixed seed too.
+# The Relational Storage pipeline (step 5), the plan-key property (step
+# 9), the crash-recovery matrix and the checkpoint row images (step 12),
+# the differentials of grouping and aggregation on key words (steps 13
+# and 16) and of metric handles against names (step 14) run under a
+# second fixed seed too.
 SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
 
 seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
+for seed in "$SEED" "$SECOND_SEED"; do
+    say "relstore fetch pipeline under faults ($seed)"
+    if ! env "$seed" cargo test -q -p relstore --lib compressed::tests::under_faults; then
+        printf '
+relstore pipeline FAILED — replay with:
+  %s cargo test -p relstore --lib compressed::tests::under_faults
+' "$seed"
+        exit 1
+    fi
+done
 
 # The bin validates its export with fabric-obs's own chrome-trace
 # validator and exits non-zero on a malformed or unbalanced trace.
