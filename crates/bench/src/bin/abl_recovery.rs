@@ -7,7 +7,7 @@
 
 use bench::{arg_usize, fmt_ns, render_table};
 use durability::DurabilityConfig;
-use fabric_sim::{validate_chrome_trace, MemoryHierarchy, RingRecorder, SimConfig};
+use fabric_sim::{validate_chrome_trace, MemoryHierarchy, SimConfig};
 use fabric_types::{ColumnType, Schema, Value};
 use mvcc::DurableStore;
 
@@ -121,10 +121,10 @@ fn main() {
         ]);
     }
 
-    // One instrumented pass under a RingRecorder: replay a crashed image,
-    // then push the recovered store past a checkpoint boundary, so a
-    // single validated Chrome trace covers the replay phases AND the
-    // WAL-append / checkpoint-write spans of the live write path.
+    // One traced pass: replay a crashed image, then push the recovered
+    // store past a checkpoint boundary, so a single validated Chrome
+    // trace covers the replay phases AND the WAL-append /
+    // checkpoint-write spans of the live write path.
     {
         let ckpt_every = 8u64;
         let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
@@ -146,7 +146,7 @@ fn main() {
         let image = store.crash_image();
 
         let mut mem2 = MemoryHierarchy::new(SimConfig::zynq_a53());
-        mem2.set_recorder(Box::new(RingRecorder::new(1 << 15)));
+        mem2.trace_to(1 << 15);
         let (mut recovered, report) = DurableStore::replay(
             &mut mem2,
             schema.clone(),
@@ -161,7 +161,7 @@ fn main() {
             txn.insert(vec![Value::I64(i), Value::I64(i * 10)]);
             recovered.commit(&mut mem2, txn).expect("commit");
         }
-        let trace = mem2.export_trace().expect("ring recorder exports a trace");
+        let trace = mem2.export_trace().expect("a trace is installed");
         let summary = validate_chrome_trace(&trace).expect("trace must be structurally valid");
         for span in [
             "replay-scan",

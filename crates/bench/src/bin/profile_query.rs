@@ -1,22 +1,22 @@
-//! Profile the query pipeline with the cycle-domain sampling profiler
-//! (DESIGN.md §15) and export a collapsed-stack (`.folded`) file that
-//! flamegraph tooling renders directly.
+//! Profile the query pipeline on the simulated clock (DESIGN.md §15) and
+//! export a collapsed-stack (`.folded`) file that flamegraph tooling
+//! renders directly.
 //!
-//! A `SamplingProfiler` wraps a `RingRecorder`, so one run yields both a
-//! Chrome trace and a folded profile: every N simulated cycles the open
-//! span stack is sampled into a folded-stack accumulator. Three query
-//! classes (q1 grouped aggregate, q6 global aggregate, plain scan) run in
-//! separate sessions, so the bench envelope also carries the per-class
-//! cold and hit latency histograms.
+//! One trace yields both a Chrome trace and the folded stacks: the fold
+//! gives every simulated cycle between two events to the span stack open
+//! between them, so the stacks sum to the cycles the run spent. Three
+//! query classes (q1 grouped aggregate, q6 global aggregate, plain scan)
+//! run in separate sessions, so the bench envelope also carries the
+//! per-class cold and hit latency histograms.
 //!
 //! Render with `inferno-flamegraph results/PROFILE_query.folded` or any
 //! `flamegraph.pl`-compatible tool.
 //!
-//! Usage: `profile_query [--rows N] [--period CYCLES] [--reps R]`
+//! Usage: `profile_query [--rows N] [--reps R]`
 
 use bench::arg_usize;
 use colstore::ColTable;
-use fabric_sim::{validate_chrome_trace, RingRecorder, SamplingProfiler, SimConfig};
+use fabric_sim::{validate_chrome_trace, SimConfig};
 use fabric_types::{ColumnType, Schema, Value};
 use query::Engine;
 use rowstore::RowTable;
@@ -24,7 +24,6 @@ use rowstore::RowTable;
 fn main() {
     let args = bench::harness::cli_args();
     let rows = arg_usize(&args, "--rows", 4096);
-    let period = arg_usize(&args, "--period", 512).max(1) as u64;
     let reps = arg_usize(&args, "--reps", 8);
 
     let mut engine = Engine::new(SimConfig::zynq_a53());
@@ -49,14 +48,8 @@ fn main() {
     }
     engine.register("t", rt, ct);
 
-    // Arm the profiler over a ring recorder: the same run produces a
-    // Chrome trace AND a folded profile of the open-span stack.
-    engine
-        .mem()
-        .set_recorder(Box::new(SamplingProfiler::wrapping(
-            Box::new(RingRecorder::new(1 << 16)),
-            period,
-        )));
+    engine.mem().trace_to(1 << 16);
+    let t0 = engine.mem_ref().now();
 
     let shapes: [(&str, &str); 3] = [
         ("q1", "SELECT grp, count(*), sum(c2) FROM t GROUP BY grp"),
@@ -75,44 +68,36 @@ fn main() {
         eprintln!("# {class}: {reps} reps, last {}", bench::fmt_ns(last_ns));
     }
 
-    let folded = engine
-        .mem()
-        .export_folded()
-        .expect("sampling profiler exports folded stacks");
-    let stats = engine
-        .mem()
-        .profile_stats()
-        .expect("sampling profiler reports stats");
-    assert!(!folded.is_empty(), "profile must contain samples");
-    // Reconciliation: the sample count must account for exactly the
-    // cycles the profiler observed, one sample per period.
+    let observed = engine.mem_ref().now() - t0;
+    let trace = engine.mem().take_trace().expect("a trace is installed");
+    assert_eq!(trace.dropped(), 0, "the trace must hold the whole run");
+    validate_chrome_trace(&trace.to_chrome_json()).expect("trace must be structurally valid");
+    let folded = trace.to_folded();
+    let folded_cycles: u64 = folded
+        .lines()
+        .map(|l| {
+            let (_, n) = l.rsplit_once(' ').expect("`<stack> <cycles>` line");
+            n.parse::<u64>().expect("cycle count")
+        })
+        .sum();
+    // Reconciliation: the stacks account for exactly the cycles the run
+    // spent.
     assert_eq!(
-        stats.samples,
-        (stats.end - stats.start) / stats.period,
-        "sample total must reconcile with elapsed cycles"
+        folded_cycles, observed,
+        "folded stacks must sum to the observed cycles"
     );
-    let trace = engine
-        .mem()
-        .export_trace()
-        .expect("inner ring recorder exports a trace");
-    validate_chrome_trace(&trace).expect("trace must be structurally valid");
 
-    let reg = engine.mem().metrics_mut();
-    reg.counter_add("profile.samples", stats.samples);
-    reg.counter_add("profile.period_cycles", stats.period);
-    reg.gauge_set(
-        "profile.observed_cycles",
-        stats.end.saturating_sub(stats.start) as f64,
-    );
+    engine
+        .mem()
+        .metrics_mut()
+        .gauge_set("profile.observed_cycles", observed as f64);
 
     let path = bench::harness::write_artifact("PROFILE_query.folded", &folded)
         .expect("write folded profile");
 
-    println!("Profiled q1/q6/scan under a {period}-cycle sampling period:");
+    println!("Profiled q1/q6/scan on the simulated clock:");
     println!(
-        "  {} samples over {} observed cycles, {} distinct stacks",
-        stats.samples,
-        stats.end.saturating_sub(stats.start),
+        "  {observed} observed cycles in {} distinct stacks",
         folded.lines().count()
     );
     println!(

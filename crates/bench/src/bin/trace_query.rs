@@ -1,7 +1,7 @@
 //! Trace a Fig-5-shaped projection query (16 × i32 columns, 64-byte rows)
 //! through the whole fabric and write a Perfetto-loadable Chrome trace.
 //!
-//! All three access paths run under one `RingRecorder`, so the exported
+//! All three access paths run under one trace, so the exported
 //! file shows the row scan, the columnar scan, and the RM
 //! configure/gather/pack/deliver pipeline side by side on the simulated
 //! cycle clock. Open `results/TRACE_query.json` at <https://ui.perfetto.dev>
@@ -11,7 +11,7 @@
 
 use bench::arg_usize;
 use colstore::ColTable;
-use fabric_sim::{validate_chrome_trace, RingRecorder, SimConfig};
+use fabric_sim::{validate_chrome_trace, SimConfig};
 use fabric_types::{ColumnType, Schema, Value};
 use query::{AccessPath, Engine};
 use rowstore::RowTable;
@@ -43,9 +43,7 @@ fn main() {
     let cols: Vec<String> = (0..proj).map(|i| format!("c{i}")).collect();
     let sql = format!("SELECT {} FROM t WHERE c0 >= 0", cols.join(", "));
 
-    engine
-        .mem()
-        .set_recorder(Box::new(RingRecorder::new(events)));
+    engine.mem().trace_to(events);
     for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
         let out = engine.session().run_on(&sql, path).expect("execute");
         eprintln!(
@@ -55,10 +53,7 @@ fn main() {
         );
     }
 
-    let trace = engine
-        .mem()
-        .export_trace()
-        .expect("ring recorder exports a trace");
+    let trace = engine.mem().export_trace().expect("a trace is installed");
     let summary = validate_chrome_trace(&trace).expect("trace must be structurally valid");
     let path = bench::harness::write_artifact("TRACE_query.json", &trace).expect("write trace");
     let path = path.display();

@@ -1,13 +1,11 @@
 //@ scan-as: crates/durability/src/fx_profile.rs
-//! The profiler sits in the observability layer: a layer-3 storage crate
-//! may import `fabric_obs::profile` (downward) to wrap its recorder, but
-//! still may not reach up into the query engine to label samples.
+//! Tracing sits in the observability layer: a layer-3 storage crate may
+//! import `fabric_obs::trace` (downward) to fold its own spans, but still
+//! may not reach up into the query engine to label them.
 
-use fabric_obs::profile::SamplingProfiler;
-use fabric_obs::RingRecorder;
-use fabric_sim::Cycles;
+use fabric_obs::trace::TraceBuffer;
 use query::Engine; //~ layering-violation
 
-pub fn profiled_recorder(period: Cycles) -> SamplingProfiler {
-    SamplingProfiler::wrapping(Box::new(RingRecorder::new(1 << 12)), period)
+pub fn folded(trace: &TraceBuffer) -> String {
+    trace.to_folded()
 }

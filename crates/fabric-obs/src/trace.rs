@@ -9,6 +9,7 @@
 //! reallocates (hot engine loops must not see allocator jitter).
 
 use crate::Cycles;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Maximum key/value args carried inline by one event. Extra args passed
@@ -65,8 +66,6 @@ pub enum Phase {
     End,
     /// Instant event (`"i"`).
     Instant,
-    /// Counter sample (`"C"`).
-    Counter,
 }
 
 impl Phase {
@@ -76,7 +75,6 @@ impl Phase {
             Phase::Begin => 'B',
             Phase::End => 'E',
             Phase::Instant => 'i',
-            Phase::Counter => 'C',
         }
     }
 }
@@ -227,6 +225,50 @@ impl TraceBuffer {
         out.push_str("]}");
         out
     }
+
+    /// Collapsed-stack ("folded") text that flamegraph.pl and speedscope
+    /// ingest directly: one `"<stack> <cycles>"` line per distinct stack,
+    /// sorted by stack. A stack is `fabric;<cat>:<name>;…`, the open spans
+    /// outermost first under a constant `fabric` root.
+    ///
+    /// The fold is exact: the cycles between consecutive events go to the
+    /// stack open between them, so the lines sum to the latest timestamp
+    /// minus the first. Timestamps need not be monotonic (forked cores
+    /// each carry their own clock; device spans are reported in the past),
+    /// so a frontier only moves forward: an event at or behind it adds no
+    /// cycles but still changes the stack. An end event closes the most
+    /// recent open frame with its category and name, which need not be the
+    /// top when forked cores interleave.
+    pub fn to_folded(&self) -> String {
+        let mut cycles: BTreeMap<String, Cycles> = BTreeMap::new();
+        let mut stack: Vec<(Category, &'static str)> = Vec::new();
+        let mut frontier: Option<Cycles> = None;
+        for ev in self.iter() {
+            let from = frontier.unwrap_or(ev.ts);
+            if ev.ts > from {
+                let mut key = String::from("fabric");
+                for (cat, name) in &stack {
+                    let _ignored = write!(key, ";{}:{name}", cat.name());
+                }
+                *cycles.entry(key).or_insert(0) += ev.ts - from;
+            }
+            frontier = Some(from.max(ev.ts));
+            match ev.ph {
+                Phase::Begin => stack.push((ev.cat, ev.name)),
+                Phase::End => {
+                    if let Some(i) = stack.iter().rposition(|&f| f == (ev.cat, ev.name)) {
+                        stack.remove(i);
+                    }
+                }
+                Phase::Instant => {}
+            }
+        }
+        let mut out = String::with_capacity(cycles.len() * 48);
+        for (stack, n) in &cycles {
+            let _ignored = writeln!(out, "{stack} {n}");
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn instants_carry_scope_and_counters_render() {
+    fn instants_carry_scope() {
         let mut b = TraceBuffer::with_capacity(8);
         b.push(TraceEvent::new(
             Phase::Instant,
@@ -301,16 +343,47 @@ mod tests {
             Category::Fault,
             &[("attempt", 2)],
         ));
-        b.push(TraceEvent::new(
-            Phase::Counter,
-            6,
-            "stalls",
-            Category::Mem,
-            &[("value", 42)],
-        ));
         let j = b.to_chrome_json();
         assert!(j.contains("\"s\":\"t\""), "{j}");
-        assert!(j.contains("\"ph\":\"C\""), "{j}");
         crate::json::validate_chrome_trace(&j).expect("valid");
+    }
+
+    #[test]
+    fn folded_stacks_are_an_exact_fold() {
+        use Category::{Mem, Query, Rm};
+        let mut b = TraceBuffer::with_capacity(32);
+        let mut push = |ph: Phase, ts: Cycles, name: &'static str, cat: Category| {
+            b.push(TraceEvent::new(ph, ts, name, cat, &[]));
+        };
+        push(Phase::Begin, 100, "exec", Query);
+        push(Phase::Begin, 110, "scan", Mem);
+        push(Phase::Instant, 130, "retry", Query);
+        push(Phase::End, 150, "scan", Mem);
+        // A device span reported in the past: its edges add no cycles,
+        // and the frontier stays at 150.
+        push(Phase::Begin, 120, "gather", Rm);
+        push(Phase::End, 140, "gather", Rm);
+        // Two forked cores, each from the fork at 150 on its own clock;
+        // core 0's span ends after core 1's opened, so the end closes a
+        // frame below the top.
+        push(Phase::Begin, 150, "core", Mem);
+        push(Phase::Begin, 150, "probe", Rm);
+        push(Phase::End, 180, "core", Mem);
+        push(Phase::End, 190, "probe", Rm);
+        push(Phase::End, 200, "exec", Query);
+        let folded = b.to_folded();
+        assert_eq!(
+            folded,
+            "fabric;query:exec 20\n\
+             fabric;query:exec;mem:core;rm:probe 30\n\
+             fabric;query:exec;mem:scan 40\n\
+             fabric;query:exec;rm:probe 10\n"
+        );
+        let total: Cycles = folded
+            .lines()
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<Cycles>().unwrap())
+            .sum();
+        assert_eq!(total, 200 - 100, "the fold accounts for every cycle");
+        assert_eq!(TraceBuffer::with_capacity(4).to_folded(), "");
     }
 }

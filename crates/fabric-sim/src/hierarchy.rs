@@ -20,8 +20,8 @@ use crate::prefetch::StreamPrefetcher;
 use crate::stats::MemStats;
 use crate::Cycles;
 use fabric_obs::{
-    CalibLedger, Category, CoreAttribution, FabricRecorder, FlightRecorder, MetricsRegistry,
-    NoopRecorder, Phase, Postmortem, QueryLog, TraceEvent,
+    CalibLedger, Category, CoreAttribution, FlightRecorder, MetricsRegistry, Phase, Postmortem,
+    QueryLog, TraceBuffer, TraceEvent,
 };
 use fabric_types::{Addr, Result};
 
@@ -123,10 +123,10 @@ impl CoreCtx {
 /// single-core hierarchy is cycle-identical to the original model.
 ///
 /// Also the host of the workspace's observability spine: every engine
-/// already threads a `&mut MemoryHierarchy`, so the trace recorder and the
+/// already threads a `&mut MemoryHierarchy`, so the trace buffer and the
 /// metrics registry live here and are reachable from every instrumented
-/// layer without new plumbing. Recording *never* advances `now` — a run
-/// with a live recorder is cycle-identical to an un-instrumented one.
+/// layer without new plumbing. Recording *never* advances `now` — a
+/// traced run is cycle-identical to an untraced one.
 pub struct MemoryHierarchy {
     cfg: SimConfig,
     costs: OpCosts,
@@ -155,13 +155,15 @@ pub struct MemoryHierarchy {
     /// `shared_base + k * t_row_hit / banks` — the controller's peak
     /// streaming throughput with all banks pipelined.
     dram_line_fills: u64,
-    recorder: Box<dyn FabricRecorder>,
-    /// Cached `recorder.enabled()` so hot paths pay one bool test.
-    tracing: bool,
+    /// The trace, when one is installed ([`Self::trace_to`]): every
+    /// event the `trace_*` entry points record, for Chrome JSON and
+    /// folded-stack export.
+    trace: Option<TraceBuffer>,
     metrics: MetricsRegistry,
     /// Always-on bounded event ring for postmortems (DESIGN.md §12):
-    /// fed by every trace entry point regardless of `tracing`, so a
-    /// failure can dump its recent history even on uninstrumented runs.
+    /// fed by every trace entry point whether or not a trace is
+    /// installed, so a failure can dump its recent history even on
+    /// untraced runs.
     flight: FlightRecorder,
     /// Engine-wide ring of per-query envelopes (DESIGN.md §17). Host-side
     /// bookkeeping: pushing a record never advances `now`.
@@ -190,8 +192,7 @@ impl MemoryHierarchy {
             shared_base: 0,
             l2_port_fills: 0,
             dram_line_fills: 0,
-            recorder: Box::new(NoopRecorder),
-            tracing: false,
+            trace: None,
             metrics: MetricsRegistry::new(),
             flight: FlightRecorder::default(),
             querylog: QueryLog::default(),
@@ -309,42 +310,33 @@ impl MemoryHierarchy {
 
     // ------------------------------------------------------- observability
 
-    /// Install a trace recorder (replacing the default no-op one). The
-    /// recorder sees cycle-stamped events from every instrumented layer;
-    /// it never advances simulated time.
-    pub fn set_recorder(&mut self, recorder: Box<dyn FabricRecorder>) {
-        self.tracing = recorder.enabled();
-        self.recorder = recorder;
+    /// Start recording trace events from every instrumented layer into a
+    /// fresh ring of `capacity` events (replacing any trace installed
+    /// before). Recording never advances simulated time.
+    pub fn trace_to(&mut self, capacity: usize) {
+        self.trace = Some(TraceBuffer::with_capacity(capacity));
     }
 
-    /// Remove the current recorder (to export its trace), leaving the
-    /// no-op recorder behind.
-    pub fn take_recorder(&mut self) -> Box<dyn FabricRecorder> {
-        self.tracing = false;
-        std::mem::replace(&mut self.recorder, Box::new(NoopRecorder))
+    /// Stop tracing and hand back the recorded events, if a trace was
+    /// installed.
+    pub fn take_trace(&mut self) -> Option<TraceBuffer> {
+        self.trace.take()
     }
 
-    /// Whether trace events are being recorded (cached; cheap to poll).
+    /// Whether a trace is installed (cheap to poll).
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.trace.is_some()
     }
 
-    /// Export the current recorder's trace as Chrome trace-event JSON
-    /// (`None` when the no-op recorder is installed).
+    /// The installed trace as Chrome trace-event JSON.
     pub fn export_trace(&self) -> Option<String> {
-        self.recorder.export_chrome_json()
+        self.trace.as_ref().map(TraceBuffer::to_chrome_json)
     }
 
-    /// Export the current recorder's folded-stack profile (`None` unless
-    /// a [`fabric_obs::SamplingProfiler`] is installed).
+    /// The installed trace folded into cycles per open-span stack.
     pub fn export_folded(&self) -> Option<String> {
-        self.recorder.export_folded()
-    }
-
-    /// Sampling statistics of the installed profiler, if any.
-    pub fn profile_stats(&self) -> Option<fabric_obs::ProfileStats> {
-        self.recorder.profile_stats()
+        self.trace.as_ref().map(TraceBuffer::to_folded)
     }
 
     /// The workspace metrics registry hosted by this hierarchy.
@@ -378,26 +370,26 @@ impl MemoryHierarchy {
         &mut self.calib
     }
 
+    /// Record `ev` into the trace, when one is installed, and the flight
+    /// ring.
+    #[inline]
+    fn record(&mut self, ev: TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(ev);
+        }
+        self.flight.record(ev);
+    }
+
     /// Open a span at the current cycle.
     #[inline]
     pub fn trace_begin(&mut self, name: &'static str, cat: Category) {
-        let now = self.now();
-        self.flight
-            .record(TraceEvent::new(Phase::Begin, now, name, cat, &[]));
-        if self.tracing {
-            self.recorder.begin(now, name, cat);
-        }
+        self.trace_begin_at(self.now(), name, cat);
     }
 
     /// Close a span at the current cycle, attaching `args`.
     #[inline]
     pub fn trace_end(&mut self, name: &'static str, cat: Category, args: &[(&'static str, u64)]) {
-        let now = self.now();
-        self.flight
-            .record(TraceEvent::new(Phase::End, now, name, cat, args));
-        if self.tracing {
-            self.recorder.end(now, name, cat, args);
-        }
+        self.trace_end_at(self.now(), name, cat, args);
     }
 
     /// Open a span at an explicit cycle timestamp (device models report
@@ -405,11 +397,7 @@ impl MemoryHierarchy {
     /// while the CPU was elsewhere).
     #[inline]
     pub fn trace_begin_at(&mut self, ts: Cycles, name: &'static str, cat: Category) {
-        self.flight
-            .record(TraceEvent::new(Phase::Begin, ts, name, cat, &[]));
-        if self.tracing {
-            self.recorder.begin(ts, name, cat);
-        }
+        self.record(TraceEvent::new(Phase::Begin, ts, name, cat, &[]));
     }
 
     /// Close a span at an explicit cycle timestamp.
@@ -421,11 +409,7 @@ impl MemoryHierarchy {
         cat: Category,
         args: &[(&'static str, u64)],
     ) {
-        self.flight
-            .record(TraceEvent::new(Phase::End, ts, name, cat, args));
-        if self.tracing {
-            self.recorder.end(ts, name, cat, args);
-        }
+        self.record(TraceEvent::new(Phase::End, ts, name, cat, args));
     }
 
     /// Record an instant event at the current cycle.
@@ -436,12 +420,7 @@ impl MemoryHierarchy {
         cat: Category,
         args: &[(&'static str, u64)],
     ) {
-        let now = self.now();
-        self.flight
-            .record(TraceEvent::new(Phase::Instant, now, name, cat, args));
-        if self.tracing {
-            self.recorder.instant(now, name, cat, args);
-        }
+        self.record(TraceEvent::new(Phase::Instant, self.now(), name, cat, args));
     }
 
     /// Run `f` inside a span, attributing the memory-hierarchy activity it
@@ -1001,7 +980,7 @@ mod tests {
     fn recorder_never_advances_time() {
         let mut bare = hierarchy();
         let mut traced = hierarchy();
-        traced.set_recorder(Box::new(crate::RingRecorder::new(256)));
+        traced.trace_to(256);
         for m in [&mut bare, &mut traced] {
             let p = m.alloc(4096, 64).unwrap();
             m.traced("scan", Category::Mem, |m| {
@@ -1018,19 +997,21 @@ mod tests {
     #[test]
     fn traced_span_attributes_hierarchy_activity() {
         let mut m = hierarchy();
-        m.set_recorder(Box::new(crate::RingRecorder::new(64)));
+        m.trace_to(64);
         let p = m.alloc(256, 64).unwrap();
         m.traced("scan", Category::Mem, |m| m.touch_read(p, 256));
-        let json = m.export_trace().expect("ring recorder exports");
+        let json = m.export_trace().expect("an installed trace exports");
         let summary = fabric_obs::validate_chrome_trace(&json).expect("valid trace");
         assert_eq!((summary.begins, summary.ends), (1, 1));
         // The closing edge carries per-level attribution.
         assert!(json.contains("\"demand_misses\""), "{json}");
         assert!(json.contains("\"stall_cycles\""), "{json}");
-        let rec = m.take_recorder();
+        let folded = m.export_folded().expect("an installed trace folds");
+        assert!(folded.starts_with("fabric;mem:scan "), "{folded}");
+        let trace = m.take_trace().expect("trace installed");
         assert!(!m.tracing());
-        assert_eq!(rec.export_chrome_json().as_deref(), Some(json.as_str()));
-        assert!(m.export_trace().is_none(), "noop recorder exports nothing");
+        assert_eq!(trace.to_chrome_json(), json);
+        assert!(m.export_trace().is_none(), "no trace, no export");
     }
 
     #[test]

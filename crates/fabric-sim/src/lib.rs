@@ -49,10 +49,9 @@ pub use stats::MemStats;
 pub use fabric_obs::topdown;
 pub use fabric_obs::{
     compare_bench, escaped, parse_json, validate_chrome_trace, CalibEntry, CalibLedger, Category,
-    ChromeTraceSummary, CoreAttribution, CounterId, FabricRecorder, FlightRecorder, GatePolicy,
-    GateReport, GaugeId, HistogramId, Json, MetricsRegistry, MetricsSnapshot, NoopRecorder,
-    OpRecord, Postmortem, ProfileStats, QueryLog, QueryRecord, RegistryId, RingRecorder,
-    SamplingProfiler, TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport,
+    ChromeTraceSummary, CoreAttribution, CounterId, FlightRecorder, GatePolicy, GateReport,
+    GaugeId, HistogramId, Json, MetricsRegistry, MetricsSnapshot, OpRecord, Postmortem, QueryLog,
+    QueryRecord, RegistryId, TopDownSummary, TraceBuffer, WorkloadEntry, WorkloadReport,
     BENCH_SCHEMA_VERSION,
 };
 

@@ -426,12 +426,18 @@ impl Session<'_> {
 
     /// The plan `prepared` runs as: its own, or — for a handle prepared
     /// before the engine last invalidated its plans — what a fresh prepare
-    /// of its SQL returns.
+    /// of its SQL returns. Only that prepare is a counted probe of the
+    /// plan cache: later executions of the handle find the fresh plan
+    /// there without counting a hit or reordering the cache.
     fn current(&mut self, prepared: &Prepared) -> Result<Rc<PreparedPlan>> {
+        let sql = &prepared.plan.sql;
         if prepared.plan.generation == self.engine.generation {
             return Ok(Rc::clone(&prepared.plan));
         }
-        Ok(self.prepare(&prepared.plan.sql)?.plan)
+        match self.engine.cache.iter().find(|p| p.sql == *sql) {
+            Some(plan) => Ok(Rc::clone(plan)),
+            None => Ok(self.prepare(sql)?.plan),
+        }
     }
 
     /// Execute a prepared query on its planned path.
@@ -992,6 +998,28 @@ mod tests {
         assert_eq!(
             (la.path, la.est_ns, la.plan_sig),
             (lb.path, lb.est_ns, lb.plan_sig)
+        );
+    }
+
+    /// A stale handle re-prepares once: its first execution after the
+    /// invalidation misses the plan cache, the rest do not probe it.
+    #[test]
+    fn a_handle_held_across_an_invalidation_probes_the_plan_cache_once() {
+        let mut engine = engine_with_data(1);
+        let held = engine.session().prepare("SELECT id FROM t").unwrap();
+        let other = engine.session().prepare("SELECT qty FROM t").unwrap();
+        engine.clear_plan_cache();
+        let (hits, misses) = engine.plan_cache_stats();
+        let mut s = engine.session();
+        for handle in [&held, &other, &held] {
+            for _ in 0..3 {
+                s.execute(handle).unwrap();
+            }
+        }
+        assert_eq!(engine.plan_cache_stats(), (hits, misses + 2));
+        assert_eq!(
+            engine.cache[0].sql, "SELECT qty FROM t",
+            "executing a stale handle does not reorder the cache"
         );
     }
 

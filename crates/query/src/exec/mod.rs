@@ -304,10 +304,13 @@ pub(crate) fn run_verified(
         cache_hit: false,
     };
 
-    if let Some((batch, cached_path, cached_rm)) = cache.as_mut().and_then(|c| c.probe(key)) {
+    if let Some(batch) = cache.as_mut().and_then(|c| c.probe(key)) {
         // Operator-cache hit: the memoized stage output stands in for
         // stage 0 and the merge. The only cost is the probe plus the
-        // copy-out — pure CPU on core 0, zero hierarchy traffic.
+        // copy-out — pure CPU on core 0, zero hierarchy traffic. No device
+        // ran, so the hit reports no `rm_stats`: the cold run that filled
+        // the entry already counted its device work. The path is the
+        // requested one, because only clean runs are inserted.
         mem.set_active_core(0);
         let n = batch.len() as u64;
         let copied = profiled(mem, "query::opcache::hit", &mut out.profile, |m| {
@@ -317,8 +320,6 @@ pub(crate) fn run_verified(
         });
         debug_assert!(copied.is_ok());
         mem.metrics_mut().counter_add_id(tail.opcache_hits, 1);
-        out.path = cached_path;
-        out.rm_stats = cached_rm;
         out.cache_hit = true;
         return finish_output(mem, tail, verified, &batch, out, window, meta, key);
     }
@@ -356,7 +357,7 @@ pub(crate) fn run_verified(
             && out.rm_stats.as_ref().is_none_or(|s| s.injected_faults == 0);
         if clean {
             let evicted_before = opcache.evictions();
-            opcache.insert(key, Rc::clone(&batch), out.path, out.rm_stats);
+            opcache.insert(key, Rc::clone(&batch));
             let metrics = mem.metrics_mut();
             metrics.counter_add_id(tail.opcache_insertions, 1);
             metrics.counter_add_id(tail.opcache_evictions, opcache.evictions() - evicted_before);
@@ -1049,9 +1050,7 @@ mod tests {
     #[test]
     fn traced_query_emits_balanced_spans_even_when_degrading() {
         let mut engine = rm_setup(1000);
-        engine
-            .mem()
-            .set_recorder(Box::new(fabric_sim::RingRecorder::new(4096)));
+        engine.mem().trace_to(4096);
         let b = bound(&engine, RM_SQL);
         engine.set_fault_context(dead_device());
         let out = engine.session().run_bound(&b).unwrap();
@@ -1073,7 +1072,7 @@ mod tests {
         let mem = engine.mem_ref();
         assert_eq!(mem.metrics().counter("query.degraded"), 1);
         // Every begin has a matching end — the validator checks balance.
-        let json = mem.export_trace().expect("ring recorder exports");
+        let json = mem.export_trace().expect("trace installed");
         let summary = fabric_sim::validate_chrome_trace(&json).expect("trace must validate");
         assert!(summary.begins > 0 && summary.begins == summary.ends);
         assert!(summary.instants > 0, "degrade instant must be present");
@@ -1114,6 +1113,29 @@ mod tests {
         assert_eq!(metrics.counter("query.opcache.hits"), 1);
         assert_eq!(metrics.counter("query.opcache.misses"), 1);
         assert_eq!(metrics.counter("query.opcache.insertions"), 1);
+    }
+
+    /// A hit replays the batch and nothing else: the device did not run,
+    /// so the `query.rm.*` counters the cold run filled stay where it
+    /// left them.
+    #[test]
+    fn a_warm_rm_hit_counts_no_device_work() {
+        let mut engine = rm_setup(1000);
+        let mut s = engine.session();
+        let plan = s.prepare(RM_SQL).unwrap();
+        let cold = s.execute_on(&plan, AccessPath::Rm).unwrap();
+        let after_cold = engine.mem_ref().metrics().snapshot().subtree("query.rm");
+        let mut s = engine.session();
+        let warm = s.execute_on(&plan, AccessPath::Rm).unwrap();
+        assert!(!cold.cache_hit && warm.cache_hit);
+        assert!(cold.rm_stats.is_some() && warm.rm_stats.is_none());
+        assert_eq!((warm.path, warm.rows), (cold.path, cold.rows));
+        let after_warm = engine.mem_ref().metrics().snapshot().subtree("query.rm");
+        assert!(
+            after_cold.counter("rows_scanned") > 0,
+            "the cold run counted"
+        );
+        assert_eq!(after_warm.counters, after_cold.counters);
     }
 
     #[test]

@@ -37,7 +37,6 @@ use super::batch::ResultBatch;
 use crate::bind::BoundQuery;
 use crate::cost::AccessPath;
 use fabric_types::Geometry;
-use relmem::RmStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -49,14 +48,12 @@ use std::rc::Rc;
 /// entries were evicted).
 pub const DEFAULT_OPCACHE_CAP_BYTES: u64 = 8 << 20;
 
-/// One memoized stage output: the pre-sort/pre-limit batch, the path that
-/// produced it, the (clean) device stats when that path was RM, and the
-/// entry's heap footprint ([`ResultBatch::heap_bytes`]) for the byte
-/// budget.
+/// One memoized stage output: the pre-sort/pre-limit batch and its heap
+/// footprint ([`ResultBatch::heap_bytes`]) for the byte budget. The path
+/// that produced it is the one the key names: only clean runs, which ran
+/// the requested path, are inserted.
 struct CachedScan {
     batch: Rc<ResultBatch>,
-    path: AccessPath,
-    rm_stats: Option<RmStats>,
     bytes: u64,
 }
 
@@ -91,14 +88,11 @@ impl Default for OpCache {
 
 impl OpCache {
     /// Look up a signature; a hit shares the memoized stage output.
-    pub(crate) fn probe(
-        &mut self,
-        key: u128,
-    ) -> Option<(Rc<ResultBatch>, AccessPath, Option<RmStats>)> {
+    pub(crate) fn probe(&mut self, key: u128) -> Option<Rc<ResultBatch>> {
         match self.map.get(&key) {
             Some(e) => {
                 self.hits += 1;
-                Some((Rc::clone(&e.batch), e.path, e.rm_stats))
+                Some(Rc::clone(&e.batch))
             }
             None => {
                 self.misses += 1;
@@ -111,24 +105,10 @@ impl OpCache {
     /// evict oldest-first until the byte budget holds (the entry just
     /// inserted is never evicted — a cache that cannot admit the current
     /// query is useless).
-    pub(crate) fn insert(
-        &mut self,
-        key: u128,
-        batch: Rc<ResultBatch>,
-        path: AccessPath,
-        rm_stats: Option<RmStats>,
-    ) {
+    pub(crate) fn insert(&mut self, key: u128, batch: Rc<ResultBatch>) {
         self.insertions += 1;
         let bytes = batch.heap_bytes() as u64;
-        if let Some(old) = self.map.insert(
-            key,
-            CachedScan {
-                batch,
-                path,
-                rm_stats,
-                bytes,
-            },
-        ) {
+        if let Some(old) = self.map.insert(key, CachedScan { batch, bytes }) {
             self.bytes -= old.bytes;
             self.order.retain(|k| *k != key);
         }
@@ -546,16 +526,14 @@ mod tests {
         let mut c = OpCache::default();
         assert!(c.probe(7).is_none());
         let stored = batch(2, 1);
-        c.insert(7, Rc::clone(&stored), AccessPath::Col, None);
+        c.insert(7, Rc::clone(&stored));
         assert_eq!(c.bytes(), stored.heap_bytes() as u64, "exact accounting");
-        let (hit, path, rm) = c.probe(7).expect("hit");
+        let hit = c.probe(7).expect("hit");
         assert!(Rc::ptr_eq(&hit, &stored), "a hit shares the entry");
         assert_eq!(
             hit.rows(Returned::First(2)).unwrap(),
             vec![vec![Value::I64(0)], vec![Value::I64(1)]]
         );
-        assert_eq!(path, AccessPath::Col);
-        assert!(rm.is_none());
         assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.insertions(), 1);
         assert_eq!(c.len(), 1);
@@ -570,11 +548,11 @@ mod tests {
         let mut c = OpCache::default();
         let wide = || batch(8, 4);
         c.set_cap_bytes(wide().heap_bytes() as u64 * 2);
-        c.insert(1, wide(), AccessPath::Row, None);
-        c.insert(2, wide(), AccessPath::Row, None);
+        c.insert(1, wide());
+        c.insert(2, wide());
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 0);
-        c.insert(3, wide(), AccessPath::Row, None);
+        c.insert(3, wide());
         assert_eq!(c.len(), 2, "budget holds two entries");
         assert_eq!(c.evictions(), 1);
         assert!(c.probe(1).is_none(), "oldest entry evicted");
@@ -583,13 +561,13 @@ mod tests {
 
         // One entry larger than the whole budget is still admitted.
         c.set_cap_bytes(1);
-        c.insert(9, wide(), AccessPath::Col, None);
+        c.insert(9, wide());
         assert!(c.probe(9).is_some());
         assert_eq!(c.len(), 1);
 
         // Re-inserting under the same key replaces, not duplicates.
         let before = c.bytes();
-        c.insert(9, wide(), AccessPath::Col, None);
+        c.insert(9, wide());
         assert_eq!(c.bytes(), before);
         assert_eq!(c.len(), 1);
     }

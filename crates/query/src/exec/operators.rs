@@ -23,69 +23,12 @@ use fabric_types::{
     le_array, AggFunc, Chunk, ChunkError, ColumnType, ColumnView, Expr, F64Column, F64Program,
     FabricError, Result, Value, ValueAgg, BATCH_ROWS,
 };
-use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
-/// A group key as decoded values, ordered so that two keys are equal
-/// exactly when their rendered forms ([`render_key`]) are: per column the
-/// type tag, then the bit pattern — every NaN one key, `-0.0` and `0.0`
-/// two — and strings byte-wise. A morsel's groups are visited in this
-/// order when they are rendered; the rendered key is what orders the
-/// output (see [`merge_partials`]).
-#[derive(Debug)]
-struct RawKey(Vec<Value>);
-
-/// `(type tag, bits)` of a non-string key column.
-fn key_bits(v: &Value) -> (u8, u64) {
-    match v {
-        Value::I8(x) => (0, *x as u64),
-        Value::I16(x) => (1, *x as u64),
-        Value::I32(x) => (2, *x as u64),
-        Value::I64(x) => (3, *x as u64),
-        Value::F32(x) if x.is_nan() => (4, u64::from(f32::NAN.to_bits())),
-        Value::F32(x) => (4, u64::from(x.to_bits())),
-        Value::F64(x) if x.is_nan() => (5, f64::NAN.to_bits()),
-        Value::F64(x) => (5, x.to_bits()),
-        Value::Date(x) => (6, u64::from(*x)),
-        Value::Str(_) => (7, 0),
-    }
-}
-
-fn key_part_cmp(a: &Value, b: &Value) -> Ordering {
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
-        _ => key_bits(a).cmp(&key_bits(b)),
-    }
-}
-
-impl Ord for RawKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let by_part = self.0.iter().zip(&other.0);
-        by_part
-            .map(|(a, b)| key_part_cmp(a, b))
-            .find(|o| o.is_ne())
-            .unwrap_or_else(|| self.0.len().cmp(&other.0.len()))
-    }
-}
-
-impl PartialOrd for RawKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for RawKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for RawKey {}
-
 /// The rendered group key: each key value through `Display`, each followed
 /// by a unit separator. Its `String` order is the order grouped output
-/// leaves the merge stage in.
+/// leaves the merge stage in ([`finish_groups`]).
 fn render_key(key: &[Value]) -> Result<String> {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -124,10 +67,11 @@ fn new_accs(bound: &BoundQuery) -> impl Iterator<Item = ValueAgg> + '_ {
     })
 }
 
-/// Grouped partials keyed by rendered key: a `BTreeMap` so iteration is
-/// key-ordered on every core count — group output order must never depend
-/// on hash iteration (rule `nondeterministic-core`).
-type RenderedGroups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
+/// Merged groups keyed by canonical key bytes ([`canonical_key`]), each
+/// with its key values as first seen and its accumulators: a `BTreeMap`
+/// so iteration is key-ordered on every core count — group output order
+/// must never depend on hash iteration (rule `nondeterministic-core`).
+type MergedGroups = BTreeMap<Box<[u8]>, (Vec<Value>, Vec<ValueAgg>)>;
 
 /// How one item of a projecting plan is produced from a chunk's columns.
 enum Projection<'q> {
@@ -378,9 +322,10 @@ fn on_first_row(error: FabricError) -> ChunkError {
 
 /// `out` ← the canonical form of a raw group key (the GROUP BY columns'
 /// encoded bytes back to back, of types `types`): two keys have equal
-/// canonical bytes exactly when their [`RawKey`]s are equal — every NaN one
-/// key, `-0.0` and `0.0` two, a text up to its first NUL as decoded and
-/// then a NUL, so texts of different lengths cannot run into each other.
+/// canonical bytes exactly when they are one group — every NaN one key,
+/// `-0.0` and `0.0` two, a text up to its first NUL as decoded and then a
+/// NUL, so texts of different lengths cannot run into each other. These
+/// bytes are a group's identity from the morsel to the merge.
 fn canonical_key(types: &[ColumnType], mut raw: &[u8], out: &mut Vec<u8>) {
     out.clear();
     for &ty in types {
@@ -688,48 +633,36 @@ impl<'q> Consumer<'q> {
         }
     }
 
-    /// This partial's groups under their rendered keys, visited in raw-key
-    /// order. Raw-key equality is rendered-key equality except for strings
-    /// that embed the key separator; such groups fold together here, as
-    /// they always did.
-    fn into_rendered(self) -> Result<RenderedGroups> {
+    /// This partial's groups in group-id order, each under its
+    /// canonical key bytes. A plan without GROUP BY has one group, keyed
+    /// by no bytes.
+    fn into_groups(self) -> impl Iterator<Item = (Box<[u8]>, Vec<Value>, Vec<ValueAgg>)> {
         let (columns, feeds) = (self.plan.bound.group_by.len(), self.plan.feeds.len());
-        let mut keys = self.groups.keys.into_iter();
-        let mut accs = self.groups.accs.into_iter();
-        let mut by_raw_key = BTreeMap::new();
-        for _ in 0..accs.len() / feeds {
-            let key = RawKey(keys.by_ref().take(columns).collect());
-            let group: Vec<ValueAgg> = accs.by_ref().take(feeds).collect();
-            by_raw_key.insert(key, group);
+        let Groups {
+            accs, keys, index, ..
+        } = self.groups;
+        let mut canon = vec![Box::default(); accs.len() / feeds];
+        for (key, g) in index {
+            canon[g as usize] = key;
         }
-        let mut out = RenderedGroups::new();
-        for (key, accs) in by_raw_key {
-            match out.entry(render_key(&key.0)?) {
-                Entry::Vacant(v) => {
-                    v.insert((key.0, accs));
-                }
-                Entry::Occupied(mut e) => {
-                    for (mine, theirs) in e.get_mut().1.iter_mut().zip(&accs) {
-                        mine.merge(theirs)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let (mut keys, mut accs) = (keys.into_iter(), accs.into_iter());
+        canon.into_iter().map(move |key| {
+            let values = keys.by_ref().take(columns).collect();
+            (key, values, accs.by_ref().take(feeds).collect())
+        })
     }
 }
 
 /// Fold `other` (a later morsel's groups) into `acc`. Every group is
 /// independent and [`ValueAgg::merge`] is applied pairwise, so the fold is
-/// deterministic; `other` is walked in rendered-key order, which fixes the
-/// order of the charges too.
+/// deterministic.
 fn merge_groups(
     mem: &mut MemoryHierarchy,
-    acc: &mut RenderedGroups,
-    other: RenderedGroups,
+    acc: &mut MergedGroups,
+    other: impl Iterator<Item = (Box<[u8]>, Vec<Value>, Vec<ValueAgg>)>,
 ) -> Result<()> {
     let costs = mem.costs();
-    for (key, (key_vals, accs)) in other {
+    for (key, key_vals, accs) in other {
         mem.cpu(costs.hash_op);
         match acc.entry(key) {
             Entry::Occupied(mut e) => {
@@ -754,11 +687,12 @@ enum GroupedItem {
     Aggregate(usize),
 }
 
-/// Turn merged groups into the output batch, in rendered-key order.
+/// Turn merged groups into the output batch, ordered by rendered key and,
+/// among groups whose keys render alike, by canonical key.
 fn finish_groups(
     bound: &BoundQuery,
     types: &[ColumnType],
-    mut groups: RenderedGroups,
+    groups: MergedGroups,
 ) -> Result<ResultBatch> {
     let mut sources = Vec::with_capacity(bound.items.len());
     let mut aggregates = 0;
@@ -780,13 +714,20 @@ fn finish_groups(
             }
         });
     }
+    // The groups arrive in canonical-key order, which the stable sort
+    // keeps among equal renderings.
+    let mut groups = groups
+        .into_values()
+        .map(|group| Ok((render_key(&group.0)?, group)))
+        .collect::<Result<Vec<_>>>()?;
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
     // Scalar aggregation over zero rows still returns one row
     // (count = 0, sum = 0; min/max/avg error, as they have no value).
     if groups.is_empty() && bound.group_by.is_empty() {
-        groups.insert(String::new(), (Vec::new(), new_accs(bound).collect()));
+        groups.push((String::new(), (Vec::new(), new_accs(bound).collect())));
     }
     let mut out = ResultBatch::new(types);
-    for (key_vals, accs) in groups.into_values() {
+    for (_, (key_vals, accs)) in groups {
         out.push_row(|i, col| match sources[i] {
             GroupedItem::Key(pos) => col.push(&key_vals[pos]),
             GroupedItem::Aggregate(acc) => col.push(&accs[acc].finish()?),
@@ -801,7 +742,8 @@ fn finish_groups(
 /// count — that is what makes N-core output bit-identical to 1-core even
 /// for floating-point aggregates. Projected morsels concatenate, so the
 /// result is the scan order; aggregated morsels fold their groups under
-/// the rendered key, rendered here once per group per partial.
+/// their canonical key bytes, and each merged group is rendered once, to
+/// order the output.
 pub(crate) fn merge_partials<'q>(
     mem: &mut MemoryHierarchy,
     bound: &'q BoundQuery,
@@ -817,12 +759,16 @@ pub(crate) fn merge_partials<'q>(
         return ResultBatch::concat(types, batches);
     }
     let mut it = partials.into_iter();
-    let mut acc = match it.next() {
-        Some(first) => first.into_rendered()?,
-        None => RenderedGroups::new(),
-    };
+    let mut acc = MergedGroups::new();
+    if let Some(first) = it.next() {
+        acc.extend(
+            first
+                .into_groups()
+                .map(|(key, vals, accs)| (key, (vals, accs))),
+        );
+    }
     for p in it {
-        merge_groups(mem, &mut acc, p.into_rendered()?)?;
+        merge_groups(mem, &mut acc, p.into_groups())?;
     }
     finish_groups(bound, types, acc)
 }

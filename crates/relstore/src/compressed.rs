@@ -158,8 +158,7 @@ mod tests {
     use super::*;
     use crate::config::RsConfig;
     use fabric_sim::{
-        validate_chrome_trace, BreakerState, FaultConfig, FaultPlan, RecoveryPolicy, RingRecorder,
-        SimConfig,
+        validate_chrome_trace, BreakerState, FaultConfig, FaultPlan, RecoveryPolicy, SimConfig,
     };
     use fabric_types::rng::chaos_seed;
     use fabric_types::ColumnType;
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn under_faults_trace_spans_balance() {
         let (mut mem, mut dev, t) = setup();
-        mem.set_recorder(Box::new(RingRecorder::new(1 << 14)));
+        mem.trace_to(1 << 14);
         let transient = FaultConfig {
             flash_transient_prob: 0.3,
             link_corrupt_prob: 0.3,

@@ -681,11 +681,9 @@ mod tests {
     /// consulted — whether it is closed or open.
     #[test]
     fn a_predicate_type_error_returns_before_the_device_is_touched() {
-        use fabric_sim::{
-            validate_chrome_trace, BreakerState, FaultConfig, FaultPlan, RingRecorder,
-        };
+        use fabric_sim::{validate_chrome_trace, BreakerState, FaultConfig, FaultPlan};
         let (mut mem, mut dev, t) = setup();
-        mem.set_recorder(Box::new(RingRecorder::new(1 << 12)));
+        mem.trace_to(1 << 12);
         let bad = Predicate::always_true().and(ColumnPredicate::new(
             f32field(0, 0),
             CmpOp::Lt,

@@ -63,9 +63,7 @@ pub use workload;
 pub mod prelude {
     pub use colstore::ColTable;
     pub use durability::{DurabilityConfig, DurableImage, DurableMedia};
-    pub use fabric_sim::{
-        FabricRecorder, MemoryHierarchy, MetricsRegistry, NoopRecorder, RingRecorder, SimConfig,
-    };
+    pub use fabric_sim::{MemoryHierarchy, MetricsRegistry, SimConfig, TraceBuffer};
     pub use fabric_types::{
         AggFunc, CmpOp, ColumnType, Expr, Geometry, Predicate, RowLayout, Schema, Value,
     };

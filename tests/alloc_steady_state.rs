@@ -146,11 +146,11 @@ fn run(rows: usize, sql: &str, path: AccessPath) -> Run {
 /// Allocations allowed per extra morsel: the kernels' per-call vectors and
 /// a partial `Consumer` — its batch columns, each reserved once from the
 /// morsel before, or its group table (per group the key bytes, the key
-/// values and, when the partial is rendered for the merge, the rendered
-/// key and the accumulator list). Q1 measures 35–36, Q6 9–11, the lookup
-/// 5–7. Per extra RM batch: the payload, nothing else — the device keeps
-/// its line list across batches and a clean frame is delivered, not
-/// copied. A per-row allocation would add 4096 per morsel.
+/// values and, when the partial is folded into the merge, the accumulator
+/// list). Q1 measures 28–30, Q6 6–10, the lookup 3–5. Per extra RM
+/// batch: the payload, nothing else — the device keeps its line list
+/// across batches and a clean frame is delivered, not copied. A per-row
+/// allocation would add 4096 per morsel.
 const PER_MORSEL: u64 = 40;
 const PER_BATCH: u64 = 1;
 

@@ -10,7 +10,8 @@
 //! * the compiled `f64` expression program, evaluated a chunk at a time,
 //!   against `Expr::eval_f64` row by row;
 //! * grouped aggregation on raw keys against the rendered-key algorithm
-//!   it replaced, on ROW, COL and RM at 1/2/4 cores.
+//!   it replaced, on ROW, COL and RM at 1/2/4 cores — keys that render
+//!   alike, which that algorithm folded together, stay two groups.
 //!
 //! Generated cases are seeded from `FABRIC_CHAOS_SEED` (like the chaos
 //! suite); a failure prints the seed to replay it with.
@@ -573,4 +574,41 @@ fn raw_key_grouping_returns_the_rendered_key_rows_in_the_rendered_key_order() {
     assert_eq!(keyed(&|k| k.is_nan()), 4, "one NaN group per string");
     assert_eq!(keyed(&|k| k == 0.0), 8, "-0.0 and 0.0 per string");
     assert_eq!(rows.len(), 7 * 4);
+}
+
+/// Two keys whose renderings collide — each text rendered in quotes and
+/// followed by the unit separator U+001F — are two groups: a group is
+/// its canonical key bytes from the morsel to the merge, and the
+/// rendered key only orders the output, the canonical key breaking ties.
+#[test]
+fn keys_that_render_alike_stay_apart() {
+    let schema = Schema::from_pairs(&[
+        ("s1", ColumnType::FixedStr(5)),
+        ("s2", ColumnType::FixedStr(5)),
+    ]);
+    let (left, right) = (("a'\u{1f}'b", "c"), ("a", "b'\u{1f}'c"));
+    // Both keys in every morsel, so partials merge them too.
+    let table: Vec<Vec<Value>> = (0..2 * MORSEL_ROWS + 10)
+        .map(|i| {
+            let (s1, s2) = if i % 2 == 0 { left } else { right };
+            vec![Value::Str(s1.into()), Value::Str(s2.into())]
+        })
+        .collect();
+    let half = Value::I64(table.len() as i64 / 2);
+    let expected = vec![
+        vec![
+            Value::Str(right.0.into()),
+            Value::Str(right.1.into()),
+            half.clone(),
+        ],
+        vec![Value::Str(left.0.into()), Value::Str(left.1.into()), half],
+    ];
+    let sql = "SELECT s1, s2, count(*) FROM t GROUP BY s1, s2";
+    for cores in [1, 2, 4] {
+        for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+            let mut e = support::table_engine(cores, &schema, &table);
+            let out = e.session().run_on(sql, path).unwrap();
+            assert_eq!(out.rows, expected, "{path:?} at {cores} cores");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! fabric-obs guarantees, end to end: deterministic traces under chaos,
-//! bounded ring overflow, validator round-trips, and the zero-cost
-//! promise of the no-op recorder.
+//! bounded ring overflow, validator round-trips, folded stacks that
+//! account for every traced cycle, and the zero-cost promise of tracing.
 //!
 //! The tracer stamps events with the simulated cycle clock and never
 //! advances it, so a trace is a pure function of (workload, platform
@@ -9,8 +9,8 @@
 
 use durability::DurabilityConfig;
 use fabric_sim::{
-    parse_json, validate_chrome_trace, FaultConfig, Json, MemoryHierarchy, NoopRecorder,
-    RecoveryPolicy, RingRecorder, SamplingProfiler, SimConfig,
+    parse_json, validate_chrome_trace, Category, FaultConfig, Json, MemoryHierarchy,
+    RecoveryPolicy, SimConfig,
 };
 use fabric_types::{ColumnType, Schema, Value};
 use mvcc::DurableStore;
@@ -21,7 +21,7 @@ use support::{seed, wide_rm_engine};
 const ROWS: usize = 4_096;
 const SQL: &str = "SELECT c0, c5 FROM t WHERE c0 < 1000000";
 
-/// A chaos-seeded resilient sweep under a recorder of the given capacity:
+/// A chaos-seeded resilient sweep under a trace of the given capacity:
 /// returns (chrome trace JSON, metrics snapshot JSON, total rows out,
 /// faults injected by the plan).
 fn chaos_run(
@@ -31,18 +31,13 @@ fn chaos_run(
 ) -> (String, String, usize, u64) {
     let mut engine = wide_rm_engine(ROWS);
     engine.set_fault_context(FaultContext::new(cfg, RecoveryPolicy::default()));
-    engine
-        .mem()
-        .set_recorder(Box::new(RingRecorder::new(ring_capacity)));
+    engine.mem().trace_to(ring_capacity);
     let mut rows_out = 0usize;
     for _ in 0..queries {
         let out = engine.session().run(SQL).expect("resilient");
         rows_out += out.rows.len();
     }
-    let trace = engine
-        .mem()
-        .export_trace()
-        .expect("ring recorder exports a trace");
+    let trace = engine.mem().export_trace().expect("a trace is installed");
     let metrics = engine.mem_ref().metrics().snapshot().to_json();
     let injected = engine.fault_context().plan.stats().total();
     (trace, metrics, rows_out, injected)
@@ -193,138 +188,162 @@ struct WritePathRun {
     postmortems: Vec<String>,
     wal_appends: u64,
     replay_records: u64,
+    /// Simulated cycles from the start to the end of the workload.
+    elapsed: u64,
 }
 
-fn write_path_run(seed: u64, crash_at: u64, period: u64) -> WritePathRun {
+/// The write-path workload under a trace, inside one span so the trace's
+/// first and last events bracket every cycle the workload spends.
+fn write_path_run(seed: u64, crash_at: u64) -> WritePathRun {
     let mut m = MemoryHierarchy::new(SimConfig::zynq_a53());
-    m.set_recorder(Box::new(SamplingProfiler::wrapping(
-        Box::new(RingRecorder::new(1 << 15)),
-        period,
-    )));
+    m.trace_to(1 << 15);
+    let t0 = m.now();
+    m.trace_begin("workload", Category::Store);
     durable_workload(&mut m, seed, crash_at);
+    m.trace_end("workload", Category::Store, &[]);
+    let trace = m.take_trace().expect("a trace is installed");
+    assert_eq!(trace.dropped(), 0, "the trace must hold the whole workload");
     WritePathRun {
-        trace: m.export_trace().expect("ring exports a trace"),
+        trace: trace.to_chrome_json(),
         metrics: m.metrics().snapshot().to_json(),
-        folded: m.export_folded().expect("profiler exports folded stacks"),
+        folded: trace.to_folded(),
         wal_appends: m.metrics().counter("durability.wal.appends"),
         replay_records: m.metrics().counter("durability.replay.records"),
         postmortems: m.take_postmortems().iter().map(|p| p.to_json()).collect(),
+        elapsed: m.now() - t0,
     }
 }
 
-/// The write-path grid: for every (crash site, sampling period) cell, two
-/// chaos-seeded runs must agree by the bit on the trace, the metrics
-/// snapshot, the folded profile, and every postmortem artifact — and the
-/// one trace must be validator-clean while covering the WAL append,
-/// checkpoint write, and replay-phase spans.
+/// Sum of the cycle counts of a folded profile.
+fn folded_total(folded: &str) -> u64 {
+    folded
+        .lines()
+        .map(|l| {
+            let (_, n) = l.rsplit_once(' ').expect("`<stack> <cycles>` line");
+            n.parse::<u64>().expect("cycle count")
+        })
+        .sum()
+}
+
+/// The write-path grid: for every crash site, two chaos-seeded runs must
+/// agree by the bit on the trace, the metrics snapshot, the folded
+/// stacks, and every postmortem artifact — and the one trace must be
+/// validator-clean while covering the WAL append, checkpoint write, and
+/// replay-phase spans, and fold into exactly the cycles the run spent.
 #[test]
 fn write_path_trace_and_profile_are_bit_identical_across_runs() {
     let s = seed();
     for crash_at in [2u64, 5] {
-        for period in [128u64, 1024] {
-            let ctx = format!("crash_at={crash_at} period={period} seed={s}");
-            let a = write_path_run(s, crash_at, period);
-            let b = write_path_run(s, crash_at, period);
-            assert_eq!(a.trace, b.trace, "trace diverged ({ctx})");
-            assert_eq!(a.metrics, b.metrics, "metrics diverged ({ctx})");
-            assert_eq!(a.folded, b.folded, "folded profile diverged ({ctx})");
-            assert_eq!(a.postmortems, b.postmortems, "postmortems diverged ({ctx})");
+        let ctx = format!("crash_at={crash_at} seed={s}");
+        let a = write_path_run(s, crash_at);
+        let b = write_path_run(s, crash_at);
+        assert_eq!(a.trace, b.trace, "trace diverged ({ctx})");
+        assert_eq!(a.metrics, b.metrics, "metrics diverged ({ctx})");
+        assert_eq!(a.folded, b.folded, "folded stacks diverged ({ctx})");
+        assert_eq!(a.postmortems, b.postmortems, "postmortems diverged ({ctx})");
 
-            let summary = validate_chrome_trace(&a.trace).expect("valid trace");
-            assert_eq!(summary.begins, summary.ends, "unbalanced spans ({ctx})");
-            for span in [
-                "wal-append",
-                "ckpt-write",
-                "replay-scan",
-                "replay-ckpt-load",
-                "replay-reapply",
-            ] {
-                assert!(a.trace.contains(span), "trace missing `{span}` ({ctx})");
-            }
-            assert!(!a.folded.is_empty(), "empty folded profile ({ctx})");
-            assert!(a.wal_appends > 0, "no WAL appends counted ({ctx})");
-            assert!(a.replay_records > 0, "no replay records counted ({ctx})");
-
-            // The recovery postmortem embeds the RecoveryReport context.
-            let recovery = a
-                .postmortems
-                .iter()
-                .find(|p| {
-                    p.contains("\"reason\":\"crash-recovery\"")
-                        || p.contains("\"reason\":\"recovery-degraded\"")
-                })
-                .unwrap_or_else(|| panic!("no recovery postmortem ({ctx})"));
-            assert!(
-                recovery.contains("watermark"),
-                "recovery postmortem lacks the report context ({ctx})"
-            );
+        let summary = validate_chrome_trace(&a.trace).expect("valid trace");
+        assert_eq!(summary.begins, summary.ends, "unbalanced spans ({ctx})");
+        for span in [
+            "wal-append",
+            "ckpt-write",
+            "replay-scan",
+            "replay-ckpt-load",
+            "replay-reapply",
+        ] {
+            assert!(a.trace.contains(span), "trace missing `{span}` ({ctx})");
         }
+        assert!(a.elapsed > 0, "the workload spent no cycles ({ctx})");
+        assert_eq!(
+            folded_total(&a.folded),
+            a.elapsed,
+            "folded stacks must account for every cycle ({ctx})"
+        );
+        assert!(a.wal_appends > 0, "no WAL appends counted ({ctx})");
+        assert!(a.replay_records > 0, "no replay records counted ({ctx})");
+
+        // The recovery postmortem embeds the RecoveryReport context.
+        let recovery = a
+            .postmortems
+            .iter()
+            .find(|p| {
+                p.contains("\"reason\":\"crash-recovery\"")
+                    || p.contains("\"reason\":\"recovery-degraded\"")
+            })
+            .unwrap_or_else(|| panic!("no recovery postmortem ({ctx})"));
+        assert!(
+            recovery.contains("watermark"),
+            "recovery postmortem lacks the report context ({ctx})"
+        );
     }
 }
 
-/// The profiler's zero-cost promise on the write path: wrapping the
-/// recorder in a `SamplingProfiler` must not move the simulated clock by
-/// a single cycle relative to a `NoopRecorder` run — and the sample total
-/// must reconcile exactly with the cycles it observed.
+/// The profile's zero-cost promise on the write path: tracing the
+/// workload and folding the trace into stacks must not move the simulated
+/// clock or a metric by a single count relative to an untraced run — and
+/// the folded total must reconcile exactly with the cycles it observed.
 #[test]
 fn sampling_profiler_is_zero_cost_on_the_simulated_clock() {
     let s = seed();
     let mut base = MemoryHierarchy::new(SimConfig::zynq_a53());
-    base.set_recorder(Box::new(NoopRecorder));
+    assert!(!base.tracing());
     durable_workload(&mut base, s, 5);
-    let base_now = base.now();
 
-    let mut prof = MemoryHierarchy::new(SimConfig::zynq_a53());
-    prof.set_recorder(Box::new(SamplingProfiler::wrapping(
-        Box::new(RingRecorder::new(1 << 15)),
-        256,
-    )));
-    durable_workload(&mut prof, s, 5);
+    let prof = write_path_run(s, 5);
     assert_eq!(
-        prof.now(),
-        base_now,
-        "profiler advanced the simulated clock"
+        prof.elapsed,
+        base.now(),
+        "profiling advanced the simulated clock"
     );
-
-    let stats = prof.profile_stats().expect("profiler reports stats");
-    assert!(stats.samples > 0, "profiled run took no samples");
     assert_eq!(
-        stats.samples,
-        (stats.end - stats.start) / stats.period,
-        "sample total must reconcile with observed cycles"
+        prof.metrics,
+        base.metrics().snapshot().to_json(),
+        "profiling changed the metrics"
+    );
+    assert!(!prof.folded.is_empty(), "profiled run folded no stacks");
+    assert_eq!(
+        folded_total(&prof.folded),
+        prof.elapsed,
+        "folded total must reconcile with observed cycles"
     );
 }
 
+/// Tracing's zero-cost promise on the query path: a hierarchy with no
+/// trace installed (the no-op case) and a traced one must agree with an
+/// uninstrumented baseline on the simulated clock and every hierarchy
+/// statistic.
 #[test]
 fn noop_recorder_run_matches_uninstrumented_cycle_counts_exactly() {
-    // Baseline: the hierarchy as constructed (its default recorder).
+    // Baseline: the hierarchy as constructed (no trace installed).
     let mut base_engine = wide_rm_engine(ROWS);
+    assert!(!base_engine.mem_ref().tracing());
     let base = base_engine
         .session()
         .run_on(SQL, AccessPath::Rm)
         .expect("rm");
     let base_stats = base_engine.mem_ref().stats();
 
-    // An explicit no-op recorder must not perturb a single cycle.
+    // A trace installed and taken away again leaves the no-op case, which
+    // must not perturb a single cycle.
     let mut noop_engine = wide_rm_engine(ROWS);
-    noop_engine.mem().set_recorder(Box::new(NoopRecorder));
+    noop_engine.mem().trace_to(1 << 14);
+    assert!(noop_engine.mem().take_trace().is_some());
+    assert!(!noop_engine.mem_ref().tracing());
     let noop = noop_engine
         .session()
         .run_on(SQL, AccessPath::Rm)
         .expect("rm");
-    assert_eq!(noop.ns, base.ns, "no-op recorder changed simulated time");
+    assert_eq!(noop.ns, base.ns, "untraced run changed simulated time");
     assert_eq!(
         noop_engine.mem_ref().stats(),
         base_stats,
-        "no-op recorder changed hierarchy stats"
+        "untraced run changed hierarchy stats"
     );
     assert_eq!(noop.rows, base.rows);
 
     // Full tracing observes the same clock: recording never advances it.
     let mut traced_engine = wide_rm_engine(ROWS);
-    traced_engine
-        .mem()
-        .set_recorder(Box::new(RingRecorder::new(1 << 14)));
+    traced_engine.mem().trace_to(1 << 14);
     let traced = traced_engine
         .session()
         .run_on(SQL, AccessPath::Rm)
@@ -335,6 +354,7 @@ fn noop_recorder_run_matches_uninstrumented_cycle_counts_exactly() {
         base_stats,
         "tracing changed hierarchy stats"
     );
+    assert_eq!(traced.rows, base.rows);
     let summary = validate_chrome_trace(&traced_engine.mem().export_trace().unwrap()).unwrap();
     assert!(summary.begins > 0, "traced run recorded no spans");
 }

@@ -25,7 +25,7 @@
 #                                and leaves balanced trace spans — the one
 #                                fetch pipeline of DESIGN.md §31)
 #   6. traced query             (trace_query bin: one Fig-5-shaped query
-#                                under the ring recorder; the exported
+#                                under one trace; the exported
 #                                Chrome trace is structurally validated
 #                                and two same-seed chaos runs must export
 #                                bit-identical traces — trace_determinism)
@@ -54,14 +54,14 @@
 #                                bitwise equal outside ORDER BY / LIMIT
 #                                — DESIGN.md §32)
 #  10. profiler determinism     (profile_query bin twice under the fixed
-#                                seed: the cycle-domain sampling profiler
-#                                must export byte-identical .folded
+#                                seed: the exact fold of the trace must
+#                                export byte-identical .folded
 #                                collapsed-stack profiles — identical to
 #                                the checked-in results/PROFILE_query.folded
 #                                too, so that file cannot go stale — with
-#                                the sample total reconciling against
-#                                elapsed cycles; the bin asserts the
-#                                reconciliation)
+#                                the folded cycles summing to the observed
+#                                cycles and no trace event dropped; the bin
+#                                asserts both)
 #  11. perf regression gate     (tools/perf_gate.sh --check on one bench
 #                                per family plus fig7_tpch, so Figs. 5
 #                                and 7 are both gated, and the three
@@ -279,8 +279,7 @@ trap 'rm -rf "$PROF_SCRATCH"' EXIT INT TERM
 for run in 1 2; do
     mkdir -p "$PROF_SCRATCH/$run"
     FABRIC_RESULTS_DIR="$PROF_SCRATCH/$run" FABRIC_CHAOS_SEED="$CHAOS_SEED" \
-        cargo run -q --release -p bench --bin profile_query -- --rows 4096 --period 512 \
-        >/dev/null
+        cargo run -q --release -p bench --bin profile_query -- --rows 4096 >/dev/null
 done
 if ! cmp -s "$PROF_SCRATCH/1/PROFILE_query.folded" "$PROF_SCRATCH/2/PROFILE_query.folded"; then
     printf '\nprofiler determinism FAILED — two same-seed runs exported different profiles:\n'

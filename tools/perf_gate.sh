@@ -57,7 +57,7 @@ bench_args() {
         fig5_projectivity) echo "--rows 65536" ;;
         fig6_heatmap)      echo "--rows 65536" ;;
         fig7_tpch)         echo "both --max-target 4" ;;
-        profile_query)     echo "--rows 4096 --period 512 --reps 8" ;;
+        profile_query)     echo "--rows 4096 --reps 8" ;;
         querylog_report)   echo "--rows 20000 --reps 3" ;;
         trace_query)       echo "--rows 8192" ;;
         *) echo "perf_gate.sh: unknown bench $1" >&2; exit 2 ;;
