@@ -105,30 +105,120 @@ pub fn chaos_seed() -> u64 {
 /// Generated cases per property.
 pub const PROPERTY_CASES: u64 = 256;
 
-/// Check `property` on [`PROPERTY_CASES`] generated cases. Each case draws
-/// from its own generator, derived from [`chaos_seed`] and the case index;
-/// when a case panics, both are printed so the failure replays.
-pub fn for_each_case(name: &str, mut property: impl FnMut(&mut DetRng)) {
-    struct Replay<'a> {
-        name: &'a str,
-        seed: u64,
-        case: u64,
-    }
-    impl Drop for Replay<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!(
-                    "property `{}` failed on case {} (replay: FABRIC_CHAOS_SEED={})",
-                    self.name, self.case, self.seed
-                );
-            }
+/// One generated case of [`for_each_case`]: its generator (a `Case`
+/// dereferences to it), and the table sizes it runs at.
+#[derive(Debug)]
+pub struct Case {
+    rng: DetRng,
+    halvings: u32,
+    rows: Vec<usize>,
+    note: String,
+}
+
+impl Case {
+    fn new(seed: u64, halvings: u32) -> Self {
+        Case {
+            rng: DetRng::seed_from_u64(seed),
+            halvings,
+            rows: Vec::new(),
+            note: String::new(),
         }
     }
+
+    /// A table of `n` rows as this run of the case takes it: `n` on the
+    /// first run, halved once more on each re-run that shrinks a failure,
+    /// but never from some rows to none (an empty table is a case of its
+    /// own).
+    pub fn rows(&mut self, n: usize) -> usize {
+        let n = n.checked_shr(self.halvings).unwrap_or(0).max(n.min(1));
+        self.rows.push(n);
+        n
+    }
+
+    /// What the case runs (its statement, say), for the failure report.
+    pub fn note(&mut self, what: impl std::fmt::Display) {
+        self.note = what.to_string();
+    }
+}
+
+impl std::ops::Deref for Case {
+    type Target = DetRng;
+    fn deref(&self) -> &DetRng {
+        &self.rng
+    }
+}
+
+impl std::ops::DerefMut for Case {
+    fn deref_mut(&mut self) -> &mut DetRng {
+        &mut self.rng
+    }
+}
+
+/// A case that failed: the first run's panic, and the sizes and note of
+/// the smallest run that still failed.
+struct Failure {
+    payload: Box<dyn std::any::Any + Send>,
+    rows: Vec<usize>,
+    note: String,
+}
+
+impl Failure {
+    fn report(&self) -> String {
+        let mut out = format!("smallest failing run: {:?} rows", self.rows);
+        if !self.note.is_empty() {
+            out = format!("{out}, {}", self.note);
+        }
+        out
+    }
+}
+
+/// Run `property` on the case `seed` draws. When it fails, re-run it from
+/// the same seed at halved table sizes ([`Case::rows`]) for as long as it
+/// keeps failing and a size is left to halve.
+fn check_case(property: &mut impl FnMut(&mut Case), seed: u64) -> Result<(), Failure> {
+    let mut run = |halvings: u32| {
+        let mut case = Case::new(seed, halvings);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut case)));
+        (case, outcome)
+    };
+    let (mut smallest, outcome) = run(0);
+    let Err(payload) = outcome else {
+        return Ok(());
+    };
+    for halvings in 1..usize::BITS {
+        if smallest.rows.iter().all(|&n| n <= 1) {
+            break;
+        }
+        let (shrunk, outcome) = run(halvings);
+        if outcome.is_ok() {
+            break;
+        }
+        smallest = shrunk;
+    }
+    Err(Failure {
+        payload,
+        rows: smallest.rows,
+        note: smallest.note,
+    })
+}
+
+/// Check `property` on [`PROPERTY_CASES`] generated cases. Each case draws
+/// from its own generator, derived from [`chaos_seed`] and the case index.
+/// When a case panics it is shrunk ([`Case::rows`]), and the case index,
+/// the seed and the smallest failing run's table sizes and note are
+/// printed, so the failure replays.
+pub fn for_each_case(name: &str, mut property: impl FnMut(&mut Case)) {
     let seed = chaos_seed();
     let mut case_seeds = SplitMix64::new(seed);
     for case in 0..PROPERTY_CASES {
-        let _replay = Replay { name, seed, case };
-        property(&mut DetRng::seed_from_u64(case_seeds.next_u64()));
+        if let Err(failure) = check_case(&mut property, case_seeds.next_u64()) {
+            eprintln!(
+                "property `{name}` failed on case {case} (replay: FABRIC_CHAOS_SEED={seed}); {}",
+                failure.report()
+            );
+            std::panic::resume_unwind(failure.payload);
+        }
     }
 }
 
@@ -255,6 +345,37 @@ mod tests {
         assert!((2000..3000).contains(&hits), "p=0.25 gave {hits}/10000");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0) || true));
+    }
+
+    #[test]
+    fn a_failing_case_is_reported_at_its_smallest_failing_size() {
+        // Fails only above N rows, whatever the case draws.
+        const N: usize = 100;
+        let mut property = |case: &mut Case| {
+            let n = case.gen_range(1000..100_000usize);
+            let n = case.rows(n);
+            case.note(format!("SELECT over {n} rows"));
+            assert!(n <= N, "{n} rows");
+        };
+        for seed in 0..8 {
+            let failure = check_case(&mut property, seed).expect_err("fails at full size");
+            let [rows] = failure.rows[..] else {
+                panic!("one table: {:?}", failure.rows)
+            };
+            assert!(N < rows && rows <= 2 * N, "shrunk to {rows} rows");
+            let report = failure.report();
+            assert!(report.contains(&format!("[{rows}] rows, SELECT over {rows} rows")));
+        }
+        // A property that passes is not re-run; one that takes no size is
+        // not shrunk.
+        let mut runs = 0;
+        assert!(check_case(&mut |_: &mut Case| runs += 1, 1).is_ok());
+        assert_eq!(runs, 1);
+        let failure = check_case(&mut |_: &mut Case| panic!("always"), 1).unwrap_err();
+        assert_eq!(failure.report(), "smallest failing run: [] rows");
+        // Some rows never shrink to none.
+        let failure = check_case(&mut |case: &mut Case| assert_eq!(case.rows(50), 0), 1);
+        assert_eq!(failure.unwrap_err().rows, [1]);
     }
 
     #[test]

@@ -186,8 +186,8 @@ impl Engine {
         self.mem.num_cores()
     }
 
-    /// The simulated memory hierarchy — for loading tables, attaching
-    /// trace recorders, and reading metrics.
+    /// The simulated memory hierarchy — for loading tables, installing a
+    /// trace buffer, and reading metrics.
     pub fn mem(&mut self) -> &mut MemoryHierarchy {
         &mut self.mem
     }

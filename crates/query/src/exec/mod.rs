@@ -64,8 +64,8 @@ use operators::merge_partials;
 pub const MORSEL_ROWS: usize = 4096;
 
 /// One measured execution phase — a plan node's actuals, captured whether
-/// or not a trace recorder is attached (the bookkeeping is host-side and
-/// never advances simulated time).
+/// or not the hierarchy holds a trace buffer (the bookkeeping is host-side
+/// and never advances simulated time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Span name, matching the trace event (`query::scan::rm`, …).

@@ -9,24 +9,26 @@
 //! * `Value::decode_into` against `Value::decode`;
 //! * the compiled `f64` expression program, evaluated a chunk at a time,
 //!   against `Expr::eval_f64` row by row;
-//! * grouped aggregation on raw keys against the rendered-key algorithm
-//!   it replaced, on ROW, COL and RM at 1/2/4 cores — keys that render
-//!   alike, which that algorithm folded together, stay two groups.
+//! * grouped aggregation on raw keys against the reference executor of
+//!   `tests/support/reference.rs`, on ROW, COL and RM at 1/2/4 cores —
+//!   keys that render alike, which the rendered-key merge folded
+//!   together, stay two groups.
 //!
 //! Generated cases are seeded from `FABRIC_CHAOS_SEED` (like the chaos
 //! suite); a failure prints the seed to replay it with.
 
 use fabric_types::{
     crc32, Chunk, ChunkError, ColumnType, Crc32, DetRng, Expr, F64Regs, FabricError, Schema, Value,
-    ValueAgg,
 };
-use query::bind::{bind, BoundQuery, OutputItem};
+use query::bind::bind;
 use query::{AccessPath, Engine, MORSEL_ROWS};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 mod support;
-use support::{bits, core_grid, seed};
+use support::core_grid;
+use support::reference::{self, Table};
+use support::seed;
 
 // ------------------------------------------------------------------ CRC
 
@@ -372,208 +374,66 @@ fn compiled_program_equals_eval_f64_value_for_value_and_error_for_error() {
 
 // --------------------------------------------------- grouped aggregation
 
-/// Grouped aggregation as the executor did it before raw keys: per
-/// morsel, every row's group columns formatted through `Display` into a
-/// `String` keying a `BTreeMap`, every aggregate fed through
-/// `Expr::eval` → `ValueAgg::update`; partials merged in morsel order;
-/// output in rendered-key order.
-fn rendered_key_reference(bound: &BoundQuery, table: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    type Groups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
-    let new_accs = || -> Vec<ValueAgg> {
-        bound
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
-                OutputItem::Expr(_) => None,
-            })
-            .collect()
-    };
-    let mut merged: Option<Groups> = None;
-    for morsel in table.chunks(MORSEL_ROWS) {
-        let mut groups = Groups::new();
-        for row in morsel {
-            let vals: Vec<Value> = bound.touched.iter().map(|&c| row[c].clone()).collect();
-            let pass = bound
-                .preds
-                .iter()
-                .all(|(slot, op, lit)| op.matches(vals[*slot].compare(lit).unwrap()));
-            if !pass {
-                continue;
-            }
-            let key: String = bound
-                .group_by
-                .iter()
-                .map(|&s| format!("{}\u{1f}", vals[s]))
-                .collect();
-            let entry = groups.entry(key).or_insert_with(|| {
-                let key_vals = bound.group_by.iter().map(|&s| vals[s].clone()).collect();
-                (key_vals, new_accs())
-            });
-            let aggs = bound.items.iter().filter_map(|i| match i {
-                OutputItem::Agg(_, e) => Some(e),
-                OutputItem::Expr(_) => None,
-            });
-            for (acc, e) in entry.1.iter_mut().zip(aggs) {
-                acc.update(&e.eval(&vals).unwrap()).unwrap();
-            }
-        }
-        match &mut merged {
-            None => merged = Some(groups),
-            Some(acc) => {
-                for (key, (key_vals, accs)) in groups {
-                    match acc.get_mut(&key) {
-                        Some(mine) => {
-                            for (m, theirs) in mine.1.iter_mut().zip(&accs) {
-                                m.merge(theirs).unwrap();
-                            }
-                        }
-                        None => {
-                            acc.insert(key, (key_vals, accs));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (key_vals, accs) in merged.unwrap_or_default().into_values() {
-        let mut accs = accs.iter();
-        let row = bound.items.iter().map(|item| match item {
-            OutputItem::Expr(Expr::Col(slot)) => {
-                let pos = bound.group_by.iter().position(|g| g == slot).unwrap();
-                key_vals[pos].clone()
-            }
-            OutputItem::Expr(other) => panic!("non-column group output {other}"),
-            OutputItem::Agg(..) => accs.next().unwrap().finish().unwrap(),
-        });
-        out.push(row.collect());
-    }
-    out
-}
-
-/// Rows whose group columns hold what raw-key grouping must get right:
-/// NaNs of several payloads and both signs (one group), `-0.0` beside
-/// `0.0` (two groups), strings that are prefixes of each other, strings
-/// that differ only after an embedded NUL (one group: a text is read up to
-/// its first NUL), and an integer column with more distinct values than a
-/// morsel has rows, so a morsel sees far more distinct keys than the
-/// linear table of seen keys holds.
-fn grouping_rows(rng: &mut DetRng, n: usize) -> Vec<Vec<Value>> {
-    let floats = [
-        f64::NAN,
-        -f64::NAN,
-        f64::from_bits(0x7ff8_0000_0000_0001),
-        f64::from_bits(0x7ff0_0000_0dea_dbee),
-        -0.0,
-        0.0,
-        1.5,
-        -1.5,
-        1e300,
-        f64::INFINITY,
-    ];
-    let texts = ["", "a", "ab", "b", "a\0b", "a\0c", "\0z"];
-    (0..n)
-        .map(|_| {
-            // Magnitudes far apart, so a sum folded in another order
-            // would differ in its last bits.
-            let v = (rng.next_f64() - 0.5) * 10f64.powi(rng.gen_range(0..12));
-            vec![
-                Value::F64(floats[rng.gen_range(0..floats.len())]),
-                Value::Str(texts[rng.gen_range(0..texts.len())].into()),
-                Value::I32(rng.gen_range(0..6000)),
-                Value::F64(v),
-                Value::I64(rng.gen_range(-50..1000)),
-            ]
-        })
-        .collect()
-}
-
-fn grouping_schema() -> Schema {
-    Schema::from_pairs(&[
-        ("k", ColumnType::F64),
-        ("s", ColumnType::FixedStr(3)),
-        ("g", ColumnType::I32),
-        ("v", ColumnType::F64),
-        ("w", ColumnType::I64),
-    ])
-}
-
-fn grouping_engine(cores: usize, table: &[Vec<Value>]) -> Engine {
-    support::table_engine(cores, &grouping_schema(), table)
-}
-
-/// `table` as the engine stores and reads it back: a text up to its
-/// first NUL.
-fn as_stored(table: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let schema = grouping_schema();
-    let round_trip = |(v, c): (&Value, &fabric_types::ColumnDef)| {
-        let mut bytes = vec![0; c.ty.width()];
-        v.encode_into(c.ty, &mut bytes).unwrap();
-        Value::decode(c.ty, &bytes)
-    };
-    table
-        .iter()
-        .map(|row| row.iter().zip(schema.columns()).map(round_trip).collect())
-        .collect()
-}
-
 #[test]
 fn raw_key_grouping_returns_the_rendered_key_rows_in_the_rendered_key_order() {
     let seed = seed();
     let mut rng = DetRng::seed_from_u64(seed ^ 0x6200);
     // Three full morsels and a short one.
-    let table = grouping_rows(&mut rng, 3 * MORSEL_ROWS + 1000);
-    let stored = as_stored(&table);
-    // Keys of one word (`k`: 8 bytes), two (`k, s` and `g, k, s`: 11 and
-    // 15 bytes) and three (`w, k, s`: 19 bytes).
+    let table = Table::generate(&mut rng, 3 * MORSEL_ROWS + 1000);
+    // Keys of one word (`f`: 8 bytes), two (`f, h`: 13 bytes; `h, i`: 10)
+    // and three (`c, f, h`: 17 bytes; `d, f, h`: 21), the many-valued `c`
+    // among them, so that a morsel sees far more distinct keys than the
+    // linear table of seen keys holds.
     let queries = [
-        "SELECT k, s, sum(v), avg(v), count(*), min(w), max(v) FROM t GROUP BY k, s",
-        "SELECT g, sum(v * 2 + w), count(*), avg(w) FROM t WHERE w >= 0 GROUP BY g",
-        "SELECT s, k, g, sum(v / (w + 51)) FROM t WHERE g < 4500 GROUP BY g, k, s",
-        "SELECT w, s, count(*), sum(v), max(g), k FROM t GROUP BY w, k, s",
-        "SELECT k, count(*), sum(w) FROM t WHERE s = 'a' GROUP BY k",
-        "SELECT sum(v), count(*), min(k) FROM t WHERE w < 900",
+        "SELECT f, h, sum(f), avg(d), count(*), min(d), max(e) FROM t GROUP BY f, h",
+        "SELECT c, sum(f * 2 + d), count(*), avg(b) FROM t WHERE b >= 0 GROUP BY c",
+        "SELECT h, f, c, sum(f / (b + 51)) FROM t WHERE c < 4500 GROUP BY c, f, h",
+        "SELECT d, h, count(*), sum(e), max(c), f FROM t GROUP BY d, f, h",
+        "SELECT f, count(*), sum(d) FROM t WHERE h = 'a' GROUP BY f",
+        "SELECT h, i, count(*), min(a) FROM t GROUP BY h, i",
+        "SELECT sum(f), count(*), min(f) FROM t WHERE a < 2",
     ];
+    // One engine per core count and path; each query runs cold on it.
+    let paths = [AccessPath::Row, AccessPath::Col, AccessPath::Rm];
+    let mut engines: Vec<(usize, AccessPath, Engine)> = core_grid()
+        .into_iter()
+        .flat_map(|cores| paths.map(|path| (cores, path, table.engine(cores))))
+        .collect();
     for sql in queries {
-        let reference = {
-            let e = grouping_engine(1, &table);
-            let stmt = query::parser::parse(sql).unwrap();
-            let bound = bind(e.catalog(), &stmt).unwrap();
-            rendered_key_reference(&bound, &stored)
-        };
-        if sql.contains("GROUP BY g") || sql.contains("GROUP BY w") {
+        let bound = bind(engines[0].2.catalog(), &query::parser::parse(sql).unwrap()).unwrap();
+        let reference = reference::execute(&bound, &table.stored).unwrap();
+        if sql.contains("GROUP BY c") {
             assert!(reference.len() > 4096, "{} groups", reference.len());
         }
-        for &cores in &core_grid() {
-            for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
-                let mut e = grouping_engine(cores, &table);
-                let out = e.session().run_on(sql, path).unwrap();
-                assert!(
-                    bits(&out.rows) == bits(&reference),
-                    "{path:?} at {cores} cores diverged from the rendered-key \
-                     reference on `{sql}` (replay: FABRIC_CHAOS_SEED={seed})"
-                );
-            }
+        for (cores, path, e) in &mut engines {
+            let out = e.session().run_on(sql, *path).unwrap();
+            assert!(!out.cache_hit, "`{sql}` ran cold on {path:?}");
+            let ctx = format!(
+                "{path:?} at {cores} cores diverged from the reference on `{sql}` \
+                 (replay: FABRIC_CHAOS_SEED={seed})"
+            );
+            reference::assert_answer(&bound, &out.rows, &reference, &ctx);
         }
     }
-    // The shapes the keys were chosen for, on the first query: every NaN
-    // in one group per string, the two zeros apart.
-    let mut e = grouping_engine(1, &table);
-    let rows = e
-        .session()
-        .run_on(queries[0], AccessPath::Row)
-        .unwrap()
-        .rows;
-    let keyed = |pred: &dyn Fn(f64) -> bool| {
-        rows.iter()
-            .filter(|r| matches!(r[0], Value::F64(k) if pred(k)))
-            .count()
-    };
-    // Four texts: "a\0b" and "a\0c" are "a", "\0z" is "".
-    assert_eq!(keyed(&|k| k.is_nan()), 4, "one NaN group per string");
-    assert_eq!(keyed(&|k| k == 0.0), 8, "-0.0 and 0.0 per string");
-    assert_eq!(rows.len(), 7 * 4);
+    // The shapes the keys were drawn for, on the first query: every NaN
+    // in one group per text ("a\0z" is "a", "\0z" is ""), the two zeros
+    // apart.
+    let (_, path, e) = &mut engines[0];
+    let out = e.session().run_on(queries[0], *path).unwrap();
+    let (mut nan_texts, mut zeros) = (BTreeSet::new(), BTreeSet::new());
+    for row in &out.rows {
+        match (&row[0], &row[1]) {
+            (Value::F64(k), Value::Str(s)) if k.is_nan() => {
+                assert!(nan_texts.insert(s.clone()), "two NaN groups of {s:?}")
+            }
+            (Value::F64(k), Value::Str(s)) if *k == 0.0 => {
+                assert!(zeros.insert((s.clone(), k.is_sign_negative())))
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(nan_texts.len(), 8, "one NaN group per text: {nan_texts:?}");
+    assert_eq!(zeros.len(), 16, "-0.0 and 0.0 per text");
 }
 
 /// Two keys whose renderings collide — each text rendered in quotes and

@@ -3,9 +3,9 @@
 //! several suites build. Each suite uses a subset.
 #![allow(dead_code)]
 
-pub mod client_rows;
 pub mod map_prefetcher;
 pub mod ref_hierarchy;
+pub mod reference;
 pub mod value_rows;
 
 use colstore::ColTable;
@@ -85,18 +85,27 @@ pub fn table_engine(cores: usize, schema: &Schema, rows: &[Vec<Value>]) -> Engin
     e
 }
 
-/// A result set as type tags and exact bit patterns: `assert_eq!` on
-/// `Value` would call NaN unequal to itself and `-0.0` equal to `0.0`.
+/// A value as its type tag and exact bit pattern, a text as its bytes:
+/// `==` on `Value` would call NaN unequal to itself and `-0.0` equal to
+/// `0.0`.
+pub fn value_bits(v: &Value) -> (u8, u64, &str) {
+    match v {
+        Value::I8(x) => (1, *x as u64, ""),
+        Value::I16(x) => (2, *x as u64, ""),
+        Value::I32(x) => (3, *x as u64, ""),
+        Value::I64(x) => (4, *x as u64, ""),
+        Value::F32(x) => (5, u64::from(x.to_bits()), ""),
+        Value::F64(x) => (6, x.to_bits(), ""),
+        Value::Date(x) => (7, u64::from(*x), ""),
+        Value::Str(s) => (8, 0, s),
+    }
+}
+
+/// A result set as [`value_bits`].
 pub fn bits(rows: &[Vec<Value>]) -> Vec<Vec<(u8, u64, String)>> {
-    let one = |v: &Value| match v {
-        Value::I8(x) => (1, *x as u64, String::new()),
-        Value::I16(x) => (2, *x as u64, String::new()),
-        Value::I32(x) => (3, *x as u64, String::new()),
-        Value::I64(x) => (4, *x as u64, String::new()),
-        Value::F32(x) => (5, u64::from(x.to_bits()), String::new()),
-        Value::F64(x) => (6, x.to_bits(), String::new()),
-        Value::Date(x) => (7, u64::from(*x), String::new()),
-        Value::Str(s) => (8, 0, s.clone()),
+    let one = |v: &Value| {
+        let (tag, bits, text) = value_bits(v);
+        (tag, bits, text.to_owned())
     };
     rows.iter().map(|r| r.iter().map(one).collect()).collect()
 }

@@ -1,19 +1,18 @@
-//! Typed chunk-at-a-time stage 0 (DESIGN.md §21) against the row-at-a-time
-//! pipeline it replaced, on generated tables and statements.
+//! Typed chunk-at-a-time stage 0 (DESIGN.md §21) against the one
+//! reference executor, and its kernels against the per-row kernels they
+//! replaced, on generated tables and statements (`tests/support/reference.rs`).
 //!
 //! Two suites, both seeded by `FABRIC_CHAOS_SEED` through `for_each_case`:
 //!
 //! * **answers** — a generated statement (conjunctions, projections with
 //!   literal and arithmetic items, `count/sum/avg/min/max` with and without
-//!   `GROUP BY`) over a generated table of all eight column types runs on
-//!   ROW, COL and RM through `Session::run_bound_on` and must return the
-//!   rows — bit for bit — or the error of [`row_at_a_time`], the retained
-//!   oracle: decode a tuple per row, `Value::compare`, `Expr::eval`,
-//!   `ValueAgg::update`, groups under rendered keys, partials merged in
-//!   morsel order. Each run's per-operator records must count every table
-//!   row into the scan, the qualifying rows out of the filter, and one
-//!   invocation per morsel (per delivered batch on RM) on every stage-0
-//!   operator.
+//!   `GROUP BY`, keys whose renderings collide, ORDER BY and LIMIT) over a
+//!   generated table of all eight column types runs on ROW, COL and RM
+//!   through `Session::run_bound_on` and must return the rows — bit for
+//!   bit — or the error of `reference::execute`. Each run's per-operator
+//!   records must count every table row into the scan, the qualifying rows
+//!   out of the filter, and one invocation per morsel (per delivered batch
+//!   on RM) on every stage-0 operator.
 //! * **clocks** — each layout's chunk kernel and its row-callback adaptor
 //!   run beside the verbatim old per-row kernel (kept below) over the same
 //!   morsel loop on identically built hierarchies, and must leave every
@@ -33,108 +32,27 @@ use fabric_sim::{MemStats, MemoryHierarchy, SimConfig};
 use fabric_types::geometry::merge_field_spans;
 use fabric_types::rng::for_each_case;
 use fabric_types::{
-    AggFunc, Chunk, ChunkError, CmpOp, ColumnId, ColumnType, DetRng, Expr, FabricError, Result,
-    ScanScratch, Schema, Value, ValueAgg,
+    Chunk, ChunkError, CmpOp, ColumnId, ColumnType, Expr, FabricError, Result, ScanScratch, Value,
 };
 use query::bind::{BoundQuery, OutputItem};
 use query::{AccessPath, QueryOutput, MORSEL_ROWS};
 use relmem::{EphemeralColumns, RmConfig};
 use rowstore::RowTable;
-use std::collections::BTreeMap;
 
 mod support;
 use support::bits;
+use support::reference::{self, Table};
 
 const PATHS: [AccessPath; 3] = [AccessPath::Row, AccessPath::Col, AccessPath::Rm];
-
-// ------------------------------------------------------------- the table
-
-/// One column of each type; `c` takes many distinct values (more than a
-/// morsel has rows, in a large table), the others few, so that groups
-/// repeat and predicates select anything from nothing to everything.
-const TYPES: [ColumnType; 8] = [
-    ColumnType::I8,
-    ColumnType::I16,
-    ColumnType::I32,
-    ColumnType::I64,
-    ColumnType::F32,
-    ColumnType::F64,
-    ColumnType::Date,
-    ColumnType::FixedStr(4),
-];
-const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
-const MANY_VALUED: usize = 2;
-
-/// A value of column `col`: the edge cases a typed loop could get wrong
-/// (NaNs of two payloads, both zeros, the `i64` extremes, texts that are
-/// padded, full-width, empty or cut by an embedded NUL) among a few plain
-/// values.
-fn value(rng: &mut DetRng, col: usize) -> Value {
-    const FLOATS: [f64; 8] = [f64::NAN, -0.0, 0.0, 1.5, -1.5, 2.0, 1e30, f64::NEG_INFINITY];
-    const TEXTS: [&str; 7] = ["", "a", "ab", "abcd", "b", "a\0z", "ab\0"];
-    match TYPES[col] {
-        ColumnType::I8 => Value::I8(rng.gen_range(-2..=2)),
-        ColumnType::I16 => Value::I16(rng.gen_range(-3i16..=3) * 100),
-        ColumnType::I32 => Value::I32(rng.gen_range(0..6000)),
-        ColumnType::I64 => match rng.gen_range(0..8u32) {
-            0 => Value::I64(i64::MIN),
-            1 => Value::I64(i64::MAX),
-            _ => Value::I64(rng.gen_range(-3..=3)),
-        },
-        ColumnType::F32 => Value::F32(FLOATS[rng.gen_range(0..FLOATS.len())] as f32),
-        ColumnType::F64 if rng.gen_bool(0.1) => {
-            Value::F64(f64::from_bits(0x7ff8_0000_0000_0001 | rng.next_u64() << 63))
-        }
-        ColumnType::F64 if rng.gen_bool(0.5) => Value::F64(FLOATS[rng.gen_range(0..FLOATS.len())]),
-        // Magnitudes far apart: a sum folded in another order differs.
-        ColumnType::F64 => Value::F64((rng.next_f64() - 0.5) * 10f64.powi(rng.gen_range(0..12))),
-        ColumnType::Date => Value::Date(rng.gen_range(0..4)),
-        ColumnType::FixedStr(_) => Value::Str(TEXTS[rng.gen_range(0..TEXTS.len())].into()),
-    }
-}
-
-/// `table` as a scan decodes it: every value through its column's
-/// encoding (a text with an embedded NUL reads back cut short — while its
-/// stored bytes keep what followed the NUL).
-fn read_back(table: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let stored = |(v, ty): (&Value, &ColumnType)| {
-        let mut bytes = vec![0u8; ty.width()];
-        v.encode_into(*ty, &mut bytes).unwrap();
-        Value::decode(*ty, &bytes)
-    };
-    let row = |r: &Vec<Value>| r.iter().zip(&TYPES).map(stored).collect();
-    table.iter().map(row).collect()
-}
-
-fn table(rng: &mut DetRng, rows: usize) -> Vec<Vec<Value>> {
-    (0..rows)
-        .map(|_| (0..TYPES.len()).map(|col| value(rng, col)).collect())
-        .collect()
-}
-
-/// A table size: mostly a few chunks, ending mid-chunk; now and then more
-/// than two morsels, ending mid-morsel; sometimes nothing at all.
-fn table_rows(rng: &mut DetRng) -> usize {
-    match rng.gen_range(0..16u32) {
-        0 => 0,
-        1 => 2 * MORSEL_ROWS + rng.gen_range(1..1500usize),
-        2 => 1024,
-        _ => rng.gen_range(1..2600),
-    }
-}
-
-fn schema() -> Schema {
-    let pairs: Vec<(&str, ColumnType)> = NAMES.iter().copied().zip(TYPES).collect();
-    Schema::from_pairs(&pairs)
-}
 
 /// `rows` loaded into both layouts of a fresh `cores`-core hierarchy,
 /// always by the same calls: two such hierarchies are in the same state.
 fn load(cores: usize, rows: &[Vec<Value>]) -> (MemoryHierarchy, RowTable, ColTable) {
     let mut mem = MemoryHierarchy::new(SimConfig::zynq_a53());
     mem.set_core_count(cores);
-    let mut rt = RowTable::create(&mut mem, schema(), rows.len().max(1)).unwrap();
-    let mut ct = ColTable::create(&mut mem, schema(), rows.len().max(1)).unwrap();
+    let schema = reference::schema();
+    let mut rt = RowTable::create(&mut mem, schema.clone(), rows.len().max(1)).unwrap();
+    let mut ct = ColTable::create(&mut mem, schema, rows.len().max(1)).unwrap();
     for row in rows {
         rt.load(&mut mem, row).unwrap();
         ct.load(&mut mem, row).unwrap();
@@ -142,244 +60,8 @@ fn load(cores: usize, rows: &[Vec<Value>]) -> (MemoryHierarchy, RowTable, ColTab
     (mem, rt, ct)
 }
 
-// -------------------------------------------------------- the statements
-
-/// A conjunction over the touched columns `touched`: literals drawn like
-/// the data (so `=` hits), of the column's type or another numeric one.
-fn conjunction(rng: &mut DetRng, touched: &[ColumnId]) -> Vec<(usize, CmpOp, Value)> {
-    const OPS: [CmpOp; 6] = [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-    ];
-    let n = [0, 0, 1, 1, 2, 3][rng.gen_range(0..6usize)];
-    (0..n)
-        .map(|_| {
-            let slot = rng.gen_range(0..touched.len());
-            let col = touched[slot];
-            let lit = if TYPES[col].is_numeric() && rng.gen_bool(0.3) {
-                // Any numeric literal compares with any numeric column.
-                let other = rng.gen_range(0..7usize);
-                value(rng, other)
-            } else {
-                value(rng, col)
-            };
-            (slot, OPS[rng.gen_range(0..OPS.len())], lit)
-        })
-        .collect()
-}
-
-/// An arithmetic expression over the numeric `slots` — divisions included,
-/// so some rows divide by zero.
-fn arithmetic(rng: &mut DetRng, slots: &[usize], depth: u32) -> Expr {
-    if depth == 0 || rng.gen_bool(0.3) {
-        return match rng.gen_range(0..4u32) {
-            0 => Expr::lit(Value::I64(rng.gen_range(-2..=2))),
-            1 => Expr::lit(Value::F64(rng.next_f64() * 4.0 - 2.0)),
-            _ => Expr::col(slots[rng.gen_range(0..slots.len())]),
-        };
-    }
-    let a = arithmetic(rng, slots, depth - 1);
-    let b = arithmetic(rng, slots, depth - 1);
-    match rng.gen_range(0..5u32) {
-        0 => Expr::add(a, b),
-        1 => Expr::sub(a, b),
-        2 | 3 => Expr::mul(a, b),
-        _ => Expr::div(a, b),
-    }
-}
-
-/// An expression with at least one operator.
-fn computed(rng: &mut DetRng, slots: &[usize]) -> Expr {
-    loop {
-        let e = arithmetic(rng, slots, 2);
-        if e.ops() > 0 {
-            return e;
-        }
-    }
-}
-
-/// A statement over the table. With `many_groups` it groups by the
-/// many-valued column and filters nothing, so a table of more than two
-/// morsels yields more than a morsel's worth of groups.
-fn statement(rng: &mut DetRng, many_groups: bool) -> BoundQuery {
-    // Touched columns: a random subset in a random order.
-    let mut touched: Vec<ColumnId> = (0..TYPES.len()).collect();
-    for i in (1..touched.len()).rev() {
-        touched.swap(i, rng.gen_range(0..=i));
-    }
-    touched.truncate(rng.gen_range(1..=TYPES.len()));
-    if many_groups && !touched.contains(&MANY_VALUED) {
-        touched[0] = MANY_VALUED;
-    }
-    let numeric: Vec<usize> = (0..touched.len())
-        .filter(|&s| TYPES[touched[s]].is_numeric())
-        .collect();
-    let preds = if many_groups {
-        Vec::new()
-    } else {
-        conjunction(rng, &touched)
-    };
-    let literal = |rng: &mut DetRng| {
-        let col = rng.gen_range(0..TYPES.len());
-        Expr::lit(value(rng, col))
-    };
-    let mut items = Vec::new();
-    let mut group_by = Vec::new();
-    if !many_groups && rng.gen_bool(0.4) {
-        for _ in 0..rng.gen_range(1..=4usize) {
-            items.push(OutputItem::Expr(match rng.gen_range(0..4u32) {
-                0 => literal(rng),
-                1 if !numeric.is_empty() => computed(rng, &numeric),
-                _ => Expr::col(rng.gen_range(0..touched.len())),
-            }));
-        }
-    } else {
-        if many_groups {
-            let slot = touched.iter().position(|&c| c == MANY_VALUED);
-            group_by.extend(slot);
-            items.push(OutputItem::Expr(Expr::col(group_by[0])));
-        }
-        for _ in 0..[0, 0, 1, 1, 2][rng.gen_range(0..5usize)] {
-            let slot = rng.gen_range(0..touched.len());
-            if !group_by.contains(&slot) {
-                group_by.push(slot);
-                items.push(OutputItem::Expr(Expr::col(slot)));
-            }
-        }
-        for _ in 0..rng.gen_range(1..=4usize) {
-            let any_slot = Expr::col(rng.gen_range(0..touched.len()));
-            items.push(match rng.gen_range(0..6u32) {
-                0 => OutputItem::Agg(AggFunc::Count, Expr::lit(Value::I64(1))),
-                1 | 2 if !numeric.is_empty() => {
-                    let func = [AggFunc::Sum, AggFunc::Avg][rng.gen_range(0..2usize)];
-                    let input = if rng.gen_bool(0.5) {
-                        computed(rng, &numeric)
-                    } else {
-                        Expr::col(numeric[rng.gen_range(0..numeric.len())])
-                    };
-                    OutputItem::Agg(func, input)
-                }
-                3 if !numeric.is_empty() => OutputItem::Agg(AggFunc::Max, computed(rng, &numeric)),
-                4 => OutputItem::Agg(AggFunc::Min, literal(rng)),
-                k => OutputItem::Agg([AggFunc::Min, AggFunc::Max][k as usize % 2], any_slot),
-            });
-        }
-        // Items in any order: group columns need not come first.
-        let last = items.len() - 1;
-        items.swap(0, rng.gen_range(0..=last));
-    }
-    BoundQuery {
-        table: "t".into(),
-        touched,
-        preds,
-        items,
-        group_by,
-        order_by: Vec::new(),
-        limit: None,
-    }
-}
-
-// ------------------------------------------- the row-at-a-time reference
-
-/// The pipeline stage 0 ran before chunks, as an oracle: per morsel, every
-/// row decoded into a tuple, every conjunct compared through
-/// `Value::compare`, a projecting plan evaluating `Expr::eval` per item, an
-/// aggregating one keeping `ValueAgg`s per rendered group key and feeding
-/// them `Expr::eval` values row by row; partials merged in morsel order,
-/// groups leaving in rendered-key order. Returns the rows or the first
-/// error in scan order.
-fn row_at_a_time(bound: &BoundQuery, table: &[Vec<Value>]) -> Result<Vec<Vec<Value>>> {
-    type Groups = BTreeMap<String, (Vec<Value>, Vec<ValueAgg>)>;
-    let new_accs = || -> Vec<ValueAgg> {
-        let aggs = bound.items.iter().filter_map(|i| match i {
-            OutputItem::Agg(f, _) => Some(ValueAgg::new(*f)),
-            OutputItem::Expr(_) => None,
-        });
-        aggs.collect()
-    };
-    let aggregated = bound.has_aggregates();
-    let mut projected = Vec::new();
-    let mut merged = Groups::new();
-    for morsel in table.chunks(MORSEL_ROWS) {
-        let mut groups = Groups::new();
-        for row in morsel {
-            let vals: Vec<Value> = bound.touched.iter().map(|&c| row[c].clone()).collect();
-            // Branch-free: every conjunct is compared on every row.
-            let mut pass = true;
-            for (slot, op, lit) in &bound.preds {
-                pass &= op.matches(vals[*slot].compare(lit)?);
-            }
-            if !pass {
-                continue;
-            }
-            if !aggregated {
-                let item = |i: &OutputItem| match i {
-                    OutputItem::Expr(e) => e.eval(&vals),
-                    OutputItem::Agg(..) => unreachable!("no aggregate in a projecting plan"),
-                };
-                projected.push(bound.items.iter().map(item).collect::<Result<_>>()?);
-                continue;
-            }
-            let key: String = bound
-                .group_by
-                .iter()
-                .map(|&s| format!("{}\u{1f}", vals[s]))
-                .collect();
-            let entry = groups.entry(key).or_insert_with(|| {
-                let key_vals = bound.group_by.iter().map(|&s| vals[s].clone()).collect();
-                (key_vals, new_accs())
-            });
-            let inputs = bound.items.iter().filter_map(|i| match i {
-                OutputItem::Agg(_, e) => Some(e),
-                OutputItem::Expr(_) => None,
-            });
-            for (acc, e) in entry.1.iter_mut().zip(inputs) {
-                acc.update(&e.eval(&vals)?)?;
-            }
-        }
-        for (key, (key_vals, accs)) in groups {
-            match merged.get_mut(&key) {
-                Some(mine) => {
-                    for (m, theirs) in mine.1.iter_mut().zip(&accs) {
-                        m.merge(theirs)?;
-                    }
-                }
-                None => {
-                    merged.insert(key, (key_vals, accs));
-                }
-            }
-        }
-    }
-    if !aggregated {
-        return Ok(projected);
-    }
-    // A scalar aggregate over no rows is still one row.
-    if merged.is_empty() && bound.group_by.is_empty() {
-        merged.insert(String::new(), (Vec::new(), new_accs()));
-    }
-    let mut out = Vec::new();
-    for (key_vals, accs) in merged.into_values() {
-        let mut accs = accs.iter();
-        let row = bound.items.iter().map(|item| match item {
-            OutputItem::Expr(Expr::Col(slot)) => {
-                let pos = bound.group_by.iter().position(|g| g == slot);
-                Ok(key_vals[pos.expect("a grouped plan's plain items are group columns")].clone())
-            }
-            OutputItem::Expr(other) => unreachable!("non-column group output {other}"),
-            OutputItem::Agg(..) => accs.next().expect("one accumulator per aggregate").finish(),
-        });
-        out.push(row.collect::<Result<_>>()?);
-    }
-    Ok(out)
-}
-
-/// The rows of `table` that pass every conjunct of `bound`, compared as
-/// [`row_at_a_time`] compares them.
-fn qualifying(bound: &BoundQuery, table: &[Vec<Value>]) -> u64 {
+/// The rows of `stored` that pass every conjunct of `bound`.
+fn qualifying(bound: &BoundQuery, stored: &[Vec<Value>]) -> u64 {
     let passes = |row: &Vec<Value>| {
         let pass = |(slot, op, lit): &(usize, CmpOp, Value)| {
             let v = &row[bound.touched[*slot]];
@@ -387,7 +69,7 @@ fn qualifying(bound: &BoundQuery, table: &[Vec<Value>]) -> u64 {
         };
         bound.preds.iter().all(pass)
     };
-    table.iter().filter(|row| passes(row)).count() as u64
+    stored.iter().filter(|row| passes(row)).count() as u64
 }
 
 /// Stage 0's per-operator actuals in `out`: every stage-0 operator ran
@@ -419,56 +101,56 @@ fn check_actuals(out: &QueryOutput, rows: usize, qualifying: u64, ctx: &str) {
     );
 }
 
-/// Which output items are computed by floating-point arithmetic (sums,
-/// averages, arithmetic expressions) rather than passed through. A computed
-/// NaN is compared as "a NaN": which operand's payload an addition of two
-/// NaNs keeps is the compiler's choice (it may commute the operands), so
-/// not something two correct programs agree on. Passed-through values —
-/// projected columns, group keys, `min`/`max` of a column — keep every bit.
-fn computed_items(bound: &BoundQuery) -> Vec<bool> {
-    let computed = |item: &OutputItem| match item {
-        OutputItem::Agg(AggFunc::Sum | AggFunc::Avg, _) => true,
-        OutputItem::Agg(_, e) | OutputItem::Expr(e) => e.ops() > 0,
+/// Whether two groups of `rows`, the answer of the grouped `bound`, have
+/// keys that render alike.
+fn renderings_collide(bound: &BoundQuery, rows: &[Vec<Value>]) -> bool {
+    let item_of = |slot: &usize| {
+        let is_key = |i: &OutputItem| matches!(i, OutputItem::Expr(Expr::Col(s)) if s == slot);
+        bound
+            .items
+            .iter()
+            .position(is_key)
+            .expect("group columns are items")
     };
-    bound.items.iter().map(computed).collect()
-}
-
-/// `rows` with the NaNs of `computed` items made the canonical NaN.
-fn canonical(rows: &[Vec<Value>], computed: &[bool]) -> Vec<Vec<Value>> {
-    let one = |(v, &computed): (&Value, &bool)| match v {
-        Value::F64(x) if computed && x.is_nan() => Value::F64(f64::NAN),
-        v => v.clone(),
-    };
-    let row = |r: &Vec<Value>| r.iter().zip(computed).map(one).collect();
-    rows.iter().map(row).collect()
+    let items: Vec<usize> = bound.group_by.iter().map(item_of).collect();
+    let key = |r: &Vec<Value>| -> Vec<Value> { items.iter().map(|&i| r[i].clone()).collect() };
+    let mut keys: Vec<String> = rows
+        .iter()
+        .map(|r| reference::rendered_key(&key(r)))
+        .collect();
+    keys.sort();
+    keys.windows(2).any(|w| w[0] == w[1])
 }
 
 #[test]
 fn every_path_returns_the_row_at_a_time_rows_or_its_error() {
-    let (mut answers, mut errors, mut big_answers, mut empty, mut all) = (0, 0, 0, 0, 0);
-    for_each_case("typed stage 0 answers", |rng| {
+    let (mut answers, mut errors, mut big_answers, mut empty, mut all, mut collisions) =
+        (0, 0, 0, 0, 0, 0);
+    for_each_case("typed stage 0 answers", |case| {
         // (A table of no rows has no admissible RM geometry.)
-        let rows = table_rows(rng).max(1);
-        let table = table(rng, rows);
-        let many_groups = table.len() > 2 * MORSEL_ROWS && rng.gen_bool(0.5);
-        let bound = statement(rng, many_groups);
-        let cores = [1, 2, 4][rng.gen_range(0..3usize)];
-        let stored = read_back(&table);
-        let want = row_at_a_time(&bound, &stored);
-        let kept = qualifying(&bound, &stored);
+        let n = reference::size(case).max(1);
+        let n = case.rows(n);
+        let table = Table::generate(case, n);
+        let many_groups = case.gen_bool(0.5) && table.len() > 2 * MORSEL_ROWS;
+        let bound = reference::statement(case, many_groups);
+        let cores = [1, 2, 4][case.gen_range(0..3usize)];
+        case.note(format!("{cores} cores, {bound:?}"));
+        let want = reference::execute(&bound, &table.stored);
+        let kept = qualifying(&bound, &table.stored);
         match &want {
             Ok(rows) => {
                 answers += 1;
                 let grouped = !bound.group_by.is_empty();
                 big_answers += usize::from(grouped && rows.len() > MORSEL_ROWS);
+                collisions += usize::from(grouped && renderings_collide(&bound, rows));
                 if !bound.has_aggregates() {
-                    empty += usize::from(rows.is_empty() && !table.is_empty());
-                    all += usize::from(rows.len() == table.len() && !bound.preds.is_empty());
+                    empty += usize::from(kept == 0);
+                    all += usize::from(kept == table.len() as u64 && !bound.preds.is_empty());
                 }
             }
             Err(_) => errors += 1,
         }
-        let mut e = support::table_engine(cores, &schema(), &table);
+        let mut e = table.engine(cores);
         for path in PATHS {
             let got = e.session().run_bound_on(&bound, path);
             let ctx = format!(
@@ -480,18 +162,7 @@ fn every_path_returns_the_row_at_a_time_rows_or_its_error() {
             }
             let got = got.map(|out| out.rows);
             match (&got, &want) {
-                (Ok(got), Ok(want)) => {
-                    let computed = computed_items(&bound);
-                    let (got, want) = (canonical(got, &computed), canonical(want, &computed));
-                    let (got, want) = (&got, &want);
-                    let differing = bits(got).into_iter().zip(bits(want)).find(|(g, w)| g != w);
-                    assert!(
-                        differing.is_none() && got.len() == want.len(),
-                        "{ctx}: {} rows for {}, first differing {differing:?}",
-                        got.len(),
-                        want.len()
-                    );
-                }
+                (Ok(got), Ok(want)) => reference::assert_answer(&bound, got, want, &ctx),
                 _ => assert_eq!(got.as_ref().err(), want.as_ref().err(), "{ctx}"),
             }
         }
@@ -504,6 +175,10 @@ fn every_path_returns_the_row_at_a_time_rows_or_its_error() {
         "{empty} empty, {all} all-pass selections"
     );
     assert!(big_answers >= 1, "{big_answers} cases with > 4096 groups");
+    assert!(
+        collisions >= 1,
+        "{collisions} answers with keys that render alike"
+    );
 }
 
 // ------------------------------------------- the old per-row kernels
@@ -870,15 +545,16 @@ fn select_into(
 #[test]
 fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
     let (mut failures, mut multi_morsel, mut unfiltered) = (0, 0, 0);
-    for_each_case("typed stage 0 clocks", |rng| {
-        let rows = table_rows(rng).min(2 * MORSEL_ROWS + 300);
-        let table = table(rng, rows);
-        let bound = statement(rng, false);
+    for_each_case("typed stage 0 clocks", |case| {
+        let n = reference::size(case).min(2 * MORSEL_ROWS + 300);
+        let rows = case.rows(n);
+        let table = Table::generate(case, rows).rows;
+        let bound = reference::statement(case, false);
         let (cols, preds) = (&bound.touched, &bound.preds);
-        let cores = [1, 2, 4][rng.gen_range(0..3usize)];
-        let pass_cycles = rng.gen_range(0..40u64);
+        let cores = [1, 2, 4][case.gen_range(0..3usize)];
+        let pass_cycles = case.gen_range(0..40u64);
         // Sometimes the sink fails on one of the rows that reach it.
-        let fail_at = rng.gen_bool(0.3).then(|| rng.gen_range(0..rows.max(1)));
+        let fail_at = case.gen_bool(0.3).then(|| case.gen_range(0..rows.max(1)));
         let sink = || Sink {
             rows: Vec::new(),
             fail_at,
@@ -888,6 +564,7 @@ fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
             "{rows} rows, {cores} cores, sink failing at {fail_at:?}, \
              columns {cols:?}, predicate {preds:?}"
         );
+        case.note(&ctx);
 
         // ROW: old kernel, chunk kernel, row adaptor.
         let old = {
@@ -1028,7 +705,7 @@ fn chunk_kernels_leave_every_core_where_the_per_row_kernels_did() {
         if rows == 0 {
             return; // a zero-row geometry is not admitted
         }
-        let types: Vec<ColumnType> = cols.iter().map(|&c| TYPES[c]).collect();
+        let types: Vec<ColumnType> = cols.iter().map(|&c| reference::ty(c)).collect();
         let old = {
             let (mut mem, rt, _) = load(cores, &table);
             let costs = mem.costs();

@@ -111,7 +111,8 @@
 #                                results around a fill block and a
 #                                gather block, on every path at 1/2/4
 #                                cores cold and as a hit, against the
-#                                per-value row builder they replaced —
+#                                reference executor of
+#                                tests/support/reference.rs —
 #                                bit-identical rows in order (DESIGN.md
 #                                "The client boundary"))
 #  13. host fast paths          (tests/host_fast_paths.rs under the fixed
@@ -122,10 +123,11 @@
 #                                Value::compare, decode_into, compiled f64
 #                                sums, and grouping on key words — one,
 #                                two and three words a row, NaN payloads,
-#                                texts equal up to an embedded NUL, more
-#                                distinct keys a morsel than the linear
-#                                table of seen keys holds — against the
-#                                rendered-key grouping it replaced, on
+#                                texts equal up to an embedded NUL, keys
+#                                that render alike, more distinct keys a
+#                                morsel than the linear table of seen
+#                                keys holds — against the reference
+#                                executor's canonical-key groups, on
 #                                ROW/COL/RM at 1/2/4 cores — DESIGN.md
 #                                §18, §29; then
 #                                tests/device_reference.rs under the same
@@ -157,19 +159,19 @@
 #                                at 1/2/4 cores, and the metrics registry
 #                                holds exactly the same keys after 250
 #                                sessions as after 25 — DESIGN.md §27)
-#  15. result batches           (tests/result_batch.rs under the fixed
-#                                seed: projections over all eight column
+#  15. result batches           (tests/result_batch.rs under both seeds:
+#                                projections over all eight column
 #                                types, every ORDER BY / LIMIT shape, on
 #                                ROW/COL/RM at 1/2/4 cores, cold and as
-#                                op-cache hits, against the row-vector
-#                                sort-and-truncate pipeline they replaced
-#                                — DESIGN.md §19)
+#                                op-cache hits, against the reference
+#                                executor's stable sort and LIMIT —
+#                                DESIGN.md §19)
 #  16. typed stage 0            (tests/typed_stage0.rs under the fixed
 #                                seed and the second one, as in step 13:
 #                                generated statements over all
 #                                eight column types on ROW/COL/RM at
-#                                1/2/4 cores against the row-at-a-time
-#                                pipeline, and each layout's chunk kernel
+#                                1/2/4 cores against the reference
+#                                executor, and each layout's chunk kernel
 #                                against its verbatim old per-row kernel
 #                                with every core's counters and clock
 #                                identical — DESIGN.md §21)
@@ -195,18 +197,31 @@ cd "$(dirname "$0")/.."
 
 say() { printf '\n==> %s\n' "$*"; }
 
-# seeded_test <title> <test> <NAME=value>...: run one suite of tests/ under
-# the given environment. Every such suite is deterministic in it, so a red
-# run reproduces locally with the command printed here.
+# seeded_test <title> <target> <NAME=value>...: run one cargo test target
+# (`--test <suite>` or `-p <crate> --lib <filter>`, split into cargo's
+# arguments) under the given environment. Every such target is
+# deterministic in it, so a red run reproduces locally with the command
+# printed here.
 seeded_test() {
     title=$1
-    test=$2
+    target=$2
     shift 2
     say "$title ($*)"
-    if ! env "$@" cargo test -q --test "$test"; then
-        printf '\n%s FAILED — replay with:\n  %s cargo test --test %s\n' "$title" "$*" "$test"
+    # shellcheck disable=SC2086
+    if ! env "$@" cargo test -q $target; then
+        printf '\n%s FAILED — replay with:\n  %s cargo test %s\n' "$title" "$*" "$target"
         exit 1
     fi
+}
+
+# both_seeds <title> <target> <NAME=value>...: seeded_test under the fixed
+# seed, then under the second one.
+both_seeds() {
+    title=$1
+    target=$2
+    shift 2
+    seeded_test "$title" "$target" "$SEED" "$@"
+    seeded_test "$title, second seed" "$target" "$SECOND_SEED" "$@"
 }
 
 if cargo fmt --version >/dev/null 2>&1; then
@@ -235,43 +250,26 @@ PAR_CORES="${FABRIC_PAR_CORES:-1,2,4}"
 SEED="FABRIC_CHAOS_SEED=$CHAOS_SEED"
 GRID="FABRIC_PAR_CORES=$PAR_CORES"
 # The Relational Storage pipeline (step 5), the plan-key property (step
-# 9), the crash-recovery matrix and the checkpoint row images (step 12),
-# the differentials of grouping and aggregation on key words (steps 13
-# and 16) and of metric handles against names (step 14) run under a
-# second fixed seed too.
+# 9), the crash-recovery matrix, the checkpoint row images and the client
+# rows (step 12), the host fast paths (step 13), metric handles against
+# names (step 14), and the answer suites against the reference executor
+# (steps 15 and 16) run under a second fixed seed too.
 SECOND_SEED="FABRIC_CHAOS_SEED=2718281"
 
-seeded_test "chaos sweep" fault_tolerance "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
-for seed in "$SEED" "$SECOND_SEED"; do
-    say "relstore fetch pipeline under faults ($seed)"
-    if ! env "$seed" cargo test -q -p relstore --lib compressed::tests::under_faults; then
-        printf '
-relstore pipeline FAILED — replay with:
-  %s cargo test -p relstore --lib compressed::tests::under_faults
-' "$seed"
-        exit 1
-    fi
-done
+seeded_test "chaos sweep" "--test fault_tolerance" "$SEED" "FABRIC_CHAOS_PLANS=$CHAOS_PLANS"
+both_seeds "relstore fetch pipeline under faults" "-p relstore --lib compressed::tests::under_faults"
 
 # The bin validates its export with fabric-obs's own chrome-trace
 # validator and exits non-zero on a malformed or unbalanced trace.
 say "traced query (trace_query --rows 8192)"
 cargo run -q --release -p bench --bin trace_query -- --rows 8192
-seeded_test "trace determinism" trace_determinism "$SEED"
+seeded_test "trace determinism" "--test trace_determinism" "$SEED"
 
-seeded_test "parallel equivalence" parallel_equivalence "$GRID" "$SEED"
-seeded_test "executor equivalence" executor_equivalence "$GRID" "$SEED"
-seeded_test "querylog determinism" querylog_determinism "$GRID" "$SEED"
-for seed in "$SEED" "$SECOND_SEED"; do
-    say "plan keys are bitwise plan identity ($seed)"
-    if ! env "$seed" cargo test -q -p query --lib exec::opcache::tests::equal_signatures_iff_bitwise_equal_plans; then
-        printf '
-plan keys FAILED — replay with:
-  %s cargo test -p query --lib equal_signatures_iff_bitwise_equal_plans
-' "$seed"
-        exit 1
-    fi
-done
+seeded_test "parallel equivalence" "--test parallel_equivalence" "$GRID" "$SEED"
+seeded_test "executor equivalence" "--test executor_equivalence" "$GRID" "$SEED"
+seeded_test "querylog determinism" "--test querylog_determinism" "$GRID" "$SEED"
+both_seeds "plan keys are bitwise plan identity" \
+    "-p query --lib exec::opcache::tests::equal_signatures_iff_bitwise_equal_plans"
 
 say "profiler determinism (profile_query twice, byte-identical .folded)"
 PROF_SCRATCH="$(mktemp -d)"
@@ -309,37 +307,22 @@ rm -rf "$PROF_SCRATCH"
 say "perf regression gate (abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression abl_mvcc abl_htap + self-test)"
 tools/perf_gate.sh --check abl_parallel fig5_projectivity fig7_tpch trace_query abl_recovery profile_query querylog_report abl_relstore abl_index abl_compression abl_mvcc abl_htap
 
-seeded_test "crash-recovery matrix" crash_recovery "$SEED"
-seeded_test "crash-recovery matrix, second seed" crash_recovery "$SECOND_SEED"
-seeded_test "checkpoint row images" checkpoint_images "$SEED"
-seeded_test "checkpoint row images, second seed" checkpoint_images "$SECOND_SEED"
-seeded_test "client rows" client_rows "$SEED"
-seeded_test "client rows, second seed" client_rows "$SECOND_SEED"
-seeded_test "host fast paths" host_fast_paths "$GRID" "$SEED"
-seeded_test "host fast paths, second seed" host_fast_paths "$GRID" "$SECOND_SEED"
-seeded_test "device reference" device_reference "$SEED"
+both_seeds "crash-recovery matrix" "--test crash_recovery"
+both_seeds "checkpoint row images" "--test checkpoint_images"
+both_seeds "client rows" "--test client_rows"
+both_seeds "host fast paths" "--test host_fast_paths" "$GRID"
+seeded_test "device reference" "--test device_reference" "$SEED"
 
 # Deterministic, no seed: the counting allocator exists in this test
 # binary only.
 say "allocation steady state and metric-name resolutions"
 cargo test -q --test alloc_steady_state
-for seed in "$SEED" "$SECOND_SEED"; do
-    say "metric handles against names ($seed)"
-    if ! env "$seed" cargo test -q -p fabric-obs --lib metrics::tests::handles_write_what_names_write; then
-        printf '
-metric handles FAILED — replay with:
-  %s cargo test -p fabric-obs --lib handles_write_what_names_write
-' "$seed"
-        exit 1
-    fi
-done
-seeded_test "bounded state" bounded_state "$GRID" "$SEED"
+both_seeds "metric handles against names" "-p fabric-obs --lib metrics::tests::handles_write_what_names_write"
+seeded_test "bounded state" "--test bounded_state" "$GRID" "$SEED"
 
-seeded_test "result batches" result_batch "$GRID" "$SEED"
-seeded_test "typed stage 0" typed_stage0 "$GRID" "$SEED"
-seeded_test "typed stage 0, second seed" typed_stage0 "$GRID" "$SECOND_SEED"
-seeded_test "line path reference" line_path_reference "$GRID" "$SEED"
-seeded_test "line path reference, second seed" line_path_reference "$GRID" "$SECOND_SEED"
+both_seeds "result batches" "--test result_batch" "$GRID"
+both_seeds "typed stage 0" "--test typed_stage0" "$GRID"
+both_seeds "line path reference" "--test line_path_reference" "$GRID"
 
 # The two-clock benchmark is a workspace of its own (benchmark/README.md),
 # outside `cargo test --workspace`.
